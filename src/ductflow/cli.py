@@ -1,7 +1,8 @@
 """Command line front end: run, check and sweep scenarios.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical abort,
-3 certificate failure (only with --strict).
+Exit codes: 0 success, 1 configuration error or input the library rejects
+(any ValueError, reported in one line), 2 numerical abort, 3 certificate
+failure (only with --strict).
 
 Outputs of `run` (all under --out, default out/<scenario-stem>):
   timeseries.csv      fixed columns t, X, Y, F, w_l2, theta_l2, theta_min,
@@ -29,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import EnergyLedger, audit_run, is_free_decay, ledger_to_json_obj, ledger_to_text, run_calibration
+from .audit import EnergyLedger, audit_run, ledger_to_json_obj, ledger_to_text
 from .domain import build_domain
 from .errors import NumericalAbort, RegimeError, ScenarioError
-from .hopf import check_compatibility, flux_norms, profile_by_name, select_params
+from .hopf import check_compatibility, profile_by_name
 from .scenario import KEY_MAP, load_scenario, parse_scenario_text, scenario_hash, set_key
-from .solver import GalerkinSolver, RunResult, ScenarioConfig
+from .solver import GalerkinSolver, RunResult, ScenarioConfig, horizon_times, pick_hopf_params
 from .svg import polyline_chart
 
 
@@ -49,12 +50,7 @@ def execute(config: ScenarioConfig, snapshot_cb=None) -> PipelineResult:
     """domain -> flux -> cutoff -> lifting -> bases -> windows -> audit."""
     solver = GalerkinSolver(config)
     run = solver.run_windows(snapshot_cb=snapshot_cb)
-    if is_free_decay(config):
-        ledger = audit_run(run, solver, cal_run=run)
-    else:
-        cal_run, seed = run_calibration(config)
-        ledger = audit_run(run, solver, cal_run, seed)
-    return PipelineResult(solver=solver, run=run, ledger=ledger)
+    return PipelineResult(solver=solver, run=run, ledger=audit_run(run, solver))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +178,9 @@ def cmd_run(args) -> int:
         (out_dir / "abort_dump.json").write_text(json.dumps(dump, sort_keys=True, indent=2) + "\n")
         print(f"numerical abort: {exc} (diagnostics in {out_dir / 'abort_dump.json'})", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -244,32 +243,24 @@ def cmd_check(args) -> int:
         config.flux_profile, config.domain_spec(),
         amplitude=config.flux_amplitude, beta=config.flux_beta, period=config.flux_period,
     )
-    # flux compatibility at sampled times
-    ts = np.linspace(0.0, config.T, 9)
+    # flux compatibility at sampled times over the whole horizon
+    ts = horizon_times(config, 8)
     worst = max(check_compatibility(profile, grid, float(t)) for t in ts)
     ok &= _check_line(worst <= 1e-12, "flux-compatibility", f"worst residual {worst:.3e}")
 
-    # cutoff parameter regime
-    if profile.name == "none":
-        _check_line(True, "cutoff-regime", "no flux; lifting inactive")
-    elif config.hopf_mode == "manual":
-        good = 0.0 < config.hopf_rho < min(1.0, config.a)
-        ok &= _check_line(
-            good, "cutoff-regime",
-            f"manual eps={config.hopf_eps} rho={config.hopf_rho} (need 0 < rho < min(1, a))",
-        )
+    # cutoff parameter regime: the decision the solver makes
+    try:
+        params = pick_hopf_params(config, profile, grid)
+    except RegimeError as exc:
+        ok &= _check_line(False, "cutoff-regime", str(exc))
     else:
-        try:
-            sup_norm = max(flux_norms(profile, grid, float(t)).w13_inf_total for t in ts)
-            params = select_params(config.nu, sup_norm, config.hopf_c_cal)
-            lhs = config.hopf_c_cal * (params.eps + params.rho ** (1 / 6)) * sup_norm
-            ok &= _check_line(
-                abs(lhs - config.nu / 4) <= 1e-12 * config.nu,
-                "cutoff-regime",
-                f"auto eps={params.eps:.4g} rho={params.rho:.4g}; smallness certificate = nu/4",
+        if params is None:
+            _check_line(True, "cutoff-regime", "no flux; lifting inactive")
+        else:
+            _check_line(
+                True, "cutoff-regime",
+                f"{config.hopf_mode} eps={params.eps} rho={params.rho} (0 < rho < min(1, a))",
             )
-        except RegimeError as exc:
-            ok &= _check_line(False, "cutoff-regime", str(exc))
 
     ok &= _check_line(
         config.mu > 2.0 / 3.0,
@@ -318,7 +309,7 @@ def cmd_sweep(args) -> int:
         try:
             config = parse_scenario_text(set_key(base_text, args.axis, value))
             result = execute(config)
-        except (ScenarioError, RegimeError) as exc:
+        except ValueError as exc:
             rows.append({"value": value, "status": f"skipped ({exc})"})
             print(f"[SKIP] {label}: {exc}")
             continue

@@ -53,10 +53,6 @@ class DomainSpec:
                 raise ValueError(f"{name} must be even and >= 4, got {n}")
 
     @property
-    def cap_area(self) -> float:
-        return self.L1 * self.L2
-
-    @property
     def volume(self) -> float:
         return self.L1 * self.L2 * 2.0 * self.a
 
@@ -133,9 +129,6 @@ class QuadratureGrid:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.x1.size, self.x2.size, self.x3.size)
-
-    def axis_nodes(self, axis: int) -> np.ndarray:
-        return (self.x1, self.x2, self.x3)[axis]
 
     def meshgrid(self):
         return np.meshgrid(self.x1, self.x2, self.x3, indexing="ij")

@@ -1,4 +1,4 @@
-"""Sampled scalar/vector fields and time-indexed field histories.
+"""Sampled scalar and vector fields.
 
 Fields carry nodal values on a quadrature grid plus, optionally, sampled
 derivatives. Producers attach derivatives however they can compute them
@@ -9,7 +9,7 @@ extension); the norm routines only consume what is attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -99,20 +99,3 @@ def scalar_from_samples(values, grid, with_derivatives=True) -> ScalarField:
             hess[i, j] = spectral.synth(hc, axes, par)
             hess[j, i] = hess[i, j]
     return ScalarField(values=values, grid=grid, grad=grad, hess=hess)
-
-
-@dataclass
-class FieldHistory:
-    """Time-indexed sequence of fields over a shared grid."""
-
-    times: np.ndarray
-    entries: Sequence
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.size != len(self.entries):
-            raise ValueError("times and entries length mismatch")
-        if self.times.size == 0:
-            raise ValueError("empty history")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")

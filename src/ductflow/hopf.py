@@ -312,36 +312,19 @@ def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> None:
 # Extension of the data into the volume
 
 
-def extend_flux(profile: FluxProfile, grid: QuadratureGrid, t: float):
-    """Constant-in-x3 extensions (d~1, d~2) sampled on the volume grid."""
-    X1, X2, _ = grid.meshgrid()
-    d1 = np.broadcast_to(
-        profile.d1(X1[:, :, :1], X2[:, :, :1], t), grid.shape
-    ).copy()
-    d2 = np.broadcast_to(
-        profile.d2(X1[:, :, :1], X2[:, :, :1], t), grid.shape
-    ).copy()
-    return d1, d2
-
-
 @dataclass
 class ExtensionB:
     """The lifting b = alpha e3 with analytic derivatives.
 
-    alpha, d_alpha[d] and div_b (= d_alpha[2]) are nodal samples;
-    ``time`` records the evaluation instant. ``eta_lo/eta_hi`` keep the 1D
-    cutoff profiles along x3 for reuse on faces.
+    alpha, grad_alpha[d] and div_b (= grad_alpha[2]) are nodal samples, as
+    are the time derivatives alpha_t and div_b_t.
     """
 
-    time: float
-    params: HopfParams
     alpha: np.ndarray
     grad_alpha: np.ndarray
     div_b: np.ndarray
     alpha_t: np.ndarray
     div_b_t: np.ndarray
-    eta_lo: np.ndarray
-    eta_hi: np.ndarray
 
     @property
     def b(self) -> np.ndarray:
@@ -418,15 +401,11 @@ def build_b(
         ]
     )
     return ExtensionB(
-        time=t,
-        params=params,
         alpha=alpha,
         grad_alpha=grad_alpha,
         div_b=grad_alpha[2],
         alpha_t=d1t * el + d2t * eh,
         div_b_t=d1t * epl + d2t * eph,
-        eta_lo=eta_lo,
-        eta_hi=eta_hi,
     )
 
 
@@ -484,22 +463,17 @@ class FluxNorms:
     l1_cap: tuple[float, float]
     g_l2_cap: tuple[float, float]    # L2 norm of the in-cap gradient
     w1_65_dt_cap: tuple[float, float]
-    linf_cap: tuple[float, float]
 
     @property
     def w13_inf_total(self) -> float:
         """sum_i ||d~_i||_{W^1_{3,inf}}; equals the cap W^1_3 norms."""
         return sum(self.w13_cap)
 
-    @property
-    def l2_inf_total(self) -> float:
-        return sum(self.l2_cap)
-
 
 def flux_norms(profile: FluxProfile, grid: QuadratureGrid, t: float) -> FluxNorms:
     lo = grid.patch(PatchKind.CAP_LO)
     hi = grid.patch(PatchKind.CAP_HI)
-    w13, l2, l3, l1, gl2, w165, linf = [], [], [], [], [], [], []
+    w13, l2, l3, l1, gl2, w165 = [], [], [], [], [], []
     for i, patch in ((1, lo), (2, hi)):
         X, Y = patch.meshgrid()
         v = profile.cap_fn(i)(X, Y, t)
@@ -528,7 +502,6 @@ def flux_norms(profile: FluxProfile, grid: QuadratureGrid, t: float) -> FluxNorm
             )
             ** (1.0 / p)
         )
-        linf.append(float(np.max(np.abs(v))))
     return FluxNorms(
         w13_cap=tuple(w13),
         l2_cap=tuple(l2),
@@ -536,7 +509,6 @@ def flux_norms(profile: FluxProfile, grid: QuadratureGrid, t: float) -> FluxNorm
         l1_cap=tuple(l1),
         g_l2_cap=tuple(gl2),
         w1_65_dt_cap=tuple(w165),
-        linf_cap=tuple(linf),
     )
 
 

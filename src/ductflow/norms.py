@@ -6,14 +6,11 @@ LP(p)                  plain Lebesgue norm; p = inf is the grid maximum
 SOBOLEV(k, p)          (sum_{|alpha| <= k} int |D^a u|^p)^(1/p)
 WEIGHTED_LP(p, mu)     (int |u|^p eta^(p mu))^(1/p), eta = distance to caps
 WEIGHTED_LPK(k, p, mu) same weight, derivatives of order exactly k
-ANISO(k, p1, p2)       L_p1 over the cross-section, then L_p2 along the axis
-SPACETIME(p, q)        L_q in time of L_p space norms (needs a history)
-V                      sup-in-time L2 plus L2-in-time gradient seminorm
-V1                     sup-in-time H1 plus L2-in-time H1 of the gradient
 
 Conventions: vector LP norms use the pointwise Euclidean magnitude; Sobolev
 style families sum over components and distinct multi-indices. Derivatives
 are never taken here; they must be attached to the field by its producer.
+Time norms are not here: the audit builds its V-norms from sampled series.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import numpy as np
 
 from .domain import QuadratureGrid
 from .errors import MissingDerivativeError
-from .fields import FieldHistory, ScalarField, VectorField
+from .fields import ScalarField, VectorField
 
 INF = math.inf
 
@@ -37,26 +34,18 @@ class Family(Enum):
     SOBOLEV = "sobolev"
     WEIGHTED_LP = "weighted-lp"
     WEIGHTED_LPK = "weighted-lpk"
-    ANISO = "aniso"
-    SPACETIME = "spacetime"
-    V = "v"
-    V1 = "v1"
 
 
 @dataclass(frozen=True)
 class NormSpec:
     family: Family
     p: float = 2.0
-    q: float = 2.0
-    p2: float = 2.0
     k: int = 0
     mu: float = 0.5
 
     def __post_init__(self):
-        for name in ("p", "q", "p2"):
-            v = getattr(self, name)
-            if not (v >= 1):
-                raise ValueError(f"{name} must be in [1, inf], got {v}")
+        if not (self.p >= 1):
+            raise ValueError(f"p must be in [1, inf], got {self.p}")
         if self.family in (Family.WEIGHTED_LP, Family.WEIGHTED_LPK):
             if not (0.0 < self.mu < 1.0):
                 raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
@@ -109,14 +98,8 @@ def _magnitude(field) -> np.ndarray:
     return np.abs(field.values)
 
 
-def norm(field: Union[ScalarField, VectorField, FieldHistory], spec: NormSpec) -> float:
-    """Evaluate the requested norm of a field (or history, for time families)."""
-    if spec.family in (Family.SPACETIME, Family.V, Family.V1):
-        if not isinstance(field, FieldHistory):
-            raise TypeError(f"{spec.family} needs a FieldHistory")
-        return _time_norm(field, spec)
-    if isinstance(field, FieldHistory):
-        raise TypeError("spatial norm applied to a history")
+def norm(field: Union[ScalarField, VectorField], spec: NormSpec) -> float:
+    """Evaluate the requested norm of a sampled field."""
     grid = field.grid
 
     if spec.family == Family.LP:
@@ -137,72 +120,4 @@ def norm(field: Union[ScalarField, VectorField, FieldHistory], spec: NormSpec) -
         w = grid.cap_weight() ** (spec.p * spec.mu)
         return _lp_arrays(_derivative_stack(field, spec.k), grid, spec.p, weight=w)
 
-    if spec.family == Family.ANISO:
-        return _aniso(field, spec)
-
     raise ValueError(f"unhandled family {spec.family}")
-
-
-def _aniso(field, spec: NormSpec) -> float:
-    grid = field.grid
-    arrays = _stack_through(field, spec.k)
-    ds = grid.spec
-    da = ds.L1 / ds.N1 * ds.L2 / ds.N2
-    h3 = 2.0 * ds.a / ds.N3
-    p1, p2 = spec.p, spec.p2
-    if p1 == INF:
-        slab = np.zeros(grid.shape[2])
-        for a in arrays:
-            slab = np.maximum(slab, np.max(np.abs(a), axis=(0, 1)))
-    else:
-        acc = np.zeros(grid.shape[2])
-        for a in arrays:
-            acc += da * np.sum(np.abs(a) ** p1, axis=(0, 1))
-        slab = acc ** (1.0 / p1)
-    if p2 == INF:
-        return float(np.max(slab))
-    return float((h3 * np.sum(slab**p2)) ** (1.0 / p2))
-
-
-def _spatial_l2(entry) -> float:
-    vals = entry.values
-    return math.sqrt(entry.grid.integrate(vals * vals if vals.ndim == 3 else np.sum(vals * vals, axis=0)))
-
-
-def _grad_sq(entry) -> float:
-    g = entry.require_grad()
-    return entry.grid.integrate(np.sum(g * g, axis=tuple(range(g.ndim - 3))))
-
-
-def _hess_sq(entry) -> float:
-    if isinstance(entry, ScalarField):
-        h = entry.require_hess()
-        return entry.grid.integrate(np.sum(h * h, axis=(0, 1)))
-    raise MissingDerivativeError("V1 norm of vector histories is not supported")
-
-
-def _time_norm(history: FieldHistory, spec: NormSpec) -> float:
-    t = history.times
-    if spec.family == Family.SPACETIME:
-        vals = np.array(
-            [norm(e, NormSpec(Family.LP, p=spec.p)) for e in history.entries]
-        )
-        if spec.q == INF:
-            return float(np.max(vals))
-        return float(np.trapezoid(vals**spec.q, t) ** (1.0 / spec.q))
-    if spec.family == Family.V:
-        sup_l2 = max(_spatial_l2(e) for e in history.entries)
-        grads = np.array([_grad_sq(e) for e in history.entries])
-        return float(sup_l2 + math.sqrt(np.trapezoid(grads, t)))
-    if spec.family == Family.V1:
-        h1 = [math.sqrt(_spatial_l2(e) ** 2 + _grad_sq(e)) for e in history.entries]
-        gh1 = np.array([_grad_sq(e) + _hess_sq(e) for e in history.entries])
-        return float(max(h1) + math.sqrt(np.trapezoid(gh1, t)))
-    raise ValueError(spec.family)
-
-
-def energy_norm_V(history: FieldHistory) -> float:
-    """sup-in-time L2 norm plus the L2-in-time gradient seminorm."""
-    if len(history.entries) < 2:
-        raise ValueError("V norm needs at least two time samples")
-    return _time_norm(history, NormSpec(Family.V))

@@ -126,9 +126,8 @@ def grad_on_face(solution: NeumannSolution, grid: QuadratureGrid, patch) -> np.n
 
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> VectorField:
     """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c."""
-    vals = ext.b
-    vals = vals + solution.phi.require_grad()
-    grad = ext.grad_b() + np.transpose(solution.phi.require_hess(), (0, 1, 2, 3, 4))
+    vals = ext.b + solution.phi.require_grad()
+    grad = ext.grad_b() + solution.phi.require_hess()
     return VectorField(values=vals, grid=grid, grad=grad)
 
 

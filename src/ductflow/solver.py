@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ from .basis import (
     build_velocity_basis,
 )
 from .domain import DomainSpec, PatchKind, QuadratureGrid, build_domain
-from .errors import NumericalAbort, ScenarioError
+from .errors import NumericalAbort, RegimeError, ScenarioError
 from .hopf import FluxProfile, HopfParams, flux_norms, profile_by_name, select_params
 
 
@@ -166,6 +166,36 @@ def forcing_field(config: ScenarioConfig, grid: QuadratureGrid) -> np.ndarray:
     return out
 
 
+def horizon_times(config: ScenarioConfig, per_window: int) -> np.ndarray:
+    """Evenly spaced instants over the whole run [0, n_windows T], ends included."""
+    n_windows = config.n_windows
+    return np.linspace(0.0, n_windows * config.T, per_window * n_windows + 1)
+
+
+def pick_hopf_params(
+    config: ScenarioConfig, profile: FluxProfile, grid: QuadratureGrid
+) -> Optional[HopfParams]:
+    """The cutoff parameters a run uses; `check` reports the same decision.
+
+    None without flux; the configured pair in manual mode; in auto mode the
+    select_params rule applied to the sup of ||d~|| over the whole horizon.
+    Raises RegimeError when the parameters fall outside the admissible regime.
+    """
+    if profile.name == "none":
+        return None
+    if config.hopf_mode == "manual":
+        params = HopfParams(eps=config.hopf_eps, rho=config.hopf_rho, c_cal=config.hopf_c_cal)
+    else:
+        sup_norm = max(
+            flux_norms(profile, grid, float(t)).w13_inf_total
+            for t in horizon_times(config, 32)
+        )
+        params = select_params(config.nu, sup_norm, config.hopf_c_cal)
+    if params.rho >= config.a:
+        raise RegimeError(f"rho = {params.rho} >= a = {config.a}: cap neighborhoods overlap")
+    return params
+
+
 # ---------------------------------------------------------------------------
 # The lifting provider
 
@@ -196,9 +226,8 @@ class DeltaProvider:
         sol = poisson_mod.solve_neumann(ext.div_b, grid)
         sol_t = poisson_mod.solve_neumann(ext.div_b_t, grid)
 
-        values = ext.b + sol.phi.require_grad()
-        grad = ext.grad_b() + sol.phi.require_hess()
-        dt_values = np.zeros_like(values)
+        delta = poisson_mod.delta_field(ext, sol, grid)
+        dt_values = np.zeros_like(delta.values)
         dt_values[2] = ext.alpha_t
         dt_values += sol_t.phi.require_grad()
 
@@ -212,7 +241,9 @@ class DeltaProvider:
             fgrad = hphi_f.copy()
             fgrad[2] += galpha_f
             faces[patch.kind] = FaceDelta(values=vals, grad=fgrad)
-        return DeltaEval(t=t, values=values, grad=grad, dt_values=dt_values, faces=faces)
+        return DeltaEval(
+            t=t, values=delta.values, grad=delta.grad, dt_values=dt_values, faces=faces
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +293,6 @@ class RunResult:
     def window_joint_indices(self) -> np.ndarray:
         return np.arange(self.n_windows + 1) * self.steps_per_window
 
-    def at_joints(self, key: str) -> np.ndarray:
-        return self.series[key][self.window_joint_indices()]
-
 
 SERIES_KEYS = [
     "t",
@@ -298,10 +326,8 @@ class GalerkinSolver:
             period=config.flux_period,
         )
         if self.profile.name != "none":
-            hopf_mod.validate_profile(
-                self.profile, self.grid, np.linspace(0.0, config.T, 9)
-            )
-        self.hopf_params = self._pick_hopf_params()
+            hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
+        self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
         self.delta_provider = DeltaProvider(self.profile, self.hopf_params, self.grid)
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
@@ -326,16 +352,6 @@ class GalerkinSolver:
         self._E_prev = None
 
     # -- setup helpers -------------------------------------------------------
-
-    def _pick_hopf_params(self) -> Optional[HopfParams]:
-        cfg = self.config
-        if self.profile.name == "none":
-            return None
-        if cfg.hopf_mode == "manual":
-            return HopfParams(eps=cfg.hopf_eps, rho=cfg.hopf_rho, c_cal=cfg.hopf_c_cal)
-        ts = np.linspace(0.0, cfg.T, 33)
-        sup_norm = max(flux_norms(self.profile, self.grid, float(t)).w13_inf_total for t in ts)
-        return select_params(cfg.nu, sup_norm, cfg.hopf_c_cal)
 
     def _temperature_face_samples(self) -> dict:
         out = {}
@@ -404,75 +420,55 @@ class GalerkinSolver:
         m = self.config.m
         return np.einsum("i,icg->cg", state.c, self._psi_flat).reshape(3, *self.grid.shape)
 
-    def rhs_velocity(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
+    def rhs_terms(self, state: State, delta: Optional[DeltaEval]):
+        """(velocity, temperature) dicts of every weak-form term at one state.
+
+        Each dict also carries ``explicit``, the part the Adams-Bashforth
+        extrapolation advances, and ``total = explicit - implicit``, where the
+        implicit part is the Crank-Nicolson one (``visc + fric`` for the
+        velocity, ``diff`` for the temperature). The stepper and the oracle
+        tests both read these dicts, so the tested terms are the stepped ones.
+        """
         forms = self.forms
-        c = state.c
-        terms = {}
-        terms["conv_www"] = np.einsum("i,j,ijl->l", c, c, forms.T_vel)
-        terms["visc"] = forms.K_visc @ c
-        terms["fric"] = forms.K_fric @ c
+        c, dcoef = state.c, state.dcoef
+        vel = {}
+        vel["conv_www"] = np.einsum("i,j,ijl->l", c, c, forms.T_vel)
+        vel["visc"] = forms.K_visc @ c
+        vel["fric"] = forms.K_fric @ c
         theta = self.theta_values(state)
         omega_f = self.omega(theta)[None, :, :, :] * self.f_values
-        terms["f_omega"] = forms.project_velocity(omega_f)
-        if delta is not None:
-            g_wd, g_dw, _ = forms.delta_matrices(delta)
-            terms["conv_wdelta"] = g_wd @ c
-            terms["conv_deltaw"] = g_dw @ c
-            B, Fb = forms.boundary_functionals(delta)
-            terms["B"] = B
-            terms["F_bdry"] = Fb
-            terms["F_vol"] = forms.forcing_F_volume(delta)
-            terms["F_form"] = forms.forcing_F_form(delta)
-        else:
-            z = np.zeros_like(c)
-            terms["conv_wdelta"] = z
-            terms["conv_deltaw"] = z
-            terms["B"] = z
-            terms["F_bdry"] = z
-            terms["F_vol"] = z
-            terms["F_form"] = z
-        total = (
-            -terms["conv_www"] - terms["conv_wdelta"] - terms["conv_deltaw"]
-            - terms["visc"] - terms["fric"]
-            + terms["B"] + terms["f_omega"]
-            + terms["F_vol"] + terms["F_form"] + terms["F_bdry"]
-        )
-        if return_terms:
-            terms["total"] = total
-            return total, terms
-        return total
-
-    def rhs_temperature(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
-        forms = self.forms
-        terms = {}
-        terms["diff"] = forms.K_theta @ state.dcoef
-        adv = np.einsum("i,j,ijl->l", state.c, state.dcoef, forms.T_th)
-        if delta is not None:
-            _, _, g_dth = forms.delta_matrices(delta)
-            adv = adv + g_dth @ state.dcoef
-        terms["adv"] = adv
-        total = -terms["diff"] - terms["adv"]
-        if return_terms:
-            terms["total"] = total
-            return total, terms
-        return total
-
-    def _explicit_parts(self, state: State, delta: Optional[DeltaEval]):
-        """Everything except the implicit linear solves."""
-        forms = self.forms
-        c = state.c
-        E_w = -np.einsum("i,j,ijl->l", c, c, forms.T_vel)
-        theta = self.theta_values(state)
-        omega_f = self.omega(theta)[None, :, :, :] * self.f_values
-        E_w = E_w + forms.project_velocity(omega_f)
-        E_th = -np.einsum("i,j,ijl->l", c, state.dcoef, forms.T_th)
+        vel["f_omega"] = forms.project_velocity(omega_f)
+        th = {"diff": forms.K_theta @ dcoef}
+        adv = np.einsum("i,j,ijl->l", c, dcoef, forms.T_th)
         if delta is not None:
             g_wd, g_dw, g_dth = forms.delta_matrices(delta)
-            E_w = E_w - g_wd @ c - g_dw @ c
-            B, Fb = forms.boundary_functionals(delta)
-            E_w = E_w + B + Fb + forms.forcing_F_volume(delta) + forms.forcing_F_form(delta)
-            E_th = E_th - g_dth @ state.dcoef
-        return E_w, E_th
+            vel["conv_wdelta"] = g_wd @ c
+            vel["conv_deltaw"] = g_dw @ c
+            vel["B"], vel["F_bdry"] = forms.boundary_functionals(delta)
+            vel["F_vol"] = forms.forcing_F_volume(delta)
+            vel["F_form"] = forms.forcing_F_form(delta)
+            adv = adv + g_dth @ dcoef
+        else:
+            for key in ("conv_wdelta", "conv_deltaw", "B", "F_bdry", "F_vol", "F_form"):
+                vel[key] = np.zeros_like(c)
+        th["adv"] = adv
+        vel["explicit"] = (
+            -vel["conv_www"] + vel["f_omega"]
+            - vel["conv_wdelta"] - vel["conv_deltaw"]
+            + vel["B"] + vel["F_bdry"] + vel["F_vol"] + vel["F_form"]
+        )
+        vel["total"] = vel["explicit"] - vel["visc"] - vel["fric"]
+        th["explicit"] = -th["adv"]
+        th["total"] = th["explicit"] - th["diff"]
+        return vel, th
+
+    def rhs_velocity(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
+        terms, _ = self.rhs_terms(state, delta)
+        return (terms["total"], terms) if return_terms else terms["total"]
+
+    def rhs_temperature(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
+        _, terms = self.rhs_terms(state, delta)
+        return (terms["total"], terms) if return_terms else terms["total"]
 
     # -- time stepping -----------------------------------------------------------
 
@@ -482,8 +478,8 @@ class GalerkinSolver:
 
     def step(self, state: State) -> State:
         dt = self.config.dt
-        delta = self.delta_provider(state.t)
-        E_w, E_th = self._explicit_parts(state, delta)
+        vel, th = self.rhs_terms(state, self.delta_provider(state.t))
+        E_w, E_th = vel["explicit"], th["explicit"]
         prev = self._E_prev
         c_new = self._stepper_w.step(state.c, E_w, None if prev is None else prev[0])
         th_new = self._stepper_th.step(state.dcoef, E_th, None if prev is None else prev[1])

@@ -1,15 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
+from ductflow import cli
 from ductflow.cli import main
 from ductflow.errors import ScenarioError
+from ductflow.hopf import flux_norms
 from ductflow.scenario import (
     bundled_scenario_path,
     load_scenario,
     parse_scenario_text,
     set_key,
 )
+from ductflow.solver import GalerkinSolver
 
 QUICK = bundled_scenario_path("quick-decay")
 
@@ -84,6 +88,66 @@ def test_check_fails_on_bad_regime(tmp_path):
     bad = tmp_path / "regime.scn"
     bad.write_text(text)
     assert main(["check", str(bad)]) == 1
+
+
+def scenario_with(tmp_path, base, keys):
+    text = base.read_text()
+    for key, value in keys.items():
+        text = set_key(text, key, value)
+    path = tmp_path / "edited.scn"
+    path.write_text(text)
+    return path
+
+
+def test_auto_regime_holds_over_the_whole_horizon(tmp_path, capsys):
+    # the pulse peaks at t = period/4 = 1, after the first window [0, 0.5]
+    scn = scenario_with(tmp_path, bundled_scenario_path("pulsed-flux"), {
+        "domain.N1": 8, "domain.N2": 8, "domain.N3": 16, "galerkin.m": 6,
+        "flux.amplitude": 0.1, "flux.beta": 0.9, "flux.period": 4.0,
+        "time.T": 0.5, "time.windows": 8, "hopf.mode": "auto",
+    })
+    cfg = load_scenario(scn)
+    solver = GalerkinSolver(cfg)
+    params = solver.hopf_params
+    ts = np.linspace(0.0, cfg.n_windows * cfg.T, 801)
+    sup = max(flux_norms(solver.profile, solver.grid, float(t)).w13_inf_total for t in ts)
+    lhs = cfg.hopf_c_cal * (params.eps + params.rho ** (1.0 / 6.0)) * sup
+    assert abs(lhs - cfg.nu / 4.0) <= 1e-3
+    assert main(["check", str(scn)]) == 0
+    assert f"eps={params.eps} " in capsys.readouterr().out
+
+
+def test_unresolved_cutoff_layer_fails_with_note(tmp_path):
+    # auto mode at constant flux 0.6 picks rho = eps^6 ~ 1.3e-6, inside the
+    # first x3 node (h3/2 = 0.0625 at N3 = 16): no volume node sees the layer
+    scn = scenario_with(tmp_path, QUICK, {
+        "galerkin.m": 6, "flux.profile": "constant", "flux.amplitude": 0.6,
+        "hopf.mode": "auto",
+    })
+    assert main(["check", str(scn)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    report = json.loads((out / "certificates.json").read_text())
+    certs = {c["eq_id"]: c for c in report["certificates"]}
+    for eq_id in ("E10", "E11"):
+        assert certs[eq_id]["status"] == "FAIL", eq_id
+        assert certs[eq_id]["note"] == "cutoff layer not resolved by the x3 grid"
+
+
+def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys):
+    def execute(config, snapshot_cb=None):
+        raise ValueError("rejected by the library")
+
+    monkeypatch.setattr(cli, "execute", execute)
+    assert main(["run", str(QUICK), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "rejected by the library" in err
+    out = tmp_path / "sweep"
+    rc = main(["sweep", str(QUICK), "--axis", "galerkin.m", "--values", "6,8",
+               "--out", str(out)])
+    assert rc == 0
+    rows = (out / "sweep_summary.csv").read_text().splitlines()
+    assert all("skipped" in row for row in rows[1:])
 
 
 def test_check_fails_on_incompatible_theta_bounds(tmp_path):

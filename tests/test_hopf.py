@@ -14,7 +14,6 @@ from ductflow.hopf import (
     b_on_face,
     check_compatibility,
     constant_profile,
-    extend_flux,
     flux_norms,
     hopf_eta,
     hopf_eta_prime,
@@ -105,23 +104,22 @@ def test_select_params_rejects_zero_norm():
 
 # --- profiles and extension ------------------------------------------------
 
-def test_constant_extension_is_constant():
-    grid = unit_grid()
-    prof = constant_profile(1.0)
-    d1, d2 = extend_flux(prof, grid, 0.0)
-    assert np.all(d1 == 1.0) and np.all(d2 == 1.0)
-
-
 def test_extension_slab_norm_matches_cap_norm():
+    # on x3 slabs inside the inner branch of the bottom cutoff (sigma_lo <= r)
+    # the lifting is the inflow data itself, so slab norms equal cap norms
     grid = unit_grid()
     prof = parabolic_profile(0.7, grid.spec)
-    d1, _ = extend_flux(prof, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid, 0.0)
+    slabs = np.where(grid.x3 + grid.spec.a <= PARAMS.r)[0]
+    assert slabs.size > 0
     cap = grid.patch(PatchKind.CAP_LO)
     X, Y = cap.meshgrid()
-    ref = math.sqrt(cap.integrate(prof.d1(X, Y, 0.0) ** 2))
-    da = grid.spec.L1 / grid.spec.N1 * grid.spec.L2 / grid.spec.N2
-    slab = np.sqrt(da * np.sum(d1**2, axis=(0, 1)))
-    assert np.max(np.abs(slab - ref)) < 1e-12
+    d1 = prof.d1(X, Y, 0.0)
+    ref = math.sqrt(cap.integrate(d1**2))
+    for k in slabs:
+        assert np.array_equal(ext.alpha[:, :, k], d1)
+        slab = math.sqrt(cap.integrate(ext.alpha[:, :, k] ** 2))
+        assert abs(slab - ref) < 1e-12
 
 
 def test_parabolic_w13_norm_closed_form():
