@@ -35,7 +35,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import hopf as hopf_mod
 from . import poisson as poisson_mod
 from .solver import GalerkinSolver, RunResult, ScenarioConfig
 
@@ -525,10 +524,10 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
         )
         return out
     grid = solver.grid
-    ext = hopf_mod.build_b(solver.profile, solver.hopf_params, grid, 0.0)
-    sol = poisson_mod.solve_neumann(ext.div_b, grid)
+    # the run's lifting of the cap shape g, i.e. of the data at s = 1
+    ext, sol, _ = solver.delta_provider.lifting
     lhs, rhs = poisson_mod.certify_layer_bound(
-        solver.profile, solver.hopf_params, ext, grid, config.mu, 0.0
+        solver.profile.unit(), solver.hopf_params, ext, grid, config.mu
     )
     # lhs is the weighted norm of div b. With flux present it vanishes only
     # when the whole layer (r, rho] falls between two x3 nodes: the grid then

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -124,79 +124,79 @@ def hopf_eta_prime(sigma, params: HopfParams, warn_on_kink: bool = True):
 
 @dataclass(frozen=True)
 class FluxProfile:
-    """Time-dependent inflow d1 on the bottom cap and outflow d2 on the top.
+    """Inflow d1 on the bottom cap and outflow d2 on the top: d1 = d2 = s(t) g.
 
-    Each callable takes (x1, x2, t) broadcast arrays and returns samples.
-    ``d<i>_t`` are analytic time derivatives, ``d<i>_g1/g2`` the in-cap
-    gradients; all are required for the norm bookkeeping of the audit.
+    ``g(x1, x2)`` is the cap shape (amplitude included) with analytic in-cap
+    gradients ``g1``, ``g2``; ``s`` is the time factor with analytic
+    derivative ``s_t`` and ``s_sup(H)``, the sup of |s| over [0, H]. The
+    lifting is linear in the data, so delta(t) = s(t) delta_1, where
+    delta_1 lifts g alone.
     """
 
     name: str
-    d1: Callable
-    d2: Callable
-    d1_t: Callable
-    d2_t: Callable
-    d1_g1: Callable
-    d1_g2: Callable
-    d2_g1: Callable
-    d2_g2: Callable
-    is_static: bool
+    g: Callable
+    g1: Callable
+    g2: Callable
+    s: Callable
+    s_t: Callable
+    s_sup: Callable
     params: dict = field(default_factory=dict)
 
-    def cap_fn(self, i: int, which: str = "value") -> Callable:
-        table = {
-            (1, "value"): self.d1,
-            (2, "value"): self.d2,
-            (1, "dt"): self.d1_t,
-            (2, "dt"): self.d2_t,
-            (1, "g1"): self.d1_g1,
-            (2, "g1"): self.d2_g1,
-            (1, "g2"): self.d1_g2,
-            (2, "g2"): self.d2_g2,
-        }
-        return table[(i, which)]
+    def d1(self, x1, x2, t):
+        return self.s(t) * self.g(x1, x2)
+
+    def d2(self, x1, x2, t):
+        return self.s(t) * self.g(x1, x2)
+
+    def unit(self) -> FluxProfile:
+        """The cap shape held still (s = 1): its lifting is delta_1."""
+        return replace(self, s=_one, s_t=_still, s_sup=_one)
 
 
-def _zero(x1, x2, t):
-    return np.zeros(np.broadcast(x1, x2).shape)
+def _one(t):
+    return 1.0
+
+
+def _still(t):
+    return 0.0
+
+
+def _flat(value: float):
+    def g(x1, x2):
+        return np.full(np.broadcast(x1, x2).shape, value)
+
+    return g
+
+
+def _steady(name: str, g: Callable, g1: Callable, g2: Callable, params: dict) -> FluxProfile:
+    return FluxProfile(
+        name=name, g=g, g1=g1, g2=g2, s=_one, s_t=_still, s_sup=_one, params=params
+    )
 
 
 def zero_profile() -> FluxProfile:
-    return FluxProfile(
-        name="none",
-        d1=_zero, d2=_zero, d1_t=_zero, d2_t=_zero,
-        d1_g1=_zero, d1_g2=_zero, d2_g1=_zero, d2_g2=_zero,
-        is_static=True,
-    )
+    return _steady("none", _flat(0.0), _flat(0.0), _flat(0.0), {})
 
 
 def constant_profile(amplitude: float) -> FluxProfile:
     if amplitude < 0:
         raise ValueError("flux amplitude must be nonnegative")
-
-    def val(x1, x2, t):
-        return np.full(np.broadcast(x1, x2).shape, amplitude)
-
-    return FluxProfile(
-        name="constant",
-        d1=val, d2=val, d1_t=_zero, d2_t=_zero,
-        d1_g1=_zero, d1_g2=_zero, d2_g1=_zero, d2_g2=_zero,
-        is_static=True,
-        params={"amplitude": amplitude},
+    return _steady(
+        "constant", _flat(amplitude), _flat(0.0), _flat(0.0), {"amplitude": amplitude}
     )
 
 
-def _parabolic_shape(spec: DomainSpec):
+def _parabolic_shape(amplitude: float, spec: DomainSpec):
     L1, L2 = spec.L1, spec.L2
 
     def g(x1, x2):
-        return 16.0 * x1 * (L1 - x1) * x2 * (L2 - x2) / (L1**2 * L2**2)
+        return amplitude * (16.0 * x1 * (L1 - x1) * x2 * (L2 - x2) / (L1**2 * L2**2))
 
     def g1(x1, x2):
-        return 16.0 * (L1 - 2.0 * x1) * x2 * (L2 - x2) / (L1**2 * L2**2)
+        return amplitude * (16.0 * (L1 - 2.0 * x1) * x2 * (L2 - x2) / (L1**2 * L2**2))
 
     def g2(x1, x2):
-        return 16.0 * x1 * (L1 - x1) * (L2 - 2.0 * x2) / (L1**2 * L2**2)
+        return amplitude * (16.0 * x1 * (L1 - x1) * (L2 - 2.0 * x2) / (L1**2 * L2**2))
 
     return g, g1, g2
 
@@ -205,23 +205,8 @@ def parabolic_profile(amplitude: float, spec: DomainSpec) -> FluxProfile:
     """Product-parabola bump, zero on the cap rim, peak `amplitude`."""
     if amplitude < 0:
         raise ValueError("flux amplitude must be nonnegative")
-    g, g1, g2 = _parabolic_shape(spec)
-
-    def val(x1, x2, t):
-        return amplitude * g(x1, x2)
-
-    def gg1(x1, x2, t):
-        return amplitude * g1(x1, x2)
-
-    def gg2(x1, x2, t):
-        return amplitude * g2(x1, x2)
-
-    return FluxProfile(
-        name="parabolic-cap",
-        d1=val, d2=val, d1_t=_zero, d2_t=_zero,
-        d1_g1=gg1, d1_g2=gg2, d2_g1=gg1, d2_g2=gg2,
-        is_static=True,
-        params={"amplitude": amplitude},
+    return _steady(
+        "parabolic-cap", *_parabolic_shape(amplitude, spec), {"amplitude": amplitude}
     )
 
 
@@ -236,32 +221,23 @@ def pulsed_profile(amplitude: float, beta: float, period: float, spec: DomainSpe
         raise ValueError("pulse modulation beta must lie in [0, 1)")
     if not period > 0:
         raise ValueError("pulse period must be positive")
-    g, g1, g2 = _parabolic_shape(spec)
-    om = 2.0 * np.pi / period
+    g, g1, g2 = _parabolic_shape(amplitude, spec)
+    om = 2.0 * math.pi / period
 
-    def tf(t):
-        return 1.0 + beta * np.sin(om * t)
+    def s(t):
+        return 1.0 + beta * math.sin(om * t)
 
-    def tf_t(t):
-        return beta * om * np.cos(om * t)
+    def s_t(t):
+        return beta * om * math.cos(om * t)
 
-    def val(x1, x2, t):
-        return amplitude * tf(t) * g(x1, x2)
-
-    def val_t(x1, x2, t):
-        return amplitude * tf_t(t) * g(x1, x2)
-
-    def gg1(x1, x2, t):
-        return amplitude * tf(t) * g1(x1, x2)
-
-    def gg2(x1, x2, t):
-        return amplitude * tf(t) * g2(x1, x2)
+    def s_sup(horizon):
+        # s rises from 1 to its peak 1 + beta at t = P/4
+        return 1.0 + beta * (1.0 if horizon >= period / 4.0 else math.sin(om * horizon))
 
     return FluxProfile(
         name="pulsed",
-        d1=val, d2=val, d1_t=val_t, d2_t=val_t,
-        d1_g1=gg1, d1_g2=gg2, d2_g1=gg1, d2_g2=gg2,
-        is_static=False,
+        g=g, g1=g1, g2=g2,
+        s=s, s_t=s_t, s_sup=s_sup,
         params={"amplitude": amplitude, "beta": beta, "period": period},
     )
 
@@ -299,8 +275,8 @@ def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> None:
     lo = grid.patch(PatchKind.CAP_LO)
     X, Y = lo.meshgrid()
     for t in np.atleast_1d(times):
-        for i in (1, 2):
-            vals = profile.cap_fn(i)(X, Y, t)
+        for i, d in ((1, profile.d1), (2, profile.d2)):
+            vals = d(X, Y, t)
             if np.any(vals < -1e-13):
                 raise ValueError(f"flux d{i} negative at t={t}")
         res = check_compatibility(profile, grid, float(t))
@@ -316,15 +292,12 @@ def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> None:
 class ExtensionB:
     """The lifting b = alpha e3 with analytic derivatives.
 
-    alpha, grad_alpha[d] and div_b (= grad_alpha[2]) are nodal samples, as
-    are the time derivatives alpha_t and div_b_t.
+    alpha, grad_alpha[d] and div_b (= grad_alpha[2]) are nodal samples.
     """
 
     alpha: np.ndarray
     grad_alpha: np.ndarray
     div_b: np.ndarray
-    alpha_t: np.ndarray
-    div_b_t: np.ndarray
 
     @property
     def b(self) -> np.ndarray:
@@ -376,37 +349,16 @@ def build_b(
     X1, X2, _ = grid.meshgrid()
     x1c = X1[:, :, 0]
     x2c = X2[:, :, 0]
-
-    def caps(which):
-        c1 = profile.cap_fn(1, which)(x1c, x2c, t)[:, :, None]
-        c2 = profile.cap_fn(2, which)(x1c, x2c, t)[:, :, None]
-        return c1, c2
-
-    d1, d2 = caps("value")
-    d1t, d2t = caps("dt")
-    d1g1, d2g1 = caps("g1")
-    d1g2, d2g2 = caps("g2")
-
-    el = eta_lo[None, None, :]
-    eh = eta_hi[None, None, :]
-    epl = etap_lo[None, None, :]
-    eph = etap_hi[None, None, :]
-
-    alpha = d1 * el + d2 * eh
-    grad_alpha = np.stack(
-        [
-            d1g1 * el + d2g1 * eh,
-            d1g2 * el + d2g2 * eh,
-            d1 * epl + d2 * eph,
-        ]
+    s = profile.s(t)
+    # d1 = d2 = s g, and the two cutoffs have disjoint supports (rho < a)
+    d, d_g1, d_g2 = (
+        s * fn(x1c, x2c)[:, :, None] for fn in (profile.g, profile.g1, profile.g2)
     )
-    return ExtensionB(
-        alpha=alpha,
-        grad_alpha=grad_alpha,
-        div_b=grad_alpha[2],
-        alpha_t=d1t * el + d2t * eh,
-        div_b_t=d1t * epl + d2t * eph,
-    )
+    eta = (eta_lo + eta_hi)[None, None, :]
+    etap = (etap_lo + etap_hi)[None, None, :]
+    alpha = d * eta
+    grad_alpha = np.stack([d_g1 * eta, d_g2 * eta, d * etap])
+    return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2])
 
 
 def b_on_face(
@@ -435,14 +387,15 @@ def b_on_face(
             x2 = np.full(g1.shape, patch.coord)
             x1 = g1
     eta_lo, eta_hi, etap_lo, etap_hi = _eta_profiles(np.clip(x3, -spec.a, spec.a), spec, params)
-    d1 = profile.d1(x1, x2, t)
-    d2 = profile.d2(x1, x2, t)
-    alpha = d1 * eta_lo + d2 * eta_hi
+    s = profile.s(t)
+    d = s * profile.g(x1, x2)
+    eta = eta_lo + eta_hi
+    alpha = d * eta
     grad_alpha = np.stack(
         [
-            profile.d1_g1(x1, x2, t) * eta_lo + profile.d2_g1(x1, x2, t) * eta_hi,
-            profile.d1_g2(x1, x2, t) * eta_lo + profile.d2_g2(x1, x2, t) * eta_hi,
-            d1 * etap_lo + d2 * etap_hi,
+            s * profile.g1(x1, x2) * eta,
+            s * profile.g2(x1, x2) * eta,
+            d * (etap_lo + etap_hi),
         ]
     )
     return alpha, grad_alpha
@@ -471,34 +424,31 @@ class FluxNorms:
 
 
 def flux_norms(profile: FluxProfile, grid: QuadratureGrid, t: float) -> FluxNorms:
-    lo = grid.patch(PatchKind.CAP_LO)
-    hi = grid.patch(PatchKind.CAP_HI)
+    """Cap norms of d_i(t) = s(t) g: |s(t)| times those of g, and |s'(t)|
+    times the W^1_{6/5} norm of g for the time derivative."""
+    s, s_t = abs(profile.s(t)), abs(profile.s_t(t))
     w13, l2, l3, l1, gl2, w165 = [], [], [], [], [], []
-    for i, patch in ((1, lo), (2, hi)):
+    p = 6.0 / 5.0
+    for patch in (grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)):
         X, Y = patch.meshgrid()
-        v = profile.cap_fn(i)(X, Y, t)
-        gx = profile.cap_fn(i, "g1")(X, Y, t)
-        gy = profile.cap_fn(i, "g2")(X, Y, t)
-        vt = profile.cap_fn(i, "dt")(X, Y, t)
+        v, gx, gy = profile.g(X, Y), profile.g1(X, Y), profile.g2(X, Y)
         w13.append(
-            (
+            s * (
                 patch.integrate(np.abs(v) ** 3)
                 + patch.integrate(np.abs(gx) ** 3)
                 + patch.integrate(np.abs(gy) ** 3)
             )
             ** (1.0 / 3.0)
         )
-        l2.append(math.sqrt(patch.integrate(v * v)))
-        l3.append(patch.integrate(np.abs(v) ** 3) ** (1.0 / 3.0))
-        l1.append(patch.integrate(np.abs(v)))
-        gl2.append(math.sqrt(patch.integrate(gx * gx + gy * gy)))
-        # time derivative enters through its own W^1_{6/5} cap norm
-        p = 6.0 / 5.0
+        l2.append(s * math.sqrt(patch.integrate(v * v)))
+        l3.append(s * patch.integrate(np.abs(v) ** 3) ** (1.0 / 3.0))
+        l1.append(s * patch.integrate(np.abs(v)))
+        gl2.append(s * math.sqrt(patch.integrate(gx * gx + gy * gy)))
         w165.append(
-            (
-                patch.integrate(np.abs(vt) ** p)
-                + patch.integrate(np.abs(_dt_grad(profile, i, "g1", X, Y, t)) ** p)
-                + patch.integrate(np.abs(_dt_grad(profile, i, "g2", X, Y, t)) ** p)
+            s_t * (
+                patch.integrate(np.abs(v) ** p)
+                + patch.integrate(np.abs(gx) ** p)
+                + patch.integrate(np.abs(gy) ** p)
             )
             ** (1.0 / p)
         )
@@ -510,15 +460,3 @@ def flux_norms(profile: FluxProfile, grid: QuadratureGrid, t: float) -> FluxNorm
         g_l2_cap=tuple(gl2),
         w1_65_dt_cap=tuple(w165),
     )
-
-
-def _dt_grad(profile: FluxProfile, i: int, which: str, X, Y, t, dt=1e-5):
-    """Time derivative of a cap gradient, centered difference fallback.
-
-    Built-in profiles have separable time factors, so this stays accurate;
-    static profiles return zero immediately.
-    """
-    if profile.is_static:
-        return np.zeros(np.broadcast(X, Y).shape)
-    fn = profile.cap_fn(i, which)
-    return (fn(X, Y, t + dt) - fn(X, Y, t - dt)) / (2.0 * dt)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -178,7 +179,8 @@ def pick_hopf_params(
     """The cutoff parameters a run uses; `check` reports the same decision.
 
     None without flux; the configured pair in manual mode; in auto mode the
-    select_params rule applied to the sup of ||d~|| over the whole horizon.
+    select_params rule applied to the sup of ||d~|| over the whole horizon,
+    which is sup |s| there times the W^1_3 total of the cap shape g.
     Raises RegimeError when the parameters fall outside the admissible regime.
     """
     if profile.name == "none":
@@ -186,10 +188,8 @@ def pick_hopf_params(
     if config.hopf_mode == "manual":
         params = HopfParams(eps=config.hopf_eps, rho=config.hopf_rho, c_cal=config.hopf_c_cal)
     else:
-        sup_norm = max(
-            flux_norms(profile, grid, float(t)).w13_inf_total
-            for t in horizon_times(config, 32)
-        )
+        shape_norm = flux_norms(profile.unit(), grid, 0.0).w13_inf_total
+        sup_norm = profile.s_sup(config.n_windows * config.T) * shape_norm
         params = select_params(config.nu, sup_norm, config.hopf_c_cal)
     if params.rho >= config.a:
         raise RegimeError(f"rho = {params.rho} >= a = {config.a}: cap neighborhoods overlap")
@@ -201,39 +201,55 @@ def pick_hopf_params(
 
 
 class DeltaProvider:
-    """Builds DeltaEval snapshots of delta = b + grad(phi) at given times."""
+    """delta(t) = s(t) delta_1 and its couplings, from one lifting per run.
 
-    def __init__(self, profile: FluxProfile, params: Optional[HopfParams], grid: QuadratureGrid):
+    delta_1 = b + grad(phi) lifts the cap shape g held still (s = 1). The
+    lifting is linear in the data, so delta(t) = s(t) delta_1, delta_t =
+    s'(t) delta_1, and every coupling with the bases is s or s^2 times a
+    fixed array. The lifting and those arrays are built once, on first use.
+    """
+
+    def __init__(
+        self,
+        profile: FluxProfile,
+        params: Optional[HopfParams],
+        grid: QuadratureGrid,
+        forms: AssembledForms,
+    ):
         self.profile = profile
         self.params = params
         self.grid = grid
+        self.forms = forms
         self.is_zero = profile.name == "none"
-        self._cache: Optional[DeltaEval] = None
 
     def __call__(self, t: float) -> Optional[DeltaEval]:
         if self.is_zero:
             return None
-        if self.profile.is_static and self._cache is not None:
-            return self._cache
-        out = self._build(t)
-        if self.profile.is_static:
-            self._cache = out
-        return out
+        delta_1 = self.lifting[2]
+        s = self.profile.s(t)
+        faces = {
+            kind: FaceDelta(values=s * f.values, grad=s * f.grad)
+            for kind, f in delta_1.faces.items()
+        }
+        return DeltaEval(
+            t=t,
+            values=s * delta_1.values,
+            grad=s * delta_1.grad,
+            dt_values=self.profile.s_t(t) * delta_1.values,
+            faces=faces,
+        )
 
-    def _build(self, t: float) -> DeltaEval:
+    @cached_property
+    def lifting(self):
+        """(ext, sol, delta_1): b, the Neumann solution and delta_1 with faces."""
         grid = self.grid
-        ext = hopf_mod.build_b(self.profile, self.params, grid, t)
+        shape = self.profile.unit()
+        ext = hopf_mod.build_b(shape, self.params, grid, 0.0)
         sol = poisson_mod.solve_neumann(ext.div_b, grid)
-        sol_t = poisson_mod.solve_neumann(ext.div_b_t, grid)
-
         delta = poisson_mod.delta_field(ext, sol, grid)
-        dt_values = np.zeros_like(delta.values)
-        dt_values[2] = ext.alpha_t
-        dt_values += sol_t.phi.require_grad()
-
         faces = {}
         for patch in grid.patches:
-            alpha_f, galpha_f = hopf_mod.b_on_face(self.profile, self.params, grid, patch, t)
+            alpha_f, galpha_f = hopf_mod.b_on_face(shape, self.params, grid, patch, 0.0)
             gphi_f = poisson_mod.grad_on_face(sol, grid, patch)
             hphi_f = poisson_mod.hess_on_face(sol, grid, patch)
             vals = gphi_f.copy()
@@ -241,9 +257,27 @@ class DeltaProvider:
             fgrad = hphi_f.copy()
             fgrad[2] += galpha_f
             faces[patch.kind] = FaceDelta(values=vals, grad=fgrad)
-        return DeltaEval(
-            t=t, values=delta.values, grad=delta.grad, dt_values=dt_values, faces=faces
+        delta_1 = DeltaEval(
+            t=0.0,
+            values=delta.values,
+            grad=delta.grad,
+            dt_values=np.zeros_like(delta.values),
+            faces=faces,
         )
+        return ext, sol, delta_1
+
+    @cached_property
+    def couplings(self) -> dict:
+        """The couplings of delta_1: G_wd, G_dw, G_dth, B, F_bdry, F_form,
+        P = P(delta_1) and F_adv = -P(delta_1 . grad delta_1)."""
+        forms = self.forms
+        delta_1 = self.lifting[2]
+        out = dict(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
+        out["B"], out["F_bdry"] = forms.boundary_functionals(delta_1)
+        out["F_form"] = forms.forcing_F_form(delta_1)
+        out["P"] = forms.project_velocity(delta_1.values)
+        out["F_adv"] = forms.forcing_F_volume(delta_1)  # delta_1 is still: dt_values = 0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +362,6 @@ class GalerkinSolver:
         if self.profile.name != "none":
             hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
-        self.delta_provider = DeltaProvider(self.profile, self.hopf_params, self.grid)
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
         self.forms: AssembledForms = assemble_forms(
@@ -340,15 +373,14 @@ class GalerkinSolver:
             kappa_heat=config.kappa_heat,
             s2_stress_includes_nu=config.s2_stress_nu,
         )
+        self.delta_provider = DeltaProvider(self.profile, self.hopf_params, self.grid, self.forms)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
         self._psi_flat = self.vb.samples.reshape(config.m, 3, -1)
         self._phi_flat = self.tb.samples.reshape(self.tb.m, -1)
-        self._gphi_flat = self.tb.grad.reshape(self.tb.m, 3, -1)
         self._theta_face = self._temperature_face_samples()
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
-        self._H1_w = np.eye(config.m) + self.forms.G_grad_w
         self._E_prev = None
 
     # -- setup helpers -------------------------------------------------------
@@ -417,7 +449,6 @@ class GalerkinSolver:
         return (state.dcoef @ self._phi_flat).reshape(self.grid.shape)
 
     def w_values(self, state: State) -> np.ndarray:
-        m = self.config.m
         return np.einsum("i,icg->cg", state.c, self._psi_flat).reshape(3, *self.grid.shape)
 
     def rhs_terms(self, state: State, delta: Optional[DeltaEval]):
@@ -428,6 +459,8 @@ class GalerkinSolver:
         implicit part is the Crank-Nicolson one (``visc + fric`` for the
         velocity, ``diff`` for the temperature). The stepper and the oracle
         tests both read these dicts, so the tested terms are the stepped ones.
+        ``delta`` is ``self.delta_provider(t)`` or None; the lifting terms are
+        the provider's couplings of delta_1 scaled by s(t) and s'(t).
         """
         forms = self.forms
         c, dcoef = state.c, state.dcoef
@@ -441,13 +474,15 @@ class GalerkinSolver:
         th = {"diff": forms.K_theta @ dcoef}
         adv = np.einsum("i,j,ijl->l", c, dcoef, forms.T_th)
         if delta is not None:
-            g_wd, g_dw, g_dth = forms.delta_matrices(delta)
-            vel["conv_wdelta"] = g_wd @ c
-            vel["conv_deltaw"] = g_dw @ c
-            vel["B"], vel["F_bdry"] = forms.boundary_functionals(delta)
-            vel["F_vol"] = forms.forcing_F_volume(delta)
-            vel["F_form"] = forms.forcing_F_form(delta)
-            adv = adv + g_dth @ dcoef
+            k = self.delta_provider.couplings
+            s, s_t = self.profile.s(delta.t), self.profile.s_t(delta.t)
+            vel["conv_wdelta"] = s * (k["G_wd"] @ c)
+            vel["conv_deltaw"] = s * (k["G_dw"] @ c)
+            vel["B"] = s * k["B"]
+            vel["F_bdry"] = s * k["F_bdry"]
+            vel["F_vol"] = s * s * k["F_adv"] - s_t * k["P"]
+            vel["F_form"] = s * k["F_form"]
+            adv = adv + s * (k["G_dth"] @ dcoef)
         else:
             for key in ("conv_wdelta", "conv_deltaw", "B", "F_bdry", "F_vol", "F_form"):
                 vel[key] = np.zeros_like(c)

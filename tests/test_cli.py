@@ -117,6 +117,27 @@ def test_auto_regime_holds_over_the_whole_horizon(tmp_path, capsys):
     assert f"eps={params.eps} " in capsys.readouterr().out
 
 
+def test_auto_regime_uses_the_exact_supremum(tmp_path):
+    # the pulse peaks at t = period/4 = 0.1125, between two of the 33 points
+    # a 32-per-window sampling of [0, 0.5] would see; the supremum is taken
+    # at the peak, so the smallness certificate holds with equality
+    scn = scenario_with(tmp_path, bundled_scenario_path("pulsed-flux"), {
+        "domain.N1": 8, "domain.N2": 8, "domain.N3": 16, "galerkin.m": 6,
+        "flux.period": 0.45, "time.windows": 1, "hopf.mode": "auto",
+    })
+    cfg = load_scenario(scn)
+    solver = GalerkinSolver(cfg)
+    params = solver.hopf_params
+    peak = flux_norms(solver.profile, solver.grid, cfg.flux_period / 4.0).w13_inf_total
+    ts = np.linspace(0.0, cfg.n_windows * cfg.T, 2001)
+    assert all(
+        flux_norms(solver.profile, solver.grid, float(t)).w13_inf_total <= peak * (1 + 1e-15)
+        for t in ts
+    )
+    lhs = cfg.hopf_c_cal * (params.eps + params.rho ** (1.0 / 6.0)) * peak
+    assert abs(lhs - cfg.nu / 4.0) <= 1e-12 * cfg.nu
+
+
 def test_unresolved_cutoff_layer_fails_with_note(tmp_path):
     # auto mode at constant flux 0.6 picks rho = eps^6 ~ 1.3e-6, inside the
     # first x3 node (h3/2 = 0.0625 at N3 = 16): no volume node sees the layer

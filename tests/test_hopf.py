@@ -176,7 +176,29 @@ def test_pulsed_never_vanishes_and_dt_analytic():
     # centered difference agrees with the analytic time derivative
     t0, dt = 0.37, 1e-6
     fd = (prof.d1(X, Y, t0 + dt) - prof.d1(X, Y, t0 - dt)) / (2 * dt)
-    assert np.max(np.abs(fd - prof.d1_t(X, Y, t0))) < 1e-7
+    assert np.max(np.abs(fd - prof.s_t(t0) * prof.g(X, Y))) < 1e-7
+
+
+def test_pulsed_dt_norm_is_analytic():
+    # d_t = A s'(t) g with g = 16 x(1-x) y(1-y): the W^1_{6/5} cap norm of
+    # the time derivative is |A s'(t)| times that of g, with no difference
+    # quotient in time
+    grid = unit_grid()
+    A, beta, period = 0.6, 0.5, 0.5
+    prof = pulsed_profile(A, beta, period, grid.spec)
+    cap = grid.patch(PatchKind.CAP_LO)
+    X, Y = cap.meshgrid()
+    g = 16.0 * X * (1 - X) * Y * (1 - Y)
+    g_x = 16.0 * (1 - 2 * X) * Y * (1 - Y)
+    g_y = 16.0 * X * (1 - X) * (1 - 2 * Y)
+    p = 6.0 / 5.0
+    shape = sum(cap.integrate(np.abs(f) ** p) for f in (g, g_x, g_y)) ** (1.0 / p)
+    for t in (0.0, 0.07, 0.31):
+        s_t = beta * 2.0 * math.pi / period * math.cos(2.0 * math.pi * t / period)
+        expected = abs(A * s_t) * shape
+        got = flux_norms(prof, grid, t).w1_65_dt_cap
+        for value in got:
+            assert abs(value - expected) <= 1e-13 * expected, t
 
 
 # --- the lifting -----------------------------------------------------------
@@ -191,11 +213,11 @@ def test_b_vanishes_in_the_core():
 def test_b_reproduces_cap_traces():
     grid = unit_grid()
     prof = parabolic_profile(0.9, grid.spec)
-    for kind, i, sign in ((PatchKind.CAP_LO, 1, -1.0), (PatchKind.CAP_HI, 2, 1.0)):
+    for kind, d_i, sign in ((PatchKind.CAP_LO, prof.d1, -1.0), (PatchKind.CAP_HI, prof.d2, 1.0)):
         patch = grid.patch(kind)
         alpha, _ = b_on_face(prof, PARAMS, grid, patch, 0.0)
         X, Y = patch.meshgrid()
-        d = prof.cap_fn(i)(X, Y, 0.0)
+        d = d_i(X, Y, 0.0)
         # b.n = sign * alpha must match sign * d_i exactly
         assert np.max(np.abs(alpha - d)) < 1e-12
 

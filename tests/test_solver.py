@@ -3,7 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
+from ductflow.basis import DeltaEval, FaceDelta
 from ductflow.errors import NumericalAbort, ScenarioError
+from ductflow.hopf import b_on_face, build_b
+from ductflow.poisson import delta_field, grad_on_face, hess_on_face, solve_neumann
 from ductflow.solver import (
     GalerkinSolver,
     ImexStepper,
@@ -102,39 +105,104 @@ def test_rhs_consistency_with_explicit_split():
 
 
 def test_rhs_matches_slow_oracle_every_term():
-    # direct-quadrature oracle of every weak-form term, m <= 6
-    cfg = oracle_config()
-    solver = GalerkinSolver(cfg)
-    state = solver.initial_state()
-    t = 0.03
-    state = State(t=t, c=state.c, dcoef=state.dcoef)
-    delta = solver.delta_provider(t)
-    _, fast = solver.rhs_velocity(state, delta, return_terms=True)
-    slow = oracles.slow_rhs_velocity(
-        state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
-        nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega,
-        f_values=solver.f_values, delta=delta,
-    )
-    name_map = {
-        "conv_www": "conv_www", "conv_wdelta": "conv_wdelta",
-        "conv_deltaw": "conv_deltaw", "visc": "visc", "fric": "fric",
-        "B": "B", "F_bdry": "F_bdry", "F_vol": "F_vol", "F_form": "F_form",
-        "f_omega": "f_omega", "total": "total",
-    }
-    for fast_key, slow_key in name_map.items():
-        a, b = fast[fast_key], slow[slow_key]
-        scale = max(1.0, np.max(np.abs(b)))
-        assert np.max(np.abs(a - b)) <= 1e-8 * scale, fast_key
+    # direct-quadrature oracle of every weak-form term; on the first six
+    # modes B, F_bdry, F_vol and F_form vanish by symmetry, m = 12 sees them,
+    # and m = 24 also sees P(delta . grad delta), the s^2 part of F_vol
+    for m in (6, 12, 24):
+        cfg = oracle_config(m=m)
+        solver = GalerkinSolver(cfg)
+        state = solver.initial_state()
+        t = 0.03
+        state = State(t=t, c=state.c, dcoef=state.dcoef)
+        delta = solver.delta_provider(t)
+        _, fast = solver.rhs_velocity(state, delta, return_terms=True)
+        slow = oracles.slow_rhs_velocity(
+            state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
+            nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega,
+            f_values=solver.f_values, delta=delta,
+        )
+        name_map = {
+            "conv_www": "conv_www", "conv_wdelta": "conv_wdelta",
+            "conv_deltaw": "conv_deltaw", "visc": "visc", "fric": "fric",
+            "B": "B", "F_bdry": "F_bdry", "F_vol": "F_vol", "F_form": "F_form",
+            "f_omega": "f_omega", "total": "total",
+        }
+        for fast_key, slow_key in name_map.items():
+            a, b = fast[fast_key], slow[slow_key]
+            scale = max(1.0, np.max(np.abs(b)))
+            assert np.max(np.abs(a - b)) <= 1e-8 * scale, (m, fast_key)
 
-    _, fast_th = solver.rhs_temperature(state, delta, return_terms=True)
-    slow_th = oracles.slow_rhs_temperature(
-        state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
-        kappa_heat=cfg.kappa_heat, delta=delta,
-    )
-    for key in ("diff", "adv", "total"):
-        a, b = fast_th[key], slow_th[key]
-        scale = max(1.0, np.max(np.abs(b)))
-        assert np.max(np.abs(a - b)) <= 1e-8 * scale, key
+        _, fast_th = solver.rhs_temperature(state, delta, return_terms=True)
+        slow_th = oracles.slow_rhs_temperature(
+            state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
+            kappa_heat=cfg.kappa_heat, delta=delta,
+        )
+        for key in ("diff", "adv", "total"):
+            a, b = fast_th[key], slow_th[key]
+            scale = max(1.0, np.max(np.abs(b)))
+            assert np.max(np.abs(a - b)) <= 1e-8 * scale, (m, key)
+
+
+def test_scaled_lifting_matches_direct_rebuild():
+    # delta(t) = s(t) delta_1 and the couplings scaled by s, s' and s^2 must
+    # equal a lifting rebuilt from the data at t and assembled anew.
+    # m = 24: below it P(delta_1 . grad delta_1), the s^2 part of F_vol,
+    # vanishes by symmetry
+    cfg = oracle_config(m=24)
+    solver = GalerkinSolver(cfg)
+    grid, forms, prof, params = solver.grid, solver.forms, solver.profile, solver.hopf_params
+    st0 = solver.initial_state()
+
+    def rebuild(t):
+        ext = build_b(prof, params, grid, t)
+        sol = solve_neumann(ext.div_b, grid)
+        return sol, delta_field(ext, sol, grid)
+
+    def close(got, ref, tol, label):
+        scale = float(np.max(np.abs(ref)))
+        assert scale > 0.0, label
+        assert np.max(np.abs(got - ref)) <= tol * scale, label
+
+    h = 1e-5
+    for t in (0.03, 0.17, 0.41):
+        delta = solver.delta_provider(t)
+        sol, field = rebuild(t)
+        faces = {}
+        for patch in grid.patches:
+            alpha, galpha = b_on_face(prof, params, grid, patch, t)
+            vals = grad_on_face(sol, grid, patch)
+            vals[2] += alpha
+            fgrad = hess_on_face(sol, grid, patch)
+            fgrad[2] += galpha
+            faces[patch.kind] = FaceDelta(values=vals, grad=fgrad)
+        close(delta.values, field.values, 1e-12, ("values", t))
+        close(delta.grad, field.grad, 1e-12, ("grad", t))
+        for kind, face in faces.items():
+            close(delta.faces[kind].values, face.values, 1e-12, ("face", kind, t))
+            close(delta.faces[kind].grad, face.grad, 1e-12, ("face grad", kind, t))
+        fd = (rebuild(t + h)[1].values - rebuild(t - h)[1].values) / (2.0 * h)
+        close(delta.dt_values, fd, 1e-6, ("dt_values", t))
+
+        # dt_values enters F_vol only; it is checked against the rebuild above
+        direct = DeltaEval(
+            t=t, values=field.values, grad=field.grad, dt_values=delta.dt_values, faces=faces
+        )
+        state = State(t=t, c=st0.c, dcoef=st0.dcoef)
+        vel, th = solver.rhs_terms(state, delta)
+        g_wd, g_dw, g_dth = forms.delta_matrices(direct)
+        B, F_bdry = forms.boundary_functionals(direct)
+        expected = {
+            "conv_wdelta": g_wd @ state.c,
+            "conv_deltaw": g_dw @ state.c,
+            "B": B,
+            "F_bdry": F_bdry,
+            "F_vol": forms.forcing_F_volume(direct),
+            "F_form": forms.forcing_F_form(direct),
+        }
+        for key, ref in expected.items():
+            close(vel[key], ref, 1e-12, (key, t))
+        adv_w = np.einsum("i,j,ijl->l", state.c, state.dcoef, forms.T_th)
+        close(th["adv"] - adv_w, g_dth @ state.dcoef, 1e-12, ("adv", t))
 
 
 def test_free_decay_monotone():
