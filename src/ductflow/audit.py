@@ -597,15 +597,19 @@ def _mk_dissipation_cert(run: RunResult, X: np.ndarray, config: ScenarioConfig) 
 # Driver
 
 
-def run_calibration(config: ScenarioConfig):
-    """Run the free-decay companion; returns (RunResult, seed description)."""
+def run_calibration(config: ScenarioConfig, solver: Optional[GalerkinSolver] = None):
+    """Run the free-decay companion; returns (RunResult, seed description).
+
+    The companion shares the system (grid, bases, forms, factorizations) of
+    ``solver``, the scenario's own solver, when one is given.
+    """
     comp = companion_config(config)
     seed = (
         "scenario initial data"
         if (comp.init_v == config.init_v and comp.init_theta == config.init_theta)
         else "standard mean-zero seed"
     )
-    comp_solver = GalerkinSolver(comp)
+    comp_solver = GalerkinSolver(comp, reuse=solver)
     return comp_solver.run_windows(), seed
 
 
@@ -621,7 +625,7 @@ def audit_run(
         if is_free_decay(config):
             cal_run = run
         else:
-            cal_run, cal_seed = run_calibration(config)
+            cal_run, cal_seed = run_calibration(config, solver)
     cal = calibrate(run, cal_run, config, cal_seed)
 
     s = run.series

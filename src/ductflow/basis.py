@@ -6,7 +6,9 @@ vanishes on every face identically) and cosine factors along the others.
 For a wavevector k the divergence of such a field is a single cosine
 product with coefficient kappa . coef, so divergence freeness is the exact
 algebraic constraint kappa . coef = 0; wavevectors with two nonzero entries
-contribute one mode, with three nonzero entries two modes.
+contribute one mode, with three nonzero entries two modes. Each of these
+modes has Stokes Rayleigh quotient 2 |kappa|^2, which is how the first m
+are picked without building every candidate.
 
 The slip/stress conditions are never imposed on the basis: they are natural
 and enter the weak form through the lateral friction matrix and the
@@ -128,37 +130,104 @@ def _stokes_energy(lengths, k, kappa, coef) -> float:
     return 2.0 * grad_sq + 2.0 * cross
 
 
-def _candidate_modes(lengths, kcap) -> list[VelocityMode]:
+def _wavevector_modes(lengths, k) -> list[VelocityMode]:
+    """The one or two divergence-free modes of a wavevector with at least
+    two nonzero entries, L2-normalized, with their closed-form Rayleigh
+    quotients."""
+    active = [c for c in range(3) if k[c] >= 1]
+    kappa = np.array([k[a] * math.pi / lengths[a] for a in range(3)])
+    weights = np.array([_component_weight(lengths, k, c) for c in range(3)])
+    if len(active) == 2:
+        p, q = active
+        raw = np.zeros(3)
+        raw[p], raw[q] = kappa[q], -kappa[p]
+        basis_vecs = [raw]
+    else:
+        n1 = np.array([kappa[1], -kappa[0], 0.0])
+        n2 = np.cross(kappa, n1)
+        # weighted Gram-Schmidt inside the divergence-free plane
+        proj = (n2 * n1 * weights).sum() / (n1 * n1 * weights).sum()
+        n2 = n2 - proj * n1
+        basis_vecs = [n1, n2]
     out = []
-    for k1 in range(kcap[0] + 1):
-        for k2 in range(kcap[1] + 1):
-            for k3 in range(kcap[2] + 1):
-                k = (k1, k2, k3)
-                active = [c for c in range(3) if k[c] >= 1]
-                if len(active) < 2:
-                    continue
-                kappa = np.array([k[a] * math.pi / lengths[a] for a in range(3)])
-                weights = np.array([_component_weight(lengths, k, c) for c in range(3)])
-                if len(active) == 2:
-                    p, q = active
-                    raw = np.zeros(3)
-                    raw[p], raw[q] = kappa[q], -kappa[p]
-                    basis_vecs = [raw]
-                else:
-                    n1 = np.array([kappa[1], -kappa[0], 0.0])
-                    n2 = np.cross(kappa, n1)
-                    # weighted Gram-Schmidt inside the divergence-free plane
-                    proj = (n2 * n1 * weights).sum() / (n1 * n1 * weights).sum()
-                    n2 = n2 - proj * n1
-                    basis_vecs = [n1, n2]
-                for branch, vec in enumerate(basis_vecs):
-                    nrm = math.sqrt(float((vec * vec * weights).sum()))
-                    coef = tuple(float(v) for v in vec / nrm)
-                    energy = _stokes_energy(lengths, k, kappa, coef)
-                    out.append(
-                        VelocityMode(k=k, coef=coef, branch=branch, rayleigh=energy)
-                    )
+    for branch, vec in enumerate(basis_vecs):
+        nrm = math.sqrt(float((vec * vec * weights).sum()))
+        coef = tuple(float(v) for v in vec / nrm)
+        energy = _stokes_energy(lengths, k, kappa, coef)
+        out.append(VelocityMode(k=k, coef=coef, branch=branch, rayleigh=energy))
     return out
+
+
+# A shortlist keeps every wavevector whose |kappa|^2 is within this relative
+# slack of the m-th smallest; far wider than the 1e-9 rounding of the sort
+# keys, so no mode that sorts among the first m is left out.
+SHORTLIST_SLACK = 1e-6
+
+
+def _wavevectors(lengths, kcap):
+    """Every wavevector of the box [0, kcap] in lexicographic order, with
+    |kappa|^2 = sum_a (k_a pi / L_a)^2."""
+    ks = np.indices([c + 1 for c in kcap]).reshape(3, -1).T
+    lam = ((ks * (math.pi / np.asarray(lengths, dtype=float))) ** 2).sum(axis=1)
+    return ks, lam
+
+
+def _shortlist(ks, lam, counts, m) -> list[tuple[int, int, int]]:
+    """Wavevectors with |kappa|^2 <= (1 + SHORTLIST_SLACK) times the m-th
+    smallest, each wavevector counting as ``counts`` modes."""
+    order = np.argsort(lam, kind="stable")
+    reach = np.cumsum(counts[order])
+    cut = lam[order[np.searchsorted(reach, m)]]
+    keep = np.flatnonzero((counts > 0) & (lam <= (1.0 + SHORTLIST_SLACK) * cut))
+    return [tuple(int(x) for x in ks[i]) for i in keep]
+
+
+def velocity_modes(lengths, kcap, m: int) -> list[VelocityMode]:
+    """The first m velocity modes below the band kcap, ordered by Rayleigh
+    quotient, then wavevector, then branch.
+
+    Every mode of a wavevector has Rayleigh quotient 2 |kappa|^2, so the
+    ranking is decided on |kappa|^2 for all wavevectors at once and the
+    closed forms run only on the shortlist that can reach the first m.
+    """
+    ks, lam = _wavevectors(lengths, kcap)
+    nonzero = (ks >= 1).sum(axis=1)
+    counts = np.where(nonzero == 3, 2, np.where(nonzero == 2, 1, 0))
+    total = int(counts.sum())
+    if m > total:
+        raise AliasingError(
+            f"requested m = {m} velocity modes but only {total} are "
+            f"resolvable below the dealiased band {kcap}"
+        )
+    candidates = [md for k in _shortlist(ks, lam, counts, m) for md in _wavevector_modes(lengths, k)]
+    for md in candidates:
+        expected = 2.0 * sum((md.k[a] * math.pi / lengths[a]) ** 2 for a in range(3))
+        if abs(md.rayleigh - expected) > 1e-9 * expected:
+            raise RuntimeError(
+                f"mode {md.k} branch {md.branch}: Rayleigh quotient {md.rayleigh!r} "
+                f"is not 2|kappa|^2 = {expected!r}, so the shortlist does not hold"
+            )
+    candidates.sort(key=lambda md: (round(md.rayleigh, 9), md.k, md.branch))
+    return candidates[:m]
+
+
+def temperature_modes(lengths, kcap, m: int) -> list[TemperatureMode]:
+    """The first m all-cosine modes below the band kcap, ordered by Laplace
+    eigenvalue |kappa|^2, then wavevector; the constant mode comes first."""
+    ks, lam = _wavevectors(lengths, kcap)
+    if m > lam.size:
+        raise AliasingError(
+            f"requested m = {m} temperature modes but only {lam.size} are resolvable"
+        )
+    cands = []
+    for k in _shortlist(ks, lam, np.ones(lam.size, dtype=int), m):
+        lam_k = sum((k[a] * math.pi / lengths[a]) ** 2 for a in range(3))
+        w = 1.0
+        for a in range(3):
+            w *= lengths[a] / 2.0 if k[a] >= 1 else lengths[a]
+        cands.append(TemperatureMode(k=k, amplitude=1.0 / math.sqrt(w), eigenvalue=lam_k))
+    cands.sort(key=lambda md: (round(md.eigenvalue, 9), md.k))
+    return cands[:m]
 
 
 def _sample_axis_factors(grid: QuadratureGrid, axes, k, sin_axis: Optional[int]):
@@ -193,17 +262,8 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    spec = grid.spec
-    lengths = spec.lengths
-    kcap = tuple(dealias_cap(n) for n in grid.shape)
-    candidates = _candidate_modes(lengths, kcap)
-    if m > len(candidates):
-        raise AliasingError(
-            f"requested m = {m} velocity modes but only {len(candidates)} are "
-            f"resolvable below the dealiased band {kcap}"
-        )
-    candidates.sort(key=lambda md: (round(md.rayleigh, 9), md.k, md.branch))
-    modes = candidates[:m]
+    lengths = grid.spec.lengths
+    modes = velocity_modes(lengths, tuple(dealias_cap(n) for n in grid.shape), m)
 
     axes = spectral.axes_for(grid)
     psi = np.zeros((m, 3, *grid.shape))
@@ -264,25 +324,8 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
     """First m all-cosine modes by Laplace eigenvalue, constant mode first."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    spec = grid.spec
-    lengths = spec.lengths
-    kcap = tuple(dealias_cap(n) for n in grid.shape)
-    cands = []
-    for k1 in range(kcap[0] + 1):
-        for k2 in range(kcap[1] + 1):
-            for k3 in range(kcap[2] + 1):
-                k = (k1, k2, k3)
-                lam = sum((k[a] * math.pi / lengths[a]) ** 2 for a in range(3))
-                w = 1.0
-                for a in range(3):
-                    w *= lengths[a] / 2.0 if k[a] >= 1 else lengths[a]
-                cands.append(TemperatureMode(k=k, amplitude=1.0 / math.sqrt(w), eigenvalue=lam))
-    if m > len(cands):
-        raise AliasingError(
-            f"requested m = {m} temperature modes but only {len(cands)} are resolvable"
-        )
-    cands.sort(key=lambda md: (round(md.eigenvalue, 9), md.k))
-    modes = cands[:m]
+    lengths = grid.spec.lengths
+    modes = temperature_modes(lengths, tuple(dealias_cap(n) for n in grid.shape), m)
 
     axes = spectral.axes_for(grid)
     phi = np.zeros((m, *grid.shape))

@@ -37,7 +37,14 @@ from .basis import (
 )
 from .domain import DomainSpec, PatchKind, QuadratureGrid, build_domain
 from .errors import NumericalAbort, RegimeError, ScenarioError
-from .hopf import FluxProfile, HopfParams, flux_norms, profile_by_name, select_params
+from .hopf import (
+    FluxProfile,
+    HopfParams,
+    cap_norms,
+    flux_norms,
+    profile_by_name,
+    select_params,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +214,8 @@ class DeltaProvider:
     lifting is linear in the data, so delta(t) = s(t) delta_1, delta_t =
     s'(t) delta_1, and every coupling with the bases is s or s^2 times a
     fixed array. The lifting and those arrays are built once, on first use.
+    The last delta(t) is kept, so a step and the sample before it at the same
+    t share one evaluation.
     """
 
     def __init__(
@@ -221,10 +230,16 @@ class DeltaProvider:
         self.grid = grid
         self.forms = forms
         self.is_zero = profile.name == "none"
+        self._last: Optional[DeltaEval] = None
 
     def __call__(self, t: float) -> Optional[DeltaEval]:
         if self.is_zero:
             return None
+        if self._last is None or self._last.t != t:
+            self._last = self._scaled(t)
+        return self._last
+
+    def _scaled(self, t: float) -> DeltaEval:
         delta_1 = self.lifting[2]
         s = self.profile.s(t)
         faces = {
@@ -344,24 +359,39 @@ SERIES_KEYS = [
 ]
 
 
-class GalerkinSolver:
-    """Owns the assembled system and advances it through the windows."""
+# The configuration fields the assembled system (grid, bases, forms and the
+# Crank-Nicolson factors) depends on; nothing else in a config reaches it.
+SYSTEM_FIELDS = ("L1", "L2", "a", "N1", "N2", "N3", "m", "nu", "gamma", "kappa_heat",
+                 "s2_stress_nu", "dt")
+_SYSTEM_ATTRS = ("patches", "grid", "vb", "tb", "forms", "_psi_flat", "_phi_flat",
+                 "_theta_face", "_stepper_w", "_stepper_th")
 
-    def __init__(self, config: ScenarioConfig):
+
+class GalerkinSolver:
+    """Owns the assembled system and advances it through the windows.
+
+    ``reuse`` is another solver whose config agrees on SYSTEM_FIELDS; its
+    system is shared instead of built again (the calibration companion runs
+    on the scenario run's system). A reuse that differs raises ValueError.
+    """
+
+    def __init__(self, config: ScenarioConfig, reuse: Optional[GalerkinSolver] = None):
         config.validate()
         self.config = config
-        spec = config.domain_spec()
-        self.patches, self.grid = build_domain(spec)
-        self.profile = profile_by_name(
-            config.flux_profile,
-            spec,
-            amplitude=config.flux_amplitude,
-            beta=config.flux_beta,
-            period=config.flux_period,
-        )
-        if self.profile.name != "none":
-            hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
-        self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
+        if reuse is None:
+            self._build_system()
+        else:
+            differ = [f for f in SYSTEM_FIELDS if getattr(config, f) != getattr(reuse.config, f)]
+            if differ:
+                raise ValueError(f"cannot reuse a solver whose {', '.join(differ)} differ")
+            for name in _SYSTEM_ATTRS:
+                setattr(self, name, getattr(reuse, name))
+        self._bind_scenario()
+
+    def _build_system(self) -> None:
+        """Grid, bases, forms and factorizations: the SYSTEM_FIELDS part."""
+        config = self.config
+        self.patches, self.grid = build_domain(config.domain_spec())
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
         self.forms: AssembledForms = assemble_forms(
@@ -373,14 +403,32 @@ class GalerkinSolver:
             kappa_heat=config.kappa_heat,
             s2_stress_includes_nu=config.s2_stress_nu,
         )
-        self.delta_provider = DeltaProvider(self.profile, self.hopf_params, self.grid, self.forms)
-        self.omega = omega_of(config)
-        self.f_values = forcing_field(config, self.grid)
         self._psi_flat = self.vb.samples.reshape(config.m, 3, -1)
         self._phi_flat = self.tb.samples.reshape(self.tb.m, -1)
         self._theta_face = self._temperature_face_samples()
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
+
+    def _bind_scenario(self) -> None:
+        """Flux, cutoff, lifting, omega and forcing on top of the system."""
+        config = self.config
+        self.profile = profile_by_name(
+            config.flux_profile,
+            self.grid.spec,
+            amplitude=config.flux_amplitude,
+            beta=config.flux_beta,
+            period=config.flux_period,
+        )
+        if self.profile.name != "none":
+            hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
+        self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
+        self.delta_provider = DeltaProvider(self.profile, self.hopf_params, self.grid, self.forms)
+        self.omega = omega_of(config)
+        self.f_values = forcing_field(config, self.grid)
+        # the cap shape sampled once: the data on the caps are s(t) times it
+        caps = (PatchKind.CAP_LO, PatchKind.CAP_HI)
+        self._g_cap = {kind: self.profile.g(*self.grid.patch(kind).meshgrid()) for kind in caps}
+        self._cap_norms = cap_norms(self.profile, self.grid)
         self._E_prev = None
 
     # -- setup helpers -------------------------------------------------------
@@ -552,18 +600,16 @@ class GalerkinSolver:
     def flux_trace_error(self, state: State, delta: Optional[DeltaEval]) -> float:
         """max over cap nodes of |v.n - d|; lateral faces are checked too."""
         err = 0.0
-        t = state.t
+        s = self.profile.s(state.t)
         for patch in self.grid.patches:
             vals = np.einsum("i,icxy->cxy", state.c, self.vb.face_samples[patch.kind])
             if delta is not None:
                 vals = vals + delta.faces[patch.kind].values
             vn = np.einsum("c,cxy->xy", patch.normal, vals)
             if patch.kind == PatchKind.CAP_LO:
-                X, Y = patch.meshgrid()
-                target = -self.profile.d1(X, Y, t)
+                target = -(s * self._g_cap[patch.kind])
             elif patch.kind == PatchKind.CAP_HI:
-                X, Y = patch.meshgrid()
-                target = self.profile.d2(X, Y, t)
+                target = s * self._g_cap[patch.kind]
             else:
                 target = 0.0
             err = max(err, float(np.max(np.abs(vn - target))))
@@ -590,8 +636,7 @@ class GalerkinSolver:
         row["th_l1"] = grid.integrate(np.abs(theta))
 
         cap_lo = grid.patch(PatchKind.CAP_LO)
-        X, Y = cap_lo.meshgrid()
-        d1 = self.profile.d1(X, Y, state.t)
+        d1 = self.profile.s(state.t) * self._g_cap[PatchKind.CAP_LO]
         th_face = np.einsum("i,ixy->xy", dcoef, self._theta_face[PatchKind.CAP_LO])
         row["inflow_theta"] = cap_lo.integrate(d1 * th_face)
 
@@ -621,7 +666,7 @@ class GalerkinSolver:
         row["omega_f_65sq"] = grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0)
         row["omega_f_l3sq"] = grid.integrate(mag**3) ** (2.0 / 3.0)
 
-        fn = flux_norms(self.profile, grid, state.t)
+        fn = self._cap_norms.scaled(abs(self.profile.s(state.t)), abs(self.profile.s_t(state.t)))
         row["d_w13_total"] = fn.w13_inf_total
         row["d_w13_sq_sum"] = sum(x**2 for x in fn.w13_cap)
         row["ddt_w165_sq_sum"] = sum(x**2 for x in fn.w1_65_dt_cap)

@@ -86,6 +86,64 @@ def temperature_mode_fields(mode, grid):
     return values, grad
 
 
+def exhaustive_velocity_modes(lengths, kcap):
+    """Every velocity mode below the band kcap, in the package's order.
+
+    Builds each candidate of every wavevector with the closed forms, then
+    sorts all of them by (Rayleigh quotient to 9 decimals, k, branch); the
+    package must pick the same first m without building them all.
+    """
+    from ductflow.basis import VelocityMode, _component_weight, _stokes_energy
+
+    out = []
+    for k1 in range(kcap[0] + 1):
+        for k2 in range(kcap[1] + 1):
+            for k3 in range(kcap[2] + 1):
+                k = (k1, k2, k3)
+                active = [c for c in range(3) if k[c] >= 1]
+                if len(active) < 2:
+                    continue
+                kappa = np.array([k[a] * math.pi / lengths[a] for a in range(3)])
+                weights = np.array([_component_weight(lengths, k, c) for c in range(3)])
+                if len(active) == 2:
+                    p, q = active
+                    raw = np.zeros(3)
+                    raw[p], raw[q] = kappa[q], -kappa[p]
+                    basis_vecs = [raw]
+                else:
+                    n1 = np.array([kappa[1], -kappa[0], 0.0])
+                    n2 = np.cross(kappa, n1)
+                    proj = (n2 * n1 * weights).sum() / (n1 * n1 * weights).sum()
+                    n2 = n2 - proj * n1
+                    basis_vecs = [n1, n2]
+                for branch, vec in enumerate(basis_vecs):
+                    nrm = math.sqrt(float((vec * vec * weights).sum()))
+                    coef = tuple(float(v) for v in vec / nrm)
+                    energy = _stokes_energy(lengths, k, kappa, coef)
+                    out.append(VelocityMode(k=k, coef=coef, branch=branch, rayleigh=energy))
+    out.sort(key=lambda md: (round(md.rayleigh, 9), md.k, md.branch))
+    return out
+
+
+def exhaustive_temperature_modes(lengths, kcap):
+    """Every all-cosine mode below the band kcap, sorted by (eigenvalue to 9
+    decimals, k)."""
+    from ductflow.basis import TemperatureMode
+
+    out = []
+    for k1 in range(kcap[0] + 1):
+        for k2 in range(kcap[1] + 1):
+            for k3 in range(kcap[2] + 1):
+                k = (k1, k2, k3)
+                lam = sum((k[a] * math.pi / lengths[a]) ** 2 for a in range(3))
+                w = 1.0
+                for a in range(3):
+                    w *= lengths[a] / 2.0 if k[a] >= 1 else lengths[a]
+                out.append(TemperatureMode(k=k, amplitude=1.0 / math.sqrt(w), eigenvalue=lam))
+    out.sort(key=lambda md: (round(md.eigenvalue, 9), md.k))
+    return out
+
+
 def integrate(grid, arr):
     return grid.cell_volume * float(np.sum(arr))
 

@@ -127,12 +127,18 @@ def test_heat_relax_scenario_certificates():
     assert ledger.by_name("mean-budget").passed
 
 
-def test_pulsed_scenario_certificates():
-    cfg = small_config(
+def pulsed_config(**kw) -> ScenarioConfig:
+    base = dict(
         flux_profile="pulsed", flux_amplitude=0.6, flux_beta=0.5, flux_period=0.2,
         hopf_mode="manual", hopf_eps=0.5, hopf_rho=0.5,
         T=0.1, n_windows=2, dt=5e-3,
     )
+    base.update(kw)
+    return small_config(**base)
+
+
+def test_pulsed_scenario_certificates():
+    cfg = pulsed_config()
     solver = GalerkinSolver(cfg)
     run = solver.run_windows()
     cal_run, seed = run_calibration(cfg)
@@ -143,6 +149,30 @@ def test_pulsed_scenario_certificates():
     assert ledger.failed() == [], [c.name for c in ledger.failed()]
     assert ledger.calibration.c2 > 0
     assert ledger.calibration.seed == "standard mean-zero seed"
+
+
+def test_companion_reuses_the_run_system(monkeypatch):
+    cfg = pulsed_config()
+    solver = GalerkinSolver(cfg)
+    fresh_run, fresh_seed = run_calibration(cfg)
+
+    def no_build(self):
+        raise AssertionError("the companion built a system of its own")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(GalerkinSolver, "_build_system", no_build)
+        cal_run, seed = run_calibration(cfg, solver)
+    assert seed == fresh_seed
+    assert set(cal_run.series) == set(fresh_run.series)
+    for key, values in fresh_run.series.items():
+        assert np.array_equal(cal_run.series[key], values), key
+    assert np.array_equal(cal_run.coeffs_w, fresh_run.coeffs_w)
+    assert np.array_equal(cal_run.coeffs_th, fresh_run.coeffs_th)
+
+    comp = GalerkinSolver(companion_config(cfg), reuse=solver)
+    assert comp.vb is solver.vb and comp.tb is solver.tb and comp.forms is solver.forms
+    with pytest.raises(ValueError, match="m differ"):
+        GalerkinSolver(pulsed_config(m=12), reuse=GalerkinSolver(pulsed_config(m=16)))
 
 
 def test_report_text_and_json(decay_ledger):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from ductflow.basis import (
     build_temperature_basis,
     build_velocity_basis,
     dealias_cap,
+    temperature_modes,
+    velocity_modes,
 )
 from ductflow.domain import DomainSpec, build_domain
 from ductflow.errors import AliasingError
@@ -69,6 +73,33 @@ def test_gram_identity_up_to_32(grid):
 def test_mode_count_guard(grid):
     with pytest.raises(AliasingError):
         build_velocity_basis(grid, 10**6)
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive(lengths, kcap):
+    return (
+        oracles.exhaustive_velocity_modes(lengths, kcap),
+        oracles.exhaustive_temperature_modes(lengths, kcap),
+    )
+
+
+@pytest.mark.parametrize("kcap", [(10, 10, 21), (7, 7, 10), (3, 3, 5)])
+@pytest.mark.parametrize("lengths", [(1, 1, 2), (1, 2, 2), (3, 0.5, 1), (0.3, 1.7, 0.9)])
+def test_shortlist_matches_exhaustive_enumeration(lengths, kcap):
+    """The shortlisted first m modes are the exhaustive first m, floats included;
+    L1 = L2 makes degenerate shells that several m cut through."""
+    every_v, every_t = _exhaustive(lengths, kcap)
+    for m in (1, 4, 6, 12, 16, 24, 32, 64, 200):
+        if m <= len(every_v):
+            assert velocity_modes(lengths, kcap, m) == every_v[:m], m
+        else:
+            with pytest.raises(AliasingError, match=f"only {len(every_v)} are resolvable"):
+                velocity_modes(lengths, kcap, m)
+        if m <= len(every_t):
+            assert temperature_modes(lengths, kcap, m) == every_t[:m], m
+        else:
+            with pytest.raises(AliasingError, match=f"only {len(every_t)} are resolvable"):
+                temperature_modes(lengths, kcap, m)
 
 
 def test_ordering_deterministic(grid):

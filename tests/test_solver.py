@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,7 +7,8 @@ from scipy.linalg import expm
 import oracles
 from ductflow.basis import DeltaEval, FaceDelta
 from ductflow.errors import NumericalAbort, ScenarioError
-from ductflow.hopf import b_on_face, build_b
+from ductflow.domain import PatchKind
+from ductflow.hopf import b_on_face, build_b, check_compatibility, flux_norms
 from ductflow.poisson import delta_field, grad_on_face, hess_on_face, solve_neumann
 from ductflow.solver import (
     GalerkinSolver,
@@ -203,6 +206,49 @@ def test_scaled_lifting_matches_direct_rebuild():
             close(vel[key], ref, 1e-12, (key, t))
         adv_w = np.einsum("i,j,ijl->l", state.c, state.dcoef, forms.T_th)
         close(th["adv"] - adv_w, g_dth @ state.dcoef, 1e-12, ("adv", t))
+
+
+def test_sampled_cap_series_match_the_flux_definitions():
+    # _sample scales cap data and cap norms sampled once per solver; each
+    # series must equal the one computed from d1, d2 and flux_norms at t
+    solver = GalerkinSolver(oracle_config())
+    grid, prof = solver.grid, solver.profile
+    st0 = solver.initial_state()
+    for t in (0.0, 0.03, 0.17, 0.41):
+        state = State(t=t, c=st0.c, dcoef=st0.dcoef)
+        delta = solver.delta_provider(t)
+        row = solver._sample(state, delta)
+        fn = flux_norms(prof, grid, t)
+        depth = 2.0 * grid.spec.a
+        expected = {
+            "d_w13_total": fn.w13_inf_total,
+            "d_w13_sq_sum": sum(x**2 for x in fn.w13_cap),
+            "ddt_w165_sq_sum": sum(x**2 for x in fn.w1_65_dt_cap),
+            "d_l2_sum": sum(fn.l2_cap),
+            "d_l2_sq_sum": sum(x**2 for x in fn.l2_cap),
+            "d_l3_cap1": fn.l3_cap[0],
+            "d_l1_cap1": fn.l1_cap[0],
+            "d_l2_ext": math.sqrt(depth) * sum(fn.l2_cap),
+            "d_h1_ext": math.sqrt(depth) * sum(
+                math.sqrt(l2**2 + g2**2) for l2, g2 in zip(fn.l2_cap, fn.g_l2_cap)
+            ),
+            "compat_residual": check_compatibility(prof, grid, t),
+        }
+        lo = grid.patch(PatchKind.CAP_LO)
+        X, Y = lo.meshgrid()
+        th_face = np.einsum("i,ixy->xy", state.dcoef, solver._theta_face[PatchKind.CAP_LO])
+        expected["inflow_theta"] = lo.integrate(prof.d1(X, Y, t) * th_face)
+        err = 0.0
+        for patch in grid.patches:
+            vals = np.einsum("i,icxy->cxy", state.c, solver.vb.face_samples[patch.kind])
+            vn = np.einsum("c,cxy->xy", patch.normal, vals + delta.faces[patch.kind].values)
+            X, Y = patch.meshgrid()
+            target = {PatchKind.CAP_LO: -prof.d1(X, Y, t), PatchKind.CAP_HI: prof.d2(X, Y, t)}
+            err = max(err, float(np.max(np.abs(vn - target.get(patch.kind, 0.0)))))
+        expected["flux_trace_err"] = err
+        assert expected["ddt_w165_sq_sum"] > 0.0 and expected["inflow_theta"] != 0.0
+        for key, ref in expected.items():
+            assert row[key] == ref, (key, t)
 
 
 def test_free_decay_monotone():
