@@ -365,7 +365,6 @@ class FaceDelta:
 class DeltaEval:
     """The lifting delta and its time derivative, sampled where forms need it."""
 
-    t: float
     values: np.ndarray                 # [comp, n1, n2, n3]
     grad: np.ndarray                   # [comp, dir, n1, n2, n3]
     dt_values: np.ndarray              # [comp, n1, n2, n3]
@@ -478,14 +477,15 @@ class AssembledForms:
         gpsi = self.vb.grad.reshape(m, 3, 3, -1)
         dgrad = delta.grad.reshape(3, 3, -1)    # [c, d]
         dvals = delta.values.reshape(3, -1)
-        # (psi_i . grad(delta))_c = sum_a psi_i_a d_a delta_c
-        g_wd = cv * np.einsum("iag,cag,lcg->li", psi, dgrad, psi)
-        # (delta . grad(psi_i))_c = sum_a delta_a d_a psi_i_c
-        g_dw = cv * np.einsum("ag,icag,lcg->li", dvals, gpsi, psi)
         gphi = self.tb.grad.reshape(mt, 3, -1)
+        # (psi_i . grad(delta))_c = sum_a psi_i_a d_a delta_c
+        wd = np.einsum("iag,cag->icg", psi, dgrad).reshape(m, -1)
+        # (delta . grad(psi_i))_c = sum_a delta_a d_a psi_i_c
+        dw = np.einsum("ag,icag->icg", dvals, gpsi).reshape(m, -1)
+        dth = np.einsum("ag,iag->ig", dvals, gphi)
+        psi_flat = psi.reshape(m, -1)
         phi = self.tb.samples.reshape(mt, -1)
-        g_dth = cv * np.einsum("ag,iag,lg->li", dvals, gphi, phi)
-        return g_wd, g_dw, g_dth
+        return cv * (psi_flat @ wd.T), cv * (psi_flat @ dw.T), cv * (phi @ dth.T)
 
     def forcing_F_volume(self, delta: DeltaEval) -> np.ndarray:
         """<-delta_t - delta . grad(delta), psi_j>."""

@@ -97,11 +97,10 @@ def make_snapshot_writer(out_dir: Path, cadence: int):
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
 
-    def cb(idx, state, solver, delta):
+    def cb(idx, state, solver):
         if cadence <= 0 or idx % cadence != 0:
             return
-        v, theta = solver.reconstruct(state, delta)
-        w = solver.w_values(state)
+        w, v, theta = solver.reconstruct(state)
         files = {}
         for name, arr in (("w", w), ("vartheta", theta), ("v", v), ("theta", theta)):
             fname = f"{name}_{idx:06d}.npy"

@@ -260,13 +260,17 @@ def profile_by_name(name: str, spec: DomainSpec, **kw) -> FluxProfile:
 
 
 def check_compatibility(profile: FluxProfile, grid: QuadratureGrid, t: float) -> float:
-    """|int d1 - int d2| over the caps, normalized by max(1, int d1)."""
-    lo = grid.patch(PatchKind.CAP_LO)
-    hi = grid.patch(PatchKind.CAP_HI)
-    X, Y = lo.meshgrid()
-    in1 = lo.integrate(profile.d1(X, Y, t))
-    X, Y = hi.meshgrid()
-    in2 = hi.integrate(profile.d2(X, Y, t))
+    """compatibility_residual of the data d1, d2 sampled on the caps at t."""
+    d1 = profile.d1(*grid.patch(PatchKind.CAP_LO).meshgrid(), t)
+    d2 = profile.d2(*grid.patch(PatchKind.CAP_HI).meshgrid(), t)
+    return compatibility_residual(grid, d1, d2)
+
+
+def compatibility_residual(grid: QuadratureGrid, d1: np.ndarray, d2: np.ndarray) -> float:
+    """|int d1 - int d2| over the caps, normalized by max(1, int d1), from the
+    data sampled on the lower (d1) and the upper (d2) cap."""
+    in1 = grid.patch(PatchKind.CAP_LO).integrate(d1)
+    in2 = grid.patch(PatchKind.CAP_HI).integrate(d2)
     return abs(in1 - in2) / max(1.0, abs(in1))
 
 

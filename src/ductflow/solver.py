@@ -212,10 +212,10 @@ class DeltaProvider:
 
     delta_1 = b + grad(phi) lifts the cap shape g held still (s = 1). The
     lifting is linear in the data, so delta(t) = s(t) delta_1, delta_t =
-    s'(t) delta_1, and every coupling with the bases is s or s^2 times a
-    fixed array. The lifting and those arrays are built once, on first use.
-    The last delta(t) is kept, so a step and the sample before it at the same
-    t share one evaluation.
+    s'(t) delta_1, and every coupling with the bases and every norm the
+    audit samples is s or s^2 times a fixed number or array. The lifting and
+    those numbers are built once, on first use, and are all the run loop
+    reads; calling the provider evaluates delta(t) on the grid.
     """
 
     def __init__(
@@ -230,16 +230,10 @@ class DeltaProvider:
         self.grid = grid
         self.forms = forms
         self.is_zero = profile.name == "none"
-        self._last: Optional[DeltaEval] = None
 
     def __call__(self, t: float) -> Optional[DeltaEval]:
         if self.is_zero:
             return None
-        if self._last is None or self._last.t != t:
-            self._last = self._scaled(t)
-        return self._last
-
-    def _scaled(self, t: float) -> DeltaEval:
         delta_1 = self.lifting[2]
         s = self.profile.s(t)
         faces = {
@@ -247,7 +241,6 @@ class DeltaProvider:
             for kind, f in delta_1.faces.items()
         }
         return DeltaEval(
-            t=t,
             values=s * delta_1.values,
             grad=s * delta_1.grad,
             dt_values=self.profile.s_t(t) * delta_1.values,
@@ -273,7 +266,6 @@ class DeltaProvider:
             fgrad[2] += galpha_f
             faces[patch.kind] = FaceDelta(values=vals, grad=fgrad)
         delta_1 = DeltaEval(
-            t=0.0,
             values=delta.values,
             grad=delta.grad,
             dt_values=np.zeros_like(delta.values),
@@ -284,14 +276,23 @@ class DeltaProvider:
     @cached_property
     def couplings(self) -> dict:
         """The couplings of delta_1: G_wd, G_dw, G_dth, B, F_bdry, F_form,
-        P = P(delta_1) and F_adv = -P(delta_1 . grad delta_1)."""
+        P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
+        Q_i = <grad psi_i, grad delta_1>, and the squared norms l2sq of
+        delta_1 and gradsq of its gradient."""
         forms = self.forms
+        grid = self.grid
         delta_1 = self.lifting[2]
         out = dict(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
         out["B"], out["F_bdry"] = forms.boundary_functionals(delta_1)
         out["F_form"] = forms.forcing_F_form(delta_1)
         out["P"] = forms.project_velocity(delta_1.values)
         out["F_adv"] = forms.forcing_F_volume(delta_1)  # delta_1 is still: dt_values = 0
+        gpsi = forms.vb.grad.reshape(forms.vb.m, 3, 3, -1)
+        out["Q"] = grid.cell_volume * np.einsum(
+            "icdg,cdg->i", gpsi, delta_1.grad.reshape(3, 3, -1)
+        )
+        out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
+        out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
         return out
 
 
@@ -451,19 +452,17 @@ class GalerkinSolver:
 
     def initial_state(self) -> State:
         cfg = self.config
-        delta0 = self.delta_provider(0.0)
         m = cfg.m
         if cfg.init_v == "modes":
             weights = 1.0 / np.sqrt(1.0 + np.arange(min(cfg.init_v_nmodes, m)))
             weights = weights / np.linalg.norm(weights)
             c = np.zeros(m)
             c[: weights.size] = cfg.init_v_amplitude * weights
+        elif cfg.init_v == "zero" and not self.delta_provider.is_zero:
+            # v0 = 0: w0 is the projection of -delta(0) = -s(0) delta_1
+            c = -(self.profile.s(0.0) * self.delta_provider.couplings["P"])
         else:
-            if cfg.init_v == "zero" and delta0 is not None:
-                # v0 = 0: w0 is the projection of -delta(0)
-                c = -self.forms.project_velocity(delta0.values)
-            else:
-                c = np.zeros(m)
+            c = np.zeros(m)
         th0 = self._initial_theta_values()
         dcoef = self.forms.project_temperature(th0)
         return State(t=0.0, c=c, dcoef=dcoef)
@@ -499,7 +498,7 @@ class GalerkinSolver:
     def w_values(self, state: State) -> np.ndarray:
         return np.einsum("i,icg->cg", state.c, self._psi_flat).reshape(3, *self.grid.shape)
 
-    def rhs_terms(self, state: State, delta: Optional[DeltaEval]):
+    def rhs_terms(self, state: State):
         """(velocity, temperature) dicts of every weak-form term at one state.
 
         Each dict also carries ``explicit``, the part the Adams-Bashforth
@@ -507,8 +506,8 @@ class GalerkinSolver:
         implicit part is the Crank-Nicolson one (``visc + fric`` for the
         velocity, ``diff`` for the temperature). The stepper and the oracle
         tests both read these dicts, so the tested terms are the stepped ones.
-        ``delta`` is ``self.delta_provider(t)`` or None; the lifting terms are
-        the provider's couplings of delta_1 scaled by s(t) and s'(t).
+        The lifting terms are the provider's couplings of delta_1 scaled by
+        s(t) and s'(t) at ``state.t``.
         """
         forms = self.forms
         c, dcoef = state.c, state.dcoef
@@ -521,9 +520,9 @@ class GalerkinSolver:
         vel["f_omega"] = forms.project_velocity(omega_f)
         th = {"diff": forms.K_theta @ dcoef}
         adv = np.einsum("i,j,ijl->l", c, dcoef, forms.T_th)
-        if delta is not None:
+        if not self.delta_provider.is_zero:
             k = self.delta_provider.couplings
-            s, s_t = self.profile.s(delta.t), self.profile.s_t(delta.t)
+            s, s_t = self.profile.s(state.t), self.profile.s_t(state.t)
             vel["conv_wdelta"] = s * (k["G_wd"] @ c)
             vel["conv_deltaw"] = s * (k["G_dw"] @ c)
             vel["B"] = s * k["B"]
@@ -546,11 +545,13 @@ class GalerkinSolver:
         return vel, th
 
     def rhs_velocity(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
-        terms, _ = self.rhs_terms(state, delta)
+        """rhs_terms' velocity part; the lifting is the solver's own at state.t."""
+        terms, _ = self.rhs_terms(state)
         return (terms["total"], terms) if return_terms else terms["total"]
 
     def rhs_temperature(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
-        _, terms = self.rhs_terms(state, delta)
+        """rhs_terms' temperature part; the lifting is the solver's own at state.t."""
+        _, terms = self.rhs_terms(state)
         return (terms["total"], terms) if return_terms else terms["total"]
 
     # -- time stepping -----------------------------------------------------------
@@ -561,7 +562,7 @@ class GalerkinSolver:
 
     def step(self, state: State) -> State:
         dt = self.config.dt
-        vel, th = self.rhs_terms(state, self.delta_provider(state.t))
+        vel, th = self.rhs_terms(state)
         E_w, E_th = vel["explicit"], th["explicit"]
         prev = self._E_prev
         c_new = self._stepper_w.step(state.c, E_w, None if prev is None else prev[0])
@@ -573,11 +574,12 @@ class GalerkinSolver:
             )
         return State(t=state.t + dt, c=c_new, dcoef=th_new)
 
-    def dt_stability_estimate(self, state: State, delta: Optional[DeltaEval]) -> float:
+    def dt_stability_estimate(self, state: State) -> float:
         """Crude advective limit 1 / (|w + delta|_max * kappa_max)."""
         vmax = float(np.max(np.abs(self.w_values(state))))
-        if delta is not None:
-            vmax += float(np.max(np.abs(delta.values)))
+        if not self.delta_provider.is_zero:
+            delta_1 = self.delta_provider.lifting[2]
+            vmax += abs(self.profile.s(state.t)) * float(np.max(np.abs(delta_1.values)))
         spec = self.grid.spec
         kmax = max(
             self.vb.k_max[0] * math.pi / spec.L1,
@@ -590,21 +592,21 @@ class GalerkinSolver:
 
     # -- reconstruction and sampling ----------------------------------------------
 
-    def reconstruct(self, state: State, delta: Optional[DeltaEval]):
-        """(v, theta) nodal values; v = w + delta."""
-        v = self.w_values(state)
-        if delta is not None:
-            v = v + delta.values
-        return v, self.theta_values(state)
+    def reconstruct(self, state: State):
+        """(w, v, theta) nodal values; v = w + delta(t)."""
+        w = self.w_values(state)
+        delta = self.delta_provider(state.t)
+        v = w if delta is None else w + delta.values
+        return w, v, self.theta_values(state)
 
-    def flux_trace_error(self, state: State, delta: Optional[DeltaEval]) -> float:
+    def flux_trace_error(self, state: State) -> float:
         """max over cap nodes of |v.n - d|; lateral faces are checked too."""
         err = 0.0
         s = self.profile.s(state.t)
         for patch in self.grid.patches:
             vals = np.einsum("i,icxy->cxy", state.c, self.vb.face_samples[patch.kind])
-            if delta is not None:
-                vals = vals + delta.faces[patch.kind].values
+            if not self.delta_provider.is_zero:
+                vals = vals + s * self.delta_provider.lifting[2].faces[patch.kind].values
             vn = np.einsum("c,cxy->xy", patch.normal, vals)
             if patch.kind == PatchKind.CAP_LO:
                 target = -(s * self._g_cap[patch.kind])
@@ -615,7 +617,7 @@ class GalerkinSolver:
             err = max(err, float(np.max(np.abs(vn - target))))
         return err
 
-    def _sample(self, state: State, delta: Optional[DeltaEval]) -> dict:
+    def _sample(self, state: State) -> dict:
         cfg = self.config
         forms = self.forms
         c, dcoef = state.c, state.dcoef
@@ -635,30 +637,26 @@ class GalerkinSolver:
         row["th_integral"] = grid.integrate(theta)
         row["th_l1"] = grid.integrate(np.abs(theta))
 
-        cap_lo = grid.patch(PatchKind.CAP_LO)
-        d1 = self.profile.s(state.t) * self._g_cap[PatchKind.CAP_LO]
+        s = self.profile.s(state.t)
+        d1 = s * self._g_cap[PatchKind.CAP_LO]
+        d2 = s * self._g_cap[PatchKind.CAP_HI]
         th_face = np.einsum("i,ixy->xy", dcoef, self._theta_face[PatchKind.CAP_LO])
-        row["inflow_theta"] = cap_lo.integrate(d1 * th_face)
+        row["inflow_theta"] = grid.patch(PatchKind.CAP_LO).integrate(d1 * th_face)
 
-        row["flux_trace_err"] = self.flux_trace_error(state, delta)
-        row["compat_residual"] = hopf_mod.check_compatibility(self.profile, grid, state.t)
+        row["flux_trace_err"] = self.flux_trace_error(state)
+        row["compat_residual"] = hopf_mod.compatibility_residual(grid, d1, d2)
 
-        if delta is not None:
-            row["delta_l2sq"] = grid.integrate(np.sum(delta.values**2, axis=0))
-            row["delta_gradsq"] = grid.integrate(np.sum(delta.grad**2, axis=(0, 1)))
-        else:
-            row["delta_l2sq"] = 0.0
-            row["delta_gradsq"] = 0.0
-
-        w_vals = self.w_values(state)
-        v = w_vals if delta is None else w_vals + delta.values
-        row["v_l2sq"] = grid.integrate(np.sum(v**2, axis=0))
-        if delta is None:
-            row["v_gradsq"] = row["w_gradsq"]
-        else:
-            gw = np.einsum("i,icdg->cdg", c, self.vb.grad.reshape(cfg.m, 3, 3, -1))
-            gv = gw + delta.grad.reshape(3, 3, -1)
-            row["v_gradsq"] = grid.cell_volume * float(np.sum(gv**2))
+        # v = w + s delta_1 in grid quadrature, where |c|^2 and c.G_grad_w.c
+        # are the norms of w: ||v||^2 = |c|^2 + 2 s c.P + s^2 ||delta_1||^2,
+        # and the gradient the same way with Q
+        row["delta_l2sq"] = row["delta_gradsq"] = 0.0
+        row["v_l2sq"], row["v_gradsq"] = row["w_l2sq"], row["w_gradsq"]
+        if not self.delta_provider.is_zero:
+            k = self.delta_provider.couplings
+            row["delta_l2sq"] = s * s * k["l2sq"]
+            row["delta_gradsq"] = s * s * k["gradsq"]
+            row["v_l2sq"] = row["w_l2sq"] + 2.0 * s * float(c @ k["P"]) + row["delta_l2sq"]
+            row["v_gradsq"] = row["w_gradsq"] + 2.0 * s * float(c @ k["Q"]) + row["delta_gradsq"]
 
         th_clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
         omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
@@ -692,8 +690,7 @@ class GalerkinSolver:
         coeffs_w = np.zeros((n_samples, cfg.m))
         coeffs_th = np.zeros((n_samples, self.tb.m))
 
-        delta0 = self.delta_provider(0.0)
-        est = self.dt_stability_estimate(state, delta0)
+        est = self.dt_stability_estimate(state)
         if cfg.dt > est:
             warnings.warn(
                 f"dt = {cfg.dt} exceeds the advective stability estimate {est:.3g}",
@@ -701,14 +698,13 @@ class GalerkinSolver:
             )
 
         def record(idx, st):
-            delta = self.delta_provider(st.t)
-            row = self._sample(st, delta)
+            row = self._sample(st)
             for k, vval in row.items():
                 series[k][idx] = vval
             coeffs_w[idx] = st.c
             coeffs_th[idx] = st.dcoef
             if snapshot_cb is not None:
-                snapshot_cb(idx, st, self, delta)
+                snapshot_cb(idx, st, self)
 
         record(0, state)
         idx = 1

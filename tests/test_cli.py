@@ -191,6 +191,29 @@ def test_snapshots_written(tmp_path):
         assert (out / "snapshots" / f).exists()
 
 
+def test_snapshots_with_flux(tmp_path):
+    # each v snapshot is w + s(t) delta_1, the lifting evaluated at its time
+    text = QUICK.read_text()
+    for key, value in (("flux.profile", "pulsed"), ("flux.amplitude", 0.6),
+                       ("flux.beta", 0.5), ("flux.period", 0.5), ("hopf.mode", "manual"),
+                       ("hopf.eps", 0.5), ("hopf.rho", 0.5)):
+        text = set_key(text, key, value)
+    scn = tmp_path / "pulsed.scn"
+    scn.write_text(text)
+    out = tmp_path / "snap"
+    assert main(["run", str(scn), "--out", str(out), "--snapshots", "10"]) == 0
+    solver = GalerkinSolver(load_scenario(scn))
+    delta_1 = solver.delta_provider.lifting[2].values
+    scale = float(np.max(np.abs(delta_1)))
+    assert scale > 0.0
+    man = json.loads((out / "snapshots" / "manifest.json").read_text())
+    assert len(man["snapshots"]) == 5
+    for snap in man["snapshots"]:
+        files = {k: np.load(out / "snapshots" / f) for k, f in snap["files"].items()}
+        expected = files["w"] + solver.profile.s(snap["time"]) * delta_1
+        assert np.max(np.abs(files["v"] - expected)) <= 1e-13 * scale, snap["index"]
+
+
 def test_plots_written(tmp_path):
     out = tmp_path / "plots"
     rc = main(["run", str(QUICK), "--out", str(out), "--plots"])

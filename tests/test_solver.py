@@ -11,6 +11,7 @@ from ductflow.domain import PatchKind
 from ductflow.hopf import b_on_face, build_b, check_compatibility, flux_norms
 from ductflow.poisson import delta_field, grad_on_face, hess_on_face, solve_neumann
 from ductflow.solver import (
+    DeltaProvider,
     GalerkinSolver,
     ImexStepper,
     ScenarioConfig,
@@ -188,10 +189,10 @@ def test_scaled_lifting_matches_direct_rebuild():
 
         # dt_values enters F_vol only; it is checked against the rebuild above
         direct = DeltaEval(
-            t=t, values=field.values, grad=field.grad, dt_values=delta.dt_values, faces=faces
+            values=field.values, grad=field.grad, dt_values=delta.dt_values, faces=faces
         )
         state = State(t=t, c=st0.c, dcoef=st0.dcoef)
-        vel, th = solver.rhs_terms(state, delta)
+        vel, th = solver.rhs_terms(state)
         g_wd, g_dw, g_dth = forms.delta_matrices(direct)
         B, F_bdry = forms.boundary_functionals(direct)
         expected = {
@@ -210,14 +211,21 @@ def test_scaled_lifting_matches_direct_rebuild():
 
 def test_sampled_cap_series_match_the_flux_definitions():
     # _sample scales cap data and cap norms sampled once per solver; each
-    # series must equal the one computed from d1, d2 and flux_norms at t
-    solver = GalerkinSolver(oracle_config())
+    # series must equal the one computed from d1, d2 and flux_norms at t.
+    # The norms of v = w + s delta_1 and of delta are closed forms in c, s and
+    # numbers of delta_1; they must equal grid quadrature of the fields. From
+    # v0 = 0 at m = 12 both cross terms c.P and c.Q are nonzero; on the
+    # "modes" initial state they vanish by symmetry
+    solver = GalerkinSolver(oracle_config(m=12, init_v="zero"))
     grid, prof = solver.grid, solver.profile
     st0 = solver.initial_state()
+    k = solver.delta_provider.couplings
+    assert abs(st0.c @ k["P"]) > 1e-5 and abs(st0.c @ k["Q"]) > 1e-3
+    gpsi = solver.vb.grad.reshape(solver.vb.m, 3, 3, -1)
     for t in (0.0, 0.03, 0.17, 0.41):
         state = State(t=t, c=st0.c, dcoef=st0.dcoef)
         delta = solver.delta_provider(t)
-        row = solver._sample(state, delta)
+        row = solver._sample(state)
         fn = flux_norms(prof, grid, t)
         depth = 2.0 * grid.spec.a
         expected = {
@@ -249,6 +257,36 @@ def test_sampled_cap_series_match_the_flux_definitions():
         assert expected["ddt_w165_sq_sum"] > 0.0 and expected["inflow_theta"] != 0.0
         for key, ref in expected.items():
             assert row[key] == ref, (key, t)
+
+        v = solver.w_values(state) + delta.values
+        gv = np.einsum("i,icdg->cdg", state.c, gpsi) + delta.grad.reshape(3, 3, -1)
+        quadrature = {
+            "v_l2sq": grid.integrate(np.sum(v**2, axis=0)),
+            "v_gradsq": grid.integrate(np.sum(gv**2, axis=(0, 1))),
+            "delta_l2sq": grid.integrate(np.sum(delta.values**2, axis=0)),
+            "delta_gradsq": grid.integrate(np.sum(delta.grad**2, axis=(0, 1))),
+        }
+        for key, ref in quadrature.items():
+            assert abs(row[key] - ref) <= 1e-12 * abs(ref), (key, t)
+
+    # without flux the lifting norms are 0 and v is w
+    solver = GalerkinSolver(small_config(init_v="modes", init_v_amplitude=0.4))
+    row = solver._sample(solver.initial_state())
+    assert row["w_l2sq"] > 0.0 and row["delta_l2sq"] == row["delta_gradsq"] == 0.0
+    assert row["v_l2sq"] == row["w_l2sq"] and row["v_gradsq"] == row["w_gradsq"]
+
+
+def test_run_loop_never_evaluates_delta(monkeypatch):
+    # the run loop reads the lifting only through the couplings of delta_1;
+    # a grid evaluation of delta(t) is for snapshots and tests
+    def refuse(self, t):
+        raise AssertionError(f"delta evaluated at t = {t}")
+
+    monkeypatch.setattr(DeltaProvider, "__call__", refuse)
+    solver = GalerkinSolver(oracle_config(init_v="zero"))
+    res = solver.run_windows()
+    assert res.times.size == solver.config.steps_per_window + 1
+    assert np.max(res.series["delta_l2sq"]) > 0.0
 
 
 def test_free_decay_monotone():
@@ -313,11 +351,10 @@ def test_reconstruction_traces():
     )
     solver = GalerkinSolver(cfg)
     state = solver.initial_state()
-    delta = solver.delta_provider(0.0)
-    err = solver.flux_trace_error(state, delta)
+    err = solver.flux_trace_error(state)
     assert err < 1e-10
-    v, theta = solver.reconstruct(state, delta)
-    assert v.shape == (3, *solver.grid.shape)
+    w, v, theta = solver.reconstruct(state)
+    assert w.shape == v.shape == (3, *solver.grid.shape)
 
 
 def test_pure_extension_flow():
@@ -327,7 +364,7 @@ def test_pure_extension_flow():
     state = solver.initial_state()
     assert np.max(np.abs(state.c)) == 0.0
     delta = solver.delta_provider(0.0)
-    v, _ = solver.reconstruct(state, delta)
+    _, v, _ = solver.reconstruct(state)
     assert np.max(np.abs(v - delta.values)) == 0.0
 
 
