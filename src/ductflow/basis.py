@@ -16,17 +16,22 @@ boundary functionals assembled here.
 
 Temperature modes are the Neumann-natural all-cosine family including the
 constant.
+
+Every mode component is amplitude x f1(x1) f2(x2) f3(x3), so each family is
+stored once, as per-axis factor tables. Samples, gradients and face traces
+are outer products of table rows; the quadrature is a tensor midpoint rule,
+so every assembled form is a sum of products of three 1D sums. A discrete
+Gram matrix that deviates from the identity stops the build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .domain import PatchKind, QuadratureGrid
+from .domain import QuadratureGrid
 from .errors import AliasingError
 from . import spectral
 
@@ -57,12 +62,40 @@ class TemperatureMode:
 
 
 @dataclass
+class FactorTables:
+    """A mode family as per-axis factors sampled on the grid nodes.
+
+    Component c of mode i is the outer product of val[c][0][i],
+    val[c][1][i] and val[c][2][i]; its derivative along axis d swaps in
+    der[c][d], and ends[c][a][i] holds the axis-a factor at the low and the
+    high end of that axis. The mode's amplitude sits in the axis-0 factors.
+    """
+
+    val: list = field(default_factory=list)    # [comp][axis] -> [mode, node]
+    der: list = field(default_factory=list)    # [comp][axis] -> [mode, node]
+    ends: list = field(default_factory=list)   # [comp][axis] -> [mode, 2]
+
+    def factors(self, c: int, d: int | None = None) -> tuple:
+        """The three axis factors of component c, differentiated along d."""
+        return tuple(self.der[c][a] if a == d else self.val[c][a] for a in range(3))
+
+    def on_face(self, c: int, patch) -> tuple:
+        """The axis factors of component c on a face, whose own axis takes
+        its end value as a one-node table."""
+        return tuple(
+            self.ends[c][a][:, patch.side, None] if a == patch.axis else self.val[c][a]
+            for a in range(3)
+        )
+
+
+@dataclass
 class VelocityBasis:
     modes: list[VelocityMode]
     samples: np.ndarray                # [mode, comp, n1, n2, n3]
     grad: np.ndarray                   # [mode, comp, dir, n1, n2, n3]
     face_samples: dict                 # PatchKind -> [mode, comp, f1, f2]
     k_max: tuple[int, int, int]
+    factors: FactorTables              # comp 0..2
 
     @property
     def m(self) -> int:
@@ -74,8 +107,10 @@ class TemperatureBasis:
     modes: list[TemperatureMode]
     samples: np.ndarray                # [mode, n1, n2, n3]
     grad: np.ndarray                   # [mode, dir, n1, n2, n3]
+    face_samples: dict                 # cap PatchKind -> [mode, f1, f2]
     eigenvalues: np.ndarray
     k_max: tuple[int, int, int]
+    factors: FactorTables              # comp 0 only
 
     @property
     def m(self) -> int:
@@ -230,125 +265,98 @@ def temperature_modes(lengths, kcap, m: int) -> list[TemperatureMode]:
     return cands[:m]
 
 
-def _sample_axis_factors(grid: QuadratureGrid, axes, k, sin_axis: Optional[int]):
-    """Per-axis 1D factor arrays for one tensor mode."""
-    fs = []
-    for a in range(3):
-        col = axes[a].sin_syn[:, k[a]] if a == sin_axis else axes[a].cos_syn[:, k[a]]
-        fs.append(col)
-    return fs
+def _factor_tables(axes, ks, amps, sin_axes) -> FactorTables:
+    """Per-axis factor tables of the modes with wavevectors ks [mode, 3].
+
+    Component c has the amplitudes amps[c] [mode] and a sine factor along
+    axis sin_axes[c] (None: cosines only), cosines along the others.
+    """
+    tables = FactorTables()
+    for amp, sin_axis in zip(amps, sin_axes):
+        per_axis = []
+        for a, ax in enumerate(axes):
+            k = ks[:, a]
+            kap, cos, sin = ax.kappa[k][:, None], ax.cos_syn[:, k].T, ax.sin_syn[:, k].T
+            if a == sin_axis:  # a sine vanishes at both ends of its axis
+                parts = (sin, kap * cos, np.zeros((k.size, 2)))
+            else:
+                parts = (cos, -kap * sin, np.stack([ax.cos_at_lo[k], ax.cos_at_hi[k]], axis=1))
+            per_axis.append([(amp[:, None] if a == 0 else 1.0) * part for part in parts])
+        for store, tabs in zip((tables.val, tables.der, tables.ends), zip(*per_axis)):
+            store.append(tabs)
+    return tables
 
 
-def _outer3(f1, f2, f3):
-    return f1[:, None, None] * f2[None, :, None] * f3[None, None, :]
+def _synthesize(f, out=None) -> np.ndarray:
+    """[mode, n1, n2, n3] outer products f[0][i] x f[1][i] x f[2][i]."""
+    pair = f[0][:, :, None] * f[1][:, None, :]
+    return np.multiply(pair[..., None], f[2][:, None, None, :], out=out)
 
 
-def _face_factor(axes, a, k, is_sin, patch_axis, side):
-    """1D factor on a face: full column off the face axis, endpoint value on it."""
-    ax = axes[a]
-    if a != patch_axis:
-        return ax.sin_syn[:, k] if is_sin else ax.cos_syn[:, k]
-    if is_sin:
-        return 0.0
-    return float(ax.cos_at_hi[k] if side == 1 else ax.cos_at_lo[k])
+def _sample(tables: FactorTables, grid: QuadratureGrid):
+    """Values [mode, comp, n1, n2, n3], gradients [mode, comp, dir, n1, n2, n3]
+    and face traces {PatchKind: [mode, comp, f1, f2]} of a family."""
+    m, nc = tables.val[0][0].shape[0], len(tables.val)
+    vals, grad = np.empty((m, nc, *grid.shape)), np.empty((m, nc, 3, *grid.shape))
+    for c in range(nc):
+        _synthesize(tables.factors(c), out=vals[:, c])
+        for d in range(3):
+            _synthesize(tables.factors(c, d), out=grad[:, c, d])
+    faces = {
+        p.kind: np.stack([_synthesize(tables.on_face(c, p)) for c in range(nc)], axis=1)
+        .reshape(m, nc, p.nodes[0].size, p.nodes[1].size)
+        for p in grid.patches
+    }
+    return vals, grad, faces
+
+
+def _inner(f, g, weight: float) -> np.ndarray:
+    """[i, j] quadrature of f_i g_j for tensor factors: weight prod_a f_a g_a^T."""
+    return weight * (f[0] @ g[0].T) * (f[1] @ g[1].T) * (f[2] @ g[2].T)
+
+
+def _triple(f, g, h, weight: float) -> np.ndarray:
+    """[i, j, l] quadrature of f_i g_j h_l for tensor factors: weight times
+    the product over axes of sum_x f_a[i, x] g_a[j, x] h_a[l, x]."""
+    out = weight
+    for fa, ga, ha in zip(f, g, h):
+        fg = (fa[:, None, :] * ga[None, :, :]).reshape(-1, fa.shape[1])
+        out = out * (fg @ ha.T).reshape(fa.shape[0], ga.shape[0], ha.shape[0])
+    return out
 
 
 def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     """Construct the first m modes ordered by Stokes Rayleigh quotient.
 
-    Modes are analytically orthonormal; the discrete Gram matrix is checked
-    and, should it ever drift beyond 1e-12, re-orthonormalized by a
-    Cholesky pass so the 1e-10 contract always holds.
+    Modes are analytically orthonormal and are kept as per-axis factor
+    tables, from which the samples, gradients and face traces are
+    synthesized. The discrete Gram matrix is checked: a deviation from the
+    identity beyond 1e-12 raises RuntimeError, like the Rayleigh-quotient
+    check of velocity_modes.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    lengths = grid.spec.lengths
-    modes = velocity_modes(lengths, tuple(dealias_cap(n) for n in grid.shape), m)
-
-    axes = spectral.axes_for(grid)
-    psi = np.zeros((m, 3, *grid.shape))
-    gpsi = np.zeros((m, 3, 3, *grid.shape))
-    for idx, md in enumerate(modes):
-        kappa = [md.k[a] * math.pi / lengths[a] for a in range(3)]
-        for c in range(3):
-            if md.coef[c] == 0.0:
-                continue
-            fs = _sample_axis_factors(grid, axes, md.k, sin_axis=c)
-            psi[idx, c] = md.coef[c] * _outer3(*fs)
-            for d in range(3):
-                if kappa[d] == 0.0:
-                    continue
-                dfs = list(fs)
-                if d == c:
-                    dfs[d] = axes[d].cos_syn[:, md.k[d]]
-                    sign = +1.0
-                else:
-                    dfs[d] = axes[d].sin_syn[:, md.k[d]]
-                    sign = -1.0
-                gpsi[idx, c, d] = md.coef[c] * sign * kappa[d] * _outer3(*dfs)
-
-    cellvol = grid.cell_volume
-    gram = cellvol * np.einsum("iag,jag->ij", psi.reshape(m, 3, -1), psi.reshape(m, 3, -1))
-    dev = np.max(np.abs(gram - np.eye(m)))
+    modes = velocity_modes(grid.spec.lengths, tuple(dealias_cap(n) for n in grid.shape), m)
+    ks, coef = np.array([md.k for md in modes]), np.array([md.coef for md in modes])
+    tables = _factor_tables(spectral.axes_for(grid), ks, coef.T, sin_axes=(0, 1, 2))
+    gram = sum(_inner(tables.factors(c), tables.factors(c), grid.cell_volume) for c in range(3))
+    dev = float(np.max(np.abs(gram - np.eye(m))))
     if dev > 1e-12:
-        # polish: mix modes by the inverse Cholesky factor of the Gram
-        L = np.linalg.cholesky(gram)
-        mix = np.linalg.inv(L)
-        psi = np.einsum("ij,j...->i...", mix, psi)
-        gpsi = np.einsum("ij,j...->i...", mix, gpsi)
-
-    face_samples = {}
-    for patch in grid.patches:
-        n1, n2 = patch.nodes[0].size, patch.nodes[1].size
-        vals = np.zeros((m, 3, n1, n2))
-        for idx, md in enumerate(modes):
-            for c in range(3):
-                if md.coef[c] == 0.0 or c == patch.axis:
-                    continue  # sine factor vanishes on its own face
-                parts = [
-                    _face_factor(axes, a, md.k[a], a == c, patch.axis, patch.side)
-                    for a in range(3)
-                ]
-                plane = [parts[a] for a in patch.plane_axes]
-                scalar = parts[patch.axis]
-                vals[idx, c] = md.coef[c] * scalar * np.outer(plane[0], plane[1])
-        face_samples[patch.kind] = vals
-
-    k_max = tuple(max(md.k[a] for md in modes) for a in range(3))
-    return VelocityBasis(
-        modes=modes, samples=psi, grad=gpsi, face_samples=face_samples, k_max=k_max
-    )
+        raise RuntimeError(f"velocity Gram matrix deviates from the identity by {dev:.3e} > 1e-12")
+    return VelocityBasis(modes, *_sample(tables, grid), tuple(ks.max(axis=0).tolist()), tables)
 
 
 def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
     """First m all-cosine modes by Laplace eigenvalue, constant mode first."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    lengths = grid.spec.lengths
-    modes = temperature_modes(lengths, tuple(dealias_cap(n) for n in grid.shape), m)
-
-    axes = spectral.axes_for(grid)
-    phi = np.zeros((m, *grid.shape))
-    gphi = np.zeros((m, 3, *grid.shape))
-    for idx, md in enumerate(modes):
-        fs = _sample_axis_factors(grid, axes, md.k, sin_axis=None)
-        phi[idx] = md.amplitude * _outer3(*fs)
-        for d in range(3):
-            kap = md.k[d] * math.pi / lengths[d]
-            if kap == 0.0:
-                continue
-            dfs = list(fs)
-            dfs[d] = axes[d].sin_syn[:, md.k[d]]
-            gphi[idx, d] = -md.amplitude * kap * _outer3(*dfs)
-
-    k_max = tuple(max(md.k[a] for md in modes) for a in range(3))
-    return TemperatureBasis(
-        modes=modes,
-        samples=phi,
-        grad=gphi,
-        eigenvalues=np.array([md.eigenvalue for md in modes]),
-        k_max=k_max,
-    )
+    modes = temperature_modes(grid.spec.lengths, tuple(dealias_cap(n) for n in grid.shape), m)
+    ks, amp = np.array([md.k for md in modes]), np.array([md.amplitude for md in modes])
+    tables = _factor_tables(spectral.axes_for(grid), ks, [amp], sin_axes=(None,))
+    phi, gphi, faces = _sample(tables, grid)
+    caps = {kind: v[:, 0] for kind, v in faces.items() if kind.is_cap}
+    lam, k_max = np.array([md.eigenvalue for md in modes]), tuple(ks.max(axis=0).tolist())
+    return TemperatureBasis(modes, phi[:, 0], gphi[:, 0], caps, lam, k_max, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -408,41 +416,28 @@ class AssembledForms:
                     f"axis {a}: triple products reach wavenumber {needed} beyond "
                     f"the exact band {2 * grid.shape[a] - 1}"
                 )
-        m = self.vb.m
-        mt = self.tb.m
-        cellvol = grid.cell_volume
-        psi = self.vb.samples.reshape(m, 3, -1)
-        gpsi = self.vb.grad.reshape(m, 3, 3, -1)
-        dpsi = np.swapaxes(gpsi, 1, 2) + gpsi  # D[i,j] = d_i psi_j + d_j psi_i
-
-        self.K_visc = self.nu * cellvol * np.einsum("iabg,jabg->ij", dpsi, dpsi)
-        self.G_grad_w = cellvol * np.einsum("icdg,jcdg->ij", gpsi, gpsi)
-
-        fric = np.zeros((m, m))
-        for patch in grid.patches:
-            if patch.kind.is_cap:
-                continue
-            vals = self.vb.face_samples[patch.kind]
-            for tau in (patch.tau1, patch.tau2):
-                wt = np.einsum("c,icxy->ixy", tau, vals)
-                fric += patch.weight * np.einsum("ixy,jxy->ij", wt, wt)
-        self.K_fric = self.gamma * fric
-
-        gphi = self.tb.grad.reshape(mt, 3, -1)
-        self.K_theta = self.kappa_heat * cellvol * np.einsum(
-            "iag,jag->ij", gphi, gphi
+        cv = grid.cell_volume
+        V, Th = self.vb.factors, self.tb.factors
+        pairs = [(c, d) for c in range(3) for d in range(3)]
+        # int D(psi_i):D(psi_j) = 2 sum_cd <d_d psi_c, d_d psi_c + d_c psi_d>
+        self.G_grad_w = sum(_inner(V.factors(c, d), V.factors(c, d), cv) for c, d in pairs)
+        cross = sum(_inner(V.factors(c, d), V.factors(d, c), cv) for c, d in pairs)
+        self.K_visc = 2.0 * self.nu * (self.G_grad_w + cross)
+        self.K_theta = self.kappa_heat * sum(
+            _inner(Th.factors(0, d), Th.factors(0, d), cv) for d in range(3)
         )
 
-        # trilinear transport tensors, chunked to bound memory
-        phi = self.tb.samples.reshape(mt, -1)
-        self.T_vel = np.empty((m, m, m))
-        for i in range(m):
-            conv = np.einsum("ag,jcag->jcg", psi[i], gpsi)
-            self.T_vel[i] = cellvol * conv.reshape(m, -1) @ psi.reshape(m, -1).T
-        self.T_th = np.empty((m, mt, mt))
-        for i in range(m):
-            adv = np.einsum("ag,jag->jg", psi[i], gphi)
-            self.T_th[i] = cellvol * adv @ phi.T
+        lateral = [p for p in grid.patches if not p.kind.is_cap]
+        self.K_fric = self.gamma * sum(
+            tau[c] * tau[d] * _inner(V.on_face(c, p), V.on_face(d, p), p.weight)
+            for p in lateral for tau in (p.tau1, p.tau2) for c, d in pairs if tau[c] * tau[d]
+        )
+
+        # T_vel[i, j, l] = <psi_i . grad psi_j, psi_l>, T_th likewise with phi
+        self.T_vel = sum(_triple(V.factors(a), V.factors(c, a), V.factors(c), cv) for a, c in pairs)
+        self.T_th = sum(
+            _triple(V.factors(a), Th.factors(0, a), Th.factors(0), cv) for a in range(3)
+        )
 
     # -- static projections -------------------------------------------------
 
@@ -545,10 +540,6 @@ class AssembledForms:
                 B += patch.weight * np.einsum("xy,ixy->i", bdata, psi_tau)
                 Fb += self.nu * patch.weight * np.einsum("xy,ixy->i", stress, psi_tau)
         return B, Fb
-
-    def friction_quadratic(self, c: np.ndarray) -> float:
-        """gamma sum_alpha |w . tau_alpha|^2 over the lateral wall."""
-        return float(c @ self.K_fric @ c)
 
 
 def assemble_forms(

@@ -31,8 +31,9 @@ import numpy as np
 
 from . import __version__
 from .audit import EnergyLedger, audit_run, ledger_to_json_obj, ledger_to_text
+from .basis import dealias_cap, temperature_modes, velocity_modes
 from .domain import build_domain
-from .errors import NumericalAbort, RegimeError, ScenarioError
+from .errors import AliasingError, NumericalAbort, RegimeError, ScenarioError
 from .hopf import check_compatibility, profile_by_name
 from .scenario import KEY_MAP, load_scenario, parse_scenario_text, scenario_hash, set_key
 from .solver import GalerkinSolver, RunResult, ScenarioConfig, horizon_times, pick_hopf_params
@@ -177,9 +178,6 @@ def cmd_run(args) -> int:
         (out_dir / "abort_dump.json").write_text(json.dumps(dump, sort_keys=True, indent=2) + "\n")
         print(f"numerical abort: {exc} (diagnostics in {out_dir / 'abort_dump.json'})", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
 
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -246,6 +244,15 @@ def cmd_check(args) -> int:
     ts = horizon_times(config, 8)
     worst = max(check_compatibility(profile, grid, float(t)) for t in ts)
     ok &= _check_line(worst <= 1e-12, "flux-compatibility", f"worst residual {worst:.3e}")
+
+    # mode count: the decision the bases make, from closed forms only
+    kcap = tuple(dealias_cap(n) for n in grid.shape)
+    try:
+        velocity_modes(grid.spec.lengths, kcap, config.m)
+        temperature_modes(grid.spec.lengths, kcap, config.m)
+        _check_line(True, "galerkin-modes", f"m = {config.m} below the dealiased band {kcap}")
+    except AliasingError as exc:
+        ok &= _check_line(False, "galerkin-modes", str(exc))
 
     # cutoff parameter regime: the decision the solver makes
     try:
@@ -404,7 +411,12 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # any other input the library rejects ends in one line, never a traceback
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -365,7 +365,7 @@ SERIES_KEYS = [
 SYSTEM_FIELDS = ("L1", "L2", "a", "N1", "N2", "N3", "m", "nu", "gamma", "kappa_heat",
                  "s2_stress_nu", "dt")
 _SYSTEM_ATTRS = ("patches", "grid", "vb", "tb", "forms", "_psi_flat", "_phi_flat",
-                 "_theta_face", "_stepper_w", "_stepper_th")
+                 "_stepper_w", "_stepper_th")
 
 
 class GalerkinSolver:
@@ -406,7 +406,6 @@ class GalerkinSolver:
         )
         self._psi_flat = self.vb.samples.reshape(config.m, 3, -1)
         self._phi_flat = self.tb.samples.reshape(self.tb.m, -1)
-        self._theta_face = self._temperature_face_samples()
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
 
@@ -433,22 +432,6 @@ class GalerkinSolver:
         self._E_prev = None
 
     # -- setup helpers -------------------------------------------------------
-
-    def _temperature_face_samples(self) -> dict:
-        out = {}
-        for kind in (PatchKind.CAP_LO, PatchKind.CAP_HI):
-            patch = self.grid.patch(kind)
-            n1, n2 = patch.nodes[0].size, patch.nodes[1].size
-            vals = np.zeros((self.tb.m, n1, n2))
-            spec = self.grid.spec
-            for idx, md in enumerate(self.tb.modes):
-                f1 = np.cos(md.k[0] * np.pi * patch.nodes[0] / spec.L1)
-                f2 = np.cos(md.k[1] * np.pi * patch.nodes[1] / spec.L2)
-                s3 = 0.0 if kind == PatchKind.CAP_LO else 1.0
-                f3 = math.cos(md.k[2] * math.pi * s3)
-                vals[idx] = md.amplitude * f3 * np.outer(f1, f2)
-            out[kind] = vals
-        return out
 
     def initial_state(self) -> State:
         cfg = self.config
@@ -580,12 +563,7 @@ class GalerkinSolver:
         if not self.delta_provider.is_zero:
             delta_1 = self.delta_provider.lifting[2]
             vmax += abs(self.profile.s(state.t)) * float(np.max(np.abs(delta_1.values)))
-        spec = self.grid.spec
-        kmax = max(
-            self.vb.k_max[0] * math.pi / spec.L1,
-            self.vb.k_max[1] * math.pi / spec.L2,
-            self.vb.k_max[2] * math.pi / (2 * spec.a),
-        )
+        kmax = max(k * math.pi / L for k, L in zip(self.vb.k_max, self.grid.spec.lengths))
         if vmax * kmax == 0.0:
             return math.inf
         return 1.0 / (vmax * kmax)
@@ -629,7 +607,7 @@ class GalerkinSolver:
         row["th_l2sq"] = float(dcoef @ dcoef)
         row["th_gradsq"] = float(dcoef @ (self.tb.eigenvalues * dcoef))
         row["th_h1sq"] = row["th_l2sq"] + row["th_gradsq"]
-        row["fric_sq"] = forms.friction_quadratic(c)
+        row["fric_sq"] = float(c @ forms.K_fric @ c)
 
         theta = self.theta_values(state)
         row["th_min"] = float(theta.min())
@@ -640,7 +618,7 @@ class GalerkinSolver:
         s = self.profile.s(state.t)
         d1 = s * self._g_cap[PatchKind.CAP_LO]
         d2 = s * self._g_cap[PatchKind.CAP_HI]
-        th_face = np.einsum("i,ixy->xy", dcoef, self._theta_face[PatchKind.CAP_LO])
+        th_face = np.einsum("i,ixy->xy", dcoef, self.tb.face_samples[PatchKind.CAP_LO])
         row["inflow_theta"] = grid.patch(PatchKind.CAP_LO).integrate(d1 * th_face)
 
         row["flux_trace_err"] = self.flux_trace_error(state)

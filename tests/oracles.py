@@ -86,6 +86,54 @@ def temperature_mode_fields(mode, grid):
     return values, grad
 
 
+def temperature_mode_on_face(mode, grid, patch):
+    """Temperature mode values on a boundary face, from formulas."""
+    spec = grid.spec
+    g1, g2 = patch.meshgrid()
+    coords = [None, None, None]
+    coords[patch.plane_axes[0]] = g1
+    coords[patch.plane_axes[1]] = g2
+    coords[patch.axis] = np.full(g1.shape, patch.coord)
+    prod = np.ones(g1.shape)
+    for a in range(3):
+        s = (coords[a] - spec.origins[a]) / spec.lengths[a]
+        prod = prod * np.cos(mode.k[a] * math.pi * s)
+    return mode.amplitude * prod
+
+
+def forms_by_quadrature(vmodes, tmodes, grid, nu, gamma, kappa_heat):
+    """K_visc, G_grad_w, K_theta, K_fric, T_vel and T_th by grid quadrature
+    of the formula fields above, mode by mode."""
+    cv = grid.cell_volume
+    vel = [velocity_mode_fields(md, grid) for md in vmodes]
+    psi = np.array([v[0].reshape(3, -1) for v in vel])          # [i, c, g]
+    gpsi = np.array([v[1].reshape(3, 3, -1) for v in vel])      # [i, c, d, g]
+    th = [temperature_mode_fields(md, grid) for md in tmodes]
+    phi = np.array([t[0].reshape(-1) for t in th])              # [i, g]
+    gphi = np.array([t[1].reshape(3, -1) for t in th])          # [i, d, g]
+    dpsi = np.array([sym(v[1]).reshape(3, 3, -1) for v in vel])
+    out = {
+        "K_visc": nu * cv * np.einsum("iabg,jabg->ij", dpsi, dpsi),
+        "G_grad_w": cv * np.einsum("icdg,jcdg->ij", gpsi, gpsi),
+        "K_theta": kappa_heat * cv * np.einsum("idg,jdg->ij", gphi, gphi),
+    }
+    fric = np.zeros((len(vmodes), len(vmodes)))
+    for patch in grid.patches:
+        if patch.kind.is_cap:
+            continue
+        faces = [velocity_mode_on_face(md, grid, patch) for md in vmodes]
+        for tau in (patch.tau1, patch.tau2):
+            wt = np.array([np.einsum("c,cxy->xy", tau, f).reshape(-1) for f in faces])
+            fric += gamma * patch.weight * wt @ wt.T
+    out["K_fric"] = fric
+    # (psi_i . grad psi_j)_c and psi_i . grad phi_j, one i at a time
+    out["T_vel"] = np.array([
+        cv * np.einsum("jcg,lcg->jl", np.einsum("ag,jcag->jcg", p, gpsi), psi) for p in psi
+    ])
+    out["T_th"] = np.array([cv * np.einsum("ag,jag->jg", p, gphi) @ phi.T for p in psi])
+    return out
+
+
 def exhaustive_velocity_modes(lengths, kcap):
     """Every velocity mode below the band kcap, in the package's order.
 

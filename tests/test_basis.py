@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
 import oracles
+from ductflow import basis
 from ductflow.basis import (
     assemble_forms,
     build_temperature_basis,
@@ -205,3 +207,43 @@ def test_dealias_guard():
     tb = build_temperature_basis(small, 4)
     # caps were respected, so assembly passes the aliasing check
     assemble_forms(vb, tb, small, nu=1.0, gamma=1.0, kappa_heat=1.0)
+
+
+def test_gram_deviation_stops_the_build(grid, monkeypatch):
+    real = basis.velocity_modes
+
+    def stretched(lengths, kcap, m):
+        modes = real(lengths, kcap, m)
+        modes[0] = dataclasses.replace(modes[0], coef=tuple(x * (1 + 1e-9) for x in modes[0].coef))
+        return modes
+
+    monkeypatch.setattr(basis, "velocity_modes", stretched)
+    with pytest.raises(RuntimeError, match="Gram"):
+        build_velocity_basis(grid, 8)
+
+
+@pytest.mark.parametrize("box, shape, m", [
+    ((3.0, 0.5, 0.5), (16, 8, 16), 24),
+    ((0.3, 1.7, 0.45), (12, 16, 20), 32),
+])
+def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
+    spec = DomainSpec(L1=box[0], L2=box[1], a=box[2], N1=shape[0], N2=shape[1], N3=shape[2])
+    _, grid = build_domain(spec)
+    vb, tb = build_velocity_basis(grid, m), build_temperature_basis(grid, m)
+    forms = assemble_forms(vb, tb, grid, nu=0.7, gamma=1.3, kappa_heat=0.9)
+    ref = oracles.forms_by_quadrature(vb.modes, tb.modes, grid, nu=0.7, gamma=1.3, kappa_heat=0.9)
+    for name, expected in ref.items():
+        got = getattr(forms, name)
+        assert got.shape == expected.shape, name
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+
+    for patch in grid.patches:
+        expected = np.array([oracles.velocity_mode_on_face(md, grid, patch) for md in vb.modes])
+        got = vb.face_samples[patch.kind]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), patch.kind
+    caps = [p for p in grid.patches if p.kind.is_cap]
+    assert set(tb.face_samples) == {p.kind for p in caps}
+    for patch in caps:
+        expected = np.array([oracles.temperature_mode_on_face(md, grid, patch) for md in tb.modes])
+        got = tb.face_samples[patch.kind]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), patch.kind

@@ -171,6 +171,28 @@ def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys):
     assert all("skipped" in row for row in rows[1:])
 
 
+@pytest.mark.parametrize("keys", [
+    {"flux.profile": "swirl"},
+    {"flux.beta": 1.5},
+    {"flux.amplitude": -0.6},
+    {"flux.period": 0},
+])
+def test_check_reports_library_value_error_in_one_line(tmp_path, capsys, keys):
+    scn = scenario_with(tmp_path, bundled_scenario_path("pulsed-flux"), keys)
+    assert main(["check", str(scn)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_check_rejects_the_mode_count_run_rejects(tmp_path, capsys):
+    scn = scenario_with(tmp_path, QUICK, {"galerkin.m": 5000})
+    assert main(["check", str(scn)]) == 1
+    assert "[FAIL] galerkin-modes: requested m = 5000" in capsys.readouterr().out
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+    assert "only 625 are resolvable" in capsys.readouterr().err
+
+
 def test_check_fails_on_incompatible_theta_bounds(tmp_path):
     text = set_key(QUICK.read_text(), "audit.theta_star", 3.0)
     bad = tmp_path / "theta.scn"

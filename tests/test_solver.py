@@ -244,7 +244,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
         }
         lo = grid.patch(PatchKind.CAP_LO)
         X, Y = lo.meshgrid()
-        th_face = np.einsum("i,ixy->xy", state.dcoef, solver._theta_face[PatchKind.CAP_LO])
+        th_face = np.einsum("i,ixy->xy", state.dcoef, solver.tb.face_samples[PatchKind.CAP_LO])
         expected["inflow_theta"] = lo.integrate(prof.d1(X, Y, t) * th_face)
         err = 0.0
         for patch in grid.patches:
