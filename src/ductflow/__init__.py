@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .domain import DomainSpec, build_domain, dist_to_caps
 from .hopf import HopfParams, hopf_eta, hopf_eta_prime, select_params
-from .norms import NormSpec, norm
 
 __all__ = [
     "DomainSpec",
@@ -23,7 +22,5 @@ __all__ = [
     "hopf_eta",
     "hopf_eta_prime",
     "select_params",
-    "NormSpec",
-    "norm",
     "__version__",
 ]

@@ -499,7 +499,7 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig, psi: Callab
 
 def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
     out = []
-    if solver.profile.name == "none" or config.flux_amplitude == 0.0:
+    if solver.hopf_params is None:
         out.append(
             Certificate(
                 name="weighted-hessian",

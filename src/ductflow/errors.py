@@ -13,10 +13,6 @@ class SolvabilityError(ValueError):
     """Neumann problem data violates the zero-mean solvability condition."""
 
 
-class MissingDerivativeError(ValueError):
-    """A derivative-based norm was requested on a field without derivatives."""
-
-
 class AliasingError(ValueError):
     """Requested modes exceed the quadrature grid's dealiased band."""
 

@@ -243,20 +243,19 @@ def pulsed_profile(amplitude: float, beta: float, period: float, spec: DomainSpe
 
 
 def profile_by_name(name: str, spec: DomainSpec, **kw) -> FluxProfile:
+    """The named profile; amplitude 0 is no flux, once its parameters are valid."""
     if name == "none":
         return zero_profile()
+    amplitude = kw.get("amplitude", 1.0)
     if name == "constant":
-        return constant_profile(kw.get("amplitude", 1.0))
-    if name == "parabolic-cap":
-        return parabolic_profile(kw.get("amplitude", 1.0), spec)
-    if name == "pulsed":
-        return pulsed_profile(
-            kw.get("amplitude", 1.0),
-            kw.get("beta", 0.5),
-            kw.get("period", 1.0),
-            spec,
-        )
-    raise ValueError(f"unknown flux profile {name!r}")
+        profile = constant_profile(amplitude)
+    elif name == "parabolic-cap":
+        profile = parabolic_profile(amplitude, spec)
+    elif name == "pulsed":
+        profile = pulsed_profile(amplitude, kw.get("beta", 0.5), kw.get("period", 1.0), spec)
+    else:
+        raise ValueError(f"unknown flux profile {name!r}")
+    return zero_profile() if amplitude == 0 else profile
 
 
 def check_compatibility(profile: FluxProfile, grid: QuadratureGrid, t: float) -> float:
@@ -296,24 +295,13 @@ def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> None:
 class ExtensionB:
     """The lifting b = alpha e3 with analytic derivatives.
 
-    alpha, grad_alpha[d] and div_b (= grad_alpha[2]) are nodal samples.
+    alpha, grad_alpha[d] and div_b (= grad_alpha[2]) are nodal samples; b
+    and its gradient are alpha and grad_alpha in the e3 row.
     """
 
     alpha: np.ndarray
     grad_alpha: np.ndarray
     div_b: np.ndarray
-
-    @property
-    def b(self) -> np.ndarray:
-        out = np.zeros((3, *self.alpha.shape))
-        out[2] = self.alpha
-        return out
-
-    def grad_b(self) -> np.ndarray:
-        """grad[c, d] = d_d b_c; only the c = 2 row is nonzero."""
-        out = np.zeros((3, 3, *self.alpha.shape))
-        out[2] = self.grad_alpha
-        return out
 
 
 def _eta_prime_total(sigma: np.ndarray, params: HopfParams) -> np.ndarray:

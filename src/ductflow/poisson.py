@@ -5,11 +5,16 @@ all-cosine tensor family, which satisfies the boundary condition on every
 face identically. The data is the cosine interpolant of the nodal samples
 of -div b, so the discrete divergence of the corrected field delta = b +
 grad(phi) vanishes at every quadrature node; that is the computable sense
-in which delta is divergence free.
+in which delta is divergence free. phi comes back as a ScalarField with its
+spectral gradient and Hessian attached, delta as a VectorField with its
+gradient.
 
 certify_weighted_hessian and certify_layer_bound turn the weighted estimates for
 this problem into empirical constants: both sides of each inequality are
-evaluated and the ratio is reported, never assumed.
+evaluated and the ratio is reported, never assumed. Both measure in the one
+weighted norm of the audit, weighted_norm: (sum_a int |a|^p sigma^(p mu))^(1/p)
+over a list of arrays, sigma the distance to the caps; for D^2 phi the list
+is the six distinct second derivatives.
 """
 
 from __future__ import annotations
@@ -22,9 +27,56 @@ import numpy as np
 from . import spectral
 from .domain import QuadratureGrid
 from .errors import SolvabilityError
-from .fields import ScalarField, VectorField
 from .hopf import ExtensionB, FluxProfile, HopfParams, flux_norms
-from .norms import Family, NormSpec, norm
+
+
+def _nodal(values, shape: tuple, what: str) -> np.ndarray:
+    """Samples as a float array of the given shape, all finite (else ValueError)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{what} shape {values.shape} != {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} contains non-finite values")
+    return values
+
+
+@dataclass
+class ScalarField:
+    """Scalar samples with gradient grad[d] and Hessian hess[i, j]."""
+
+    values: np.ndarray
+    grid: QuadratureGrid
+    grad: np.ndarray      # shape (3, N1, N2, N3)
+    hess: np.ndarray      # shape (3, 3, N1, N2, N3)
+
+    def __post_init__(self):
+        self.values = _nodal(self.values, self.grid.shape, "scalar field")
+
+
+@dataclass
+class VectorField:
+    """Vector samples values[c] with gradient grad[c, d] = d_d u_c."""
+
+    values: np.ndarray
+    grid: QuadratureGrid
+    grad: np.ndarray      # shape (3, 3, N1, N2, N3)
+
+    def __post_init__(self):
+        self.values = _nodal(self.values, (3, *self.grid.shape), "vector field")
+
+    def require_grad(self) -> np.ndarray:
+        return self.grad
+
+
+def weighted_norm(arrays, grid: QuadratureGrid, p: float, mu: float) -> float:
+    """(sum_a int |a|^p sigma^(p mu))^(1/p), sigma the distance to the caps."""
+    if not (0.0 < mu < 1.0):
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    weight = grid.cap_weight() ** (p * mu)
+    acc = 0.0
+    for a in arrays:
+        acc += grid.integrate(np.abs(a) ** p * weight)
+    return acc ** (1.0 / p)
 
 
 @dataclass
@@ -43,25 +95,20 @@ class NeumannSolution:
     spectral_tail: float
 
 
-def solve_neumann(div_b, grid: QuadratureGrid, mean_tol: float = 1e-10) -> NeumannSolution:
+def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     """Solve Delta(phi) = -div_b, n.grad(phi) = 0 on S, zero mean.
 
-    ``div_b`` may be a ScalarField or a plain nodal array. Raises
-    SolvabilityError when the volume integral of the data is not zero
-    relative to its size.
+    ``div_b`` is a nodal array. Raises SolvabilityError when the volume
+    integral of the data exceeds 1e-10 of its size.
     """
-    values = div_b.values if isinstance(div_b, ScalarField) else np.asarray(div_b, float)
-    if values.shape != grid.shape:
-        raise ValueError("data shape does not match grid")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite Neumann data")
+    values = _nodal(div_b, grid.shape, "Neumann data")
 
     mean = grid.integrate(values)
     scale = math.sqrt(grid.integrate(values * values)) * math.sqrt(grid.spec.volume)
-    if abs(mean) > mean_tol * max(scale, 1e-300):
+    if abs(mean) > 1e-10 * max(scale, 1e-300):
         raise SolvabilityError(
             f"Neumann data has nonzero mean {mean:.3e} (tolerance "
-            f"{mean_tol:.1e} relative); the problem is not solvable"
+            "1.0e-10 relative); the problem is not solvable"
         )
 
     axes = spectral.axes_for(grid)
@@ -125,9 +172,14 @@ def grad_on_face(solution: NeumannSolution, grid: QuadratureGrid, patch) -> np.n
 
 
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> VectorField:
-    """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c."""
-    vals = ext.b + solution.phi.require_grad()
-    grad = ext.grad_b() + solution.phi.require_hess()
+    """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c.
+
+    b = alpha e3, so alpha and grad(alpha) add into row 2.
+    """
+    vals = solution.phi.grad.copy()
+    vals[2] += ext.alpha
+    grad = solution.phi.hess.copy()
+    grad[2] += ext.grad_alpha
     return VectorField(values=vals, grid=grid, grad=grad)
 
 
@@ -147,11 +199,12 @@ def certify_weighted_hessian(div_b, solution: NeumannSolution, p: float, mu: flo
     if not (0.0 < mu < 1.0):
         raise ValueError(f"the estimate requires mu in (0, 1), got {mu}")
     grid = solution.phi.grid
-    data = div_b if isinstance(div_b, ScalarField) else ScalarField(values=div_b, grid=grid)
-    denom = norm(data, NormSpec(Family.WEIGHTED_LP, p=p, mu=mu))
+    data = _nodal(div_b, grid.shape, "div b")
+    denom = weighted_norm([data], grid, p, mu)
     if denom == 0.0:
         raise ValueError("weighted norm of div b vanishes; ratio undefined")
-    numer = norm(solution.phi, NormSpec(Family.WEIGHTED_LPK, k=2, p=p, mu=mu))
+    hess = solution.phi.hess
+    numer = weighted_norm([hess[i, j] for i in range(3) for j in range(i, 3)], grid, p, mu)
     return numer / denom
 
 
@@ -168,7 +221,6 @@ def certify_layer_bound(
     ext: ExtensionB,
     grid: QuadratureGrid,
     mu: float,
-    t: float = 0.0,
 ) -> tuple[float, float]:
     """Left and right sides of the weighted layer bound on div b.
 
@@ -186,9 +238,8 @@ def certify_layer_bound(
             f"mu = {mu} rejected: the estimate needs mu > 2/3, since at "
             "mu = 2/3 the layer integral of sigma^(3 mu - 3) is not finite"
         )
-    lhs_field = ScalarField(values=ext.div_b, grid=grid)
-    lhs = norm(lhs_field, NormSpec(Family.WEIGHTED_LP, p=3, mu=mu))
-    fn = flux_norms(profile, grid, t)
+    lhs = weighted_norm([_nodal(ext.div_b, grid.shape, "div b")], grid, 3, mu)
+    fn = flux_norms(profile, grid, 0.0)
     rhs = params.eps * params.rho ** (mu - 2.0 / 3.0) * sum(fn.l3_cap)
     # constant-in-x3 extension: d~_{i,x3} = 0, second structural term is zero
     return lhs, rhs

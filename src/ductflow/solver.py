@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -107,6 +107,13 @@ class ScenarioConfig:
     s2_stress_nu: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioError(f"{f.name} must be finite, got {value}")
+        vec = self.forcing_vector
+        if len(vec) != 3 or not all(math.isfinite(v) for v in vec):
+            raise ScenarioError(f"forcing vector must be three finite numbers, got {vec}")
         try:
             self.domain_spec()
         except ValueError as exc:

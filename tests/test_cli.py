@@ -193,6 +193,48 @@ def test_check_rejects_the_mode_count_run_rejects(tmp_path, capsys):
     assert "only 625 are resolvable" in capsys.readouterr().err
 
 
+def test_zero_flux_amplitude_is_no_flux(tmp_path):
+    # amplitude 0 is the zero profile, so auto mode has no norm to select from
+    # and the run is the one without flux, byte for byte
+    zero = tmp_path / "zero"
+    none = tmp_path / "none"
+    zero.mkdir()
+    none.mkdir()
+    scn = scenario_with(zero, QUICK, {
+        "flux.profile": "constant", "flux.amplitude": 0, "hopf.mode": "auto",
+    })
+    ref = scenario_with(none, QUICK, {"flux.profile": "none"})
+    assert main(["check", str(scn)]) == 0
+    assert main(["run", str(scn), "--out", str(zero / "out")]) == 0
+    assert main(["run", str(ref), "--out", str(none / "out")]) == 0
+    for name in ("timeseries.csv", "certificates.json"):
+        assert (zero / "out" / name).read_bytes() == (none / "out" / name).read_bytes(), name
+    bad = scenario_with(tmp_path, QUICK, {
+        "flux.profile": "pulsed", "flux.amplitude": 0, "flux.beta": 1.5,
+    })
+    assert main(["check", str(bad)]) == 1
+    assert main(["run", str(bad), "--out", str(tmp_path / "bad")]) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("physics.nu", "nan"),
+    ("time.dt", "inf"),
+    ("forcing.vector", "1.0, 2.0"),
+    ("forcing.vector", "1, 2, 3, 4"),
+    ("forcing.vector", "1.0, nan, 0.0"),
+])
+def test_check_rejects_the_numbers_run_fails_on(tmp_path, capsys, key, value):
+    scn = scenario_with(tmp_path, QUICK, {key: value})
+    out = tmp_path / "out"
+    assert main(["check", str(scn)]) == 1
+    assert main(["run", str(scn), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_check_fails_on_incompatible_theta_bounds(tmp_path):
     text = set_key(QUICK.read_text(), "audit.theta_star", 3.0)
     bad = tmp_path / "theta.scn"

@@ -134,6 +134,28 @@ def test_weighted_hessian_single_mode_ratio_is_amplitude_invariant():
     assert abs(r1 - 1.0) < 1e-12
 
 
+def test_weighted_hessian_counts_each_second_derivative_once():
+    # g = cos(pi x1) cos(pi (x3+1)/2), phi = g / lam: the nonzero Hessian
+    # entries are d11, d33 and d13 = d31, and the numerator sums each
+    # distinct entry once.
+    grid = unit_grid()
+    lam = eigenvalue(grid, (1, 0, 1))
+    X1, _, X3 = grid.meshgrid()
+    c1, s1 = np.cos(np.pi * X1), np.sin(np.pi * X1)
+    c3, s3 = np.cos(np.pi * (X3 + 1.0) / 2.0), np.sin(np.pi * (X3 + 1.0) / 2.0)
+    g = c1 * c3
+    d11 = -(np.pi**2) * g / lam
+    d33 = -((np.pi / 2.0) ** 2) * g / lam
+    d13 = (np.pi * np.pi / 2.0) * s1 * s3 / lam
+    p, mu = 3, 0.8
+    weight = np.minimum(X3 + 1.0, 1.0 - X3) ** (p * mu)
+    numer = grid.integrate((np.abs(d11) ** p + np.abs(d33) ** p + np.abs(d13) ** p) * weight)
+    denom = grid.integrate(np.abs(g) ** p * weight)
+    expected = (numer / denom) ** (1.0 / p)
+    got = certify_weighted_hessian(g, solve_neumann(g, grid), p=p, mu=mu)
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
 def test_weighted_hessian_parameter_validation():
     grid = unit_grid()
     g = cos_mode(grid, (0, 0, 1))
