@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -92,12 +92,8 @@ class EnergyLedger:
     calibration: Calibration
     certificates: list
 
-    def failed(self, include_advisory: bool = False):
-        return [
-            c
-            for c in self.certificates
-            if c.applicable and not c.passed and (include_advisory or not c.advisory)
-        ]
+    def failed(self):
+        return [c for c in self.certificates if c.applicable and not c.passed and not c.advisory]
 
     def by_name(self, name: str) -> Certificate:
         for c in self.certificates:
@@ -204,9 +200,9 @@ def calibrate(
 # Budget
 
 
-def budget_series(run: RunResult, config: ScenarioConfig, psi: Callable = default_psi) -> np.ndarray:
+def budget_series(run: RunResult, config: ScenarioConfig) -> np.ndarray:
     s = run.series
-    psi_vals = np.array([psi(v) for v in s["d_w13_total"]])
+    psi_vals = np.array([default_psi(v) for v in s["d_w13_total"]])
     return config.c_budget * (
         s["omega_f_65sq"] + psi_vals * (s["d_w13_sq_sum"] + s["ddt_w165_sq_sum"])
     )
@@ -419,7 +415,7 @@ def _mk_theta_energy_cert(run: RunResult, config: ScenarioConfig) -> Certificate
     )
 
 
-def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig, psi: Callable) -> list:
+def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
     s = run.series
     t = run.times
     v_V = _v_norm_sq(float(np.max(s["v_l2sq"])), _trapz(s["v_gradsq"], t))
@@ -468,7 +464,7 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig, psi: Callab
     )
 
     theta_V = _v_norm_sq(float(np.max(s["th_l2sq"])), _trapz(s["th_gradsq"], t))
-    psi_sup = psi(sup_w13)
+    psi_sup = default_psi(sup_w13)
     a1_big_sq = (
         _trapz(s["omega_f_65sq"] + s["d_w13_sq_sum"] + s["ddt_w165_sq_sum"], t) * psi_sup
     )
@@ -618,7 +614,6 @@ def audit_run(
     solver: GalerkinSolver,
     cal_run: Optional[RunResult] = None,
     cal_seed: str = "scenario run (already free decay)",
-    psi: Callable = default_psi,
 ) -> EnergyLedger:
     config = run.config
     if cal_run is None:
@@ -631,7 +626,7 @@ def audit_run(
     s = run.series
     X = cal.c1 * s["th_l2sq"] + s["w_l2sq"]
     Y = cal.c1 * s["th_h1sq"] + s["w_h1sq"]
-    F = budget_series(run, config, psi)
+    F = budget_series(run, config)
     t = run.times
     joints = run.window_joint_indices()
 
@@ -642,7 +637,7 @@ def audit_run(
     certs.append(_mk_temperature_bounds_cert(run, config))
     certs.append(_mk_mean_budget_cert(run, config))
     certs.append(_mk_theta_energy_cert(run, config))
-    certs.extend(_mk_reconstruction_certs(run, config, psi))
+    certs.extend(_mk_reconstruction_certs(run, config))
     certs.extend(_mk_weighted_certs(solver, config))
     certs.append(_mk_compat_cert(run))
     certs.append(_mk_dissipation_cert(run, X, config))

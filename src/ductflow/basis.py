@@ -378,6 +378,9 @@ class DeltaEval:
     dt_values: np.ndarray              # [comp, n1, n2, n3]
     faces: dict                        # PatchKind -> FaceDelta
 
+    def require_grad(self) -> np.ndarray:
+        return self.grad
+
 
 def sym_grad(grad: np.ndarray) -> np.ndarray:
     """D[i, j] = d_i u_j + d_j u_i from grad[c, d] = d_d u_c (any trailing shape)."""

@@ -1,8 +1,9 @@
 """Command line front end: run, check and sweep scenarios.
 
-Exit codes: 0 success, 1 configuration error or input the library rejects
-(any ValueError, reported in one line), 2 numerical abort, 3 certificate
-failure (only with --strict).
+Exit codes: 0 success, 1 configuration error, input the library rejects
+(any ValueError) or an output path that cannot be written (any OSError),
+each reported in one line, 2 numerical abort, 3 certificate failure (only
+with --strict).
 
 Outputs of `run` (all under --out, default out/<scenario-stem>):
   timeseries.csv      fixed columns t, X, Y, F, w_l2, theta_l2, theta_min,
@@ -152,6 +153,7 @@ def cmd_run(args) -> int:
         return 1
     scen_path = Path(args.scenario)
     out_dir = Path(args.out) if args.out else Path("out") / scen_path.stem
+    out_dir.mkdir(parents=True, exist_ok=True)  # before any compute, so a bad --out fails fast
     started = time.time()
 
     snapshot_cb, snapshot_finalize = (None, None)
@@ -168,7 +170,6 @@ def cmd_run(args) -> int:
         print(f"config error (cutoff regime): {exc}", file=sys.stderr)
         return 1
     except NumericalAbort as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
         dump = {
             "error": str(exc),
             "t": exc.t,
@@ -179,7 +180,6 @@ def cmd_run(args) -> int:
         print(f"numerical abort: {exc} (diagnostics in {out_dir / 'abort_dump.json'})", file=sys.stderr)
         return 2
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     csv_path = out_dir / "timeseries.csv"
     write_timeseries_csv(csv_path, result.run, result.ledger)
@@ -416,6 +416,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # any other input the library rejects ends in one line, never a traceback
         print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an output directory or file that cannot be created or written
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
 
 

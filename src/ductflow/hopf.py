@@ -13,6 +13,8 @@ evaluated in the distance sigma_i to cap i. The slope obeys
 the lifting controllably small when eps is. Extensions d~_i are constant
 in x3, so the trace of b on each cap reproduces the data exactly and
 div b = sum_i d~_i eta_i'(sigma_i) sigma_i'(x3) is available in closed form.
+One evaluator, _alpha, gives alpha and grad alpha at any points; build_b
+samples it on the grid and, through b_on_face, on the six boundary patches.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ def select_params(nu: float, d_tilde_norm: float, c_cal: float = 1.0) -> HopfPar
         raise RegimeError("flux extension norm must be positive for auto-selection")
     if not nu > 0:
         raise RegimeError("viscosity must be positive")
+    if not c_cal > 0:
+        raise RegimeError(f"c_cal must be positive, got {c_cal}")
     eps = nu / (8.0 * c_cal * d_tilde_norm)
     rho = eps**6
     if rho >= 1.0:
@@ -296,12 +300,14 @@ class ExtensionB:
     """The lifting b = alpha e3 with analytic derivatives.
 
     alpha, grad_alpha[d] and div_b (= grad_alpha[2]) are nodal samples; b
-    and its gradient are alpha and grad_alpha in the e3 row.
+    and its gradient are alpha and grad_alpha in the e3 row. faces maps
+    each PatchKind to (alpha, grad_alpha) sampled on that boundary patch.
     """
 
     alpha: np.ndarray
     grad_alpha: np.ndarray
     div_b: np.ndarray
+    faces: dict
 
 
 def _eta_prime_total(sigma: np.ndarray, params: HopfParams) -> np.ndarray:
@@ -314,15 +320,19 @@ def _eta_prime_total(sigma: np.ndarray, params: HopfParams) -> np.ndarray:
     return out
 
 
-def _eta_profiles(x3: np.ndarray, spec: DomainSpec, params: HopfParams):
+def _alpha(profile: FluxProfile, params: HopfParams, spec: DomainSpec, x1, x2, x3, t: float):
+    """(alpha, grad_alpha) at broadcastable points, x3 clipped to [-a, a]:
+    d1 = d2 = s g and the cutoffs have disjoint supports (rho < a), so
+    alpha = s g (eta_lo + eta_hi)."""
+    x3 = np.clip(x3, -spec.a, spec.a)
     sig_lo = x3 + spec.a
     sig_hi = spec.a - x3
-    eta_lo = hopf_eta(sig_lo, params)
-    eta_hi = hopf_eta(sig_hi, params)
+    eta = hopf_eta(sig_lo, params) + hopf_eta(sig_hi, params)
     # sigma' = +1 toward the bottom cap coordinate, -1 toward the top
-    etap_lo = _eta_prime_total(sig_lo, params)
-    etap_hi = -_eta_prime_total(sig_hi, params)
-    return eta_lo, eta_hi, etap_lo, etap_hi
+    etap = _eta_prime_total(sig_lo, params) + (-_eta_prime_total(sig_hi, params))
+    s = profile.s(t)
+    d, d_g1, d_g2 = (s * fn(x1, x2) for fn in (profile.g, profile.g1, profile.g2))
+    return d * eta, np.stack([d_g1 * eta, d_g2 * eta, d * etap])
 
 
 def build_b(
@@ -331,26 +341,19 @@ def build_b(
     grid: QuadratureGrid,
     t: float,
 ) -> ExtensionB:
-    """Assemble the lifting and its analytic derivatives at time t."""
+    """Assemble the lifting and its analytic derivatives at time t, on the
+    grid and on every boundary patch."""
     spec = grid.spec
     if params.rho >= spec.a:
         raise RegimeError(
             f"rho = {params.rho} >= a = {spec.a}: cap neighborhoods overlap"
         )
-    eta_lo, eta_hi, etap_lo, etap_hi = _eta_profiles(grid.x3, spec, params)
-    X1, X2, _ = grid.meshgrid()
-    x1c = X1[:, :, 0]
-    x2c = X2[:, :, 0]
-    s = profile.s(t)
-    # d1 = d2 = s g, and the two cutoffs have disjoint supports (rho < a)
-    d, d_g1, d_g2 = (
-        s * fn(x1c, x2c)[:, :, None] for fn in (profile.g, profile.g1, profile.g2)
+    alpha, grad_alpha = _alpha(
+        profile, params, spec,
+        grid.x1[:, None, None], grid.x2[None, :, None], grid.x3[None, None, :], t,
     )
-    eta = (eta_lo + eta_hi)[None, None, :]
-    etap = (etap_lo + etap_hi)[None, None, :]
-    alpha = d * eta
-    grad_alpha = np.stack([d_g1 * eta, d_g2 * eta, d * etap])
-    return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2])
+    faces = {p.kind: b_on_face(profile, params, grid, p, t) for p in grid.patches}
+    return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2], faces=faces)
 
 
 def b_on_face(
@@ -365,32 +368,10 @@ def b_on_face(
     On the caps the cutoff is exactly 1 at its own cap and 0 at the opposite
     one, so alpha reproduces the trace data to machine precision.
     """
-    spec = grid.spec
-    g1, g2 = patch.meshgrid()
-    if patch.kind.is_cap:
-        x3 = np.full(g1.shape, patch.coord)
-        x1, x2 = g1, g2
-    else:
-        x3 = g2  # lateral patches have plane axes (other horizontal, x3)
-        if patch.axis == 0:
-            x1 = np.full(g1.shape, patch.coord)
-            x2 = g1
-        else:
-            x2 = np.full(g1.shape, patch.coord)
-            x1 = g1
-    eta_lo, eta_hi, etap_lo, etap_hi = _eta_profiles(np.clip(x3, -spec.a, spec.a), spec, params)
-    s = profile.s(t)
-    d = s * profile.g(x1, x2)
-    eta = eta_lo + eta_hi
-    alpha = d * eta
-    grad_alpha = np.stack(
-        [
-            s * profile.g1(x1, x2) * eta,
-            s * profile.g2(x1, x2) * eta,
-            d * (etap_lo + etap_hi),
-        ]
-    )
-    return alpha, grad_alpha
+    x = [None] * 3
+    x[patch.plane_axes[0]], x[patch.plane_axes[1]] = patch.meshgrid()
+    x[patch.axis] = np.full(x[patch.plane_axes[0]].shape, patch.coord)
+    return _alpha(profile, params, grid.spec, *x, t)
 
 
 # ---------------------------------------------------------------------------

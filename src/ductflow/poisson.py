@@ -6,8 +6,10 @@ face identically. The data is the cosine interpolant of the nodal samples
 of -div b, so the discrete divergence of the corrected field delta = b +
 grad(phi) vanishes at every quadrature node; that is the computable sense
 in which delta is divergence free. phi comes back as a ScalarField with its
-spectral gradient and Hessian attached, delta as a VectorField with its
-gradient.
+spectral gradient and Hessian attached. delta_field assembles delta and its
+gradient once, on the grid and on all six faces alike, from the samples of b
+that build_b made and one synthesis of the derivatives of phi, _derivatives;
+the result is the forms' DeltaEval.
 
 certify_weighted_hessian and certify_layer_bound turn the weighted estimates for
 this problem into empirical constants: both sides of each inequality are
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
+from .basis import DeltaEval, FaceDelta
 from .domain import QuadratureGrid
 from .errors import SolvabilityError
 from .hopf import ExtensionB, FluxProfile, HopfParams, flux_norms
@@ -51,21 +54,6 @@ class ScalarField:
 
     def __post_init__(self):
         self.values = _nodal(self.values, self.grid.shape, "scalar field")
-
-
-@dataclass
-class VectorField:
-    """Vector samples values[c] with gradient grad[c, d] = d_d u_c."""
-
-    values: np.ndarray
-    grid: QuadratureGrid
-    grad: np.ndarray      # shape (3, 3, N1, N2, N3)
-
-    def __post_init__(self):
-        self.values = _nodal(self.values, (3, *self.grid.shape), "vector field")
-
-    def require_grad(self) -> np.ndarray:
-        return self.grad
 
 
 def weighted_norm(arrays, grid: QuadratureGrid, p: float, mu: float) -> float:
@@ -119,16 +107,7 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     phi_hat[mask] = data_hat[mask] / lam[mask]
 
     phi_vals = spectral.synth(phi_hat, axes, (spectral.COS,) * 3)
-    grad = np.empty((3, *grid.shape))
-    for d in range(3):
-        gc, par = spectral.grad_coeffs(phi_hat, axes, d)
-        grad[d] = spectral.synth(gc, axes, par)
-    hess = np.empty((3, 3, *grid.shape))
-    for i in range(3):
-        for j in range(i, 3):
-            hc, par = spectral.hess_coeffs(phi_hat, axes, i, j)
-            hess[i, j] = spectral.synth(hc, axes, par)
-            hess[j, i] = hess[i, j]
+    grad, hess = _derivatives(phi_hat, axes)
 
     lap = hess[0, 0] + hess[1, 1] + hess[2, 2]
     residual = math.sqrt(grid.integrate((lap + values) ** 2))
@@ -148,39 +127,42 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     )
 
 
-def hess_on_face(solution: NeumannSolution, grid: QuadratureGrid, patch) -> np.ndarray:
-    """Hessian of phi sampled on a boundary patch (for the stress terms)."""
-    axes = spectral.axes_for(grid)
-    n1, n2 = (patch.nodes[0].size, patch.nodes[1].size)
-    out = np.empty((3, 3, n1, n2))
+def _derivatives(phi_hat: np.ndarray, axes, face=None) -> tuple[np.ndarray, np.ndarray]:
+    """grad[d] and hess[i, j] of phi from its cosine coefficients, on the
+    grid or on the boundary face (axis, side)."""
+
+    def synth(coeffs, parities):
+        return spectral.synth(coeffs, axes, parities, face)
+
+    grad = np.stack([synth(*spectral.grad_coeffs(phi_hat, axes, d)) for d in range(3)])
+    hess = np.empty((3, *grad.shape))
     for i in range(3):
         for j in range(i, 3):
-            hc, par = spectral.hess_coeffs(solution.coeffs, axes, i, j)
-            out[i, j] = spectral.synth_on_face(hc, axes, par, patch.axis, patch.side)
-            out[j, i] = out[i, j]
-    return out
+            hess[i, j] = hess[j, i] = synth(*spectral.hess_coeffs(phi_hat, axes, i, j))
+    return grad, hess
 
 
-def grad_on_face(solution: NeumannSolution, grid: QuadratureGrid, patch) -> np.ndarray:
+def _add_b(grad_phi: np.ndarray, hess_phi: np.ndarray, alpha, grad_alpha):
+    """(delta, grad delta) from grad(phi), its gradient and b = alpha e3:
+    alpha and grad(alpha) add into row 2."""
+    values = grad_phi.copy()
+    values[2] += alpha
+    grad = hess_phi.copy()
+    grad[2] += grad_alpha
+    return values, grad
+
+
+def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> DeltaEval:
+    """delta = b + grad(phi), held still (dt_values = 0), with gradient
+    grad[c, d] = d_d delta_c, on the grid and on every boundary patch."""
+    values, grad = _add_b(solution.phi.grad, solution.phi.hess, ext.alpha, ext.grad_alpha)
+    values = _nodal(values, (3, *grid.shape), "lifting")
     axes = spectral.axes_for(grid)
-    n1, n2 = (patch.nodes[0].size, patch.nodes[1].size)
-    out = np.empty((3, n1, n2))
-    for d in range(3):
-        gc, par = spectral.grad_coeffs(solution.coeffs, axes, d)
-        out[d] = spectral.synth_on_face(gc, axes, par, patch.axis, patch.side)
-    return out
-
-
-def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> VectorField:
-    """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c.
-
-    b = alpha e3, so alpha and grad(alpha) add into row 2.
-    """
-    vals = solution.phi.grad.copy()
-    vals[2] += ext.alpha
-    grad = solution.phi.hess.copy()
-    grad[2] += ext.grad_alpha
-    return VectorField(values=vals, grid=grid, grad=grad)
+    faces = {}
+    for patch in grid.patches:
+        face_derivatives = _derivatives(solution.coeffs, axes, (patch.axis, patch.side))
+        faces[patch.kind] = FaceDelta(*_add_b(*face_derivatives, *ext.faces[patch.kind]))
+    return DeltaEval(values=values, grad=grad, dt_values=np.zeros_like(values), faces=faces)
 
 
 # ---------------------------------------------------------------------------

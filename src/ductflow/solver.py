@@ -257,28 +257,9 @@ class DeltaProvider:
     @cached_property
     def lifting(self):
         """(ext, sol, delta_1): b, the Neumann solution and delta_1 with faces."""
-        grid = self.grid
-        shape = self.profile.unit()
-        ext = hopf_mod.build_b(shape, self.params, grid, 0.0)
-        sol = poisson_mod.solve_neumann(ext.div_b, grid)
-        delta = poisson_mod.delta_field(ext, sol, grid)
-        faces = {}
-        for patch in grid.patches:
-            alpha_f, galpha_f = hopf_mod.b_on_face(shape, self.params, grid, patch, 0.0)
-            gphi_f = poisson_mod.grad_on_face(sol, grid, patch)
-            hphi_f = poisson_mod.hess_on_face(sol, grid, patch)
-            vals = gphi_f.copy()
-            vals[2] += alpha_f
-            fgrad = hphi_f.copy()
-            fgrad[2] += galpha_f
-            faces[patch.kind] = FaceDelta(values=vals, grad=fgrad)
-        delta_1 = DeltaEval(
-            values=delta.values,
-            grad=delta.grad,
-            dt_values=np.zeros_like(delta.values),
-            faces=faces,
-        )
-        return ext, sol, delta_1
+        ext = hopf_mod.build_b(self.profile.unit(), self.params, self.grid, 0.0)
+        sol = poisson_mod.solve_neumann(ext.div_b, self.grid)
+        return ext, sol, poisson_mod.delta_field(ext, sol, self.grid)
 
     @cached_property
     def couplings(self) -> dict:

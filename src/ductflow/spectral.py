@@ -9,7 +9,9 @@ makes Gram and stiffness integrals of band-limited fields exact.
 
 Transforms are realized as small dense per-axis matrices; at desk-scale
 resolutions this is faster to reason about than library DCT scaling
-conventions and costs nothing.
+conventions and costs nothing. synth evaluates a coefficient array on the
+grid or, given a face, on that boundary face, where each axis family takes
+its end values.
 """
 
 from __future__ import annotations
@@ -81,38 +83,28 @@ def cos_analyze(values: np.ndarray, axes: tuple[AxisTransform, ...]) -> np.ndarr
     return out
 
 
-def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], parities) -> np.ndarray:
-    """Evaluate a coefficient array with the given per-axis parities."""
+def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], parities, face=None) -> np.ndarray:
+    """Evaluate a coefficient array with the given per-axis parities.
+
+    On the grid, or with face = (axis, side) on that boundary face: the face
+    axis is contracted last, with the end values of its family (sines vanish
+    there identically), so intermediate shapes stay 3D.
+    """
     out = coeffs
     for i, (ax, par) in enumerate(zip(axes, parities)):
-        mat = ax.cos_syn if par == COS else ax.sin_syn
-        out = _apply(mat, out, i)
-    return out
-
-
-def synth_on_face(
-    coeffs: np.ndarray,
-    axes: tuple[AxisTransform, ...],
-    parities,
-    face_axis: int,
-    side: int,
-) -> np.ndarray:
-    """Evaluate on a boundary face: the face axis is contracted with the
-    endpoint values of its family (sines vanish there identically)."""
-    out = coeffs
-    # Contract the fixed axis last so intermediate shapes stay 3D.
-    for i, (ax, par) in enumerate(zip(axes, parities)):
-        if i == face_axis:
+        if face is not None and i == face[0]:
             continue
         mat = ax.cos_syn if par == COS else ax.sin_syn
         out = _apply(mat, out, i)
-    ax = axes[face_axis]
-    if parities[face_axis] == SIN:
+    if face is None:
+        return out
+    axis, side = face
+    ax = axes[axis]
+    if parities[axis] == SIN:
         vec = np.zeros(ax.n)
     else:
         vec = ax.cos_at_hi if side == 1 else ax.cos_at_lo
-    out = np.tensordot(out, vec, axes=([face_axis], [0]))
-    return out
+    return np.tensordot(out, vec, axes=([axis], [0]))
 
 
 def grad_coeffs(coeffs: np.ndarray, axes, axis: int) -> tuple[np.ndarray, tuple]:

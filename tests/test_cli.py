@@ -193,6 +193,40 @@ def test_check_rejects_the_mode_count_run_rejects(tmp_path, capsys):
     assert "only 625 are resolvable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c_cal", [0, -1])
+def test_auto_mode_rejects_a_nonpositive_calibration_constant(tmp_path, capsys, c_cal):
+    scn = scenario_with(tmp_path, QUICK, {
+        "galerkin.m": 6, "flux.profile": "constant", "flux.amplitude": 0.6,
+        "hopf.mode": "auto", "hopf.c_cal": c_cal,
+    })
+    assert main(["check", str(scn)]) == 1
+    fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fail) == 1 and fail[0].startswith("[FAIL] cutoff-regime: c_cal must be positive")
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error (cutoff regime): c_cal")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_out_naming_a_file_fails_before_any_compute(tmp_path, monkeypatch, capsys):
+    def execute(config, snapshot_cb=None):
+        raise AssertionError("the pipeline ran although --out is unusable")
+
+    monkeypatch.setattr(cli, "execute", execute)
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    for argv in (
+        ["run", str(QUICK), "--out", str(taken)],
+        ["sweep", str(QUICK), "--axis", "galerkin.m", "--values", "6", "--out", str(taken)],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err
+    assert taken.read_text() == "a regular file\n"
+
+
 def test_zero_flux_amplitude_is_no_flux(tmp_path):
     # amplitude 0 is the zero profile, so auto mode has no norm to select from
     # and the run is the one without flux, byte for byte

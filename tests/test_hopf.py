@@ -102,6 +102,11 @@ def test_select_params_rejects_zero_norm():
         select_params(1.0, 0.0)
 
 
+def test_select_params_rejects_zero_calibration_constant():
+    with pytest.raises(RegimeError, match="c_cal must be positive"):
+        select_params(nu=1, d_tilde_norm=1, c_cal=0)
+
+
 # --- profiles and extension ------------------------------------------------
 
 def test_extension_slab_norm_matches_cap_norm():
@@ -220,6 +225,30 @@ def test_b_reproduces_cap_traces():
         d = d_i(X, Y, 0.0)
         # b.n = sign * alpha must match sign * d_i exactly
         assert np.max(np.abs(alpha - d)) < 1e-12
+
+
+def test_b_on_the_side_walls_matches_the_closed_form():
+    # b = g eta e3 with grad alpha = (g1 eta, g2 eta, g eta'), eta the sum of
+    # the two cap cutoffs, on a box whose two horizontal axes differ
+    spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
+    _, grid = build_domain(spec)
+    prof = parabolic_profile(1.0, spec)
+    for patch in grid.patches:
+        if patch.kind.is_cap:
+            continue
+        u, x3 = patch.meshgrid()
+        wall = np.full(u.shape, patch.coord)
+        x1, x2 = (wall, u) if patch.axis == 0 else (u, wall)
+        eta = hopf_eta(x3 + spec.a, PARAMS) + hopf_eta(spec.a - x3, PARAMS)
+        eta_prime = hopf_eta_prime(x3 + spec.a, PARAMS, warn_on_kink=False) - hopf_eta_prime(
+            spec.a - x3, PARAMS, warn_on_kink=False
+        )
+        g = prof.g(x1, x2)
+        expected = (g * eta, [prof.g1(x1, x2) * eta, prof.g2(x1, x2) * eta, g * eta_prime])
+        for got, ref in zip(b_on_face(prof, PARAMS, grid, patch, 0.0), expected):
+            ref = np.asarray(ref)
+            assert got.shape == ref.shape, patch.kind
+            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), patch.kind
 
 
 def test_div_b_integrates_to_zero_for_compatible_flux():

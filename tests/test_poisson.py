@@ -10,7 +10,6 @@ from ductflow.poisson import (
     certify_layer_bound,
     certify_weighted_hessian,
     delta_field,
-    grad_on_face,
     layer_factor,
     solve_neumann,
 )
@@ -86,11 +85,12 @@ def test_linearity():
 def test_neumann_trace_vanishes_on_every_face():
     grid = unit_grid()
     ext = build_b(parabolic_profile(1.0, grid.spec), PARAMS, grid, 0.0)
-    sol = solve_neumann(ext.div_b, grid)
+    delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
+    # delta = b + grad(phi) with b = alpha e3: n.delta - n3 alpha = n.grad(phi)
     for patch in grid.patches:
-        g = grad_on_face(sol, grid, patch)
-        normal_deriv = np.tensordot(patch.normal, g, axes=([0], [0]))
-        assert np.max(np.abs(normal_deriv)) < 1e-12
+        alpha, _ = ext.faces[patch.kind]
+        normal = np.tensordot(patch.normal, delta.faces[patch.kind].values, axes=([0], [0]))
+        assert np.max(np.abs(normal - patch.normal[2] * alpha)) < 1e-12
 
 
 def test_div_delta_vanishes_at_nodes():
@@ -114,12 +114,12 @@ def test_delta_carries_the_flux():
     grid = unit_grid()
     prof = parabolic_profile(0.8, grid.spec)
     ext = build_b(prof, PARAMS, grid, 0.0)
-    sol = solve_neumann(ext.div_b, grid)
-    # normal trace of grad(phi) vanishes, so delta.n = b.n = data on caps
-    for kind, side in ((PatchKind.CAP_LO, 0), (PatchKind.CAP_HI, 1)):
+    delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
+    # normal trace of grad(phi) vanishes, so delta_3 = b_3 = g on both caps
+    for kind in (PatchKind.CAP_LO, PatchKind.CAP_HI):
         patch = grid.patch(kind)
-        g = grad_on_face(sol, grid, patch)
-        assert np.max(np.abs(g[2])) < 1e-12
+        g = prof.g(*patch.meshgrid())
+        assert np.max(np.abs(delta.faces[kind].values[2] - g)) < 1e-12
 
 
 def test_weighted_hessian_single_mode_ratio_is_amplitude_invariant():

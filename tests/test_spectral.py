@@ -82,11 +82,11 @@ def test_face_synthesis_matches_endpoint_values():
     kap3 = 2 * np.pi / (2 * sp.a)
     f = np.cos(kap3 * (X3 + sp.a)) * np.cos(np.pi * X1 / sp.L1)
     coeffs = spectral.cos_analyze(f, axes)
-    hi = spectral.synth_on_face(coeffs, axes, (spectral.COS,) * 3, 2, 1)
+    hi = spectral.synth(coeffs, axes, (spectral.COS,) * 3, face=(2, 1))
     # cos(2 pi) = 1 at the top cap
     ref = np.cos(np.pi * grid.x1 / sp.L1)[:, None] * np.ones((1, grid.shape[1]))
     assert np.max(np.abs(hi - ref)) < 1e-12
     # sine parities vanish identically on their own faces
     g3, par3 = spectral.grad_coeffs(coeffs, axes, 2)
-    face = spectral.synth_on_face(g3, axes, par3, 2, 0)
+    face = spectral.synth(g3, axes, par3, face=(2, 0))
     assert np.max(np.abs(face)) == 0.0
