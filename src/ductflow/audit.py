@@ -494,31 +494,16 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
 
 
 def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
-    out = []
     if solver.hopf_params is None:
-        out.append(
-            Certificate(
-                name="weighted-hessian",
-                eq_id="E10",
-                formula="||D^2 phi||_{L_{p,mu}} / ||div b||_{L_{p,mu}} finite",
-                passed=True,
-                margin=math.inf,
-                applicable=False,
-                note="no boundary flux in this scenario",
+        return [
+            Certificate(name=name, eq_id=eq_id, formula=formula, passed=True, margin=math.inf,
+                        applicable=False, note="no boundary flux in this scenario")
+            for name, eq_id, formula in (
+                ("weighted-hessian", "E10", "||D^2 phi||_{L_{p,mu}} / ||div b||_{L_{p,mu}} finite"),
+                ("layer-bound", "E11", "||div b||_{L_{3,mu}} vs structural cap terms"),
             )
-        )
-        out.append(
-            Certificate(
-                name="layer-bound",
-                eq_id="E11",
-                formula="||div b||_{L_{3,mu}} vs structural cap terms",
-                passed=True,
-                margin=math.inf,
-                applicable=False,
-                note="no boundary flux in this scenario",
-            )
-        )
-        return out
+        ]
+    out = []
     grid = solver.grid
     # the run's lifting of the cap shape g, i.e. of the data at s = 1
     ext, sol, _ = solver.delta_provider.lifting

@@ -269,7 +269,8 @@ def _factor_tables(axes, ks, amps, sin_axes) -> FactorTables:
     """Per-axis factor tables of the modes with wavevectors ks [mode, 3].
 
     Component c has the amplitudes amps[c] [mode] and a sine factor along
-    axis sin_axes[c] (None: cosines only), cosines along the others.
+    axis sin_axes[c] (None: cosines only), cosines along the others. A sine
+    factor's end values are exact zeros.
     """
     tables = FactorTables()
     for amp, sin_axis in zip(amps, sin_axes):
@@ -330,9 +331,10 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
 
     Modes are analytically orthonormal and are kept as per-axis factor
     tables, from which the samples, gradients and face traces are
-    synthesized. The discrete Gram matrix is checked: a deviation from the
-    identity beyond 1e-12 raises RuntimeError, like the Rayleigh-quotient
-    check of velocity_modes.
+    synthesized. Two checks raise RuntimeError, like the Rayleigh-quotient
+    check of velocity_modes: a discrete Gram matrix that deviates from the
+    identity beyond 1e-12, and a normal trace that is not exactly 0, which
+    w.n = 0 on every face, for any coefficients, rests on.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -343,6 +345,9 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     dev = float(np.max(np.abs(gram - np.eye(m))))
     if dev > 1e-12:
         raise RuntimeError(f"velocity Gram matrix deviates from the identity by {dev:.3e} > 1e-12")
+    # the normal trace of component c is its axis-c factor at the two ends
+    if any(np.any(tables.ends[c][c]) for c in range(3)):
+        raise RuntimeError("a velocity mode has a nonzero normal trace")
     return VelocityBasis(modes, *_sample(tables, grid), tuple(ks.max(axis=0).tolist()), tables)
 
 

@@ -96,12 +96,12 @@ def write_basis_manifest(path: Path, solver: GalerkinSolver) -> None:
 
 
 def make_snapshot_writer(out_dir: Path, cadence: int):
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
 
     def cb(idx, state, solver):
         if cadence <= 0 or idx % cadence != 0:
             return
+        out_dir.mkdir(parents=True, exist_ok=True)
         w, v, theta = solver.reconstruct(state)
         files = {}
         for name, arr in (("w", w), ("vartheta", theta), ("v", v), ("theta", theta)):
@@ -153,7 +153,19 @@ def cmd_run(args) -> int:
         return 1
     scen_path = Path(args.scenario)
     out_dir = Path(args.out) if args.out else Path("out") / scen_path.stem
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)  # before any compute, so a bad --out fails fast
+    rc = 1
+    try:
+        rc = _run_into(args, config, scen_path, out_dir)
+    finally:
+        # a run rejected with exit 1 leaves no empty directory of its own behind
+        while rc == 1 and created and not any(created[0].iterdir()):
+            created.pop(0).rmdir()
+    return rc
+
+
+def _run_into(args, config: ScenarioConfig, scen_path: Path, out_dir: Path) -> int:
     started = time.time()
 
     snapshot_cb, snapshot_finalize = (None, None)

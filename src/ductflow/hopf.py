@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -104,20 +104,21 @@ def hopf_eta(sigma, params: HopfParams):
 
 
 def hopf_eta_prime(sigma, params: HopfParams, warn_on_kink: bool = True):
-    """Cutoff slope: 0, -eps/sigma, 0 on the three branches.
+    """Cutoff slope: 0, -eps/sigma, 0 on the three branches; total on
+    sigma >= 0, like hopf_eta, with the inner-branch value 0 at sigma = 0.
 
     At the kinks sigma = r and sigma = rho the logarithmic-branch value is
-    returned and a KinkWarning is emitted; quadrature nodes never land
-    there, so this only matters for direct probing.
+    returned and, with warn_on_kink, a KinkWarning is emitted; quadrature
+    nodes never land there, so this only matters for direct probing.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive for the slope")
+    if np.any(sigma < 0):
+        raise ValueError("sigma must be nonnegative")
     out = np.zeros_like(sigma)
-    r = params.rho * math.exp(-1.0 / params.eps)
-    mid = (sigma >= r) & (sigma <= params.rho)
+    r = params.r
+    mid = (sigma > 0) & (sigma >= r) & (sigma <= params.rho)
     out[mid] = -params.eps / sigma[mid]
-    if warn_on_kink and np.any((sigma == r) | (sigma == params.rho)):
+    if warn_on_kink and np.any(mid & ((sigma == r) | (sigma == params.rho))):
         warnings.warn("cutoff slope evaluated exactly at a kink", KinkWarning)
     return out if out.ndim else float(out)
 
@@ -144,7 +145,6 @@ class FluxProfile:
     s: Callable
     s_t: Callable
     s_sup: Callable
-    params: dict = field(default_factory=dict)
 
     def d1(self, x1, x2, t):
         return self.s(t) * self.g(x1, x2)
@@ -172,22 +172,18 @@ def _flat(value: float):
     return g
 
 
-def _steady(name: str, g: Callable, g1: Callable, g2: Callable, params: dict) -> FluxProfile:
-    return FluxProfile(
-        name=name, g=g, g1=g1, g2=g2, s=_one, s_t=_still, s_sup=_one, params=params
-    )
+def _steady(name: str, g: Callable, g1: Callable, g2: Callable) -> FluxProfile:
+    return FluxProfile(name=name, g=g, g1=g1, g2=g2, s=_one, s_t=_still, s_sup=_one)
 
 
 def zero_profile() -> FluxProfile:
-    return _steady("none", _flat(0.0), _flat(0.0), _flat(0.0), {})
+    return _steady("none", _flat(0.0), _flat(0.0), _flat(0.0))
 
 
 def constant_profile(amplitude: float) -> FluxProfile:
     if amplitude < 0:
         raise ValueError("flux amplitude must be nonnegative")
-    return _steady(
-        "constant", _flat(amplitude), _flat(0.0), _flat(0.0), {"amplitude": amplitude}
-    )
+    return _steady("constant", _flat(amplitude), _flat(0.0), _flat(0.0))
 
 
 def _parabolic_shape(amplitude: float, spec: DomainSpec):
@@ -209,9 +205,7 @@ def parabolic_profile(amplitude: float, spec: DomainSpec) -> FluxProfile:
     """Product-parabola bump, zero on the cap rim, peak `amplitude`."""
     if amplitude < 0:
         raise ValueError("flux amplitude must be nonnegative")
-    return _steady(
-        "parabolic-cap", *_parabolic_shape(amplitude, spec), {"amplitude": amplitude}
-    )
+    return _steady("parabolic-cap", *_parabolic_shape(amplitude, spec))
 
 
 def pulsed_profile(amplitude: float, beta: float, period: float, spec: DomainSpec) -> FluxProfile:
@@ -238,12 +232,7 @@ def pulsed_profile(amplitude: float, beta: float, period: float, spec: DomainSpe
         # s rises from 1 to its peak 1 + beta at t = P/4
         return 1.0 + beta * (1.0 if horizon >= period / 4.0 else math.sin(om * horizon))
 
-    return FluxProfile(
-        name="pulsed",
-        g=g, g1=g1, g2=g2,
-        s=s, s_t=s_t, s_sup=s_sup,
-        params={"amplitude": amplitude, "beta": beta, "period": period},
-    )
+    return FluxProfile(name="pulsed", g=g, g1=g1, g2=g2, s=s, s_t=s_t, s_sup=s_sup)
 
 
 def profile_by_name(name: str, spec: DomainSpec, **kw) -> FluxProfile:
@@ -279,14 +268,13 @@ def compatibility_residual(grid: QuadratureGrid, d1: np.ndarray, d2: np.ndarray)
 
 def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> None:
     """Nonnegativity and compatibility at the given times (raises on failure)."""
-    lo = grid.patch(PatchKind.CAP_LO)
-    X, Y = lo.meshgrid()
+    lo, hi = grid.patch(PatchKind.CAP_LO).meshgrid(), grid.patch(PatchKind.CAP_HI).meshgrid()
     for t in np.atleast_1d(times):
-        for i, d in ((1, profile.d1), (2, profile.d2)):
-            vals = d(X, Y, t)
+        data = profile.d1(*lo, t), profile.d2(*hi, t)
+        for i, vals in enumerate(data, start=1):
             if np.any(vals < -1e-13):
                 raise ValueError(f"flux d{i} negative at t={t}")
-        res = check_compatibility(profile, grid, float(t))
+        res = compatibility_residual(grid, *data)
         if res > 1e-12:
             raise ValueError(f"flux compatibility violated at t={t}: residual {res:.3e}")
 
@@ -310,16 +298,6 @@ class ExtensionB:
     faces: dict
 
 
-def _eta_prime_total(sigma: np.ndarray, params: HopfParams) -> np.ndarray:
-    """Cutoff slope extended by its inner-branch value 0 at sigma = 0."""
-    sigma = np.asarray(sigma, dtype=float)
-    out = np.zeros_like(sigma)
-    r = params.r
-    mid = (sigma > r) & (sigma <= params.rho)
-    out[mid] = -params.eps / sigma[mid]
-    return out
-
-
 def _alpha(profile: FluxProfile, params: HopfParams, spec: DomainSpec, x1, x2, x3, t: float):
     """(alpha, grad_alpha) at broadcastable points, x3 clipped to [-a, a]:
     d1 = d2 = s g and the cutoffs have disjoint supports (rho < a), so
@@ -329,7 +307,8 @@ def _alpha(profile: FluxProfile, params: HopfParams, spec: DomainSpec, x1, x2, x
     sig_hi = spec.a - x3
     eta = hopf_eta(sig_lo, params) + hopf_eta(sig_hi, params)
     # sigma' = +1 toward the bottom cap coordinate, -1 toward the top
-    etap = _eta_prime_total(sig_lo, params) + (-_eta_prime_total(sig_hi, params))
+    slope = hopf_eta_prime(np.stack([sig_lo, sig_hi]), params, warn_on_kink=False)
+    etap = slope[0] - slope[1]
     s = profile.s(t)
     d, d_g1, d_g2 = (s * fn(x1, x2) for fn in (profile.g, profile.g1, profile.g2))
     return d * eta, np.stack([d_g1 * eta, d_g2 * eta, d * etap])

@@ -223,6 +223,10 @@ class DeltaProvider:
     audit samples is s or s^2 times a fixed number or array. The lifting and
     those numbers are built once, on first use, and are all the run loop
     reads; calling the provider evaluates delta(t) on the grid.
+
+    A run without flux carries the zero lifting: its numbers are zeros of the
+    same shapes, built without b or a Neumann solve, and calling the
+    provider returns None. This class is the only code that knows which.
     """
 
     def __init__(
@@ -265,10 +269,18 @@ class DeltaProvider:
     def couplings(self) -> dict:
         """The couplings of delta_1: G_wd, G_dw, G_dth, B, F_bdry, F_form,
         P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
-        Q_i = <grad psi_i, grad delta_1>, and the squared norms l2sq of
-        delta_1 and gradsq of its gradient."""
+        Q_i = <grad psi_i, grad delta_1>, the squared norms l2sq of delta_1
+        and gradsq of its gradient, max_abs = max |delta_1| on the grid, and
+        normal_trace, n . delta_1 on each boundary patch."""
         forms = self.forms
         grid = self.grid
+        if self.is_zero:
+            m, mt = forms.vb.m, forms.tb.m
+            out = dict(G_wd=np.zeros((m, m)), G_dw=np.zeros((m, m)), G_dth=np.zeros((mt, mt)),
+                       l2sq=0.0, gradsq=0.0, max_abs=0.0)
+            out.update((key, np.zeros(m)) for key in ("B", "F_bdry", "F_form", "P", "F_adv", "Q"))
+            out["normal_trace"] = {p.kind: np.zeros(p.meshgrid()[0].shape) for p in grid.patches}
+            return out
         delta_1 = self.lifting[2]
         out = dict(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
         out["B"], out["F_bdry"] = forms.boundary_functionals(delta_1)
@@ -281,6 +293,10 @@ class DeltaProvider:
         )
         out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
         out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
+        out["max_abs"] = float(np.max(np.abs(delta_1.values)))
+        out["normal_trace"] = {
+            p.kind: p.normal[p.axis] * delta_1.faces[p.kind].values[p.axis] for p in grid.patches
+        }
         return out
 
 
@@ -352,7 +368,7 @@ SERIES_KEYS = [
 # Crank-Nicolson factors) depends on; nothing else in a config reaches it.
 SYSTEM_FIELDS = ("L1", "L2", "a", "N1", "N2", "N3", "m", "nu", "gamma", "kappa_heat",
                  "s2_stress_nu", "dt")
-_SYSTEM_ATTRS = ("patches", "grid", "vb", "tb", "forms", "_psi_flat", "_phi_flat",
+_SYSTEM_ATTRS = ("grid", "vb", "tb", "forms", "_psi_flat", "_phi_flat",
                  "_stepper_w", "_stepper_th")
 
 
@@ -380,7 +396,7 @@ class GalerkinSolver:
     def _build_system(self) -> None:
         """Grid, bases, forms and factorizations: the SYSTEM_FIELDS part."""
         config = self.config
-        self.patches, self.grid = build_domain(config.domain_spec())
+        _, self.grid = build_domain(config.domain_spec())
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
         self.forms: AssembledForms = assemble_forms(
@@ -407,8 +423,7 @@ class GalerkinSolver:
             beta=config.flux_beta,
             period=config.flux_period,
         )
-        if self.profile.name != "none":
-            hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
+        hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
         self.delta_provider = DeltaProvider(self.profile, self.hopf_params, self.grid, self.forms)
         self.omega = omega_of(config)
@@ -416,6 +431,11 @@ class GalerkinSolver:
         # the cap shape sampled once: the data on the caps are s(t) times it
         caps = (PatchKind.CAP_LO, PatchKind.CAP_HI)
         self._g_cap = {kind: self.profile.g(*self.grid.patch(kind).meshgrid()) for kind in caps}
+        # n . (data) on each patch: -g on the bottom cap, g on the top, 0 on the walls
+        self._normal_data = {
+            p.kind: p.normal[p.axis] * self._g_cap[p.kind] if p.kind.is_cap else 0.0
+            for p in self.grid.patches
+        }
         self._cap_norms = cap_norms(self.profile, self.grid)
         self._E_prev = None
 
@@ -429,7 +449,7 @@ class GalerkinSolver:
             weights = weights / np.linalg.norm(weights)
             c = np.zeros(m)
             c[: weights.size] = cfg.init_v_amplitude * weights
-        elif cfg.init_v == "zero" and not self.delta_provider.is_zero:
+        elif cfg.init_v == "zero":
             # v0 = 0: w0 is the projection of -delta(0) = -s(0) delta_1
             c = -(self.profile.s(0.0) * self.delta_provider.couplings["P"])
         else:
@@ -478,7 +498,7 @@ class GalerkinSolver:
         velocity, ``diff`` for the temperature). The stepper and the oracle
         tests both read these dicts, so the tested terms are the stepped ones.
         The lifting terms are the provider's couplings of delta_1 scaled by
-        s(t) and s'(t) at ``state.t``.
+        s(t) and s'(t) at ``state.t``; without flux they are zero.
         """
         forms = self.forms
         c, dcoef = state.c, state.dcoef
@@ -489,22 +509,16 @@ class GalerkinSolver:
         theta = self.theta_values(state)
         omega_f = self.omega(theta)[None, :, :, :] * self.f_values
         vel["f_omega"] = forms.project_velocity(omega_f)
+        k = self.delta_provider.couplings
+        s, s_t = self.profile.s(state.t), self.profile.s_t(state.t)
+        vel["conv_wdelta"] = s * (k["G_wd"] @ c)
+        vel["conv_deltaw"] = s * (k["G_dw"] @ c)
+        vel["B"] = s * k["B"]
+        vel["F_bdry"] = s * k["F_bdry"]
+        vel["F_vol"] = s * s * k["F_adv"] - s_t * k["P"]
+        vel["F_form"] = s * k["F_form"]
         th = {"diff": forms.K_theta @ dcoef}
-        adv = np.einsum("i,j,ijl->l", c, dcoef, forms.T_th)
-        if not self.delta_provider.is_zero:
-            k = self.delta_provider.couplings
-            s, s_t = self.profile.s(state.t), self.profile.s_t(state.t)
-            vel["conv_wdelta"] = s * (k["G_wd"] @ c)
-            vel["conv_deltaw"] = s * (k["G_dw"] @ c)
-            vel["B"] = s * k["B"]
-            vel["F_bdry"] = s * k["F_bdry"]
-            vel["F_vol"] = s * s * k["F_adv"] - s_t * k["P"]
-            vel["F_form"] = s * k["F_form"]
-            adv = adv + s * (k["G_dth"] @ dcoef)
-        else:
-            for key in ("conv_wdelta", "conv_deltaw", "B", "F_bdry", "F_vol", "F_form"):
-                vel[key] = np.zeros_like(c)
-        th["adv"] = adv
+        th["adv"] = np.einsum("i,j,ijl->l", c, dcoef, forms.T_th) + s * (k["G_dth"] @ dcoef)
         vel["explicit"] = (
             -vel["conv_www"] + vel["f_omega"]
             - vel["conv_wdelta"] - vel["conv_deltaw"]
@@ -548,9 +562,7 @@ class GalerkinSolver:
     def dt_stability_estimate(self, state: State) -> float:
         """Crude advective limit 1 / (|w + delta|_max * kappa_max)."""
         vmax = float(np.max(np.abs(self.w_values(state))))
-        if not self.delta_provider.is_zero:
-            delta_1 = self.delta_provider.lifting[2]
-            vmax += abs(self.profile.s(state.t)) * float(np.max(np.abs(delta_1.values)))
+        vmax += abs(self.profile.s(state.t)) * self.delta_provider.couplings["max_abs"]
         kmax = max(k * math.pi / L for k, L in zip(self.vb.k_max, self.grid.spec.lengths))
         if vmax * kmax == 0.0:
             return math.inf
@@ -565,23 +577,19 @@ class GalerkinSolver:
         v = w if delta is None else w + delta.values
         return w, v, self.theta_values(state)
 
-    def flux_trace_error(self, state: State) -> float:
-        """max over cap nodes of |v.n - d|; lateral faces are checked too."""
-        err = 0.0
-        s = self.profile.s(state.t)
-        for patch in self.grid.patches:
-            vals = np.einsum("i,icxy->cxy", state.c, self.vb.face_samples[patch.kind])
-            if not self.delta_provider.is_zero:
-                vals = vals + s * self.delta_provider.lifting[2].faces[patch.kind].values
-            vn = np.einsum("c,cxy->xy", patch.normal, vals)
-            if patch.kind == PatchKind.CAP_LO:
-                target = -(s * self._g_cap[patch.kind])
-            elif patch.kind == PatchKind.CAP_HI:
-                target = s * self._g_cap[patch.kind]
-            else:
-                target = 0.0
-            err = max(err, float(np.max(np.abs(vn - target))))
-        return err
+    def flux_trace_error(self, t: float) -> float:
+        """max over the nodes of all six faces of |v.n - n.d| at time t.
+
+        Every velocity mode has normal trace exactly 0 (build_velocity_basis
+        checks it), so v.n = s(t) n.delta_1 for any state: this is the trace
+        residual of the lifting itself.
+        """
+        s = self.profile.s(t)
+        trace = self.delta_provider.couplings["normal_trace"]
+        return max(
+            float(np.max(np.abs(s * trace[kind] - s * data)))
+            for kind, data in self._normal_data.items()
+        )
 
     def _sample(self, state: State) -> dict:
         cfg = self.config
@@ -609,20 +617,17 @@ class GalerkinSolver:
         th_face = np.einsum("i,ixy->xy", dcoef, self.tb.face_samples[PatchKind.CAP_LO])
         row["inflow_theta"] = grid.patch(PatchKind.CAP_LO).integrate(d1 * th_face)
 
-        row["flux_trace_err"] = self.flux_trace_error(state)
+        row["flux_trace_err"] = self.flux_trace_error(state.t)
         row["compat_residual"] = hopf_mod.compatibility_residual(grid, d1, d2)
 
         # v = w + s delta_1 in grid quadrature, where |c|^2 and c.G_grad_w.c
         # are the norms of w: ||v||^2 = |c|^2 + 2 s c.P + s^2 ||delta_1||^2,
         # and the gradient the same way with Q
-        row["delta_l2sq"] = row["delta_gradsq"] = 0.0
-        row["v_l2sq"], row["v_gradsq"] = row["w_l2sq"], row["w_gradsq"]
-        if not self.delta_provider.is_zero:
-            k = self.delta_provider.couplings
-            row["delta_l2sq"] = s * s * k["l2sq"]
-            row["delta_gradsq"] = s * s * k["gradsq"]
-            row["v_l2sq"] = row["w_l2sq"] + 2.0 * s * float(c @ k["P"]) + row["delta_l2sq"]
-            row["v_gradsq"] = row["w_gradsq"] + 2.0 * s * float(c @ k["Q"]) + row["delta_gradsq"]
+        k = self.delta_provider.couplings
+        row["delta_l2sq"] = s * s * k["l2sq"]
+        row["delta_gradsq"] = s * s * k["gradsq"]
+        row["v_l2sq"] = row["w_l2sq"] + 2.0 * s * float(c @ k["P"]) + row["delta_l2sq"]
+        row["v_gradsq"] = row["w_gradsq"] + 2.0 * s * float(c @ k["Q"]) + row["delta_gradsq"]
 
         th_clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
         omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values

@@ -222,6 +222,23 @@ def test_gram_deviation_stops_the_build(grid, monkeypatch):
         build_velocity_basis(grid, 8)
 
 
+def test_nonzero_normal_trace_stops_the_build(grid, monkeypatch):
+    # w.n = 0 on every face rests on exact zeros at the ends of each
+    # component's own axis; one tiny nonzero end value of one mode is refused
+    real = basis._factor_tables
+
+    def leaky(axes, ks, amps, sin_axes):
+        tables = real(axes, ks, amps, sin_axes)
+        if len(sin_axes) == 3:  # the velocity family
+            tables.ends[2][2][3, 1] = 1e-300
+        return tables
+
+    monkeypatch.setattr(basis, "_factor_tables", leaky)
+    with pytest.raises(RuntimeError, match="normal trace"):
+        build_velocity_basis(grid, 8)
+    build_temperature_basis(grid, 8)  # the cosine family has no such check
+
+
 @pytest.mark.parametrize("box, shape, m", [
     ((3.0, 0.5, 0.5), (16, 8, 16), 24),
     ((0.3, 1.7, 0.45), (12, 16, 20), 32),

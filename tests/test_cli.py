@@ -209,6 +209,26 @@ def test_auto_mode_rejects_a_nonpositive_calibration_constant(tmp_path, capsys, 
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("keys, message", [
+    ({"flux.profile": "constant", "flux.amplitude": 0.6, "hopf.mode": "auto", "hopf.c_cal": 0},
+     "config error (cutoff regime): c_cal must be positive"),
+    ({"galerkin.m": 5000}, "input error: requested m = 5000"),
+])
+def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, keys, message):
+    # --out is made before any compute; a run rejected with exit 1 removes
+    # what it made if it is still empty, and leaves an existing --out alone
+    scn = scenario_with(tmp_path, QUICK, keys)
+    out = tmp_path / "new" / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["run", str(scn), "--out", str(kept), "--snapshots", "1"]) == 1
+    assert kept.is_dir() and not any(kept.iterdir())
+
+
 def test_out_naming_a_file_fails_before_any_compute(tmp_path, monkeypatch, capsys):
     def execute(config, snapshot_cb=None):
         raise AssertionError("the pipeline ran although --out is unusable")

@@ -62,6 +62,18 @@ def test_eta_prime_kink_flagged():
     assert abs(v + PARAMS.eps / PARAMS.rho) < 1e-15
 
 
+def test_eta_prime_is_total_on_nonnegative_sigma():
+    # like eta: 0 at sigma = 0 (the inner branch), the log-branch value at
+    # both kinks, and negative distances refused
+    assert hopf_eta_prime(0.0, PARAMS) == 0.0
+    kinks = hopf_eta_prime(np.array([0.0, PARAMS.r, PARAMS.rho]), PARAMS, warn_on_kink=False)
+    assert kinks.tolist() == [0.0, -PARAMS.eps / PARAMS.r, -PARAMS.eps / PARAMS.rho]
+    with pytest.raises(ValueError, match="nonnegative"):
+        hopf_eta_prime(-1e-12, PARAMS)
+    # r underflows to 0 for a tiny eps: the cap itself still has slope 0
+    assert hopf_eta_prime(0.0, HopfParams(eps=1e-3, rho=0.5)) == 0.0
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(1e-6, 10.0))
 def test_eta_range_and_slope_bound(sigma):

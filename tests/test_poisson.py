@@ -122,6 +122,56 @@ def test_delta_carries_the_flux():
         assert np.max(np.abs(delta.faces[kind].values[2] - g)) < 1e-12
 
 
+def test_face_gradients_of_delta_match_trig_sums_and_the_closed_form():
+    # grad delta on a face is the Hessian of phi there plus grad alpha in
+    # row 2. Both are evaluated here without the package's synthesis or its
+    # cutoff: plain cosine and sine sums of the Neumann coefficients at the
+    # face nodes, and grad alpha = (g1 eta, g2 eta, g eta') with eta, the sum
+    # of the two cap cutoffs, written out. The two horizontal axes differ.
+    spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
+    _, grid = build_domain(spec)
+    prof = parabolic_profile(0.9, spec)
+    ext = build_b(prof, PARAMS, grid, 0.0)
+    sol = solve_neumann(ext.div_b, grid)
+    delta = delta_field(ext, sol, grid)
+    eps, rho, r = PARAMS.eps, PARAMS.rho, PARAMS.r
+
+    def eta(sig):
+        log_branch = -eps * np.log(np.maximum(sig, r) / rho)
+        return np.where(sig <= r, 1.0, np.where(sig <= rho, log_branch, 0.0))
+
+    def eta_prime(sig):
+        return np.where((sig > r) & (sig <= rho), -eps / np.maximum(sig, r), 0.0)
+
+    for patch in grid.patches:
+        # per axis: the node coordinates on the face, the face coordinate on its own axis
+        pts = [grid.x1, grid.x2, grid.x3]
+        pts[patch.axis] = np.array([patch.coord])
+        # cos(k pi s) per axis and its first and second derivatives in x_a
+        arg = [np.outer((p - o) / length, np.arange(n) * np.pi)
+               for p, o, length, n in zip(pts, spec.origins, spec.lengths, grid.shape)]
+        kap = [np.arange(grid.shape[a]) * np.pi / spec.lengths[a] for a in range(3)]
+        tables = [(np.cos(t), -k * np.sin(t), -k**2 * np.cos(t)) for t, k in zip(arg, kap)]
+        hess = np.empty((3, 3, *patch.meshgrid()[0].shape))
+        for i in range(3):
+            for j in range(3):
+                factors = [tables[a][(a == i) + (a == j)] for a in range(3)]
+                field = np.einsum("abc,xa,yb,zc->xyz", sol.coeffs, *factors)
+                hess[i, j] = np.squeeze(field, axis=patch.axis)
+        x = [None] * 3
+        x[patch.plane_axes[0]], x[patch.plane_axes[1]] = patch.meshgrid()
+        x[patch.axis] = np.full(x[patch.plane_axes[0]].shape, patch.coord)
+        g, g1, g2 = (fn(x[0], x[1]) for fn in (prof.g, prof.g1, prof.g2))
+        lo, hi = x[2] + spec.a, spec.a - x[2]
+        expected = hess.copy()
+        expected[2] += np.stack([g1 * (eta(lo) + eta(hi)), g2 * (eta(lo) + eta(hi)),
+                                 g * (eta_prime(lo) - eta_prime(hi))])
+        got = delta.faces[patch.kind].grad
+        assert got.shape == expected.shape, patch.kind
+        scale = float(np.max(np.abs(expected)))
+        assert scale > 0.0 and np.max(np.abs(got - expected)) <= 1e-12 * scale, patch.kind
+
+
 def test_weighted_hessian_single_mode_ratio_is_amplitude_invariant():
     grid = unit_grid()
     k = (0, 0, 2)
