@@ -154,10 +154,7 @@ def companion_config(config: ScenarioConfig) -> ScenarioConfig:
 
 def is_free_decay(config: ScenarioConfig) -> bool:
     no_flux = config.flux_profile == "none" or config.flux_amplitude == 0.0
-    no_force = config.forcing_kind == "zero" or (
-        config.forcing_kind == "constant" and all(v == 0.0 for v in config.forcing_vector)
-    ) or (config.forcing_kind == "shear" and config.forcing_amplitude == 0.0)
-    return no_flux and no_force
+    return no_flux and config.forcing_is_zero
 
 
 def _sector_ratio(l2sq: np.ndarray, h1sq: np.ndarray, dt: float, joints) -> Optional[float]:

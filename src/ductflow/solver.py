@@ -149,6 +149,15 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown initial temperature kind {self.init_theta!r}")
 
     @property
+    def forcing_is_zero(self) -> bool:
+        """True exactly when forcing_field is identically zero."""
+        return (
+            self.forcing_kind == "zero"
+            or (self.forcing_kind == "constant" and all(v == 0.0 for v in self.forcing_vector))
+            or (self.forcing_kind == "shear" and self.forcing_amplitude == 0.0)
+        )
+
+    @property
     def steps_per_window(self) -> int:
         return int(round(self.T / self.dt))
 
@@ -271,7 +280,8 @@ class DeltaProvider:
         P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
         Q_i = <grad psi_i, grad delta_1>, the squared norms l2sq of delta_1
         and gradsq of its gradient, max_abs = max |delta_1| on the grid, and
-        normal_trace, n . delta_1 on each boundary patch."""
+        normal_trace, n . delta_1 at the nodes of all boundary patches, flat
+        and in grid.patches order."""
         forms = self.forms
         grid = self.grid
         if self.is_zero:
@@ -279,7 +289,7 @@ class DeltaProvider:
             out = dict(G_wd=np.zeros((m, m)), G_dw=np.zeros((m, m)), G_dth=np.zeros((mt, mt)),
                        l2sq=0.0, gradsq=0.0, max_abs=0.0)
             out.update((key, np.zeros(m)) for key in ("B", "F_bdry", "F_form", "P", "F_adv", "Q"))
-            out["normal_trace"] = {p.kind: np.zeros(p.meshgrid()[0].shape) for p in grid.patches}
+            out["normal_trace"] = np.zeros(sum(p.nodes[0].size * p.nodes[1].size for p in grid.patches))
             return out
         delta_1 = self.lifting[2]
         out = dict(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
@@ -294,9 +304,9 @@ class DeltaProvider:
         out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
         out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
         out["max_abs"] = float(np.max(np.abs(delta_1.values)))
-        out["normal_trace"] = {
-            p.kind: p.normal[p.axis] * delta_1.faces[p.kind].values[p.axis] for p in grid.patches
-        }
+        out["normal_trace"] = np.concatenate([
+            (p.normal[p.axis] * delta_1.faces[p.kind].values[p.axis]).ravel() for p in grid.patches
+        ])
         return out
 
 
@@ -431,11 +441,13 @@ class GalerkinSolver:
         # the cap shape sampled once: the data on the caps are s(t) times it
         caps = (PatchKind.CAP_LO, PatchKind.CAP_HI)
         self._g_cap = {kind: self.profile.g(*self.grid.patch(kind).meshgrid()) for kind in caps}
-        # n . (data) on each patch: -g on the bottom cap, g on the top, 0 on the walls
-        self._normal_data = {
-            p.kind: p.normal[p.axis] * self._g_cap[p.kind] if p.kind.is_cap else 0.0
+        # n . (data) on all patches, flat like the couplings' normal_trace:
+        # -g on the bottom cap, g on the top, 0 on the walls
+        self._normal_data = np.concatenate([
+            (p.normal[p.axis] * self._g_cap[p.kind]).ravel() if p.kind.is_cap
+            else np.zeros(p.nodes[0].size * p.nodes[1].size)
             for p in self.grid.patches
-        }
+        ])
         self._cap_norms = cap_norms(self.profile, self.grid)
         self._E_prev = None
 
@@ -498,7 +510,9 @@ class GalerkinSolver:
         velocity, ``diff`` for the temperature). The stepper and the oracle
         tests both read these dicts, so the tested terms are the stepped ones.
         The lifting terms are the provider's couplings of delta_1 scaled by
-        s(t) and s'(t) at ``state.t``; without flux they are zero.
+        s(t) and s'(t) at ``state.t``; without flux they are zero. The
+        forcing term comes from ``_forcing``, so theta is synthesized on the
+        grid only for a bounded_smooth omega.
         """
         forms = self.forms
         c, dcoef = state.c, state.dcoef
@@ -506,9 +520,7 @@ class GalerkinSolver:
         vel["conv_www"] = np.einsum("i,j,ijl->l", c, c, forms.T_vel)
         vel["visc"] = forms.K_visc @ c
         vel["fric"] = forms.K_fric @ c
-        theta = self.theta_values(state)
-        omega_f = self.omega(theta)[None, :, :, :] * self.f_values
-        vel["f_omega"] = forms.project_velocity(omega_f)
+        vel["f_omega"] = self._f_omega(state)
         k = self.delta_provider.couplings
         s, s_t = self.profile.s(state.t), self.profile.s_t(state.t)
         vel["conv_wdelta"] = s * (k["G_wd"] @ c)
@@ -528,6 +540,58 @@ class GalerkinSolver:
         th["explicit"] = -th["adv"]
         th["total"] = th["explicit"] - th["diff"]
         return vel, th
+
+    @cached_property
+    def _forcing(self) -> dict:
+        """omega(theta) f in coefficient space, built on first use.
+
+        The weak form reads omega(theta) f only through its projection
+        <omega(theta) f, psi_j>, which is linear in dcoef unless omega is
+        bounded_smooth. ``kind`` is "constant" when omega is constant or the
+        forcing is zero: the projection is the vector ``P`` and the sampled
+        norms of the clamped omega(theta) f are the pair ``norms``, both
+        from the grid expressions once. For "linear" the projection is
+        omega0 P + omega1 M dcoef with P = P(f) and M[j, k] = <phi_k f, psi_j>.
+        "bounded_smooth" keeps both on the grid.
+        """
+        cfg, forms = self.config, self.forms
+        if cfg.omega_kind == "constant" or cfg.forcing_is_zero:
+            return dict(
+                kind="constant",
+                P=forms.project_velocity(self.omega(0.0) * self.f_values),
+                norms=self._omega_f_norms(np.zeros(self.grid.shape)),
+            )
+        if cfg.omega_kind == "linear":
+            # two stages: psi . f per node, then one matmul over the nodes
+            psi_f = np.einsum("jcg,cg->jg", self._psi_flat, self.f_values.reshape(3, -1))
+            return dict(
+                kind="linear",
+                P=forms.project_velocity(self.f_values),
+                M=self.grid.cell_volume * (psi_f @ self._phi_flat.T),
+            )
+        return dict(kind=cfg.omega_kind)
+
+    def _f_omega(self, state: State) -> np.ndarray:
+        """<omega(theta) f, psi_j> at the state."""
+        cfg, fd = self.config, self._forcing
+        if fd["kind"] == "constant":
+            return fd["P"]
+        if fd["kind"] == "linear":
+            return cfg.omega0 * fd["P"] + cfg.omega1 * (fd["M"] @ state.dcoef)
+        omega_f = self.omega(self.theta_values(state))[None, :, :, :] * self.f_values
+        return self.forms.project_velocity(omega_f)
+
+    def _omega_f_norms(self, theta: np.ndarray) -> tuple:
+        """(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2) on the grid,
+        theta~ the temperature clamped to [theta_star, theta_star_upper]."""
+        cfg, grid = self.config, self.grid
+        th_clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
+        omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
+        mag = np.sqrt(np.sum(omega_f**2, axis=0))
+        return (
+            grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
+            grid.integrate(mag**3) ** (2.0 / 3.0),
+        )
 
     def rhs_velocity(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
         """rhs_terms' velocity part; the lifting is the solver's own at state.t."""
@@ -586,13 +650,9 @@ class GalerkinSolver:
         """
         s = self.profile.s(t)
         trace = self.delta_provider.couplings["normal_trace"]
-        return max(
-            float(np.max(np.abs(s * trace[kind] - s * data)))
-            for kind, data in self._normal_data.items()
-        )
+        return float(np.max(np.abs(s * trace - s * self._normal_data)))
 
     def _sample(self, state: State) -> dict:
-        cfg = self.config
         forms = self.forms
         c, dcoef = state.c, state.dcoef
         grid = self.grid
@@ -629,11 +689,8 @@ class GalerkinSolver:
         row["v_l2sq"] = row["w_l2sq"] + 2.0 * s * float(c @ k["P"]) + row["delta_l2sq"]
         row["v_gradsq"] = row["w_gradsq"] + 2.0 * s * float(c @ k["Q"]) + row["delta_gradsq"]
 
-        th_clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
-        omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
-        mag = np.sqrt(np.sum(omega_f**2, axis=0))
-        row["omega_f_65sq"] = grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0)
-        row["omega_f_l3sq"] = grid.integrate(mag**3) ** (2.0 / 3.0)
+        norms = self._forcing.get("norms") or self._omega_f_norms(theta)
+        row["omega_f_65sq"], row["omega_f_l3sq"] = norms
 
         fn = self._cap_norms.scaled(abs(self.profile.s(state.t)), abs(self.profile.s_t(state.t)))
         row["d_w13_total"] = fn.w13_inf_total

@@ -48,6 +48,10 @@ def test_free_decay_detection():
     assert is_free_decay(small_config())
     assert not is_free_decay(small_config(flux_profile="constant", flux_amplitude=1.0))
     assert not is_free_decay(small_config(forcing_kind="shear", forcing_amplitude=0.1))
+    assert not is_free_decay(small_config(forcing_kind="constant", forcing_vector=(0.0, 0.0, 0.1)))
+    # forcing that is identically zero is free decay whatever its kind
+    assert is_free_decay(small_config(forcing_kind="constant", forcing_vector=(0.0, -0.0, 0.0)))
+    assert is_free_decay(small_config(forcing_kind="shear", forcing_amplitude=0.0))
 
 
 def test_companion_seeds_when_scenario_is_cold():

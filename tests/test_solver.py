@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
-from ductflow.basis import DeltaEval
+from ductflow.basis import AssembledForms, DeltaEval
 from ductflow.errors import NumericalAbort, ScenarioError
 from ductflow.domain import PatchKind
 from ductflow.hopf import build_b, check_compatibility, flux_norms
@@ -147,6 +147,78 @@ def test_rhs_matches_slow_oracle_every_term():
             a, b = fast_th[key], slow_th[key]
             scale = max(1.0, np.max(np.abs(b)))
             assert np.max(np.abs(a - b)) <= 1e-8 * scale, (m, key)
+
+
+def random_forcing_state(solver):
+    # theta straddles the clamp interval [theta_star, theta_star_upper] = [1, 2]
+    rng = np.random.default_rng(7)
+    dcoef = 0.3 * rng.standard_normal(solver.tb.m)
+    dcoef[0] = 1.5 * math.sqrt(solver.grid.spec.volume)
+    return State(t=0.0, c=0.2 * rng.standard_normal(solver.config.m), dcoef=dcoef)
+
+
+@pytest.mark.parametrize("forcing_kind", ["zero", "constant", "shear"])
+@pytest.mark.parametrize("omega_kind", ["constant", "linear", "bounded_smooth"])
+def test_forcing_term_matches_the_grid_in_every_case(omega_kind, forcing_kind):
+    # the run loop reads omega(theta) f from data built once per run unless
+    # omega is bounded_smooth; at a random state its projection must match
+    # direct quadrature and its sampled norms the clamped grid formula
+    cfg = small_config(
+        omega_kind=omega_kind, omega0=0.9, omega1=0.0 if omega_kind == "constant" else 0.3,
+        forcing_kind=forcing_kind, forcing_vector=(0.2, -0.1, 0.4), forcing_amplitude=0.3,
+    )
+    solver = GalerkinSolver(cfg)
+    grid = solver.grid
+    state = random_forcing_state(solver)
+    vel, _ = solver.rhs_terms(state)
+    slow = oracles.slow_rhs_velocity(
+        state.c, state.dcoef, solver.vb.modes, solver.tb.modes, grid,
+        nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega, f_values=solver.f_values,
+    )
+    theta = oracles.slow_field_sum(
+        state.dcoef, [oracles.temperature_mode_fields(md, grid)[0] for md in solver.tb.modes]
+    )
+    # |<g, psi_j>| <= ||g|| for orthonormal psi_j, so ||omega(theta) f|| is
+    # the scale of every component; zero forcing must give exact zeros
+    scale = math.sqrt(oracles.integrate(grid, np.sum((solver.omega(theta) * solver.f_values) ** 2, axis=0)))
+    assert np.max(np.abs(vel["f_omega"] - slow["f_omega"])) <= 1e-12 * scale
+
+    clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
+    mag = np.sqrt(np.sum((solver.omega(clamped) * solver.f_values) ** 2, axis=0))
+    ref = {
+        "omega_f_65sq": oracles.integrate(grid, mag ** 1.2) ** (5.0 / 3.0),
+        "omega_f_l3sq": oracles.integrate(grid, mag**3) ** (2.0 / 3.0),
+    }
+    row = solver._sample(state)
+    for key, value in ref.items():
+        assert abs(row[key] - value) <= 1e-12 * value, key
+    assert (ref["omega_f_65sq"] == 0.0) == cfg.forcing_is_zero
+
+
+def test_stepping_forcing_needs_no_grid_field(monkeypatch):
+    # with zero forcing or a linear omega the forcing term of a step is read
+    # from coefficients: once its data are built, a step neither synthesizes
+    # theta on the grid nor projects a grid field; bounded_smooth still does
+    shear = dict(forcing_kind="shear", forcing_amplitude=0.3)
+    for kw, grid_calls in (
+        (dict(omega_kind="linear", omega1=0.3), []),
+        (dict(omega_kind="linear", omega1=0.3, **shear), []),
+        (dict(omega_kind="bounded_smooth", omega1=0.3), []),
+        (shear, []),
+        (dict(omega_kind="bounded_smooth", omega1=0.3, **shear), ["theta_values", "project_velocity"] * 3),
+    ):
+        solver = GalerkinSolver(small_config(**kw))
+        state = solver.step(random_forcing_state(solver))
+        calls = []
+        with monkeypatch.context() as mp:
+            for owner, name in ((GalerkinSolver, "theta_values"), (AssembledForms, "project_velocity")):
+                def counted(*args, _name=name, _orig=getattr(owner, name)):
+                    calls.append(_name)
+                    return _orig(*args)
+                mp.setattr(owner, name, counted)
+            for _ in range(3):
+                state = solver.step(state)
+        assert calls == grid_calls, kw
 
 
 def test_scaled_lifting_matches_direct_rebuild():

@@ -1,6 +1,6 @@
 """Digest of every deterministic output of ductflow, for byte-identity checks.
 
-    python3 tools/output_digest.py [ROOT] [OTHER]
+    python3 tools/output_digest.py [ROOT] [OTHER] [--rel TOL]
 
 Runs `ductflow run --strict`, each in a fresh process, on the bundled
 scenarios and on the benchmark workloads at seeds 1 and 2, using the source
@@ -13,11 +13,24 @@ With a second checkout OTHER, the same runs are made on both source trees
 differ are printed, ROOT's prefixed with "-" and OTHER's with "+". The exit
 code is 1 if any line differs and 0 if none does, so a refactor that must
 not change results is checked by one command against a copy of its parent.
+
+With `--rel TOL` (two checkouts only) each run that differs is also compared
+by value: its exit code and the status of each certificate must be equal,
+and the largest relative difference is printed for each `timeseries.csv`
+column (relative to the largest magnitude in that column) and for each
+float in `certificates.json` (relative to the larger of the two
+magnitudes). The exit code is then 1 only on a changed exit code or status,
+or on a relative difference above TOL, so a refactor that may move results
+by rounding is checked by one command too.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import hashlib
+import json
+import math
 import os
 import random
 import subprocess
@@ -35,7 +48,8 @@ def digest(path: Path) -> str:
 
 def digest_lines(root: Path, workloads: list, work: Path, base_env: dict) -> dict:
     """{run name: digest line} of the bundled scenarios of root and the given
-    workload scenarios, run on the source tree of root."""
+    workload scenarios, run on the source tree of root; the outputs of a run
+    are left in work/out/<name>."""
     env = dict(base_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     runs = [(p.stem, p) for p in sorted((root / "src/ductflow/scenarios").glob("*.scn"))] + workloads
@@ -51,9 +65,95 @@ def digest_lines(root: Path, workloads: list, work: Path, base_env: dict) -> dic
     return lines
 
 
+def rel_diff(a: float, b: float, scale: float) -> float:
+    """|a - b| / scale; 0 for equal values (infinities and nan included),
+    inf when only one of them is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)) or scale == 0.0:
+        return math.inf
+    return abs(a - b) / scale
+
+
+def json_floats(node, path: str = "") -> dict:
+    """{dotted path: value} of every float in a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        # a certificate is named by its name, any other item by its index
+        items = ((str(v["name"]) if isinstance(v, dict) and "name" in v else str(i), v)
+                 for i, v in enumerate(node))
+    else:
+        return {path: node} if isinstance(node, float) else {}
+    out = {}
+    for key, value in items:
+        out.update(json_floats(value, f"{path}.{key}" if path else key))
+    return out
+
+
+def read_series(path: Path) -> dict:
+    """{column: values} of a timeseries.csv."""
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
+
+
+def value_diffs(ours: Path, theirs: Path) -> tuple[list, dict]:
+    """(changed certificate statuses, {quantity: largest relative difference})
+    between the outputs of one run on the two trees."""
+    certs = [json.loads((out / "certificates.json").read_text()) for out in (ours, theirs)]
+    statuses = [{c["name"]: c["status"] for c in doc["certificates"]} for doc in certs]
+    changed = [
+        f"{name}: {statuses[0].get(name, 'absent')} -> {statuses[1].get(name, 'absent')}"
+        for name in sorted(statuses[0].keys() | statuses[1].keys())
+        if statuses[0].get(name) != statuses[1].get(name)
+    ]
+    diffs = {}
+    series = [read_series(out / "timeseries.csv") for out in (ours, theirs)]
+    for col in series[0].keys() | series[1].keys():
+        a, b = series[0].get(col, []), series[1].get(col, [])
+        if len(a) != len(b) or not a:
+            diffs[f"timeseries.csv {col}"] = math.inf
+            continue
+        scale = max((abs(x) for x in a + b if math.isfinite(x)), default=0.0)
+        diffs[f"timeseries.csv {col}"] = max(rel_diff(x, y, scale) for x, y in zip(a, b))
+    floats = [json_floats(doc) for doc in certs]
+    for key in floats[0].keys() | floats[1].keys():
+        a, b = floats[0].get(key), floats[1].get(key)
+        diffs[f"certificates.json {key}"] = (
+            math.inf if a is None or b is None else rel_diff(a, b, max(abs(a), abs(b)))
+        )
+    return changed, diffs
+
+
+def compare_by_value(name: str, digests: list, work: Path, tol: float) -> bool:
+    """Print the value comparison of one differing run; True when it passes."""
+    rcs = [d.get(name, "").split(" ")[1:2] for d in digests]
+    if rcs[0] != rcs[1]:
+        print(f"  exit code changed: {rcs[0]} -> {rcs[1]}")
+        return False
+    try:
+        changed, diffs = value_diffs(*(work / str(i) / "out" / name for i in range(2)))
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"  cannot compare: {exc!r}")
+        return False
+    for line in changed:
+        print(f"  status {line}")
+    for key, value in sorted(diffs.items(), key=lambda kv: (-kv[1], kv[0])):
+        if value > 0.0:
+            print(f"  {value:.3e} {key}{'  above TOL' if value > tol else ''}")
+    return not changed and all(value <= tol for value in diffs.values())
+
+
 def main() -> int:
-    default = Path(__file__).resolve().parents[1]
-    roots = [Path(arg).resolve() for arg in sys.argv[1:3]] or [default]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("roots", nargs="*", type=Path, metavar="ROOT")
+    parser.add_argument("--rel", type=float, metavar="TOL",
+                        help="compare the runs that differ by value, to TOL relative")
+    args = parser.parse_args()
+    if len(args.roots) > 2 or (args.rel is not None and len(args.roots) != 2):
+        parser.error("give at most two checkouts, and two with --rel")
+    roots = [p.resolve() for p in args.roots] or [Path(__file__).resolve().parents[1]]
     # the benchmark's workload generators and child environment, used as they are
     sys.path.insert(0, str(roots[0] / "perfbench"))
     from run import COMMON, WORKLOADS, child_env
@@ -67,18 +167,24 @@ def main() -> int:
                 scenario.write_text(COMMON + make(random.Random(f"{name}:{seed}")))
                 workloads.append((scenario.stem, scenario))
         digests = [digest_lines(root, workloads, work / str(i), child_env()) for i, root in enumerate(roots)]
-    if len(digests) == 1:
-        print(*digests[0].values(), sep="\n")
-        return 0
-    ours, theirs = digests
-    differ = 0
-    for name in sorted(ours.keys() | theirs.keys()):
-        if ours.get(name) != theirs.get(name):
-            differ += 1
-            print(f"- {ours.get(name, name + ' (absent)')}")
-            print(f"+ {theirs.get(name, name + ' (absent)')}")
-    print(f"{len(ours.keys() | theirs.keys())} runs, {differ} differ", file=sys.stderr)
-    return 1 if differ else 0
+        if len(digests) == 1:
+            print(*digests[0].values(), sep="\n")
+            return 0
+        ours, theirs = digests
+        differ = failed = 0
+        for name in sorted(ours.keys() | theirs.keys()):
+            if ours.get(name) != theirs.get(name):
+                differ += 1
+                print(f"- {ours.get(name, name + ' (absent)')}")
+                print(f"+ {theirs.get(name, name + ' (absent)')}")
+                if args.rel is not None and not compare_by_value(name, digests, work, args.rel):
+                    failed += 1
+    summary = f"{len(ours.keys() | theirs.keys())} runs, {differ} differ"
+    if args.rel is None:
+        print(summary, file=sys.stderr)
+        return 1 if differ else 0
+    print(f"{summary}, {failed} with a changed status or beyond {args.rel:g} relative", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
