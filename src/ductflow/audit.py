@@ -578,7 +578,7 @@ def _mk_dissipation_cert(run: RunResult, X: np.ndarray, config: ScenarioConfig) 
 def run_calibration(config: ScenarioConfig, solver: Optional[GalerkinSolver] = None):
     """Run the free-decay companion; returns (RunResult, seed description).
 
-    The companion shares the system (grid, bases, forms, factorizations) of
+    The companion shares the system (grid, bases, forms, propagators) of
     ``solver``, the scenario's own solver, when one is given.
     """
     comp = companion_config(config)

@@ -111,6 +111,9 @@ class TemperatureBasis:
     eigenvalues: np.ndarray
     k_max: tuple[int, int, int]
     factors: FactorTables              # comp 0 only
+    band: tuple                        # per axis [node, k] = cos(k pi s_j), k <= k_max
+    band_index: np.ndarray             # [mode] flat index of its wavevector in the band cube
+    amplitude: np.ndarray              # [mode] L2 normalization
 
     @property
     def m(self) -> int:
@@ -357,11 +360,14 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
         raise ValueError("m must be >= 1")
     modes = temperature_modes(grid.spec.lengths, tuple(dealias_cap(n) for n in grid.shape), m)
     ks, amp = np.array([md.k for md in modes]), np.array([md.amplitude for md in modes])
-    tables = _factor_tables(spectral.axes_for(grid), ks, [amp], sin_axes=(None,))
+    axes = spectral.axes_for(grid)
+    tables = _factor_tables(axes, ks, [amp], sin_axes=(None,))
     phi, gphi, faces = _sample(tables, grid)
     caps = {kind: v[:, 0] for kind, v in faces.items() if kind.is_cap}
     lam, k_max = np.array([md.eigenvalue for md in modes]), tuple(ks.max(axis=0).tolist())
-    return TemperatureBasis(modes, phi[:, 0], gphi[:, 0], caps, lam, k_max, tables)
+    band = tuple(ax.cos_syn[:, : k + 1] for ax, k in zip(axes, k_max))
+    index = np.ravel_multi_index(tuple(ks.T), tuple(k + 1 for k in k_max))
+    return TemperatureBasis(modes, phi[:, 0], gphi[:, 0], caps, lam, k_max, tables, band, index, amp)
 
 
 # ---------------------------------------------------------------------------

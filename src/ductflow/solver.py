@@ -6,7 +6,7 @@ physical velocity is reconstructed as v = w + delta, where delta = b +
 grad(phi) carries the boundary flux; the temperature needs no lifting.
 
 Time stepping is IMEX: the stiff linear forms (viscous + friction, heat
-diffusion) go through a Crank-Nicolson solve factorized once, everything
+diffusion) go through Crank-Nicolson with precomputed propagators, everything
 else (transport, lifting couplings, boundary functionals, forcing) is
 advanced with a second-order Adams-Bashforth extrapolation restarted at
 window joints.
@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import hopf as hopf_mod
 from . import poisson as poisson_mod
@@ -326,21 +325,19 @@ class State:
 
 
 class ImexStepper:
-    """Crank-Nicolson for a fixed SPD matrix, AB2 for the explicit part."""
+    """Crank-Nicolson for a fixed SPD matrix, AB2 for the explicit part; the
+    propagators A^-1 B and A^-1 (A = I + dt/2 L, B = I - dt/2 L) are
+    precomputed once, so a step is two matrix-vector products."""
 
     def __init__(self, L: np.ndarray, dt: float):
-        n = L.shape[0]
-        eye = np.eye(n)
-        self._solve = cho_factor(eye + 0.5 * dt * L)
-        self._B = eye - 0.5 * dt * L
+        eye = np.eye(L.shape[0])
+        self._A_inv = np.linalg.inv(eye + 0.5 * dt * L)
+        self._M = self._A_inv @ (eye - 0.5 * dt * L)
         self.dt = dt
 
     def step(self, x, E_now, E_prev=None):
-        if E_prev is None:
-            expl = E_now
-        else:
-            expl = 1.5 * E_now - 0.5 * E_prev
-        return cho_solve(self._solve, self._B @ x + self.dt * expl)
+        expl = E_now if E_prev is None else 1.5 * E_now - 0.5 * E_prev
+        return self._M @ x + self._A_inv @ (self.dt * expl)
 
 
 @dataclass
@@ -375,11 +372,10 @@ SERIES_KEYS = [
 
 
 # The configuration fields the assembled system (grid, bases, forms and the
-# Crank-Nicolson factors) depends on; nothing else in a config reaches it.
+# precomputed propagators) depends on; nothing else in a config reaches it.
 SYSTEM_FIELDS = ("L1", "L2", "a", "N1", "N2", "N3", "m", "nu", "gamma", "kappa_heat",
                  "s2_stress_nu", "dt")
-_SYSTEM_ATTRS = ("grid", "vb", "tb", "forms", "_psi_flat", "_phi_flat",
-                 "_stepper_w", "_stepper_th")
+_SYSTEM_ATTRS = ("grid", "vb", "tb", "forms", "_psi_flat", "_stepper_w", "_stepper_th")
 
 
 class GalerkinSolver:
@@ -404,7 +400,7 @@ class GalerkinSolver:
         self._bind_scenario()
 
     def _build_system(self) -> None:
-        """Grid, bases, forms and factorizations: the SYSTEM_FIELDS part."""
+        """Grid, bases, forms and propagators: the SYSTEM_FIELDS part."""
         config = self.config
         _, self.grid = build_domain(config.domain_spec())
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
@@ -419,7 +415,6 @@ class GalerkinSolver:
             s2_stress_includes_nu=config.s2_stress_nu,
         )
         self._psi_flat = self.vb.samples.reshape(config.m, 3, -1)
-        self._phi_flat = self.tb.samples.reshape(self.tb.m, -1)
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
 
@@ -496,7 +491,14 @@ class GalerkinSolver:
     # -- right-hand sides ------------------------------------------------------
 
     def theta_values(self, state: State) -> np.ndarray:
-        return (state.dcoef @ self._phi_flat).reshape(self.grid.shape)
+        """theta on the grid by sum factorization: amplitude x dcoef scattered
+        into the cosine cube of the temperature band, then one matmul per axis."""
+        c1, c2, c3 = self.tb.band
+        k1, k2, k3 = (c.shape[1] for c in self.tb.band)
+        cube = np.zeros(k1 * k2 * k3)
+        cube[self.tb.band_index] = self.tb.amplitude * state.dcoef
+        out = c2 @ (c1 @ cube.reshape(k1, k2 * k3)).reshape(-1, k2, k3)   # [n1, n2, k3]
+        return (out.reshape(-1, k3) @ c3.T).reshape(self.grid.shape)
 
     def w_values(self, state: State) -> np.ndarray:
         return np.einsum("i,icg->cg", state.c, self._psi_flat).reshape(3, *self.grid.shape)
@@ -516,8 +518,9 @@ class GalerkinSolver:
         """
         forms = self.forms
         c, dcoef = state.c, state.dcoef
+        m, mt = c.size, dcoef.size
         vel = {}
-        vel["conv_www"] = np.einsum("i,j,ijl->l", c, c, forms.T_vel)
+        vel["conv_www"] = c @ (c @ forms.T_vel.reshape(m, -1)).reshape(m, m)
         vel["visc"] = forms.K_visc @ c
         vel["fric"] = forms.K_fric @ c
         vel["f_omega"] = self._f_omega(state)
@@ -530,7 +533,7 @@ class GalerkinSolver:
         vel["F_vol"] = s * s * k["F_adv"] - s_t * k["P"]
         vel["F_form"] = s * k["F_form"]
         th = {"diff": forms.K_theta @ dcoef}
-        th["adv"] = np.einsum("i,j,ijl->l", c, dcoef, forms.T_th) + s * (k["G_dth"] @ dcoef)
+        th["adv"] = dcoef @ (c @ forms.T_th.reshape(m, -1)).reshape(mt, mt) + s * (k["G_dth"] @ dcoef)
         vel["explicit"] = (
             -vel["conv_www"] + vel["f_omega"]
             - vel["conv_wdelta"] - vel["conv_deltaw"]
@@ -567,7 +570,7 @@ class GalerkinSolver:
             return dict(
                 kind="linear",
                 P=forms.project_velocity(self.f_values),
-                M=self.grid.cell_volume * (psi_f @ self._phi_flat.T),
+                M=self.grid.cell_volume * (psi_f @ self.tb.samples.reshape(self.tb.m, -1).T),
             )
         return dict(kind=cfg.omega_kind)
 
@@ -592,16 +595,6 @@ class GalerkinSolver:
             grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
             grid.integrate(mag**3) ** (2.0 / 3.0),
         )
-
-    def rhs_velocity(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
-        """rhs_terms' velocity part; the lifting is the solver's own at state.t."""
-        terms, _ = self.rhs_terms(state)
-        return (terms["total"], terms) if return_terms else terms["total"]
-
-    def rhs_temperature(self, state: State, delta: Optional[DeltaEval], return_terms: bool = False):
-        """rhs_terms' temperature part; the lifting is the solver's own at state.t."""
-        _, terms = self.rhs_terms(state)
-        return (terms["total"], terms) if return_terms else terms["total"]
 
     # -- time stepping -----------------------------------------------------------
 

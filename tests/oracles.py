@@ -134,6 +134,12 @@ def forms_by_quadrature(vmodes, tmodes, grid, nu, gamma, kappa_heat):
     return out
 
 
+def dense_transport(a, b, T):
+    """sum_ij a_i b_j T[i, j, l], the three-operand contraction of a transport
+    tensor (T_vel with a = b = c, T_th with a = c and b = dcoef)."""
+    return np.einsum("i,j,ijl->l", a, b, T)
+
+
 def exhaustive_velocity_modes(lengths, kcap):
     """Every velocity mode below the band kcap, in the package's order.
 

@@ -246,7 +246,7 @@ def test_criterion_07_galerkin_oracle_equivalence():
     st0 = solver.initial_state()
     state = State(t=0.03, c=st0.c, dcoef=st0.dcoef)
     delta = solver.delta_provider(state.t)
-    _, fast = solver.rhs_velocity(state, delta, return_terms=True)
+    fast, fast_th = solver.rhs_terms(state)
     slow = oracles.slow_rhs_velocity(
         state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
         nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega,
@@ -256,7 +256,6 @@ def test_criterion_07_galerkin_oracle_equivalence():
                 "B", "F_bdry", "F_vol", "F_form", "f_omega", "total"):
         scale = max(1.0, float(np.max(np.abs(slow[key]))))
         assert np.max(np.abs(fast[key] - slow[key])) <= 1e-8 * scale, key
-    _, fast_th = solver.rhs_temperature(state, delta, return_terms=True)
     slow_th = oracles.slow_rhs_temperature(
         state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
         kappa_heat=cfg.kappa_heat, delta=delta,

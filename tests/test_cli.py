@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,16 @@ def test_bundled_scenarios_parse():
     for name in ("free-decay", "heat-relax", "pulsed-flux", "forced-warm", "quick-decay"):
         cfg = load_scenario(bundled_scenario_path(name))
         cfg.validate()
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy alone, so scipy stays off every run's import
+    # path; a fresh process, because the test files themselves import scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ductflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parse_error_reports_line_number():

@@ -49,6 +49,23 @@ def test_imex_linear_decay_matches_expm_to_second_order():
     assert 6.0 < errs[1] / errs[2] < 10.0
 
 
+def test_imex_step_matches_the_dense_solve():
+    # the precomputed propagators give the Crank-Nicolson step
+    # A x_new = B x + dt E, A = I + dt/2 L, B = I - dt/2 L, with E the
+    # explicit part: E_now from a fresh window, AB2 1.5 E_now - 0.5 E_prev after
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+    L = (Q * np.logspace(0, 4, 32)) @ Q.T   # stiff: dt/2 L reaches 10
+    dt = 2e-3
+    eye = np.eye(32)
+    stepper = ImexStepper(L, dt)
+    x, E_now, E_prev = rng.standard_normal((3, 32))
+    for got, E in ((stepper.step(x, E_now), E_now),
+                   (stepper.step(x, E_now, E_prev), 1.5 * E_now - 0.5 * E_prev)):
+        ref = np.linalg.solve(eye + 0.5 * dt * L, (eye - 0.5 * dt * L) @ x + dt * E)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # --- basic dynamics ---------------------------------------------------------
 
 def test_zero_everything_stays_zero():
@@ -121,7 +138,7 @@ def test_rhs_matches_slow_oracle_every_term():
         t = 0.03
         state = State(t=t, c=state.c, dcoef=state.dcoef)
         delta = solver.delta_provider(t)
-        _, fast = solver.rhs_velocity(state, delta, return_terms=True)
+        fast, fast_th = solver.rhs_terms(state)
         slow = oracles.slow_rhs_velocity(
             state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega,
@@ -138,7 +155,6 @@ def test_rhs_matches_slow_oracle_every_term():
             scale = max(1.0, np.max(np.abs(b)))
             assert np.max(np.abs(a - b)) <= 1e-8 * scale, (m, fast_key)
 
-        _, fast_th = solver.rhs_temperature(state, delta, return_terms=True)
         slow_th = oracles.slow_rhs_temperature(
             state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             kappa_heat=cfg.kappa_heat, delta=delta,
@@ -270,7 +286,7 @@ def test_scaled_lifting_matches_direct_rebuild():
         }
         for key, ref in expected.items():
             close(vel[key], ref, 1e-12, (key, t))
-        adv_w = np.einsum("i,j,ijl->l", state.c, state.dcoef, forms.T_th)
+        adv_w = oracles.dense_transport(state.c, state.dcoef, forms.T_th)
         close(th["adv"] - adv_w, g_dth @ state.dcoef, 1e-12, ("adv", t))
 
 
@@ -443,6 +459,36 @@ def test_window_bookkeeping():
     assert abs(res.times[-1] - 0.15) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 16, 32])
+def test_transport_matches_the_dense_contraction(m):
+    # rhs_terms contracts T_vel and T_th with two matrix-vector products; the
+    # three-operand einsum is the reference. Without flux th["adv"] is the
+    # transport alone. At m = 1 the only temperature mode is the constant
+    rng = np.random.default_rng(m)
+    solver = GalerkinSolver(ScenarioConfig(m=m))
+    forms = solver.forms
+    state = State(t=0.0, c=rng.standard_normal(m), dcoef=rng.standard_normal(solver.tb.m))
+    vel, th = solver.rhs_terms(state)
+    for got, ref in ((vel["conv_www"], oracles.dense_transport(state.c, state.c, forms.T_vel)),
+                     (th["adv"], oracles.dense_transport(state.c, state.dcoef, forms.T_th))):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), m
+
+
+@pytest.mark.parametrize("kw", [
+    dict(L1=1.3, L2=0.8, a=0.7, N1=8, N2=12, N3=16, m=12),
+    dict(m=1),
+])
+def test_theta_values_match_the_dense_synthesis(kw):
+    # theta_values synthesizes theta axis by axis from the cosine band of
+    # the temperature modes; the reference is the sum over the sampled modes
+    solver = GalerkinSolver(small_config(**kw))
+    tb = solver.tb
+    dcoef = np.random.default_rng(4).standard_normal(tb.m)
+    ref = (dcoef @ tb.samples.reshape(tb.m, -1)).reshape(solver.grid.shape)
+    got = solver.theta_values(State(t=0.0, c=np.zeros(solver.config.m), dcoef=dcoef))
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_coefficient_norms_match_grid_quadrature():
     cfg = small_config(
         init_v="modes", init_v_amplitude=0.5,
@@ -487,9 +533,9 @@ def test_single_mode_rhs_identity():
     e1 = np.zeros(cfg.m)
     e1[0] = 1.0
     state = State(t=0.0, c=e1, dcoef=np.zeros(solver.tb.m))
-    rhs = solver.rhs_velocity(state, None)
+    rhs = solver.rhs_terms(state)[0]["total"]
     L = solver.forms.K_visc + solver.forms.K_fric
-    conv = np.einsum("i,j,ijl->l", e1, e1, solver.forms.T_vel)
+    conv = oracles.dense_transport(e1, e1, solver.forms.T_vel)
     assert abs(conv[0]) <= 1e-10  # skew transport: <psi1.grad psi1, psi1> = 0
     assert np.max(np.abs(rhs - (-L @ e1 - conv))) < 1e-12
 
@@ -500,7 +546,7 @@ def test_constant_temperature_mode_is_fixed_point():
     dcoef = np.zeros(solver.tb.m)
     dcoef[0] = 3.0  # constant mode only
     state = State(t=0.0, c=np.zeros(cfg.m), dcoef=dcoef)
-    rhs = solver.rhs_temperature(state, None)
+    rhs = solver.rhs_terms(state)[1]["total"]
     assert np.max(np.abs(rhs)) <= 1e-12
 
 
@@ -523,8 +569,9 @@ def test_cap_flux_integral_of_reconstruction():
 
 
 def test_discrete_energy_consistency():
-    # the realized step-to-step change of |c|^2 / 2 tracks c . rhs_velocity
-    # to integrator accuracy (second order in dt)
+    # the realized step-to-step change of |c|^2 / 2 tracks c . rhs, with rhs
+    # the total velocity right-hand side of rhs_terms, to integrator
+    # accuracy (second order in dt)
     cfg = small_config(init_v="modes", init_v_amplitude=0.5, T=0.05, dt=1e-3)
     solver = GalerkinSolver(cfg)
     state = solver.initial_state()
@@ -534,7 +581,7 @@ def test_discrete_energy_consistency():
         mid = State(
             t=state.t, c=0.5 * (state.c + nxt.c), dcoef=0.5 * (state.dcoef + nxt.dcoef)
         )
-        rate = float(mid.c @ solver.rhs_velocity(mid, None))
+        rate = float(mid.c @ solver.rhs_terms(mid)[0]["total"])
         realized = (float(nxt.c @ nxt.c) - float(state.c @ state.c)) / (2.0 * cfg.dt)
         worst = max(worst, abs(realized - rate))
         state = nxt
