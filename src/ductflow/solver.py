@@ -371,37 +371,12 @@ SERIES_KEYS = [
 ]
 
 
-# The configuration fields the assembled system (grid, bases, forms and the
-# precomputed propagators) depends on; nothing else in a config reaches it.
-SYSTEM_FIELDS = ("L1", "L2", "a", "N1", "N2", "N3", "m", "nu", "gamma", "kappa_heat",
-                 "s2_stress_nu", "dt")
-_SYSTEM_ATTRS = ("grid", "vb", "tb", "forms", "_psi_flat", "_stepper_w", "_stepper_th")
-
-
 class GalerkinSolver:
-    """Owns the assembled system and advances it through the windows.
+    """Owns the assembled system and advances it through the windows."""
 
-    ``reuse`` is another solver whose config agrees on SYSTEM_FIELDS; its
-    system is shared instead of built again (the calibration companion runs
-    on the scenario run's system). A reuse that differs raises ValueError.
-    """
-
-    def __init__(self, config: ScenarioConfig, reuse: Optional[GalerkinSolver] = None):
+    def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        if reuse is None:
-            self._build_system()
-        else:
-            differ = [f for f in SYSTEM_FIELDS if getattr(config, f) != getattr(reuse.config, f)]
-            if differ:
-                raise ValueError(f"cannot reuse a solver whose {', '.join(differ)} differ")
-            for name in _SYSTEM_ATTRS:
-                setattr(self, name, getattr(reuse, name))
-        self._bind_scenario()
-
-    def _build_system(self) -> None:
-        """Grid, bases, forms and propagators: the SYSTEM_FIELDS part."""
-        config = self.config
         _, self.grid = build_domain(config.domain_spec())
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
@@ -417,10 +392,6 @@ class GalerkinSolver:
         self._psi_flat = self.vb.samples.reshape(config.m, 3, -1)
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
-
-    def _bind_scenario(self) -> None:
-        """Flux, cutoff, lifting, omega and forcing on top of the system."""
-        config = self.config
         self.profile = profile_by_name(
             config.flux_profile,
             self.grid.spec,
@@ -610,11 +581,12 @@ class GalerkinSolver:
         c_new = self._stepper_w.step(state.c, E_w, None if prev is None else prev[0])
         th_new = self._stepper_th.step(state.dcoef, E_th, None if prev is None else prev[1])
         self._E_prev = (E_w, E_th)
-        if not (np.all(np.isfinite(c_new)) and np.all(np.isfinite(th_new))):
+        try:
+            return State(t=state.t + dt, c=c_new, dcoef=th_new)
+        except ValueError:  # State rejects non-finite coefficients
             raise NumericalAbort(
                 f"non-finite state at t = {state.t + dt:.6g}", t=state.t, state=state
-            )
-        return State(t=state.t + dt, c=c_new, dcoef=th_new)
+            ) from None
 
     def dt_stability_estimate(self, state: State) -> float:
         """Crude advective limit 1 / (|w + delta|_max * kappa_max)."""

@@ -17,7 +17,7 @@ from ductflow.scenario import (
     parse_scenario_text,
     set_key,
 )
-from ductflow.solver import GalerkinSolver
+from ductflow.solver import GalerkinSolver, ScenarioConfig
 
 QUICK = bundled_scenario_path("quick-decay")
 
@@ -36,6 +36,21 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, ductflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_run_builds_one_solver_and_steps_one_trajectory(monkeypatch):
+    calls = {"__init__": 0, "run_windows": 0}
+    for name in calls:
+        def counted(self, *args, _fn=getattr(GalerkinSolver, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(GalerkinSolver, name, counted)
+    cfg = ScenarioConfig(
+        N1=8, N2=8, N3=16, m=6, flux_profile="pulsed", flux_amplitude=0.6, flux_period=0.2,
+        hopf_eps=0.5, hopf_rho=0.5, T=0.1, n_windows=2, dt=5e-3,
+    )
+    cli.execute(cfg)
+    assert calls == {"__init__": 1, "run_windows": 1}
 
 
 def test_parse_error_reports_line_number():
