@@ -141,7 +141,8 @@ def calibrate(run: RunResult, solver: GalerkinSolver, config: ScenarioConfig) ->
     eigenvalue of (2 (K_visc + K_fric), I + G_grad_w); for the temperature,
     K_theta = kappa diag(lambda), it is min 2 kappa lambda / (1 + lambda)
     over the non-constant modes. A sector counts only if the run puts energy
-    in it; a temperature mean is an undamped direction, so its rate is 0.
+    in it, above rounding noise for the temperature; a temperature mean is
+    an undamped direction, so its rate is 0.
     """
     forms = solver.forms
     r_w = None
@@ -151,7 +152,11 @@ def calibrate(run: RunResult, solver: GalerkinSolver, config: ScenarioConfig) ->
         stiff = 2.0 * (forms.K_visc + forms.K_fric)
         r_w = float(np.linalg.eigvalsh(chol_inv @ stiff @ chol_inv.T)[0])
     r_th = None
-    if np.any(run.coeffs_th):
+    # a temperature counts only above the rounding noise of projecting the
+    # configured initial data, whose coefficients are at most max|theta0| sqrt|Omega|
+    lo, hi, _ = theta0_range(config)
+    noise = 1e-12 * max(abs(lo), abs(hi)) * math.sqrt(solver.grid.spec.volume)
+    if np.max(np.abs(run.coeffs_th)) > noise:
         lam = solver.tb.eigenvalues
         mean = run.coeffs_th[:, lam == 0.0]
         # the floor: a mean-zero profile still projects to ~1e-17 on the mean
@@ -294,14 +299,19 @@ def _mk_recurrence_certs(times, X, Y, F, c2, run: RunResult) -> list:
     return [rec, absb], A1, A2
 
 
-def _theta0_range(config: ScenarioConfig) -> tuple[float, float]:
-    """Analytic range of the configured initial temperature."""
+def theta0_range(config: ScenarioConfig) -> tuple[float, float, bool]:
+    """(lo, hi, inside): the analytic range of the configured initial
+    temperature, and whether it lies in [theta_star, theta_star_upper] to
+    1e-12, the hypothesis of E4 that `check` reports."""
     if config.init_theta == "zero":
-        return (0.0, 0.0)
-    if config.init_theta == "constant":
-        return (config.init_theta_mean, config.init_theta_mean)
-    amp = abs(config.init_theta_amplitude)
-    return (config.init_theta_mean - amp, config.init_theta_mean + amp)
+        lo = hi = 0.0
+    elif config.init_theta == "constant":
+        lo = hi = config.init_theta_mean
+    else:
+        amp = abs(config.init_theta_amplitude)
+        lo, hi = config.init_theta_mean - amp, config.init_theta_mean + amp
+    inside = lo >= config.theta_star - 1e-12 and hi <= config.theta_star_upper + 1e-12
+    return lo, hi, inside
 
 
 def _mk_temperature_bounds_cert(run: RunResult, config: ScenarioConfig) -> Certificate:
@@ -311,8 +321,7 @@ def _mk_temperature_bounds_cert(run: RunResult, config: ScenarioConfig) -> Certi
     allowance = config.tol_overshoot * gap
     # hypotheses concern the analytic data; its spectral projection may
     # already overshoot, which is what the allowance is for
-    th0_min, th0_max = _theta0_range(config)
-    hyp_ok = th0_min >= lo - 1e-12 and th0_max <= hi + 1e-12
+    hyp_ok = theta0_range(config)[2]
     under = float(np.min(s["th_min"] - (lo - allowance)))
     over = float(np.min((hi + allowance) - s["th_max"]))
     margin = min(under, over)

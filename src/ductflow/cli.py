@@ -31,13 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import EnergyLedger, audit_run, ledger_to_json_obj, ledger_to_text
+from .audit import EnergyLedger, audit_run, ledger_to_json_obj, ledger_to_text, theta0_range
 from .basis import dealias_cap, temperature_modes, velocity_modes
 from .domain import build_domain
 from .errors import AliasingError, NumericalAbort, RegimeError, ScenarioError
-from .hopf import check_compatibility, profile_by_name
+from .hopf import check_compatibility
 from .scenario import KEY_MAP, load_scenario, parse_scenario_text, scenario_hash, set_key
-from .solver import GalerkinSolver, RunResult, ScenarioConfig, horizon_times, pick_hopf_params
+from .solver import (GalerkinSolver, RunResult, ScenarioConfig, horizon_times, pick_hopf_params,
+                     profile_of)
 from .svg import polyline_chart
 
 
@@ -248,10 +249,7 @@ def cmd_check(args) -> int:
         return 1
     ok = True
     _, grid = build_domain(config.domain_spec())
-    profile = profile_by_name(
-        config.flux_profile, config.domain_spec(),
-        amplitude=config.flux_amplitude, beta=config.flux_beta, period=config.flux_period,
-    )
+    profile = profile_of(config)
     # flux compatibility at sampled times over the whole horizon
     ts = horizon_times(config, 8)
     worst = max(check_compatibility(profile, grid, float(t)) for t in ts)
@@ -290,10 +288,7 @@ def cmd_check(args) -> int:
         hyp, "temperature-hypotheses",
         f"theta_star={config.theta_star} < theta_star_upper={config.theta_star_upper}",
     )
-    from .audit import _theta0_range
-
-    lo0, hi0 = _theta0_range(config)
-    applicable = lo0 >= config.theta_star - 1e-12 and hi0 <= config.theta_star_upper + 1e-12
+    lo0, hi0, applicable = theta0_range(config)
     print(
         f"[INFO] temperature-bounds applicability: "
         f"{'yes' if applicable else 'no (certificate will be skipped)'} "

@@ -355,14 +355,15 @@ def b_on_face(
 
 # ---------------------------------------------------------------------------
 # Cap norms of the data (the budget bookkeeping collapses to these because
-# the extension is constant in x3)
+# the extension is constant in x3; the data s(t) g have |s(t)| times the
+# norms of g, and their time derivative |s'(t)| times its W^1_{6/5} norm)
 
 
 @dataclass(frozen=True)
 class FluxNorms:
-    """Per-instant norms of the boundary data used by the audit."""
+    """Cap norms of the cap shape g that the audit reads."""
 
-    w13_cap: tuple[float, float]     # W^1_3 norm of d_i on its cap
+    w13_cap: tuple[float, float]     # W^1_3 norm of g on each cap
     l2_cap: tuple[float, float]
     l3_cap: tuple[float, float]
     l1_cap: tuple[float, float]
@@ -374,57 +375,25 @@ class FluxNorms:
         """sum_i ||d~_i||_{W^1_{3,inf}}; equals the cap W^1_3 norms."""
         return sum(self.w13_cap)
 
-    def scaled(self, s: float, s_t: float) -> FluxNorms:
-        """The norms of s times the data, with s_t scaling the time derivative."""
-        return FluxNorms(
-            w13_cap=tuple(s * x for x in self.w13_cap),
-            l2_cap=tuple(s * x for x in self.l2_cap),
-            l3_cap=tuple(s * x for x in self.l3_cap),
-            l1_cap=tuple(s * x for x in self.l1_cap),
-            g_l2_cap=tuple(s * x for x in self.g_l2_cap),
-            w1_65_dt_cap=tuple(s_t * x for x in self.w1_65_dt_cap),
-        )
-
 
 def cap_norms(profile: FluxProfile, grid: QuadratureGrid) -> FluxNorms:
     """Cap norms of the shape g (s = 1), with the W^1_{6/5} norm of g in
     place of that of the time derivative (s' = 1)."""
-    w13, l2, l3, l1, gl2, w165 = [], [], [], [], [], []
-    p = 6.0 / 5.0
+    per_cap = []
     for patch in (grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)):
         X, Y = patch.meshgrid()
         v, gx, gy = profile.g(X, Y), profile.g1(X, Y), profile.g2(X, Y)
-        w13.append(
-            (
-                patch.integrate(np.abs(v) ** 3)
-                + patch.integrate(np.abs(gx) ** 3)
-                + patch.integrate(np.abs(gy) ** 3)
-            )
-            ** (1.0 / 3.0)
-        )
-        l2.append(math.sqrt(patch.integrate(v * v)))
-        l3.append(patch.integrate(np.abs(v) ** 3) ** (1.0 / 3.0))
-        l1.append(patch.integrate(np.abs(v)))
-        gl2.append(math.sqrt(patch.integrate(gx * gx + gy * gy)))
-        w165.append(
-            (
-                patch.integrate(np.abs(v) ** p)
-                + patch.integrate(np.abs(gx) ** p)
-                + patch.integrate(np.abs(gy) ** p)
-            )
-            ** (1.0 / p)
-        )
-    return FluxNorms(
-        w13_cap=tuple(w13),
-        l2_cap=tuple(l2),
-        l3_cap=tuple(l3),
-        l1_cap=tuple(l1),
-        g_l2_cap=tuple(gl2),
-        w1_65_dt_cap=tuple(w165),
-    )
 
+        def w1(p):
+            return sum(patch.integrate(np.abs(f) ** p) for f in (v, gx, gy)) ** (1.0 / p)
 
-def flux_norms(profile: FluxProfile, grid: QuadratureGrid, t: float) -> FluxNorms:
-    """Cap norms of d_i(t) = s(t) g: |s(t)| times those of g, and |s'(t)|
-    times the W^1_{6/5} norm of g for the time derivative."""
-    return cap_norms(profile, grid).scaled(abs(profile.s(t)), abs(profile.s_t(t)))
+        per_cap.append((
+            w1(3),
+            math.sqrt(patch.integrate(v * v)),
+            patch.integrate(np.abs(v) ** 3) ** (1.0 / 3.0),
+            patch.integrate(np.abs(v)),
+            math.sqrt(patch.integrate(gx * gx + gy * gy)),
+            w1(6.0 / 5.0),
+        ))
+    # one tuple (lower cap, upper cap) per field, in field order
+    return FluxNorms(*zip(*per_cap))

@@ -30,7 +30,7 @@ from . import spectral
 from .basis import DeltaEval, FaceDelta
 from .domain import QuadratureGrid
 from .errors import SolvabilityError
-from .hopf import ExtensionB, FluxProfile, HopfParams, flux_norms
+from .hopf import ExtensionB, FluxProfile, HopfParams, cap_norms
 
 
 def _nodal(values, shape: tuple, what: str) -> np.ndarray:
@@ -221,7 +221,7 @@ def certify_layer_bound(
             "mu = 2/3 the layer integral of sigma^(3 mu - 3) is not finite"
         )
     lhs = weighted_norm([_nodal(ext.div_b, grid.shape, "div b")], grid, 3, mu)
-    fn = flux_norms(profile, grid, 0.0)
+    fn = cap_norms(profile, grid)
     rhs = params.eps * params.rho ** (mu - 2.0 / 3.0) * sum(fn.l3_cap)
     # constant-in-x3 extension: d~_{i,x3} = 0, second structural term is zero
     return lhs, rhs

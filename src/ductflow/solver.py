@@ -1,4 +1,4 @@
-"""Galerkin time integration and field reconstruction.
+"""Galerkin time integration, field reconstruction and the audit series.
 
 State is the pair of coefficient vectors (c, dcoef) for the homogenized
 velocity w = sum c_i psi_i and temperature theta = sum dcoef_i phi_i. The
@@ -10,6 +10,12 @@ diffusion) go through Crank-Nicolson with precomputed propagators, everything
 else (transport, lifting couplings, boundary functionals, forcing) is
 advanced with a second-order Adams-Bashforth extrapolation restarted at
 window joints.
+
+The run loop stores each state's coefficients and samples only what needs
+theta on the grid (_sample). After the loop, _ledger derives every other
+audit series from the stored coefficients: quadratic forms in c and dcoef,
+and the boundary data d = s(t) g through |s| or |s'| times numbers of the
+cap shape g computed once per run.
 """
 
 from __future__ import annotations
@@ -36,14 +42,7 @@ from .basis import (
 )
 from .domain import DomainSpec, PatchKind, QuadratureGrid, build_domain
 from .errors import NumericalAbort, RegimeError, ScenarioError
-from .hopf import (
-    FluxProfile,
-    HopfParams,
-    cap_norms,
-    flux_norms,
-    profile_by_name,
-    select_params,
-)
+from .hopf import FluxProfile, HopfParams, cap_norms, profile_by_name, select_params
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +173,12 @@ def omega_of(config: ScenarioConfig) -> Callable:
     return lambda th: config.omega0 + config.omega1 * np.tanh(np.asarray(th, float))
 
 
+def profile_of(config: ScenarioConfig) -> FluxProfile:
+    """The configured flux profile; `run` and `check` both take it from here."""
+    return profile_by_name(config.flux_profile, config.domain_spec(), amplitude=config.flux_amplitude,
+                           beta=config.flux_beta, period=config.flux_period)
+
+
 def forcing_field(config: ScenarioConfig, grid: QuadratureGrid) -> np.ndarray:
     out = np.zeros((3, *grid.shape))
     if config.forcing_kind == "zero":
@@ -210,7 +215,7 @@ def pick_hopf_params(
     if config.hopf_mode == "manual":
         params = HopfParams(eps=config.hopf_eps, rho=config.hopf_rho, c_cal=config.hopf_c_cal)
     else:
-        shape_norm = flux_norms(profile.unit(), grid, 0.0).w13_inf_total
+        shape_norm = cap_norms(profile, grid).w13_inf_total
         sup_norm = profile.s_sup(config.n_windows * config.T) * shape_norm
         params = select_params(config.nu, sup_norm, config.hopf_c_cal)
     if params.rho >= config.a:
@@ -227,10 +232,12 @@ class DeltaProvider:
 
     delta_1 = b + grad(phi) lifts the cap shape g held still (s = 1). The
     lifting is linear in the data, so delta(t) = s(t) delta_1, delta_t =
-    s'(t) delta_1, and every coupling with the bases and every norm the
-    audit samples is s or s^2 times a fixed number or array. The lifting and
-    those numbers are built once, on first use, and are all the run loop
-    reads; calling the provider evaluates delta(t) on the grid.
+    s'(t) delta_1, and every coupling with the bases and every number the
+    audit reads of delta or of the data d = s(t) g is s, s', |s|, |s'| or a
+    square of one of them times a number or array fixed per run. The lifting
+    and those numbers (``couplings``) are built once, on first use, and are
+    all the run loop and the ledger read; calling the provider evaluates
+    delta(t) on the grid.
 
     A run without flux carries the zero lifting: its numbers are zeros of the
     same shapes, built without b or a Neumann solve, and calling the
@@ -275,23 +282,33 @@ class DeltaProvider:
 
     @cached_property
     def couplings(self) -> dict:
-        """The couplings of delta_1: G_wd, G_dw, G_dth, B, F_bdry, F_form,
+        """The numbers of delta_1 and of the cap shape g that a run reads.
+
+        Of delta_1: its couplings G_wd, G_dw, G_dth, B, F_bdry, F_form,
         P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
-        Q_i = <grad psi_i, grad delta_1>, the squared norms l2sq of delta_1
-        and gradsq of its gradient, max_abs = max |delta_1| on the grid, and
-        normal_trace, n . delta_1 at the nodes of all boundary patches, flat
-        and in grid.patches order."""
-        forms = self.forms
-        grid = self.grid
+        Q_i = <grad psi_i, grad delta_1>; the squared norms l2sq of delta_1
+        and gradsq of its gradient; max_abs = max |delta_1| on the grid; and
+        trace_gap = max |n.delta_1 - n.(g e3)| over the nodes of all boundary
+        patches (g on the caps, 0 on the walls). Of g: cap, its cap norms
+        (hopf.cap_norms); cap_integrals, its integrals over the lower and the
+        upper cap; and inflow, inflow_i = int_{lower cap} g phi_i.
+        """
+        forms, grid, profile = self.forms, self.grid, self.profile
+        lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
+        g_cap = {p.kind: profile.g(*p.meshgrid()) for p in (lo, hi)}
+        out = dict(
+            cap=cap_norms(profile, grid),
+            cap_integrals=(lo.integrate(g_cap[lo.kind]), hi.integrate(g_cap[hi.kind])),
+            inflow=lo.weight * np.einsum("ixy,xy->i", forms.tb.face_samples[lo.kind], g_cap[lo.kind]),
+        )
         if self.is_zero:
             m, mt = forms.vb.m, forms.tb.m
-            out = dict(G_wd=np.zeros((m, m)), G_dw=np.zeros((m, m)), G_dth=np.zeros((mt, mt)),
-                       l2sq=0.0, gradsq=0.0, max_abs=0.0)
+            out.update(G_wd=np.zeros((m, m)), G_dw=np.zeros((m, m)), G_dth=np.zeros((mt, mt)),
+                       l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
             out.update((key, np.zeros(m)) for key in ("B", "F_bdry", "F_form", "P", "F_adv", "Q"))
-            out["normal_trace"] = np.zeros(sum(p.nodes[0].size * p.nodes[1].size for p in grid.patches))
             return out
         delta_1 = self.lifting[2]
-        out = dict(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
+        out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
         out["B"], out["F_bdry"] = forms.boundary_functionals(delta_1)
         out["F_form"] = forms.forcing_F_form(delta_1)
         out["P"] = forms.project_velocity(delta_1.values)
@@ -303,9 +320,12 @@ class DeltaProvider:
         out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
         out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
         out["max_abs"] = float(np.max(np.abs(delta_1.values)))
-        out["normal_trace"] = np.concatenate([
-            (p.normal[p.axis] * delta_1.faces[p.kind].values[p.axis]).ravel() for p in grid.patches
-        ])
+        # the normals are unit vectors along p.axis, so |n.delta_1 - n.(g e3)|
+        # is |delta_1[p.axis] - g| on the caps and |delta_1[p.axis]| on the walls
+        out["trace_gap"] = max(
+            float(np.max(np.abs(delta_1.faces[p.kind].values[p.axis] - g_cap.get(p.kind, 0.0))))
+            for p in grid.patches
+        )
         return out
 
 
@@ -355,22 +375,6 @@ class RunResult:
         return np.arange(self.n_windows + 1) * self.steps_per_window
 
 
-SERIES_KEYS = [
-    "t",
-    "w_l2sq", "w_gradsq", "w_h1sq",
-    "th_l2sq", "th_gradsq", "th_h1sq",
-    "fric_sq",
-    "th_min", "th_max", "th_integral", "th_l1", "inflow_theta",
-    "flux_trace_err", "compat_residual",
-    "delta_l2sq", "delta_gradsq",
-    "v_l2sq", "v_gradsq",
-    "omega_f_65sq", "omega_f_l3sq",
-    "d_w13_total", "d_w13_sq_sum", "ddt_w165_sq_sum",
-    "d_l2_sum", "d_l2_sq_sum", "d_l3_cap1", "d_l1_cap1",
-    "d_h1_ext", "d_l2_ext",
-]
-
-
 class GalerkinSolver:
     """Owns the assembled system and advances it through the windows."""
 
@@ -392,29 +396,12 @@ class GalerkinSolver:
         self._psi_flat = self.vb.samples.reshape(config.m, 3, -1)
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
-        self.profile = profile_by_name(
-            config.flux_profile,
-            self.grid.spec,
-            amplitude=config.flux_amplitude,
-            beta=config.flux_beta,
-            period=config.flux_period,
-        )
+        self.profile = profile_of(config)
         hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
         self.delta_provider = DeltaProvider(self.profile, self.hopf_params, self.grid, self.forms)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
-        # the cap shape sampled once: the data on the caps are s(t) times it
-        caps = (PatchKind.CAP_LO, PatchKind.CAP_HI)
-        self._g_cap = {kind: self.profile.g(*self.grid.patch(kind).meshgrid()) for kind in caps}
-        # n . (data) on all patches, flat like the couplings' normal_trace:
-        # -g on the bottom cap, g on the top, 0 on the walls
-        self._normal_data = np.concatenate([
-            (p.normal[p.axis] * self._g_cap[p.kind]).ravel() if p.kind.is_cap
-            else np.zeros(p.nodes[0].size * p.nodes[1].size)
-            for p in self.grid.patches
-        ])
-        self._cap_norms = cap_norms(self.profile, self.grid)
         self._E_prev = None
 
     # -- setup helpers -------------------------------------------------------
@@ -606,71 +593,77 @@ class GalerkinSolver:
         v = w if delta is None else w + delta.values
         return w, v, self.theta_values(state)
 
-    def flux_trace_error(self, t: float) -> float:
-        """max over the nodes of all six faces of |v.n - n.d| at time t.
-
-        Every velocity mode has normal trace exactly 0 (build_velocity_basis
-        checks it), so v.n = s(t) n.delta_1 for any state: this is the trace
-        residual of the lifting itself.
-        """
-        s = self.profile.s(t)
-        trace = self.delta_provider.couplings["normal_trace"]
-        return float(np.max(np.abs(s * trace - s * self._normal_data)))
-
     def _sample(self, state: State) -> dict:
-        forms = self.forms
-        c, dcoef = state.c, state.dcoef
-        grid = self.grid
-        row = {"t": state.t}
-        row["w_l2sq"] = float(c @ c)
-        row["w_gradsq"] = float(c @ forms.G_grad_w @ c)
-        row["w_h1sq"] = row["w_l2sq"] + row["w_gradsq"]
-        row["th_l2sq"] = float(dcoef @ dcoef)
-        row["th_gradsq"] = float(dcoef @ (self.tb.eigenvalues * dcoef))
-        row["th_h1sq"] = row["th_l2sq"] + row["th_gradsq"]
-        row["fric_sq"] = float(c @ forms.K_fric @ c)
-
+        """The series that need theta on the grid, at one state: its min, max
+        and L1 norm and, unless they are two numbers per run, the norms of
+        the clamped omega(theta) f."""
         theta = self.theta_values(state)
-        row["th_min"] = float(theta.min())
-        row["th_max"] = float(theta.max())
-        row["th_integral"] = grid.integrate(theta)
-        row["th_l1"] = grid.integrate(np.abs(theta))
+        row = {
+            "th_min": float(theta.min()),
+            "th_max": float(theta.max()),
+            "th_l1": self.grid.integrate(np.abs(theta)),
+        }
+        if "norms" not in self._forcing:
+            row["omega_f_65sq"], row["omega_f_l3sq"] = self._omega_f_norms(theta)
+        return row
 
-        s = self.profile.s(state.t)
-        d1 = s * self._g_cap[PatchKind.CAP_LO]
-        d2 = s * self._g_cap[PatchKind.CAP_HI]
-        th_face = np.einsum("i,ixy->xy", dcoef, self.tb.face_samples[PatchKind.CAP_LO])
-        row["inflow_theta"] = grid.patch(PatchKind.CAP_LO).integrate(d1 * th_face)
+    def _ledger(self, times: np.ndarray, coeffs_w: np.ndarray, coeffs_th: np.ndarray) -> dict:
+        """Every audit series but those of _sample, as arrays over the samples
+        at ``times`` with the coefficients stored by rows.
 
-        row["flux_trace_err"] = self.flux_trace_error(state.t)
-        row["compat_residual"] = hopf_mod.compatibility_residual(grid, d1, d2)
+        The energies are quadratic forms in the coefficients. The mean of
+        theta is that of the constant mode alone, since midpoint quadrature
+        integrates every other cosine mode to exactly 0. The data d = s(t) g
+        enter through s, |s| and |s'| times the couplings' numbers of g and
+        delta_1.
+        """
+        forms, k, grid = self.forms, self.delta_provider.couplings, self.grid
+        C, D = coeffs_w, coeffs_th
+        s = np.array([self.profile.s(t) for t in times])
+        s_t = np.array([self.profile.s_t(t) for t in times])
+        abs_s = np.abs(s)
+        out = {"t": times}
+        out["w_l2sq"] = np.einsum("ij,ij->i", C, C)
+        out["w_gradsq"] = np.einsum("ij,ij->i", C @ forms.G_grad_w, C)
+        out["w_h1sq"] = out["w_l2sq"] + out["w_gradsq"]
+        out["th_l2sq"] = np.einsum("ij,ij->i", D, D)
+        out["th_gradsq"] = np.einsum("ij,ij->i", D, self.tb.eigenvalues * D)
+        out["th_h1sq"] = out["th_l2sq"] + out["th_gradsq"]
+        out["fric_sq"] = np.einsum("ij,ij->i", C @ forms.K_fric, C)
+        out["th_integral"] = grid.spec.volume * self.tb.amplitude[0] * D[:, 0]
+        out["inflow_theta"] = s * (D @ k["inflow"])
 
         # v = w + s delta_1 in grid quadrature, where |c|^2 and c.G_grad_w.c
         # are the norms of w: ||v||^2 = |c|^2 + 2 s c.P + s^2 ||delta_1||^2,
         # and the gradient the same way with Q
-        k = self.delta_provider.couplings
-        row["delta_l2sq"] = s * s * k["l2sq"]
-        row["delta_gradsq"] = s * s * k["gradsq"]
-        row["v_l2sq"] = row["w_l2sq"] + 2.0 * s * float(c @ k["P"]) + row["delta_l2sq"]
-        row["v_gradsq"] = row["w_gradsq"] + 2.0 * s * float(c @ k["Q"]) + row["delta_gradsq"]
+        out["delta_l2sq"] = s * s * k["l2sq"]
+        out["delta_gradsq"] = s * s * k["gradsq"]
+        out["v_l2sq"] = out["w_l2sq"] + 2.0 * s * (C @ k["P"]) + out["delta_l2sq"]
+        out["v_gradsq"] = out["w_gradsq"] + 2.0 * s * (C @ k["Q"]) + out["delta_gradsq"]
+        if "norms" in self._forcing:
+            out["omega_f_65sq"], out["omega_f_l3sq"] = (
+                np.full(times.size, x) for x in self._forcing["norms"]
+            )
 
-        norms = self._forcing.get("norms") or self._omega_f_norms(theta)
-        row["omega_f_65sq"], row["omega_f_l3sq"] = norms
-
-        fn = self._cap_norms.scaled(abs(self.profile.s(state.t)), abs(self.profile.s_t(state.t)))
-        row["d_w13_total"] = fn.w13_inf_total
-        row["d_w13_sq_sum"] = sum(x**2 for x in fn.w13_cap)
-        row["ddt_w165_sq_sum"] = sum(x**2 for x in fn.w1_65_dt_cap)
-        row["d_l2_sum"] = sum(fn.l2_cap)
-        row["d_l2_sq_sum"] = sum(x**2 for x in fn.l2_cap)
-        row["d_l3_cap1"] = fn.l3_cap[0]
-        row["d_l1_cap1"] = fn.l1_cap[0]
-        depth = 2.0 * grid.spec.a
-        row["d_l2_ext"] = math.sqrt(depth) * sum(fn.l2_cap)
-        row["d_h1_ext"] = math.sqrt(depth) * sum(
-            math.sqrt(l2**2 + g2**2) for l2, g2 in zip(fn.l2_cap, fn.g_l2_cap)
-        )
-        return row
+        # every velocity mode has normal trace exactly 0 (build_velocity_basis
+        # checks it), so v.n = s n.delta_1 for any state
+        out["flux_trace_err"] = abs_s * k["trace_gap"]
+        in_lo, in_hi = (s * x for x in k["cap_integrals"])
+        out["compat_residual"] = np.abs(in_lo - in_hi) / np.maximum(1.0, np.abs(in_lo))
+        cap = k["cap"]
+        out["d_w13_total"] = abs_s * cap.w13_inf_total
+        out["d_w13_sq_sum"] = s * s * sum(x * x for x in cap.w13_cap)
+        out["ddt_w165_sq_sum"] = s_t * s_t * sum(x * x for x in cap.w1_65_dt_cap)
+        out["d_l2_sum"] = abs_s * sum(cap.l2_cap)
+        out["d_l2_sq_sum"] = s * s * sum(x * x for x in cap.l2_cap)
+        out["d_l3_cap1"] = abs_s * cap.l3_cap[0]
+        out["d_l1_cap1"] = abs_s * cap.l1_cap[0]
+        root_depth = math.sqrt(2.0 * grid.spec.a)
+        out["d_l2_ext"] = root_depth * out["d_l2_sum"]
+        out["d_h1_ext"] = abs_s * (root_depth * sum(
+            math.sqrt(l2 * l2 + g2 * g2) for l2, g2 in zip(cap.l2_cap, cap.g_l2_cap)
+        ))
+        return out
 
     # -- the window loop ------------------------------------------------------------
 
@@ -679,9 +672,10 @@ class GalerkinSolver:
         state = self.initial_state()
         spw = cfg.steps_per_window
         n_samples = cfg.n_windows * spw + 1
-        series = {k: np.zeros(n_samples) for k in SERIES_KEYS}
+        times = np.zeros(n_samples)
         coeffs_w = np.zeros((n_samples, cfg.m))
         coeffs_th = np.zeros((n_samples, self.tb.m))
+        rows = []
 
         est = self.dt_stability_estimate(state)
         if cfg.dt > est:
@@ -691,11 +685,10 @@ class GalerkinSolver:
             )
 
         def record(idx, st):
-            row = self._sample(st)
-            for k, vval in row.items():
-                series[k][idx] = vval
+            times[idx] = st.t
             coeffs_w[idx] = st.c
             coeffs_th[idx] = st.dcoef
+            rows.append(self._sample(st))
             if snapshot_cb is not None:
                 snapshot_cb(idx, st, self)
 
@@ -708,9 +701,11 @@ class GalerkinSolver:
                 record(idx, state)
                 idx += 1
 
+        series = self._ledger(times, coeffs_w, coeffs_th)
+        series.update((key, np.array([row[key] for row in rows])) for key in rows[0])
         return RunResult(
             config=cfg,
-            times=series["t"].copy(),
+            times=times.copy(),
             series=series,
             coeffs_w=coeffs_w,
             coeffs_th=coeffs_th,

@@ -192,6 +192,20 @@ def test_mean_free_temperature_decays_at_the_first_eigenvalue():
     assert cal.c2 == 0.5 * cal.r_theta
 
 
+def test_rounding_noise_is_no_temperature():
+    # at m = 6 the (1, 0, 1) mode that carries the bump is not in the basis,
+    # so every temperature coefficient is rounding noise of the projection;
+    # the sector rule must not read it as a temperature mean (rate 0)
+    cfg = small_config(m=6, init_theta="bump", init_theta_mean=0.0, init_theta_amplitude=0.4,
+                       init_v="modes", init_v_amplitude=0.5)
+    solver = GalerkinSolver(cfg)
+    run = solver.run_windows()
+    assert 0.0 < np.max(np.abs(run.coeffs_th)) < 1e-15
+    cal = calibrate(run, solver, cfg)
+    assert cal.r_theta is None
+    assert cal.c2 == 0.5 * cal.r_w == pytest.approx(2.08618, rel=1e-5)
+
+
 def test_a_run_without_energy_has_no_rates():
     cfg = small_config()
     solver = GalerkinSolver(cfg)

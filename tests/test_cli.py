@@ -10,7 +10,6 @@ import pytest
 from ductflow import cli
 from ductflow.cli import main
 from ductflow.errors import ScenarioError
-from ductflow.hopf import flux_norms
 from ductflow.scenario import (
     bundled_scenario_path,
     load_scenario,
@@ -20,6 +19,12 @@ from ductflow.scenario import (
 from ductflow.solver import GalerkinSolver, ScenarioConfig
 
 QUICK = bundled_scenario_path("quick-decay")
+
+
+def d_w13_total(solver, ts):
+    """The ledger's sum of the W^1_3 cap norms of the data at the times ts."""
+    zeros = np.zeros((ts.size, solver.config.m)), np.zeros((ts.size, solver.tb.m))
+    return solver._ledger(ts, *zeros)["d_w13_total"]
 
 
 def test_bundled_scenarios_parse():
@@ -139,7 +144,7 @@ def test_auto_regime_holds_over_the_whole_horizon(tmp_path, capsys):
     solver = GalerkinSolver(cfg)
     params = solver.hopf_params
     ts = np.linspace(0.0, cfg.n_windows * cfg.T, 801)
-    sup = max(flux_norms(solver.profile, solver.grid, float(t)).w13_inf_total for t in ts)
+    sup = float(np.max(d_w13_total(solver, ts)))
     lhs = cfg.hopf_c_cal * (params.eps + params.rho ** (1.0 / 6.0)) * sup
     assert abs(lhs - cfg.nu / 4.0) <= 1e-3
     assert main(["check", str(scn)]) == 0
@@ -157,12 +162,9 @@ def test_auto_regime_uses_the_exact_supremum(tmp_path):
     cfg = load_scenario(scn)
     solver = GalerkinSolver(cfg)
     params = solver.hopf_params
-    peak = flux_norms(solver.profile, solver.grid, cfg.flux_period / 4.0).w13_inf_total
     ts = np.linspace(0.0, cfg.n_windows * cfg.T, 2001)
-    assert all(
-        flux_norms(solver.profile, solver.grid, float(t)).w13_inf_total <= peak * (1 + 1e-15)
-        for t in ts
-    )
+    *norms, peak = d_w13_total(solver, np.append(ts, cfg.flux_period / 4.0))
+    assert all(norm <= peak * (1 + 1e-15) for norm in norms)
     lhs = cfg.hopf_c_cal * (params.eps + params.rho ** (1.0 / 6.0)) * peak
     assert abs(lhs - cfg.nu / 4.0) <= 1e-12 * cfg.nu
 
@@ -212,6 +214,19 @@ def test_check_reports_library_value_error_in_one_line(tmp_path, capsys, keys):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mean, applicable, status", [(0.0, "no", "SKIP"), (1.5, "yes", "PASS")])
+def test_check_reports_the_temperature_bounds_decision_of_run(tmp_path, capsys, mean, applicable, status):
+    # a bump of amplitude 0.3 about the mean lies inside [theta_star,
+    # theta_star_upper] = [1, 2] at mean 1.5 and outside at mean 0
+    scn = scenario_with(tmp_path, QUICK, {
+        "init.theta": "bump", "init.theta_mean": mean, "init.theta_amplitude": 0.3,
+    })
+    assert main(["check", str(scn)]) == 0
+    assert f"[INFO] temperature-bounds applicability: {applicable}" in capsys.readouterr().out
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
+    assert f"[{status}] E4 temperature-bounds" in capsys.readouterr().out
 
 
 def test_check_rejects_the_mode_count_run_rejects(tmp_path, capsys):

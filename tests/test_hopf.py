@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from ductflow.domain import DomainSpec, PatchKind, build_domain
 from ductflow.errors import RegimeError
+from ductflow.solver import GalerkinSolver, ScenarioConfig
 from ductflow.hopf import (
     HopfParams,
     KinkWarning,
     build_b,
     b_on_face,
+    cap_norms,
     check_compatibility,
     constant_profile,
-    flux_norms,
     hopf_eta,
     hopf_eta_prime,
     parabolic_profile,
@@ -153,7 +154,7 @@ def test_parabolic_w13_norm_closed_form():
         spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=n, N2=n, N3=8)
         _, grid = build_domain(spec)
         prof = parabolic_profile(A, spec)
-        fn = flux_norms(prof, grid, 0.0)
+        fn = cap_norms(prof, grid)
         errs.append(abs(fn.w13_cap[0] - expected))
         assert abs(fn.w13_inf_total - 2.0 * fn.w13_cap[0]) < 1e-12
     assert errs[-1] < 5e-4 * expected
@@ -199,10 +200,13 @@ def test_pulsed_never_vanishes_and_dt_analytic():
 def test_pulsed_dt_norm_is_analytic():
     # d_t = A s'(t) g with g = 16 x(1-x) y(1-y): the W^1_{6/5} cap norm of
     # the time derivative is |A s'(t)| times that of g, with no difference
-    # quotient in time
+    # quotient in time; the audit's column sums its square over both caps
     grid = unit_grid()
     A, beta, period = 0.6, 0.5, 0.5
-    prof = pulsed_profile(A, beta, period, grid.spec)
+    solver = GalerkinSolver(ScenarioConfig(
+        N1=8, N2=8, N3=32, m=4, flux_profile="pulsed",
+        flux_amplitude=A, flux_beta=beta, flux_period=period,
+    ))
     cap = grid.patch(PatchKind.CAP_LO)
     X, Y = cap.meshgrid()
     g = 16.0 * X * (1 - X) * Y * (1 - Y)
@@ -210,12 +214,12 @@ def test_pulsed_dt_norm_is_analytic():
     g_y = 16.0 * X * (1 - X) * (1 - 2 * Y)
     p = 6.0 / 5.0
     shape = sum(cap.integrate(np.abs(f) ** p) for f in (g, g_x, g_y)) ** (1.0 / p)
-    for t in (0.0, 0.07, 0.31):
+    ts = np.array([0.0, 0.07, 0.31])
+    got = solver._ledger(ts, np.zeros((3, 4)), np.zeros((3, solver.tb.m)))["ddt_w165_sq_sum"]
+    for t, value in zip(ts, got):
         s_t = beta * 2.0 * math.pi / period * math.cos(2.0 * math.pi * t / period)
-        expected = abs(A * s_t) * shape
-        got = flux_norms(prof, grid, t).w1_65_dt_cap
-        for value in got:
-            assert abs(value - expected) <= 1e-13 * expected, t
+        expected = 2.0 * (A * s_t * shape) ** 2
+        assert abs(value - expected) <= 1e-13 * expected, t
 
 
 # --- the lifting -----------------------------------------------------------

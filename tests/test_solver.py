@@ -8,7 +8,8 @@ import oracles
 from ductflow.basis import AssembledForms, DeltaEval
 from ductflow.errors import NumericalAbort, ScenarioError
 from ductflow.domain import PatchKind
-from ductflow.hopf import build_b, check_compatibility, flux_norms
+import ductflow.hopf as hopf_mod
+from ductflow.hopf import build_b, cap_norms, check_compatibility
 from ductflow.poisson import delta_field, solve_neumann
 from ductflow.solver import (
     DeltaProvider,
@@ -17,6 +18,14 @@ from ductflow.solver import (
     ScenarioConfig,
     State,
 )
+
+
+def sampled(solver, state) -> dict:
+    """Every audit series at one state: the ledger's and _sample's, as the
+    run loop puts them together."""
+    series = solver._ledger(np.array([state.t]), state.c[None], state.dcoef[None])
+    series.update((key, np.array([value])) for key, value in solver._sample(state).items())
+    return {key: value[0] for key, value in series.items()}
 
 
 def small_config(**kw) -> ScenarioConfig:
@@ -205,7 +214,7 @@ def test_forcing_term_matches_the_grid_in_every_case(omega_kind, forcing_kind):
         "omega_f_65sq": oracles.integrate(grid, mag ** 1.2) ** (5.0 / 3.0),
         "omega_f_l3sq": oracles.integrate(grid, mag**3) ** (2.0 / 3.0),
     }
-    row = solver._sample(state)
+    row = sampled(solver, state)
     for key, value in ref.items():
         assert abs(row[key] - value) <= 1e-12 * value, key
     assert (ref["omega_f_65sq"] == 0.0) == cfg.forcing_is_zero
@@ -291,42 +300,51 @@ def test_scaled_lifting_matches_direct_rebuild():
 
 
 def test_sampled_cap_series_match_the_flux_definitions():
-    # _sample scales cap data and cap norms sampled once per solver; each
-    # series must equal the one computed from d1, d2 and flux_norms at t.
-    # The norms of v = w + s delta_1 and of delta are closed forms in c, s and
-    # numbers of delta_1; they must equal grid quadrature of the fields. From
-    # v0 = 0 at m = 12 both cross terms c.P and c.Q are nonzero; on the
-    # "modes" initial state they vanish by symmetry
+    # the ledger scales numbers of g computed once per run by |s| and |s'|;
+    # each series must equal the one computed from d1, d2 and the cap norms
+    # of d(t) = s(t) g at t: == where the ledger keeps that order of
+    # operations, 1e-14 relative where it factors |s| out of a sum, a square
+    # or a root. The norms of v = w + s delta_1 and of delta are closed forms
+    # in c, s and numbers of delta_1; they must equal grid quadrature of the
+    # fields. From v0 = 0 at m = 12 both cross terms c.P and c.Q are nonzero;
+    # on the "modes" initial state they vanish by symmetry
     solver = GalerkinSolver(oracle_config(m=12, init_v="zero"))
     grid, prof = solver.grid, solver.profile
     st0 = solver.initial_state()
     k = solver.delta_provider.couplings
     assert abs(st0.c @ k["P"]) > 1e-5 and abs(st0.c @ k["Q"]) > 1e-3
     gpsi = solver.vb.grad.reshape(solver.vb.m, 3, 3, -1)
+    shape = cap_norms(prof, grid)
     for t in (0.0, 0.03, 0.17, 0.41):
         state = State(t=t, c=st0.c, dcoef=st0.dcoef)
         delta = solver.delta_provider(t)
-        row = solver._sample(state)
-        fn = flux_norms(prof, grid, t)
+        row = sampled(solver, state)
+        # the cap norms of d(t) and of its time derivative
+        a_s, a_st = abs(prof.s(t)), abs(prof.s_t(t))
+        w13, l2, l3, l1, gl2 = (
+            [a_s * x for x in norms]
+            for norms in (shape.w13_cap, shape.l2_cap, shape.l3_cap, shape.l1_cap, shape.g_l2_cap)
+        )
+        w165_dt = [a_st * x for x in shape.w1_65_dt_cap]
         depth = 2.0 * grid.spec.a
-        expected = {
-            "d_w13_total": fn.w13_inf_total,
-            "d_w13_sq_sum": sum(x**2 for x in fn.w13_cap),
-            "ddt_w165_sq_sum": sum(x**2 for x in fn.w1_65_dt_cap),
-            "d_l2_sum": sum(fn.l2_cap),
-            "d_l2_sq_sum": sum(x**2 for x in fn.l2_cap),
-            "d_l3_cap1": fn.l3_cap[0],
-            "d_l1_cap1": fn.l1_cap[0],
-            "d_l2_ext": math.sqrt(depth) * sum(fn.l2_cap),
-            "d_h1_ext": math.sqrt(depth) * sum(
-                math.sqrt(l2**2 + g2**2) for l2, g2 in zip(fn.l2_cap, fn.g_l2_cap)
-            ),
+        exact = {
+            "d_l3_cap1": l3[0],
+            "d_l1_cap1": l1[0],
             "compat_residual": check_compatibility(prof, grid, t),
+        }
+        close = {
+            "d_w13_total": sum(w13),
+            "d_w13_sq_sum": sum(x**2 for x in w13),
+            "ddt_w165_sq_sum": sum(x**2 for x in w165_dt),
+            "d_l2_sum": sum(l2),
+            "d_l2_sq_sum": sum(x**2 for x in l2),
+            "d_l2_ext": math.sqrt(depth) * sum(l2),
+            "d_h1_ext": math.sqrt(depth) * sum(math.sqrt(a**2 + b**2) for a, b in zip(l2, gl2)),
         }
         lo = grid.patch(PatchKind.CAP_LO)
         X, Y = lo.meshgrid()
         th_face = np.einsum("i,ixy->xy", state.dcoef, solver.tb.face_samples[PatchKind.CAP_LO])
-        expected["inflow_theta"] = lo.integrate(prof.d1(X, Y, t) * th_face)
+        close["inflow_theta"] = lo.integrate(prof.d1(X, Y, t) * th_face)
         err = 0.0
         for patch in grid.patches:
             vals = np.einsum("i,icxy->cxy", state.c, solver.vb.face_samples[patch.kind])
@@ -334,10 +352,12 @@ def test_sampled_cap_series_match_the_flux_definitions():
             X, Y = patch.meshgrid()
             target = {PatchKind.CAP_LO: -prof.d1(X, Y, t), PatchKind.CAP_HI: prof.d2(X, Y, t)}
             err = max(err, float(np.max(np.abs(vn - target.get(patch.kind, 0.0)))))
-        expected["flux_trace_err"] = err
-        assert expected["ddt_w165_sq_sum"] > 0.0 and expected["inflow_theta"] != 0.0
-        for key, ref in expected.items():
+        exact["flux_trace_err"] = err  # 0: b reproduces g on the caps exactly
+        assert close["ddt_w165_sq_sum"] > 0.0 and close["inflow_theta"] != 0.0
+        for key, ref in exact.items():
             assert row[key] == ref, (key, t)
+        for key, ref in close.items():
+            assert abs(row[key] - ref) <= 1e-14 * abs(ref), (key, t)
 
         v = solver.w_values(state) + delta.values
         gv = np.einsum("i,icdg->cdg", state.c, gpsi) + delta.grad.reshape(3, 3, -1)
@@ -352,7 +372,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
 
     # without flux the lifting norms are 0 and v is w
     solver = GalerkinSolver(small_config(init_v="modes", init_v_amplitude=0.4))
-    row = solver._sample(solver.initial_state())
+    row = sampled(solver, solver.initial_state())
     assert row["w_l2sq"] > 0.0 and row["delta_l2sq"] == row["delta_gradsq"] == 0.0
     assert row["v_l2sq"] == row["w_l2sq"] and row["v_gradsq"] == row["w_gradsq"]
 
@@ -368,6 +388,37 @@ def test_run_loop_never_evaluates_delta(monkeypatch):
     res = solver.run_windows()
     assert res.times.size == solver.config.steps_per_window + 1
     assert np.max(res.series["delta_l2sq"]) > 0.0
+
+
+def test_run_loop_and_ledger_read_no_boundary_data(monkeypatch):
+    # once the run's numbers of g and delta_1 are built, neither the run loop
+    # nor the ledger evaluates the data d = s(t) g: a pulsed run with g and
+    # the compatibility residual refused gives the same series
+    def refuse(*args):
+        raise AssertionError("boundary data evaluated")
+
+    reference = GalerkinSolver(oracle_config(init_v="zero")).run_windows()
+    solver = GalerkinSolver(oracle_config(init_v="zero"))
+    solver.delta_provider.couplings
+    monkeypatch.setattr(hopf_mod, "compatibility_residual", refuse)
+    object.__setattr__(solver.profile, "g", refuse)
+    res = solver.run_windows()
+    assert res.series.keys() == reference.series.keys()
+    for key, values in reference.series.items():
+        assert np.array_equal(res.series[key], values), key
+    assert np.max(res.series["d_w13_total"]) > 0.0
+
+
+def test_th_integral_is_the_constant_mode():
+    # midpoint quadrature integrates every non-constant cosine mode to 0, so
+    # the grid integral of theta is |Omega| amplitude_0 dcoef_0
+    solver = GalerkinSolver(small_config(L1=1.3, L2=0.8, a=0.7, N1=8, N2=12, N3=16, m=12))
+    rng = np.random.default_rng(7)
+    state = State(t=0.0, c=np.zeros(solver.config.m), dcoef=rng.standard_normal(solver.tb.m))
+    row = sampled(solver, state)
+    direct = solver.grid.integrate(solver.theta_values(state))
+    assert abs(row["th_integral"] - direct) <= 1e-14 * row["th_l1"]
+    assert row["th_integral"] != 0.0
 
 
 def test_free_decay_monotone():
@@ -432,7 +483,7 @@ def test_reconstruction_traces():
     )
     solver = GalerkinSolver(cfg)
     state = solver.initial_state()
-    err = solver.flux_trace_error(state.t)
+    err = sampled(solver, state)["flux_trace_err"]
     assert err < 1e-10
     w, v, theta = solver.reconstruct(state)
     assert w.shape == v.shape == (3, *solver.grid.shape)
