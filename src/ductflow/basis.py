@@ -18,10 +18,13 @@ Temperature modes are the Neumann-natural all-cosine family including the
 constant.
 
 Every mode component is amplitude x f1(x1) f2(x2) f3(x3), so each family is
-stored once, as per-axis factor tables. Samples, gradients and face traces
-are outer products of table rows; the quadrature is a tensor midpoint rule,
-so every assembled form is a sum of products of three 1D sums. A discrete
-Gram matrix that deviates from the identity stops the build.
+stored once, as per-axis factor tables; no per-mode grid array is kept. Only
+the face traces are synthesized, as outer products of table rows. The
+quadrature is a tensor midpoint rule, so every assembled form is a sum of
+products of three 1D sums, and every contraction of the modes with a grid
+field (projections, the lifting couplings) is sum-factorized: the field is
+contracted axis by axis with the tables. A discrete Gram matrix that
+deviates from the identity stops the build.
 """
 
 from __future__ import annotations
@@ -68,9 +71,12 @@ class FactorTables:
     Component c of mode i is the outer product of val[c][0][i],
     val[c][1][i] and val[c][2][i]; its derivative along axis d swaps in
     der[c][d], and ends[c][a][i] holds the axis-a factor at the low and the
-    high end of that axis. The mode's amplitude sits in the axis-0 factors.
+    high end of that axis. The mode's amplitude sits in the axis-0 factors,
+    so on axes 1 and 2 a factor depends on the mode's wavenumber k[i, a]
+    alone.
     """
 
+    k: np.ndarray                              # [mode, 3] wavevectors
     val: list = field(default_factory=list)    # [comp][axis] -> [mode, node]
     der: list = field(default_factory=list)    # [comp][axis] -> [mode, node]
     ends: list = field(default_factory=list)   # [comp][axis] -> [mode, 2]
@@ -78,6 +84,19 @@ class FactorTables:
     def factors(self, c: int, d: int | None = None) -> tuple:
         """The three axis factors of component c, differentiated along d."""
         return tuple(self.der[c][a] if a == d else self.val[c][a] for a in range(3))
+
+    def split(self, c: int, d: int | None = None) -> tuple:
+        """(f0, rows, index) of component c differentiated along d: its
+        axis-0 factors [mode, node] and, for axes 1 and 2, the distinct
+        factor rows [k_max + 1, node] with each mode's row index, its
+        wavenumber on that axis."""
+        f = self.factors(c, d)
+        rows = []
+        for a in (1, 2):
+            r = np.zeros((self.k[:, a].max() + 1, f[a].shape[1]))
+            r[self.k[:, a]] = f[a]
+            rows.append(r)
+        return f[0], rows, (self.k[:, 1], self.k[:, 2])
 
     def on_face(self, c: int, patch) -> tuple:
         """The axis factors of component c on a face, whose own axis takes
@@ -90,9 +109,9 @@ class FactorTables:
 
 @dataclass
 class VelocityBasis:
+    """The velocity modes as factor tables, plus their face traces."""
+
     modes: list[VelocityMode]
-    samples: np.ndarray                # [mode, comp, n1, n2, n3]
-    grad: np.ndarray                   # [mode, comp, dir, n1, n2, n3]
     face_samples: dict                 # PatchKind -> [mode, comp, f1, f2]
     k_max: tuple[int, int, int]
     factors: FactorTables              # comp 0..2
@@ -104,9 +123,10 @@ class VelocityBasis:
 
 @dataclass
 class TemperatureBasis:
+    """The temperature modes as factor tables and as a cosine band, plus
+    their cap traces."""
+
     modes: list[TemperatureMode]
-    samples: np.ndarray                # [mode, n1, n2, n3]
-    grad: np.ndarray                   # [mode, dir, n1, n2, n3]
     face_samples: dict                 # cap PatchKind -> [mode, f1, f2]
     eigenvalues: np.ndarray
     k_max: tuple[int, int, int]
@@ -275,7 +295,7 @@ def _factor_tables(axes, ks, amps, sin_axes) -> FactorTables:
     axis sin_axes[c] (None: cosines only), cosines along the others. A sine
     factor's end values are exact zeros.
     """
-    tables = FactorTables()
+    tables = FactorTables(k=ks)
     for amp, sin_axis in zip(amps, sin_axes):
         per_axis = []
         for a, ax in enumerate(axes):
@@ -291,27 +311,20 @@ def _factor_tables(axes, ks, amps, sin_axes) -> FactorTables:
     return tables
 
 
-def _synthesize(f, out=None) -> np.ndarray:
+def _synthesize(f) -> np.ndarray:
     """[mode, n1, n2, n3] outer products f[0][i] x f[1][i] x f[2][i]."""
     pair = f[0][:, :, None] * f[1][:, None, :]
-    return np.multiply(pair[..., None], f[2][:, None, None, :], out=out)
+    return pair[..., None] * f[2][:, None, None, :]
 
 
-def _sample(tables: FactorTables, grid: QuadratureGrid):
-    """Values [mode, comp, n1, n2, n3], gradients [mode, comp, dir, n1, n2, n3]
-    and face traces {PatchKind: [mode, comp, f1, f2]} of a family."""
-    m, nc = tables.val[0][0].shape[0], len(tables.val)
-    vals, grad = np.empty((m, nc, *grid.shape)), np.empty((m, nc, 3, *grid.shape))
-    for c in range(nc):
-        _synthesize(tables.factors(c), out=vals[:, c])
-        for d in range(3):
-            _synthesize(tables.factors(c, d), out=grad[:, c, d])
-    faces = {
+def _face_samples(tables: FactorTables, grid: QuadratureGrid) -> dict:
+    """Face traces {PatchKind: [mode, comp, f1, f2]} of a family."""
+    m, nc = tables.k.shape[0], len(tables.val)
+    return {
         p.kind: np.stack([_synthesize(tables.on_face(c, p)) for c in range(nc)], axis=1)
         .reshape(m, nc, p.nodes[0].size, p.nodes[1].size)
         for p in grid.patches
     }
-    return vals, grad, faces
 
 
 def _inner(f, g, weight: float) -> np.ndarray:
@@ -329,15 +342,38 @@ def _triple(f, g, h, weight: float) -> np.ndarray:
     return out
 
 
+def _project(values: np.ndarray, weight: float, f) -> np.ndarray:
+    """[i] quadrature of values f_i, for f = (f0, rows, index) of
+    FactorTables.split: the grid field is contracted with the distinct rows
+    of axes 2 and 1 into [n1, K1, K2], which is gathered per mode into
+    [n1, mode] and summed over axis 0 against f0. No transient has both a
+    mode axis and a grid axis beyond n1."""
+    f0, (r1, r2), (j1, j2) = f
+    t = r1 @ (values @ r2.T)
+    return weight * np.einsum("ix,xi->i", f0, t[:, j1, j2])
+
+
+def _pair(values: np.ndarray, weight: float, f, g) -> np.ndarray:
+    """[l, i] quadrature of values f_l g_i for two splits of FactorTables:
+    the projection onto the product family, whose distinct rows on axes 1
+    and 2 are products of the two families' rows. Its largest transient is
+    [n1, mode_f x mode_g]."""
+    (f0, fr, fj), (g0, gr, gj) = f, g
+    rows = [(a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1]) for a, b in zip(fr, gr)]
+    index = [(a[:, None] * b.shape[0] + c[None, :]).ravel() for a, b, c in zip(fj, gr, gj)]
+    f0g0 = (f0[:, None, :] * g0[None, :, :]).reshape(-1, f0.shape[1])
+    return _project(values, weight, (f0g0, rows, index)).reshape(f0.shape[0], g0.shape[0])
+
+
 def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     """Construct the first m modes ordered by Stokes Rayleigh quotient.
 
     Modes are analytically orthonormal and are kept as per-axis factor
-    tables, from which the samples, gradients and face traces are
-    synthesized. Two checks raise RuntimeError, like the Rayleigh-quotient
-    check of velocity_modes: a discrete Gram matrix that deviates from the
-    identity beyond 1e-12, and a normal trace that is not exactly 0, which
-    w.n = 0 on every face, for any coefficients, rests on.
+    tables, from which only the face traces are synthesized. Two checks
+    raise RuntimeError, like the Rayleigh-quotient check of velocity_modes:
+    a discrete Gram matrix that deviates from the identity beyond 1e-12,
+    and a normal trace that is not exactly 0, which w.n = 0 on every face,
+    for any coefficients, rests on.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -351,7 +387,7 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     # the normal trace of component c is its axis-c factor at the two ends
     if any(np.any(tables.ends[c][c]) for c in range(3)):
         raise RuntimeError("a velocity mode has a nonzero normal trace")
-    return VelocityBasis(modes, *_sample(tables, grid), tuple(ks.max(axis=0).tolist()), tables)
+    return VelocityBasis(modes, _face_samples(tables, grid), tuple(ks.max(axis=0).tolist()), tables)
 
 
 def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
@@ -362,12 +398,11 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
     ks, amp = np.array([md.k for md in modes]), np.array([md.amplitude for md in modes])
     axes = spectral.axes_for(grid)
     tables = _factor_tables(axes, ks, [amp], sin_axes=(None,))
-    phi, gphi, faces = _sample(tables, grid)
-    caps = {kind: v[:, 0] for kind, v in faces.items() if kind.is_cap}
+    caps = {kind: v[:, 0] for kind, v in _face_samples(tables, grid).items() if kind.is_cap}
     lam, k_max = np.array([md.eigenvalue for md in modes]), tuple(ks.max(axis=0).tolist())
     band = tuple(ax.cos_syn[:, : k + 1] for ax, k in zip(axes, k_max))
     index = np.ravel_multi_index(tuple(ks.T), tuple(k + 1 for k in k_max))
-    return TemperatureBasis(modes, phi[:, 0], gphi[:, 0], caps, lam, k_max, tables, band, index, amp)
+    return TemperatureBasis(modes, caps, lam, k_max, tables, band, index, amp)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +423,6 @@ class DeltaEval:
     grad: np.ndarray                   # [comp, dir, n1, n2, n3]
     dt_values: np.ndarray              # [comp, n1, n2, n3]
     faces: dict                        # PatchKind -> FaceDelta
-
-    def require_grad(self) -> np.ndarray:
-        return self.grad
 
 
 def sym_grad(grad: np.ndarray) -> np.ndarray:
@@ -453,22 +485,26 @@ class AssembledForms:
             _triple(V.factors(a), Th.factors(0, a), Th.factors(0), cv) for a in range(3)
         )
 
-    # -- static projections -------------------------------------------------
+    # -- projections of grid fields -------------------------------------------
 
     def project_velocity(self, values: np.ndarray) -> np.ndarray:
-        """<values, psi_j> for a sampled vector field."""
-        m = self.vb.m
-        return self.grid.cell_volume * np.einsum(
-            "jcg,cg->j",
-            self.vb.samples.reshape(m, 3, -1),
-            values.reshape(3, -1),
-        )
+        """<values, psi_j> for a sampled vector field [comp, n1, n2, n3]."""
+        V, cv = self.vb.factors, self.grid.cell_volume
+        return sum(_project(values[c], cv, V.split(c)) for c in range(3))
+
+    def project_velocity_grad(self, grads: np.ndarray) -> np.ndarray:
+        """sum_cd <grads[c, d], d_d psi_j,c> for sampled fields [c, d, n1, n2, n3]."""
+        V, cv = self.vb.factors, self.grid.cell_volume
+        return sum(_project(grads[c, d], cv, V.split(c, d)) for c in range(3) for d in range(3))
 
     def project_temperature(self, values: np.ndarray) -> np.ndarray:
-        mt = self.tb.m
-        return self.grid.cell_volume * np.einsum(
-            "jg,g->j", self.tb.samples.reshape(mt, -1), values.reshape(-1)
-        )
+        """<values, phi_j> for a sampled scalar field."""
+        return _project(values, self.grid.cell_volume, self.tb.factors.split(0))
+
+    def velocity_temperature_matrix(self, values: np.ndarray) -> np.ndarray:
+        """[j, k] = <phi_k values, psi_j> for a sampled vector field."""
+        V, Th, cv = self.vb.factors, self.tb.factors, self.grid.cell_volume
+        return sum(_pair(values[c], cv, V.split(c), Th.split(0)) for c in range(3))
 
     # -- lifting-dependent pieces --------------------------------------------
 
@@ -478,42 +514,29 @@ class AssembledForms:
         G_wdelta[l, i] = <psi_i . grad(delta), psi_l>
         G_deltaw[l, i] = <delta . grad(psi_i), psi_l>
         G_dtheta[l, i] = <delta . grad(phi_i), phi_l>
+
+        Each is a sum of pairwise contractions of two factor families
+        against one component of delta or of its gradient.
         """
-        grid = self.grid
-        m, mt = self.vb.m, self.tb.m
-        cv = grid.cell_volume
-        psi = self.vb.samples.reshape(m, 3, -1)
-        gpsi = self.vb.grad.reshape(m, 3, 3, -1)
-        dgrad = delta.grad.reshape(3, 3, -1)    # [c, d]
-        dvals = delta.values.reshape(3, -1)
-        gphi = self.tb.grad.reshape(mt, 3, -1)
+        V, Th, cv = self.vb.factors, self.tb.factors, self.grid.cell_volume
+        pairs = [(c, a) for c in range(3) for a in range(3)]
+        psi, phi = [V.split(c) for c in range(3)], Th.split(0)
         # (psi_i . grad(delta))_c = sum_a psi_i_a d_a delta_c
-        wd = np.einsum("iag,cag->icg", psi, dgrad).reshape(m, -1)
+        g_wd = sum(_pair(delta.grad[c, a], cv, psi[c], psi[a]) for c, a in pairs)
         # (delta . grad(psi_i))_c = sum_a delta_a d_a psi_i_c
-        dw = np.einsum("ag,icag->icg", dvals, gpsi).reshape(m, -1)
-        dth = np.einsum("ag,iag->ig", dvals, gphi)
-        psi_flat = psi.reshape(m, -1)
-        phi = self.tb.samples.reshape(mt, -1)
-        return cv * (psi_flat @ wd.T), cv * (psi_flat @ dw.T), cv * (phi @ dth.T)
+        g_dw = sum(_pair(delta.values[a], cv, psi[c], V.split(c, a)) for c, a in pairs)
+        g_dth = sum(_pair(delta.values[a], cv, phi, Th.split(0, a)) for a in range(3))
+        return g_wd, g_dw, g_dth
 
     def forcing_F_volume(self, delta: DeltaEval) -> np.ndarray:
         """<-delta_t - delta . grad(delta), psi_j>."""
-        dvals = delta.values
-        adv = np.einsum("ag,cag->cg", dvals.reshape(3, -1), delta.grad.reshape(3, 3, -1))
-        integrand = -delta.dt_values.reshape(3, -1) - adv
-        m = self.vb.m
-        return self.grid.cell_volume * np.einsum(
-            "jcg,cg->j", self.vb.samples.reshape(m, 3, -1), integrand
-        )
+        adv = np.einsum("ag,cag->cg", delta.values.reshape(3, -1), delta.grad.reshape(3, 3, -1))
+        return self.project_velocity(-delta.dt_values - adv.reshape(delta.values.shape))
 
     def forcing_F_form(self, delta: DeltaEval) -> np.ndarray:
         """-(nu/2) int D(delta):D(psi_j): the volume piece of nu div D(delta)."""
-        m = self.vb.m
-        gpsi = self.vb.grad.reshape(m, 3, 3, -1)
-        ddelta = sym_grad(delta.grad).reshape(3, 3, -1)
         # D(delta):D(psi) = 2 sum_{cd} D(delta)[c,d] d_d psi_c by symmetry
-        val = 2.0 * self.grid.cell_volume * np.einsum("cdg,jcdg->j", ddelta, gpsi)
-        return -(self.nu / 2.0) * val
+        return -self.nu * self.project_velocity_grad(sym_grad(delta.grad))
 
     def _face_stress(self, patch, fdelta: FaceDelta) -> list[np.ndarray]:
         """n . D(delta) . tau_alpha on one face, for alpha = 1, 2."""

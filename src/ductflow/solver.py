@@ -313,10 +313,7 @@ class DeltaProvider:
         out["F_form"] = forms.forcing_F_form(delta_1)
         out["P"] = forms.project_velocity(delta_1.values)
         out["F_adv"] = forms.forcing_F_volume(delta_1)  # delta_1 is still: dt_values = 0
-        gpsi = forms.vb.grad.reshape(forms.vb.m, 3, 3, -1)
-        out["Q"] = grid.cell_volume * np.einsum(
-            "icdg,cdg->i", gpsi, delta_1.grad.reshape(3, 3, -1)
-        )
+        out["Q"] = forms.project_velocity_grad(delta_1.grad)
         out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
         out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
         out["max_abs"] = float(np.max(np.abs(delta_1.values)))
@@ -393,7 +390,6 @@ class GalerkinSolver:
             kappa_heat=config.kappa_heat,
             s2_stress_includes_nu=config.s2_stress_nu,
         )
-        self._psi_flat = self.vb.samples.reshape(config.m, 3, -1)
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
         self.profile = profile_of(config)
@@ -459,7 +455,14 @@ class GalerkinSolver:
         return (out.reshape(-1, k3) @ c3.T).reshape(self.grid.shape)
 
     def w_values(self, state: State) -> np.ndarray:
-        return np.einsum("i,icg->cg", state.c, self._psi_flat).reshape(3, *self.grid.shape)
+        """w on the grid by sum factorization: per component, the axis-0 and
+        axis-1 factors weighted by c, [mode, n1, n2], then one matmul
+        against the axis-2 factors."""
+        out = np.empty((3, *self.grid.shape))
+        for c, f in enumerate(self.vb.factors.val):
+            pair = (state.c[:, None] * f[0])[:, :, None] * f[1][:, None, :]
+            out[c] = (pair.reshape(state.c.size, -1).T @ f[2]).reshape(self.grid.shape)
+        return out
 
     def rhs_terms(self, state: State):
         """(velocity, temperature) dicts of every weak-form term at one state.
@@ -523,12 +526,10 @@ class GalerkinSolver:
                 norms=self._omega_f_norms(np.zeros(self.grid.shape)),
             )
         if cfg.omega_kind == "linear":
-            # two stages: psi . f per node, then one matmul over the nodes
-            psi_f = np.einsum("jcg,cg->jg", self._psi_flat, self.f_values.reshape(3, -1))
             return dict(
                 kind="linear",
                 P=forms.project_velocity(self.f_values),
-                M=self.grid.cell_volume * (psi_f @ self.tb.samples.reshape(self.tb.m, -1).T),
+                M=forms.velocity_temperature_matrix(self.f_values),
             )
         return dict(kind=cfg.omega_kind)
 

@@ -11,6 +11,25 @@ import math
 import numpy as np
 
 
+def family_fields(tables):
+    """(values [mode, comp, n1, n2, n3], grad [mode, comp, dir, n1, n2, n3])
+    of a mode family, synthesized densely from its factor tables: each
+    component is the outer product f[0][i] x f[1][i] x f[2][i] of its axis
+    factors, differentiated along one axis for the gradient. These are the
+    per-mode grid arrays the package does not keep."""
+
+    def outer(f):
+        pair = f[0][:, :, None] * f[1][:, None, :]
+        return pair[..., None] * f[2][:, None, None, :]
+
+    comps = range(len(tables.val))
+    values = np.stack([outer(tables.factors(c)) for c in comps], axis=1)
+    grad = np.stack(
+        [np.stack([outer(tables.factors(c, d)) for d in range(3)], axis=1) for c in comps], axis=1
+    )
+    return values, grad
+
+
 def velocity_mode_fields(mode, grid):
     """(values[3, ...], grad[3, 3, ...]) of one velocity mode, from formulas."""
     spec = grid.spec

@@ -45,7 +45,7 @@ def forms(grid, vb, tb):
 
 
 def test_sampled_divergence_vanishes(vb, grid):
-    g = vb.grad
+    _, g = oracles.family_fields(vb.factors)
     div = g[:, 0, 0] + g[:, 1, 1] + g[:, 2, 2]
     assert np.max(np.abs(div)) <= 1e-12
 
@@ -59,7 +59,7 @@ def test_normal_trace_vanishes_on_all_faces(vb, grid):
 
 def test_gram_matrix_is_identity(vb, grid):
     m = vb.m
-    psi = vb.samples.reshape(m, 3, -1)
+    psi = oracles.family_fields(vb.factors)[0].reshape(m, 3, -1)
     gram = grid.cell_volume * np.einsum("iag,jag->ij", psi, psi)
     assert np.max(np.abs(gram - np.eye(m))) <= 1e-10
 
@@ -67,7 +67,7 @@ def test_gram_matrix_is_identity(vb, grid):
 def test_gram_identity_up_to_32(grid):
     vb = build_velocity_basis(grid, 32)
     m = vb.m
-    psi = vb.samples.reshape(m, 3, -1)
+    psi = oracles.family_fields(vb.factors)[0].reshape(m, 3, -1)
     gram = grid.cell_volume * np.einsum("iag,jag->ij", psi, psi)
     assert np.max(np.abs(gram - np.eye(m))) <= 1e-10
 
@@ -108,29 +108,30 @@ def test_ordering_deterministic(grid):
     a = build_velocity_basis(grid, 12)
     b = build_velocity_basis(grid, 12)
     assert [md.k for md in a.modes] == [md.k for md in b.modes]
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(oracles.family_fields(a.factors)[0], oracles.family_fields(b.factors)[0])
     rq = [round(md.rayleigh, 9) for md in a.modes]
     assert rq == sorted(rq)
 
 
 def test_mode_samples_match_formula_oracle(vb, grid):
+    samples, grads = oracles.family_fields(vb.factors)
     for idx in (0, 3, vb.m - 1):
         vals, grad = oracles.velocity_mode_fields(vb.modes[idx], grid)
-        assert np.max(np.abs(vals - vb.samples[idx])) < 1e-12
-        assert np.max(np.abs(grad - vb.grad[idx])) < 1e-11
+        assert np.max(np.abs(vals - samples[idx])) < 1e-12
+        assert np.max(np.abs(grad - grads[idx])) < 1e-11
 
 
 def test_temperature_constant_mode(tb, grid):
     md = tb.modes[0]
     assert md.k == (0, 0, 0)
     expected = 1.0 / np.sqrt(grid.spec.volume)
-    assert np.max(np.abs(tb.samples[0] - expected)) < 1e-14
+    assert np.max(np.abs(oracles.family_fields(tb.factors)[0][0, 0] - expected)) < 1e-14
     assert tb.eigenvalues[0] == 0.0
 
 
 def test_temperature_orthonormal(tb, grid):
     mt = tb.m
-    phi = tb.samples.reshape(mt, -1)
+    phi = oracles.family_fields(tb.factors)[0].reshape(mt, -1)
     gram = grid.cell_volume * phi @ phi.T
     assert np.max(np.abs(gram - np.eye(mt))) <= 1e-10
 

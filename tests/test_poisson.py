@@ -101,7 +101,7 @@ def test_div_delta_vanishes_at_nodes():
     ext = build_b(prof, PARAMS, grid, 0.0)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
-    g = delta.require_grad()
+    g = delta.grad
     div = g[0, 0] + g[1, 1] + g[2, 2]
     div_l2 = math.sqrt(grid.integrate(div**2))
     b_h1 = math.sqrt(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
     st0 = solver.initial_state()
     k = solver.delta_provider.couplings
     assert abs(st0.c @ k["P"]) > 1e-5 and abs(st0.c @ k["Q"]) > 1e-3
-    gpsi = solver.vb.grad.reshape(solver.vb.m, 3, 3, -1)
+    gpsi = oracles.family_fields(solver.vb.factors)[1].reshape(solver.vb.m, 3, 3, -1)
     shape = cap_norms(prof, grid)
     for t in (0.0, 0.03, 0.17, 0.41):
         state = State(t=t, c=st0.c, dcoef=st0.dcoef)
@@ -535,9 +536,103 @@ def test_theta_values_match_the_dense_synthesis(kw):
     solver = GalerkinSolver(small_config(**kw))
     tb = solver.tb
     dcoef = np.random.default_rng(4).standard_normal(tb.m)
-    ref = (dcoef @ tb.samples.reshape(tb.m, -1)).reshape(solver.grid.shape)
+    ref = (dcoef @ oracles.family_fields(tb.factors)[0].reshape(tb.m, -1)).reshape(solver.grid.shape)
     got = solver.theta_values(State(t=0.0, c=np.zeros(solver.config.m), dcoef=dcoef))
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_factor_table_contractions_match_the_dense_fields():
+    # every contraction of the modes with a grid field runs axis by axis
+    # through the factor tables; on a box whose three node counts and three
+    # lengths all differ, an axis taken for another cannot go unseen. The
+    # reference sums the dense per-mode fields over the nodes
+    cfg = oracle_config(L1=1.3, L2=0.8, a=0.7, N1=10, N2=12, N3=16, m=16, init_v="zero")
+    solver = GalerkinSolver(cfg)
+    forms, grid, m = solver.forms, solver.grid, cfg.m
+    cv = grid.cell_volume
+    psi, gpsi = oracles.family_fields(solver.vb.factors)
+    psi, gpsi = psi.reshape(m, 3, -1), gpsi.reshape(m, 3, 3, -1)
+    phi, gphi = oracles.family_fields(solver.tb.factors)
+    phi, gphi = phi.reshape(solver.tb.m, -1), gphi.reshape(solver.tb.m, 3, -1)
+    dpsi = gpsi + np.swapaxes(gpsi, 1, 2)   # D(psi_i)[a, b] = d_a psi_b + d_b psi_a
+
+    rng = np.random.default_rng(11)
+    field = rng.standard_normal((3, *grid.shape))
+    c = rng.standard_normal(m)
+    solver.f_values = field  # a generic forcing makes M a generic coupling
+    k = solver.delta_provider.couplings
+    delta = solver.delta_provider.lifting[2]
+    generic = DeltaEval(values=field, grad=rng.standard_normal((3, 3, *grid.shape)),
+                        dt_values=np.zeros_like(field), faces={})
+
+    def couplings(d):
+        dvals, dgrad = d.values.reshape(3, -1), d.grad.reshape(3, 3, -1)
+        wd = np.einsum("iag,cag->icg", psi, dgrad)
+        dw = np.einsum("ag,icag->icg", dvals, gpsi)
+        dth = np.einsum("ag,iag->ig", dvals, gphi)
+        return (cv * np.einsum("lcg,icg->li", psi, wd), cv * np.einsum("lcg,icg->li", psi, dw),
+                cv * phi @ dth.T)
+
+    dgrad = delta.grad.reshape(3, 3, -1)
+    ddelta = oracles.sym(delta.grad).reshape(3, 3, -1)
+    checks = {
+        "project_velocity": (forms.project_velocity(field),
+                             cv * np.einsum("jcg,cg->j", psi, field.reshape(3, -1))),
+        "project_temperature": (forms.project_temperature(field[1]), cv * phi @ field[1].ravel()),
+        "w_values": (solver.w_values(State(t=0.0, c=c, dcoef=np.zeros(solver.tb.m))),
+                     np.einsum("i,icg->cg", c, psi).reshape(field.shape)),
+        "Q": (k["Q"], cv * np.einsum("icdg,cdg->i", gpsi, dgrad)),
+        "F_form": (k["F_form"], -(cfg.nu / 2.0) * cv * np.einsum("cdg,icdg->i", ddelta, dpsi)),
+        "M": (solver._forcing["M"],
+              cv * np.einsum("jcg,kg->jk", np.einsum("jcg,cg->jcg", psi, field.reshape(3, -1)), phi)),
+    }
+    for name, got, ref in zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(generic), couplings(generic)):
+        checks[name + " generic"] = (got, ref)
+    for name, ref in zip(("G_wd", "G_dw", "G_dth"), couplings(delta)):
+        checks[name] = (k[name], ref)
+    for name, (got, ref) in checks.items():
+        assert got.shape == ref.shape, name
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from obj through attributes, dicts, lists and tuples."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        children = getattr(obj, "__dict__", {}).values()
+    for child in children:
+        yield from _arrays(child, seen)
+
+
+def test_setup_keeps_no_per_mode_grid_array():
+    # a flux run at m = 32 on 16x16x32: the bases once kept 16 grid-sized
+    # arrays per mode, vb.grad alone m 9 N doubles (18.9 MB). Building the
+    # solver and the lifting couplings must take less memory at its peak
+    # than vb.grad did, and nothing the solver keeps may hold m N entries
+    cfg = ScenarioConfig(m=32, flux_profile="pulsed", flux_amplitude=0.6, flux_beta=0.4,
+                         flux_period=0.5)
+    tracemalloc.start()
+    try:
+        solver = GalerkinSolver(cfg)
+        solver.delta_provider.couplings
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = int(np.prod(solver.grid.shape))
+    assert peak < cfg.m * 9 * nodes * 8, f"peak {peak / 1e6:.1f} MB"
+    seen = set()
+    for root in (solver, solver.vb, solver.tb, solver.forms):
+        for arr in _arrays(root, seen):
+            assert arr.size < cfg.m * nodes, arr.shape
 
 
 def test_coefficient_norms_match_grid_quadrature():
