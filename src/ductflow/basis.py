@@ -18,13 +18,23 @@ Temperature modes are the Neumann-natural all-cosine family including the
 constant.
 
 Every mode component is amplitude x f1(x1) f2(x2) f3(x3), so each family is
-stored once, as per-axis factor tables; no per-mode grid array is kept. Only
-the face traces are synthesized, as outer products of table rows. The
-quadrature is a tensor midpoint rule, so every assembled form is a sum of
-products of three 1D sums, and every contraction of the modes with a grid
-field (projections, the lifting couplings) is sum-factorized: the field is
-contracted axis by axis with the tables. A discrete Gram matrix that
-deviates from the identity stops the build.
+stored once, as per-axis factor tables; no per-mode array on the quadrature
+grid is kept. Only the face traces are synthesized, as outer products of
+table rows. The quadrature is a tensor midpoint rule, so every assembled
+form is a sum of products of three 1D sums, and every contraction of the
+modes with a grid field (projections, the lifting couplings) is
+sum-factorized: the field is contracted axis by axis with the tables. A
+discrete Gram matrix that deviates from the identity stops the build.
+
+The transport terms are computed, not stored: no tensor of m^3 entries is
+built. The midpoint rule on n nodes is exact for triple products of
+factors up to wavenumber k when 3 k <= 2 n - 1 (the AliasingError rule of
+the quadrature grid). The same rule sizes a second, small transport grid
+by the modes' own band, n_a = ceil((3 k_a + 1) / 2) with k_a the larger of
+the velocity and temperature band on axis a (4x4x7 at m = 16 and 32 on the
+default 1x1x2 box). The modes are sampled there once; per call, w, grad w
+and grad theta are synthesized with one matmul each, multiplied pointwise
+and projected back exactly (AssembledForms.transport).
 """
 
 from __future__ import annotations
@@ -317,6 +327,16 @@ def _synthesize(f) -> np.ndarray:
     return pair[..., None] * f[2][:, None, None, :]
 
 
+def _sampled(tables: FactorTables, fields) -> np.ndarray:
+    """[mode, len(fields) n1 n2 n3]: component c differentiated along d, for
+    each (c, d) of fields, sampled at the nodes of the tables' grid."""
+    m = tables.k.shape[0]
+    out = np.empty((m, len(fields), math.prod(f.shape[1] for f in tables.val[0])))
+    for i, (c, d) in enumerate(fields):
+        out[:, i] = _synthesize(tables.factors(c, d)).reshape(m, -1)
+    return out.reshape(m, -1)
+
+
 def _face_samples(tables: FactorTables, grid: QuadratureGrid) -> dict:
     """Face traces {PatchKind: [mode, comp, f1, f2]} of a family."""
     m, nc = tables.k.shape[0], len(tables.val)
@@ -330,16 +350,6 @@ def _face_samples(tables: FactorTables, grid: QuadratureGrid) -> dict:
 def _inner(f, g, weight: float) -> np.ndarray:
     """[i, j] quadrature of f_i g_j for tensor factors: weight prod_a f_a g_a^T."""
     return weight * (f[0] @ g[0].T) * (f[1] @ g[1].T) * (f[2] @ g[2].T)
-
-
-def _triple(f, g, h, weight: float) -> np.ndarray:
-    """[i, j, l] quadrature of f_i g_j h_l for tensor factors: weight times
-    the product over axes of sum_x f_a[i, x] g_a[j, x] h_a[l, x]."""
-    out = weight
-    for fa, ga, ha in zip(f, g, h):
-        fg = (fa[:, None, :] * ga[None, :, :]).reshape(-1, fa.shape[1])
-        out = out * (fg @ ha.T).reshape(fa.shape[0], ga.shape[0], ha.shape[0])
-    return out
 
 
 def _project(values: np.ndarray, weight: float, f) -> np.ndarray:
@@ -437,7 +447,8 @@ def sym_grad(grad: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AssembledForms:
-    """Time-independent matrices/tensors plus builders for the lifting terms."""
+    """Time-independent matrices, the transport kernel, and builders for the
+    lifting terms."""
 
     grid: QuadratureGrid
     vb: VelocityBasis
@@ -450,8 +461,11 @@ class AssembledForms:
     K_fric: np.ndarray = field(init=False)
     K_theta: np.ndarray = field(init=False)
     G_grad_w: np.ndarray = field(init=False)
-    T_vel: np.ndarray = field(init=False)
-    T_th: np.ndarray = field(init=False)
+    # the modes sampled on the transport grid of P nodes, per mode: psi_c,
+    # then d_a psi_c (a major); phi, then d_a phi
+    _w_table: np.ndarray = field(init=False, repr=False)       # [mode, 12 P]
+    _theta_table: np.ndarray = field(init=False, repr=False)   # [mode, 4 P]
+    _transport_cell: float = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -479,11 +493,41 @@ class AssembledForms:
             for p in lateral for tau in (p.tau1, p.tau2) for c, d in pairs if tau[c] * tau[d]
         )
 
-        # T_vel[i, j, l] = <psi_i . grad psi_j, psi_l>, T_th likewise with phi
-        self.T_vel = sum(_triple(V.factors(a), V.factors(c, a), V.factors(c), cv) for a, c in pairs)
-        self.T_th = sum(
-            _triple(V.factors(a), Th.factors(0, a), Th.factors(0), cv) for a in range(3)
-        )
+        # the transport grid: n = ceil((3 k + 1) / 2) nodes, the fewest with
+        # 3 k <= 2 n - 1, for k the larger band of the modes on each axis
+        shape = tuple((3 * max(kv, kt) + 2) // 2 for kv, kt in zip(self.vb.k_max, self.tb.k_max))
+        lengths = grid.spec.lengths
+        axes = tuple(spectral.AxisTransform.build(n, L) for n, L in zip(shape, lengths))
+        coef = np.array([md.coef for md in self.vb.modes]).T
+        Vt = _factor_tables(axes, V.k, coef, sin_axes=(0, 1, 2))
+        Tt = _factor_tables(axes, Th.k, [self.tb.amplitude], sin_axes=(None,))
+        psi, grad_psi = [(c, None) for c in range(3)], [(c, a) for a in range(3) for c in range(3)]
+        self._w_table = _sampled(Vt, psi + grad_psi)
+        self._theta_table = _sampled(Tt, [(0, None), (0, 0), (0, 1), (0, 2)])
+        self._transport_cell = math.prod(lengths) / math.prod(shape)
+
+    # -- transport --------------------------------------------------------------
+
+    def transport(self, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple:
+        """(sum_ij a_i b_j <psi_i . grad psi_j, psi_l>,
+        sum_ij a_i d_j <psi_i . grad phi_j, phi_l>), bilinear in (a, b) and in
+        (a, d): with w = sum a_i psi_i, the projections of (w . grad) u and
+        w . grad theta for u = sum b_j psi_j and theta = sum d_j phi_j.
+
+        w, grad u and grad theta are synthesized on the transport grid, the
+        products formed pointwise and projected back, one matmul each. That
+        grid's midpoint rule integrates every triple product of modes
+        exactly, so the result is the exact weak form up to rounding.
+        """
+        W, Th = self._w_table, self._theta_table
+        n = Th.shape[1] // 4
+        # w carries the quadrature weight into both pointwise products
+        w = (a @ W[:, : 3 * n]).reshape(3, 1, n) * self._transport_cell
+        grad_u = (b @ W[:, 3 * n :]).reshape(3, 3, n)   # [a, c] = d_a u_c
+        grad_th = (d @ Th[:, n:]).reshape(3, n)
+        conv = (w * grad_u).sum(axis=0)
+        adv = (w[:, 0] * grad_th).sum(axis=0)
+        return W[:, : 3 * n] @ conv.ravel(), Th[:, :n] @ adv
 
     # -- projections of grid fields -------------------------------------------
 

@@ -143,6 +143,8 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown hopf mode {self.hopf_mode!r}")
         if self.init_v not in ("zero", "extension", "modes"):
             raise ScenarioError(f"unknown initial velocity kind {self.init_v!r}")
+        if self.init_v == "modes" and self.init_v_nmodes < 1:
+            raise ScenarioError(f"init.v = modes needs init.v_nmodes >= 1, got {self.init_v_nmodes}")
         if self.init_theta not in ("zero", "constant", "bump", "front"):
             raise ScenarioError(f"unknown initial temperature kind {self.init_theta!r}")
 
@@ -472,6 +474,9 @@ class GalerkinSolver:
         implicit part is the Crank-Nicolson one (``visc + fric`` for the
         velocity, ``diff`` for the temperature). The stepper and the oracle
         tests both read these dicts, so the tested terms are the stepped ones.
+        The transport terms come from ``forms.transport``, on a transport
+        grid of ceil((3 k_a + 1) / 2) midpoint nodes per axis (k_a the larger
+        band of the modes), where 3 k_a <= 2 n_a - 1 makes them exact.
         The lifting terms are the provider's couplings of delta_1 scaled by
         s(t) and s'(t) at ``state.t``; without flux they are zero. The
         forcing term comes from ``_forcing``, so theta is synthesized on the
@@ -479,9 +484,8 @@ class GalerkinSolver:
         """
         forms = self.forms
         c, dcoef = state.c, state.dcoef
-        m, mt = c.size, dcoef.size
-        vel = {}
-        vel["conv_www"] = c @ (c @ forms.T_vel.reshape(m, -1)).reshape(m, m)
+        conv_www, adv = forms.transport(c, c, dcoef)
+        vel = {"conv_www": conv_www}
         vel["visc"] = forms.K_visc @ c
         vel["fric"] = forms.K_fric @ c
         vel["f_omega"] = self._f_omega(state)
@@ -494,7 +498,7 @@ class GalerkinSolver:
         vel["F_vol"] = s * s * k["F_adv"] - s_t * k["P"]
         vel["F_form"] = s * k["F_form"]
         th = {"diff": forms.K_theta @ dcoef}
-        th["adv"] = dcoef @ (c @ forms.T_th.reshape(m, -1)).reshape(mt, mt) + s * (k["G_dth"] @ dcoef)
+        th["adv"] = adv + s * (k["G_dth"] @ dcoef)
         vel["explicit"] = (
             -vel["conv_www"] + vel["f_omega"]
             - vel["conv_wdelta"] - vel["conv_deltaw"]

@@ -153,6 +153,16 @@ def forms_by_quadrature(vmodes, tmodes, grid, nu, gamma, kappa_heat):
     return out
 
 
+def kernel_tensors(forms):
+    """(T_vel, T_th) read off forms.transport entry by entry with unit
+    vectors: T_vel[i, j] = transport(e_i, e_j, .)[0] and T_th[i, j] =
+    transport(e_i, ., e_j)[1]."""
+    ev, et = np.eye(forms.vb.m), np.eye(forms.tb.m)
+    t_vel = np.array([[forms.transport(a, b, et[0])[0] for b in ev] for a in ev])
+    t_th = np.array([[forms.transport(a, ev[0], d)[1] for d in et] for a in ev])
+    return t_vel, t_th
+
+
 def dense_transport(a, b, T):
     """sum_ij a_i b_j T[i, j, l], the three-operand contraction of a transport
     tensor (T_vel with a = b = c, T_th with a = c and b = dcoef)."""

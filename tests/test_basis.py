@@ -177,25 +177,41 @@ def test_zero_gamma_kills_friction(grid, vb, tb):
     assert np.max(np.abs(f0.K_fric)) == 0.0
 
 
-def test_transport_skew_symmetry(forms):
+@pytest.fixture(scope="module")
+def transport(forms, grid):
+    """(kernel T_vel, kernel T_th, oracle T_vel, oracle T_th) of the module forms."""
+    vmodes, tmodes = forms.vb.modes, forms.tb.modes
+    ref = oracles.forms_by_quadrature(vmodes, tmodes, grid, nu=1.0, gamma=1.0, kappa_heat=1.0)
+    return (*oracles.kernel_tensors(forms), ref["T_vel"], ref["T_th"])
+
+
+def close_to(got, expected, tol=1e-12):
+    return np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
+
+
+def test_transport_skew_symmetry(transport):
     # <w.grad psi_j, psi_l> is skew in (j, l) for any divergence-free w
     # with vanishing normal trace; exact at quadrature level here.
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(forms.vb.m)
-    S = np.einsum("i,ijl->jl", a, forms.T_vel)
+    T_vel, _, ref, _ = transport
+    a = np.random.default_rng(5).standard_normal(T_vel.shape[0])
+    S = np.einsum("i,ijl->jl", a, T_vel)
+    assert close_to(S, np.einsum("i,ijl->jl", a, ref))
     scale = max(1.0, np.max(np.abs(S)))
     assert np.max(np.abs(S + S.T)) <= 1e-8 * scale
 
 
-def test_temperature_advection_conserves_mean(forms):
+def test_temperature_advection_conserves_mean(transport):
     # constant temperature mode never receives advective input
-    assert np.max(np.abs(forms.T_th[:, :, 0])) <= 1e-12
+    _, T_th, _, ref = transport
+    assert close_to(T_th, ref)
+    assert np.max(np.abs(T_th[:, :, 0])) <= 1e-12
 
 
-def test_temperature_advection_skew(forms):
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal(forms.vb.m)
-    S = np.einsum("i,ijl->jl", a, forms.T_th)
+def test_temperature_advection_skew(transport):
+    _, T_th, _, ref = transport
+    a = np.random.default_rng(6).standard_normal(T_th.shape[0])
+    S = np.einsum("i,ijl->jl", a, T_th)
+    assert close_to(S, np.einsum("i,ijl->jl", a, ref))
     scale = max(1.0, np.max(np.abs(S)))
     assert np.max(np.abs(S + S.T)) <= 1e-8 * scale
 
@@ -243,15 +259,21 @@ def test_nonzero_normal_trace_stops_the_build(grid, monkeypatch):
 @pytest.mark.parametrize("box, shape, m", [
     ((3.0, 0.5, 0.5), (16, 8, 16), 24),
     ((0.3, 1.7, 0.45), (12, 16, 20), 32),
+    ((1.3, 0.8, 0.7), (12, 16, 20), 64),
 ])
 def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
     spec = DomainSpec(L1=box[0], L2=box[1], a=box[2], N1=shape[0], N2=shape[1], N3=shape[2])
     _, grid = build_domain(spec)
     vb, tb = build_velocity_basis(grid, m), build_temperature_basis(grid, m)
+    if m == 64:
+        # the temperature band exceeds the velocity band on axes 1 and 2, so
+        # the transport grid needs the larger of the two bands on every axis
+        assert vb.k_max == (4, 2, 4) and tb.k_max == (4, 3, 5)
     forms = assemble_forms(vb, tb, grid, nu=0.7, gamma=1.3, kappa_heat=0.9)
     ref = oracles.forms_by_quadrature(vb.modes, tb.modes, grid, nu=0.7, gamma=1.3, kappa_heat=0.9)
+    kernel = dict(zip(("T_vel", "T_th"), oracles.kernel_tensors(forms)))
     for name, expected in ref.items():
-        got = getattr(forms, name)
+        got = kernel[name] if name in kernel else getattr(forms, name)
         assert got.shape == expected.shape, name
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 

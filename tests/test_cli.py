@@ -320,6 +320,8 @@ def test_zero_flux_amplitude_is_no_flux(tmp_path):
     ("forcing.vector", "1.0, 2.0"),
     ("forcing.vector", "1, 2, 3, 4"),
     ("forcing.vector", "1.0, nan, 0.0"),
+    ("init.v_nmodes", "0"),
+    ("init.v_nmodes", "-2"),
 ])
 def test_check_rejects_the_numbers_run_fails_on(tmp_path, capsys, key, value):
     scn = scenario_with(tmp_path, QUICK, {key: value})

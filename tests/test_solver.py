@@ -6,9 +6,15 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
-from ductflow.basis import AssembledForms, DeltaEval
+from ductflow.basis import (
+    AssembledForms,
+    DeltaEval,
+    assemble_forms,
+    build_temperature_basis,
+    build_velocity_basis,
+)
 from ductflow.errors import NumericalAbort, ScenarioError
-from ductflow.domain import PatchKind
+from ductflow.domain import PatchKind, build_domain
 import ductflow.hopf as hopf_mod
 from ductflow.hopf import build_b, cap_norms, check_compatibility
 from ductflow.poisson import delta_field, solve_neumann
@@ -83,6 +89,15 @@ def test_zero_everything_stays_zero():
     res = solver.run_windows()
     assert np.max(res.series["w_l2sq"]) == 0.0
     assert np.max(res.series["th_l2sq"]) == 0.0
+
+
+def oracle_transport(solver):
+    """(T_vel, T_th) of the solver's modes by quadrature of the formula fields."""
+    cfg = solver.config
+    ref = oracles.forms_by_quadrature(
+        solver.vb.modes, solver.tb.modes, solver.grid, cfg.nu, cfg.gamma, cfg.kappa_heat
+    )
+    return ref["T_vel"], ref["T_th"]
 
 
 def oracle_config(**kw) -> ScenarioConfig:
@@ -266,6 +281,7 @@ def test_scaled_lifting_matches_direct_rebuild():
         assert scale > 0.0, label
         assert np.max(np.abs(got - ref)) <= tol * scale, label
 
+    _, T_th = oracle_transport(solver)
     h = 1e-5
     for t in (0.03, 0.17, 0.41):
         delta = solver.delta_provider(t)
@@ -296,7 +312,7 @@ def test_scaled_lifting_matches_direct_rebuild():
         }
         for key, ref in expected.items():
             close(vel[key], ref, 1e-12, (key, t))
-        adv_w = oracles.dense_transport(state.c, state.dcoef, forms.T_th)
+        adv_w = oracles.dense_transport(state.c, state.dcoef, T_th)
         close(th["adv"] - adv_w, g_dth @ state.dcoef, 1e-12, ("adv", t))
 
 
@@ -513,17 +529,23 @@ def test_window_bookkeeping():
 
 @pytest.mark.parametrize("m", [1, 16, 32])
 def test_transport_matches_the_dense_contraction(m):
-    # rhs_terms contracts T_vel and T_th with two matrix-vector products; the
-    # three-operand einsum is the reference. Without flux th["adv"] is the
-    # transport alone. At m = 1 the only temperature mode is the constant
+    # rhs_terms takes the transport from forms.transport; the reference is
+    # the three-operand contraction of the tensors built by quadrature of
+    # the formula fields. Without flux th["adv"] is the transport alone. At
+    # m = 1 both terms are exactly 0 (one velocity mode, and the constant
+    # temperature mode), so only their rounding is bounded
     rng = np.random.default_rng(m)
     solver = GalerkinSolver(ScenarioConfig(m=m))
-    forms = solver.forms
     state = State(t=0.0, c=rng.standard_normal(m), dcoef=rng.standard_normal(solver.tb.m))
     vel, th = solver.rhs_terms(state)
-    for got, ref in ((vel["conv_www"], oracles.dense_transport(state.c, state.c, forms.T_vel)),
-                     (th["adv"], oracles.dense_transport(state.c, state.dcoef, forms.T_th))):
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), m
+    T_vel, T_th = oracle_transport(solver)
+    kappa_max = math.sqrt(max(md.rayleigh for md in solver.vb.modes) / 2.0)
+    for got, ref in ((vel["conv_www"], oracles.dense_transport(state.c, state.c, T_vel)),
+                     (th["adv"], oracles.dense_transport(state.c, state.dcoef, T_th))):
+        if m == 1:
+            assert np.max(np.abs(got)) <= 1e-14 * float(state.c @ state.c) * kappa_max
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), m
 
 
 @pytest.mark.parametrize("kw", [
@@ -635,6 +657,23 @@ def test_setup_keeps_no_per_mode_grid_array():
             assert arr.size < cfg.m * nodes, arr.shape
 
 
+def test_assembly_allocates_no_cube_of_m():
+    # at m = 128 on 16x16x32 no array of m^3 entries is reachable from the
+    # forms, and assembly peaks below 32 MB, less than two m^3 float
+    # tensors (34 MB)
+    m = 128
+    _, grid = build_domain(ScenarioConfig(m=m).domain_spec())
+    vb, tb = build_velocity_basis(grid, m), build_temperature_basis(grid, m)
+    tracemalloc.start()
+    try:
+        forms = assemble_forms(vb, tb, grid, nu=1.0, gamma=1.0, kappa_heat=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(arr.size for arr in _arrays(forms, set())) < m**3
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_coefficient_norms_match_grid_quadrature():
     cfg = small_config(
         init_v="modes", init_v_amplitude=0.5,
@@ -681,7 +720,7 @@ def test_single_mode_rhs_identity():
     state = State(t=0.0, c=e1, dcoef=np.zeros(solver.tb.m))
     rhs = solver.rhs_terms(state)[0]["total"]
     L = solver.forms.K_visc + solver.forms.K_fric
-    conv = oracles.dense_transport(e1, e1, solver.forms.T_vel)
+    conv = oracles.dense_transport(e1, e1, oracle_transport(solver)[0])
     assert abs(conv[0]) <= 1e-10  # skew transport: <psi1.grad psi1, psi1> = 0
     assert np.max(np.abs(rhs - (-L @ e1 - conv))) < 1e-12
 
