@@ -5,11 +5,14 @@ all-cosine tensor family, which satisfies the boundary condition on every
 face identically. The data is the cosine interpolant of the nodal samples
 of -div b, so the discrete divergence of the corrected field delta = b +
 grad(phi) vanishes at every quadrature node; that is the computable sense
-in which delta is divergence free. phi comes back as a ScalarField with its
-spectral gradient and Hessian attached. delta_field assembles delta and its
-gradient once, on the grid and on all six faces alike, from the samples of b
-that build_b made and one synthesis of the derivatives of phi, _derivatives;
-the result is the forms' DeltaEval.
+in which delta is divergence free. The solution carries phi as a ScalarField
+with its spectral gradient and Hessian, its coefficients and the per-axis
+transforms they live in. delta_field assembles delta and its gradient once,
+on the grid and on all six faces alike, from the samples of b that build_b
+made and one synthesis of the derivatives of phi in those transforms,
+_derivatives; on a face, d_n phi and its tangential derivatives are exact
+zeros (the Neumann condition) and are not synthesized. The result is the
+forms' DeltaEval.
 
 certify_weighted_hessian and certify_layer_bound turn the weighted estimates for
 this problem into empirical constants: both sides of each inequality are
@@ -74,11 +77,13 @@ class NeumannSolution:
     ``residual`` is the grid L2 norm of Delta(phi) + data (zero up to
     roundoff by construction); ``spectral_tail`` is the fraction of data
     energy in the top third of the cosine spectrum, a cheap resolution
-    indicator for the non-band-limited layer data.
+    indicator for the non-band-limited layer data. ``axes`` are the per-axis
+    transforms of the grid that ``coeffs`` live in.
     """
 
     phi: ScalarField
     coeffs: np.ndarray
+    axes: tuple
     residual: float
     spectral_tail: float
 
@@ -123,7 +128,7 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
 
     phi = ScalarField(values=phi_vals, grid=grid, grad=grad, hess=hess)
     return NeumannSolution(
-        phi=phi, coeffs=phi_hat, residual=residual, spectral_tail=spectral_tail
+        phi=phi, coeffs=phi_hat, axes=axes, residual=residual, spectral_tail=spectral_tail
     )
 
 
@@ -157,10 +162,9 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
     grad[c, d] = d_d delta_c, on the grid and on every boundary patch."""
     values, grad = _add_b(solution.phi.grad, solution.phi.hess, ext.alpha, ext.grad_alpha)
     values = _nodal(values, (3, *grid.shape), "lifting")
-    axes = spectral.axes_for(grid)
     faces = {}
     for patch in grid.patches:
-        face_derivatives = _derivatives(solution.coeffs, axes, (patch.axis, patch.side))
+        face_derivatives = _derivatives(solution.coeffs, solution.axes, (patch.axis, patch.side))
         faces[patch.kind] = FaceDelta(*_add_b(*face_derivatives, *ext.faces[patch.kind]))
     return DeltaEval(values=values, grad=grad, dt_values=np.zeros_like(values), faces=faces)
 

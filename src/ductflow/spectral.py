@@ -9,9 +9,10 @@ makes Gram and stiffness integrals of band-limited fields exact.
 
 Transforms are realized as small dense per-axis matrices; at desk-scale
 resolutions this is faster to reason about than library DCT scaling
-conventions and costs nothing. synth evaluates a coefficient array on the
-grid or, given a face, on that boundary face, where each axis family takes
-its end values.
+conventions and costs nothing. On the grid each axis is one plain
+contraction. On a boundary face synth contracts the face axis first, with
+the end values of its family, so a face costs a face and not a cube; a sine
+family vanishes at both ends and gives exact zeros without any synthesis.
 """
 
 from __future__ import annotations
@@ -68,43 +69,35 @@ def axes_for(grid: QuadratureGrid) -> tuple[AxisTransform, ...]:
     )
 
 
-def _apply(matrix: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Contract matrix[out, in] with arr along `axis`."""
-    moved = np.moveaxis(arr, axis, -1)
-    out = moved @ matrix.T
-    return np.moveaxis(out, -1, axis)
+def _on_grid(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Contract the three axes of arr with m0, m1, m2 (each [out, in])."""
+    out = np.matmul(m1, arr @ m2.T)
+    return (m0 @ out.reshape(out.shape[0], -1)).reshape(m0.shape[0], *out.shape[1:])
 
 
 def cos_analyze(values: np.ndarray, axes: tuple[AxisTransform, ...]) -> np.ndarray:
     """Cosine interpolation coefficients of nodal values (exact inverse)."""
-    out = values
-    for i, ax in enumerate(axes):
-        out = _apply(ax.cos_ana, out, i)
-    return out
+    return _on_grid(*(ax.cos_ana for ax in axes), values)
 
 
 def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], parities, face=None) -> np.ndarray:
     """Evaluate a coefficient array with the given per-axis parities.
 
-    On the grid, or with face = (axis, side) on that boundary face: the face
-    axis is contracted last, with the end values of its family (sines vanish
-    there identically), so intermediate shapes stay 3D.
+    On the grid, or with face = (axis, side) on that boundary face, over the
+    two in-plane axes. There the face axis is contracted first, with the end
+    values of its cosine family, and the in-plane matrices act on that plane;
+    sine parity on the face axis gives exact zeros (sines vanish at both ends).
     """
-    out = coeffs
-    for i, (ax, par) in enumerate(zip(axes, parities)):
-        if face is not None and i == face[0]:
-            continue
-        mat = ax.cos_syn if par == COS else ax.sin_syn
-        out = _apply(mat, out, i)
+    mats = [ax.cos_syn if par == COS else ax.sin_syn for ax, par in zip(axes, parities)]
     if face is None:
-        return out
+        return _on_grid(*mats, coeffs)
     axis, side = face
-    ax = axes[axis]
+    m_a, m_b = (mats[i] for i in range(3) if i != axis)
     if parities[axis] == SIN:
-        vec = np.zeros(ax.n)
-    else:
-        vec = ax.cos_at_hi if side == 1 else ax.cos_at_lo
-    return np.tensordot(out, vec, axes=([axis], [0]))
+        return np.zeros((m_a.shape[0], m_b.shape[0]))
+    ax = axes[axis]
+    plane = np.tensordot(coeffs, ax.cos_at_hi if side == 1 else ax.cos_at_lo, axes=([axis], [0]))
+    return m_a @ plane @ m_b.T
 
 
 def grad_coeffs(coeffs: np.ndarray, axes, axis: int) -> tuple[np.ndarray, tuple]:

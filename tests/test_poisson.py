@@ -5,7 +5,7 @@ import pytest
 
 from ductflow.domain import DomainSpec, PatchKind, build_domain
 from ductflow.errors import SolvabilityError
-from ductflow.hopf import HopfParams, build_b, constant_profile, parabolic_profile
+from ductflow.hopf import HopfParams, build_b, constant_profile, parabolic_profile, pulsed_profile
 from ductflow.poisson import (
     certify_layer_bound,
     certify_weighted_hessian,
@@ -91,6 +91,29 @@ def test_neumann_trace_vanishes_on_every_face():
         alpha, _ = ext.faces[patch.kind]
         normal = np.tensordot(patch.normal, delta.faces[patch.kind].values, axes=([0], [0]))
         assert np.max(np.abs(normal - patch.normal[2] * alpha)) < 1e-12
+
+
+def test_normal_derivatives_of_phi_are_exactly_zero_on_every_face():
+    # The Neumann condition as the faces of delta carry it, which trace_gap
+    # relies on: on each face, n.grad(phi) and the two Hessian entries that
+    # pair the normal axis with an in-plane axis are 0.0, not roundoff.
+    # b = alpha e3 adds alpha and grad(alpha) into row 2; they are taken
+    # back out, which is exact.
+    grid = unit_grid(n=(8, 10, 32))
+    ext = build_b(pulsed_profile(0.9, 0.5, 0.2, grid.spec).unit(), PARAMS, grid, 0.0)
+    delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
+    for patch in grid.patches:
+        alpha, grad_alpha = ext.faces[patch.kind]
+        face = delta.faces[patch.kind]
+        grad_phi = face.values.copy()
+        grad_phi[2] -= alpha
+        hess_phi = face.grad.copy()
+        hess_phi[2] -= grad_alpha
+        assert np.max(np.abs(grad_phi)) > 0.0, patch.kind
+        assert np.all(grad_phi[patch.axis] == 0.0), patch.kind
+        for p in patch.plane_axes:
+            assert np.all(hess_phi[patch.axis, p] == 0.0), (patch.kind, p)
+            assert np.all(hess_phi[p, patch.axis] == 0.0), (patch.kind, p)
 
 
 def test_div_delta_vanishes_at_nodes():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 
 from ductflow import spectral
@@ -90,3 +92,42 @@ def test_face_synthesis_matches_endpoint_values():
     g3, par3 = spectral.grad_coeffs(coeffs, axes, 2)
     face = spectral.synth(g3, axes, par3, face=(2, 0))
     assert np.max(np.abs(face)) == 0.0
+
+
+def test_synthesis_matches_explicit_trig_sums_on_the_grid_and_every_face():
+    # Random coefficients on a grid with three different axes, every parity
+    # triple, on the grid and on all six faces, against cos/sin(k pi s)
+    # evaluated explicitly at the nodes and at s = 0 and s = 1. On a face
+    # whose own axis has sine parity the synthesis must be exactly zero.
+    spec = DomainSpec(L1=1.3, L2=0.8, a=0.7, N1=6, N2=10, N3=14)
+    _, grid = build_domain(spec)
+    axes = spectral.axes_for(grid)
+    coeffs = np.random.default_rng(11).standard_normal(grid.shape)
+    nodes = [(x - o) / length
+             for x, o, length in zip((grid.x1, grid.x2, grid.x3), spec.origins, spec.lengths)]
+
+    def table(s, n, parity):
+        trig = np.cos if parity == spectral.COS else np.sin
+        return trig(np.pi * np.outer(s, np.arange(n)))
+
+    def oracle(factors):
+        return np.einsum("abc,xa,yb,zc->xyz", coeffs, *factors)
+
+    for parities in itertools.product((spectral.COS, spectral.SIN), repeat=3):
+        factors = [table(s, n, par) for s, n, par in zip(nodes, grid.shape, parities)]
+        ref = oracle(factors)
+        got = spectral.synth(coeffs, axes, parities)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), parities
+        for axis, side in itertools.product(range(3), (0, 1)):
+            ends = list(factors)
+            ends[axis] = table([float(side)], grid.shape[axis], parities[axis])
+            ref_face = np.squeeze(oracle(ends), axis=axis)
+            got = spectral.synth(coeffs, axes, parities, face=(axis, side))
+            assert got.shape == ref_face.shape, (parities, axis, side)
+            if parities[axis] == spectral.SIN:
+                assert np.all(got == 0.0), (parities, axis, side)
+                assert np.max(np.abs(ref_face)) <= 1e-13 * np.max(np.abs(ref))
+            else:
+                scale = np.max(np.abs(ref_face))
+                assert np.max(np.abs(got - ref_face)) <= 1e-13 * scale, (parities, axis, side)

@@ -19,9 +19,11 @@ by value: its exit code and the status of each certificate must be equal,
 and the largest relative difference is printed for each `timeseries.csv`
 column (relative to the largest magnitude in that column) and for each
 float in `certificates.json` (relative to the larger of the two
-magnitudes). The exit code is then 1 only on a changed exit code or status,
-or on a relative difference above TOL, so a refactor that may move results
-by rounding is checked by one command too.
+magnitudes). A difference above TOL is printed with its absolute size too,
+so a relative change of a quantity that is itself roundoff shows as such.
+The exit code is then 1 only on a changed exit code or status, or on a
+relative difference above TOL, so a refactor that may move results by
+rounding is checked by one command too.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ def read_series(path: Path) -> dict:
 
 
 def value_diffs(ours: Path, theirs: Path) -> tuple[list, dict]:
-    """(changed certificate statuses, {quantity: largest relative difference})
-    between the outputs of one run on the two trees."""
+    """(changed certificate statuses, {quantity: (largest relative
+    difference, its absolute size)}) between the outputs of one run on the
+    two trees."""
     certs = [json.loads((out / "certificates.json").read_text()) for out in (ours, theirs)]
     statuses = [{c["name"]: c["status"] for c in doc["certificates"]} for doc in certs]
     changed = [
@@ -113,16 +116,19 @@ def value_diffs(ours: Path, theirs: Path) -> tuple[list, dict]:
     for col in series[0].keys() | series[1].keys():
         a, b = series[0].get(col, []), series[1].get(col, [])
         if len(a) != len(b) or not a:
-            diffs[f"timeseries.csv {col}"] = math.inf
+            diffs[f"timeseries.csv {col}"] = (math.inf, math.inf)
             continue
         scale = max((abs(x) for x in a + b if math.isfinite(x)), default=0.0)
-        diffs[f"timeseries.csv {col}"] = max(rel_diff(x, y, scale) for x, y in zip(a, b))
+        rel = max(rel_diff(x, y, scale) for x, y in zip(a, b))
+        diffs[f"timeseries.csv {col}"] = (rel, rel * scale if rel else 0.0)
     floats = [json_floats(doc) for doc in certs]
     for key in floats[0].keys() | floats[1].keys():
         a, b = floats[0].get(key), floats[1].get(key)
-        diffs[f"certificates.json {key}"] = (
-            math.inf if a is None or b is None else rel_diff(a, b, max(abs(a), abs(b)))
-        )
+        if a is None or b is None:
+            diffs[f"certificates.json {key}"] = (math.inf, math.inf)
+            continue
+        rel = rel_diff(a, b, max(abs(a), abs(b)))
+        diffs[f"certificates.json {key}"] = (rel, abs(a - b) if rel else 0.0)
     return changed, diffs
 
 
@@ -139,10 +145,11 @@ def compare_by_value(name: str, digests: list, work: Path, tol: float) -> bool:
         return False
     for line in changed:
         print(f"  status {line}")
-    for key, value in sorted(diffs.items(), key=lambda kv: (-kv[1], kv[0])):
-        if value > 0.0:
-            print(f"  {value:.3e} {key}{'  above TOL' if value > tol else ''}")
-    return not changed and all(value <= tol for value in diffs.values())
+    for key, (rel, absolute) in sorted(diffs.items(), key=lambda kv: (-kv[1][0], kv[0])):
+        if rel > 0.0:
+            above = f"  above TOL, {absolute:.3e} absolute" if rel > tol else ""
+            print(f"  {rel:.3e} {key}{above}")
+    return not changed and all(rel <= tol for rel, _ in diffs.values())
 
 
 def main() -> int:
