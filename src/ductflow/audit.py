@@ -20,6 +20,9 @@ The audited inequalities carry artifact labels (documented in the README):
   E12 flux compatibility  inflow equals outflow at every sample
   E13 dissipation         X(t) nonincreasing when all data vanish
 
+E1-E9, E12 and E13 come from `_inequality`: the margin is the smallest
+rhs - lhs over the samples, and the check passes when margin >= -tol.
+
 Constants are calibrated, never assumed: c2 is half the slowest decay rate
 of the assembled Galerkin forms over the sectors the run puts energy in (a
 temperature mean decays at rate 0), c1 follows the absorption recipe from
@@ -31,7 +34,7 @@ replaced by the whole-order cap norms that dominate them; reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -197,105 +200,81 @@ def budget_series(run: RunResult, config: ScenarioConfig) -> np.ndarray:
 # Individual certificates
 
 
+def _inequality(name, eq_id, formula, lhs, rhs, tol=0.0, **kw) -> Certificate:
+    """The certificate of lhs <= rhs at every sample (a scalar is one sample).
+
+    Its margin is the smallest rhs - lhs and it passes when that margin is at
+    least -tol; the other keywords (details, note, flags) are passed through.
+    """
+    margin = float(np.min(rhs - lhs))
+    return Certificate(name=name, eq_id=eq_id, formula=formula, passed=bool(margin >= -tol),
+                       margin=margin, **kw)
+
+
 def _mk_energy_cert(ledger_X, Y, F, fric, c2, dt, joints, times) -> Certificate:
-    dX = time_derivative(ledger_X, dt, joints)
-    lhs = dX + c2 * Y + fric
-    margin = F - lhs
+    lhs = time_derivative(ledger_X, dt, joints) + c2 * Y + fric
     tol = 1e-9 * max(1.0, float(np.max(np.abs(ledger_X))), float(np.max(F, initial=0.0)))
-    viol = np.where(margin < -tol)[0]
+    cert = _inequality("energy-balance", "E1", "dX/dt + c2 Y + friction <= F", lhs, F, tol)
+    gap = F - lhs
+    viol = np.flatnonzero(gap < -tol)
     near_joint = np.zeros(times.size, dtype=bool)
     for j in joints:
-        lo, hi = max(0, j - 1), min(times.size - 1, j + 1)
-        near_joint[lo : hi + 1] = True
-    off_joint = [i for i in viol if not near_joint[i]]
+        near_joint[max(0, j - 1) : j + 2] = True
+    off_joint = int(np.count_nonzero(~near_joint[viol]))
     frac = 1.0 - viol.size / times.size
-    worst = float(np.min(margin))
-    max_violation = float(max(0.0, -worst))
-    passed = (
-        frac >= 0.99
-        and len(off_joint) == 0
-        and all(-margin[i] < 1e-6 for i in viol)
-    )
-    return Certificate(
-        name="energy-balance",
-        eq_id="E1",
-        formula="dX/dt + c2 Y + friction <= F",
-        passed=bool(passed),
-        margin=worst,
-        details={
-            "samples": int(times.size),
-            "violations": int(viol.size),
-            "violations_off_joint": len(off_joint),
-            "max_violation": max_violation,
-            "pass_fraction": frac,
-            "tolerance": tol,
-        },
-    )
+    # the one-sided difference at a window joint may miss the balance: pass
+    # if at most 1% of the samples fail, all of them at a joint, each by < 1e-6
+    cert.passed = bool(frac >= 0.99 and off_joint == 0 and np.all(gap[viol] > -1e-6))
+    cert.details = {
+        "samples": int(times.size),
+        "violations": int(viol.size),
+        "violations_off_joint": off_joint,
+        "max_violation": max(0.0, -cert.margin),
+        "pass_fraction": frac,
+        "tolerance": tol,
+    }
+    return cert
 
 
 def _mk_recurrence_certs(times, X, Y, F, c2, run: RunResult) -> list:
     spw = run.steps_per_window
     nw = run.n_windows
     T = run.config.T
-    joints = run.window_joint_indices()
-    Xj = X[joints]
-    a1_windows = []
-    for k in range(nw):
-        sl = slice(k * spw, (k + 1) * spw + 1)
-        a1_windows.append(_trapz(F[sl], times[sl]))
-    A1 = max(a1_windows) if a1_windows else 0.0
-
-    degenerate = c2 * T < 1e-12
+    windows = [slice(k * spw, (k + 1) * spw + 1) for k in range(nw)]
+    A1 = max(_trapz(F[sl], times[sl]) for sl in windows)
     decay = math.exp(-c2 * T)
-    details = {"A1": A1, "c2": c2, "T": T, "X0": float(X[0])}
-    if degenerate:
-        bound_base = math.inf
+    if c2 * T < 1e-12:
+        bound_base = A2 = math.inf
         note = "decay constant degenerate; recurrence bound is vacuous"
     else:
         bound_base = A1 / (1.0 - decay)
-        note = ""
-
-    margins = []
-    for k in range(nw + 1):
-        bound = bound_base + (decay**k if not degenerate else 1.0) * X[0]
-        margins.append(bound - Xj[k])
-    worst = float(min(margins))
-    rec = Certificate(
-        name="window-recurrence",
-        eq_id="E2",
-        formula="X(kT) <= A1/(1 - exp(-c2 T)) + exp(-c2 k T) X(0)",
-        passed=bool(worst >= -1e-9 * max(1.0, X[0], A1)),
-        margin=worst,
-        details={**details, "per_window_margin_min": worst},
-        note=note,
-    )
-
-    if degenerate:
-        A2 = math.inf
-    else:
         A2 = A1 * (2.0 - decay) / (1.0 - decay) + X[0]
+        note = ""
+    tol = 1e-9 * max(1.0, X[0], A1)
+
+    bounds = np.array([bound_base + decay**k * X[0] for k in range(nw + 1)])
+    rec = _inequality(
+        "window-recurrence", "E2", "X(kT) <= A1/(1 - exp(-c2 T)) + exp(-c2 k T) X(0)",
+        X[run.window_joint_indices()], bounds, tol,
+        details={"A1": A1, "c2": c2, "T": T, "X0": float(X[0])}, note=note,
+    )
+    rec.details["per_window_margin_min"] = rec.margin
+
     # the integral form the balance law actually yields: at every t in the
     # window, X(t) + c2 int_{kT}^t Y <= int_{kT}^t F + X(kT) <= A2
-    marg2 = []
-    for k in range(nw):
-        sl = slice(k * spw, (k + 1) * spw + 1)
+    peaks = []
+    for sl in windows:
         tw = times[sl]
         Yw = Y[sl]
         cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * (Yw[1:] + Yw[:-1]) * np.diff(tw))]
         )
-        lhs = float(np.max(X[sl] + c2 * cum))
-        marg2.append(A2 - lhs)
-    worst2 = float(min(marg2)) if marg2 else math.inf
-    absb = Certificate(
-        name="window-absorption",
-        eq_id="E3",
-        formula="max_t [X(t) + c2 int_kT^t Y] <= A2",
-        passed=bool(worst2 >= -1e-9 * max(1.0, X[0], A1)),
-        margin=worst2,
-        details={"A2": A2, "per_window_margin_min": worst2},
-        note=note,
+        peaks.append(np.max(X[sl] + c2 * cum))
+    absb = _inequality(
+        "window-absorption", "E3", "max_t [X(t) + c2 int_kT^t Y] <= A2",
+        np.array(peaks), A2, tol, details={"A2": A2}, note=note,
     )
+    absb.details["per_window_margin_min"] = absb.margin
     return [rec, absb], A1, A2
 
 
@@ -317,23 +296,19 @@ def theta0_range(config: ScenarioConfig) -> tuple[float, float, bool]:
 def _mk_temperature_bounds_cert(run: RunResult, config: ScenarioConfig) -> Certificate:
     s = run.series
     lo, hi = config.theta_star, config.theta_star_upper
-    gap = hi - lo
-    allowance = config.tol_overshoot * gap
+    allowance = config.tol_overshoot * (hi - lo)
     # hypotheses concern the analytic data; its spectral projection may
     # already overshoot, which is what the allowance is for
     hyp_ok = theta0_range(config)[2]
-    under = float(np.min(s["th_min"] - (lo - allowance)))
-    over = float(np.min((hi + allowance) - s["th_max"]))
-    margin = min(under, over)
+    n = s["th_min"].size
     overshoot = max(
         float(np.max(lo - s["th_min"])), float(np.max(s["th_max"] - hi)), 0.0
     )
-    return Certificate(
-        name="temperature-bounds",
-        eq_id="E4",
-        formula="theta_lo - tol <= theta(t) <= theta_hi + tol",
-        passed=bool(margin >= 0.0),
-        margin=margin,
+    # the lower bound at every sample, then the upper one
+    return _inequality(
+        "temperature-bounds", "E4", "theta_lo - tol <= theta(t) <= theta_hi + tol",
+        np.concatenate([np.full(n, lo - allowance), s["th_max"]]),
+        np.concatenate([s["th_min"], np.full(n, hi + allowance)]),
         applicable=bool(hyp_ok),
         details={
             "theta_lo": lo,
@@ -349,29 +324,20 @@ def _mk_mean_budget_cert(run: RunResult, config: ScenarioConfig) -> Certificate:
     s = run.series
     t = run.times
     dt = config.dt
-    joints = run.window_joint_indices()
     ints = s["th_integral"]
-    d_int = time_derivative(ints, dt, joints)
-    rhs = s["inflow_theta"]
+    d_int = time_derivative(ints, dt, run.window_joint_indices())
     # discrete-derivative tolerance from local third differences
     tol = np.full(t.size, 1e-8 * max(1.0, float(np.max(np.abs(ints)))))
     if t.size >= 4:
-        third = np.abs(np.diff(ints, 3))
         est = np.zeros(t.size)
-        est[2:-1] = third / (6.0 * dt)
-        est[1] = est[2] if t.size > 3 else 0.0
+        est[2:-1] = np.abs(np.diff(ints, 3)) / (6.0 * dt)
+        est[1] = est[2]
         est[-1] = est[-2]
         est[0] = est[1]
         tol = tol + est
-    margin = rhs + tol - d_int
-    worst = float(np.min(margin))
-    return Certificate(
-        name="mean-budget",
-        eq_id="E5",
-        formula="d/dt int theta <= int_inflow d1 theta (+ discrete tol)",
-        passed=bool(worst >= 0.0),
-        margin=worst,
-        details={"max_tolerance": float(np.max(tol))},
+    return _inequality(
+        "mean-budget", "E5", "d/dt int theta <= int_inflow d1 theta (+ discrete tol)",
+        d_int, s["inflow_theta"] + tol, details={"max_tolerance": float(np.max(tol))},
     )
 
 
@@ -390,17 +356,11 @@ def _mk_theta_energy_cert(run: RunResult, config: ScenarioConfig) -> Certificate
         + d1_l1**2 * config.theta_star_upper**2
         + s["th_l1"][0] ** 2
     )
-    margin = rhs - lhs
-    return Certificate(
-        name="temperature-energy",
-        eq_id="E6",
-        formula=(
-            "||theta||_V^2 <= c exp(int ||d1||_L3^6) ||theta0||^2 "
-            "+ ||d1||_L1^2 theta_hi^2 + ||theta0||_L1^2"
-        ),
-        passed=bool(margin >= -1e-9 * max(1.0, rhs)),
-        margin=margin,
-        details={"lhs": lhs, "rhs": rhs, "c": config.c_theta},
+    return _inequality(
+        "temperature-energy", "E6",
+        "||theta||_V^2 <= c exp(int ||d1||_L3^6) ||theta0||^2 "
+        "+ ||d1||_L1^2 theta_hi^2 + ||theta0||_L1^2",
+        lhs, rhs, 1e-9 * max(1.0, rhs), details={"lhs": lhs, "rhs": rhs, "c": config.c_theta},
     )
 
 
@@ -412,24 +372,15 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
     d_V = _v_norm_sq(float(np.max(s["delta_l2sq"])), _trapz(s["delta_gradsq"], t))
 
     tol = 1e-9 * max(1.0, v_V)
-    margin2 = 2.0 * (w_V + d_V) - v_V
-    tri2 = Certificate(
-        name="reconstruction-triangle-2x",
-        eq_id="E7",
-        formula="||v||_V^2 <= 2 (||w||_V^2 + ||delta||_V^2)",
-        passed=bool(margin2 >= -tol),
-        margin=margin2,
-        details={"v_V_sq": v_V, "w_V_sq": w_V, "delta_V_sq": d_V},
+    norms = {"v_V_sq": v_V, "w_V_sq": w_V, "delta_V_sq": d_V}
+    tri2 = _inequality(
+        "reconstruction-triangle-2x", "E7", "||v||_V^2 <= 2 (||w||_V^2 + ||delta||_V^2)",
+        v_V, 2.0 * (w_V + d_V), tol, details=dict(norms),
     )
-    margin1 = (w_V + d_V) - v_V
-    tri1 = Certificate(
-        name="reconstruction-triangle-literal",
-        eq_id="E7",
-        formula="||v||_V^2 <= ||w||_V^2 + ||delta||_V^2 (sharp variant, informational)",
-        passed=bool(margin1 >= -tol),
-        margin=margin1,
-        advisory=True,
-        details={"v_V_sq": v_V, "w_V_sq": w_V, "delta_V_sq": d_V},
+    tri1 = _inequality(
+        "reconstruction-triangle-literal", "E7",
+        "||v||_V^2 <= ||w||_V^2 + ||delta||_V^2 (sharp variant, informational)",
+        v_V, w_V + d_V, tol, advisory=True, details=dict(norms),
     )
 
     c = config.c_recon
@@ -442,13 +393,11 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
         + c * sup_w13**4 * exp_factor * int_cap_l2sq
         + c * float(np.max(s["d_l2_sum"])) ** 2
     )
-    lift = Certificate(
-        name="lifting-energy",
-        eq_id="E9",
-        formula="||delta||_V^2 <= c [sup ||d~||_2^2 + int ||d~||_H1^2 "
+    lift = _inequality(
+        "lifting-energy", "E9",
+        "||delta||_V^2 <= c [sup ||d~||_2^2 + int ||d~||_H1^2 "
         "+ sup ||d~||_W13x^4 exp(sup/c) int sum_i ||d_i||_2^2 + sup ||d||_(2,inf)^2]",
-        passed=bool(delta_budget - d_V >= -1e-9 * max(1.0, delta_budget)),
-        margin=delta_budget - d_V,
+        d_V, delta_budget, 1e-9 * max(1.0, delta_budget),
         details={"delta_V_sq": d_V, "budget": delta_budget, "c": c},
     )
 
@@ -471,12 +420,9 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
         + _trapz(s["omega_f_65sq"], t)
     )
     lhs = v_V + theta_V
-    agg = Certificate(
-        name="aggregate-energy",
-        eq_id="E8",
-        formula="||v||_V^2 + ||theta||_V^2 <= c * A(T)^2 structural sum",
-        passed=bool(rhs - lhs >= -1e-9 * max(1.0, rhs)),
-        margin=rhs - lhs,
+    agg = _inequality(
+        "aggregate-energy", "E8", "||v||_V^2 + ||theta||_V^2 <= c * A(T)^2 structural sum",
+        lhs, rhs, 1e-9 * max(1.0, rhs),
         details={"lhs": lhs, "rhs": rhs, "A1_big_sq": a1_big_sq, "c": c},
     )
     return [tri2, tri1, lift, agg]
@@ -492,23 +438,20 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
                 ("layer-bound", "E11", "||div b||_{L_{3,mu}} vs structural cap terms"),
             )
         ]
-    out = []
-    grid = solver.grid
     # the run's lifting of the cap shape g, i.e. of the data at s = 1
     ext, sol, _ = solver.delta_provider.lifting
     lhs, rhs = poisson_mod.certify_layer_bound(
-        solver.profile.unit(), solver.hopf_params, ext, grid, config.mu
+        solver.profile.unit(), solver.hopf_params, ext, solver.grid, config.mu
     )
     # lhs is the weighted norm of div b. With flux present it vanishes only
     # when the whole layer (r, rho] falls between two x3 nodes: the grid then
     # sees no lifting, and neither estimate says anything about it.
     resolved = lhs > 0.0
     note = "" if resolved else "cutoff layer not resolved by the x3 grid"
-    if resolved:
-        ratio = poisson_mod.certify_weighted_hessian(ext.div_b, sol, p=3, mu=config.mu)
-    else:
-        ratio = math.inf
-    out.append(
+    ratio = (poisson_mod.certify_weighted_hessian(ext.div_b, sol, p=3, mu=config.mu)
+             if resolved else math.inf)
+    const = lhs / rhs if rhs > 0 else math.inf
+    return [
         Certificate(
             name="weighted-hessian",
             eq_id="E10",
@@ -518,10 +461,7 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
             details={"ratio": ratio, "mu": config.mu, "residual": sol.residual,
                      "spectral_tail": sol.spectral_tail},
             note=note,
-        )
-    )
-    const = lhs / rhs if rhs > 0 else math.inf
-    out.append(
+        ),
         Certificate(
             name="layer-bound",
             eq_id="E11",
@@ -530,36 +470,24 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
             margin=const,
             details={"lhs": lhs, "rhs_structure": rhs, "C_emp": const, "mu": config.mu},
             note=note,
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _mk_compat_cert(run: RunResult) -> Certificate:
-    worst = float(np.max(run.series["compat_residual"]))
-    return Certificate(
-        name="flux-compatibility",
-        eq_id="E12",
-        formula="|int d1 - int d2| / max(1, int d1) <= 1e-12",
-        passed=bool(worst <= 1e-12),
-        margin=1e-12 - worst,
-        details={"worst_residual": worst},
+    residual = run.series["compat_residual"]
+    return _inequality(
+        "flux-compatibility", "E12", "|int d1 - int d2| / max(1, int d1) <= 1e-12",
+        residual, 1e-12, details={"worst_residual": float(np.max(residual))},
     )
 
 
 def _mk_dissipation_cert(run: RunResult, X: np.ndarray, config: ScenarioConfig) -> Certificate:
-    applicable = is_free_decay(config)
     dX = np.diff(X)
-    tol = 1e-12 * max(1.0, float(X[0]))
-    worst = float(np.max(dX, initial=-math.inf))
-    return Certificate(
-        name="dissipation-monotone",
-        eq_id="E13",
-        formula="X(t) nonincreasing sample to sample",
-        passed=bool(worst <= tol),
-        margin=tol - worst,
-        applicable=applicable,
-        details={"max_increase": worst},
+    return _inequality(
+        "dissipation-monotone", "E13", "X(t) nonincreasing sample to sample",
+        dX, 1e-12 * max(1.0, float(X[0])), applicable=is_free_decay(config),
+        details={"max_increase": float(np.max(dX))},
     )
 
 
@@ -578,17 +506,18 @@ def audit_run(run: RunResult, solver: GalerkinSolver) -> EnergyLedger:
     t = run.times
     joints = run.window_joint_indices()
 
-    certs = []
-    certs.append(_mk_energy_cert(X, Y, F, s["fric_sq"], cal.c2, config.dt, joints, t))
     rec_certs, A1, A2 = _mk_recurrence_certs(t, X, Y, F, cal.c2, run)
-    certs.extend(rec_certs)
-    certs.append(_mk_temperature_bounds_cert(run, config))
-    certs.append(_mk_mean_budget_cert(run, config))
-    certs.append(_mk_theta_energy_cert(run, config))
-    certs.extend(_mk_reconstruction_certs(run, config))
-    certs.extend(_mk_weighted_certs(solver, config))
-    certs.append(_mk_compat_cert(run))
-    certs.append(_mk_dissipation_cert(run, X, config))
+    certs = [
+        _mk_energy_cert(X, Y, F, s["fric_sq"], cal.c2, config.dt, joints, t),
+        *rec_certs,
+        _mk_temperature_bounds_cert(run, config),
+        _mk_mean_budget_cert(run, config),
+        _mk_theta_energy_cert(run, config),
+        *_mk_reconstruction_certs(run, config),
+        *_mk_weighted_certs(solver, config),
+        _mk_compat_cert(run),
+        _mk_dissipation_cert(run, X, config),
+    ]
 
     return EnergyLedger(
         times=t, X=X, Y=Y, F=F, A1=A1, A2=A2, calibration=cal, certificates=certs
@@ -601,7 +530,7 @@ def audit_run(run: RunResult, solver: GalerkinSolver) -> EnergyLedger:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -636,33 +565,10 @@ def ledger_to_text(ledger: EnergyLedger, scenario_name: str = "") -> str:
 
 
 def ledger_to_json_obj(ledger: EnergyLedger) -> dict:
-    cal = ledger.calibration
     return {
-        "constants": {
-            "c1": cal.c1,
-            "c2": cal.c2,
-            "r_w": cal.r_w,
-            "r_theta": cal.r_theta,
-            "M_65": cal.M_65,
-            "M_3": cal.M_3,
-            "seed": cal.seed,
-        },
+        "constants": asdict(ledger.calibration),
         "A1": ledger.A1,
         "A2": ledger.A2,
         "budget_note": BUDGET_NOTE,
-        "certificates": [
-            {
-                "name": c.name,
-                "eq_id": c.eq_id,
-                "formula": c.formula,
-                "status": c.status,
-                "passed": c.passed,
-                "applicable": c.applicable,
-                "advisory": c.advisory,
-                "margin": c.margin,
-                "details": c.details,
-                "note": c.note,
-            }
-            for c in ledger.certificates
-        ],
+        "certificates": [{**asdict(c), "status": c.status} for c in ledger.certificates],
     }

@@ -456,7 +456,6 @@ class AssembledForms:
     nu: float
     gamma: float
     kappa_heat: float
-    s2_stress_includes_nu: bool
     K_visc: np.ndarray = field(init=False)
     K_fric: np.ndarray = field(init=False)
     K_theta: np.ndarray = field(init=False)
@@ -597,8 +596,7 @@ class AssembledForms:
 
         B_vec[j] = sum_patches sum_alpha int B_alpha(delta) psi_j . tau_alpha,
         with B = -nu n.D(delta).tau - gamma delta.tau on the lateral wall and
-        B = -n.D(delta).tau on the caps (no nu factor there unless the
-        sensitivity switch is set).
+        B = -n.D(delta).tau on the caps (no nu factor there).
 
         F_bdry[j] = +nu sum_S sum_alpha int (n.D(delta).tau)(psi_j.tau), the
         boundary remainder of integrating nu div D(delta) by parts.
@@ -613,8 +611,7 @@ class AssembledForms:
             for tau, stress in zip((patch.tau1, patch.tau2), stresses):
                 psi_tau = np.einsum("c,icxy->ixy", tau, vals)
                 if patch.kind.is_cap:
-                    coef = self.nu if self.s2_stress_includes_nu else 1.0
-                    bdata = -coef * stress
+                    bdata = -stress
                 else:
                     delta_tau = np.einsum("c,cxy->xy", tau, fdelta.values)
                     bdata = -self.nu * stress - self.gamma * delta_tau
@@ -630,7 +627,6 @@ def assemble_forms(
     nu: float,
     gamma: float,
     kappa_heat: float,
-    s2_stress_includes_nu: bool = False,
 ) -> AssembledForms:
     return AssembledForms(
         grid=grid,
@@ -639,5 +635,4 @@ def assemble_forms(
         nu=nu,
         gamma=gamma,
         kappa_heat=kappa_heat,
-        s2_stress_includes_nu=s2_stress_includes_nu,
     )

@@ -3,8 +3,8 @@
 Grammar (documented in the README):
   - one assignment per line, `domain.N1 = 16`
   - full-line comments start with #, blank lines ignored
-  - values parse as int, float, bool (true/false), comma vectors of floats,
-    or bare strings, in that order
+  - values parse as int, float, comma vectors of floats, or bare strings,
+    by the key's field
   - unknown keys are errors, with the line number reported
 """
 
@@ -58,11 +58,9 @@ KEY_MAP = {
     "audit.theta_star": "theta_star",
     "audit.theta_star_upper": "theta_star_upper",
     "audit.tol_overshoot": "tol_overshoot",
-    "audit.s2_stress_nu": "s2_stress_nu",
 }
 
 _INT_FIELDS = {"N1", "N2", "N3", "n_windows", "m", "init_v_nmodes"}
-_BOOL_FIELDS = {"s2_stress_nu"}
 _STR_FIELDS = {
     "omega_kind", "forcing_kind", "flux_profile", "hopf_mode", "init_v", "init_theta",
 }
@@ -76,13 +74,6 @@ def _parse_value(raw: str, fieldname: str, lineno: int):
             return tuple(float(x) for x in raw.split(","))
         except ValueError:
             raise ScenarioError(f"line {lineno}: cannot parse vector {raw!r}")
-    if fieldname in _BOOL_FIELDS:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ScenarioError(f"line {lineno}: cannot parse bool {raw!r}")
     if fieldname in _INT_FIELDS:
         try:
             return int(raw)

@@ -102,7 +102,6 @@ class ScenarioConfig:
     theta_star: float = 1.0
     theta_star_upper: float = 2.0
     tol_overshoot: float = 0.01
-    s2_stress_nu: bool = False
 
     def validate(self) -> None:
         for f in fields(self):
@@ -390,7 +389,6 @@ class GalerkinSolver:
             nu=config.nu,
             gamma=config.gamma,
             kappa_heat=config.kappa_heat,
-            s2_stress_includes_nu=config.s2_stress_nu,
         )
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)

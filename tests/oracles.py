@@ -246,7 +246,7 @@ def slow_field_sum(coeffs, fields):
 
 
 def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
-                      omega_fn, f_values, delta=None, s2_stress_includes_nu=False):
+                      omega_fn, f_values, delta=None):
     """Every term of the velocity weak form by direct quadrature.
 
     Returns a dict of named length-m arrays; 'total' is the assembled
@@ -305,8 +305,7 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
             for tau in (patch.tau1, patch.tau2):
                 stress = np.einsum("i,ijxy,j->xy", patch.normal, dsym, tau)
                 if patch.kind.is_cap:
-                    coef = nu if s2_stress_includes_nu else 1.0
-                    bdata = -coef * stress
+                    bdata = -stress
                 else:
                     bdata = -nu * stress - gamma * np.einsum("c,cxy->xy", tau, fd.values)
                 for j, md in enumerate(vmodes):

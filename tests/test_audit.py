@@ -1,8 +1,13 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 from ductflow.audit import (
+    _inequality,
     audit_run,
     calibrate,
     default_psi,
@@ -221,7 +226,52 @@ def test_report_text_and_json(decay_ledger):
     obj = ledger_to_json_obj(ledger)
     assert obj["constants"]["c2"] == ledger.calibration.c2
     assert len(obj["certificates"]) == len(ledger.certificates)
-    # deterministic serialization
-    import json
 
-    assert json.dumps(obj, sort_keys=True) == json.dumps(obj, sort_keys=True)
+
+def certificate_values(text: str) -> list:
+    """One {key: value text} dict per certificate of a text report."""
+    blocks = []
+    for line in text.splitlines():
+        if line.startswith("["):
+            blocks.append({})
+        elif blocks and (m := re.fullmatch(r" {7}(\w+) = (.*)", line)):
+            blocks[-1][m.group(1)] = m.group(2)
+    return blocks
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda: small_config(init_v="modes", init_v_amplitude=0.6),
+    pulsed_config,
+], ids=["free-decay", "flux"])
+def test_every_report_number_is_the_json_number(make_config):
+    # a numpy scalar must print as its float, whichever numpy renders it
+    cfg = make_config()
+    solver = GalerkinSolver(cfg)
+    ledger = audit_run(solver.run_windows(), solver)
+    certs = json.loads(json.dumps(ledger_to_json_obj(ledger), sort_keys=True))["certificates"]
+    blocks = certificate_values(ledger_to_text(ledger))
+    assert len(blocks) == len(certs)
+    for block, cert in zip(blocks, certs):
+        expected = {"margin": cert["margin"], **cert["details"]}
+        assert block.keys() == expected.keys(), cert["name"]
+        for key, raw in block.items():
+            got, want = float(raw), expected[key]
+            assert got == want or (math.isnan(got) and math.isnan(want)), (cert["name"], key, raw)
+
+
+@pytest.mark.parametrize("lhs, rhs, tol, passed", [
+    (np.array([0.1, 0.3, 0.2]), 0.5, 0.0, True),            # series against a scalar
+    (1.0, 2.5, 0.0, True),                                   # scalar against a scalar
+    (np.array([0.0, 1.0]), np.array([5.0, 0.75]), 0.25, True),   # margin == -tol
+    (1.0, 0.75, 0.25, True),
+    (1.0, np.nextafter(0.75, 0.0), 0.25, False),             # just below -tol
+    (np.array([0.3, 0.7]), 0.6, 0.0, False),
+    (np.array([1.0, 2e300]), math.inf, 0.0, True),           # no bound: margin inf
+])
+def test_inequality_margin_and_verdict(lhs, rhs, tol, passed):
+    cert = _inequality("probe", "E0", "lhs <= rhs", lhs, rhs, tol, details={"k": 1}, note="n")
+    sides = np.broadcast_arrays(lhs, rhs)
+    assert type(cert.margin) is float
+    assert cert.margin == min(float(r) - float(l) for l, r in zip(*(a.ravel() for a in sides)))
+    assert cert.passed is passed
+    assert (cert.details, cert.note, cert.applicable, cert.advisory) == ({"k": 1}, "n", True, False)
