@@ -37,8 +37,8 @@ from .domain import build_domain
 from .errors import AliasingError, NumericalAbort, RegimeError, ScenarioError
 from .hopf import check_compatibility
 from .scenario import KEY_MAP, load_scenario, parse_scenario_text, scenario_hash, set_key
-from .solver import (GalerkinSolver, RunResult, ScenarioConfig, horizon_times, pick_hopf_params,
-                     profile_of)
+from .solver import (GalerkinSolver, RunResult, ScenarioConfig, State, horizon_times,
+                     pick_hopf_params, profile_of)
 from .svg import polyline_chart
 
 
@@ -49,10 +49,10 @@ class PipelineResult:
     ledger: EnergyLedger
 
 
-def execute(config: ScenarioConfig, snapshot_cb=None) -> PipelineResult:
+def execute(config: ScenarioConfig) -> PipelineResult:
     """domain -> flux -> cutoff -> lifting -> bases -> windows -> audit."""
     solver = GalerkinSolver(config)
-    run = solver.run_windows(snapshot_cb=snapshot_cb)
+    run = solver.run_windows()
     return PipelineResult(solver=solver, run=run, ledger=audit_run(run, solver))
 
 
@@ -96,13 +96,13 @@ def write_basis_manifest(path: Path, solver: GalerkinSolver) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def make_snapshot_writer(out_dir: Path, cadence: int):
+def write_snapshots(out_dir: Path, cadence: int, run: RunResult, solver: GalerkinSolver) -> None:
+    """The fields of every cadence-th stored sample, reconstructed from its
+    coefficients, and a manifest of grid dims, times and file names."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-
-    def cb(idx, state, solver):
-        if cadence <= 0 or idx % cadence != 0:
-            return
-        out_dir.mkdir(parents=True, exist_ok=True)
+    for idx in range(0, run.times.size, cadence):
+        state = State(t=float(run.times[idx]), c=run.coeffs_w[idx], dcoef=run.coeffs_th[idx])
         w, v, theta = solver.reconstruct(state)
         files = {}
         for name, arr in (("w", w), ("vartheta", theta), ("v", v), ("theta", theta)):
@@ -110,16 +110,12 @@ def make_snapshot_writer(out_dir: Path, cadence: int):
             np.save(out_dir / fname, arr)
             files[name] = fname
         entries.append({"index": idx, "time": state.t, "files": files})
-
-    def finalize(grid_shape):
-        manifest = {
-            "grid_dims": list(grid_shape),
-            "fields": ["w", "vartheta", "v", "theta"],
-            "snapshots": entries,
-        }
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-    return cb, finalize
+    manifest = {
+        "grid_dims": list(solver.grid.shape),
+        "fields": ["w", "vartheta", "v", "theta"],
+        "snapshots": entries,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def write_plots(out_dir: Path, run: RunResult, ledger: EnergyLedger) -> None:
@@ -147,6 +143,10 @@ def write_plots(out_dir: Path, run: RunResult, ledger: EnergyLedger) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.snapshots < 0:
+        print(f"usage error: --snapshots CADENCE must be 0 (off) or more, got {args.snapshots}",
+              file=sys.stderr)
+        return 1
     try:
         config = load_scenario(args.scenario)
     except ScenarioError as exc:
@@ -168,14 +168,8 @@ def cmd_run(args) -> int:
 
 def _run_into(args, config: ScenarioConfig, scen_path: Path, out_dir: Path) -> int:
     started = time.time()
-
-    snapshot_cb, snapshot_finalize = (None, None)
-    if args.snapshots:
-        snapshot_cb, snapshot_finalize = make_snapshot_writer(
-            out_dir / "snapshots", args.snapshots
-        )
     try:
-        result = execute(config, snapshot_cb=snapshot_cb)
+        result = execute(config)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -207,8 +201,8 @@ def _run_into(args, config: ScenarioConfig, scen_path: Path, out_dir: Path) -> i
     outputs.append("certificates.json")
     write_basis_manifest(out_dir / "basis_manifest.txt", result.solver)
     outputs.append("basis_manifest.txt")
-    if snapshot_finalize is not None:
-        snapshot_finalize(result.solver.grid.shape)
+    if args.snapshots:
+        write_snapshots(out_dir / "snapshots", args.snapshots, result.run, result.solver)
         outputs.append("snapshots/manifest.json")
     if args.plots:
         write_plots(out_dir / "plots", result.run, result.ledger)

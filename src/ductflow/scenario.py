@@ -10,6 +10,7 @@ Grammar (documented in the README):
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -60,26 +61,24 @@ KEY_MAP = {
     "audit.tol_overshoot": "tol_overshoot",
 }
 
-_INT_FIELDS = {"N1", "N2", "N3", "n_windows", "m", "init_v_nmodes"}
-_STR_FIELDS = {
-    "omega_kind", "forcing_kind", "flux_profile", "hopf_mode", "init_v", "init_theta",
-}
-_VEC_FIELDS = {"forcing_vector"}
+# ScenarioConfig field -> the type of its default, which is the value's type
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _parse_value(raw: str, fieldname: str, lineno: int):
     raw = raw.strip()
-    if fieldname in _VEC_FIELDS:
+    kind = _FIELD_TYPES[fieldname]
+    if kind is tuple:
         try:
             return tuple(float(x) for x in raw.split(","))
         except ValueError:
             raise ScenarioError(f"line {lineno}: cannot parse vector {raw!r}")
-    if fieldname in _INT_FIELDS:
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
             raise ScenarioError(f"line {lineno}: cannot parse integer {raw!r}")
-    if fieldname in _STR_FIELDS:
+    if kind is str:
         return raw
     try:
         return float(raw)

@@ -11,11 +11,11 @@ else (transport, lifting couplings, boundary functionals, forcing) is
 advanced with a second-order Adams-Bashforth extrapolation restarted at
 window joints.
 
-The run loop stores each state's coefficients and samples only what needs
-theta on the grid (_sample). After the loop, _ledger derives every other
-audit series from the stored coefficients: quadratic forms in c and dcoef,
-and the boundary data d = s(t) g through |s| or |s'| times numbers of the
-cap shape g computed once per run.
+The run loop only steps and stores: the time and the coefficients c and
+dcoef of every sample. After the loop, _ledger derives every audit series
+from the stored rows: quadratic forms in c and dcoef, theta's grid extremes
+and norms one stored sample at a time, and the boundary data d = s(t) g
+through |s| or |s'| times numbers of the cap shape g computed once per run.
 """
 
 from __future__ import annotations
@@ -367,7 +367,6 @@ class RunResult:
     coeffs_th: np.ndarray
     steps_per_window: int
     n_windows: int
-    dt_stability_estimate: float
 
     def window_joint_indices(self) -> np.ndarray:
         return np.arange(self.n_windows + 1) * self.steps_per_window
@@ -444,13 +443,13 @@ class GalerkinSolver:
 
     # -- right-hand sides ------------------------------------------------------
 
-    def theta_values(self, state: State) -> np.ndarray:
+    def theta_values(self, dcoef: np.ndarray) -> np.ndarray:
         """theta on the grid by sum factorization: amplitude x dcoef scattered
         into the cosine cube of the temperature band, then one matmul per axis."""
         c1, c2, c3 = self.tb.band
         k1, k2, k3 = (c.shape[1] for c in self.tb.band)
         cube = np.zeros(k1 * k2 * k3)
-        cube[self.tb.band_index] = self.tb.amplitude * state.dcoef
+        cube[self.tb.band_index] = self.tb.amplitude * dcoef
         out = c2 @ (c1 @ cube.reshape(k1, k2 * k3)).reshape(-1, k2, k3)   # [n1, n2, k3]
         return (out.reshape(-1, k3) @ c3.T).reshape(self.grid.shape)
 
@@ -542,7 +541,7 @@ class GalerkinSolver:
             return fd["P"]
         if fd["kind"] == "linear":
             return cfg.omega0 * fd["P"] + cfg.omega1 * (fd["M"] @ state.dcoef)
-        omega_f = self.omega(self.theta_values(state))[None, :, :, :] * self.f_values
+        omega_f = self.omega(self.theta_values(state.dcoef))[None, :, :, :] * self.f_values
         return self.forms.project_velocity(omega_f)
 
     def _omega_f_norms(self, theta: np.ndarray) -> tuple:
@@ -587,36 +586,23 @@ class GalerkinSolver:
             return math.inf
         return 1.0 / (vmax * kmax)
 
-    # -- reconstruction and sampling ----------------------------------------------
+    # -- reconstruction and the audit series ---------------------------------------
 
     def reconstruct(self, state: State):
         """(w, v, theta) nodal values; v = w + delta(t)."""
         w = self.w_values(state)
         delta = self.delta_provider(state.t)
         v = w if delta is None else w + delta.values
-        return w, v, self.theta_values(state)
-
-    def _sample(self, state: State) -> dict:
-        """The series that need theta on the grid, at one state: its min, max
-        and L1 norm and, unless they are two numbers per run, the norms of
-        the clamped omega(theta) f."""
-        theta = self.theta_values(state)
-        row = {
-            "th_min": float(theta.min()),
-            "th_max": float(theta.max()),
-            "th_l1": self.grid.integrate(np.abs(theta)),
-        }
-        if "norms" not in self._forcing:
-            row["omega_f_65sq"], row["omega_f_l3sq"] = self._omega_f_norms(theta)
-        return row
+        return w, v, self.theta_values(state.dcoef)
 
     def _ledger(self, times: np.ndarray, coeffs_w: np.ndarray, coeffs_th: np.ndarray) -> dict:
-        """Every audit series but those of _sample, as arrays over the samples
-        at ``times`` with the coefficients stored by rows.
+        """Every audit series, as arrays over the samples at ``times`` with
+        the coefficients stored by rows.
 
         The energies are quadratic forms in the coefficients. The mean of
         theta is that of the constant mode alone, since midpoint quadrature
-        integrates every other cosine mode to exactly 0. The data d = s(t) g
+        integrates every other cosine mode to exactly 0. What needs theta on
+        the grid is computed one stored row at a time. The data d = s(t) g
         enter through s, |s| and |s'| times the couplings' numbers of g and
         delta_1.
         """
@@ -625,8 +611,7 @@ class GalerkinSolver:
         s = np.array([self.profile.s(t) for t in times])
         s_t = np.array([self.profile.s_t(t) for t in times])
         abs_s = np.abs(s)
-        out = {"t": times}
-        out["w_l2sq"] = np.einsum("ij,ij->i", C, C)
+        out = {"w_l2sq": np.einsum("ij,ij->i", C, C)}
         out["w_gradsq"] = np.einsum("ij,ij->i", C @ forms.G_grad_w, C)
         out["w_h1sq"] = out["w_l2sq"] + out["w_gradsq"]
         out["th_l2sq"] = np.einsum("ij,ij->i", D, D)
@@ -643,10 +628,18 @@ class GalerkinSolver:
         out["delta_gradsq"] = s * s * k["gradsq"]
         out["v_l2sq"] = out["w_l2sq"] + 2.0 * s * (C @ k["P"]) + out["delta_l2sq"]
         out["v_gradsq"] = out["w_gradsq"] + 2.0 * s * (C @ k["Q"]) + out["delta_gradsq"]
-        if "norms" in self._forcing:
-            out["omega_f_65sq"], out["omega_f_l3sq"] = (
-                np.full(times.size, x) for x in self._forcing["norms"]
-            )
+
+        # theta on the grid, one stored row at a time: its extremes, its L1
+        # norm and the norms of the clamped omega(theta) f, which are two
+        # numbers per run unless omega depends on theta and f is not zero
+        norms = self._forcing.get("norms")
+        rows = []
+        for d in D:
+            theta = self.theta_values(d)
+            rows.append((float(theta.min()), float(theta.max()), grid.integrate(np.abs(theta)),
+                         *(norms or self._omega_f_norms(theta))))
+        keys = ("th_min", "th_max", "th_l1", "omega_f_65sq", "omega_f_l3sq")
+        out.update((key, np.array(column)) for key, column in zip(keys, zip(*rows)))
 
         # every velocity mode has normal trace exactly 0 (build_velocity_basis
         # checks it), so v.n = s n.delta_1 for any state
@@ -670,7 +663,9 @@ class GalerkinSolver:
 
     # -- the window loop ------------------------------------------------------------
 
-    def run_windows(self, snapshot_cb: Optional[Callable] = None) -> RunResult:
+    def run_windows(self) -> RunResult:
+        """Step through the windows, restarting AB2 at each joint, and store
+        the time and coefficients of every sample; the series come after."""
         cfg = self.config
         state = self.initial_state()
         spw = cfg.steps_per_window
@@ -678,7 +673,6 @@ class GalerkinSolver:
         times = np.zeros(n_samples)
         coeffs_w = np.zeros((n_samples, cfg.m))
         coeffs_th = np.zeros((n_samples, self.tb.m))
-        rows = []
 
         est = self.dt_stability_estimate(state)
         if cfg.dt > est:
@@ -687,32 +681,21 @@ class GalerkinSolver:
                 RuntimeWarning,
             )
 
-        def record(idx, st):
-            times[idx] = st.t
-            coeffs_w[idx] = st.c
-            coeffs_th[idx] = st.dcoef
-            rows.append(self._sample(st))
-            if snapshot_cb is not None:
-                snapshot_cb(idx, st, self)
-
-        record(0, state)
-        idx = 1
-        for window in range(cfg.n_windows):
+        idx = 0
+        times[idx], coeffs_w[idx], coeffs_th[idx] = state.t, state.c, state.dcoef
+        for _ in range(cfg.n_windows):
             self.reset_window()
             for _ in range(spw):
                 state = self.step(state)
-                record(idx, state)
                 idx += 1
+                times[idx], coeffs_w[idx], coeffs_th[idx] = state.t, state.c, state.dcoef
 
-        series = self._ledger(times, coeffs_w, coeffs_th)
-        series.update((key, np.array([row[key] for row in rows])) for key in rows[0])
         return RunResult(
             config=cfg,
-            times=times.copy(),
-            series=series,
+            times=times,
+            series=self._ledger(times, coeffs_w, coeffs_th),
             coeffs_w=coeffs_w,
             coeffs_th=coeffs_th,
             steps_per_window=spw,
             n_windows=cfg.n_windows,
-            dt_stability_estimate=est,
         )

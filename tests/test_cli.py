@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,14 +10,15 @@ import pytest
 
 from ductflow import cli
 from ductflow.cli import main
-from ductflow.errors import ScenarioError
+from ductflow.errors import NumericalAbort, ScenarioError
 from ductflow.scenario import (
+    KEY_MAP,
     bundled_scenario_path,
     load_scenario,
     parse_scenario_text,
     set_key,
 )
-from ductflow.solver import GalerkinSolver, ScenarioConfig
+from ductflow.solver import GalerkinSolver, ScenarioConfig, profile_of
 
 QUICK = bundled_scenario_path("quick-decay")
 
@@ -66,6 +68,33 @@ def test_parse_error_reports_line_number():
         parse_scenario_text("domain.N1 = not-a-number\n")
     with pytest.raises(ScenarioError, match="line 3"):
         parse_scenario_text("domain.L1 = 1\ndomain.L2 = 1\ndomain.L1 = 2\n")
+
+
+@pytest.mark.parametrize("key", sorted(KEY_MAP))
+def test_every_key_parses_to_the_type_of_its_default(key):
+    # the value type of a key is that of its field's default; the default,
+    # written as a scenario file would, parses back to that type (a float
+    # written without a point stays a float), and a value that is not of
+    # that type is rejected naming its line
+    default = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}[KEY_MAP[key]]
+    kind = type(default)
+    if kind is tuple:
+        text = ",".join(f"{x:g}" for x in default)
+    elif kind is float:
+        text = f"{default:g}"
+    else:
+        text = str(default)
+    value = getattr(parse_scenario_text(f"{key} = {text}\n"), KEY_MAP[key])
+    assert type(value) is kind and value == default
+    malformed = f"# a comment\n\n{key} = not-a-number\n"
+    if kind is str:
+        # any text is a string: a name outside the field's choices is
+        # rejected after parsing, by validate or by the profile lookup
+        with pytest.raises((ScenarioError, ValueError)):
+            profile_of(parse_scenario_text(malformed))
+    else:
+        with pytest.raises(ScenarioError, match="^line 3: cannot parse"):
+            parse_scenario_text(malformed)
 
 
 def test_set_key_replaces_and_appends():
@@ -187,7 +216,7 @@ def test_unresolved_cutoff_layer_fails_with_note(tmp_path):
 
 
 def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys):
-    def execute(config, snapshot_cb=None):
+    def execute(config):
         raise ValueError("rejected by the library")
 
     monkeypatch.setattr(cli, "execute", execute)
@@ -274,7 +303,7 @@ def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, keys, message
 
 
 def test_out_naming_a_file_fails_before_any_compute(tmp_path, monkeypatch, capsys):
-    def execute(config, snapshot_cb=None):
+    def execute(config):
         raise AssertionError("the pipeline ran although --out is unusable")
 
     monkeypatch.setattr(cli, "execute", execute)
@@ -289,6 +318,38 @@ def test_out_naming_a_file_fails_before_any_compute(tmp_path, monkeypatch, capsy
         assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
     assert taken.read_text() == "a regular file\n"
+
+
+def test_negative_snapshot_cadence_fails_before_any_compute(tmp_path, monkeypatch, capsys):
+    # a CADENCE below 0 is a usage error (exit 1, not argparse's exit 2, which
+    # means a numerical abort here); 0 means no snapshots
+    def execute(*args, **kwargs):
+        raise AssertionError("the pipeline ran although --snapshots is negative")
+
+    monkeypatch.setattr(cli, "execute", execute)
+    out = tmp_path / "out"
+    assert main(["run", str(QUICK), "--out", str(out), "--snapshots", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_aborted_run_writes_the_dump_and_no_snapshots(tmp_path, monkeypatch):
+    # snapshots are written from the stored trajectory after the run, so a
+    # run that aborts leaves its diagnostics and no partial snapshots/
+    calls = []
+
+    def step(self, state, _orig=GalerkinSolver.step):
+        calls.append(state.t)
+        if len(calls) == 5:
+            raise NumericalAbort("injected", t=state.t, state=state)
+        return _orig(self, state)
+
+    monkeypatch.setattr(GalerkinSolver, "step", step)
+    out = tmp_path / "out"
+    assert main(["run", str(QUICK), "--out", str(out), "--snapshots", "1"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["abort_dump.json"]
+    assert json.loads((out / "abort_dump.json").read_text())["t"] == calls[-1]
 
 
 def test_zero_flux_amplitude_is_no_flux(tmp_path):

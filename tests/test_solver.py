@@ -28,10 +28,9 @@ from ductflow.solver import (
 
 
 def sampled(solver, state) -> dict:
-    """Every audit series at one state: the ledger's and _sample's, as the
-    run loop puts them together."""
+    """Every audit series at one state, as the ledger derives them from the
+    stored coefficients."""
     series = solver._ledger(np.array([state.t]), state.c[None], state.dcoef[None])
-    series.update((key, np.array([value])) for key, value in solver._sample(state).items())
     return {key: value[0] for key, value in series.items()}
 
 
@@ -262,6 +261,33 @@ def test_stepping_forcing_needs_no_grid_field(monkeypatch):
         assert calls == grid_calls, kw
 
 
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(omega_kind="linear", omega1=0.3, forcing_kind="shear", forcing_amplitude=0.3),
+])
+def test_run_loop_only_steps_and_stores(monkeypatch, kw):
+    # the loop steps and stores the coefficients; theta is synthesized on
+    # the grid only afterwards, by the ledger over the stored rows. A
+    # bounded_smooth omega is left out: its step synthesizes theta by design
+    solver = GalerkinSolver(small_config(n_windows=2, **kw))
+    n_steps = 2 * solver.config.steps_per_window
+    steps, thetas = [], []
+
+    def step(self, state, _orig=GalerkinSolver.step):
+        steps.append(state.t)
+        return _orig(self, state)
+
+    def theta_values(self, dcoef, _orig=GalerkinSolver.theta_values):
+        thetas.append(len(steps))
+        return _orig(self, dcoef)
+
+    monkeypatch.setattr(GalerkinSolver, "step", step)
+    monkeypatch.setattr(GalerkinSolver, "theta_values", theta_values)
+    res = solver.run_windows()
+    assert len(steps) == n_steps and res.times.size == n_steps + 1
+    assert thetas and set(thetas) == {n_steps}, "theta synthesized before the last step"
+
+
 def test_scaled_lifting_matches_direct_rebuild():
     # delta(t) = s(t) delta_1 and the couplings scaled by s, s' and s^2 must
     # equal a lifting rebuilt from the data at t and assembled anew.
@@ -433,7 +459,7 @@ def test_th_integral_is_the_constant_mode():
     rng = np.random.default_rng(7)
     state = State(t=0.0, c=np.zeros(solver.config.m), dcoef=rng.standard_normal(solver.tb.m))
     row = sampled(solver, state)
-    direct = solver.grid.integrate(solver.theta_values(state))
+    direct = solver.grid.integrate(solver.theta_values(state.dcoef))
     assert abs(row["th_integral"] - direct) <= 1e-14 * row["th_l1"]
     assert row["th_integral"] != 0.0
 
@@ -559,7 +585,7 @@ def test_theta_values_match_the_dense_synthesis(kw):
     tb = solver.tb
     dcoef = np.random.default_rng(4).standard_normal(tb.m)
     ref = (dcoef @ oracles.family_fields(tb.factors)[0].reshape(tb.m, -1)).reshape(solver.grid.shape)
-    got = solver.theta_values(State(t=0.0, c=np.zeros(solver.config.m), dcoef=dcoef))
+    got = solver.theta_values(dcoef)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -682,7 +708,7 @@ def test_coefficient_norms_match_grid_quadrature():
     solver = GalerkinSolver(cfg)
     state = solver.initial_state()
     w = solver.w_values(state)
-    theta = solver.theta_values(state)
+    theta = solver.theta_values(state.dcoef)
     grid = solver.grid
     assert abs(grid.integrate(np.sum(w**2, axis=0)) - float(state.c @ state.c)) < 1e-8
     assert abs(grid.integrate(theta**2) - float(state.dcoef @ state.dcoef)) < 1e-8
