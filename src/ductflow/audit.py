@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import poisson as poisson_mod
-from .solver import GalerkinSolver, RunResult, ScenarioConfig
+from .solver import GalerkinSolver, RunResult, ScenarioConfig, profile_of
 
 BUDGET_NOTE = (
     "cap-data Sobolev norms replace fractional boundary norms in the budget; "
@@ -132,8 +132,8 @@ def _trapz(y: np.ndarray, t: np.ndarray) -> float:
 
 
 def is_free_decay(config: ScenarioConfig) -> bool:
-    no_flux = config.flux_profile == "none" or config.flux_amplitude == 0.0
-    return no_flux and config.forcing_is_zero
+    """No flux (the configured profile is "none") and zero forcing."""
+    return profile_of(config).name == "none" and config.forcing_is_zero
 
 
 def calibrate(run: RunResult, solver: GalerkinSolver, config: ScenarioConfig) -> Calibration:
@@ -345,7 +345,7 @@ def _v_norm_sq(sup_l2sq: float, int_gradsq: float) -> float:
     return (math.sqrt(sup_l2sq) + math.sqrt(max(int_gradsq, 0.0))) ** 2
 
 
-def _mk_theta_energy_cert(run: RunResult, config: ScenarioConfig) -> Certificate:
+def _mk_theta_energy_cert(run: RunResult, config: ScenarioConfig, theta0_l1: float) -> Certificate:
     s = run.series
     t = run.times
     lhs = _v_norm_sq(float(np.max(s["th_l2sq"])), _trapz(s["th_gradsq"], t))
@@ -354,7 +354,7 @@ def _mk_theta_energy_cert(run: RunResult, config: ScenarioConfig) -> Certificate
     rhs = (
         config.c_theta * math.exp(d1_l3_6) * s["th_l2sq"][0]
         + d1_l1**2 * config.theta_star_upper**2
-        + s["th_l1"][0] ** 2
+        + theta0_l1**2
     )
     return _inequality(
         "temperature-energy", "E6",
@@ -441,7 +441,7 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
     # the run's lifting of the cap shape g, i.e. of the data at s = 1
     ext, sol, _ = solver.delta_provider.lifting
     lhs, rhs = poisson_mod.certify_layer_bound(
-        solver.profile.unit(), solver.hopf_params, ext, solver.grid, config.mu
+        solver.profile, solver.hopf_params, ext, solver.grid, config.mu
     )
     # lhs is the weighted norm of div b. With flux present it vanishes only
     # when the whole layer (r, rho] falls between two x3 nodes: the grid then
@@ -512,7 +512,9 @@ def audit_run(run: RunResult, solver: GalerkinSolver) -> EnergyLedger:
         *rec_certs,
         _mk_temperature_bounds_cert(run, config),
         _mk_mean_budget_cert(run, config),
-        _mk_theta_energy_cert(run, config),
+        _mk_theta_energy_cert(
+            run, config, solver.grid.integrate(np.abs(solver.theta_values(run.coeffs_th[0])))
+        ),
         *_mk_reconstruction_certs(run, config),
         *_mk_weighted_certs(solver, config),
         _mk_compat_cert(run),

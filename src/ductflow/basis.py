@@ -618,21 +618,3 @@ class AssembledForms:
                 B += patch.weight * np.einsum("xy,ixy->i", bdata, psi_tau)
                 Fb += self.nu * patch.weight * np.einsum("xy,ixy->i", stress, psi_tau)
         return B, Fb
-
-
-def assemble_forms(
-    vb: VelocityBasis,
-    tb: TemperatureBasis,
-    grid: QuadratureGrid,
-    nu: float,
-    gamma: float,
-    kappa_heat: float,
-) -> AssembledForms:
-    return AssembledForms(
-        grid=grid,
-        vb=vb,
-        tb=tb,
-        nu=nu,
-        gamma=gamma,
-        kappa_heat=kappa_heat,
-    )

@@ -13,15 +13,22 @@ evaluated in the distance sigma_i to cap i. The slope obeys
 the lifting controllably small when eps is. Extensions d~_i are constant
 in x3, so the trace of b on each cap reproduces the data exactly and
 div b = sum_i d~_i eta_i'(sigma_i) sigma_i'(x3) is available in closed form.
-One evaluator, _alpha, gives alpha and grad alpha at any points; build_b
-samples it on the grid and, through b_on_face, on the six boundary patches.
+
+The data are d1 = d2 = s(t) g (FluxProfile) and the lifting is linear in
+them, so the lifting here is that of the cap shape g alone and takes no
+time. The time factor s(t) enters only above it: in the solver's lifting
+provider and ledger, and in validate_profile, the one check of the data
+for `check` and `run` alike. One evaluator, _alpha, gives alpha and
+grad alpha of the lifting of g at any points; build_b samples it on the
+grid and, through b_on_face, on the six boundary patches.
+compatibility_residual is the one formula for the flux compatibility.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -146,16 +153,6 @@ class FluxProfile:
     s_t: Callable
     s_sup: Callable
 
-    def d1(self, x1, x2, t):
-        return self.s(t) * self.g(x1, x2)
-
-    def d2(self, x1, x2, t):
-        return self.s(t) * self.g(x1, x2)
-
-    def unit(self) -> FluxProfile:
-        """The cap shape held still (s = 1): its lifting is delta_1."""
-        return replace(self, s=_one, s_t=_still, s_sup=_one)
-
 
 def _one(t):
     return 1.0
@@ -251,32 +248,29 @@ def profile_by_name(name: str, spec: DomainSpec, **kw) -> FluxProfile:
     return zero_profile() if amplitude == 0 else profile
 
 
-def check_compatibility(profile: FluxProfile, grid: QuadratureGrid, t: float) -> float:
-    """compatibility_residual of the data d1, d2 sampled on the caps at t."""
-    d1 = profile.d1(*grid.patch(PatchKind.CAP_LO).meshgrid(), t)
-    d2 = profile.d2(*grid.patch(PatchKind.CAP_HI).meshgrid(), t)
-    return compatibility_residual(grid, d1, d2)
+def compatibility_residual(cap_integrals, s):
+    """|s I_lo - s I_hi| / max(1, |s I_lo|), with I_lo, I_hi the integrals of
+    the cap shape g over the lower and the upper cap, for a scalar or an
+    array of time factors s."""
+    in_lo, in_hi = (s * x for x in cap_integrals)
+    return np.abs(in_lo - in_hi) / np.maximum(1.0, np.abs(in_lo))
 
 
-def compatibility_residual(grid: QuadratureGrid, d1: np.ndarray, d2: np.ndarray) -> float:
-    """|int d1 - int d2| over the caps, normalized by max(1, int d1), from the
-    data sampled on the lower (d1) and the upper (d2) cap."""
-    in1 = grid.patch(PatchKind.CAP_LO).integrate(d1)
-    in2 = grid.patch(PatchKind.CAP_HI).integrate(d2)
-    return abs(in1 - in2) / max(1.0, abs(in1))
-
-
-def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> None:
-    """Nonnegativity and compatibility at the given times (raises on failure)."""
-    lo, hi = grid.patch(PatchKind.CAP_LO).meshgrid(), grid.patch(PatchKind.CAP_HI).meshgrid()
-    for t in np.atleast_1d(times):
-        data = profile.d1(*lo, t), profile.d2(*hi, t)
-        for i, vals in enumerate(data, start=1):
-            if np.any(vals < -1e-13):
+def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> float:
+    """The worst compatibility residual of d1 = d2 = s(t) g at the given
+    times; raises ValueError on negative data or a residual above 1e-12."""
+    caps = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
+    g_cap = [profile.g(*patch.meshgrid()) for patch in caps]
+    times = np.atleast_1d(times)
+    s = np.array([profile.s(t) for t in times])
+    residual = compatibility_residual([patch.integrate(g) for patch, g in zip(caps, g_cap)], s)
+    for t, s_t, res in zip(times, s, residual):
+        for i, g in enumerate(g_cap, start=1):
+            if np.any(s_t * g < -1e-13):
                 raise ValueError(f"flux d{i} negative at t={t}")
-        res = compatibility_residual(grid, *data)
         if res > 1e-12:
             raise ValueError(f"flux compatibility violated at t={t}: residual {res:.3e}")
+    return float(np.max(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +292,10 @@ class ExtensionB:
     faces: dict
 
 
-def _alpha(profile: FluxProfile, params: HopfParams, spec: DomainSpec, x1, x2, x3, t: float):
-    """(alpha, grad_alpha) at broadcastable points, x3 clipped to [-a, a]:
-    d1 = d2 = s g and the cutoffs have disjoint supports (rho < a), so
-    alpha = s g (eta_lo + eta_hi)."""
+def _alpha(profile: FluxProfile, params: HopfParams, spec: DomainSpec, x1, x2, x3):
+    """(alpha, grad_alpha) of the lifting of the cap shape g at
+    broadcastable points, x3 clipped to [-a, a]: the cutoffs have disjoint
+    supports (rho < a), so alpha = g (eta_lo + eta_hi)."""
     x3 = np.clip(x3, -spec.a, spec.a)
     sig_lo = x3 + spec.a
     sig_hi = spec.a - x3
@@ -309,19 +303,13 @@ def _alpha(profile: FluxProfile, params: HopfParams, spec: DomainSpec, x1, x2, x
     # sigma' = +1 toward the bottom cap coordinate, -1 toward the top
     slope = hopf_eta_prime(np.stack([sig_lo, sig_hi]), params, warn_on_kink=False)
     etap = slope[0] - slope[1]
-    s = profile.s(t)
-    d, d_g1, d_g2 = (s * fn(x1, x2) for fn in (profile.g, profile.g1, profile.g2))
-    return d * eta, np.stack([d_g1 * eta, d_g2 * eta, d * etap])
+    g, g1, g2 = (fn(x1, x2) for fn in (profile.g, profile.g1, profile.g2))
+    return g * eta, np.stack([g1 * eta, g2 * eta, g * etap])
 
 
-def build_b(
-    profile: FluxProfile,
-    params: HopfParams,
-    grid: QuadratureGrid,
-    t: float,
-) -> ExtensionB:
-    """Assemble the lifting and its analytic derivatives at time t, on the
-    grid and on every boundary patch."""
+def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> ExtensionB:
+    """Assemble the lifting of the cap shape g and its analytic derivatives,
+    on the grid and on every boundary patch."""
     spec = grid.spec
     if params.rho >= spec.a:
         raise RegimeError(
@@ -329,28 +317,22 @@ def build_b(
         )
     alpha, grad_alpha = _alpha(
         profile, params, spec,
-        grid.x1[:, None, None], grid.x2[None, :, None], grid.x3[None, None, :], t,
+        grid.x1[:, None, None], grid.x2[None, :, None], grid.x3[None, None, :],
     )
-    faces = {p.kind: b_on_face(profile, params, grid, p, t) for p in grid.patches}
+    faces = {p.kind: b_on_face(profile, params, grid, p) for p in grid.patches}
     return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2], faces=faces)
 
 
-def b_on_face(
-    profile: FluxProfile,
-    params: HopfParams,
-    grid: QuadratureGrid,
-    patch,
-    t: float,
-):
+def b_on_face(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid, patch):
     """(alpha, grad_alpha) sampled on a boundary patch.
 
     On the caps the cutoff is exactly 1 at its own cap and 0 at the opposite
-    one, so alpha reproduces the trace data to machine precision.
+    one, so alpha reproduces g there to machine precision.
     """
     x = [None] * 3
     x[patch.plane_axes[0]], x[patch.plane_axes[1]] = patch.meshgrid()
     x[patch.axis] = np.full(x[patch.plane_axes[0]].shape, patch.coord)
-    return _alpha(profile, params, grid.spec, *x, t)
+    return _alpha(profile, params, grid.spec, *x)
 
 
 # ---------------------------------------------------------------------------

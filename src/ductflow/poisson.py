@@ -210,6 +210,10 @@ def certify_layer_bound(
 ) -> tuple[float, float]:
     """Left and right sides of the weighted layer bound on div b.
 
+    ext is the lifting of the cap shape g (hopf.build_b) and both sides are
+    read of g alone; the time factor s of the profile is never read, and
+    the bound at time t is |s(t)| times this one.
+
     lhs: the weighted L_{3,mu} norm of div b by grid quadrature.
     rhs: eps rho^(mu - 2/3) sum_i sup_x3 |d~_i|_{3, cap} plus
          rho^(mu + 1/3) sum_i sup_x3 |d~_{i,x3}|_{3, cap}, with unit

@@ -36,7 +36,6 @@ from .basis import (
     FaceDelta,
     TemperatureBasis,
     VelocityBasis,
-    assemble_forms,
     build_temperature_basis,
     build_velocity_basis,
 )
@@ -231,11 +230,11 @@ def pick_hopf_params(
 class DeltaProvider:
     """delta(t) = s(t) delta_1 and its couplings, from one lifting per run.
 
-    delta_1 = b + grad(phi) lifts the cap shape g held still (s = 1). The
-    lifting is linear in the data, so delta(t) = s(t) delta_1, delta_t =
-    s'(t) delta_1, and every coupling with the bases and every number the
-    audit reads of delta or of the data d = s(t) g is s, s', |s|, |s'| or a
-    square of one of them times a number or array fixed per run. The lifting
+    delta_1 = b + grad(phi) lifts the cap shape g (hopf.build_b takes no
+    time). The lifting is linear in the data, so delta(t) = s(t) delta_1,
+    delta_t = s'(t) delta_1, and every coupling with the bases and every
+    number the audit reads of delta or of the data d = s(t) g is s, s', |s|,
+    |s'| or a square of one of them times a number or array fixed per run. The lifting
     and those numbers (``couplings``) are built once, on first use, and are
     all the run loop and the ledger read; calling the provider evaluates
     delta(t) on the grid.
@@ -277,7 +276,7 @@ class DeltaProvider:
     @cached_property
     def lifting(self):
         """(ext, sol, delta_1): b, the Neumann solution and delta_1 with faces."""
-        ext = hopf_mod.build_b(self.profile.unit(), self.params, self.grid, 0.0)
+        ext = hopf_mod.build_b(self.profile, self.params, self.grid)
         sol = poisson_mod.solve_neumann(ext.div_b, self.grid)
         return ext, sol, poisson_mod.delta_field(ext, sol, self.grid)
 
@@ -381,13 +380,8 @@ class GalerkinSolver:
         _, self.grid = build_domain(config.domain_spec())
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
-        self.forms: AssembledForms = assemble_forms(
-            self.vb,
-            self.tb,
-            self.grid,
-            nu=config.nu,
-            gamma=config.gamma,
-            kappa_heat=config.kappa_heat,
+        self.forms = AssembledForms(
+            self.grid, self.vb, self.tb, nu=config.nu, gamma=config.gamma, kappa_heat=config.kappa_heat
         )
         self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
         self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
@@ -629,23 +623,21 @@ class GalerkinSolver:
         out["v_l2sq"] = out["w_l2sq"] + 2.0 * s * (C @ k["P"]) + out["delta_l2sq"]
         out["v_gradsq"] = out["w_gradsq"] + 2.0 * s * (C @ k["Q"]) + out["delta_gradsq"]
 
-        # theta on the grid, one stored row at a time: its extremes, its L1
-        # norm and the norms of the clamped omega(theta) f, which are two
-        # numbers per run unless omega depends on theta and f is not zero
+        # theta on the grid, one stored row at a time: its extremes and the
+        # norms of the clamped omega(theta) f, which are two numbers per run
+        # unless omega depends on theta and f is not zero
         norms = self._forcing.get("norms")
         rows = []
         for d in D:
             theta = self.theta_values(d)
-            rows.append((float(theta.min()), float(theta.max()), grid.integrate(np.abs(theta)),
-                         *(norms or self._omega_f_norms(theta))))
-        keys = ("th_min", "th_max", "th_l1", "omega_f_65sq", "omega_f_l3sq")
+            rows.append((float(theta.min()), float(theta.max()), *(norms or self._omega_f_norms(theta))))
+        keys = ("th_min", "th_max", "omega_f_65sq", "omega_f_l3sq")
         out.update((key, np.array(column)) for key, column in zip(keys, zip(*rows)))
 
         # every velocity mode has normal trace exactly 0 (build_velocity_basis
         # checks it), so v.n = s n.delta_1 for any state
         out["flux_trace_err"] = abs_s * k["trace_gap"]
-        in_lo, in_hi = (s * x for x in k["cap_integrals"])
-        out["compat_residual"] = np.abs(in_lo - in_hi) / np.maximum(1.0, np.abs(in_lo))
+        out["compat_residual"] = hopf_mod.compatibility_residual(k["cap_integrals"], s)
         cap = k["cap"]
         out["d_w13_total"] = abs_s * cap.w13_inf_total
         out["d_w13_sq_sum"] = s * s * sum(x * x for x in cap.w13_cap)

@@ -31,7 +31,6 @@ class AxisTransform:
     """Synthesis/analysis matrices for one axis of a midpoint grid."""
 
     n: int
-    length: float
     cos_syn: np.ndarray   # [node, k] = cos(k pi s_j)
     sin_syn: np.ndarray   # [node, k] = sin(k pi s_j); column 0 is zero
     cos_ana: np.ndarray   # exact inverse of cos_syn
@@ -52,7 +51,6 @@ class AxisTransform:
         cos_ana = (cos_syn * scale[None, :]).T
         return cls(
             n=n,
-            length=length,
             cos_syn=cos_syn,
             sin_syn=sin_syn,
             cos_ana=cos_ana,

@@ -15,10 +15,10 @@ from ductflow.domain import DomainSpec, PatchKind, build_domain
 from ductflow.hopf import (
     HopfParams,
     build_b,
-    check_compatibility,
     hopf_eta,
     hopf_eta_prime,
     profile_by_name,
+    validate_profile,
 )
 from ductflow.poisson import certify_layer_bound, certify_weighted_hessian, delta_field, solve_neumann
 from ductflow.basis import build_velocity_basis
@@ -100,7 +100,7 @@ def extension_setups():
     patches, grid = desk_grid()
     setups = []
     for prof in three_profiles(grid.spec):
-        ext = build_b(prof, PARAMS, grid, 0.0)
+        ext = build_b(prof, PARAMS, grid)
         sol = solve_neumann(ext.div_b, grid)
         setups.append((prof, ext, sol, grid))
     return setups
@@ -126,14 +126,14 @@ def test_criterion_02_extension_correctness(extension_setups):
             vn = np.einsum("c,cxy->xy", patch.normal, vals)
             X, Y = patch.meshgrid()
             if patch.kind == PatchKind.CAP_LO:
-                cap_err = max(cap_err, float(np.max(np.abs(vn + prof.d1(X, Y, 0.0)))))
+                cap_err = max(cap_err, float(np.max(np.abs(vn + prof.s(0.0) * prof.g(X, Y)))))
             elif patch.kind == PatchKind.CAP_HI:
-                cap_err = max(cap_err, float(np.max(np.abs(vn - prof.d2(X, Y, 0.0)))))
+                cap_err = max(cap_err, float(np.max(np.abs(vn - prof.s(0.0) * prof.g(X, Y)))))
             else:
                 side_err = max(side_err, float(np.max(np.abs(vn))))
         assert cap_err <= 1e-8, prof.name
         assert side_err <= 1e-10, prof.name
-        assert check_compatibility(prof, solver.grid, 0.0) <= 1e-12
+        assert validate_profile(prof, solver.grid, [0.0]) <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     _ok("02 extension-correctness")
@@ -191,7 +191,7 @@ def test_criterion_05_weighted_hessian_certificate():
                 prof = profile_by_name(
                     prof_name, spec, amplitude=0.6, beta=0.5, period=0.5
                 )
-                ext = build_b(prof, PARAMS, grid, 0.0)
+                ext = build_b(prof, PARAMS, grid)
                 sol = solve_neumann(ext.div_b, grid)
                 ratios.append(certify_weighted_hessian(ext.div_b, sol, p=3, mu=mu))
             assert all(math.isfinite(r) for r in ratios)
@@ -200,7 +200,7 @@ def test_criterion_05_weighted_hessian_certificate():
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, **DESK)
     _, grid = build_domain(spec)
     prof = profile_by_name("constant", spec, amplitude=1.0)
-    ext = build_b(prof, PARAMS, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid)
     with pytest.raises(ValueError, match="not finite"):
         certify_layer_bound(prof, PARAMS, ext, grid, mu=2.0 / 3.0)
     elapsed = time.perf_counter() - t0
@@ -222,10 +222,10 @@ def test_criterion_06_basis_integrity():
     psi = samples.reshape(32, 3, -1)
     gram = grid.cell_volume * np.einsum("iag,jag->ij", psi, psi)
     assert np.max(np.abs(gram - np.eye(32))) <= 1e-10
-    from ductflow.basis import assemble_forms, build_temperature_basis
+    from ductflow.basis import AssembledForms, build_temperature_basis
 
     tb = build_temperature_basis(grid, 32)
-    forms = assemble_forms(vb, tb, grid, nu=1.0, gamma=1.0, kappa_heat=1.0)
+    forms = AssembledForms(grid, vb, tb, nu=1.0, gamma=1.0, kappa_heat=1.0)
     assert np.linalg.eigvalsh(forms.K_visc + forms.K_fric).min() > 0.0
     _ok("06 basis-integrity")
 

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from ductflow import basis
 from ductflow.basis import (
-    assemble_forms,
+    AssembledForms,
     build_temperature_basis,
     build_velocity_basis,
     dealias_cap,
@@ -41,7 +41,7 @@ def tb(grid):
 
 @pytest.fixture(scope="module")
 def forms(grid, vb, tb):
-    return assemble_forms(vb, tb, grid, nu=1.0, gamma=1.0, kappa_heat=1.0)
+    return AssembledForms(grid, vb, tb, nu=1.0, gamma=1.0, kappa_heat=1.0)
 
 
 def test_sampled_divergence_vanishes(vb, grid):
@@ -173,7 +173,7 @@ def test_korn_coercivity(forms):
 
 
 def test_zero_gamma_kills_friction(grid, vb, tb):
-    f0 = assemble_forms(vb, tb, grid, nu=1.0, gamma=0.0, kappa_heat=1.0)
+    f0 = AssembledForms(grid, vb, tb, nu=1.0, gamma=0.0, kappa_heat=1.0)
     assert np.max(np.abs(f0.K_fric)) == 0.0
 
 
@@ -223,7 +223,7 @@ def test_dealias_guard():
     vb = build_velocity_basis(small, 4)
     tb = build_temperature_basis(small, 4)
     # caps were respected, so assembly passes the aliasing check
-    assemble_forms(vb, tb, small, nu=1.0, gamma=1.0, kappa_heat=1.0)
+    AssembledForms(small, vb, tb, nu=1.0, gamma=1.0, kappa_heat=1.0)
 
 
 def test_gram_deviation_stops_the_build(grid, monkeypatch):
@@ -269,7 +269,7 @@ def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
         # the temperature band exceeds the velocity band on axes 1 and 2, so
         # the transport grid needs the larger of the two bands on every axis
         assert vb.k_max == (4, 2, 4) and tb.k_max == (4, 3, 5)
-    forms = assemble_forms(vb, tb, grid, nu=0.7, gamma=1.3, kappa_heat=0.9)
+    forms = AssembledForms(grid, vb, tb, nu=0.7, gamma=1.3, kappa_heat=0.9)
     ref = oracles.forms_by_quadrature(vb.modes, tb.modes, grid, nu=0.7, gamma=1.3, kappa_heat=0.9)
     kernel = dict(zip(("T_vel", "T_th"), oracles.kernel_tensors(forms)))
     for name, expected in ref.items():

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from ductflow import cli
+from ductflow import solver as solver_mod
 from ductflow.cli import main
 from ductflow.errors import NumericalAbort, ScenarioError
+from ductflow.hopf import constant_profile
 from ductflow.scenario import (
     KEY_MAP,
     bundled_scenario_path,
@@ -264,6 +266,21 @@ def test_check_rejects_the_mode_count_run_rejects(tmp_path, capsys):
     assert "[FAIL] galerkin-modes: requested m = 5000" in capsys.readouterr().out
     assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
     assert "only 625 are resolvable" in capsys.readouterr().err
+
+
+def test_check_rejects_the_negative_flux_run_rejects(tmp_path, monkeypatch, capsys):
+    # `check` and `run` validate the flux data with one function, so data
+    # that are compatible but negative fail both, with the same message
+    negative = dataclasses.replace(
+        constant_profile(0.1), g=lambda x1, x2: np.full(np.broadcast(x1, x2).shape, -0.1)
+    )
+    monkeypatch.setattr(cli, "profile_of", lambda config: negative)
+    monkeypatch.setattr(solver_mod, "profile_of", lambda config: negative)
+    scn = bundled_scenario_path("pulsed-flux")
+    assert main(["check", str(scn)]) == 1
+    assert "[FAIL] flux-compatibility: flux d1 negative at t=0.0\n" in capsys.readouterr().out
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "input error: flux d1 negative at t=0.0\n"
 
 
 @pytest.mark.parametrize("c_cal", [0, -1])

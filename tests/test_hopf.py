@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ductflow.domain import DomainSpec, PatchKind, build_domain
+from ductflow.domain import BoundaryPatch, DomainSpec, PatchKind, build_domain
 from ductflow.errors import RegimeError
 from ductflow.solver import GalerkinSolver, ScenarioConfig
 from ductflow.hopf import (
@@ -14,7 +14,7 @@ from ductflow.hopf import (
     build_b,
     b_on_face,
     cap_norms,
-    check_compatibility,
+    compatibility_residual,
     constant_profile,
     hopf_eta,
     hopf_eta_prime,
@@ -22,6 +22,7 @@ from ductflow.hopf import (
     profile_by_name,
     pulsed_profile,
     select_params,
+    validate_profile,
 )
 
 
@@ -127,12 +128,12 @@ def test_extension_slab_norm_matches_cap_norm():
     # the lifting is the inflow data itself, so slab norms equal cap norms
     grid = unit_grid()
     prof = parabolic_profile(0.7, grid.spec)
-    ext = build_b(prof, PARAMS, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid)
     slabs = np.where(grid.x3 + grid.spec.a <= PARAMS.r)[0]
     assert slabs.size > 0
     cap = grid.patch(PatchKind.CAP_LO)
     X, Y = cap.meshgrid()
-    d1 = prof.d1(X, Y, 0.0)
+    d1 = prof.s(0.0) * prof.g(X, Y)
     ref = math.sqrt(cap.integrate(d1**2))
     for k in slabs:
         assert np.array_equal(ext.alpha[:, :, k], d1)
@@ -163,14 +164,38 @@ def test_parabolic_w13_norm_closed_form():
 
 def test_compatibility_residuals():
     grid = unit_grid()
-    assert check_compatibility(constant_profile(2.0), grid, 0.0) == 0.0
+    assert validate_profile(constant_profile(2.0), grid, [0.0]) == 0.0
     prof = parabolic_profile(1.0, grid.spec)
-    assert check_compatibility(prof, grid, 0.0) < 1e-15
+    assert validate_profile(prof, grid, [0.0]) < 1e-15
     # constructed violation: scale one cap by 1.1
-    broken = parabolic_profile(1.0, grid.spec)
-    object.__setattr__(broken, "d2", lambda x1, x2, t: 1.1 * prof.d1(x1, x2, t))
-    res = check_compatibility(broken, grid, 0.0)
-    assert res > 0.01
+    assert compatibility_residual((1.0, 1.1), 1.0) > 0.01
+
+
+def test_compatibility_residual_of_an_array_of_time_factors():
+    # one residual per time factor, each the scalar residual at that s
+    s = np.array([0.0, 0.5, 1.0, 3.0, -2.0])
+    got = compatibility_residual((2.0, 1.5), s)
+    assert got.shape == s.shape
+    for value, s_i in zip(got, s):
+        assert value == compatibility_residual((2.0, 1.5), float(s_i))
+    assert got[0] == 0.0 and got[3] == 1.5 / 6.0 and got[4] == 1.0 / 4.0
+
+
+def test_validate_profile_reads_the_cap_totals(monkeypatch):
+    # compatible data at every time: the worst residual is 0.0; with the
+    # upper cap's total raised by 10 % the same data are rejected
+    grid = unit_grid()
+    prof = pulsed_profile(0.8, 0.5, 0.4, grid.spec)
+    times = np.linspace(0.0, 1.0, 9)
+    assert validate_profile(prof, grid, times) == 0.0
+    integrate = BoundaryPatch.integrate
+
+    def skewed(self, values):
+        return integrate(self, values) * (1.1 if self.kind == PatchKind.CAP_HI else 1.0)
+
+    monkeypatch.setattr(BoundaryPatch, "integrate", skewed)
+    with pytest.raises(ValueError, match=r"flux compatibility violated at t=0\.0: residual"):
+        validate_profile(prof, grid, times)
 
 
 def test_profile_registry():
@@ -188,12 +213,12 @@ def test_pulsed_never_vanishes_and_dt_analytic():
     cap = grid.patch(PatchKind.CAP_LO)
     X, Y = cap.meshgrid()
     for t in np.linspace(0, 4, 17):
-        vals = prof.d1(X, Y, t)
+        vals = prof.s(t) * prof.g(X, Y)
         assert np.all(vals >= 0.0)
         assert np.max(vals) > 0.0
     # centered difference agrees with the analytic time derivative
     t0, dt = 0.37, 1e-6
-    fd = (prof.d1(X, Y, t0 + dt) - prof.d1(X, Y, t0 - dt)) / (2 * dt)
+    fd = (prof.s(t0 + dt) * prof.g(X, Y) - prof.s(t0 - dt) * prof.g(X, Y)) / (2 * dt)
     assert np.max(np.abs(fd - prof.s_t(t0) * prof.g(X, Y))) < 1e-7
 
 
@@ -226,7 +251,7 @@ def test_pulsed_dt_norm_is_analytic():
 
 def test_b_vanishes_in_the_core():
     grid = unit_grid()
-    ext = build_b(parabolic_profile(1.0, grid.spec), PARAMS, grid, 0.0)
+    ext = build_b(parabolic_profile(1.0, grid.spec), PARAMS, grid)
     core = np.abs(grid.x3) < grid.spec.a - PARAMS.rho
     assert np.max(np.abs(ext.alpha[:, :, core])) == 0.0
 
@@ -234,11 +259,11 @@ def test_b_vanishes_in_the_core():
 def test_b_reproduces_cap_traces():
     grid = unit_grid()
     prof = parabolic_profile(0.9, grid.spec)
-    for kind, d_i, sign in ((PatchKind.CAP_LO, prof.d1, -1.0), (PatchKind.CAP_HI, prof.d2, 1.0)):
+    for kind, sign in ((PatchKind.CAP_LO, -1.0), (PatchKind.CAP_HI, 1.0)):
         patch = grid.patch(kind)
-        alpha, _ = b_on_face(prof, PARAMS, grid, patch, 0.0)
+        alpha, _ = b_on_face(prof, PARAMS, grid, patch)
         X, Y = patch.meshgrid()
-        d = d_i(X, Y, 0.0)
+        d = prof.s(0.0) * prof.g(X, Y)
         # b.n = sign * alpha must match sign * d_i exactly
         assert np.max(np.abs(alpha - d)) < 1e-12
 
@@ -261,7 +286,7 @@ def test_b_on_the_side_walls_matches_the_closed_form():
         )
         g = prof.g(x1, x2)
         expected = (g * eta, [prof.g1(x1, x2) * eta, prof.g2(x1, x2) * eta, g * eta_prime])
-        for got, ref in zip(b_on_face(prof, PARAMS, grid, patch, 0.0), expected):
+        for got, ref in zip(b_on_face(prof, PARAMS, grid, patch), expected):
             ref = np.asarray(ref)
             assert got.shape == ref.shape, patch.kind
             assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), patch.kind
@@ -270,7 +295,7 @@ def test_b_on_the_side_walls_matches_the_closed_form():
 def test_div_b_integrates_to_zero_for_compatible_flux():
     grid = unit_grid((8, 8, 64))
     prof = parabolic_profile(1.0, grid.spec)
-    ext = build_b(prof, PARAMS, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid)
     total = grid.integrate(ext.div_b)
     # quadrature of the layer profile, not exact: tolerance reflects N3 = 64
     assert abs(total) < 5e-3
@@ -279,14 +304,14 @@ def test_div_b_integrates_to_zero_for_compatible_flux():
     lo = grid.patch(PatchKind.CAP_LO)
     X, Y = lo.meshgrid()
     assert (
-        abs(lo.integrate(prof.d2(X, Y, 0.0)) - lo.integrate(prof.d1(X, Y, 0.0)))
+        abs(lo.integrate(prof.s(0.0) * prof.g(X, Y)) - lo.integrate(prof.s(0.0) * prof.g(X, Y)))
         < 1e-15
     )
 
 
 def test_b_support_in_cap_layers():
     grid = unit_grid()
-    ext = build_b(constant_profile(1.0), PARAMS, grid, 0.0)
+    ext = build_b(constant_profile(1.0), PARAMS, grid)
     from ductflow.domain import dist_to_caps
 
     dist = dist_to_caps(grid.x3, grid.spec)
@@ -298,4 +323,4 @@ def test_build_b_rejects_fat_layers():
     spec = DomainSpec(L1=1.0, L2=1.0, a=0.4, N1=8, N2=8, N3=16)
     _, grid = build_domain(spec)
     with pytest.raises(RegimeError):
-        build_b(constant_profile(1.0), HopfParams(eps=0.5, rho=0.5), grid, 0.0)
+        build_b(constant_profile(1.0), HopfParams(eps=0.5, rho=0.5), grid)

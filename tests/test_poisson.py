@@ -84,7 +84,7 @@ def test_linearity():
 
 def test_neumann_trace_vanishes_on_every_face():
     grid = unit_grid()
-    ext = build_b(parabolic_profile(1.0, grid.spec), PARAMS, grid, 0.0)
+    ext = build_b(parabolic_profile(1.0, grid.spec), PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # delta = b + grad(phi) with b = alpha e3: n.delta - n3 alpha = n.grad(phi)
     for patch in grid.patches:
@@ -100,7 +100,7 @@ def test_normal_derivatives_of_phi_are_exactly_zero_on_every_face():
     # b = alpha e3 adds alpha and grad(alpha) into row 2; they are taken
     # back out, which is exact.
     grid = unit_grid(n=(8, 10, 32))
-    ext = build_b(pulsed_profile(0.9, 0.5, 0.2, grid.spec).unit(), PARAMS, grid, 0.0)
+    ext = build_b(pulsed_profile(0.9, 0.5, 0.2, grid.spec), PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     for patch in grid.patches:
         alpha, grad_alpha = ext.faces[patch.kind]
@@ -121,7 +121,7 @@ def test_div_delta_vanishes_at_nodes():
     # divergence of delta = b + grad(phi) is zero at every node.
     grid = unit_grid()
     prof = parabolic_profile(1.0, grid.spec)
-    ext = build_b(prof, PARAMS, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
     g = delta.grad
@@ -136,7 +136,7 @@ def test_div_delta_vanishes_at_nodes():
 def test_delta_carries_the_flux():
     grid = unit_grid()
     prof = parabolic_profile(0.8, grid.spec)
-    ext = build_b(prof, PARAMS, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # normal trace of grad(phi) vanishes, so delta_3 = b_3 = g on both caps
     for kind in (PatchKind.CAP_LO, PatchKind.CAP_HI):
@@ -154,7 +154,7 @@ def test_face_gradients_of_delta_match_trig_sums_and_the_closed_form():
     spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
     _, grid = build_domain(spec)
     prof = parabolic_profile(0.9, spec)
-    ext = build_b(prof, PARAMS, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
     eps, rho, r = PARAMS.eps, PARAMS.rho, PARAMS.r
@@ -244,7 +244,7 @@ def test_weighted_hessian_parameter_validation():
 def test_layer_bound_mu_validation():
     grid = unit_grid()
     prof = constant_profile(1.0)
-    ext = build_b(prof, PARAMS, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid)
     with pytest.raises(ValueError, match="not finite"):
         certify_layer_bound(prof, PARAMS, ext, grid, mu=2.0 / 3.0)
 
@@ -252,7 +252,7 @@ def test_layer_bound_mu_validation():
 def test_layer_bound_zero_flux():
     grid = unit_grid()
     prof = constant_profile(0.0)
-    ext = build_b(prof, PARAMS, grid, 0.0)
+    ext = build_b(prof, PARAMS, grid)
     lhs, rhs = certify_layer_bound(prof, PARAMS, ext, grid, mu=0.8)
     assert lhs == 0.0 and rhs == 0.0
 
@@ -267,7 +267,7 @@ def test_layer_bound_constant_flux_closed_form():
     vals = []
     for n3 in (64, 128, 256):
         grid = unit_grid(n=(4, 4, n3))
-        ext = build_b(prof, PARAMS, grid, 0.0)
+        ext = build_b(prof, PARAMS, grid)
         lhs, rhs = certify_layer_bound(prof, PARAMS, ext, grid, mu=mu)
         vals.append(lhs)
         assert rhs == pytest.approx(

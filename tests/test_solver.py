@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,14 +10,13 @@ import oracles
 from ductflow.basis import (
     AssembledForms,
     DeltaEval,
-    assemble_forms,
     build_temperature_basis,
     build_velocity_basis,
 )
 from ductflow.errors import NumericalAbort, ScenarioError
 from ductflow.domain import PatchKind, build_domain
 import ductflow.hopf as hopf_mod
-from ductflow.hopf import build_b, cap_norms, check_compatibility
+from ductflow.hopf import build_b, cap_norms, validate_profile
 from ductflow.poisson import delta_field, solve_neumann
 from ductflow.solver import (
     DeltaProvider,
@@ -299,7 +299,15 @@ def test_scaled_lifting_matches_direct_rebuild():
     st0 = solver.initial_state()
 
     def rebuild(t):
-        ext = build_b(prof, params, grid, t)
+        # the data at t as a steady profile of shape s(t) g
+        s = prof.s(t)
+        at_t = dataclasses.replace(
+            prof,
+            g=lambda x1, x2: s * prof.g(x1, x2),
+            g1=lambda x1, x2: s * prof.g1(x1, x2),
+            g2=lambda x1, x2: s * prof.g2(x1, x2),
+        )
+        ext = build_b(at_t, params, grid)
         return delta_field(ext, solve_neumann(ext.div_b, grid), grid)
 
     def close(got, ref, tol, label):
@@ -373,7 +381,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
         exact = {
             "d_l3_cap1": l3[0],
             "d_l1_cap1": l1[0],
-            "compat_residual": check_compatibility(prof, grid, t),
+            "compat_residual": validate_profile(prof, grid, [t]),
         }
         close = {
             "d_w13_total": sum(w13),
@@ -387,13 +395,13 @@ def test_sampled_cap_series_match_the_flux_definitions():
         lo = grid.patch(PatchKind.CAP_LO)
         X, Y = lo.meshgrid()
         th_face = np.einsum("i,ixy->xy", state.dcoef, solver.tb.face_samples[PatchKind.CAP_LO])
-        close["inflow_theta"] = lo.integrate(prof.d1(X, Y, t) * th_face)
+        close["inflow_theta"] = lo.integrate(prof.s(t) * prof.g(X, Y) * th_face)
         err = 0.0
         for patch in grid.patches:
             vals = np.einsum("i,icxy->cxy", state.c, solver.vb.face_samples[patch.kind])
             vn = np.einsum("c,cxy->xy", patch.normal, vals + delta.faces[patch.kind].values)
             X, Y = patch.meshgrid()
-            target = {PatchKind.CAP_LO: -prof.d1(X, Y, t), PatchKind.CAP_HI: prof.d2(X, Y, t)}
+            target = {PatchKind.CAP_LO: -prof.s(t) * prof.g(X, Y), PatchKind.CAP_HI: prof.s(t) * prof.g(X, Y)}
             err = max(err, float(np.max(np.abs(vn - target.get(patch.kind, 0.0)))))
         exact["flux_trace_err"] = err  # 0: b reproduces g on the caps exactly
         assert close["ddt_w165_sq_sum"] > 0.0 and close["inflow_theta"] != 0.0
@@ -436,14 +444,14 @@ def test_run_loop_never_evaluates_delta(monkeypatch):
 def test_run_loop_and_ledger_read_no_boundary_data(monkeypatch):
     # once the run's numbers of g and delta_1 are built, neither the run loop
     # nor the ledger evaluates the data d = s(t) g: a pulsed run with g and
-    # the compatibility residual refused gives the same series
+    # the validation of the data refused gives the same series
     def refuse(*args):
         raise AssertionError("boundary data evaluated")
 
     reference = GalerkinSolver(oracle_config(init_v="zero")).run_windows()
     solver = GalerkinSolver(oracle_config(init_v="zero"))
     solver.delta_provider.couplings
-    monkeypatch.setattr(hopf_mod, "compatibility_residual", refuse)
+    monkeypatch.setattr(hopf_mod, "validate_profile", refuse)
     object.__setattr__(solver.profile, "g", refuse)
     res = solver.run_windows()
     assert res.series.keys() == reference.series.keys()
@@ -459,8 +467,9 @@ def test_th_integral_is_the_constant_mode():
     rng = np.random.default_rng(7)
     state = State(t=0.0, c=np.zeros(solver.config.m), dcoef=rng.standard_normal(solver.tb.m))
     row = sampled(solver, state)
-    direct = solver.grid.integrate(solver.theta_values(state.dcoef))
-    assert abs(row["th_integral"] - direct) <= 1e-14 * row["th_l1"]
+    theta = solver.theta_values(state.dcoef)
+    direct = solver.grid.integrate(theta)
+    assert abs(row["th_integral"] - direct) <= 1e-14 * solver.grid.integrate(np.abs(theta))
     assert row["th_integral"] != 0.0
 
 
@@ -692,7 +701,7 @@ def test_assembly_allocates_no_cube_of_m():
     vb, tb = build_velocity_basis(grid, m), build_temperature_basis(grid, m)
     tracemalloc.start()
     try:
-        forms = assemble_forms(vb, tb, grid, nu=1.0, gamma=1.0, kappa_heat=1.0)
+        forms = AssembledForms(grid, vb, tb, nu=1.0, gamma=1.0, kappa_heat=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -775,7 +784,7 @@ def test_cap_flux_integral_of_reconstruction():
     vn = np.einsum("c,cxy->xy", patch.normal, vals)
     X, Y = patch.meshgrid()
     flux_out = patch.integrate(vn)
-    target = patch.integrate(solver.profile.d2(X, Y, 0.0))
+    target = patch.integrate(solver.profile.s(0.0) * solver.profile.g(X, Y))
     assert abs(flux_out - target) <= 1e-8 * max(1.0, abs(target))
 
 

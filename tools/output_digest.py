@@ -2,11 +2,12 @@
 
     python3 tools/output_digest.py [ROOT] [OTHER] [--rel TOL]
 
-Runs `ductflow run --strict`, each in a fresh process, on the bundled
-scenarios and on the benchmark workloads at seeds 1 and 2, using the source
-tree of the ductflow checkout at ROOT (default: the one holding this script).
-Prints one line per run: the name, the exit code and a sha256 prefix of each
-deterministic output.
+Runs `ductflow run --strict` and `ductflow check`, each in a fresh process,
+on the bundled scenarios and on the benchmark workloads at seeds 1 and 2,
+using the source tree of the ductflow checkout at ROOT (default: the one
+holding this script). Prints one line per scenario: the name, the exit code
+of the run and a sha256 prefix of each deterministic output, then
+`check=<exit code>:<sha256 prefix of check's stdout>`.
 
 With a second checkout OTHER, the same runs are made on both source trees
 (the workload scenarios of ROOT are used for both) and only the lines that
@@ -15,16 +16,17 @@ code is 1 if any line differs and 0 if none does, so a refactor that must
 not change results is checked by one command against a copy of its parent.
 
 With `--rel TOL` (two checkouts only) each run that differs is also compared
-by value: its exit code and the status of each certificate must be equal,
-and the largest relative difference is printed for each `timeseries.csv`
-column (relative to the largest magnitude in that column) and for each
-float in `certificates.json` (relative to the larger of the two
-magnitudes). A difference above TOL is printed with its absolute size too,
-so a relative change of a quantity that is itself roundoff shows as such.
-The quantities in ABSOLUTE are roundoff by construction, so any change of
-rounding moves them by a large fraction of themselves; they are printed the
-same way but judged by their absolute difference against TOL. The exit
-code is then 1 only on a changed exit code or status, or on a difference
+by value: its exit code, its `check` column (`check` prints no rounding)
+and the status of each certificate must be equal, and the largest relative
+difference is printed for each `timeseries.csv` column (relative to the
+largest magnitude in that column) and for each float in
+`certificates.json` (relative to the larger of the two magnitudes). A
+difference above TOL is printed with its absolute size too, so a relative
+change of a quantity that is itself roundoff shows as such. The quantities
+in ABSOLUTE are roundoff by construction, so any change of rounding moves
+them by a large fraction of themselves; they are printed the same way but
+judged by their absolute difference against TOL. The exit code is then 1
+only on a changed exit code, `check` column or status, or on a difference
 above TOL, so a refactor that may move results by rounding is checked by
 one command too.
 """
@@ -69,7 +71,14 @@ def digest_lines(root: Path, workloads: list, work: Path, base_env: dict) -> dic
             [sys.executable, "-m", "ductflow.cli", "run", str(scenario), "--out", str(out), "--strict"],
             env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         ).returncode
-        lines[name] = " ".join([name, f"rc={rc}", *(f"{f}={digest(out / f)}" for f in FILES)])
+        check = subprocess.run(
+            [sys.executable, "-m", "ductflow.cli", "check", str(scenario)],
+            env=env, cwd=work, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        lines[name] = " ".join([
+            name, f"rc={rc}", *(f"{f}={digest(out / f)}" for f in FILES),
+            f"check={check.returncode}:{hashlib.sha256(check.stdout).hexdigest()[:12]}",
+        ])
     return lines
 
 
@@ -143,6 +152,10 @@ def compare_by_value(name: str, digests: list, work: Path, tol: float) -> bool:
     rcs = [d.get(name, "").split(" ")[1:2] for d in digests]
     if rcs[0] != rcs[1]:
         print(f"  exit code changed: {rcs[0]} -> {rcs[1]}")
+        return False
+    checks = [d.get(name, "").split(" ")[-1:] for d in digests]
+    if checks[0] != checks[1]:
+        print(f"  check output changed: {checks[0]} -> {checks[1]}")
         return False
     try:
         changed, diffs = value_diffs(*(work / str(i) / "out" / name for i in range(2)))
