@@ -19,12 +19,13 @@ constant.
 
 Every mode component is amplitude x f1(x1) f2(x2) f3(x3), so each family is
 stored once, as per-axis factor tables; no per-mode array on the quadrature
-grid is kept. Only the face traces are synthesized, as outer products of
-table rows. The quadrature is a tensor midpoint rule, so every assembled
-form is a sum of products of three 1D sums, and every contraction of the
-modes with a grid field (projections, the lifting couplings) is
-sum-factorized: the field is contracted axis by axis with the tables. A
-discrete Gram matrix that deviates from the identity stops the build.
+grid or on a face is kept. The quadrature is a tensor midpoint rule, so
+every assembled form is a sum of products of three 1D sums, and every
+contraction of the modes with a grid field or a face plane (projections,
+the lifting couplings, the boundary functionals) is sum-factorized: the
+field is contracted axis by axis with the tables, and on a face the face
+axis takes the end values. A discrete Gram matrix that deviates from the
+identity stops the build.
 
 The transport terms are computed, not stored: no tensor of m^3 entries is
 built. The midpoint rule on n nodes is exact for triple products of
@@ -116,13 +117,20 @@ class FactorTables:
             for a in range(3)
         )
 
+    def project_face(self, c: int, patch, planes: np.ndarray) -> np.ndarray:
+        """[..., mode] patch quadrature of planes [..., f1, f2] against the
+        face trace of component c: one matmul with the first in-plane
+        factor, a row sum against the second, times the end value."""
+        f = self.on_face(c, patch)
+        fa, fb = (f[a] for a in patch.plane_axes)
+        return patch.weight * f[patch.axis][:, 0] * ((fa @ planes) * fb).sum(axis=-1)
+
 
 @dataclass
 class VelocityBasis:
-    """The velocity modes as factor tables, plus their face traces."""
+    """The velocity modes as factor tables."""
 
     modes: list[VelocityMode]
-    face_samples: dict                 # PatchKind -> [mode, comp, f1, f2]
     k_max: tuple[int, int, int]
     factors: FactorTables              # comp 0..2
 
@@ -133,11 +141,9 @@ class VelocityBasis:
 
 @dataclass
 class TemperatureBasis:
-    """The temperature modes as factor tables and as a cosine band, plus
-    their cap traces."""
+    """The temperature modes as factor tables and as a cosine band."""
 
     modes: list[TemperatureMode]
-    face_samples: dict                 # cap PatchKind -> [mode, f1, f2]
     eigenvalues: np.ndarray
     k_max: tuple[int, int, int]
     factors: FactorTables              # comp 0 only
@@ -337,16 +343,6 @@ def _sampled(tables: FactorTables, fields) -> np.ndarray:
     return out.reshape(m, -1)
 
 
-def _face_samples(tables: FactorTables, grid: QuadratureGrid) -> dict:
-    """Face traces {PatchKind: [mode, comp, f1, f2]} of a family."""
-    m, nc = tables.k.shape[0], len(tables.val)
-    return {
-        p.kind: np.stack([_synthesize(tables.on_face(c, p)) for c in range(nc)], axis=1)
-        .reshape(m, nc, p.nodes[0].size, p.nodes[1].size)
-        for p in grid.patches
-    }
-
-
 def _inner(f, g, weight: float) -> np.ndarray:
     """[i, j] quadrature of f_i g_j for tensor factors: weight prod_a f_a g_a^T."""
     return weight * (f[0] @ g[0].T) * (f[1] @ g[1].T) * (f[2] @ g[2].T)
@@ -379,11 +375,10 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     """Construct the first m modes ordered by Stokes Rayleigh quotient.
 
     Modes are analytically orthonormal and are kept as per-axis factor
-    tables, from which only the face traces are synthesized. Two checks
-    raise RuntimeError, like the Rayleigh-quotient check of velocity_modes:
-    a discrete Gram matrix that deviates from the identity beyond 1e-12,
-    and a normal trace that is not exactly 0, which w.n = 0 on every face,
-    for any coefficients, rests on.
+    tables only. Two checks raise RuntimeError, like the Rayleigh-quotient
+    check of velocity_modes: a discrete Gram matrix that deviates from the
+    identity beyond 1e-12, and a normal trace that is not exactly 0, which
+    w.n = 0 on every face, for any coefficients, rests on.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -397,7 +392,7 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     # the normal trace of component c is its axis-c factor at the two ends
     if any(np.any(tables.ends[c][c]) for c in range(3)):
         raise RuntimeError("a velocity mode has a nonzero normal trace")
-    return VelocityBasis(modes, _face_samples(tables, grid), tuple(ks.max(axis=0).tolist()), tables)
+    return VelocityBasis(modes, tuple(ks.max(axis=0).tolist()), tables)
 
 
 def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
@@ -408,11 +403,10 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
     ks, amp = np.array([md.k for md in modes]), np.array([md.amplitude for md in modes])
     axes = spectral.axes_for(grid)
     tables = _factor_tables(axes, ks, [amp], sin_axes=(None,))
-    caps = {kind: v[:, 0] for kind, v in _face_samples(tables, grid).items() if kind.is_cap}
     lam, k_max = np.array([md.eigenvalue for md in modes]), tuple(ks.max(axis=0).tolist())
     band = tuple(ax.cos_syn[:, : k + 1] for ax, k in zip(axes, k_max))
     index = np.ravel_multi_index(tuple(ks.T), tuple(k + 1 for k in k_max))
-    return TemperatureBasis(modes, caps, lam, k_max, tables, band, index, amp)
+    return TemperatureBasis(modes, lam, k_max, tables, band, index, amp)
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +575,6 @@ class AssembledForms:
         # D(delta):D(psi) = 2 sum_{cd} D(delta)[c,d] d_d psi_c by symmetry
         return -self.nu * self.project_velocity_grad(sym_grad(delta.grad))
 
-    def _face_stress(self, patch, fdelta: FaceDelta) -> list[np.ndarray]:
-        """n . D(delta) . tau_alpha on one face, for alpha = 1, 2."""
-        dsym = sym_grad(fdelta.grad)   # [i, j, f1, f2]
-        out = []
-        for tau in (patch.tau1, patch.tau2):
-            out.append(
-                np.einsum("i,ijxy,j->xy", patch.normal, dsym, tau)
-            )
-        return out
-
     def boundary_functionals(self, delta: DeltaEval):
         """(B_vec, F_bdry): the weak-form boundary data of the lifting.
 
@@ -600,21 +584,24 @@ class AssembledForms:
 
         F_bdry[j] = +nu sum_S sum_alpha int (n.D(delta).tau)(psi_j.tau), the
         boundary remainder of integrating nu div D(delta) by parts.
+
+        The normal and the tangents of a patch are unit axis vectors, so
+        tau = e_c picks component c of psi_j and of delta, and n.D(delta).tau
+        is n_a (d_a delta_c + d_c delta_a) for the face axis a. Per tangent,
+        the B data and the stress are projected together (project_face).
         """
-        m = self.vb.m
-        B = np.zeros(m)
-        Fb = np.zeros(m)
+        V = self.vb.factors
+        B, Fb = np.zeros(self.vb.m), np.zeros(self.vb.m)
         for patch in self.grid.patches:
-            fdelta = delta.faces[patch.kind]
-            stresses = self._face_stress(patch, fdelta)
-            vals = self.vb.face_samples[patch.kind]
-            for tau, stress in zip((patch.tau1, patch.tau2), stresses):
-                psi_tau = np.einsum("c,icxy->ixy", tau, vals)
+            fdelta, a = delta.faces[patch.kind], patch.axis
+            for tau in (patch.tau1, patch.tau2):
+                c = int(np.argmax(tau))
+                stress = patch.normal[a] * (fdelta.grad[a, c] + fdelta.grad[c, a])
                 if patch.kind.is_cap:
                     bdata = -stress
                 else:
-                    delta_tau = np.einsum("c,cxy->xy", tau, fdelta.values)
-                    bdata = -self.nu * stress - self.gamma * delta_tau
-                B += patch.weight * np.einsum("xy,ixy->i", bdata, psi_tau)
-                Fb += self.nu * patch.weight * np.einsum("xy,ixy->i", stress, psi_tau)
+                    bdata = -self.nu * stress - self.gamma * fdelta.values[c]
+                b, f = V.project_face(c, patch, np.stack([bdata, stress]))
+                B += b
+                Fb += self.nu * f
         return B, Fb

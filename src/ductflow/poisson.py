@@ -111,7 +111,7 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     mask = lam > 0
     phi_hat[mask] = data_hat[mask] / lam[mask]
 
-    phi_vals = spectral.synth(phi_hat, axes, (spectral.COS,) * 3)
+    phi_vals = spectral.synth(phi_hat, axes, [(0, 0, 0)])[0]
     grad, hess = _derivatives(phi_hat, axes)
 
     lap = hess[0, 0] + hess[1, 1] + hess[2, 2]
@@ -132,19 +132,20 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     )
 
 
+# the nine distinct derivatives of phi as per-axis derivative orders: the
+# gradient along d = 0, 1, 2, then the Hessian entries (i, j), i <= j
+_PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
+_ORDERS = [tuple(dirs.count(a) for a in range(3)) for dirs in [(0,), (1,), (2,), *_PAIRS]]
+
+
 def _derivatives(phi_hat: np.ndarray, axes, face=None) -> tuple[np.ndarray, np.ndarray]:
     """grad[d] and hess[i, j] of phi from its cosine coefficients, on the
-    grid or on the boundary face (axis, side)."""
-
-    def synth(coeffs, parities):
-        return spectral.synth(coeffs, axes, parities, face)
-
-    grad = np.stack([synth(*spectral.grad_coeffs(phi_hat, axes, d)) for d in range(3)])
-    hess = np.empty((3, *grad.shape))
-    for i in range(3):
-        for j in range(i, 3):
-            hess[i, j] = hess[j, i] = synth(*spectral.hess_coeffs(phi_hat, axes, i, j))
-    return grad, hess
+    grid or on the boundary face (axis, side), from one synthesis."""
+    fields = spectral.synth(phi_hat, axes, _ORDERS, face)
+    hess = np.empty((3, 3, *fields.shape[1:]))
+    for (i, j), f in zip(_PAIRS, fields[3:]):
+        hess[i, j] = hess[j, i] = f
+    return fields[:3].copy(), hess
 
 
 def _add_b(grad_phi: np.ndarray, hess_phi: np.ndarray, alpha, grad_alpha):

@@ -299,7 +299,7 @@ class DeltaProvider:
         out = dict(
             cap=cap_norms(profile, grid),
             cap_integrals=(lo.integrate(g_cap[lo.kind]), hi.integrate(g_cap[hi.kind])),
-            inflow=lo.weight * np.einsum("ixy,xy->i", forms.tb.face_samples[lo.kind], g_cap[lo.kind]),
+            inflow=forms.tb.factors.project_face(0, lo, g_cap[lo.kind]),
         )
         if self.is_zero:
             m, mt = forms.vb.m, forms.tb.m
@@ -371,6 +371,13 @@ class RunResult:
         return np.arange(self.n_windows + 1) * self.steps_per_window
 
 
+# the ledger synthesizes theta for the stored samples in chunks of at most
+# this many bytes: 8 samples on the 16 x 16 x 32 grid, where chunks of 4 to
+# 16 samples took half the time of one sample at a time, and 32 or more
+# samples as long
+LEDGER_CHUNK_BYTES = 2**19
+
+
 class GalerkinSolver:
     """Owns the assembled system and advances it through the windows."""
 
@@ -439,13 +446,16 @@ class GalerkinSolver:
 
     def theta_values(self, dcoef: np.ndarray) -> np.ndarray:
         """theta on the grid by sum factorization: amplitude x dcoef scattered
-        into the cosine cube of the temperature band, then one matmul per axis."""
+        into the cosine cube of the temperature band, then one matmul per axis.
+        A stack of rows dcoef [row, mode] gives [row, n1, n2, n3], each row
+        by the same matmuls as alone."""
         c1, c2, c3 = self.tb.band
         k1, k2, k3 = (c.shape[1] for c in self.tb.band)
-        cube = np.zeros(k1 * k2 * k3)
-        cube[self.tb.band_index] = self.tb.amplitude * dcoef
-        out = c2 @ (c1 @ cube.reshape(k1, k2 * k3)).reshape(-1, k2, k3)   # [n1, n2, k3]
-        return (out.reshape(-1, k3) @ c3.T).reshape(self.grid.shape)
+        rows = dcoef.shape[:-1]
+        cube = np.zeros((*rows, k1 * k2 * k3))
+        cube[..., self.tb.band_index] = self.tb.amplitude * dcoef
+        out = c2 @ (c1 @ cube.reshape(*rows, k1, k2 * k3)).reshape(*rows, -1, k2, k3)   # [.., n1, n2, k3]
+        return (out.reshape(-1, k3) @ c3.T).reshape(*rows, *self.grid.shape)
 
     def w_values(self, state: State) -> np.ndarray:
         """w on the grid by sum factorization: per component, the axis-0 and
@@ -623,16 +633,19 @@ class GalerkinSolver:
         out["v_l2sq"] = out["w_l2sq"] + 2.0 * s * (C @ k["P"]) + out["delta_l2sq"]
         out["v_gradsq"] = out["w_gradsq"] + 2.0 * s * (C @ k["Q"]) + out["delta_gradsq"]
 
-        # theta on the grid, one stored row at a time: its extremes and the
-        # norms of the clamped omega(theta) f, which are two numbers per run
-        # unless omega depends on theta and f is not zero
+        # theta on the grid, LEDGER_CHUNK_BYTES of stored rows at a time: its
+        # extremes and the norms of the clamped omega(theta) f, which are
+        # two numbers per run unless omega depends on theta and f is not zero
         norms = self._forcing.get("norms")
-        rows = []
-        for d in D:
-            theta = self.theta_values(d)
-            rows.append((float(theta.min()), float(theta.max()), *(norms or self._omega_f_norms(theta))))
-        keys = ("th_min", "th_max", "omega_f_65sq", "omega_f_l3sq")
-        out.update((key, np.array(column)) for key, column in zip(keys, zip(*rows)))
+        chunk = max(1, LEDGER_CHUNK_BYTES // (8 * math.prod(grid.shape)))
+        th_min, th_max, omega_f = [], [], []
+        for start in range(0, len(D), chunk):
+            theta = self.theta_values(D[start : start + chunk])
+            th_min.append(theta.min(axis=(1, 2, 3)))
+            th_max.append(theta.max(axis=(1, 2, 3)))
+            omega_f += [norms or self._omega_f_norms(th) for th in theta]
+        out["th_min"], out["th_max"] = np.concatenate(th_min), np.concatenate(th_max)
+        out["omega_f_65sq"], out["omega_f_l3sq"] = (np.array(col) for col in zip(*omega_f))
 
         # every velocity mode has normal trace exactly 0 (build_velocity_basis
         # checks it), so v.n = s n.delta_1 for any state

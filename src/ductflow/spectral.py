@@ -1,18 +1,21 @@
 """Half-range trigonometric transforms on midpoint grids.
 
 Scalar fields with natural Neumann behaviour are expanded per axis in
-cos(k*pi*s), s in (0, 1) the normalized coordinate; derivatives live in the
-matching sine family. On N midpoint nodes the discrete cosine family
-{cos(k*pi*s_j), k = 0..N-1} is an exact interpolation basis, and midpoint
-sums integrate cos(m*pi*s) exactly for all 0 < m <= 2N - 1, which is what
-makes Gram and stiffness integrals of band-limited fields exact.
+cos(k*pi*s), s in (0, 1) the normalized coordinate; a derivative of order
+0, 1 or 2 along an axis is synthesized with that axis's table cos(k pi s),
+-kappa sin(k pi s) or -kappa^2 cos(k pi s). On N midpoint nodes the
+discrete cosine family {cos(k*pi*s_j), k = 0..N-1} is an exact
+interpolation basis, and midpoint sums integrate cos(m*pi*s) exactly for
+all 0 < m <= 2N - 1, which is what makes Gram and stiffness integrals of
+band-limited fields exact.
 
 Transforms are realized as small dense per-axis matrices; at desk-scale
 resolutions this is faster to reason about than library DCT scaling
 conventions and costs nothing. On the grid each axis is one plain
 contraction. On a boundary face synth contracts the face axis first, with
-the end values of its family, so a face costs a face and not a cube; a sine
-family vanishes at both ends and gives exact zeros without any synthesis.
+the end values of its table, so a face costs a face and not a cube; order 1
+is a sine, which vanishes at both ends and gives exact zeros without any
+synthesis.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import QuadratureGrid
-
-COS, SIN = "cos", "sin"
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class AxisTransform:
     kappa: np.ndarray     # k pi / length
     cos_at_lo: np.ndarray  # cos(k pi s) at s = 0
     cos_at_hi: np.ndarray  # cos(k pi s) at s = 1
+    syn: tuple            # [order] -> [node, k], d^order/dx^order cos(k pi s_j)
 
     @classmethod
     def build(cls, n: int, length: float) -> "AxisTransform":
@@ -49,14 +51,16 @@ class AxisTransform:
         scale = np.full(n, 2.0 / n)
         scale[0] = 1.0 / n
         cos_ana = (cos_syn * scale[None, :]).T
+        kappa = k * np.pi / length
         return cls(
             n=n,
             cos_syn=cos_syn,
             sin_syn=sin_syn,
             cos_ana=cos_ana,
-            kappa=k * np.pi / length,
+            kappa=kappa,
             cos_at_lo=np.ones(n),
             cos_at_hi=np.cos(np.pi * k),
+            syn=(cos_syn, -kappa * sin_syn, -kappa**2 * cos_syn),
         )
 
 
@@ -78,55 +82,29 @@ def cos_analyze(values: np.ndarray, axes: tuple[AxisTransform, ...]) -> np.ndarr
     return _on_grid(*(ax.cos_ana for ax in axes), values)
 
 
-def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], parities, face=None) -> np.ndarray:
-    """Evaluate a coefficient array with the given per-axis parities.
+def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], orders, face=None) -> np.ndarray:
+    """[len(orders), ...] derivatives of a cosine series, one per triple of
+    per-axis derivative orders (AxisTransform.syn), on the grid or, with
+    face = (axis, side), on that boundary face over the two in-plane axes.
 
-    On the grid, or with face = (axis, side) on that boundary face, over the
-    two in-plane axes. There the face axis is contracted first, with the end
-    values of its cosine family, and the in-plane matrices act on that plane;
-    sine parity on the face axis gives exact zeros (sines vanish at both ends).
+    On a face the coefficients are contracted along the face axis once per
+    order taken there, with the end values of cos(k pi s) for order 0 and
+    with -kappa^2 times them for order 2, and the in-plane tables act on
+    that plane; order 1 gives exact zeros (sines vanish at both ends).
     """
-    mats = [ax.cos_syn if par == COS else ax.sin_syn for ax, par in zip(axes, parities)]
     if face is None:
-        return _on_grid(*mats, coeffs)
+        return np.stack([_on_grid(*(ax.syn[d] for ax, d in zip(axes, o)), coeffs) for o in orders])
     axis, side = face
-    m_a, m_b = (mats[i] for i in range(3) if i != axis)
-    if parities[axis] == SIN:
-        return np.zeros((m_a.shape[0], m_b.shape[0]))
-    ax = axes[axis]
-    plane = np.tensordot(coeffs, ax.cos_at_hi if side == 1 else ax.cos_at_lo, axes=([axis], [0]))
-    return m_a @ plane @ m_b.T
-
-
-def grad_coeffs(coeffs: np.ndarray, axes, axis: int) -> tuple[np.ndarray, tuple]:
-    """Differentiate an all-cosine coefficient array along one axis.
-
-    Returns the new coefficients and the parity triple of the result
-    (sine along `axis`, cosine elsewhere).
-    """
-    kap = axes[axis].kappa
-    shape = [1, 1, 1]
-    shape[axis] = kap.size
-    out = -coeffs * kap.reshape(shape)
-    parities = tuple(SIN if i == axis else COS for i in range(3))
-    return out, parities
-
-
-def hess_coeffs(coeffs: np.ndarray, axes, i: int, j: int) -> tuple[np.ndarray, tuple]:
-    """Second derivative d_i d_j of an all-cosine coefficient array."""
-    ki = axes[i].kappa
-    kj = axes[j].kappa
-    si = [1, 1, 1]
-    si[i] = ki.size
-    sj = [1, 1, 1]
-    sj[j] = kj.size
-    if i == j:
-        out = -coeffs * (ki.reshape(si) ** 2)
-        parities = (COS, COS, COS)
-    else:
-        out = coeffs * ki.reshape(si) * kj.reshape(sj)
-        parities = tuple(SIN if ax in (i, j) else COS for ax in range(3))
-    return out, parities
+    ax, (a, b) = axes[axis], [i for i in range(3) if i != axis]
+    ends = ax.cos_at_hi if side == 1 else ax.cos_at_lo
+    moved = np.moveaxis(coeffs, axis, -1)
+    needed = {o[axis] for o in orders} - {1}
+    planes = {d: moved @ (ends if d == 0 else -ax.kappa**2 * ends) for d in needed}
+    out = np.zeros((len(orders), axes[a].n, axes[b].n))
+    for field, o in zip(out, orders):
+        if o[axis] != 1:
+            field[...] = axes[a].syn[o[a]] @ planes[o[axis]] @ axes[b].syn[o[b]].T
+    return out
 
 
 def neumann_eigenvalues(axes: tuple[AxisTransform, ...]) -> np.ndarray:

@@ -11,17 +11,19 @@ import math
 import numpy as np
 
 
+def outer(f):
+    """[mode, n1, n2, n3] outer products f[0][i] x f[1][i] x f[2][i] of
+    per-axis factor tables [mode, node]."""
+    pair = f[0][:, :, None] * f[1][:, None, :]
+    return pair[..., None] * f[2][:, None, None, :]
+
+
 def family_fields(tables):
     """(values [mode, comp, n1, n2, n3], grad [mode, comp, dir, n1, n2, n3])
     of a mode family, synthesized densely from its factor tables: each
-    component is the outer product f[0][i] x f[1][i] x f[2][i] of its axis
-    factors, differentiated along one axis for the gradient. These are the
-    per-mode grid arrays the package does not keep."""
-
-    def outer(f):
-        pair = f[0][:, :, None] * f[1][:, None, :]
-        return pair[..., None] * f[2][:, None, None, :]
-
+    component is the outer product of its axis factors, differentiated
+    along one axis for the gradient. These are the per-mode grid arrays the
+    package does not keep."""
     comps = range(len(tables.val))
     values = np.stack([outer(tables.factors(c)) for c in comps], axis=1)
     grad = np.stack(
@@ -64,7 +66,8 @@ def velocity_mode_fields(mode, grid):
 
 
 def velocity_mode_on_face(mode, grid, patch):
-    """Mode values on a boundary face, from formulas."""
+    """Mode values on a boundary face, from formulas. The face axis sits at
+    s = 0 or 1, where sin(k pi s) = 0 and cos(k pi s) = (-1)^(k s) exactly."""
     spec = grid.spec
     lengths = spec.lengths
     origins = spec.origins
@@ -80,6 +83,9 @@ def velocity_mode_on_face(mode, grid, patch):
             continue
         prod = np.ones(g1.shape)
         for a in range(3):
+            if a == patch.axis:
+                prod = prod * (0.0 if a == c else (-1.0) ** (mode.k[a] * patch.side))
+                continue
             arg = mode.k[a] * math.pi * s[a]
             prod = prod * (np.sin(arg) if a == c else np.cos(arg))
         values[c] = mode.coef[c] * prod
@@ -245,6 +251,29 @@ def slow_field_sum(coeffs, fields):
     return out
 
 
+def boundary_functionals_by_quadrature(vmodes, grid, delta, nu, gamma):
+    """(B, F_bdry) of the lifting's face data by patch quadrature against
+    the formula face traces, mode by mode."""
+    m = len(vmodes)
+    B = np.zeros(m)
+    Fb = np.zeros(m)
+    for patch in grid.patches:
+        fd = delta.faces[patch.kind]
+        dsym = sym(fd.grad)
+        for tau in (patch.tau1, patch.tau2):
+            stress = np.einsum("i,ijxy,j->xy", patch.normal, dsym, tau)
+            if patch.kind.is_cap:
+                bdata = -stress
+            else:
+                bdata = -nu * stress - gamma * np.einsum("c,cxy->xy", tau, fd.values)
+            for j, md in enumerate(vmodes):
+                pj = velocity_mode_on_face(md, grid, patch)
+                pj_tau = np.einsum("c,cxy->xy", tau, pj)
+                B[j] += patch.weight * np.sum(bdata * pj_tau)
+                Fb[j] += nu * patch.weight * np.sum(stress * pj_tau)
+    return B, Fb
+
+
 def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
                       omega_fn, f_values, delta=None):
     """Every term of the velocity weak form by direct quadrature.
@@ -299,20 +328,7 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
     Fvol = np.zeros(m)
     Fform = np.zeros(m)
     if delta is not None:
-        for patch in grid.patches:
-            fd = delta.faces[patch.kind]
-            dsym = sym(fd.grad)
-            for tau in (patch.tau1, patch.tau2):
-                stress = np.einsum("i,ijxy,j->xy", patch.normal, dsym, tau)
-                if patch.kind.is_cap:
-                    bdata = -stress
-                else:
-                    bdata = -nu * stress - gamma * np.einsum("c,cxy->xy", tau, fd.values)
-                for j, md in enumerate(vmodes):
-                    pj = velocity_mode_on_face(md, grid, patch)
-                    pj_tau = np.einsum("c,cxy->xy", tau, pj)
-                    B[j] += patch.weight * np.sum(bdata * pj_tau)
-                    Fb[j] += nu * patch.weight * np.sum(stress * pj_tau)
+        B, Fb = boundary_functionals_by_quadrature(vmodes, grid, delta, nu, gamma)
         dadv = np.einsum(
             "ag,cag->cg", delta.values.reshape(3, -1), delta.grad.reshape(3, 3, -1)
         ).reshape(3, *grid.shape)

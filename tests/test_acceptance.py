@@ -121,7 +121,8 @@ def test_criterion_02_extension_correctness(extension_setups):
         delta = solver.delta_provider(0.0)
         cap_err, side_err = 0.0, 0.0
         for patch in solver.grid.patches:
-            vals = np.einsum("i,icxy->cxy", state.c, solver.vb.face_samples[patch.kind])
+            psi = np.array([oracles.velocity_mode_on_face(md, solver.grid, patch) for md in solver.vb.modes])
+            vals = np.einsum("i,icxy->cxy", state.c, psi)
             vals = vals + delta.faces[patch.kind].values
             vn = np.einsum("c,cxy->xy", patch.normal, vals)
             X, Y = patch.meshgrid()
@@ -217,7 +218,7 @@ def test_criterion_06_basis_integrity():
     div = g[:, 0, 0] + g[:, 1, 1] + g[:, 2, 2]
     assert np.max(np.abs(div)) <= 1e-12
     for patch in grid.patches:
-        vals = vb.face_samples[patch.kind]
+        vals = np.array([oracles.velocity_mode_on_face(md, grid, patch) for md in vb.modes])
         assert np.max(np.abs(np.einsum("c,icxy->ixy", patch.normal, vals))) <= 1e-12
     psi = samples.reshape(32, 3, -1)
     gram = grid.cell_volume * np.einsum("iag,jag->ij", psi, psi)

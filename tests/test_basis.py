@@ -8,14 +8,18 @@ import oracles
 from ductflow import basis
 from ductflow.basis import (
     AssembledForms,
+    DeltaEval,
+    FaceDelta,
     build_temperature_basis,
     build_velocity_basis,
     dealias_cap,
     temperature_modes,
     velocity_modes,
 )
-from ductflow.domain import DomainSpec, build_domain
+from ductflow.domain import DomainSpec, PatchKind, build_domain
 from ductflow.errors import AliasingError
+from ductflow.hopf import zero_profile
+from ductflow.solver import DeltaProvider
 
 
 def unit_grid(n=(12, 12, 16)):
@@ -51,8 +55,11 @@ def test_sampled_divergence_vanishes(vb, grid):
 
 
 def test_normal_trace_vanishes_on_all_faces(vb, grid):
+    # each component's face trace from its factor tables, whose face axis
+    # takes the end value as a one-node table
     for patch in grid.patches:
-        vals = vb.face_samples[patch.kind]
+        vals = np.stack([oracles.outer(vb.factors.on_face(c, patch)) for c in range(3)], axis=1)
+        vals = vals.squeeze(axis=2 + patch.axis)
         normal_comp = np.einsum("c,icxy->ixy", patch.normal, vals)
         assert np.max(np.abs(normal_comp)) <= 1e-12
 
@@ -277,13 +284,22 @@ def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
         assert got.shape == expected.shape, name
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
-    for patch in grid.patches:
-        expected = np.array([oracles.velocity_mode_on_face(md, grid, patch) for md in vb.modes])
-        got = vb.face_samples[patch.kind]
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), patch.kind
-    caps = [p for p in grid.patches if p.kind.is_cap]
-    assert set(tb.face_samples) == {p.kind for p in caps}
-    for patch in caps:
-        expected = np.array([oracles.temperature_mode_on_face(md, grid, patch) for md in tb.modes])
-        got = tb.face_samples[patch.kind]
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), patch.kind
+    # the boundary functionals and the inflow coupling against the same
+    # quadrature over the formula face traces, for arbitrary face data
+    rng = np.random.default_rng(sum(shape))
+    faces = {}
+    for p in grid.patches:
+        plane = tuple(x.size for x in p.nodes)
+        faces[p.kind] = FaceDelta(values=rng.standard_normal((3, *plane)), grad=rng.standard_normal((3, 3, *plane)))
+    zero = np.zeros((3, *grid.shape))
+    delta = DeltaEval(values=zero, grad=np.zeros((3, *zero.shape)), dt_values=zero, faces=faces)
+    got = forms.boundary_functionals(delta)
+    expected = oracles.boundary_functionals_by_quadrature(vb.modes, grid, delta, nu=0.7, gamma=1.3)
+    for name, g, e in zip(("B", "F_bdry"), got, expected):
+        assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), name
+    lo = grid.patch(PatchKind.CAP_LO)
+    cap_data = rng.standard_normal(tuple(x.size for x in lo.nodes))
+    profile = dataclasses.replace(zero_profile(), g=lambda x1, x2: cap_data)
+    got = DeltaProvider(profile, None, grid, forms).couplings["inflow"]
+    expected = np.array([lo.integrate(cap_data * oracles.temperature_mode_on_face(md, grid, lo)) for md in tb.modes])
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), "inflow"

@@ -301,12 +301,10 @@ def test_div_b_integrates_to_zero_for_compatible_flux():
     assert abs(total) < 5e-3
     # the analytic x3 antiderivative of div b is alpha itself, whose net cap
     # difference vanishes for compatible data; check the exact identity
-    lo = grid.patch(PatchKind.CAP_LO)
-    X, Y = lo.meshgrid()
-    assert (
-        abs(lo.integrate(prof.s(0.0) * prof.g(X, Y)) - lo.integrate(prof.s(0.0) * prof.g(X, Y)))
-        < 1e-15
-    )
+    lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
+    alpha_lo, alpha_hi = ext.faces[lo.kind][0], ext.faces[hi.kind][0]
+    assert abs(lo.integrate(alpha_lo)) > 0.1
+    assert abs(hi.integrate(alpha_hi) - lo.integrate(alpha_lo)) < 1e-15
 
 
 def test_b_support_in_cap_layers():

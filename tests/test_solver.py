@@ -394,11 +394,13 @@ def test_sampled_cap_series_match_the_flux_definitions():
         }
         lo = grid.patch(PatchKind.CAP_LO)
         X, Y = lo.meshgrid()
-        th_face = np.einsum("i,ixy->xy", state.dcoef, solver.tb.face_samples[PatchKind.CAP_LO])
+        phi_lo = np.array([oracles.temperature_mode_on_face(md, grid, lo) for md in solver.tb.modes])
+        th_face = np.einsum("i,ixy->xy", state.dcoef, phi_lo)
         close["inflow_theta"] = lo.integrate(prof.s(t) * prof.g(X, Y) * th_face)
         err = 0.0
         for patch in grid.patches:
-            vals = np.einsum("i,icxy->cxy", state.c, solver.vb.face_samples[patch.kind])
+            psi = np.array([oracles.velocity_mode_on_face(md, grid, patch) for md in solver.vb.modes])
+            vals = np.einsum("i,icxy->cxy", state.c, psi)
             vn = np.einsum("c,cxy->xy", patch.normal, vals + delta.faces[patch.kind].values)
             X, Y = patch.meshgrid()
             target = {PatchKind.CAP_LO: -prof.s(t) * prof.g(X, Y), PatchKind.CAP_HI: prof.s(t) * prof.g(X, Y)}
@@ -596,6 +598,9 @@ def test_theta_values_match_the_dense_synthesis(kw):
     ref = (dcoef @ oracles.family_fields(tb.factors)[0].reshape(tb.m, -1)).reshape(solver.grid.shape)
     got = solver.theta_values(dcoef)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # a stack of rows, as the ledger passes them, gives each row to the bit
+    rows = np.random.default_rng(5).standard_normal((3, tb.m))
+    assert all(np.array_equal(t, solver.theta_values(d)) for t, d in zip(solver.theta_values(rows), rows))
 
 
 def test_factor_table_contractions_match_the_dense_fields():
@@ -709,6 +714,21 @@ def test_assembly_allocates_no_cube_of_m():
     assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_bases_keep_no_per_mode_face_array():
+    # at m = 128 on 16x16x32 both bases are factor tables only: their build
+    # peaks below 2 MB, where the velocity face traces alone took 8 MB
+    m = 128
+    _, grid = build_domain(ScenarioConfig(m=m).domain_spec())
+    tracemalloc.start()
+    try:
+        build_velocity_basis(grid, m)
+        build_temperature_basis(grid, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_coefficient_norms_match_grid_quadrature():
     cfg = small_config(
         init_v="modes", init_v_amplitude=0.5,
@@ -779,7 +799,8 @@ def test_cap_flux_integral_of_reconstruction():
     from ductflow.domain import PatchKind
 
     patch = solver.grid.patch(PatchKind.CAP_HI)
-    vals = np.einsum("i,icxy->cxy", state.c, solver.vb.face_samples[patch.kind])
+    psi = np.array([oracles.velocity_mode_on_face(md, solver.grid, patch) for md in solver.vb.modes])
+    vals = np.einsum("i,icxy->cxy", state.c, psi)
     vals = vals + delta.faces[patch.kind].values
     vn = np.einsum("c,cxy->xy", patch.normal, vals)
     X, Y = patch.meshgrid()

@@ -18,7 +18,7 @@ def test_cosine_analysis_roundtrip_exact():
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(grid.shape)
     coeffs = spectral.cos_analyze(vals, axes)
-    back = spectral.synth(coeffs, axes, (spectral.COS,) * 3)
+    back = spectral.synth(coeffs, axes, [(0, 0, 0)])[0]
     assert np.max(np.abs(back - vals)) < 1e-12
 
 
@@ -48,12 +48,9 @@ def test_gradient_matches_analytic_mode():
     kap3 = k3 * np.pi / (2 * sp.a)
     f = np.cos(kap1 * X1) * np.cos(kap3 * (X3 + sp.a))
     coeffs = spectral.cos_analyze(f, axes)
-    g1, par1 = spectral.grad_coeffs(coeffs, axes, 0)
-    d1 = spectral.synth(g1, axes, par1)
+    d1, d3 = spectral.synth(coeffs, axes, [(1, 0, 0), (0, 0, 1)])
     ref = -kap1 * np.sin(kap1 * X1) * np.cos(kap3 * (X3 + sp.a))
     assert np.max(np.abs(d1 - ref)) < 1e-11
-    g3, par3 = spectral.grad_coeffs(coeffs, axes, 2)
-    d3 = spectral.synth(g3, axes, par3)
     ref3 = -kap3 * np.cos(kap1 * X1) * np.sin(kap3 * (X3 + sp.a))
     assert np.max(np.abs(d3 - ref3)) < 1e-11
 
@@ -67,12 +64,9 @@ def test_mixed_hessian_matches_analytic_mode():
     kap2 = 2 * np.pi / sp.L2
     f = np.cos(kap1 * X1) * np.cos(kap2 * X2)
     coeffs = spectral.cos_analyze(f, axes)
-    hc, par = spectral.hess_coeffs(coeffs, axes, 0, 1)
-    h01 = spectral.synth(hc, axes, par)
+    h01, h11 = spectral.synth(coeffs, axes, [(1, 1, 0), (0, 2, 0)])
     ref = kap1 * kap2 * np.sin(kap1 * X1) * np.sin(kap2 * X2)
     assert np.max(np.abs(h01 - ref)) < 1e-11
-    hc2, par2 = spectral.hess_coeffs(coeffs, axes, 1, 1)
-    h11 = spectral.synth(hc2, axes, par2)
     assert np.max(np.abs(h11 + kap2**2 * f)) < 1e-10
 
 
@@ -84,21 +78,21 @@ def test_face_synthesis_matches_endpoint_values():
     kap3 = 2 * np.pi / (2 * sp.a)
     f = np.cos(kap3 * (X3 + sp.a)) * np.cos(np.pi * X1 / sp.L1)
     coeffs = spectral.cos_analyze(f, axes)
-    hi = spectral.synth(coeffs, axes, (spectral.COS,) * 3, face=(2, 1))
+    hi = spectral.synth(coeffs, axes, [(0, 0, 0)], face=(2, 1))[0]
     # cos(2 pi) = 1 at the top cap
     ref = np.cos(np.pi * grid.x1 / sp.L1)[:, None] * np.ones((1, grid.shape[1]))
     assert np.max(np.abs(hi - ref)) < 1e-12
-    # sine parities vanish identically on their own faces
-    g3, par3 = spectral.grad_coeffs(coeffs, axes, 2)
-    face = spectral.synth(g3, axes, par3, face=(2, 0))
+    # first derivatives are sines, which vanish identically on their own faces
+    face = spectral.synth(coeffs, axes, [(0, 0, 1)], face=(2, 0))[0]
     assert np.max(np.abs(face)) == 0.0
 
 
 def test_synthesis_matches_explicit_trig_sums_on_the_grid_and_every_face():
-    # Random coefficients on a grid with three different axes, every parity
-    # triple, on the grid and on all six faces, against cos/sin(k pi s)
+    # Random coefficients on a grid with three different axes, every triple
+    # of per-axis derivative orders 0, 1, 2, on the grid and on all six
+    # faces, against cos(k pi s), -kappa sin(k pi s) and -kappa^2 cos(k pi s)
     # evaluated explicitly at the nodes and at s = 0 and s = 1. On a face
-    # whose own axis has sine parity the synthesis must be exactly zero.
+    # whose own axis has order 1 (a sine) the synthesis must be exactly zero.
     spec = DomainSpec(L1=1.3, L2=0.8, a=0.7, N1=6, N2=10, N3=14)
     _, grid = build_domain(spec)
     axes = spectral.axes_for(grid)
@@ -106,28 +100,34 @@ def test_synthesis_matches_explicit_trig_sums_on_the_grid_and_every_face():
     nodes = [(x - o) / length
              for x, o, length in zip((grid.x1, grid.x2, grid.x3), spec.origins, spec.lengths)]
 
-    def table(s, n, parity):
-        trig = np.cos if parity == spectral.COS else np.sin
-        return trig(np.pi * np.outer(s, np.arange(n)))
+    def table(s, n, length, order):
+        k = np.arange(n)
+        kap = k * np.pi / length
+        trig = np.sin if order == 1 else np.cos
+        return (1.0, -kap, -kap**2)[order] * trig(np.pi * np.outer(s, k))
 
     def oracle(factors):
         return np.einsum("abc,xa,yb,zc->xyz", coeffs, *factors)
 
-    for parities in itertools.product((spectral.COS, spectral.SIN), repeat=3):
-        factors = [table(s, n, par) for s, n, par in zip(nodes, grid.shape, parities)]
+    all_orders = list(itertools.product((0, 1, 2), repeat=3))
+    on_grid = spectral.synth(coeffs, axes, all_orders)
+    on_face = {face: spectral.synth(coeffs, axes, all_orders, face=face)
+               for face in itertools.product(range(3), (0, 1))}
+    for i, orders in enumerate(all_orders):
+        factors = [table(s, n, L, o) for s, n, L, o in zip(nodes, grid.shape, spec.lengths, orders)]
         ref = oracle(factors)
-        got = spectral.synth(coeffs, axes, parities)
+        got = on_grid[i]
         assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), parities
-        for axis, side in itertools.product(range(3), (0, 1)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), orders
+        for (axis, side), faces in on_face.items():
             ends = list(factors)
-            ends[axis] = table([float(side)], grid.shape[axis], parities[axis])
+            ends[axis] = table([float(side)], grid.shape[axis], spec.lengths[axis], orders[axis])
             ref_face = np.squeeze(oracle(ends), axis=axis)
-            got = spectral.synth(coeffs, axes, parities, face=(axis, side))
-            assert got.shape == ref_face.shape, (parities, axis, side)
-            if parities[axis] == spectral.SIN:
-                assert np.all(got == 0.0), (parities, axis, side)
+            got = faces[i]
+            assert got.shape == ref_face.shape, (orders, axis, side)
+            if orders[axis] == 1:
+                assert np.all(got == 0.0), (orders, axis, side)
                 assert np.max(np.abs(ref_face)) <= 1e-13 * np.max(np.abs(ref))
             else:
                 scale = np.max(np.abs(ref_face))
-                assert np.max(np.abs(got - ref_face)) <= 1e-13 * scale, (parities, axis, side)
+                assert np.max(np.abs(got - ref_face)) <= 1e-13 * scale, (orders, axis, side)
