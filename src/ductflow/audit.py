@@ -34,6 +34,7 @@ replaced by the whole-order cap norms that dominate them; reports say so.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -48,9 +49,54 @@ BUDGET_NOTE = (
 )
 
 
+BEYOND_FLOAT_NOTE = "bound exceeds the float range"
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def exp_product(exponent: float, *factors: float) -> tuple:
+    """(exp(exponent) times the factors >= 0, the log10 of that).
+
+    The log10 is summed in log space. The value is the left-to-right
+    product, to the bit, when exp(exponent) neither overflows nor
+    underflows, and inf when the product is beyond the float range; a zero
+    factor gives 0 whatever the exponent.
+    """
+    factors = [float(f) for f in factors]
+    if 0.0 in factors:
+        return 0.0, -math.inf
+    log_value = exponent + sum(math.log(f) for f in factors)
+    if abs(exponent) <= LOG_FLOAT_MAX:
+        value = math.prod(factors, start=math.exp(exponent))
+    else:
+        value = math.exp(log_value) if log_value <= LOG_FLOAT_MAX else math.inf
+    return value, log_value / math.log(10.0)
+
+
+def _psi_product(s: float, *factors: float) -> tuple:
+    """exp_product of the default amplification psi(s) = (1 + s^2) s^4 exp(s)
+    times the factors."""
+    return exp_product(s, (1.0 + s * s) * s**4, *factors)
+
+
 def default_psi(s: float) -> float:
     """Default monotone budget amplification (1 + s^2) s^4 exp(s)."""
-    return (1.0 + s * s) * s**4 * math.exp(s)
+    return _psi_product(s)[0]
+
+
+def _log10(x: float) -> float:
+    return math.log10(x) if x > 0.0 else -math.inf
+
+
+def _beyond_float(cert, bound: float, log10_terms):
+    """Marks a certificate whose bound is beyond the float range, and so
+    holds vacuously: a note, and ``log10_bound``, the log10 of the sum of
+    the bound's terms, given by their log10s."""
+    if not math.isinf(bound):
+        return cert
+    top = max(log10_terms)
+    cert.note = BEYOND_FLOAT_NOTE
+    cert.details["log10_bound"] = top + math.log10(math.fsum(10.0 ** (x - top) for x in log10_terms))
+    return cert
 
 
 @dataclass
@@ -351,17 +397,16 @@ def _mk_theta_energy_cert(run: RunResult, config: ScenarioConfig, theta0_l1: flo
     lhs = _v_norm_sq(float(np.max(s["th_l2sq"])), _trapz(s["th_gradsq"], t))
     d1_l3_6 = _trapz(s["d_l3_cap1"] ** 6, t)
     d1_l1 = _trapz(s["d_l1_cap1"], t)
-    rhs = (
-        config.c_theta * math.exp(d1_l3_6) * s["th_l2sq"][0]
-        + d1_l1**2 * config.theta_star_upper**2
-        + theta0_l1**2
-    )
-    return _inequality(
+    growth, log10_growth = exp_product(d1_l3_6, config.c_theta, s["th_l2sq"][0])
+    data = (d1_l1**2 * config.theta_star_upper**2, theta0_l1**2)
+    rhs = growth + data[0] + data[1]
+    cert = _inequality(
         "temperature-energy", "E6",
         "||theta||_V^2 <= c exp(int ||d1||_L3^6) ||theta0||^2 "
         "+ ||d1||_L1^2 theta_hi^2 + ||theta0||_L1^2",
         lhs, rhs, 1e-9 * max(1.0, rhs), details={"lhs": lhs, "rhs": rhs, "c": config.c_theta},
     )
+    return _beyond_float(cert, rhs, [log10_growth, *map(_log10, data)])
 
 
 def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
@@ -385,14 +430,11 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
 
     c = config.c_recon
     sup_w13 = float(np.max(s["d_w13_total"]))
-    exp_factor = math.exp(sup_w13 / c)
-    int_cap_l2sq = _trapz(s["d_l2_sq_sum"], t)
-    delta_budget = (
-        c * float(np.max(s["d_l2_ext"])) ** 2
-        + c * _trapz(s["d_h1_ext"] ** 2, t)
-        + c * sup_w13**4 * exp_factor * int_cap_l2sq
-        + c * float(np.max(s["d_l2_sum"])) ** 2
-    )
+    l2_ext, h1_ext = float(np.max(s["d_l2_ext"])) ** 2, _trapz(s["d_h1_ext"] ** 2, t)
+    l2_sum = float(np.max(s["d_l2_sum"])) ** 2
+    # sup ||d~||_W13x^4 exp(sup/c) int sum_i ||d_i||_2^2
+    layer, log10_layer = exp_product(sup_w13 / c, sup_w13**4, _trapz(s["d_l2_sq_sum"], t))
+    delta_budget = c * l2_ext + c * h1_ext + c * layer + c * l2_sum
     lift = _inequality(
         "lifting-energy", "E9",
         "||delta||_V^2 <= c [sup ||d~||_2^2 + int ||d~||_H1^2 "
@@ -402,30 +444,31 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
     )
 
     theta_V = _v_norm_sq(float(np.max(s["th_l2sq"])), _trapz(s["th_gradsq"], t))
-    psi_sup = default_psi(sup_w13)
-    a1_big_sq = (
-        _trapz(s["omega_f_65sq"] + s["d_w13_sq_sum"] + s["ddt_w165_sq_sum"], t) * psi_sup
+    a1_big_sq, log10_a1 = _psi_product(
+        sup_w13, _trapz(s["omega_f_65sq"] + s["d_w13_sq_sum"] + s["ddt_w165_sq_sum"], t)
     )
     # one configured constant multiplies the whole structural sum; the
     # occurrences of the existential constant in the source bound differ
     # term to term anyway, and the V-norm cross term forces a factor > 1
     # on the initial-energy terms
-    rhs = c * (
-        a1_big_sq
-        + s["w_l2sq"][0]
-        + s["th_l2sq"][0]
-        + float(np.max(s["d_l2_ext"])) ** 2
-        + _trapz(s["d_h1_ext"] ** 2, t)
-        + sup_w13**4 * exp_factor * int_cap_l2sq
-        + _trapz(s["omega_f_65sq"], t)
-    )
+    w0, th0 = s["w_l2sq"][0], s["th_l2sq"][0]
+    forcing = _trapz(s["omega_f_65sq"], t)
+    rhs = c * (a1_big_sq + w0 + th0 + l2_ext + h1_ext + layer + forcing)
     lhs = v_V + theta_V
     agg = _inequality(
         "aggregate-energy", "E8", "||v||_V^2 + ||theta||_V^2 <= c * A(T)^2 structural sum",
         lhs, rhs, 1e-9 * max(1.0, rhs),
         details={"lhs": lhs, "rhs": rhs, "A1_big_sq": a1_big_sq, "c": c},
     )
-    return [tri2, tri1, lift, agg]
+    # the log10 of each term of the two bounds, over c
+    log10_lift = (log10_layer, *map(_log10, (l2_ext, h1_ext, l2_sum)))
+    log10_agg = (log10_a1, log10_layer, *map(_log10, (w0, th0, l2_ext, h1_ext, forcing)))
+    log10_c = math.log10(c)
+    return [
+        tri2, tri1,
+        _beyond_float(lift, delta_budget, [log10_c + x for x in log10_lift]),
+        _beyond_float(agg, rhs, [log10_c + x for x in log10_agg]),
+    ]
 
 
 def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
@@ -544,7 +587,7 @@ def ledger_to_text(ledger: EnergyLedger, scenario_name: str = "") -> str:
         lines.append(f"scenario: {scenario_name}")
     lines.append(
         f"constants: c1={_fmt(cal.c1)} c2={_fmt(cal.c2)} "
-        f"(fit r_w={_fmt(cal.r_w)} r_theta={_fmt(cal.r_theta)} "
+        f"(exact r_w={_fmt(cal.r_w)} r_theta={_fmt(cal.r_theta)} "
         f"M65={_fmt(cal.M_65)} M3={_fmt(cal.M_3)}; seed: {cal.seed})"
     )
     lines.append(f"window budget: A1={_fmt(ledger.A1)} A2={_fmt(ledger.A2)}")

@@ -284,8 +284,8 @@ class DeltaProvider:
     def couplings(self) -> dict:
         """The numbers of delta_1 and of the cap shape g that a run reads.
 
-        Of delta_1: its couplings G_wd, G_dw, G_dth, B, F_bdry, F_form,
-        P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
+        Of delta_1: its couplings G_wd, G_dw, their sum G, G_dth, B, F_bdry,
+        F_form, P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
         Q_i = <grad psi_i, grad delta_1>; the squared norms l2sq of delta_1
         and gradsq of its gradient; max_abs = max |delta_1| on the grid; and
         trace_gap = max |n.delta_1 - n.(g e3)| over the nodes of all boundary
@@ -303,12 +303,14 @@ class DeltaProvider:
         )
         if self.is_zero:
             m, mt = forms.vb.m, forms.tb.m
-            out.update(G_wd=np.zeros((m, m)), G_dw=np.zeros((m, m)), G_dth=np.zeros((mt, mt)),
+            zero = np.zeros((m, m))
+            out.update(G_wd=zero, G_dw=zero, G=zero, G_dth=np.zeros((mt, mt)),
                        l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
             out.update((key, np.zeros(m)) for key in ("B", "F_bdry", "F_form", "P", "F_adv", "Q"))
             return out
         delta_1 = self.lifting[2]
         out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
+        out["G"] = out["G_wd"] + out["G_dw"]
         out["B"], out["F_bdry"] = forms.boundary_functionals(delta_1)
         out["F_form"] = forms.forcing_F_form(delta_1)
         out["P"] = forms.project_velocity(delta_1.values)
@@ -337,24 +339,25 @@ class State:
     dcoef: np.ndarray
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.dcoef))):
+        if not (np.isfinite(self.c).all() and np.isfinite(self.dcoef).all()):
             raise ValueError("non-finite state coefficients")
 
 
 class ImexStepper:
     """Crank-Nicolson for a fixed SPD matrix, AB2 for the explicit part; the
-    propagators A^-1 B and A^-1 (A = I + dt/2 L, B = I - dt/2 L) are
-    precomputed once, so a step is two matrix-vector products."""
+    propagators M = A^-1 B and N = dt A^-1 (A = I + dt/2 L, B = I - dt/2 L)
+    are precomputed once, so a step is M x + N expl."""
 
     def __init__(self, L: np.ndarray, dt: float):
         eye = np.eye(L.shape[0])
-        self._A_inv = np.linalg.inv(eye + 0.5 * dt * L)
-        self._M = self._A_inv @ (eye - 0.5 * dt * L)
-        self.dt = dt
+        A_inv = np.linalg.inv(eye + 0.5 * dt * L)
+        self._M = A_inv @ (eye - 0.5 * dt * L)
+        # in place: freeing A^-1 raises the run's peak memory (mmap threshold)
+        self._N = np.multiply(dt, A_inv, out=A_inv)
 
     def step(self, x, E_now, E_prev=None):
         expl = E_now if E_prev is None else 1.5 * E_now - 0.5 * E_prev
-        return self._M @ x + self._A_inv @ (self.dt * expl)
+        return self._M @ x + self._N @ expl
 
 
 @dataclass
@@ -471,17 +474,16 @@ class GalerkinSolver:
         """(velocity, temperature) dicts of every weak-form term at one state.
 
         Each dict also carries ``explicit``, the part the Adams-Bashforth
-        extrapolation advances, and ``total = explicit - implicit``, where the
-        implicit part is the Crank-Nicolson one (``visc + fric`` for the
-        velocity, ``diff`` for the temperature). The stepper and the oracle
-        tests both read these dicts, so the tested terms are the stepped ones.
-        The transport terms come from ``forms.transport``, on a transport
-        grid of ceil((3 k_a + 1) / 2) midpoint nodes per axis (k_a the larger
-        band of the modes), where 3 k_a <= 2 n_a - 1 makes them exact.
-        The lifting terms are the provider's couplings of delta_1 scaled by
-        s(t) and s'(t) at ``state.t``; without flux they are zero. The
-        forcing term comes from ``_forcing``, so theta is synthesized on the
-        grid only for a bounded_smooth omega.
+        extrapolation advances, taken from ``_explicit`` as ``step`` takes
+        it, and ``total = explicit - implicit``, where the implicit part is
+        the Crank-Nicolson one (``visc + fric`` for the velocity, ``diff``
+        for the temperature). So the oracle tests of ``total`` check the
+        stepped quantity. The transport terms come from ``forms.transport``,
+        on a transport grid of ceil((3 k_a + 1) / 2) midpoint nodes per axis
+        (k_a the larger band of the modes), where 3 k_a <= 2 n_a - 1 makes
+        them exact. The lifting terms are the provider's couplings of
+        delta_1 scaled by s(t) and s'(t) at ``state.t``; without flux they
+        are zero. The forcing term comes from ``_f_omega``.
         """
         forms = self.forms
         c, dcoef = state.c, state.dcoef
@@ -500,15 +502,33 @@ class GalerkinSolver:
         vel["F_form"] = s * k["F_form"]
         th = {"diff": forms.K_theta @ dcoef}
         th["adv"] = adv + s * (k["G_dth"] @ dcoef)
-        vel["explicit"] = (
-            -vel["conv_www"] + vel["f_omega"]
-            - vel["conv_wdelta"] - vel["conv_deltaw"]
-            + vel["B"] + vel["F_bdry"] + vel["F_vol"] + vel["F_form"]
-        )
+        vel["explicit"], th["explicit"] = self._explicit(state)
         vel["total"] = vel["explicit"] - vel["visc"] - vel["fric"]
-        th["explicit"] = -th["adv"]
         th["total"] = th["explicit"] - th["diff"]
         return vel, th
+
+    @cached_property
+    def _explicit_op(self) -> dict:
+        """The lifting part of the explicit right-hand sides, built on first use.
+
+        ``G`` = G_wd + G_dw and ``G_dth`` take the state, scaled by s; the
+        rows of ``rows`` are B + F_bdry + F_form, F_adv and -P, taken by
+        (s, s^2, s'). The couplings hold G already, so that the zero
+        lifting's G stays untouched zeros, which take no resident memory.
+        """
+        k = self.delta_provider.couplings
+        rows = np.stack([k["B"] + k["F_bdry"] + k["F_form"], k["F_adv"], -k["P"]])
+        return dict(G=k["G"], G_dth=k["G_dth"], rows=rows)
+
+    def _explicit(self, state: State) -> tuple:
+        """(E_w, E_th): the explicit parts of the velocity and temperature
+        right-hand sides at the state, the vectors a step advances."""
+        conv, adv = self.forms.transport(state.c, state.c, state.dcoef)
+        E_w = self._f_omega(state) - conv
+        # built after the forcing data, whose temporaries raise the peak otherwise
+        op, s = self._explicit_op, self.profile.s(state.t)
+        lift = np.array([s, s * s, self.profile.s_t(state.t)]) @ op["rows"]
+        return E_w - s * (op["G"] @ state.c) + lift, -adv - s * (op["G_dth"] @ state.dcoef)
 
     @cached_property
     def _forcing(self) -> dict:
@@ -568,8 +588,7 @@ class GalerkinSolver:
 
     def step(self, state: State) -> State:
         dt = self.config.dt
-        vel, th = self.rhs_terms(state)
-        E_w, E_th = vel["explicit"], th["explicit"]
+        E_w, E_th = self._explicit(state)
         prev = self._E_prev
         c_new = self._stepper_w.step(state.c, E_w, None if prev is None else prev[0])
         th_new = self._stepper_th.step(state.dcoef, E_th, None if prev is None else prev[1])

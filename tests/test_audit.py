@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,9 +9,11 @@ from scipy.linalg import eigh
 
 from ductflow.audit import (
     _inequality,
+    _mk_reconstruction_certs,
     audit_run,
     calibrate,
     default_psi,
+    exp_product,
     is_free_decay,
     ledger_to_json_obj,
     ledger_to_text,
@@ -47,6 +50,24 @@ def test_default_psi_monotone():
     vals = [default_psi(s) for s in np.linspace(0.0, 5.0, 50)]
     assert vals[0] == 0.0
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def test_exp_product_is_taken_in_log_space():
+    # an ordinary product keeps the bits of the plain expression
+    for exponent, c, x in ((0.3, 1.0, 2.5), (12.0, 4.0, 0.37), (700.0, 1.0, 1e-5)):
+        value, log10 = exp_product(exponent, c, x)
+        assert value == c * math.exp(exponent) * x
+        assert abs(log10 - math.log10(value)) <= 1e-14 * abs(log10)
+    # beyond the float range: inf, with the log10 of the true product
+    value, log10 = exp_product(2000.0, 3.0, 0.5)
+    assert value == math.inf
+    assert abs(log10 - (2000.0 + math.log(1.5)) / math.log(10.0)) <= 1e-14 * log10
+    # exp(exponent) alone is beyond the range, the product is not
+    value, _ = exp_product(720.0, 1e-10)
+    assert math.isclose(value, math.exp(720.0 + math.log(1e-10)), rel_tol=1e-13)
+    # a zero factor gives 0 whatever the exponential, not 0 * inf
+    assert exp_product(5000.0, 2.0, 0.0) == (0.0, -math.inf)
+    assert default_psi(0.0) == 0.0 and default_psi(800.0) == math.inf
 
 
 def test_free_decay_detection():
@@ -147,6 +168,27 @@ def test_pulsed_scenario_certificates():
     assert ledger.failed() == [], [c.name for c in ledger.failed()]
     assert ledger.calibration.c2 > 0
     assert ledger.calibration.seed == "exact rates of the assembled forms"
+
+
+def test_bounds_beyond_the_float_range_say_so():
+    # E8's psi(sup ||d~||) and E9's exp(sup ||d~|| / c) at data whose
+    # W^1_3 norm is 3000: both bounds are inf, noted, with their log10s;
+    # at the run's own data both are floats and carry neither
+    cfg = pulsed_config()
+    run = GalerkinSolver(cfg).run_windows()
+    for cert in _mk_reconstruction_certs(run, cfg):
+        assert cert.note == "" and "log10_bound" not in cert.details
+    big = dataclasses.replace(run, series={**run.series, "d_w13_total": np.full(run.times.size, 3000.0)})
+    certs = {cert.eq_id + cert.name: cert for cert in _mk_reconstruction_certs(big, cfg)}
+    lift, agg = certs["E9lifting-energy"], certs["E8aggregate-energy"]
+    c, t, s = cfg.c_recon, run.times, run.series
+    layer = 3000.0 / c + math.log(3000.0**4 * np.trapezoid(s["d_l2_sq_sum"], t))
+    psi = 3000.0 + math.log((1.0 + 3000.0**2) * 3000.0**4)
+    psi += math.log(np.trapezoid(s["omega_f_65sq"] + s["d_w13_sq_sum"] + s["ddt_w165_sq_sum"], t))
+    for cert, log_bound in ((lift, layer), (agg, psi)):
+        assert cert.passed and cert.note == "bound exceeds the float range"
+        assert math.isclose(cert.details["log10_bound"], (math.log(c) + log_bound) / math.log(10.0),
+                            rel_tol=1e-12)
 
 
 def dissipation_ratio(forms, c):

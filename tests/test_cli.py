@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from ductflow.scenario import (
 from ductflow.solver import GalerkinSolver, ScenarioConfig, profile_of
 
 QUICK = bundled_scenario_path("quick-decay")
+PULSED = bundled_scenario_path("pulsed-flux")
 
 
 def d_w13_total(solver, ts):
@@ -117,6 +119,52 @@ def test_run_writes_outputs_and_manifest(tmp_path):
     csv = (out / "timeseries.csv").read_text().splitlines()
     assert csv[0] == "t,X,Y,F,w_l2,theta_l2,theta_min,theta_max,flux_residual"
     assert len(csv) == 1 + 2 * 20 + 1  # header + samples
+
+
+def test_certificates_name_the_exact_rates(tmp_path):
+    # the decay rates are read off the assembled forms (audit.calibrate), so
+    # the constants line calls them exact: nothing is fitted
+    out = tmp_path / "out"
+    assert main(["run", str(QUICK), "--out", str(out)]) == 0
+    cal = json.loads((out / "certificates.json").read_text())["constants"]
+    lines = (out / "certificates.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("constants:")] == [
+        f"constants: c1={cal['c1']!r} c2={cal['c2']!r} (exact r_w={cal['r_w']!r} "
+        f"r_theta={cal['r_theta']!r} M65={cal['M_65']!r} M3={cal['M_3']!r}; seed: {cal['seed']})"
+    ]
+
+
+@pytest.mark.parametrize("theta", ["zero", "constant"])
+def test_large_flux_ends_in_certificates(tmp_path, theta):
+    # at flux amplitude 4, E6's exp(int ||d1||_L3^6) is beyond the float
+    # range. With theta0 = 0 its term is 0 and the bound finite; with a
+    # constant theta0 the bound is inf, and the certificate says so
+    text = set_key(PULSED.read_text(), "flux.amplitude", 4.0)
+    scn = tmp_path / "large.scn"
+    scn.write_text(set_key(set_key(text, "init.theta", theta), "init.theta_mean", 1.5))
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out), "--strict"]) in (0, 3)
+    assert (out / "certificates.txt").is_file()
+    certs = json.loads((out / "certificates.json").read_text())["certificates"]
+    e6 = next(c for c in certs if c["eq_id"] == "E6")
+    if theta == "zero":
+        assert e6["details"]["rhs"] < math.inf and e6["note"] == ""
+        assert "log10_bound" not in e6["details"]
+    else:
+        assert e6["details"]["rhs"] == math.inf and e6["note"] == "bound exceeds the float range"
+        assert e6["details"]["log10_bound"] > math.log10(sys.float_info.max)
+    # only an infinite bound carries the key
+    assert all(("log10_bound" in c["details"]) == (c["note"] == "bound exceeds the float range")
+               for c in certs)
+
+
+def test_sweep_keeps_every_row_at_large_flux(tmp_path):
+    out = tmp_path / "sw"
+    rc = main(["sweep", str(PULSED), "--axis", "flux.amplitude", "--values", "0.6,4",
+               "--out", str(out)])
+    assert rc == 0
+    rows = (out / "sweep_summary.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0.6", "ok"], ["4", "ok"]]
 
 
 def test_run_is_byte_deterministic(tmp_path):

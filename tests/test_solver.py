@@ -261,6 +261,60 @@ def test_stepping_forcing_needs_no_grid_field(monkeypatch):
         assert calls == grid_calls, kw
 
 
+FLUXES = (
+    dict(flux_profile="none"),
+    dict(flux_profile="constant", flux_amplitude=0.6),
+    dict(flux_profile="pulsed", flux_amplitude=0.6, flux_beta=0.4, flux_period=0.5),
+)
+
+
+@pytest.mark.parametrize("forcing_kind", ["zero", "constant", "shear"])
+@pytest.mark.parametrize("omega_kind", ["constant", "linear", "bounded_smooth"])
+def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind):
+    # a step advances one explicit operator built once per run, with the
+    # lifting couplings summed; what it hands the steppers must be the sum
+    # of the weak-form terms of rhs_terms, for every forcing path and flux.
+    # At t = 0.03 both s and s' of the pulsed flux are nonzero, and m = 24
+    # makes every lifting term nonzero, the s^2 part of F_vol included
+    for flux in FLUXES:
+        cfg = small_config(
+            m=24, omega_kind=omega_kind, omega0=0.9, omega1=0.0 if omega_kind == "constant" else 0.3,
+            forcing_kind=forcing_kind, forcing_vector=(0.2, -0.1, 0.4), forcing_amplitude=0.3, **flux,
+        )
+        solver = GalerkinSolver(cfg)
+        state = dataclasses.replace(random_forcing_state(solver), t=0.03)
+        stepped = []
+        for stepper in (solver._stepper_w, solver._stepper_th):
+            def record(x, E_now, E_prev=None, _step=stepper.step):
+                stepped.append(E_now)
+                return _step(x, E_now, E_prev)
+            stepper.step = record
+        solver.reset_window()
+        solver.step(state)
+        vel, th = solver.rhs_terms(state)
+        lifting = ("conv_wdelta", "conv_deltaw", "B", "F_bdry", "F_vol", "F_form")
+        if cfg.flux_profile == "pulsed":
+            assert solver.profile.s_t(state.t) != 0.0
+            assert all(np.any(vel[key]) for key in lifting)
+            assert np.any(solver.delta_provider.couplings["F_adv"])
+        terms_w = [-vel["conv_www"], vel["f_omega"], -vel["conv_wdelta"], -vel["conv_deltaw"],
+                   vel["B"], vel["F_bdry"], vel["F_vol"], vel["F_form"]]
+        for got, terms in zip(stepped, (terms_w, [-th["adv"]])):
+            scale = max(float(np.max(np.abs(term))) for term in terms)
+            assert np.max(np.abs(got - sum(terms))) <= 1e-13 * scale, flux
+
+
+def test_setup_builds_no_lifting():
+    # the lifting, its couplings and the explicit operator are built on
+    # first use, by the first step, so the set-up time carries none of them
+    solver = GalerkinSolver(oracle_config(init_v="zero"))
+    built = {"lifting", "couplings"}
+    assert not built & solver.delta_provider.__dict__.keys()
+    assert "_explicit_op" not in solver.__dict__
+    solver.step(solver.initial_state())
+    assert built <= solver.delta_provider.__dict__.keys() and "_explicit_op" in solver.__dict__
+
+
 @pytest.mark.parametrize("kw", [
     dict(),
     dict(omega_kind="linear", omega1=0.3, forcing_kind="shear", forcing_amplitude=0.3),
