@@ -295,7 +295,8 @@ def _mk_recurrence_certs(times, X, Y, F, c2, run: RunResult) -> list:
     else:
         bound_base = A1 / (1.0 - decay)
         A2 = A1 * (2.0 - decay) / (1.0 - decay) + X[0]
-        note = ""
+        # an infinite window integral of F makes both bounds hold vacuously
+        note = BEYOND_FLOAT_NOTE if math.isinf(A1) else ""
     tol = 1e-9 * max(1.0, X[0], A1)
 
     bounds = np.array([bound_base + decay**k * X[0] for k in range(nw + 1)])

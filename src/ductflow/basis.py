@@ -204,29 +204,43 @@ def _stokes_energy(lengths, k, kappa, coef) -> float:
     return 2.0 * grad_sq + 2.0 * cross
 
 
+def _weighted_dot(x, y, w) -> float:
+    """sum_a x_a y_a w_a, rounded as numpy's (x * y * w).sum() of three."""
+    return 0.0 + x[0] * y[0] * w[0] + x[1] * y[1] * w[1] + x[2] * y[2] * w[2]
+
+
 def _wavevector_modes(lengths, k) -> list[VelocityMode]:
     """The one or two divergence-free modes of a wavevector with at least
     two nonzero entries, L2-normalized, with their closed-form Rayleigh
-    quotients."""
+    quotients.
+
+    Plain float arithmetic on 3-vectors, in the operation order of the
+    numpy expressions it replaces (np.cross, weighted sums), so that the
+    coefficients and quotients are the same to the bit.
+    """
     active = [c for c in range(3) if k[c] >= 1]
-    kappa = np.array([k[a] * math.pi / lengths[a] for a in range(3)])
-    weights = np.array([_component_weight(lengths, k, c) for c in range(3)])
+    kappa = tuple(k[a] * math.pi / lengths[a] for a in range(3))
+    weights = tuple(_component_weight(lengths, k, c) for c in range(3))
     if len(active) == 2:
         p, q = active
-        raw = np.zeros(3)
+        raw = [0.0, 0.0, 0.0]
         raw[p], raw[q] = kappa[q], -kappa[p]
         basis_vecs = [raw]
     else:
-        n1 = np.array([kappa[1], -kappa[0], 0.0])
-        n2 = np.cross(kappa, n1)
+        n1 = (kappa[1], -kappa[0], 0.0)
+        # kappa x n1
+        n2 = (
+            kappa[1] * n1[2] - kappa[2] * n1[1],
+            kappa[2] * n1[0] - kappa[0] * n1[2],
+            kappa[0] * n1[1] - kappa[1] * n1[0],
+        )
         # weighted Gram-Schmidt inside the divergence-free plane
-        proj = (n2 * n1 * weights).sum() / (n1 * n1 * weights).sum()
-        n2 = n2 - proj * n1
-        basis_vecs = [n1, n2]
+        proj = _weighted_dot(n2, n1, weights) / _weighted_dot(n1, n1, weights)
+        basis_vecs = [n1, tuple(x - proj * y for x, y in zip(n2, n1))]
     out = []
     for branch, vec in enumerate(basis_vecs):
-        nrm = math.sqrt(float((vec * vec * weights).sum()))
-        coef = tuple(float(v) for v in vec / nrm)
+        nrm = math.sqrt(_weighted_dot(vec, vec, weights))
+        coef = tuple(v / nrm for v in vec)
         energy = _stokes_energy(lengths, k, kappa, coef)
         out.append(VelocityMode(k=k, coef=coef, branch=branch, rayleigh=energy))
     return out

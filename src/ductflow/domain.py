@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+
+from .spectral import AxisTransform
 
 
 class PatchKind(Enum):
@@ -132,6 +135,12 @@ class QuadratureGrid:
 
     def meshgrid(self):
         return np.meshgrid(self.x1, self.x2, self.x3, indexing="ij")
+
+    @cached_property
+    def axes(self) -> tuple[AxisTransform, ...]:
+        """The per-axis transforms of this grid, built on first use and kept
+        as long as the grid object is."""
+        return tuple(AxisTransform.build(n, L) for n, L in zip(self.shape, self.spec.lengths))
 
     def integrate(self, values) -> float:
         return float(self.cell_volume * np.sum(values))

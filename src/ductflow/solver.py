@@ -41,7 +41,7 @@ from .basis import (
 )
 from .domain import DomainSpec, PatchKind, QuadratureGrid, build_domain
 from .errors import NumericalAbort, RegimeError, ScenarioError
-from .hopf import FluxProfile, HopfParams, cap_norms, profile_by_name, select_params
+from .hopf import FluxNorms, FluxProfile, HopfParams, cap_norms, profile_by_name, select_params
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +240,8 @@ class DeltaProvider:
     delta(t) on the grid.
 
     A run without flux carries the zero lifting: its numbers are zeros of the
-    same shapes, built without b or a Neumann solve, and calling the
-    provider returns None. This class is the only code that knows which.
+    same shapes, built without b, a Neumann solve or any evaluation of g,
+    and calling the provider returns None. This class is the only code that knows which.
     """
 
     def __init__(
@@ -294,6 +294,14 @@ class DeltaProvider:
         upper cap; and inflow, inflow_i = int_{lower cap} g phi_i.
         """
         forms, grid, profile = self.forms, self.grid, self.profile
+        if self.is_zero:  # g = 0: every number is an exact zero
+            m, mt = forms.vb.m, forms.tb.m
+            zero = np.zeros((m, m))
+            out = dict(cap=FluxNorms(*[(0.0, 0.0)] * len(fields(FluxNorms))), cap_integrals=(0.0, 0.0),
+                       inflow=np.zeros(mt), G_wd=zero, G_dw=zero, G=zero, G_dth=np.zeros((mt, mt)),
+                       l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
+            out.update((key, np.zeros(m)) for key in ("B", "F_bdry", "F_form", "P", "F_adv", "Q"))
+            return out
         lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
         g_cap = {p.kind: profile.g(*p.meshgrid()) for p in (lo, hi)}
         out = dict(
@@ -301,13 +309,6 @@ class DeltaProvider:
             cap_integrals=(lo.integrate(g_cap[lo.kind]), hi.integrate(g_cap[hi.kind])),
             inflow=forms.tb.factors.project_face(0, lo, g_cap[lo.kind]),
         )
-        if self.is_zero:
-            m, mt = forms.vb.m, forms.tb.m
-            zero = np.zeros((m, m))
-            out.update(G_wd=zero, G_dw=zero, G=zero, G_dth=np.zeros((mt, mt)),
-                       l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
-            out.update((key, np.zeros(m)) for key in ("B", "F_bdry", "F_form", "P", "F_adv", "Q"))
-            return out
         delta_1 = self.lifting[2]
         out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
         out["G"] = out["G_wd"] + out["G_dw"]
@@ -538,13 +539,16 @@ class GalerkinSolver:
         <omega(theta) f, psi_j>, which is linear in dcoef unless omega is
         bounded_smooth. ``kind`` is "constant" when omega is constant or the
         forcing is zero: the projection is the vector ``P`` and the sampled
-        norms of the clamped omega(theta) f are the pair ``norms``, both
-        from the grid expressions once. For "linear" the projection is
-        omega0 P + omega1 M dcoef with P = P(f) and M[j, k] = <phi_k f, psi_j>.
-        "bounded_smooth" keeps both on the grid.
+        norms of the clamped omega(theta) f are the pair ``norms``, from the
+        grid expressions once, or exact zeros without any grid work when f
+        is zero. For "linear" the projection is omega0 P + omega1 M dcoef
+        with P = P(f) and M[j, k] = <phi_k f, psi_j>. "bounded_smooth" keeps
+        both on the grid.
         """
         cfg, forms = self.config, self.forms
-        if cfg.omega_kind == "constant" or cfg.forcing_is_zero:
+        if cfg.forcing_is_zero:
+            return dict(kind="constant", P=np.zeros(cfg.m), norms=(0.0, 0.0))
+        if cfg.omega_kind == "constant":
             return dict(
                 kind="constant",
                 P=forms.project_velocity(self.omega(0.0) * self.f_values),

@@ -21,10 +21,12 @@ synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .domain import QuadratureGrid
+if TYPE_CHECKING:
+    from .domain import QuadratureGrid
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,10 @@ class AxisTransform:
 
 
 def axes_for(grid: QuadratureGrid) -> tuple[AxisTransform, ...]:
-    lengths = grid.spec.lengths
-    return tuple(
-        AxisTransform.build(grid.shape[i], lengths[i]) for i in range(3)
-    )
+    """The grid's per-axis transforms, built once per grid object
+    (QuadratureGrid.axes): the velocity basis, the temperature basis and the
+    Neumann solve on one grid read the same tables."""
+    return grid.axes
 
 
 def _on_grid(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, arr: np.ndarray) -> np.ndarray:

@@ -175,14 +175,55 @@ def dense_transport(a, b, T):
     return np.einsum("i,j,ijl->l", a, b, T)
 
 
+def _component_weight(lengths, k, c) -> float:
+    """int over the box of the squared factors of component c of a mode of
+    wavevector k: L_a / 2 on an axis with k_a >= 1, else L_a for a cosine
+    and 0 for the sine of axis c."""
+    w = 1.0
+    for a in range(3):
+        if k[a] >= 1:
+            w *= lengths[a] / 2.0
+        else:
+            w *= 0.0 if a == c else lengths[a]
+    return w
+
+
+def _stokes_energy(lengths, k, kappa, coef):
+    """int |D(psi)|^2 of a mode with component amplitudes coef, from numpy
+    arrays: sum over (c, d) of coef_c^2 kappa_d^2 times the factor integrals,
+    plus the cross terms coef_i coef_j kappa_i kappa_j, both doubled."""
+    kappa = np.asarray(kappa, dtype=float)
+    grad_sq = 0.0
+    for c in range(3):
+        for d in range(3):
+            if coef[c] == 0.0 or kappa[d] == 0.0:
+                continue
+            w = 1.0
+            for a in range(3):
+                w *= lengths[a] if (k[a] == 0 and a != c and a != d) else lengths[a] / 2.0
+            grad_sq += coef[c] ** 2 * kappa[d] ** 2 * w
+    cross = 0.0
+    for i in range(3):
+        for j in range(3):
+            if coef[i] == 0.0 or coef[j] == 0.0 or kappa[i] == 0.0 or kappa[j] == 0.0:
+                continue
+            w = 1.0
+            for a in range(3):
+                w *= lengths[a] if (k[a] == 0 and a not in (i, j)) else lengths[a] / 2.0
+            cross += coef[i] * coef[j] * kappa[i] * kappa[j] * w
+    return 2.0 * grad_sq + 2.0 * cross
+
+
 def exhaustive_velocity_modes(lengths, kcap):
     """Every velocity mode below the band kcap, in the package's order.
 
-    Builds each candidate of every wavevector with the closed forms, then
-    sorts all of them by (Rayleigh quotient to 9 decimals, k, branch); the
-    package must pick the same first m without building them all.
+    Builds each candidate of every wavevector with numpy 3-vectors (np.cross,
+    numpy weighted sums) and this module's own component weights and Stokes
+    energy, then sorts all of them by (Rayleigh quotient to 9 decimals, k,
+    branch); the package must pick the same first m, to the bit, without
+    building them all.
     """
-    from ductflow.basis import VelocityMode, _component_weight, _stokes_energy
+    from ductflow.basis import VelocityMode
 
     out = []
     for k1 in range(kcap[0] + 1):

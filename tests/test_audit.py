@@ -8,8 +8,10 @@ import pytest
 from scipy.linalg import eigh
 
 from ductflow.audit import (
+    BEYOND_FLOAT_NOTE,
     _inequality,
     _mk_reconstruction_certs,
+    _mk_recurrence_certs,
     audit_run,
     calibrate,
     default_psi,
@@ -19,7 +21,7 @@ from ductflow.audit import (
     ledger_to_text,
     time_derivative,
 )
-from ductflow.solver import GalerkinSolver, ScenarioConfig
+from ductflow.solver import GalerkinSolver, RunResult, ScenarioConfig
 
 
 def small_config(**kw) -> ScenarioConfig:
@@ -189,6 +191,26 @@ def test_bounds_beyond_the_float_range_say_so():
         assert cert.passed and cert.note == "bound exceeds the float range"
         assert math.isclose(cert.details["log10_bound"], (math.log(c) + log_bound) / math.log(10.0),
                             rel_tol=1e-12)
+
+
+def test_recurrence_bounds_beyond_the_float_range_say_so():
+    # a sample with F = inf makes A1 and A2 inf: with c2 > 0, E2 and E3 hold
+    # vacuously and carry the float-range note; a degenerate c2 keeps its
+    # own note, and a finite F none
+    cfg = small_config()
+    spw = cfg.steps_per_window
+    times = np.arange(2 * spw + 1) * cfg.dt
+    run = RunResult(cfg, times, {}, None, None, spw, 2)
+    ones = np.ones(times.size)
+    beyond = ones.copy()
+    beyond[spw + 3] = math.inf
+    degenerate = "decay constant degenerate; recurrence bound is vacuous"
+    for F, c2, note in ((ones, 1.0, ""), (beyond, 1.0, BEYOND_FLOAT_NOTE), (beyond, 0.0, degenerate)):
+        certs, A1, A2 = _mk_recurrence_certs(times, ones, ones, F, c2, run)
+        assert [cert.note for cert in certs] == [note, note]
+        assert all(cert.passed for cert in certs)
+        assert math.isinf(A1) == (F is beyond)
+        assert math.isinf(A2) == (F is beyond or c2 == 0.0)
 
 
 def dissipation_ratio(forms, c):

@@ -18,8 +18,6 @@ from ductflow.basis import (
 )
 from ductflow.domain import DomainSpec, PatchKind, build_domain
 from ductflow.errors import AliasingError
-from ductflow.hopf import zero_profile
-from ductflow.solver import DeltaProvider
 
 
 def unit_grid(n=(12, 12, 16)):
@@ -284,8 +282,9 @@ def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
         assert got.shape == expected.shape, name
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
-    # the boundary functionals and the inflow coupling against the same
-    # quadrature over the formula face traces, for arbitrary face data
+    # the boundary functionals and the inflow coupling (the face projection
+    # that DeltaProvider.couplings applies to g) against the same quadrature
+    # over the formula face traces, for arbitrary face data
     rng = np.random.default_rng(sum(shape))
     faces = {}
     for p in grid.patches:
@@ -299,7 +298,6 @@ def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
         assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), name
     lo = grid.patch(PatchKind.CAP_LO)
     cap_data = rng.standard_normal(tuple(x.size for x in lo.nodes))
-    profile = dataclasses.replace(zero_profile(), g=lambda x1, x2: cap_data)
-    got = DeltaProvider(profile, None, grid, forms).couplings["inflow"]
+    got = tb.factors.project_face(0, lo, cap_data)
     expected = np.array([lo.integrate(cap_data * oracles.temperature_mode_on_face(md, grid, lo)) for md in tb.modes])
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), "inflow"

@@ -16,6 +16,7 @@ from ductflow.basis import (
 from ductflow.errors import NumericalAbort, ScenarioError
 from ductflow.domain import PatchKind, build_domain
 import ductflow.hopf as hopf_mod
+import ductflow.solver as solver_mod
 from ductflow.hopf import build_b, cap_norms, validate_profile
 from ductflow.poisson import delta_field, solve_neumann
 from ductflow.solver import (
@@ -259,6 +260,41 @@ def test_stepping_forcing_needs_no_grid_field(monkeypatch):
             for _ in range(3):
                 state = solver.step(state)
         assert calls == grid_calls, kw
+
+
+@pytest.mark.parametrize("kw", [
+    dict(), dict(forcing_kind="constant"), dict(forcing_kind="shear", omega_kind="linear", omega1=0.3),
+])
+def test_zero_data_are_exact_zeros_without_grid_work(monkeypatch, kw):
+    # zero forcing and the zero lifting: the forcing projection and norms and
+    # the cap numbers of g are built without the grid, and equal the grid
+    # expressions for f = 0 and g = 0 to the bit, signs of zero included
+    solver = GalerkinSolver(small_config(**kw))
+    grid, profile, forms = solver.grid, solver.profile, solver.forms
+    lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
+    g_lo = profile.g(*lo.meshgrid())
+    reference = dict(
+        P=forms.project_velocity(solver.omega(0.0) * solver.f_values),
+        norms=solver._omega_f_norms(np.zeros(grid.shape)),
+        cap=cap_norms(profile, grid),
+        cap_integrals=(lo.integrate(g_lo), hi.integrate(profile.g(*hi.meshgrid()))),
+        inflow=forms.tb.factors.project_face(0, lo, g_lo),
+    )
+
+    def refuse(*args):
+        raise AssertionError("grid work for zero data")
+
+    for owner, name in ((AssembledForms, "project_velocity"), (GalerkinSolver, "_omega_f_norms"),
+                        (solver_mod, "cap_norms"), (type(forms.tb.factors), "project_face")):
+        monkeypatch.setattr(owner, name, refuse)
+    built = {**solver._forcing, **solver.delta_provider.couplings}
+    for key, ref in reference.items():
+        got = built[key]
+        if key == "cap":
+            got, ref = dataclasses.astuple(got), dataclasses.astuple(ref)
+        got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref)), key
+    assert solver._forcing["kind"] == "constant"
 
 
 FLUXES = (

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 
 from ductflow import spectral
+from ductflow.basis import build_temperature_basis, build_velocity_basis
 from ductflow.domain import DomainSpec, build_domain
+from ductflow.poisson import solve_neumann
 
 
 def _grid(n=(8, 8, 8), L1=1.0, L2=2.0, a=1.5):
@@ -131,3 +133,27 @@ def test_synthesis_matches_explicit_trig_sums_on_the_grid_and_every_face():
             else:
                 scale = np.max(np.abs(ref_face))
                 assert np.max(np.abs(got - ref_face)) <= 1e-13 * scale, (orders, axis, side)
+
+
+def test_one_grid_builds_its_axis_tables_once(monkeypatch):
+    # the velocity basis, the temperature basis and the Neumann solve on one
+    # grid are handed the same AxisTransform objects, built once; a second
+    # grid of the same size builds its own
+    build, built, handed = spectral.AxisTransform.build, [], []
+    monkeypatch.setattr(spectral.AxisTransform, "build",
+                        staticmethod(lambda n, length: built.append(n) or build(n, length)))
+    axes_for = spectral.axes_for
+    monkeypatch.setattr(spectral, "axes_for", lambda g: handed.append(axes_for(g)) or handed[-1])
+    grid = _grid()
+    build_velocity_basis(grid, 12)
+    tb = build_temperature_basis(grid, 12)
+    sol = solve_neumann(np.cos(np.pi * grid.meshgrid()[0] / grid.spec.L1), grid)
+    assert len(handed) == 3 and len(built) == 3
+    assert all(axes[a] is handed[0][a] for axes in handed for a in range(3))
+    assert sol.axes is handed[0]
+    assert all(band.base is ax.cos_syn for band, ax in zip(tb.band, handed[0]))
+
+    other = _grid()
+    build_temperature_basis(other, 12)
+    assert len(built) == 6
+    assert all(a is not b for a, b in zip(handed[-1], handed[0]))
