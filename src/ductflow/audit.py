@@ -183,23 +183,24 @@ def is_free_decay(config: ScenarioConfig) -> bool:
 
 
 def calibrate(run: RunResult, solver: GalerkinSolver, config: ScenarioConfig) -> Calibration:
-    """Decay rates of the assembled Galerkin system, and c1, c2 from them.
+    """Decay rates of the Galerkin system, and c1, c2 from them.
 
     Both transport terms are skew, so the slowest decay of |c|^2 relative to
     the H1 norm over all velocity states is the smallest generalized
-    eigenvalue of (2 (K_visc + K_fric), I + G_grad_w); for the temperature,
-    K_theta = kappa diag(lambda), it is min 2 kappa lambda / (1 + lambda)
-    over the non-constant modes. A sector counts only if the run puts energy
-    in it, above rounding noise for the temperature; a temperature mean is
-    an undamped direction, so its rate is 0.
+    eigenvalue of (2 (nu diag(rayleigh) + K_fric), I + diag(rayleigh / 2)).
+    The H1 Gram matrix is diagonal, so this is the smallest eigenvalue of
+    S 2 (nu diag(rayleigh) + K_fric) S with S = diag(1 / sqrt(1 + rayleigh / 2)).
+    For the temperature, whose operator is kappa diag(lambda), it is
+    min 2 kappa lambda / (1 + lambda) over the non-constant modes. A sector
+    counts only if the run puts energy in it, above rounding noise for the
+    temperature; a temperature mean is an undamped direction, so its rate is 0.
     """
-    forms = solver.forms
     r_w = None
     if np.any(run.coeffs_w):
-        chol = np.linalg.cholesky(np.eye(forms.vb.m) + forms.G_grad_w)
-        chol_inv = np.linalg.inv(chol)
-        stiff = 2.0 * (forms.K_visc + forms.K_fric)
-        r_w = float(np.linalg.eigvalsh(chol_inv @ stiff @ chol_inv.T)[0])
+        rayleigh = solver.vb.rayleigh
+        S = 1.0 / np.sqrt(1.0 + 0.5 * rayleigh)
+        stiff = 2.0 * (np.diag(config.nu * rayleigh) + solver.forms.K_fric)
+        r_w = float(np.linalg.eigvalsh(S[:, None] * stiff * S[None, :])[0])
     r_th = None
     # a temperature counts only above the rounding noise of projecting the
     # configured initial data, whose coefficients are at most max|theta0| sqrt|Omega|

@@ -15,7 +15,14 @@ and enter the weak form through the lateral friction matrix and the
 boundary functionals assembled here.
 
 Temperature modes are the Neumann-natural all-cosine family including the
-constant.
+constant, each a Neumann eigenfunction with eigenvalue |kappa|^2.
+
+In these bases the Stokes and heat operators are diagonal: int D(psi_i) :
+D(psi_j) is the Rayleigh quotient 2 |kappa|^2 on the diagonal and 0 off
+it, int grad psi_i : grad psi_j is half of that, and
+int grad phi_i . grad phi_j is the eigenvalue. The solver reads them from
+VelocityBasis.rayleigh and TemperatureBasis.eigenvalues; of the m x m
+forms only the friction matrix, dense off the unit box, is assembled.
 
 Every mode component is amplitude x f1(x1) f2(x2) f3(x3), so each family is
 stored once, as per-axis factor tables; no per-mode array on the quadrature
@@ -128,9 +135,10 @@ class FactorTables:
 
 @dataclass
 class VelocityBasis:
-    """The velocity modes as factor tables."""
+    """The velocity modes as factor tables, and their Rayleigh quotients."""
 
     modes: list[VelocityMode]
+    rayleigh: np.ndarray               # [mode] int |D(psi)|^2 = 2 |kappa|^2
     k_max: tuple[int, int, int]
     factors: FactorTables              # comp 0..2
 
@@ -398,7 +406,7 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
         raise ValueError("m must be >= 1")
     modes = velocity_modes(grid.spec.lengths, tuple(dealias_cap(n) for n in grid.shape), m)
     ks, coef = np.array([md.k for md in modes]), np.array([md.coef for md in modes])
-    tables = _factor_tables(spectral.axes_for(grid), ks, coef.T, sin_axes=(0, 1, 2))
+    tables = _factor_tables(grid.axes, ks, coef.T, sin_axes=(0, 1, 2))
     gram = sum(_inner(tables.factors(c), tables.factors(c), grid.cell_volume) for c in range(3))
     dev = float(np.max(np.abs(gram - np.eye(m))))
     if dev > 1e-12:
@@ -406,7 +414,8 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     # the normal trace of component c is its axis-c factor at the two ends
     if any(np.any(tables.ends[c][c]) for c in range(3)):
         raise RuntimeError("a velocity mode has a nonzero normal trace")
-    return VelocityBasis(modes, tuple(ks.max(axis=0).tolist()), tables)
+    rayleigh = np.array([md.rayleigh for md in modes])
+    return VelocityBasis(modes, rayleigh, tuple(ks.max(axis=0).tolist()), tables)
 
 
 def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
@@ -415,7 +424,7 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
         raise ValueError("m must be >= 1")
     modes = temperature_modes(grid.spec.lengths, tuple(dealias_cap(n) for n in grid.shape), m)
     ks, amp = np.array([md.k for md in modes]), np.array([md.amplitude for md in modes])
-    axes = spectral.axes_for(grid)
+    axes = grid.axes
     tables = _factor_tables(axes, ks, [amp], sin_axes=(None,))
     lam, k_max = np.array([md.eigenvalue for md in modes]), tuple(ks.max(axis=0).tolist())
     band = tuple(ax.cos_syn[:, : k + 1] for ax, k in zip(axes, k_max))
@@ -455,19 +464,20 @@ def sym_grad(grad: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AssembledForms:
-    """Time-independent matrices, the transport kernel, and builders for the
-    lifting terms."""
+    """The friction matrix, the transport kernel, and builders for the
+    lifting terms.
+
+    K_fric[i, j] = gamma sum_lateral sum_tau int (psi_i . tau)(psi_j . tau)
+    is the one m x m form assembled; the viscous and heat operators are the
+    bases' spectra.
+    """
 
     grid: QuadratureGrid
     vb: VelocityBasis
     tb: TemperatureBasis
     nu: float
     gamma: float
-    kappa_heat: float
-    K_visc: np.ndarray = field(init=False)
     K_fric: np.ndarray = field(init=False)
-    K_theta: np.ndarray = field(init=False)
-    G_grad_w: np.ndarray = field(init=False)
     # the modes sampled on the transport grid of P nodes, per mode: psi_c,
     # then d_a psi_c (a major); phi, then d_a phi
     _w_table: np.ndarray = field(init=False, repr=False)       # [mode, 12 P]
@@ -483,21 +493,11 @@ class AssembledForms:
                     f"axis {a}: triple products reach wavenumber {needed} beyond "
                     f"the exact band {2 * grid.shape[a] - 1}"
                 )
-        cv = grid.cell_volume
         V, Th = self.vb.factors, self.tb.factors
-        pairs = [(c, d) for c in range(3) for d in range(3)]
-        # int D(psi_i):D(psi_j) = 2 sum_cd <d_d psi_c, d_d psi_c + d_c psi_d>
-        self.G_grad_w = sum(_inner(V.factors(c, d), V.factors(c, d), cv) for c, d in pairs)
-        cross = sum(_inner(V.factors(c, d), V.factors(d, c), cv) for c, d in pairs)
-        self.K_visc = 2.0 * self.nu * (self.G_grad_w + cross)
-        self.K_theta = self.kappa_heat * sum(
-            _inner(Th.factors(0, d), Th.factors(0, d), cv) for d in range(3)
-        )
-
-        lateral = [p for p in grid.patches if not p.kind.is_cap]
+        # the tangents of a wall are the unit vectors of its two plane axes
         self.K_fric = self.gamma * sum(
-            tau[c] * tau[d] * _inner(V.on_face(c, p), V.on_face(d, p), p.weight)
-            for p in lateral for tau in (p.tau1, p.tau2) for c, d in pairs if tau[c] * tau[d]
+            _inner(V.on_face(c, p), V.on_face(c, p), p.weight)
+            for p in grid.patches if not p.kind.is_cap for c in p.plane_axes
         )
 
         # the transport grid: n = ceil((3 k + 1) / 2) nodes, the fewest with

@@ -77,13 +77,12 @@ class NeumannSolution:
     ``residual`` is the grid L2 norm of Delta(phi) + data (zero up to
     roundoff by construction); ``spectral_tail`` is the fraction of data
     energy in the top third of the cosine spectrum, a cheap resolution
-    indicator for the non-band-limited layer data. ``axes`` are the per-axis
-    transforms of the grid that ``coeffs`` live in.
+    indicator for the non-band-limited layer data. ``coeffs`` live in the
+    per-axis transforms of the grid, ``grid.axes``.
     """
 
     phi: ScalarField
     coeffs: np.ndarray
-    axes: tuple
     residual: float
     spectral_tail: float
 
@@ -104,7 +103,7 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
             "1.0e-10 relative); the problem is not solvable"
         )
 
-    axes = spectral.axes_for(grid)
+    axes = grid.axes
     data_hat = spectral.cos_analyze(values, axes)
     lam = spectral.neumann_eigenvalues(axes)
     phi_hat = np.zeros_like(data_hat)
@@ -127,9 +126,7 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
         spectral_tail = 0.0
 
     phi = ScalarField(values=phi_vals, grid=grid, grad=grad, hess=hess)
-    return NeumannSolution(
-        phi=phi, coeffs=phi_hat, axes=axes, residual=residual, spectral_tail=spectral_tail
-    )
+    return NeumannSolution(phi=phi, coeffs=phi_hat, residual=residual, spectral_tail=spectral_tail)
 
 
 # the nine distinct derivatives of phi as per-axis derivative orders: the
@@ -165,7 +162,7 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
     values = _nodal(values, (3, *grid.shape), "lifting")
     faces = {}
     for patch in grid.patches:
-        face_derivatives = _derivatives(solution.coeffs, solution.axes, (patch.axis, patch.side))
+        face_derivatives = _derivatives(solution.coeffs, grid.axes, (patch.axis, patch.side))
         faces[patch.kind] = FaceDelta(*_add_b(*face_derivatives, *ext.faces[patch.kind]))
     return DeltaEval(values=values, grad=grad, dt_values=np.zeros_like(values), faces=faces)
 

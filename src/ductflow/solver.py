@@ -135,6 +135,9 @@ class ScenarioConfig:
             raise ScenarioError("m must be >= 1")
         if not (self.mu > 2.0 / 3.0 and self.mu < 1.0):
             raise ScenarioError("audit exponent mu must lie in (2/3, 1)")
+        for key in ("c_budget", "c_recon", "c_theta"):
+            if getattr(self, key) <= 0:
+                raise ScenarioError(f"audit.{key} must be positive, got {getattr(self, key)}")
         if not (0 < self.theta_star < self.theta_star_upper):
             raise ScenarioError("need 0 < theta_star < theta_star_upper")
         if self.hopf_mode not in ("auto", "manual"):
@@ -391,11 +394,10 @@ class GalerkinSolver:
         _, self.grid = build_domain(config.domain_spec())
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
-        self.forms = AssembledForms(
-            self.grid, self.vb, self.tb, nu=config.nu, gamma=config.gamma, kappa_heat=config.kappa_heat
-        )
-        self._stepper_w = ImexStepper(self.forms.K_visc + self.forms.K_fric, config.dt)
-        self._stepper_th = ImexStepper(self.forms.K_theta, config.dt)
+        self.forms = AssembledForms(self.grid, self.vb, self.tb, nu=config.nu, gamma=config.gamma)
+        L_w = np.diag(config.nu * self.vb.rayleigh) + self.forms.K_fric
+        self._stepper_w = ImexStepper(L_w, config.dt)
+        self._stepper_th = ImexStepper(np.diag(config.kappa_heat * self.tb.eigenvalues), config.dt)
         self.profile = profile_of(config)
         hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
@@ -478,11 +480,12 @@ class GalerkinSolver:
         extrapolation advances, taken from ``_explicit`` as ``step`` takes
         it, and ``total = explicit - implicit``, where the implicit part is
         the Crank-Nicolson one (``visc + fric`` for the velocity, ``diff``
-        for the temperature). So the oracle tests of ``total`` check the
-        stepped quantity. The transport terms come from ``forms.transport``,
-        on a transport grid of ceil((3 k_a + 1) / 2) midpoint nodes per axis
-        (k_a the larger band of the modes), where 3 k_a <= 2 n_a - 1 makes
-        them exact. The lifting terms are the provider's couplings of
+        for the temperature; ``visc`` and ``diff`` are the bases' spectra,
+        nu rayleigh and kappa lambda, times the coefficients). So the oracle
+        tests of ``total`` check the stepped quantity. The transport terms
+        come from ``forms.transport``, on a transport grid of
+        ceil((3 k_a + 1) / 2) midpoint nodes per axis (k_a the larger band
+        of the modes), where 3 k_a <= 2 n_a - 1 makes them exact. The lifting terms are the provider's couplings of
         delta_1 scaled by s(t) and s'(t) at ``state.t``; without flux they
         are zero. The forcing term comes from ``_f_omega``.
         """
@@ -490,7 +493,7 @@ class GalerkinSolver:
         c, dcoef = state.c, state.dcoef
         conv_www, adv = forms.transport(c, c, dcoef)
         vel = {"conv_www": conv_www}
-        vel["visc"] = forms.K_visc @ c
+        vel["visc"] = self.config.nu * self.vb.rayleigh * c
         vel["fric"] = forms.K_fric @ c
         vel["f_omega"] = self._f_omega(state)
         k = self.delta_provider.couplings
@@ -501,7 +504,7 @@ class GalerkinSolver:
         vel["F_bdry"] = s * k["F_bdry"]
         vel["F_vol"] = s * s * k["F_adv"] - s_t * k["P"]
         vel["F_form"] = s * k["F_form"]
-        th = {"diff": forms.K_theta @ dcoef}
+        th = {"diff": self.config.kappa_heat * self.tb.eigenvalues * dcoef}
         th["adv"] = adv + s * (k["G_dth"] @ dcoef)
         vel["explicit"], th["explicit"] = self._explicit(state)
         vel["total"] = vel["explicit"] - vel["visc"] - vel["fric"]
@@ -639,7 +642,7 @@ class GalerkinSolver:
         s_t = np.array([self.profile.s_t(t) for t in times])
         abs_s = np.abs(s)
         out = {"w_l2sq": np.einsum("ij,ij->i", C, C)}
-        out["w_gradsq"] = np.einsum("ij,ij->i", C @ forms.G_grad_w, C)
+        out["w_gradsq"] = np.einsum("ij,ij->i", C, 0.5 * self.vb.rayleigh * C)
         out["w_h1sq"] = out["w_l2sq"] + out["w_gradsq"]
         out["th_l2sq"] = np.einsum("ij,ij->i", D, D)
         out["th_gradsq"] = np.einsum("ij,ij->i", D, self.tb.eigenvalues * D)
@@ -648,9 +651,10 @@ class GalerkinSolver:
         out["th_integral"] = grid.spec.volume * self.tb.amplitude[0] * D[:, 0]
         out["inflow_theta"] = s * (D @ k["inflow"])
 
-        # v = w + s delta_1 in grid quadrature, where |c|^2 and c.G_grad_w.c
-        # are the norms of w: ||v||^2 = |c|^2 + 2 s c.P + s^2 ||delta_1||^2,
-        # and the gradient the same way with Q
+        # v = w + s delta_1 in grid quadrature, where |c|^2 and
+        # sum (rayleigh/2) c^2 are the norms of w:
+        # ||v||^2 = |c|^2 + 2 s c.P + s^2 ||delta_1||^2, and the gradient the
+        # same way with Q
         out["delta_l2sq"] = s * s * k["l2sq"]
         out["delta_gradsq"] = s * s * k["gradsq"]
         out["v_l2sq"] = out["w_l2sq"] + 2.0 * s * (C @ k["P"]) + out["delta_l2sq"]

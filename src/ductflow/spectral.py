@@ -21,12 +21,8 @@ synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .domain import QuadratureGrid
 
 
 @dataclass(frozen=True)
@@ -64,13 +60,6 @@ class AxisTransform:
             cos_at_hi=np.cos(np.pi * k),
             syn=(cos_syn, -kappa * sin_syn, -kappa**2 * cos_syn),
         )
-
-
-def axes_for(grid: QuadratureGrid) -> tuple[AxisTransform, ...]:
-    """The grid's per-axis transforms, built once per grid object
-    (QuadratureGrid.axes): the velocity basis, the temperature basis and the
-    Neumann solve on one grid read the same tables."""
-    return grid.axes
 
 
 def _on_grid(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, arr: np.ndarray) -> np.ndarray:

@@ -226,8 +226,8 @@ def test_criterion_06_basis_integrity():
     from ductflow.basis import AssembledForms, build_temperature_basis
 
     tb = build_temperature_basis(grid, 32)
-    forms = AssembledForms(grid, vb, tb, nu=1.0, gamma=1.0, kappa_heat=1.0)
-    assert np.linalg.eigvalsh(forms.K_visc + forms.K_fric).min() > 0.0
+    forms = AssembledForms(grid, vb, tb, nu=1.0, gamma=1.0)
+    assert np.linalg.eigvalsh(np.diag(forms.nu * vb.rayleigh) + forms.K_fric).min() > 0.0
     _ok("06 basis-integrity")
 
 
@@ -278,9 +278,9 @@ def test_criterion_08_dissipation_monotonicity(bundle):
     assert np.all(np.diff(X) <= 1e-12 * X[0])
     c2 = res.ledger.calibration.c2
     assert c2 > 0
-    m = res.run.config.m
-    L = res.solver.forms.K_visc + res.solver.forms.K_fric
-    G = np.eye(m) + res.solver.forms.G_grad_w
+    rayleigh = res.solver.vb.rayleigh
+    L = np.diag(res.run.config.nu * rayleigh) + res.solver.forms.K_fric
+    G = np.diag(1.0 + 0.5 * rayleigh)
     rho_star = eigh(2.0 * L, G, eigvals_only=True)[0]
     fit_raw = 2.0 * c2  # calibration halves the fitted worst-case ratio
     assert rho_star / 2.0 <= fit_raw <= 2.0 * rho_star, (fit_raw, rho_star)

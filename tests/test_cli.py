@@ -448,6 +448,12 @@ def test_zero_flux_amplitude_is_no_flux(tmp_path):
     ("forcing.vector", "1.0, nan, 0.0"),
     ("init.v_nmodes", "0"),
     ("init.v_nmodes", "-2"),
+    ("audit.c_recon", "0"),
+    ("audit.c_recon", "-1"),
+    ("audit.c_budget", "0"),
+    ("audit.c_budget", "-1"),
+    ("audit.c_theta", "0"),
+    ("audit.c_theta", "-1"),
 ])
 def test_check_rejects_the_numbers_run_fails_on(tmp_path, capsys, key, value):
     scn = scenario_with(tmp_path, QUICK, {key: value})

@@ -121,8 +121,10 @@ def test_rhs_consistency_with_explicit_split():
     # temperature advection vanish by symmetry; m = 12 makes them nonzero.
     # On the caps B + F_bdry carries (nu - 1) n.D(delta).tau, which cancels
     # at nu = 1; nu = 0.7 keeps the cap stresses of the lifting in the step.
-    for m, nu in ((6, 1.0), (12, 1.0), (12, 0.7)):
-        cfg = oracle_config(m=m, nu=nu)
+    # The implicit matrices are the oracle's too, and kappa = 0.6 puts the
+    # heat constant into the temperature step.
+    for m, nu, kappa_heat in ((6, 1.0, 1.0), (12, 1.0, 1.0), (12, 0.7, 1.0), (12, 0.7, 0.6)):
+        cfg = oracle_config(m=m, nu=nu, kappa_heat=kappa_heat)
         solver = GalerkinSolver(cfg)
         st0 = solver.initial_state()
         state = State(t=0.03, c=st0.c, dcoef=st0.dcoef)
@@ -136,13 +138,15 @@ def test_rhs_consistency_with_explicit_split():
             state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             kappa_heat=cfg.kappa_heat, delta=delta,
         )
-        forms = solver.forms
+        ref_forms = oracles.forms_by_quadrature(
+            solver.vb.modes, solver.tb.modes, solver.grid, cfg.nu, cfg.gamma, cfg.kappa_heat
+        )
         solver.reset_window()
         stepped = solver.step(state)
         dt = cfg.dt
         cases = (
-            (state.c, slow["total"], forms.K_visc + forms.K_fric, stepped.c),
-            (state.dcoef, slow_th["total"], forms.K_theta, stepped.dcoef),
+            (state.c, slow["total"], ref_forms["K_visc"] + ref_forms["K_fric"], stepped.c),
+            (state.dcoef, slow_th["total"], ref_forms["K_theta"], stepped.dcoef),
         )
         for x, total, L, got in cases:
             eye = np.eye(x.size)
@@ -796,7 +800,7 @@ def test_assembly_allocates_no_cube_of_m():
     vb, tb = build_velocity_basis(grid, m), build_temperature_basis(grid, m)
     tracemalloc.start()
     try:
-        forms = AssembledForms(grid, vb, tb, nu=1.0, gamma=1.0, kappa_heat=1.0)
+        forms = AssembledForms(grid, vb, tb, nu=1.0, gamma=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -856,7 +860,7 @@ def test_config_validation():
 
 
 def test_single_mode_rhs_identity():
-    # delta = 0, f = 0, c = e1: c' = -(K_visc + K_fric) e1 - transport,
+    # delta = 0, f = 0, c = e1: c' = -(nu diag(rayleigh) + K_fric) e1 - transport,
     # and the transport self-term has no component along psi_1
     cfg = small_config()
     solver = GalerkinSolver(cfg)
@@ -864,7 +868,7 @@ def test_single_mode_rhs_identity():
     e1[0] = 1.0
     state = State(t=0.0, c=e1, dcoef=np.zeros(solver.tb.m))
     rhs = solver.rhs_terms(state)[0]["total"]
-    L = solver.forms.K_visc + solver.forms.K_fric
+    L = np.diag(cfg.nu * solver.vb.rayleigh) + solver.forms.K_fric
     conv = oracles.dense_transport(e1, e1, oracle_transport(solver)[0])
     assert abs(conv[0]) <= 1e-10  # skew transport: <psi1.grad psi1, psi1> = 0
     assert np.max(np.abs(rhs - (-L @ e1 - conv))) < 1e-12

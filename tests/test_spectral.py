@@ -16,7 +16,7 @@ def _grid(n=(8, 8, 8), L1=1.0, L2=2.0, a=1.5):
 
 def test_cosine_analysis_roundtrip_exact():
     grid = _grid()
-    axes = spectral.axes_for(grid)
+    axes = grid.axes
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(grid.shape)
     coeffs = spectral.cos_analyze(vals, axes)
@@ -26,7 +26,7 @@ def test_cosine_analysis_roundtrip_exact():
 
 def test_single_mode_coefficients():
     grid = _grid()
-    axes = spectral.axes_for(grid)
+    axes = grid.axes
     X1, X2, X3 = grid.meshgrid()
     sp = grid.spec
     f = 2.5 * (
@@ -42,7 +42,7 @@ def test_single_mode_coefficients():
 
 def test_gradient_matches_analytic_mode():
     grid = _grid()
-    axes = spectral.axes_for(grid)
+    axes = grid.axes
     sp = grid.spec
     X1, X2, X3 = grid.meshgrid()
     k1, k3 = 2, 3
@@ -59,7 +59,7 @@ def test_gradient_matches_analytic_mode():
 
 def test_mixed_hessian_matches_analytic_mode():
     grid = _grid()
-    axes = spectral.axes_for(grid)
+    axes = grid.axes
     sp = grid.spec
     X1, X2, X3 = grid.meshgrid()
     kap1 = 1 * np.pi / sp.L1
@@ -74,7 +74,7 @@ def test_mixed_hessian_matches_analytic_mode():
 
 def test_face_synthesis_matches_endpoint_values():
     grid = _grid()
-    axes = spectral.axes_for(grid)
+    axes = grid.axes
     sp = grid.spec
     X1, X2, X3 = grid.meshgrid()
     kap3 = 2 * np.pi / (2 * sp.a)
@@ -97,7 +97,7 @@ def test_synthesis_matches_explicit_trig_sums_on_the_grid_and_every_face():
     # whose own axis has order 1 (a sine) the synthesis must be exactly zero.
     spec = DomainSpec(L1=1.3, L2=0.8, a=0.7, N1=6, N2=10, N3=14)
     _, grid = build_domain(spec)
-    axes = spectral.axes_for(grid)
+    axes = grid.axes
     coeffs = np.random.default_rng(11).standard_normal(grid.shape)
     nodes = [(x - o) / length
              for x, o, length in zip((grid.x1, grid.x2, grid.x3), spec.origins, spec.lengths)]
@@ -137,23 +137,23 @@ def test_synthesis_matches_explicit_trig_sums_on_the_grid_and_every_face():
 
 def test_one_grid_builds_its_axis_tables_once(monkeypatch):
     # the velocity basis, the temperature basis and the Neumann solve on one
-    # grid are handed the same AxisTransform objects, built once; a second
-    # grid of the same size builds its own
-    build, built, handed = spectral.AxisTransform.build, [], []
+    # grid read the same AxisTransform objects, grid.axes, built once; a
+    # second grid of the same size builds its own
+    build, built = spectral.AxisTransform.build, []
     monkeypatch.setattr(spectral.AxisTransform, "build",
                         staticmethod(lambda n, length: built.append(n) or build(n, length)))
-    axes_for = spectral.axes_for
-    monkeypatch.setattr(spectral, "axes_for", lambda g: handed.append(axes_for(g)) or handed[-1])
     grid = _grid()
-    build_velocity_basis(grid, 12)
+    vb = build_velocity_basis(grid, 12)
     tb = build_temperature_basis(grid, 12)
-    sol = solve_neumann(np.cos(np.pi * grid.meshgrid()[0] / grid.spec.L1), grid)
-    assert len(handed) == 3 and len(built) == 3
-    assert all(axes[a] is handed[0][a] for axes in handed for a in range(3))
-    assert sol.axes is handed[0]
-    assert all(band.base is ax.cos_syn for band, ax in zip(tb.band, handed[0]))
+    solve_neumann(np.cos(np.pi * grid.meshgrid()[0] / grid.spec.L1), grid)
+    assert len(built) == 3
+    axes = grid.axes  # the tables the three read, not built again
+    assert len(built) == 3 and [ax.n for ax in axes] == list(grid.shape)
+    assert all(band.base is ax.cos_syn for band, ax in zip(tb.band, axes))
+    # a sine factor of the velocity modes is a column gather of sin_syn
+    np.testing.assert_array_equal(vb.factors.val[0][1][0], axes[1].cos_syn[:, vb.modes[0].k[1]])
 
     other = _grid()
     build_temperature_basis(other, 12)
     assert len(built) == 6
-    assert all(a is not b for a, b in zip(handed[-1], handed[0]))
+    assert all(a is not b for a, b in zip(other.axes, axes))
