@@ -141,6 +141,42 @@ def test_temperature_orthonormal(tb, grid):
     assert np.max(np.abs(gram - np.eye(mt))) <= 1e-10
 
 
+@pytest.fixture(scope="module")
+def quadrature(grid, vb, tb):
+    """The module forms by grid quadrature of the formula fields."""
+    return oracles.forms_by_quadrature(vb.modes, tb.modes, grid, nu=1.0, gamma=1.0, kappa_heat=1.0)
+
+
+def test_K_theta_is_diagonal_eigenvalues(quadrature, tb):
+    # the heat operator the steppers read is diag(eigenvalues): quadrature
+    # of grad phi_i . grad phi_j puts the closed-form box Neumann
+    # eigenvalues on the diagonal and zeros off it
+    expected = np.diag(tb.eigenvalues)
+    assert np.max(np.abs(quadrature["K_theta"] - expected)) < 1e-10
+
+
+def test_K_visc_diagonal_matches_closed_form_rayleigh(quadrature, vb):
+    # modes are L2-normalized, so K_visc[i, i] = nu * int |D(psi_i)|^2
+    # equals the closed-form Rayleigh quotient used for ordering
+    diag = np.diag(quadrature["K_visc"])
+    expected = np.array([md.rayleigh for md in vb.modes])
+    assert np.array_equal(vb.rayleigh, expected)
+    assert np.max(np.abs(diag - expected)) < 1e-9 * max(1.0, expected.max())
+
+
+def test_K_visc_matches_quadrature_oracle(forms, vb, grid):
+    # the viscous operator the steppers read, nu diag(rayleigh), against
+    # the symmetric-gradient inner products of the formula fields
+    K_visc = np.diag(forms.nu * vb.rayleigh)
+    for i, j in [(0, 0), (0, 1), (2, 5)]:
+        _, gi = oracles.velocity_mode_fields(vb.modes[i], grid)
+        _, gj = oracles.velocity_mode_fields(vb.modes[j], grid)
+        val = oracles.integrate(
+            grid, np.sum(oracles.sym(gi) * oracles.sym(gj), axis=(0, 1))
+        )
+        assert abs(K_visc[i, j] - val) < 1e-9 * max(1.0, abs(val))
+
+
 def test_matrices_symmetric_and_psd(forms):
     # friction is the one assembled m x m form; the others are diagonal spectra
     K = forms.K_fric
@@ -160,11 +196,9 @@ def test_zero_gamma_kills_friction(grid, vb, tb):
 
 
 @pytest.fixture(scope="module")
-def transport(forms, grid):
+def transport(forms, quadrature):
     """(kernel T_vel, kernel T_th, oracle T_vel, oracle T_th) of the module forms."""
-    vmodes, tmodes = forms.vb.modes, forms.tb.modes
-    ref = oracles.forms_by_quadrature(vmodes, tmodes, grid, nu=1.0, gamma=1.0, kappa_heat=1.0)
-    return (*oracles.kernel_tensors(forms), ref["T_vel"], ref["T_th"])
+    return (*oracles.kernel_tensors(forms), quadrature["T_vel"], quadrature["T_th"])
 
 
 def close_to(got, expected, tol=1e-12):
