@@ -486,7 +486,7 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
     # the run's lifting of the cap shape g, i.e. of the data at s = 1
     ext, sol, _ = solver.delta_provider.lifting
     lhs, rhs = poisson_mod.certify_layer_bound(
-        solver.profile, solver.hopf_params, ext, solver.grid, config.mu
+        solver.delta_provider.couplings["cap"], solver.hopf_params, ext, solver.grid, config.mu
     )
     # lhs is the weighted norm of div b. With flux present it vanishes only
     # when the whole layer (r, rho] falls between two x3 nodes: the grid then

@@ -444,11 +444,10 @@ class FaceDelta:
 
 @dataclass
 class DeltaEval:
-    """The lifting delta and its time derivative, sampled where forms need it."""
+    """The lifting delta and its gradient, sampled where forms need it."""
 
     values: np.ndarray                 # [comp, n1, n2, n3]
     grad: np.ndarray                   # [comp, dir, n1, n2, n3]
-    dt_values: np.ndarray              # [comp, n1, n2, n3]
     faces: dict                        # PatchKind -> FaceDelta
 
 
@@ -580,9 +579,9 @@ class AssembledForms:
         return g_wd, g_dw, g_dth
 
     def forcing_F_volume(self, delta: DeltaEval) -> np.ndarray:
-        """<-delta_t - delta . grad(delta), psi_j>."""
+        """<-delta . grad(delta), psi_j>."""
         adv = np.einsum("ag,cag->cg", delta.values.reshape(3, -1), delta.grad.reshape(3, 3, -1))
-        return self.project_velocity(-delta.dt_values - adv.reshape(delta.values.shape))
+        return self.project_velocity(-adv.reshape(delta.values.shape))
 
     def forcing_F_form(self, delta: DeltaEval) -> np.ndarray:
         """-(nu/2) int D(delta):D(psi_j): the volume piece of nu div D(delta)."""

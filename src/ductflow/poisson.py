@@ -5,9 +5,9 @@ all-cosine tensor family, which satisfies the boundary condition on every
 face identically. The data is the cosine interpolant of the nodal samples
 of -div b, so the discrete divergence of the corrected field delta = b +
 grad(phi) vanishes at every quadrature node; that is the computable sense
-in which delta is divergence free. The solution carries phi as a ScalarField
-with its spectral gradient and Hessian, its coefficients and the per-axis
-transforms they live in. delta_field assembles delta and its gradient once,
+in which delta is divergence free. The solution carries phi's cosine
+coefficients and its spectral gradient and Hessian on the grid; phi's own
+nodal values are never needed. delta_field assembles delta and its gradient once,
 on the grid and on all six faces alike, from the samples of b that build_b
 made and one synthesis of the derivatives of phi in those transforms,
 _derivatives; on a face, d_n phi and its tangential derivatives are exact
@@ -33,7 +33,7 @@ from . import spectral
 from .basis import DeltaEval, FaceDelta
 from .domain import QuadratureGrid
 from .errors import SolvabilityError
-from .hopf import ExtensionB, FluxProfile, HopfParams, cap_norms
+from .hopf import ExtensionB, FluxNorms, HopfParams
 
 
 def _nodal(values, shape: tuple, what: str) -> np.ndarray:
@@ -44,19 +44,6 @@ def _nodal(values, shape: tuple, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} contains non-finite values")
     return values
-
-
-@dataclass
-class ScalarField:
-    """Scalar samples with gradient grad[d] and Hessian hess[i, j]."""
-
-    values: np.ndarray
-    grid: QuadratureGrid
-    grad: np.ndarray      # shape (3, N1, N2, N3)
-    hess: np.ndarray      # shape (3, 3, N1, N2, N3)
-
-    def __post_init__(self):
-        self.values = _nodal(self.values, self.grid.shape, "scalar field")
 
 
 def weighted_norm(arrays, grid: QuadratureGrid, p: float, mu: float) -> float:
@@ -72,7 +59,7 @@ def weighted_norm(arrays, grid: QuadratureGrid, p: float, mu: float) -> float:
 
 @dataclass
 class NeumannSolution:
-    """Zero-mean potential with spectral gradient and Hessian.
+    """Zero-mean potential phi by its spectral gradient and Hessian on the grid.
 
     ``residual`` is the grid L2 norm of Delta(phi) + data (zero up to
     roundoff by construction); ``spectral_tail`` is the fraction of data
@@ -81,7 +68,9 @@ class NeumannSolution:
     per-axis transforms of the grid, ``grid.axes``.
     """
 
-    phi: ScalarField
+    grid: QuadratureGrid
+    grad: np.ndarray      # shape (3, N1, N2, N3)
+    hess: np.ndarray      # shape (3, 3, N1, N2, N3)
     coeffs: np.ndarray
     residual: float
     spectral_tail: float
@@ -110,7 +99,6 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     mask = lam > 0
     phi_hat[mask] = data_hat[mask] / lam[mask]
 
-    phi_vals = spectral.synth(phi_hat, axes, [(0, 0, 0)])[0]
     grad, hess = _derivatives(phi_hat, axes)
 
     lap = hess[0, 0] + hess[1, 1] + hess[2, 2]
@@ -125,8 +113,7 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     else:
         spectral_tail = 0.0
 
-    phi = ScalarField(values=phi_vals, grid=grid, grad=grad, hess=hess)
-    return NeumannSolution(phi=phi, coeffs=phi_hat, residual=residual, spectral_tail=spectral_tail)
+    return NeumannSolution(grid, grad, hess, phi_hat, residual, spectral_tail)
 
 
 # the nine distinct derivatives of phi as per-axis derivative orders: the
@@ -156,15 +143,15 @@ def _add_b(grad_phi: np.ndarray, hess_phi: np.ndarray, alpha, grad_alpha):
 
 
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> DeltaEval:
-    """delta = b + grad(phi), held still (dt_values = 0), with gradient
-    grad[c, d] = d_d delta_c, on the grid and on every boundary patch."""
-    values, grad = _add_b(solution.phi.grad, solution.phi.hess, ext.alpha, ext.grad_alpha)
+    """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c, on the
+    grid and on every boundary patch."""
+    values, grad = _add_b(solution.grad, solution.hess, ext.alpha, ext.grad_alpha)
     values = _nodal(values, (3, *grid.shape), "lifting")
     faces = {}
     for patch in grid.patches:
         face_derivatives = _derivatives(solution.coeffs, grid.axes, (patch.axis, patch.side))
         faces[patch.kind] = FaceDelta(*_add_b(*face_derivatives, *ext.faces[patch.kind]))
-    return DeltaEval(values=values, grad=grad, dt_values=np.zeros_like(values), faces=faces)
+    return DeltaEval(values=values, grad=grad, faces=faces)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +162,19 @@ def certify_weighted_hessian(div_b, solution: NeumannSolution, p: float, mu: flo
     """Ratio of weighted Hessian norm to weighted data norm.
 
     The weighted elliptic estimate asserts this ratio is bounded by a
-    constant; the audit records the empirical value and checks refinement
-    stability, never a specific number.
+    constant; the audit records the empirical value on the run's grid and
+    asserts only that it is finite, never a specific number.
     """
     if p < 2:
         raise ValueError(f"the estimate requires p >= 2, got {p}")
     if not (0.0 < mu < 1.0):
         raise ValueError(f"the estimate requires mu in (0, 1), got {mu}")
-    grid = solution.phi.grid
+    grid = solution.grid
     data = _nodal(div_b, grid.shape, "div b")
     denom = weighted_norm([data], grid, p, mu)
     if denom == 0.0:
         raise ValueError("weighted norm of div b vanishes; ratio undefined")
-    hess = solution.phi.hess
+    hess = solution.hess
     numer = weighted_norm([hess[i, j] for i in range(3) for j in range(i, 3)], grid, p, mu)
     return numer / denom
 
@@ -200,7 +187,7 @@ def layer_factor(params: HopfParams, mu: float) -> float:
 
 
 def certify_layer_bound(
-    profile: FluxProfile,
+    cap: FluxNorms,
     params: HopfParams,
     ext: ExtensionB,
     grid: QuadratureGrid,
@@ -208,9 +195,9 @@ def certify_layer_bound(
 ) -> tuple[float, float]:
     """Left and right sides of the weighted layer bound on div b.
 
-    ext is the lifting of the cap shape g (hopf.build_b) and both sides are
-    read of g alone; the time factor s of the profile is never read, and
-    the bound at time t is |s(t)| times this one.
+    ext is the lifting of the cap shape g (hopf.build_b) and cap holds the
+    cap norms of g, so both sides are read of g alone: the bound at time t
+    is |s(t)| times this one.
 
     lhs: the weighted L_{3,mu} norm of div b by grid quadrature.
     rhs: eps rho^(mu - 2/3) sum_i sup_x3 |d~_i|_{3, cap} plus
@@ -227,7 +214,6 @@ def certify_layer_bound(
             "mu = 2/3 the layer integral of sigma^(3 mu - 3) is not finite"
         )
     lhs = weighted_norm([_nodal(ext.div_b, grid.shape, "div b")], grid, 3, mu)
-    fn = cap_norms(profile, grid)
-    rhs = params.eps * params.rho ** (mu - 2.0 / 3.0) * sum(fn.l3_cap)
+    rhs = params.eps * params.rho ** (mu - 2.0 / 3.0) * sum(cap.l3_cap)
     # constant-in-x3 extension: d~_{i,x3} = 0, second structural term is zero
     return lhs, rhs

@@ -32,8 +32,6 @@ from . import hopf as hopf_mod
 from . import poisson as poisson_mod
 from .basis import (
     AssembledForms,
-    DeltaEval,
-    FaceDelta,
     TemperatureBasis,
     VelocityBasis,
     build_temperature_basis,
@@ -138,6 +136,8 @@ class ScenarioConfig:
         for key in ("c_budget", "c_recon", "c_theta"):
             if getattr(self, key) <= 0:
                 raise ScenarioError(f"audit.{key} must be positive, got {getattr(self, key)}")
+        if self.tol_overshoot < 0:
+            raise ScenarioError(f"audit.tol_overshoot must be nonnegative, got {self.tol_overshoot}")
         if not (0 < self.theta_star < self.theta_star_upper):
             raise ScenarioError("need 0 < theta_star < theta_star_upper")
         if self.hopf_mode not in ("auto", "manual"):
@@ -239,8 +239,8 @@ class DeltaProvider:
     number the audit reads of delta or of the data d = s(t) g is s, s', |s|,
     |s'| or a square of one of them times a number or array fixed per run. The lifting
     and those numbers (``couplings``) are built once, on first use, and are
-    all the run loop and the ledger read; calling the provider evaluates
-    delta(t) on the grid.
+    all the run loop and the ledger read. delta_1 is held still, and calling
+    the provider returns its grid values scaled to the time, s(t) delta_1.
 
     A run without flux carries the zero lifting: its numbers are zeros of the
     same shapes, built without b, a Neumann solve or any evaluation of g,
@@ -260,21 +260,10 @@ class DeltaProvider:
         self.forms = forms
         self.is_zero = profile.name == "none"
 
-    def __call__(self, t: float) -> Optional[DeltaEval]:
+    def __call__(self, t: float) -> Optional[np.ndarray]:
         if self.is_zero:
             return None
-        delta_1 = self.lifting[2]
-        s = self.profile.s(t)
-        faces = {
-            kind: FaceDelta(values=s * f.values, grad=s * f.grad)
-            for kind, f in delta_1.faces.items()
-        }
-        return DeltaEval(
-            values=s * delta_1.values,
-            grad=s * delta_1.grad,
-            dt_values=self.profile.s_t(t) * delta_1.values,
-            faces=faces,
-        )
+        return self.profile.s(t) * self.lifting[2].values
 
     @cached_property
     def lifting(self):
@@ -318,7 +307,7 @@ class DeltaProvider:
         out["B"], out["F_bdry"] = forms.boundary_functionals(delta_1)
         out["F_form"] = forms.forcing_F_form(delta_1)
         out["P"] = forms.project_velocity(delta_1.values)
-        out["F_adv"] = forms.forcing_F_volume(delta_1)  # delta_1 is still: dt_values = 0
+        out["F_adv"] = forms.forcing_F_volume(delta_1)
         out["Q"] = forms.project_velocity_grad(delta_1.grad)
         out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
         out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
@@ -622,7 +611,7 @@ class GalerkinSolver:
         """(w, v, theta) nodal values; v = w + delta(t)."""
         w = self.w_values(state)
         delta = self.delta_provider(state.t)
-        v = w if delta is None else w + delta.values
+        v = w if delta is None else w + delta
         return w, v, self.theta_values(state.dcoef)
 
     def _ledger(self, times: np.ndarray, coeffs_w: np.ndarray, coeffs_th: np.ndarray) -> dict:

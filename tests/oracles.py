@@ -3,12 +3,15 @@
 Everything here is computed directly from mode definitions (wavevector,
 component amplitudes, parity rule) and plain quadrature sums, bypassing the
 package's cached samples, assembled matrices and einsum fast paths. Keep
-this file boring and explicit on purpose.
+this file boring and explicit on purpose. scaled_lifting is the exception:
+it hands the oracles the run's own lifting, scaled to a time.
 """
 
 import math
 
 import numpy as np
+
+from ductflow.basis import DeltaEval, FaceDelta
 
 
 def outer(f):
@@ -315,12 +318,26 @@ def boundary_functionals_by_quadrature(vmodes, grid, delta, nu, gamma):
     return B, Fb
 
 
+def scaled_lifting(solver, t):
+    """(delta, delta_t) of a solver's run at time t: the record of its still
+    lifting delta_1 scaled by s(t), values, gradient and the six faces, and
+    the grid values of delta_t = s'(t) delta_1; (None, None) without flux."""
+    if solver.delta_provider.is_zero:
+        return None, None
+    delta_1 = solver.delta_provider.lifting[2]
+    s = solver.profile.s(t)
+    faces = {kind: FaceDelta(values=s * f.values, grad=s * f.grad) for kind, f in delta_1.faces.items()}
+    delta = DeltaEval(values=s * delta_1.values, grad=s * delta_1.grad, faces=faces)
+    return delta, solver.profile.s_t(t) * delta_1.values
+
+
 def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
-                      omega_fn, f_values, delta=None):
+                      omega_fn, f_values, delta=None, delta_t=None):
     """Every term of the velocity weak form by direct quadrature.
 
     Returns a dict of named length-m arrays; 'total' is the assembled
-    right-hand side for c'. `delta` is a DeltaEval-like object or None.
+    right-hand side for c'. `delta` is a DeltaEval-like object or None, and
+    `delta_t` the grid values of its time derivative (given with `delta`).
     """
     m = len(vmodes)
     vals = [velocity_mode_fields(md, grid) for md in vmodes]
@@ -373,7 +390,7 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
         dadv = np.einsum(
             "ag,cag->cg", delta.values.reshape(3, -1), delta.grad.reshape(3, 3, -1)
         ).reshape(3, *grid.shape)
-        Fvol = dot_psi(-delta.dt_values - dadv)
+        Fvol = dot_psi(-delta_t - dadv)
         dsym_vol = sym(delta.grad)
         Fform = np.array(
             [

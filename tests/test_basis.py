@@ -307,7 +307,7 @@ def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
         plane = tuple(x.size for x in p.nodes)
         faces[p.kind] = FaceDelta(values=rng.standard_normal((3, *plane)), grad=rng.standard_normal((3, 3, *plane)))
     zero = np.zeros((3, *grid.shape))
-    delta = DeltaEval(values=zero, grad=np.zeros((3, *zero.shape)), dt_values=zero, faces=faces)
+    delta = DeltaEval(values=zero, grad=np.zeros((3, *zero.shape)), faces=faces)
     got = forms.boundary_functionals(delta)
     expected = oracles.boundary_functionals_by_quadrature(vb.modes, grid, delta, nu=0.7, gamma=1.3)
     for name, g, e in zip(("B", "F_bdry"), got, expected):

@@ -454,6 +454,7 @@ def test_zero_flux_amplitude_is_no_flux(tmp_path):
     ("audit.c_budget", "-1"),
     ("audit.c_theta", "0"),
     ("audit.c_theta", "-1"),
+    ("audit.tol_overshoot", "-1"),
 ])
 def test_check_rejects_the_numbers_run_fails_on(tmp_path, capsys, key, value):
     scn = scenario_with(tmp_path, QUICK, {key: value})

@@ -128,11 +128,11 @@ def test_rhs_consistency_with_explicit_split():
         solver = GalerkinSolver(cfg)
         st0 = solver.initial_state()
         state = State(t=0.03, c=st0.c, dcoef=st0.dcoef)
-        delta = solver.delta_provider(state.t)
+        delta, delta_t = oracles.scaled_lifting(solver, state.t)
         slow = oracles.slow_rhs_velocity(
             state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega,
-            f_values=solver.f_values, delta=delta,
+            f_values=solver.f_values, delta=delta, delta_t=delta_t,
         )
         slow_th = oracles.slow_rhs_temperature(
             state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
@@ -166,12 +166,12 @@ def test_rhs_matches_slow_oracle_every_term():
         state = solver.initial_state()
         t = 0.03
         state = State(t=t, c=state.c, dcoef=state.dcoef)
-        delta = solver.delta_provider(t)
+        delta, delta_t = oracles.scaled_lifting(solver, t)
         fast, fast_th = solver.rhs_terms(state)
         slow = oracles.slow_rhs_velocity(
             state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega,
-            f_values=solver.f_values, delta=delta,
+            f_values=solver.f_values, delta=delta, delta_t=delta_t,
         )
         name_map = {
             "conv_www": "conv_www", "conv_wdelta": "conv_wdelta",
@@ -383,8 +383,9 @@ def test_run_loop_only_steps_and_stores(monkeypatch, kw):
 
 
 def test_scaled_lifting_matches_direct_rebuild():
-    # delta(t) = s(t) delta_1 and the couplings scaled by s, s' and s^2 must
-    # equal a lifting rebuilt from the data at t and assembled anew.
+    # delta(t) = s(t) delta_1, delta_t = s'(t) delta_1 and the couplings
+    # scaled by s, s' and s^2 must equal a lifting rebuilt from the data at t
+    # and assembled anew; so must the provider's grid values.
     # m = 24: below it P(delta_1 . grad delta_1), the s^2 part of F_vol,
     # vanishes by symmetry
     cfg = oracle_config(m=24)
@@ -412,31 +413,30 @@ def test_scaled_lifting_matches_direct_rebuild():
     _, T_th = oracle_transport(solver)
     h = 1e-5
     for t in (0.03, 0.17, 0.41):
-        delta = solver.delta_provider(t)
+        delta, delta_t = oracles.scaled_lifting(solver, t)
         field = rebuild(t)
+        close(solver.delta_provider(t), field.values, 1e-12, ("provider", t))
         close(delta.values, field.values, 1e-12, ("values", t))
         close(delta.grad, field.grad, 1e-12, ("grad", t))
         for kind, face in field.faces.items():
             close(delta.faces[kind].values, face.values, 1e-12, ("face", kind, t))
             close(delta.faces[kind].grad, face.grad, 1e-12, ("face grad", kind, t))
         fd = (rebuild(t + h).values - rebuild(t - h).values) / (2.0 * h)
-        close(delta.dt_values, fd, 1e-6, ("dt_values", t))
+        close(delta_t, fd, 1e-6, ("delta_t", t))
 
-        # dt_values enters F_vol only; it is checked against the rebuild above
-        direct = DeltaEval(
-            values=field.values, grad=field.grad, dt_values=delta.dt_values, faces=field.faces
-        )
+        # delta_t enters F_vol only, as -P(delta_t); it is checked against
+        # the rebuild above
         state = State(t=t, c=st0.c, dcoef=st0.dcoef)
         vel, th = solver.rhs_terms(state)
-        g_wd, g_dw, g_dth = forms.delta_matrices(direct)
-        B, F_bdry = forms.boundary_functionals(direct)
+        g_wd, g_dw, g_dth = forms.delta_matrices(field)
+        B, F_bdry = forms.boundary_functionals(field)
         expected = {
             "conv_wdelta": g_wd @ state.c,
             "conv_deltaw": g_dw @ state.c,
             "B": B,
             "F_bdry": F_bdry,
-            "F_vol": forms.forcing_F_volume(direct),
-            "F_form": forms.forcing_F_form(direct),
+            "F_vol": forms.forcing_F_volume(field) - forms.project_velocity(delta_t),
+            "F_form": forms.forcing_F_form(field),
         }
         for key, ref in expected.items():
             close(vel[key], ref, 1e-12, (key, t))
@@ -462,7 +462,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
     shape = cap_norms(prof, grid)
     for t in (0.0, 0.03, 0.17, 0.41):
         state = State(t=t, c=st0.c, dcoef=st0.dcoef)
-        delta = solver.delta_provider(t)
+        delta, _ = oracles.scaled_lifting(solver, t)
         row = sampled(solver, state)
         # the cap norms of d(t) and of its time derivative
         a_s, a_st = abs(prof.s(t)), abs(prof.s_t(t))
@@ -526,7 +526,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
 
 def test_run_loop_never_evaluates_delta(monkeypatch):
     # the run loop reads the lifting only through the couplings of delta_1;
-    # a grid evaluation of delta(t) is for snapshots and tests
+    # a grid evaluation of delta(t) is for snapshots
     def refuse(self, t):
         raise AssertionError(f"delta evaluated at t = {t}")
 
@@ -645,7 +645,7 @@ def test_pure_extension_flow():
     assert np.max(np.abs(state.c)) == 0.0
     delta = solver.delta_provider(0.0)
     _, v, _ = solver.reconstruct(state)
-    assert np.max(np.abs(v - delta.values)) == 0.0
+    assert np.max(np.abs(v - delta)) == 0.0
 
 
 def test_window_bookkeeping():
@@ -718,8 +718,7 @@ def test_factor_table_contractions_match_the_dense_fields():
     solver.f_values = field  # a generic forcing makes M a generic coupling
     k = solver.delta_provider.couplings
     delta = solver.delta_provider.lifting[2]
-    generic = DeltaEval(values=field, grad=rng.standard_normal((3, 3, *grid.shape)),
-                        dt_values=np.zeros_like(field), faces={})
+    generic = DeltaEval(values=field, grad=rng.standard_normal((3, 3, *grid.shape)), faces={})
 
     def couplings(d):
         dvals, dgrad = d.values.reshape(3, -1), d.grad.reshape(3, 3, -1)
@@ -889,7 +888,7 @@ def test_cap_flux_integral_of_reconstruction():
                        init_v="modes", init_v_amplitude=0.4)
     solver = GalerkinSolver(cfg)
     state = solver.initial_state()
-    delta = solver.delta_provider(0.0)
+    delta, _ = oracles.scaled_lifting(solver, 0.0)
     from ductflow.domain import PatchKind
 
     patch = solver.grid.patch(PatchKind.CAP_HI)

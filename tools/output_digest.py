@@ -2,12 +2,17 @@
 
     python3 tools/output_digest.py [ROOT] [OTHER] [--rel TOL]
 
-Runs `ductflow run --strict` and `ductflow check`, each in a fresh process,
-on the bundled scenarios and on the benchmark workloads at seeds 1 and 2,
-using the source tree of the ductflow checkout at ROOT (default: the one
-holding this script). Prints one line per scenario: the name, the exit code
-of the run and a sha256 prefix of each deterministic output, then
-`check=<exit code>:<sha256 prefix of check's stdout>`.
+Runs `ductflow run --strict --snapshots N` and `ductflow check`, each in a
+fresh process, on the bundled scenarios and on the benchmark workloads at
+seeds 1 and 2, using the source tree of the ductflow checkout at ROOT
+(default: the one holding this script). N is chosen per scenario so that a
+run writes SNAPSHOTS field snapshots from its first sample on (fewer if it
+has fewer samples), so the reconstruction of the fields is digested too;
+for every run here the last one is the last sample. Prints one line per
+scenario: the name, the exit code of the run, a sha256 prefix of each
+deterministic output, `snapshots=<sha256 prefix>` over
+`snapshots/manifest.json` and then the `.npy` files in sorted order, and
+last `check=<exit code>:<sha256 prefix of check's stdout>`.
 
 With a second checkout OTHER, the same runs are made on both source trees
 (the workload scenarios of ROOT are used for both) and only the lines that
@@ -19,8 +24,9 @@ With `--rel TOL` (two checkouts only) each run that differs is also compared
 by value: its exit code, its `check` column (`check` prints no rounding)
 and the status of each certificate must be equal, and the largest relative
 difference is printed for each `timeseries.csv` column (relative to the
-largest magnitude in that column) and for each float in
-`certificates.json` (relative to the larger of the two magnitudes). A
+largest magnitude in that column), for each float in `certificates.json`
+(relative to the larger of the two magnitudes) and for each snapshot field
+(relative to its largest magnitude over both snapshots). A
 difference above TOL is printed with its absolute size too, so a relative
 change of a quantity that is itself roundoff shows as such. The quantities
 in ABSOLUTE are roundoff by construction, so any change of rounding moves
@@ -45,8 +51,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 FILES = ("timeseries.csv", "certificates.txt", "certificates.json", "basis_manifest.txt")
 SEEDS = (1, 2)
+# field snapshots written per run, from the first sample on
+SNAPSHOTS = 5
 # quantities that vanish up to rounding, judged by absolute difference:
 # the grid L2 norm of lap(phi) + data, the residual of the Neumann solve
 ABSOLUTE = ("certificates.json certificates.weighted-hessian.details.residual",)
@@ -56,10 +66,22 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:12] if path.is_file() else "-" * 12
 
 
-def digest_lines(root: Path, workloads: list, work: Path, base_env: dict) -> dict:
+def snapshot_digest(folder: Path) -> str:
+    """sha256 prefix over manifest.json and then the .npy files in sorted order."""
+    manifest = folder / "manifest.json"
+    if not manifest.is_file():
+        return "-" * 12
+    h = hashlib.sha256(manifest.read_bytes())
+    for path in sorted(folder.glob("*.npy")):
+        h.update(path.read_bytes())
+    return h.hexdigest()[:12]
+
+
+def digest_lines(root: Path, workloads: list, work: Path, base_env: dict, rows) -> dict:
     """{run name: digest line} of the bundled scenarios of root and the given
-    workload scenarios, run on the source tree of root; the outputs of a run
-    are left in work/out/<name>."""
+    workload scenarios, run on the source tree of root; rows(text) is the
+    number of samples a scenario records. The outputs of a run are left in
+    work/out/<name>."""
     env = dict(base_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     runs = [(p.stem, p) for p in sorted((root / "src/ductflow/scenarios").glob("*.scn"))] + workloads
@@ -67,8 +89,10 @@ def digest_lines(root: Path, workloads: list, work: Path, base_env: dict) -> dic
     lines = {}
     for name, scenario in runs:
         out = work / "out" / name
+        cadence = max(1, (rows(scenario.read_text()) - 1) // (SNAPSHOTS - 1))
         rc = subprocess.run(
-            [sys.executable, "-m", "ductflow.cli", "run", str(scenario), "--out", str(out), "--strict"],
+            [sys.executable, "-m", "ductflow.cli", "run", str(scenario), "--out", str(out), "--strict",
+             "--snapshots", str(cadence)],
             env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         ).returncode
         check = subprocess.run(
@@ -77,6 +101,7 @@ def digest_lines(root: Path, workloads: list, work: Path, base_env: dict) -> dic
         )
         lines[name] = " ".join([
             name, f"rc={rc}", *(f"{f}={digest(out / f)}" for f in FILES),
+            f"snapshots={snapshot_digest(out / 'snapshots')}",
             f"check={check.returncode}:{hashlib.sha256(check.stdout).hexdigest()[:12]}",
         ])
     return lines
@@ -144,6 +169,18 @@ def value_diffs(ours: Path, theirs: Path) -> tuple[list, dict]:
             continue
         rel = rel_diff(a, b, max(abs(a), abs(b)))
         diffs[f"certificates.json {key}"] = (rel, abs(a - b) if rel else 0.0)
+    folders = [out / "snapshots" for out in (ours, theirs)]
+    for name in sorted({p.name for folder in folders for p in folder.glob("*.npy")}):
+        key = f"snapshots {name.rsplit('_', 1)[0]}"   # one entry per field
+        paths = [folder / name for folder in folders]
+        arrays = [np.load(p) for p in paths if p.is_file()]
+        if len(arrays) < 2 or arrays[0].shape != arrays[1].shape:
+            diffs[key] = (math.inf, math.inf)
+            continue
+        absolute = float(np.max(np.abs(arrays[0] - arrays[1])))
+        scale = max(float(np.max(np.abs(a))) for a in arrays)
+        rel = 0.0 if absolute == 0.0 else (absolute / scale if scale else math.inf)
+        diffs[key] = max(diffs.get(key, (0.0, 0.0)), (rel, absolute))
     return changed, diffs
 
 
@@ -184,7 +221,7 @@ def main() -> int:
     roots = [p.resolve() for p in args.roots] or [Path(__file__).resolve().parents[1]]
     # the benchmark's workload generators and child environment, used as they are
     sys.path.insert(0, str(roots[0] / "perfbench"))
-    from run import COMMON, WORKLOADS, child_env
+    from run import COMMON, WORKLOADS, child_env, expected_rows
 
     with tempfile.TemporaryDirectory(prefix="ductflow-digest-") as tmp:
         work = Path(tmp)
@@ -194,7 +231,8 @@ def main() -> int:
                 scenario = work / f"{name}-seed{seed}.scn"
                 scenario.write_text(COMMON + make(random.Random(f"{name}:{seed}")))
                 workloads.append((scenario.stem, scenario))
-        digests = [digest_lines(root, workloads, work / str(i), child_env()) for i, root in enumerate(roots)]
+        digests = [digest_lines(root, workloads, work / str(i), child_env(), expected_rows)
+                   for i, root in enumerate(roots)]
         if len(digests) == 1:
             print(*digests[0].values(), sep="\n")
             return 0
