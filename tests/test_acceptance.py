@@ -2,8 +2,11 @@
 tolerances pinned. Each test prints a single pass line; a failure raises
 before the line is printed."""
 
+import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,11 @@ from ductflow.errors import SolvabilityError
 from ductflow.scenario import bundled_scenario_path, load_scenario
 from ductflow.solver import GalerkinSolver, ScenarioConfig, State
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from output_digest import golden_record, json_floats, judged_diff  # noqa: E402
+
 DESK = dict(N1=16, N2=16, N3=32)
+GOLDEN = Path(__file__).parent / "golden" / "bundled.json"
 PARAMS = HopfParams(eps=0.5, rho=0.5)
 BUNDLED = ("free-decay", "heat-relax", "pulsed-flux", "forced-warm")
 
@@ -381,3 +388,30 @@ def test_criterion_14_determinism(tmp_path):
     for name in ("timeseries.csv", "certificates.txt", "certificates.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     _ok("14 determinism")
+
+
+# -- golden results -------------------------------------------------------------
+
+def test_bundled_results_match_the_golden_file(bundle):
+    """Every bundled scenario reproduces the golden file, written by
+    `tools/output_digest.py --write-golden`: equal statuses and sample
+    indices, and every float equal to 1e-10 by judged_diff (absolute for the
+    roundoff quantities in output_digest.ABSOLUTE)."""
+    golden = json.loads(GOLDEN.read_text())
+    results = {name: res for name, (res, _) in bundle.items()}
+    results["quick-decay"] = execute(load_scenario(bundled_scenario_path("quick-decay")))
+    assert sorted(golden) == sorted(results)
+    for name, res in results.items():
+        got = json.loads(json.dumps(golden_record(res)))
+        want = golden[name]
+        statuses = [{c["name"]: c["status"] for c in doc["certificates.json"]["certificates"]}
+                    for doc in (want, got)]
+        assert statuses[0] == statuses[1], name
+        assert want["timeseries.csv"]["sample"] == got["timeseries.csv"]["sample"], name
+        for file in want:
+            floats = [json_floats(doc[file]) for doc in (want, got)]
+            assert floats[0].keys() == floats[1].keys(), (name, file)
+            for key, a in floats[0].items():
+                key = f"{file} {key}"
+                b = floats[1][key.split(" ", 1)[1]]
+                assert judged_diff(key, a, b) <= 1e-10, (name, key, a, b)

@@ -1,6 +1,7 @@
 """Digest of every deterministic output of ductflow, for byte-identity checks.
 
     python3 tools/output_digest.py [ROOT] [OTHER] [--rel TOL]
+    python3 tools/output_digest.py [ROOT] --write-golden PATH
 
 Runs `ductflow run --strict --snapshots N` and `ductflow check`, each in a
 fresh process, on the bundled scenarios and on the benchmark workloads at
@@ -35,6 +36,15 @@ judged by their absolute difference against TOL. The exit code is then 1
 only on a changed exit code, `check` column or status, or on a difference
 above TOL, so a refactor that may move results by rounding is checked by
 one command too.
+
+With `--write-golden PATH` the bundled scenarios of ROOT are run in this
+process on ROOT's source tree, and the golden record of each (golden_record:
+every certificate's status and margin, the calibration constants, and X, Y
+and F at the first, middle and last sample) is written to PATH as JSON.
+The Tier-1 test that reads `tests/golden/bundled.json` holds the package's
+results against that file with judged_diff, the rule `--rel` applies to the
+floats of `certificates.json`, to 1e-10. A change that moves results
+regenerates the file with this command.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +126,43 @@ def rel_diff(a: float, b: float, scale: float) -> float:
     if not (math.isfinite(a) and math.isfinite(b)) or scale == 0.0:
         return math.inf
     return abs(a - b) / scale
+
+
+def judged_diff(key: str, a: float, b: float) -> float:
+    """The difference of two values of the quantity key that is held against
+    TOL: absolute for a quantity in ABSOLUTE, else relative to the larger of
+    the two magnitudes; 0 for equal values, inf when only one is finite."""
+    return rel_diff(a, b, 1.0 if key in ABSOLUTE else max(abs(a), abs(b)))
+
+
+def golden_record(result) -> dict:
+    """The values of one pipeline result (ductflow.cli.execute) that the
+    golden file holds, keyed by the output file that writes them, so that
+    json_floats names them as value_diffs does."""
+    ledger = result.ledger
+    picks = (0, ledger.X.size // 2, ledger.X.size - 1)
+    return {
+        "certificates.json": {
+            "constants": asdict(ledger.calibration),
+            "certificates": [{"name": c.name, "status": c.status, "margin": float(c.margin)}
+                             for c in ledger.certificates],
+        },
+        "timeseries.csv": {"sample": list(picks),
+                           **{s: [float(getattr(ledger, s)[i]) for i in picks] for s in "XYF"}},
+    }
+
+
+def write_golden(root: Path, path: Path) -> None:
+    """Run the bundled scenarios of root on its source tree, in this process,
+    and write their golden records to path."""
+    sys.path.insert(0, str(root / "src"))
+    from ductflow.cli import execute
+    from ductflow.scenario import load_scenario
+
+    scenarios = sorted((root / "src/ductflow/scenarios").glob("*.scn"))
+    golden = {p.stem: golden_record(execute(load_scenario(p))) for p in scenarios}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(golden, sort_keys=True, indent=2) + "\n")
 
 
 def json_floats(node, path: str = "") -> dict:
@@ -215,10 +263,17 @@ def main() -> int:
     parser.add_argument("roots", nargs="*", type=Path, metavar="ROOT")
     parser.add_argument("--rel", type=float, metavar="TOL",
                         help="compare the runs that differ by value, to TOL relative")
+    parser.add_argument("--write-golden", type=Path, metavar="PATH",
+                        help="write the golden records of ROOT's bundled scenarios to PATH")
     args = parser.parse_args()
     if len(args.roots) > 2 or (args.rel is not None and len(args.roots) != 2):
         parser.error("give at most two checkouts, and two with --rel")
+    if args.write_golden is not None and (len(args.roots) > 1 or args.rel is not None):
+        parser.error("--write-golden takes at most one checkout and no --rel")
     roots = [p.resolve() for p in args.roots] or [Path(__file__).resolve().parents[1]]
+    if args.write_golden is not None:
+        write_golden(roots[0], args.write_golden)
+        return 0
     # the benchmark's workload generators and child environment, used as they are
     sys.path.insert(0, str(roots[0] / "perfbench"))
     from run import COMMON, WORKLOADS, child_env, expected_rows
