@@ -284,8 +284,8 @@ def _mk_energy_cert(ledger_X, Y, F, fric, c2, dt, joints, times) -> Certificate:
 
 
 def _mk_recurrence_certs(times, X, Y, F, c2, run: RunResult) -> list:
-    spw = run.steps_per_window
-    nw = run.n_windows
+    spw = run.config.steps_per_window
+    nw = run.config.n_windows
     T = run.config.T
     windows = [slice(k * spw, (k + 1) * spw + 1) for k in range(nw)]
     A1 = max(_trapz(F[sl], times[sl]) for sl in windows)

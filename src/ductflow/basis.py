@@ -8,7 +8,7 @@ product with coefficient kappa . coef, so divergence freeness is the exact
 algebraic constraint kappa . coef = 0; wavevectors with two nonzero entries
 contribute one mode, with three nonzero entries two modes. Each of these
 modes has Stokes Rayleigh quotient 2 |kappa|^2, which is how the first m
-are picked without building every candidate.
+are picked without building every candidate, and the quotient it stores.
 
 The slip/stress conditions are never imposed on the basis: they are natural
 and enter the weak form through the lateral friction matrix and the
@@ -168,48 +168,14 @@ class TemperatureBasis:
 # Closed-form per-mode integrals used for ordering and normalization
 
 
-def _axis_factor_sq_integral(length: float, k: int, is_sin: bool) -> float:
-    if is_sin:
-        return length / 2.0 if k >= 1 else 0.0
-    return length / 2.0 if k >= 1 else length
-
-
 def _component_weight(lengths, k, c) -> float:
+    """int of the squared axis factors of component c (None: cosines only)
+    of a mode of wavevector k: L_a / 2 on an axis with k_a >= 1, else L_a
+    for a cosine and 0 for the sine of axis c."""
     w = 1.0
     for a in range(3):
-        w *= _axis_factor_sq_integral(lengths[a], k[a], is_sin=(a == c))
+        w *= lengths[a] / 2.0 if k[a] >= 1 else (0.0 if a == c else lengths[a])
     return w
-
-
-def _stokes_energy(lengths, k, kappa, coef) -> float:
-    """int |D(psi)|^2 for a single-wavevector mode, exact closed form."""
-    grad_sq = 0.0
-    for c in range(3):
-        if coef[c] == 0.0:
-            continue
-        for d in range(3):
-            if kappa[d] == 0.0:
-                continue
-            w = 1.0
-            for a in range(3):
-                if k[a] == 0 and a != c and a != d:
-                    w *= lengths[a]
-                else:
-                    w *= lengths[a] / 2.0
-            grad_sq += coef[c] ** 2 * kappa[d] ** 2 * w
-    cross = 0.0
-    for i in range(3):
-        for j in range(3):
-            if coef[i] == 0.0 or coef[j] == 0.0 or kappa[i] == 0.0 or kappa[j] == 0.0:
-                continue
-            w = 1.0
-            for a in range(3):
-                if k[a] == 0 and a not in (i, j):
-                    w *= lengths[a]
-                else:
-                    w *= lengths[a] / 2.0
-            cross += coef[i] * coef[j] * kappa[i] * kappa[j] * w
-    return 2.0 * grad_sq + 2.0 * cross
 
 
 def _weighted_dot(x, y, w) -> float:
@@ -217,14 +183,14 @@ def _weighted_dot(x, y, w) -> float:
     return 0.0 + x[0] * y[0] * w[0] + x[1] * y[1] * w[1] + x[2] * y[2] * w[2]
 
 
-def _wavevector_modes(lengths, k) -> list[VelocityMode]:
+def _wavevector_modes(lengths, k, rayleigh: float) -> list[VelocityMode]:
     """The one or two divergence-free modes of a wavevector with at least
-    two nonzero entries, L2-normalized, with their closed-form Rayleigh
-    quotients.
+    two nonzero entries, L2-normalized, each with the Rayleigh quotient
+    2 |kappa|^2 that the caller passes in.
 
     Plain float arithmetic on 3-vectors, in the operation order of the
-    numpy expressions it replaces (np.cross, weighted sums), so that the
-    coefficients and quotients are the same to the bit.
+    numpy expressions it replaces (np.cross, weighted sums), so that every
+    coefficient is the same to the bit.
     """
     active = [c for c in range(3) if k[c] >= 1]
     kappa = tuple(k[a] * math.pi / lengths[a] for a in range(3))
@@ -248,9 +214,7 @@ def _wavevector_modes(lengths, k) -> list[VelocityMode]:
     out = []
     for branch, vec in enumerate(basis_vecs):
         nrm = math.sqrt(_weighted_dot(vec, vec, weights))
-        coef = tuple(v / nrm for v in vec)
-        energy = _stokes_energy(lengths, k, kappa, coef)
-        out.append(VelocityMode(k=k, coef=coef, branch=branch, rayleigh=energy))
+        out.append(VelocityMode(k=k, coef=tuple(v / nrm for v in vec), branch=branch, rayleigh=rayleigh))
     return out
 
 
@@ -268,14 +232,15 @@ def _wavevectors(lengths, kcap):
     return ks, lam
 
 
-def _shortlist(ks, lam, counts, m) -> list[tuple[int, int, int]]:
-    """Wavevectors with |kappa|^2 <= (1 + SHORTLIST_SLACK) times the m-th
-    smallest, each wavevector counting as ``counts`` modes."""
+def _shortlist(ks, lam, counts, m) -> list[tuple[tuple[int, int, int], float]]:
+    """(k, |kappa|^2) of the wavevectors with |kappa|^2 <= (1 +
+    SHORTLIST_SLACK) times the m-th smallest, each wavevector counting as
+    ``counts`` modes."""
     order = np.argsort(lam, kind="stable")
     reach = np.cumsum(counts[order])
     cut = lam[order[np.searchsorted(reach, m)]]
     keep = np.flatnonzero((counts > 0) & (lam <= (1.0 + SHORTLIST_SLACK) * cut))
-    return [tuple(int(x) for x in ks[i]) for i in keep]
+    return [(tuple(int(x) for x in ks[i]), float(lam[i])) for i in keep]
 
 
 def velocity_modes(lengths, kcap, m: int) -> list[VelocityMode]:
@@ -283,8 +248,9 @@ def velocity_modes(lengths, kcap, m: int) -> list[VelocityMode]:
     quotient, then wavevector, then branch.
 
     Every mode of a wavevector has Rayleigh quotient 2 |kappa|^2, so the
-    ranking is decided on |kappa|^2 for all wavevectors at once and the
-    closed forms run only on the shortlist that can reach the first m.
+    ranking is decided on the |kappa|^2 table for all wavevectors at once,
+    the modes are built only on the shortlist that can reach the first m,
+    and each stores twice its table entry as its quotient.
     """
     ks, lam = _wavevectors(lengths, kcap)
     nonzero = (ks >= 1).sum(axis=1)
@@ -295,14 +261,9 @@ def velocity_modes(lengths, kcap, m: int) -> list[VelocityMode]:
             f"requested m = {m} velocity modes but only {total} are "
             f"resolvable below the dealiased band {kcap}"
         )
-    candidates = [md for k in _shortlist(ks, lam, counts, m) for md in _wavevector_modes(lengths, k)]
-    for md in candidates:
-        expected = 2.0 * sum((md.k[a] * math.pi / lengths[a]) ** 2 for a in range(3))
-        if abs(md.rayleigh - expected) > 1e-9 * expected:
-            raise RuntimeError(
-                f"mode {md.k} branch {md.branch}: Rayleigh quotient {md.rayleigh!r} "
-                f"is not 2|kappa|^2 = {expected!r}, so the shortlist does not hold"
-            )
+    candidates = [
+        md for k, lam_k in _shortlist(ks, lam, counts, m) for md in _wavevector_modes(lengths, k, 2.0 * lam_k)
+    ]
     candidates.sort(key=lambda md: (round(md.rayleigh, 9), md.k, md.branch))
     return candidates[:m]
 
@@ -315,13 +276,10 @@ def temperature_modes(lengths, kcap, m: int) -> list[TemperatureMode]:
         raise AliasingError(
             f"requested m = {m} temperature modes but only {lam.size} are resolvable"
         )
-    cands = []
-    for k in _shortlist(ks, lam, np.ones(lam.size, dtype=int), m):
-        lam_k = sum((k[a] * math.pi / lengths[a]) ** 2 for a in range(3))
-        w = 1.0
-        for a in range(3):
-            w *= lengths[a] / 2.0 if k[a] >= 1 else lengths[a]
-        cands.append(TemperatureMode(k=k, amplitude=1.0 / math.sqrt(w), eigenvalue=lam_k))
+    cands = [
+        TemperatureMode(k=k, amplitude=1.0 / math.sqrt(_component_weight(lengths, k, None)), eigenvalue=lam_k)
+        for k, lam_k in _shortlist(ks, lam, np.ones(lam.size, dtype=int), m)
+    ]
     cands.sort(key=lambda md: (round(md.eigenvalue, 9), md.k))
     return cands[:m]
 
@@ -397,10 +355,9 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
     """Construct the first m modes ordered by Stokes Rayleigh quotient.
 
     Modes are analytically orthonormal and are kept as per-axis factor
-    tables only. Two checks raise RuntimeError, like the Rayleigh-quotient
-    check of velocity_modes: a discrete Gram matrix that deviates from the
-    identity beyond 1e-12, and a normal trace that is not exactly 0, which
-    w.n = 0 on every face, for any coefficients, rests on.
+    tables only. Two checks raise RuntimeError: a discrete Gram matrix that
+    deviates from the identity beyond 1e-12, and a normal trace that is not
+    exactly 0, which w.n = 0 on every face, for any coefficients, rests on.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

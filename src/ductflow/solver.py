@@ -360,11 +360,9 @@ class RunResult:
     series: dict
     coeffs_w: np.ndarray
     coeffs_th: np.ndarray
-    steps_per_window: int
-    n_windows: int
 
     def window_joint_indices(self) -> np.ndarray:
-        return np.arange(self.n_windows + 1) * self.steps_per_window
+        return np.arange(self.config.n_windows + 1) * self.config.steps_per_window
 
 
 # the ledger synthesizes theta for the stored samples in chunks of at most
@@ -717,6 +715,4 @@ class GalerkinSolver:
             series=self._ledger(times, coeffs_w, coeffs_th),
             coeffs_w=coeffs_w,
             coeffs_th=coeffs_th,
-            steps_per_window=spw,
-            n_windows=cfg.n_windows,
         )

@@ -191,11 +191,13 @@ def _component_weight(lengths, k, c) -> float:
     return w
 
 
-def _stokes_energy(lengths, k, kappa, coef):
-    """int |D(psi)|^2 of a mode with component amplitudes coef, from numpy
-    arrays: sum over (c, d) of coef_c^2 kappa_d^2 times the factor integrals,
-    plus the cross terms coef_i coef_j kappa_i kappa_j, both doubled."""
-    kappa = np.asarray(kappa, dtype=float)
+def stokes_energy(lengths, mode):
+    """int |D(psi)|^2 of a velocity mode, integrated in closed form from its
+    component amplitudes: sum over (c, d) of coef_c^2 kappa_d^2 times the
+    factor integrals, plus the cross terms coef_i coef_j kappa_i kappa_j,
+    both doubled. For a divergence-free mode it is 2 |kappa|^2."""
+    k, coef = mode.k, mode.coef
+    kappa = np.array([k[a] * math.pi / lengths[a] for a in range(3)])
     grad_sq = 0.0
     for c in range(3):
         for d in range(3):
@@ -217,14 +219,26 @@ def _stokes_energy(lengths, k, kappa, coef):
     return 2.0 * grad_sq + 2.0 * cross
 
 
+def laplace_eigenvalue(lengths, k):
+    """|kappa|^2 as a plain Python sum of (k_a pi / L_a)^2."""
+    return sum((k[a] * math.pi / lengths[a]) ** 2 for a in range(3))
+
+
+def _kappa_sq(lengths, k):
+    """|kappa|^2 rounded as the package's wavevector table computes it:
+    ((k_a * (pi / L_a))^2 summed left to right)."""
+    x = [float(k[a]) * (math.pi / float(lengths[a])) for a in range(3)]
+    return x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+
+
 def exhaustive_velocity_modes(lengths, kcap):
     """Every velocity mode below the band kcap, in the package's order.
 
     Builds each candidate of every wavevector with numpy 3-vectors (np.cross,
-    numpy weighted sums) and this module's own component weights and Stokes
-    energy, then sorts all of them by (Rayleigh quotient to 9 decimals, k,
-    branch); the package must pick the same first m, to the bit, without
-    building them all.
+    numpy weighted sums) and this module's own component weights, gives it
+    the Rayleigh quotient 2 |kappa|^2, then sorts all of them by (Rayleigh
+    quotient to 9 decimals, k, branch); the package must pick the same first
+    m, to the bit, without building them all.
     """
     from ductflow.basis import VelocityMode
 
@@ -249,11 +263,11 @@ def exhaustive_velocity_modes(lengths, kcap):
                     proj = (n2 * n1 * weights).sum() / (n1 * n1 * weights).sum()
                     n2 = n2 - proj * n1
                     basis_vecs = [n1, n2]
+                rayleigh = 2.0 * _kappa_sq(lengths, k)
                 for branch, vec in enumerate(basis_vecs):
                     nrm = math.sqrt(float((vec * vec * weights).sum()))
                     coef = tuple(float(v) for v in vec / nrm)
-                    energy = _stokes_energy(lengths, k, kappa, coef)
-                    out.append(VelocityMode(k=k, coef=coef, branch=branch, rayleigh=energy))
+                    out.append(VelocityMode(k=k, coef=coef, branch=branch, rayleigh=rayleigh))
     out.sort(key=lambda md: (round(md.rayleigh, 9), md.k, md.branch))
     return out
 
@@ -268,11 +282,11 @@ def exhaustive_temperature_modes(lengths, kcap):
         for k2 in range(kcap[1] + 1):
             for k3 in range(kcap[2] + 1):
                 k = (k1, k2, k3)
-                lam = sum((k[a] * math.pi / lengths[a]) ** 2 for a in range(3))
                 w = 1.0
                 for a in range(3):
                     w *= lengths[a] / 2.0 if k[a] >= 1 else lengths[a]
-                out.append(TemperatureMode(k=k, amplitude=1.0 / math.sqrt(w), eigenvalue=lam))
+                out.append(TemperatureMode(k=k, amplitude=1.0 / math.sqrt(w),
+                                           eigenvalue=_kappa_sq(lengths, k)))
     out.sort(key=lambda md: (round(md.eigenvalue, 9), md.k))
     return out
 

@@ -199,8 +199,8 @@ def test_recurrence_bounds_beyond_the_float_range_say_so():
     # own note, and a finite F none
     cfg = small_config()
     spw = cfg.steps_per_window
-    times = np.arange(2 * spw + 1) * cfg.dt
-    run = RunResult(cfg, times, {}, None, None, spw, 2)
+    times = np.arange(cfg.n_windows * spw + 1) * cfg.dt
+    run = RunResult(cfg, times, {}, None, None)
     ones = np.ones(times.size)
     beyond = ones.copy()
     beyond[spw + 3] = math.inf

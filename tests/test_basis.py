@@ -96,6 +96,12 @@ def test_shortlist_matches_exhaustive_enumeration(lengths, kcap):
     """The shortlisted first m modes are the exhaustive first m, floats included;
     L1 = L2 makes degenerate shells that several m cut through."""
     every_v, every_t = _exhaustive(lengths, kcap)
+    # the stored spectra are the closed forms: 2 |kappa|^2 is the Stokes
+    # energy of each normalized mode, and |kappa|^2 its own Python sum
+    for md in every_v:
+        assert abs(oracles.stokes_energy(lengths, md) - md.rayleigh) <= 1e-12 * md.rayleigh, md
+    for md in every_t:
+        assert abs(oracles.laplace_eigenvalue(lengths, md.k) - md.eigenvalue) <= 1e-14 * md.eigenvalue, md
     for m in (1, 4, 6, 12, 16, 24, 32, 64, 200):
         if m <= len(every_v):
             assert velocity_modes(lengths, kcap, m) == every_v[:m], m
