@@ -87,15 +87,20 @@ def _log10(x: float) -> float:
     return math.log10(x) if x > 0.0 else -math.inf
 
 
+def _log10_sum(log10_terms) -> float:
+    """log10 of the sum of terms given by their log10s, at least one finite."""
+    top = max(log10_terms)
+    return top + math.log10(math.fsum(10.0 ** (x - top) for x in log10_terms))
+
+
 def _beyond_float(cert, bound: float, log10_terms):
     """Marks a certificate whose bound is beyond the float range, and so
     holds vacuously: a note, and ``log10_bound``, the log10 of the sum of
     the bound's terms, given by their log10s."""
     if not math.isinf(bound):
         return cert
-    top = max(log10_terms)
     cert.note = BEYOND_FLOAT_NOTE
-    cert.details["log10_bound"] = top + math.log10(math.fsum(10.0 ** (x - top) for x in log10_terms))
+    cert.details["log10_bound"] = _log10_sum(log10_terms)
     return cert
 
 
@@ -235,12 +240,24 @@ def calibrate(run: RunResult, solver: GalerkinSolver, config: ScenarioConfig) ->
 # Budget
 
 
-def budget_series(run: RunResult, config: ScenarioConfig) -> np.ndarray:
-    s = run.series
-    psi_vals = np.array([default_psi(v) for v in s["d_w13_total"]])
-    return config.c_budget * (
-        s["omega_f_65sq"] + psi_vals * (s["d_w13_sq_sum"] + s["ddt_w165_sq_sum"])
-    )
+def budget_series(run: RunResult, config: ScenarioConfig) -> tuple:
+    """(F, log10_inf): the budget F = c (M + psi(sup ||d~||) D) at every
+    sample, M = ||omega f||_{6/5}^2 and D = sum ||d~||_{W13}^2 + ||d~_t||_{W1,6/5}^2,
+    and the largest log10 F over the samples where F is inf (-inf if none).
+
+    psi times D is taken by _psi_product, in Python floats: it has the bits
+    of the plain product where that is finite, and overflows to inf with no
+    warning, its log10 kept.
+    """
+    s, c = run.series, config.c_budget
+    data = s["d_w13_sq_sum"] + s["ddt_w165_sq_sum"]
+    F, log10_inf = [], -math.inf
+    for m, sup, d in zip(s["omega_f_65sq"].tolist(), s["d_w13_total"].tolist(), data.tolist()):
+        amp, log10_amp = _psi_product(sup, d)
+        F.append(c * (m + amp))
+        if math.isinf(F[-1]):
+            log10_inf = max(log10_inf, math.log10(c) + _log10_sum([_log10(m), log10_amp]))
+    return np.array(F), log10_inf
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +275,12 @@ def _inequality(name, eq_id, formula, lhs, rhs, tol=0.0, **kw) -> Certificate:
                        margin=margin, **kw)
 
 
-def _mk_energy_cert(ledger_X, Y, F, fric, c2, dt, joints, times) -> Certificate:
+def _mk_energy_cert(ledger_X, Y, F, log10_inf, fric, c2, dt, joints, times) -> Certificate:
+    """E1 at every sample. Its tolerance is taken from the finite samples of
+    F; where F is inf the balance holds vacuously, and the certificate
+    carries the float-range note with log10_inf, F's largest log10."""
     lhs = time_derivative(ledger_X, dt, joints) + c2 * Y + fric
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(ledger_X))), float(np.max(F, initial=0.0)))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(ledger_X))), float(np.max(F[np.isfinite(F)], initial=0.0)))
     cert = _inequality("energy-balance", "E1", "dX/dt + c2 Y + friction <= F", lhs, F, tol)
     gap = F - lhs
     viol = np.flatnonzero(gap < -tol)
@@ -280,7 +300,7 @@ def _mk_energy_cert(ledger_X, Y, F, fric, c2, dt, joints, times) -> Certificate:
         "pass_fraction": frac,
         "tolerance": tol,
     }
-    return cert
+    return _beyond_float(cert, float(np.max(F)), [log10_inf])
 
 
 def _mk_recurrence_certs(times, X, Y, F, c2, run: RunResult) -> list:
@@ -547,13 +567,13 @@ def audit_run(run: RunResult, solver: GalerkinSolver) -> EnergyLedger:
     s = run.series
     X = cal.c1 * s["th_l2sq"] + s["w_l2sq"]
     Y = cal.c1 * s["th_h1sq"] + s["w_h1sq"]
-    F = budget_series(run, config)
+    F, log10_inf = budget_series(run, config)
     t = run.times
     joints = run.window_joint_indices()
 
     rec_certs, A1, A2 = _mk_recurrence_certs(t, X, Y, F, cal.c2, run)
     certs = [
-        _mk_energy_cert(X, Y, F, s["fric_sq"], cal.c2, config.dt, joints, t),
+        _mk_energy_cert(X, Y, F, log10_inf, s["fric_sq"], cal.c2, config.dt, joints, t),
         *rec_certs,
         _mk_temperature_bounds_cert(run, config),
         _mk_mean_budget_cert(run, config),

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ductflow import audit as audit_mod
 from ductflow import cli
 from ductflow import solver as solver_mod
 from ductflow.cli import main
@@ -156,6 +158,33 @@ def test_large_flux_ends_in_certificates(tmp_path, theta):
     # only an infinite bound carries the key
     assert all(("log10_bound" in c["details"]) == (c["note"] == "bound exceeds the float range")
                for c in certs)
+
+
+def test_energy_balance_at_an_infinite_budget_says_so(tmp_path):
+    # at flux amplitude 120, psi(sup ||d~||) times the data norms overflows
+    # at most samples, so F is inf there: E1 holds vacuously and carries the
+    # float-range note, its tolerance comes from the finite samples, and the
+    # audit's products raise no overflow warning
+    text = PULSED.read_text()
+    for key, value in (("flux.amplitude", 120), ("time.T", 0.05), ("time.windows", 2)):
+        text = set_key(text, key, value)
+    scn = tmp_path / "huge.scn"
+    scn.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(scn), "--out", str(out)]) == 0
+    audit_file = Path(audit_mod.__file__).resolve()
+    assert [w for w in caught if Path(w.filename).resolve() == audit_file] == []
+    X, F = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1, usecols=(1, 3)).T
+    finite = F[np.isfinite(F)]
+    assert 0 < finite.size < F.size
+    certs = json.loads((out / "certificates.json").read_text())["certificates"]
+    e1 = next(c for c in certs if c["eq_id"] == "E1")
+    assert e1["status"] == "PASS" and e1["note"] == "bound exceeds the float range"
+    assert e1["details"]["log10_bound"] > math.log10(sys.float_info.max)
+    assert math.isfinite(e1["margin"])
+    assert e1["details"]["tolerance"] == 1e-9 * max(1.0, float(np.max(np.abs(X))), float(np.max(finite)))
 
 
 def test_sweep_keeps_every_row_at_large_flux(tmp_path):
