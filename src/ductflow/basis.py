@@ -12,7 +12,7 @@ are picked without building every candidate, and the quotient it stores.
 
 The slip/stress conditions are never imposed on the basis: they are natural
 and enter the weak form through the lateral friction matrix and the
-boundary functionals assembled here.
+boundary functional of the lifting assembled here.
 
 Temperature modes are the Neumann-natural all-cosine family including the
 constant, each a Neumann eigenfunction with eigenvalue |kappa|^2.
@@ -29,7 +29,7 @@ stored once, as per-axis factor tables; no per-mode array on the quadrature
 grid or on a face is kept. The quadrature is a tensor midpoint rule, so
 every assembled form is a sum of products of three 1D sums, and every
 contraction of the modes with a grid field or a face plane (projections,
-the lifting couplings, the boundary functionals) is sum-factorized: the
+the lifting couplings, the boundary functional) is sum-factorized: the
 field is contracted axis by axis with the tables, and on a face the face
 axis takes the end values. A discrete Gram matrix that deviates from the
 identity stops the build.
@@ -395,8 +395,8 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
 
 @dataclass
 class FaceDelta:
-    values: np.ndarray     # [comp, f1, f2]
-    grad: np.ndarray       # [comp, dir, f1, f2], grad[c, d] = d_d delta_c
+    values: np.ndarray                 # [comp, f1, f2]
+    stress: np.ndarray | None = None   # caps: [i, f1, f2] = e3.D(delta).e_c, c = plane_axes[i]
 
 
 @dataclass
@@ -545,33 +545,28 @@ class AssembledForms:
         # D(delta):D(psi) = 2 sum_{cd} D(delta)[c,d] d_d psi_c by symmetry
         return -self.nu * self.project_velocity_grad(sym_grad(delta.grad))
 
-    def boundary_functionals(self, delta: DeltaEval):
-        """(B_vec, F_bdry): the weak-form boundary data of the lifting.
+    def boundary_functionals(self, delta: DeltaEval) -> np.ndarray:
+        """The weak-form boundary data of the lifting, one vector:
 
-        B_vec[j] = sum_patches sum_alpha int B_alpha(delta) psi_j . tau_alpha,
-        with B = -nu n.D(delta).tau - gamma delta.tau on the lateral wall and
-        B = -n.D(delta).tau on the caps (no nu factor there).
+        [j] = -gamma sum_walls sum_c int (delta . e_c)(psi_j . e_c)
+              + (nu - 1) sum_caps sum_c int (n . D(delta) . e_c)(psi_j . e_c),
 
-        F_bdry[j] = +nu sum_S sum_alpha int (n.D(delta).tau)(psi_j.tau), the
-        boundary remainder of integrating nu div D(delta) by parts.
-
-        The normal and the tangents of a patch are unit axis vectors, so
-        tau = e_c picks component c of psi_j and of delta, and n.D(delta).tau
-        is n_a (d_a delta_c + d_c delta_a) for the face axis a. Per tangent,
-        the B data and the stress are projected together (project_face).
+        c over the patch's plane axes, the tangents. It is the sum of the
+        slip data B (-nu n.D(delta).tau - gamma delta.tau on the walls,
+        -n.D(delta).tau on the caps, with no nu there) and of the boundary
+        remainder +nu n.D(delta).tau of integrating nu div D(delta) by
+        parts: on the walls the stresses cancel, on the caps (nu - 1) is
+        left. The normal is (2 side - 1) e_axis; on a cap n.D(delta).e_c is
+        its sign times FaceDelta.stress.
         """
         V = self.vb.factors
-        B, Fb = np.zeros(self.vb.m), np.zeros(self.vb.m)
+        out = np.zeros(self.vb.m)
         for patch in self.grid.patches:
-            fdelta, a = delta.faces[patch.kind], patch.axis
-            for tau in (patch.tau1, patch.tau2):
-                c = int(np.argmax(tau))
-                stress = patch.normal[a] * (fdelta.grad[a, c] + fdelta.grad[c, a])
+            face = delta.faces[patch.kind]
+            for i, c in enumerate(patch.plane_axes):
                 if patch.kind.is_cap:
-                    bdata = -stress
+                    data = (self.nu - 1.0) * (2.0 * patch.side - 1.0) * face.stress[i]
                 else:
-                    bdata = -self.nu * stress - self.gamma * fdelta.values[c]
-                b, f = V.project_face(c, patch, np.stack([bdata, stress]))
-                B += b
-                Fb += self.nu * f
-        return B, Fb
+                    data = -self.gamma * face.values[c]
+                out += V.project_face(c, patch, data)
+        return out

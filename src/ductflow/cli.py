@@ -242,7 +242,7 @@ def cmd_check(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     ok = True
-    _, grid = build_domain(config.domain_spec())
+    grid = build_domain(config.domain_spec())
     profile = profile_of(config)
     # the flux data at sampled times over the whole horizon, as `run` validates them
     try:

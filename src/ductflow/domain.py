@@ -89,21 +89,19 @@ class BoundaryPatch:
     """One flat boundary face with its frame and midpoint quadrature.
 
     ``axis`` is the frozen coordinate (0, 1 or 2), ``side`` 0 for the low
-    face and 1 for the high face. ``plane_axes`` are the two in-face axes in
-    ascending order; ``nodes`` are the corresponding 1D midpoint node arrays
-    and ``weight`` the constant per-node quadrature weight.
+    face and 1 for the high face: the outward normal is (2 side - 1) e_axis.
+    ``plane_axes`` are the two in-face axes in ascending order, whose unit
+    vectors are the face's tangents; ``nodes`` are the corresponding 1D
+    midpoint node arrays and ``weight`` the constant per-node quadrature
+    weight.
     """
 
     kind: PatchKind
     axis: int
     side: int
-    normal: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
     plane_axes: tuple[int, int]
     nodes: tuple[np.ndarray, np.ndarray]
     weight: float
-    area: float
     coord: float
 
     def meshgrid(self):
@@ -156,23 +154,18 @@ class QuadratureGrid:
         raise KeyError(kind)
 
 
-_E = np.eye(3)
-
-# (kind, axis, side, normal, tau1, tau2); cap tangents are e1, e2 and the
-# lateral frame keeps tau2 = e3 so the vertical direction is always tangent
-# to the side walls.
 _PATCH_TABLE = (
-    (PatchKind.LATERAL_X1_LO, 0, 0, -_E[0], _E[1], _E[2]),
-    (PatchKind.LATERAL_X1_HI, 0, 1, +_E[0], _E[1], _E[2]),
-    (PatchKind.LATERAL_X2_LO, 1, 0, -_E[1], _E[0], _E[2]),
-    (PatchKind.LATERAL_X2_HI, 1, 1, +_E[1], _E[0], _E[2]),
-    (PatchKind.CAP_LO, 2, 0, -_E[2], _E[0], _E[1]),
-    (PatchKind.CAP_HI, 2, 1, +_E[2], _E[0], _E[1]),
+    (PatchKind.LATERAL_X1_LO, 0, 0),
+    (PatchKind.LATERAL_X1_HI, 0, 1),
+    (PatchKind.LATERAL_X2_LO, 1, 0),
+    (PatchKind.LATERAL_X2_HI, 1, 1),
+    (PatchKind.CAP_LO, 2, 0),
+    (PatchKind.CAP_HI, 2, 1),
 )
 
 
-def build_domain(spec: DomainSpec) -> tuple[list[BoundaryPatch], QuadratureGrid]:
-    """Build the six boundary patches and the interior midpoint grid."""
+def build_domain(spec: DomainSpec) -> QuadratureGrid:
+    """Build the interior midpoint grid with its six boundary patches."""
     lengths = spec.lengths
     origins = spec.origins
     ns = spec.shape
@@ -180,28 +173,22 @@ def build_domain(spec: DomainSpec) -> tuple[list[BoundaryPatch], QuadratureGrid]
     cell_volume = np.prod([lengths[i] / ns[i] for i in range(3)])
 
     patches = []
-    for kind, axis, side, nrm, t1, t2 in _PATCH_TABLE:
+    for kind, axis, side in _PATCH_TABLE:
         plane = tuple(i for i in range(3) if i != axis)
         hs = [lengths[i] / ns[i] for i in plane]
-        area = lengths[plane[0]] * lengths[plane[1]]
-        coord = origins[axis] + side * lengths[axis]
         patches.append(
             BoundaryPatch(
                 kind=kind,
                 axis=axis,
                 side=side,
-                normal=nrm.copy(),
-                tau1=t1.copy(),
-                tau2=t2.copy(),
                 plane_axes=plane,
                 nodes=(nodes[plane[0]], nodes[plane[1]]),
                 weight=hs[0] * hs[1],
-                area=area,
-                coord=coord,
+                coord=origins[axis] + side * lengths[axis],
             )
         )
 
-    grid = QuadratureGrid(
+    return QuadratureGrid(
         spec=spec,
         x1=nodes[0],
         x2=nodes[1],
@@ -209,4 +196,3 @@ def build_domain(spec: DomainSpec) -> tuple[list[BoundaryPatch], QuadratureGrid]
         cell_volume=float(cell_volume),
         patches=tuple(patches),
     )
-    return patches, grid

@@ -7,12 +7,13 @@ of -div b, so the discrete divergence of the corrected field delta = b +
 grad(phi) vanishes at every quadrature node; that is the computable sense
 in which delta is divergence free. The solution carries phi's cosine
 coefficients and its spectral gradient and Hessian on the grid; phi's own
-nodal values are never needed. delta_field assembles delta and its gradient once,
-on the grid and on all six faces alike, from the samples of b that build_b
-made and one synthesis of the derivatives of phi in those transforms,
-_derivatives; on a face, d_n phi and its tangential derivatives are exact
-zeros (the Neumann condition) and are not synthesized. The result is the
-forms' DeltaEval.
+nodal values are never needed. delta_field assembles delta and its gradient
+on the grid, from the samples of b that build_b made and one synthesis of
+the derivatives of phi (_derivatives), and on each face delta's values from
+one synthesis of grad(phi). There d_n phi and d_n d_tau phi are exact zeros
+(the Neumann condition), so the cap stress d_3 delta_c + d_c delta_3 that
+the forms read is d_c alpha, and no Hessian of phi is synthesized on a
+face. The result is the forms' DeltaEval.
 
 certify_weighted_hessian and certify_layer_bound turn the weighted estimates for
 this problem into empirical constants: both sides of each inequality are
@@ -122,10 +123,10 @@ _PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
 _ORDERS = [tuple(dirs.count(a) for a in range(3)) for dirs in [(0,), (1,), (2,), *_PAIRS]]
 
 
-def _derivatives(phi_hat: np.ndarray, axes, face=None) -> tuple[np.ndarray, np.ndarray]:
-    """grad[d] and hess[i, j] of phi from its cosine coefficients, on the
-    grid or on the boundary face (axis, side), from one synthesis."""
-    fields = spectral.synth(phi_hat, axes, _ORDERS, face)
+def _derivatives(phi_hat: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
+    """grad[d] and hess[i, j] of phi on the grid from its cosine
+    coefficients, from one synthesis."""
+    fields = spectral.synth(phi_hat, axes, _ORDERS)
     hess = np.empty((3, 3, *fields.shape[1:]))
     for (i, j), f in zip(_PAIRS, fields[3:]):
         hess[i, j] = hess[j, i] = f
@@ -143,14 +144,17 @@ def _add_b(grad_phi: np.ndarray, hess_phi: np.ndarray, alpha, grad_alpha):
 
 
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> DeltaEval:
-    """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c, on the
-    grid and on every boundary patch."""
+    """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c on the
+    grid, and on every boundary patch its values and, on the caps, the
+    stress d_c alpha for c in the cap's plane axes."""
     values, grad = _add_b(solution.grad, solution.hess, ext.alpha, ext.grad_alpha)
     values = _nodal(values, (3, *grid.shape), "lifting")
     faces = {}
     for patch in grid.patches:
-        face_derivatives = _derivatives(solution.coeffs, grid.axes, (patch.axis, patch.side))
-        faces[patch.kind] = FaceDelta(*_add_b(*face_derivatives, *ext.faces[patch.kind]))
+        alpha, grad_alpha = ext.faces[patch.kind]
+        face = spectral.synth(solution.coeffs, grid.axes, _ORDERS[:3], (patch.axis, patch.side))
+        face[2] += alpha
+        faces[patch.kind] = FaceDelta(face, grad_alpha[list(patch.plane_axes)] if patch.kind.is_cap else None)
     return DeltaEval(values=values, grad=grad, faces=faces)
 
 

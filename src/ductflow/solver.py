@@ -7,7 +7,7 @@ grad(phi) carries the boundary flux; the temperature needs no lifting.
 
 Time stepping is IMEX: the stiff linear forms (viscous + friction, heat
 diffusion) go through Crank-Nicolson with precomputed propagators, everything
-else (transport, lifting couplings, boundary functionals, forcing) is
+else (transport, lifting couplings, the boundary functional, forcing) is
 advanced with a second-order Adams-Bashforth extrapolation restarted at
 window joints.
 
@@ -276,8 +276,8 @@ class DeltaProvider:
     def couplings(self) -> dict:
         """The numbers of delta_1 and of the cap shape g that a run reads.
 
-        Of delta_1: its couplings G_wd, G_dw, their sum G, G_dth, B, F_bdry,
-        F_form, P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
+        Of delta_1: its couplings G_wd, G_dw, their sum G, G_dth, bdry (the
+        boundary functional), F_form, P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
         Q_i = <grad psi_i, grad delta_1>; the squared norms l2sq of delta_1
         and gradsq of its gradient; max_abs = max |delta_1| on the grid; and
         trace_gap = max |n.delta_1 - n.(g e3)| over the nodes of all boundary
@@ -292,7 +292,7 @@ class DeltaProvider:
             out = dict(cap=FluxNorms(*[(0.0, 0.0)] * len(fields(FluxNorms))), cap_integrals=(0.0, 0.0),
                        inflow=np.zeros(mt), G_wd=zero, G_dw=zero, G=zero, G_dth=np.zeros((mt, mt)),
                        l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
-            out.update((key, np.zeros(m)) for key in ("B", "F_bdry", "F_form", "P", "F_adv", "Q"))
+            out.update((key, np.zeros(m)) for key in ("bdry", "F_form", "P", "F_adv", "Q"))
             return out
         lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
         g_cap = {p.kind: profile.g(*p.meshgrid()) for p in (lo, hi)}
@@ -304,7 +304,7 @@ class DeltaProvider:
         delta_1 = self.lifting[2]
         out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
         out["G"] = out["G_wd"] + out["G_dw"]
-        out["B"], out["F_bdry"] = forms.boundary_functionals(delta_1)
+        out["bdry"] = forms.boundary_functionals(delta_1)
         out["F_form"] = forms.forcing_F_form(delta_1)
         out["P"] = forms.project_velocity(delta_1.values)
         out["F_adv"] = forms.forcing_F_volume(delta_1)
@@ -378,7 +378,7 @@ class GalerkinSolver:
     def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        _, self.grid = build_domain(config.domain_spec())
+        self.grid = build_domain(config.domain_spec())
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
         self.forms = AssembledForms(self.grid, self.vb, self.tb, nu=config.nu, gamma=config.gamma)
@@ -487,8 +487,7 @@ class GalerkinSolver:
         s, s_t = self.profile.s(state.t), self.profile.s_t(state.t)
         vel["conv_wdelta"] = s * (k["G_wd"] @ c)
         vel["conv_deltaw"] = s * (k["G_dw"] @ c)
-        vel["B"] = s * k["B"]
-        vel["F_bdry"] = s * k["F_bdry"]
+        vel["bdry"] = s * k["bdry"]
         vel["F_vol"] = s * s * k["F_adv"] - s_t * k["P"]
         vel["F_form"] = s * k["F_form"]
         th = {"diff": self.config.kappa_heat * self.tb.eigenvalues * dcoef}
@@ -503,12 +502,12 @@ class GalerkinSolver:
         """The lifting part of the explicit right-hand sides, built on first use.
 
         ``G`` = G_wd + G_dw and ``G_dth`` take the state, scaled by s; the
-        rows of ``rows`` are B + F_bdry + F_form, F_adv and -P, taken by
+        rows of ``rows`` are bdry + F_form, F_adv and -P, taken by
         (s, s^2, s'). The couplings hold G already, so that the zero
         lifting's G stays untouched zeros, which take no resident memory.
         """
         k = self.delta_provider.couplings
-        rows = np.stack([k["B"] + k["F_bdry"] + k["F_form"], k["F_adv"], -k["P"]])
+        rows = np.stack([k["bdry"] + k["F_form"], k["F_adv"], -k["P"]])
         return dict(G=k["G"], G_dth=k["G_dth"], rows=rows)
 
     def _explicit(self, state: State) -> tuple:

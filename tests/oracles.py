@@ -4,14 +4,14 @@ Everything here is computed directly from mode definitions (wavevector,
 component amplitudes, parity rule) and plain quadrature sums, bypassing the
 package's cached samples, assembled matrices and einsum fast paths. Keep
 this file boring and explicit on purpose. scaled_lifting is the exception:
-it hands the oracles the run's own lifting, scaled to a time.
+it hands the oracles the run's own lifting, scaled to a time, with face
+gradients of its own.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
-
-from ductflow.basis import DeltaEval, FaceDelta
 
 
 def outer(f):
@@ -150,7 +150,7 @@ def forms_by_quadrature(vmodes, tmodes, grid, nu, gamma, kappa_heat):
         if patch.kind.is_cap:
             continue
         faces = [velocity_mode_on_face(md, grid, patch) for md in vmodes]
-        for tau in (patch.tau1, patch.tau2):
+        for tau in tangents(outward_normal(grid, patch)):
             wt = np.array([np.einsum("c,cxy->xy", tau, f).reshape(-1) for f in faces])
             fric += gamma * patch.weight * wt @ wt.T
     out["K_fric"] = fric
@@ -309,17 +309,80 @@ def slow_field_sum(coeffs, fields):
     return out
 
 
-def boundary_functionals_by_quadrature(vmodes, grid, delta, nu, gamma):
+def outward_normal(grid, patch):
+    """The unit outward normal of a face, from the box's geometry: along the
+    face's frozen axis, pointing away from the box's centre."""
+    spec = grid.spec
+    centre = spec.origins[patch.axis] + 0.5 * spec.lengths[patch.axis]
+    n = np.zeros(3)
+    n[patch.axis] = 1.0 if patch.coord > centre else -1.0
+    return n
+
+
+def tangents(normal):
+    """An orthonormal pair spanning the plane normal to a unit vector, the
+    null space of its row from an SVD; a sum over the pair of
+    (a . tau)(b . tau) does not depend on which pair it is."""
+    return np.linalg.svd(normal[None, :])[2][1:]
+
+
+def lifting_eta(sig, params):
+    """The Hopf cutoff written out: 1 up to r, -eps log(sigma / rho) up to
+    rho, 0 beyond; and its derivative."""
+    eps, rho, r = params.eps, params.rho, params.r
+    log_branch = -eps * np.log(np.maximum(sig, r) / rho)
+    eta = np.where(sig <= r, 1.0, np.where(sig <= rho, log_branch, 0.0))
+    eta_prime = np.where((sig > r) & (sig <= rho), -eps / np.maximum(sig, r), 0.0)
+    return eta, eta_prime
+
+
+def lifting_face_gradient(coeffs, profile, params, grid, patch):
+    """grad[c, d] = d_d delta_c of delta = grad(phi) + alpha e3 on a face,
+    without the package's synthesis or its cutoff: the Hessian of phi as
+    plain cosine and sine sums of its Neumann coefficients at the face
+    nodes, plus grad alpha = (g1 eta, g2 eta, g eta') in row 2, with eta the
+    sum of the two cap cutoffs (lifting_eta)."""
+    spec = grid.spec
+    # per axis: the node coordinates on the face, the face coordinate on its own axis
+    pts = [grid.x1, grid.x2, grid.x3]
+    pts[patch.axis] = np.array([patch.coord])
+    # cos(k pi s) per axis and its first and second derivatives in x_a
+    arg = [np.outer((p - o) / length, np.arange(n) * np.pi)
+           for p, o, length, n in zip(pts, spec.origins, spec.lengths, grid.shape)]
+    kap = [np.arange(grid.shape[a]) * np.pi / spec.lengths[a] for a in range(3)]
+    tables = [(np.cos(t), -k * np.sin(t), -k**2 * np.cos(t)) for t, k in zip(arg, kap)]
+    grad = np.empty((3, 3, *patch.meshgrid()[0].shape))
+    for i in range(3):
+        for j in range(3):
+            factors = [tables[a][(a == i) + (a == j)] for a in range(3)]
+            field = np.einsum("abc,xa,yb,zc->xyz", coeffs, *factors)
+            grad[i, j] = np.squeeze(field, axis=patch.axis)
+    x = [None] * 3
+    x[patch.plane_axes[0]], x[patch.plane_axes[1]] = patch.meshgrid()
+    x[patch.axis] = np.full(x[patch.plane_axes[0]].shape, patch.coord)
+    g, g1, g2 = (fn(x[0], x[1]) for fn in (profile.g, profile.g1, profile.g2))
+    (eta_lo, etap_lo), (eta_hi, etap_hi) = (lifting_eta(sig, params) for sig in (x[2] + spec.a, spec.a - x[2]))
+    grad[2] += np.stack([g1 * (eta_lo + eta_hi), g2 * (eta_lo + eta_hi), g * (etap_lo - etap_hi)])
+    return grad
+
+
+def boundary_functionals_by_quadrature(vmodes, grid, faces, nu, gamma):
     """(B, F_bdry) of the lifting's face data by patch quadrature against
-    the formula face traces, mode by mode."""
+    the formula face traces, mode by mode, in the oracle's own frame
+    (outward_normal, tangents). ``faces`` maps each PatchKind to a record
+    with the face values [c, f1, f2] and the full face gradient
+    grad[c, d, f1, f2]. B is the slip data, -nu n.D(delta).tau -
+    gamma delta.tau on the walls and -n.D(delta).tau on the caps; F_bdry is
+    +nu n.D(delta).tau on every face."""
     m = len(vmodes)
     B = np.zeros(m)
     Fb = np.zeros(m)
     for patch in grid.patches:
-        fd = delta.faces[patch.kind]
+        fd = faces[patch.kind]
         dsym = sym(fd.grad)
-        for tau in (patch.tau1, patch.tau2):
-            stress = np.einsum("i,ijxy,j->xy", patch.normal, dsym, tau)
+        normal = outward_normal(grid, patch)
+        for tau in tangents(normal):
+            stress = np.einsum("i,ijxy,j->xy", normal, dsym, tau)
             if patch.kind.is_cap:
                 bdata = -stress
             else:
@@ -334,14 +397,22 @@ def boundary_functionals_by_quadrature(vmodes, grid, delta, nu, gamma):
 
 def scaled_lifting(solver, t):
     """(delta, delta_t) of a solver's run at time t: the record of its still
-    lifting delta_1 scaled by s(t), values, gradient and the six faces, and
-    the grid values of delta_t = s'(t) delta_1; (None, None) without flux."""
+    lifting delta_1 scaled by s(t), its values, its gradient and the six
+    faces' values, each face with the full gradient from
+    lifting_face_gradient, and the grid values of delta_t = s'(t) delta_1;
+    (None, None) without flux."""
     if solver.delta_provider.is_zero:
         return None, None
-    delta_1 = solver.delta_provider.lifting[2]
+    _, sol, delta_1 = solver.delta_provider.lifting
     s = solver.profile.s(t)
-    faces = {kind: FaceDelta(values=s * f.values, grad=s * f.grad) for kind, f in delta_1.faces.items()}
-    delta = DeltaEval(values=s * delta_1.values, grad=s * delta_1.grad, faces=faces)
+    faces = {
+        patch.kind: SimpleNamespace(
+            values=s * delta_1.faces[patch.kind].values,
+            grad=s * lifting_face_gradient(sol.coeffs, solver.profile, solver.hopf_params, solver.grid, patch),
+        )
+        for patch in solver.grid.patches
+    }
+    delta = SimpleNamespace(values=s * delta_1.values, grad=s * delta_1.grad, faces=faces)
     return delta, solver.profile.s_t(t) * delta_1.values
 
 
@@ -349,8 +420,9 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
                       omega_fn, f_values, delta=None, delta_t=None):
     """Every term of the velocity weak form by direct quadrature.
 
-    Returns a dict of named length-m arrays; 'total' is the assembled
-    right-hand side for c'. `delta` is a DeltaEval-like object or None, and
+    Returns a dict of named length-m arrays; 'bdry' is B + F_bdry of
+    boundary_functionals_by_quadrature and 'total' the assembled right-hand
+    side for c'. `delta` is a DeltaEval-like object or None, and
     `delta_t` the grid values of its time derivative (given with `delta`).
     """
     m = len(vmodes)
@@ -388,7 +460,7 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
         if patch.kind.is_cap:
             continue
         wf = slow_field_sum(c, [velocity_mode_on_face(md, grid, patch) for md in vmodes])
-        for tau in (patch.tau1, patch.tau2):
+        for tau in tangents(outward_normal(grid, patch)):
             w_tau = np.einsum("c,cxy->xy", tau, wf)
             for j, md in enumerate(vmodes):
                 pj = velocity_mode_on_face(md, grid, patch)
@@ -400,7 +472,7 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
     Fvol = np.zeros(m)
     Fform = np.zeros(m)
     if delta is not None:
-        B, Fb = boundary_functionals_by_quadrature(vmodes, grid, delta, nu, gamma)
+        B, Fb = boundary_functionals_by_quadrature(vmodes, grid, delta.faces, nu, gamma)
         dadv = np.einsum(
             "ag,cag->cg", delta.values.reshape(3, -1), delta.grad.reshape(3, 3, -1)
         ).reshape(3, *grid.shape)
@@ -412,8 +484,7 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
                 for j in range(m)
             ]
         )
-    terms["B"] = B
-    terms["F_bdry"] = Fb
+    terms["bdry"] = B + Fb
     terms["F_vol"] = Fvol
     terms["F_form"] = Fform
 
@@ -421,8 +492,8 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
     terms["total"] = (
         -terms["conv_www"] - terms["conv_wdelta"] - terms["conv_deltaw"]
         - terms["visc"] - terms["fric"]
-        + terms["B"] + terms["f_omega"]
-        + terms["F_vol"] + terms["F_form"] + terms["F_bdry"]
+        + terms["bdry"] + terms["f_omega"]
+        + terms["F_vol"] + terms["F_form"]
     )
     return terms
 

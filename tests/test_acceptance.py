@@ -106,7 +106,7 @@ def test_criterion_01_hopf_function_exactness():
 
 @pytest.fixture(scope="session")
 def extension_setups():
-    patches, grid = desk_grid()
+    grid = desk_grid()
     setups = []
     for prof in three_profiles(grid.spec):
         ext = build_b(prof, PARAMS, grid)
@@ -133,7 +133,7 @@ def test_criterion_02_extension_correctness(extension_setups):
             psi = np.array([oracles.velocity_mode_on_face(md, solver.grid, patch) for md in solver.vb.modes])
             vals = np.einsum("i,icxy->cxy", state.c, psi)
             vals = vals + delta.faces[patch.kind].values
-            vn = np.einsum("c,cxy->xy", patch.normal, vals)
+            vn = np.einsum("c,cxy->xy", oracles.outward_normal(solver.grid, patch), vals)
             X, Y = patch.meshgrid()
             if patch.kind == PatchKind.CAP_LO:
                 cap_err = max(cap_err, float(np.max(np.abs(vn + prof.s(0.0) * prof.g(X, Y)))))
@@ -166,7 +166,7 @@ def test_criterion_03_divergence_free_correction(extension_setups):
 # -- 4 ------------------------------------------------------------------------
 
 def test_criterion_04_neumann_solver():
-    _, grid = desk_grid()
+    grid = desk_grid()
     sp = grid.spec
     X1, X2, X3 = grid.meshgrid()
     for k in ((0, 0, 1), (1, 0, 0), (2, 1, 3)):
@@ -198,7 +198,7 @@ def test_criterion_05_weighted_hessian_certificate():
             ratios = []
             for n in ((8, 8, 32), (16, 16, 64)):
                 spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=n[0], N2=n[1], N3=n[2])
-                _, grid = build_domain(spec)
+                grid = build_domain(spec)
                 prof = profile_by_name(
                     prof_name, spec, amplitude=0.6, beta=0.5, period=0.5
                 )
@@ -209,7 +209,7 @@ def test_criterion_05_weighted_hessian_certificate():
             assert abs(ratios[1] - ratios[0]) <= 0.10 * ratios[0], (prof_name, mu)
     # mu = 2/3 rejected with the divergence reason
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, **DESK)
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     prof = profile_by_name("constant", spec, amplitude=1.0)
     ext = build_b(prof, PARAMS, grid)
     with pytest.raises(ValueError, match="not finite"):
@@ -222,14 +222,14 @@ def test_criterion_05_weighted_hessian_certificate():
 # -- 6 ------------------------------------------------------------------------
 
 def test_criterion_06_basis_integrity():
-    _, grid = desk_grid()
+    grid = desk_grid()
     vb = build_velocity_basis(grid, 32)
     samples, g = oracles.family_fields(vb.factors)
     div = g[:, 0, 0] + g[:, 1, 1] + g[:, 2, 2]
     assert np.max(np.abs(div)) <= 1e-12
     for patch in grid.patches:
         vals = np.array([oracles.velocity_mode_on_face(md, grid, patch) for md in vb.modes])
-        assert np.max(np.abs(np.einsum("c,icxy->ixy", patch.normal, vals))) <= 1e-12
+        assert np.max(np.abs(np.einsum("c,icxy->ixy", oracles.outward_normal(grid, patch), vals))) <= 1e-12
     psi = samples.reshape(32, 3, -1)
     gram = grid.cell_volume * np.einsum("iag,jag->ij", psi, psi)
     assert np.max(np.abs(gram - np.eye(32))) <= 1e-10
@@ -264,7 +264,7 @@ def test_criterion_07_galerkin_oracle_equivalence():
         f_values=solver.f_values, delta=delta, delta_t=delta_t,
     )
     for key in ("conv_www", "conv_wdelta", "conv_deltaw", "visc", "fric",
-                "B", "F_bdry", "F_vol", "F_form", "f_omega", "total"):
+                "bdry", "F_vol", "F_form", "f_omega", "total"):
         scale = max(1.0, float(np.max(np.abs(slow[key]))))
         assert np.max(np.abs(fast[key] - slow[key])) <= 1e-8 * scale, key
     slow_th = oracles.slow_rhs_temperature(

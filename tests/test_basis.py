@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ductflow.errors import AliasingError
 
 def unit_grid(n=(12, 12, 16)):
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=n[0], N2=n[1], N3=n[2])
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     return grid
 
 
@@ -58,7 +59,7 @@ def test_normal_trace_vanishes_on_all_faces(vb, grid):
     for patch in grid.patches:
         vals = np.stack([oracles.outer(vb.factors.on_face(c, patch)) for c in range(3)], axis=1)
         vals = vals.squeeze(axis=2 + patch.axis)
-        normal_comp = np.einsum("c,icxy->ixy", patch.normal, vals)
+        normal_comp = np.einsum("c,icxy->ixy", oracles.outward_normal(grid, patch), vals)
         assert np.max(np.abs(normal_comp)) <= 1e-12
 
 
@@ -240,7 +241,7 @@ def test_temperature_advection_skew(transport):
 
 def test_dealias_guard():
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=4, N2=4, N3=4)
-    _, small = build_domain(spec)
+    small = build_domain(spec)
     assert dealias_cap(4) == 2
     vb = build_velocity_basis(small, 4)
     tb = build_temperature_basis(small, 4)
@@ -285,7 +286,7 @@ def test_nonzero_normal_trace_stops_the_build(grid, monkeypatch):
 ])
 def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
     spec = DomainSpec(L1=box[0], L2=box[1], a=box[2], N1=shape[0], N2=shape[1], N3=shape[2])
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     vb, tb = build_velocity_basis(grid, m), build_temperature_basis(grid, m)
     if m == 64:
         # the temperature band exceeds the velocity band on axes 1 and 2, so
@@ -304,20 +305,30 @@ def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
         assert got.shape == expected.shape, name
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
-    # the boundary functionals and the inflow coupling (the face projection
+    # the boundary functional and the inflow coupling (the face projection
     # that DeltaProvider.couplings applies to g) against the same quadrature
-    # over the formula face traces, for arbitrary face data
+    # over the formula face traces, for arbitrary face data. The oracle
+    # takes the full face gradient, arbitrary on the walls, where the
+    # stresses of B and F_bdry cancel; on a cap d_3 delta_c = d_3 d_c phi is
+    # 0 for the tangential c (the Neumann condition), so the cap stress
+    # e3.D(delta).e_c is d_c delta_3
     rng = np.random.default_rng(sum(shape))
-    faces = {}
+    faces, oracle_faces = {}, {}
     for p in grid.patches:
         plane = tuple(x.size for x in p.nodes)
-        faces[p.kind] = FaceDelta(values=rng.standard_normal((3, *plane)), grad=rng.standard_normal((3, 3, *plane)))
+        values, grad = rng.standard_normal((3, *plane)), rng.standard_normal((3, 3, *plane))
+        stress = None
+        if p.kind.is_cap:
+            grad[[0, 1], 2] = 0.0
+            stress = grad[2, [0, 1]]
+        faces[p.kind] = FaceDelta(values=values, stress=stress)
+        oracle_faces[p.kind] = SimpleNamespace(values=values, grad=grad)
     zero = np.zeros((3, *grid.shape))
     delta = DeltaEval(values=zero, grad=np.zeros((3, *zero.shape)), faces=faces)
     got = forms.boundary_functionals(delta)
-    expected = oracles.boundary_functionals_by_quadrature(vb.modes, grid, delta, nu=0.7, gamma=1.3)
-    for name, g, e in zip(("B", "F_bdry"), got, expected):
-        assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), name
+    B, F_bdry = oracles.boundary_functionals_by_quadrature(vb.modes, grid, oracle_faces, nu=0.7, gamma=1.3)
+    expected = B + F_bdry
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), "B + F_bdry"
     lo = grid.patch(PatchKind.CAP_LO)
     cap_data = rng.standard_normal(tuple(x.size for x in lo.nodes))
     got = tb.factors.project_face(0, lo, cap_data)

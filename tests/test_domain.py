@@ -6,14 +6,14 @@ from ductflow.domain import DomainSpec, PatchKind, build_domain, dist_to_caps
 
 def test_interior_weight_sum_is_volume_unit_box():
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=8, N2=8, N3=16)
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     total = grid.cell_volume * np.prod(grid.shape)
     assert abs(total - 2.0) <= 1e-12 * 2.0
 
 
 def test_cap_weight_sum_is_cap_area():
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=8, N2=8, N3=16)
-    patches, grid = build_domain(spec)
+    grid = build_domain(spec)
     cap = grid.patch(PatchKind.CAP_HI)
     total = cap.weight * cap.nodes[0].size * cap.nodes[1].size
     assert abs(total - 1.0) <= 1e-12
@@ -21,7 +21,7 @@ def test_cap_weight_sum_is_cap_area():
 
 def test_volume_closed_form():
     spec = DomainSpec(L1=2.0, L2=3.0, a=0.5, N1=8, N2=8, N3=8)
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     assert abs(grid.integrate(np.ones(grid.shape)) - 6.0) <= 1e-12 * 6.0
 
 
@@ -42,27 +42,30 @@ def test_invalid_specs_rejected(kwargs):
 
 def test_patch_sums_match_areas():
     spec = DomainSpec(L1=2.0, L2=3.0, a=0.5, N1=8, N2=10, N3=12)
-    patches, grid = build_domain(spec)
+    patches = build_domain(spec).patches
     assert len(patches) == 6
     for p in patches:
         total = p.weight * p.nodes[0].size * p.nodes[1].size
-        assert abs(total - p.area) <= 1e-12 * p.area
+        area = np.prod([spec.lengths[a] for a in p.plane_axes])
+        assert abs(total - area) <= 1e-12 * area
 
 
 def test_patch_frames_orthonormal():
+    # a face's frame is the unit vectors of its axis (the normal, outward
+    # at side 1, the high end) and of its two plane axes (the tangents),
+    # orthonormal when the three axes are distinct; the caps' tangents are
+    # e1 and e2, and e3 is a tangent of every wall
     spec = DomainSpec(L1=1.0, L2=2.0, a=1.5, N1=8, N2=8, N3=8)
-    patches, _ = build_domain(spec)
+    patches = build_domain(spec).patches
     for p in patches:
-        for v in (p.normal, p.tau1, p.tau2):
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-15
-        assert abs(np.dot(p.normal, p.tau1)) < 1e-15
-        assert abs(np.dot(p.normal, p.tau2)) < 1e-15
-        assert abs(np.dot(p.tau1, p.tau2)) < 1e-15
+        assert sorted((p.axis, *p.plane_axes)) == [0, 1, 2] and p.plane_axes[0] < p.plane_axes[1]
+        assert p.coord == spec.origins[p.axis] + p.side * spec.lengths[p.axis]
+        assert p.kind.is_cap == (p.axis == 2)
+        assert p.kind.is_cap or 2 in p.plane_axes
     lo = next(p for p in patches if p.kind == PatchKind.CAP_LO)
     hi = next(p for p in patches if p.kind == PatchKind.CAP_HI)
-    assert np.allclose(lo.normal, [0, 0, -1])
-    assert np.allclose(hi.normal, [0, 0, 1])
-    assert np.allclose(lo.tau1, [1, 0, 0]) and np.allclose(lo.tau2, [0, 1, 0])
+    assert (lo.side, hi.side) == (0, 1) and lo.coord == -spec.a and hi.coord == spec.a
+    assert lo.plane_axes == (0, 1)
 
 
 def test_patch_nodes_disjoint_and_exhaustive():
@@ -70,7 +73,7 @@ def test_patch_nodes_disjoint_and_exhaustive():
     # so membership is unambiguous: check each node is interior to exactly
     # its own patch rectangle.
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=4, N2=4, N3=4)
-    patches, _ = build_domain(spec)
+    patches = build_domain(spec).patches
     seen = set()
     for p in patches:
         g1, g2 = p.meshgrid()
@@ -99,7 +102,7 @@ def test_quadrature_exact_on_trig_band():
     # Midpoint quadrature integrates cos(m pi s) exactly for 0 < m < 2N;
     # check representative tensor products against closed forms.
     spec = DomainSpec(L1=1.0, L2=2.0, a=1.0, N1=8, N2=8, N3=8)
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     X1, X2, X3 = grid.meshgrid()
     s1 = X1 / spec.L1
     s2 = X2 / spec.L2

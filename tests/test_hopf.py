@@ -31,7 +31,7 @@ PARAMS = HopfParams(eps=0.5, rho=0.5)
 
 def unit_grid(n=(8, 8, 32)):
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=n[0], N2=n[1], N3=n[2])
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     return grid
 
 
@@ -153,7 +153,7 @@ def test_parabolic_w13_norm_closed_form():
     errs = []
     for n in (16, 32, 64):
         spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=n, N2=n, N3=8)
-        _, grid = build_domain(spec)
+        grid = build_domain(spec)
         prof = parabolic_profile(A, spec)
         fn = cap_norms(prof, grid)
         errs.append(abs(fn.w13_cap[0] - expected))
@@ -272,7 +272,7 @@ def test_b_on_the_side_walls_matches_the_closed_form():
     # b = g eta e3 with grad alpha = (g1 eta, g2 eta, g eta'), eta the sum of
     # the two cap cutoffs, on a box whose two horizontal axes differ
     spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     prof = parabolic_profile(1.0, spec)
     for patch in grid.patches:
         if patch.kind.is_cap:
@@ -319,6 +319,6 @@ def test_b_support_in_cap_layers():
 
 def test_build_b_rejects_fat_layers():
     spec = DomainSpec(L1=1.0, L2=1.0, a=0.4, N1=8, N2=8, N3=16)
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     with pytest.raises(RegimeError):
         build_b(constant_profile(1.0), HopfParams(eps=0.5, rho=0.5), grid)

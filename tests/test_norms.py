@@ -12,7 +12,7 @@ from ductflow.poisson import weighted_norm
 
 def unit_grid(n=(8, 8, 16)):
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=n[0], N2=n[1], N3=n[2])
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     return grid
 
 

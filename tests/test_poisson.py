@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from ductflow import spectral
 from ductflow.domain import DomainSpec, PatchKind, build_domain
 from ductflow.errors import SolvabilityError
@@ -27,7 +28,7 @@ PARAMS = HopfParams(eps=0.5, rho=0.5)
 
 def unit_grid(n=(8, 8, 32), a=1.0):
     spec = DomainSpec(L1=1.0, L2=1.0, a=a, N1=n[0], N2=n[1], N3=n[2])
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     return grid
 
 
@@ -99,31 +100,29 @@ def test_neumann_trace_vanishes_on_every_face():
     # delta = b + grad(phi) with b = alpha e3: n.delta - n3 alpha = n.grad(phi)
     for patch in grid.patches:
         alpha, _ = ext.faces[patch.kind]
-        normal = np.tensordot(patch.normal, delta.faces[patch.kind].values, axes=([0], [0]))
-        assert np.max(np.abs(normal - patch.normal[2] * alpha)) < 1e-12
+        n = oracles.outward_normal(grid, patch)
+        normal = np.tensordot(n, delta.faces[patch.kind].values, axes=([0], [0]))
+        assert np.max(np.abs(normal - n[2] * alpha)) < 1e-12
 
 
 def test_normal_derivatives_of_phi_are_exactly_zero_on_every_face():
     # The Neumann condition as the faces of delta carry it, which trace_gap
-    # relies on: on each face, n.grad(phi) and the two Hessian entries that
-    # pair the normal axis with an in-plane axis are 0.0, not roundoff.
-    # b = alpha e3 adds alpha and grad(alpha) into row 2; they are taken
-    # back out, which is exact.
+    # relies on: on each face, n.grad(phi) is 0.0, not roundoff. b = alpha
+    # e3 adds alpha into row 2; it is taken back out, which is exact. The
+    # two Hessian entries that pair the normal axis with an in-plane axis,
+    # which the cap stress leaves out, are 0.0 in the face synthesis too.
     grid = unit_grid(n=(8, 10, 32))
     ext = build_b(pulsed_profile(0.9, 0.5, 0.2, grid.spec), PARAMS, grid)
-    delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
+    sol = solve_neumann(ext.div_b, grid)
+    delta = delta_field(ext, sol, grid)
     for patch in grid.patches:
-        alpha, grad_alpha = ext.faces[patch.kind]
-        face = delta.faces[patch.kind]
-        grad_phi = face.values.copy()
+        alpha, _ = ext.faces[patch.kind]
+        grad_phi = delta.faces[patch.kind].values.copy()
         grad_phi[2] -= alpha
-        hess_phi = face.grad.copy()
-        hess_phi[2] -= grad_alpha
         assert np.max(np.abs(grad_phi)) > 0.0, patch.kind
         assert np.all(grad_phi[patch.axis] == 0.0), patch.kind
-        for p in patch.plane_axes:
-            assert np.all(hess_phi[patch.axis, p] == 0.0), (patch.kind, p)
-            assert np.all(hess_phi[p, patch.axis] == 0.0), (patch.kind, p)
+        mixed = [tuple(int(a in (patch.axis, p)) for a in range(3)) for p in patch.plane_axes]
+        assert np.all(spectral.synth(sol.coeffs, grid.axes, mixed, (patch.axis, patch.side)) == 0.0), patch.kind
 
 
 def test_div_delta_vanishes_at_nodes():
@@ -157,52 +156,28 @@ def test_delta_carries_the_flux():
 
 def test_face_gradients_of_delta_match_trig_sums_and_the_closed_form():
     # grad delta on a face is the Hessian of phi there plus grad alpha in
-    # row 2. Both are evaluated here without the package's synthesis or its
-    # cutoff: plain cosine and sine sums of the Neumann coefficients at the
-    # face nodes, and grad alpha = (g1 eta, g2 eta, g eta') with eta, the sum
-    # of the two cap cutoffs, written out. The two horizontal axes differ.
+    # row 2, evaluated by the oracle without the package's synthesis or its
+    # cutoff (oracles.lifting_face_gradient). Of it the faces of delta keep
+    # the cap stress e3.D(delta).e_c = d_3 delta_c + d_c delta_3, which must
+    # match; d_3 delta_c, which the stress leaves out, must vanish there.
+    # The two horizontal axes differ.
     spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     prof = parabolic_profile(0.9, spec)
     ext = build_b(prof, PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
-    eps, rho, r = PARAMS.eps, PARAMS.rho, PARAMS.r
-
-    def eta(sig):
-        log_branch = -eps * np.log(np.maximum(sig, r) / rho)
-        return np.where(sig <= r, 1.0, np.where(sig <= rho, log_branch, 0.0))
-
-    def eta_prime(sig):
-        return np.where((sig > r) & (sig <= rho), -eps / np.maximum(sig, r), 0.0)
-
     for patch in grid.patches:
-        # per axis: the node coordinates on the face, the face coordinate on its own axis
-        pts = [grid.x1, grid.x2, grid.x3]
-        pts[patch.axis] = np.array([patch.coord])
-        # cos(k pi s) per axis and its first and second derivatives in x_a
-        arg = [np.outer((p - o) / length, np.arange(n) * np.pi)
-               for p, o, length, n in zip(pts, spec.origins, spec.lengths, grid.shape)]
-        kap = [np.arange(grid.shape[a]) * np.pi / spec.lengths[a] for a in range(3)]
-        tables = [(np.cos(t), -k * np.sin(t), -k**2 * np.cos(t)) for t, k in zip(arg, kap)]
-        hess = np.empty((3, 3, *patch.meshgrid()[0].shape))
-        for i in range(3):
-            for j in range(3):
-                factors = [tables[a][(a == i) + (a == j)] for a in range(3)]
-                field = np.einsum("abc,xa,yb,zc->xyz", sol.coeffs, *factors)
-                hess[i, j] = np.squeeze(field, axis=patch.axis)
-        x = [None] * 3
-        x[patch.plane_axes[0]], x[patch.plane_axes[1]] = patch.meshgrid()
-        x[patch.axis] = np.full(x[patch.plane_axes[0]].shape, patch.coord)
-        g, g1, g2 = (fn(x[0], x[1]) for fn in (prof.g, prof.g1, prof.g2))
-        lo, hi = x[2] + spec.a, spec.a - x[2]
-        expected = hess.copy()
-        expected[2] += np.stack([g1 * (eta(lo) + eta(hi)), g2 * (eta(lo) + eta(hi)),
-                                 g * (eta_prime(lo) - eta_prime(hi))])
-        got = delta.faces[patch.kind].grad
-        assert got.shape == expected.shape, patch.kind
+        grad = oracles.lifting_face_gradient(sol.coeffs, prof, PARAMS, grid, patch)
+        stress = delta.faces[patch.kind].stress
+        if not patch.kind.is_cap:
+            assert stress is None, patch.kind
+            continue
+        expected = np.stack([grad[2, c] + grad[c, 2] for c in patch.plane_axes])
+        assert stress.shape == expected.shape, patch.kind
         scale = float(np.max(np.abs(expected)))
-        assert scale > 0.0 and np.max(np.abs(got - expected)) <= 1e-12 * scale, patch.kind
+        assert scale > 0.0 and np.max(np.abs(stress - expected)) <= 1e-12 * scale, patch.kind
+        assert np.max(np.abs(grad[list(patch.plane_axes), 2])) <= 1e-12 * scale, patch.kind
 
 
 def test_weighted_hessian_single_mode_ratio_is_amplitude_invariant():

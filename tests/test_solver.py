@@ -117,10 +117,11 @@ def test_rhs_consistency_with_explicit_split():
     # One step from a fresh window is Crank-Nicolson on the implicit forms
     # plus forward Euler on the rest. Rebuilt here from the oracle totals, it
     # puts the terms the stepper advances under the oracle. On the first six
-    # modes the lifting functionals (B, F_bdry, F_vol, F_form) and the
+    # modes the lifting functionals (bdry, F_vol, F_form) and the
     # temperature advection vanish by symmetry; m = 12 makes them nonzero.
-    # On the caps B + F_bdry carries (nu - 1) n.D(delta).tau, which cancels
-    # at nu = 1; nu = 0.7 keeps the cap stresses of the lifting in the step.
+    # On the caps bdry = B + F_bdry carries (nu - 1) n.D(delta).tau, which
+    # cancels at nu = 1; nu = 0.7 keeps the cap stresses of the lifting in
+    # the step.
     # The implicit matrices are the oracle's too, and kappa = 0.6 puts the
     # heat constant into the temperature step.
     for m, nu, kappa_heat in ((6, 1.0, 1.0), (12, 1.0, 1.0), (12, 0.7, 1.0), (12, 0.7, 0.6)):
@@ -158,7 +159,7 @@ def test_rhs_consistency_with_explicit_split():
 
 def test_rhs_matches_slow_oracle_every_term():
     # direct-quadrature oracle of every weak-form term; on the first six
-    # modes B, F_bdry, F_vol and F_form vanish by symmetry, m = 12 sees them,
+    # modes bdry, F_vol and F_form vanish by symmetry, m = 12 sees them,
     # and m = 24 also sees P(delta . grad delta), the s^2 part of F_vol
     for m in (6, 12, 24):
         cfg = oracle_config(m=m)
@@ -176,7 +177,7 @@ def test_rhs_matches_slow_oracle_every_term():
         name_map = {
             "conv_www": "conv_www", "conv_wdelta": "conv_wdelta",
             "conv_deltaw": "conv_deltaw", "visc": "visc", "fric": "fric",
-            "B": "B", "F_bdry": "F_bdry", "F_vol": "F_vol", "F_form": "F_form",
+            "bdry": "bdry", "F_vol": "F_vol", "F_form": "F_form",
             "f_omega": "f_omega", "total": "total",
         }
         for fast_key, slow_key in name_map.items():
@@ -332,13 +333,13 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
         solver.reset_window()
         solver.step(state)
         vel, th = solver.rhs_terms(state)
-        lifting = ("conv_wdelta", "conv_deltaw", "B", "F_bdry", "F_vol", "F_form")
+        lifting = ("conv_wdelta", "conv_deltaw", "bdry", "F_vol", "F_form")
         if cfg.flux_profile == "pulsed":
             assert solver.profile.s_t(state.t) != 0.0
             assert all(np.any(vel[key]) for key in lifting)
             assert np.any(solver.delta_provider.couplings["F_adv"])
         terms_w = [-vel["conv_www"], vel["f_omega"], -vel["conv_wdelta"], -vel["conv_deltaw"],
-                   vel["B"], vel["F_bdry"], vel["F_vol"], vel["F_form"]]
+                   vel["bdry"], vel["F_vol"], vel["F_form"]]
         for got, terms in zip(stepped, (terms_w, [-th["adv"]])):
             scale = max(float(np.max(np.abs(term))) for term in terms)
             assert np.max(np.abs(got - sum(terms))) <= 1e-13 * scale, flux
@@ -420,7 +421,9 @@ def test_scaled_lifting_matches_direct_rebuild():
         close(delta.grad, field.grad, 1e-12, ("grad", t))
         for kind, face in field.faces.items():
             close(delta.faces[kind].values, face.values, 1e-12, ("face", kind, t))
-            close(delta.faces[kind].grad, face.grad, 1e-12, ("face grad", kind, t))
+            if kind.is_cap:
+                stress = np.stack([oracles.sym(delta.faces[kind].grad)[2, c] for c in (0, 1)])
+                close(stress, face.stress, 1e-12, ("cap stress", kind, t))
         fd = (rebuild(t + h).values - rebuild(t - h).values) / (2.0 * h)
         close(delta_t, fd, 1e-6, ("delta_t", t))
 
@@ -429,12 +432,10 @@ def test_scaled_lifting_matches_direct_rebuild():
         state = State(t=t, c=st0.c, dcoef=st0.dcoef)
         vel, th = solver.rhs_terms(state)
         g_wd, g_dw, g_dth = forms.delta_matrices(field)
-        B, F_bdry = forms.boundary_functionals(field)
         expected = {
             "conv_wdelta": g_wd @ state.c,
             "conv_deltaw": g_dw @ state.c,
-            "B": B,
-            "F_bdry": F_bdry,
+            "bdry": forms.boundary_functionals(field),
             "F_vol": forms.forcing_F_volume(field) - forms.project_velocity(delta_t),
             "F_form": forms.forcing_F_form(field),
         }
@@ -495,7 +496,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
         for patch in grid.patches:
             psi = np.array([oracles.velocity_mode_on_face(md, grid, patch) for md in solver.vb.modes])
             vals = np.einsum("i,icxy->cxy", state.c, psi)
-            vn = np.einsum("c,cxy->xy", patch.normal, vals + delta.faces[patch.kind].values)
+            vn = np.einsum("c,cxy->xy", oracles.outward_normal(solver.grid, patch), vals + delta.faces[patch.kind].values)
             X, Y = patch.meshgrid()
             target = {PatchKind.CAP_LO: -prof.s(t) * prof.g(X, Y), PatchKind.CAP_HI: prof.s(t) * prof.g(X, Y)}
             err = max(err, float(np.max(np.abs(vn - target.get(patch.kind, 0.0)))))
@@ -795,7 +796,7 @@ def test_assembly_allocates_no_cube_of_m():
     # forms, and assembly peaks below 32 MB, less than two m^3 float
     # tensors (34 MB)
     m = 128
-    _, grid = build_domain(ScenarioConfig(m=m).domain_spec())
+    grid = build_domain(ScenarioConfig(m=m).domain_spec())
     vb, tb = build_velocity_basis(grid, m), build_temperature_basis(grid, m)
     tracemalloc.start()
     try:
@@ -811,7 +812,7 @@ def test_bases_keep_no_per_mode_face_array():
     # at m = 128 on 16x16x32 both bases are factor tables only: their build
     # peaks below 2 MB, where the velocity face traces alone took 8 MB
     m = 128
-    _, grid = build_domain(ScenarioConfig(m=m).domain_spec())
+    grid = build_domain(ScenarioConfig(m=m).domain_spec())
     tracemalloc.start()
     try:
         build_velocity_basis(grid, m)
@@ -895,7 +896,7 @@ def test_cap_flux_integral_of_reconstruction():
     psi = np.array([oracles.velocity_mode_on_face(md, solver.grid, patch) for md in solver.vb.modes])
     vals = np.einsum("i,icxy->cxy", state.c, psi)
     vals = vals + delta.faces[patch.kind].values
-    vn = np.einsum("c,cxy->xy", patch.normal, vals)
+    vn = np.einsum("c,cxy->xy", oracles.outward_normal(solver.grid, patch), vals)
     X, Y = patch.meshgrid()
     flux_out = patch.integrate(vn)
     target = patch.integrate(solver.profile.s(0.0) * solver.profile.g(X, Y))

@@ -10,7 +10,7 @@ from ductflow.poisson import solve_neumann
 
 def _grid(n=(8, 8, 8), L1=1.0, L2=2.0, a=1.5):
     spec = DomainSpec(L1=L1, L2=L2, a=a, N1=n[0], N2=n[1], N3=n[2])
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     return grid
 
 
@@ -96,7 +96,7 @@ def test_synthesis_matches_explicit_trig_sums_on_the_grid_and_every_face():
     # evaluated explicitly at the nodes and at s = 0 and s = 1. On a face
     # whose own axis has order 1 (a sine) the synthesis must be exactly zero.
     spec = DomainSpec(L1=1.3, L2=0.8, a=0.7, N1=6, N2=10, N3=14)
-    _, grid = build_domain(spec)
+    grid = build_domain(spec)
     axes = grid.axes
     coeffs = np.random.default_rng(11).standard_normal(grid.shape)
     nodes = [(x - o) / length
