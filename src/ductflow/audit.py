@@ -78,11 +78,6 @@ def _psi_product(s: float, *factors: float) -> tuple:
     return exp_product(s, (1.0 + s * s) * s**4, *factors)
 
 
-def default_psi(s: float) -> float:
-    """Default monotone budget amplification (1 + s^2) s^4 exp(s)."""
-    return _psi_product(s)[0]
-
-
 def _log10(x: float) -> float:
     return math.log10(x) if x > 0.0 else -math.inf
 

@@ -396,7 +396,7 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
 @dataclass
 class FaceDelta:
     values: np.ndarray                 # [comp, f1, f2]
-    stress: np.ndarray | None = None   # caps: [i, f1, f2] = e3.D(delta).e_c, c = plane_axes[i]
+    stress: np.ndarray | None          # caps: [i, f1, f2] = e3.D(delta).e_c, c = plane_axes[i]; walls: None
 
 
 @dataclass

@@ -133,21 +133,14 @@ def _derivatives(phi_hat: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
     return fields[:3].copy(), hess
 
 
-def _add_b(grad_phi: np.ndarray, hess_phi: np.ndarray, alpha, grad_alpha):
-    """(delta, grad delta) from grad(phi), its gradient and b = alpha e3:
-    alpha and grad(alpha) add into row 2."""
-    values = grad_phi.copy()
-    values[2] += alpha
-    grad = hess_phi.copy()
-    grad[2] += grad_alpha
-    return values, grad
-
-
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> DeltaEval:
     """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c on the
     grid, and on every boundary patch its values and, on the caps, the
     stress d_c alpha for c in the cap's plane axes."""
-    values, grad = _add_b(solution.grad, solution.hess, ext.alpha, ext.grad_alpha)
+    # b = alpha e3: alpha and grad(alpha) add into row 2
+    values, grad = solution.grad.copy(), solution.hess.copy()
+    values[2] += ext.alpha
+    grad[2] += ext.grad_alpha
     values = _nodal(values, (3, *grid.shape), "lifting")
     faces = {}
     for patch in grid.patches:

@@ -12,9 +12,9 @@ from ductflow.audit import (
     _inequality,
     _mk_reconstruction_certs,
     _mk_recurrence_certs,
+    _psi_product,
     audit_run,
     calibrate,
-    default_psi,
     exp_product,
     is_free_decay,
     ledger_to_json_obj,
@@ -49,7 +49,7 @@ def test_time_derivative_linear_series():
 
 
 def test_default_psi_monotone():
-    vals = [default_psi(s) for s in np.linspace(0.0, 5.0, 50)]
+    vals = [_psi_product(s)[0] for s in np.linspace(0.0, 5.0, 50)]
     assert vals[0] == 0.0
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -69,7 +69,7 @@ def test_exp_product_is_taken_in_log_space():
     assert math.isclose(value, math.exp(720.0 + math.log(1e-10)), rel_tol=1e-13)
     # a zero factor gives 0 whatever the exponential, not 0 * inf
     assert exp_product(5000.0, 2.0, 0.0) == (0.0, -math.inf)
-    assert default_psi(0.0) == 0.0 and default_psi(800.0) == math.inf
+    assert _psi_product(0.0)[0] == 0.0 and _psi_product(800.0)[0] == math.inf
 
 
 def test_free_decay_detection():
