@@ -14,7 +14,7 @@ The audited inequalities carry artifact labels (documented in the README):
                           (the literal sharp variant is reported alongside)
   E8  aggregate bound     ||v||_V^2 + ||theta||_V^2 <= A(T)^2
   E9  lifting bound       ||delta||_V^2 <= data-norm budget
-  E10 weighted Hessian    ||D^2 phi||_{L_{p,mu}} <= C ||div b||_{L_{p,mu}}
+  E10 weighted Hessian    ||D^2 phi||_{L_{3,mu}} <= C ||div b||_{L_{3,mu}}
                           (empirical constant, finiteness asserted)
   E11 layer bound         ||div b||_{L_{3,mu}} vs structural cap-data terms
   E12 flux compatibility  inflow equals outflow at every sample
@@ -271,12 +271,13 @@ def _inequality(name, eq_id, formula, lhs, rhs, tol=0.0, **kw) -> Certificate:
 
 
 def _mk_energy_cert(ledger_X, Y, F, log10_inf, fric, c2, dt, joints, times) -> Certificate:
-    """E1 at every sample. Its tolerance is taken from the finite samples of
-    F; where F is inf the balance holds vacuously, and the certificate
-    carries the float-range note with log10_inf, F's largest log10."""
+    """E1 at every sample, to the tolerance 1e-9 max(1, |X(t)|, F(t)) of
+    that sample, reported as its largest finite value. Where F is inf the
+    balance holds vacuously, and the certificate carries the float-range
+    note with log10_inf, F's largest log10."""
     lhs = time_derivative(ledger_X, dt, joints) + c2 * Y + fric
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(ledger_X))), float(np.max(F[np.isfinite(F)], initial=0.0)))
-    cert = _inequality("energy-balance", "E1", "dX/dt + c2 Y + friction <= F", lhs, F, tol)
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(ledger_X), F))
+    cert = _inequality("energy-balance", "E1", "dX/dt + c2 Y + friction <= F", lhs, F)
     gap = F - lhs
     viol = np.flatnonzero(gap < -tol)
     near_joint = np.zeros(times.size, dtype=bool)
@@ -293,7 +294,7 @@ def _mk_energy_cert(ledger_X, Y, F, log10_inf, fric, c2, dt, joints, times) -> C
         "violations_off_joint": off_joint,
         "max_violation": max(0.0, -cert.margin),
         "pass_fraction": frac,
-        "tolerance": tol,
+        "tolerance": float(np.max(tol[np.isfinite(tol)], initial=1e-9)),
     }
     return _beyond_float(cert, float(np.max(F)), [log10_inf])
 
@@ -489,14 +490,13 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
 
 
 def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
+    hessian = "||D^2 phi||_{L_{3,mu}} / ||div b||_{L_{3,mu}} finite"
+    layer = "||div b||_{L_{3,mu}} <= C_emp * structural cap terms"
     if solver.hopf_params is None:
         return [
             Certificate(name=name, eq_id=eq_id, formula=formula, passed=True, margin=math.inf,
                         applicable=False, note="no boundary flux in this scenario")
-            for name, eq_id, formula in (
-                ("weighted-hessian", "E10", "||D^2 phi||_{L_{p,mu}} / ||div b||_{L_{p,mu}} finite"),
-                ("layer-bound", "E11", "||div b||_{L_{3,mu}} vs structural cap terms"),
-            )
+            for name, eq_id, formula in (("weighted-hessian", "E10", hessian), ("layer-bound", "E11", layer))
         ]
     # the run's lifting of the cap shape g, i.e. of the data at s = 1
     ext, sol, _ = solver.delta_provider.lifting
@@ -515,7 +515,7 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
         Certificate(
             name="weighted-hessian",
             eq_id="E10",
-            formula="||D^2 phi||_{L_{3,mu}} / ||div b||_{L_{3,mu}} finite",
+            formula=hessian,
             passed=bool(math.isfinite(ratio)),
             margin=ratio,
             details={"ratio": ratio, "mu": config.mu, "residual": sol.residual,
@@ -525,7 +525,7 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
         Certificate(
             name="layer-bound",
             eq_id="E11",
-            formula="||div b||_{L_{3,mu}} <= C_emp * structural cap terms",
+            formula=layer,
             passed=bool(resolved and math.isfinite(const)),
             margin=const,
             details={"lhs": lhs, "rhs_structure": rhs, "C_emp": const, "mu": config.mu},

@@ -29,9 +29,9 @@ stored once, as per-axis factor tables; no per-mode array on the quadrature
 grid or on a face is kept. The quadrature is a tensor midpoint rule, so
 every assembled form is a sum of products of three 1D sums, and every
 contraction of the modes with a grid field or a face plane (projections,
-the lifting couplings, the boundary functional) is sum-factorized: the
-field is contracted axis by axis with the tables, and on a face the face
-axis takes the end values. A discrete Gram matrix that deviates from the
+their adjoint _expand, the lifting couplings, the boundary functional) is
+sum-factorized: axis by axis with the tables, and on a face the face axis
+takes the end values. A discrete Gram matrix that deviates from the
 identity stops the build.
 
 The transport terms are computed, not stored: no tensor of m^3 entries is
@@ -149,14 +149,12 @@ class VelocityBasis:
 
 @dataclass
 class TemperatureBasis:
-    """The temperature modes as factor tables and as a cosine band."""
+    """The temperature modes as factor tables, and their eigenvalues."""
 
     modes: list[TemperatureMode]
     eigenvalues: np.ndarray
     k_max: tuple[int, int, int]
     factors: FactorTables              # comp 0 only
-    band: tuple                        # per axis [node, k] = cos(k pi s_j), k <= k_max
-    band_index: np.ndarray             # [mode] flat index of its wavevector in the band cube
     amplitude: np.ndarray              # [mode] L2 normalization
 
     @property
@@ -339,6 +337,20 @@ def _project(values: np.ndarray, weight: float, f) -> np.ndarray:
     return weight * np.einsum("ix,xi->i", f0, t[:, j1, j2])
 
 
+def _expand(coef: np.ndarray, f) -> np.ndarray:
+    """[..., n1, n2, n3] sum_i coef_i f_i on the grid for f = (f0, rows,
+    index) of FactorTables.split, the adjoint of _project: each coefficient
+    times its axis-0 factor is scattered by the modes' row indices into
+    [n1, K1 K2] with one matmul, and the distinct rows of axes 2 and 1
+    contract the rest. A stack of rows coef [..., mode] gives each row by
+    the same operations as alone."""
+    f0, (r1, r2), (j1, j2) = f
+    k1, k2 = r1.shape[0], r2.shape[0]
+    scatter = np.eye(k1 * k2)[j1 * k2 + j2]   # [mode, K1 K2], a single 1 per row
+    t = ((f0.T * coef[..., None, :]) @ scatter).reshape(*coef.shape[:-1], -1, k1, k2)
+    return r1.T @ (t @ r2)
+
+
 def _pair(values: np.ndarray, weight: float, f, g) -> np.ndarray:
     """[l, i] quadrature of values f_l g_i for two splits of FactorTables:
     the projection onto the product family, whose distinct rows on axes 1
@@ -381,12 +393,9 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
         raise ValueError("m must be >= 1")
     modes = temperature_modes(grid.spec.lengths, tuple(dealias_cap(n) for n in grid.shape), m)
     ks, amp = np.array([md.k for md in modes]), np.array([md.amplitude for md in modes])
-    axes = grid.axes
-    tables = _factor_tables(axes, ks, [amp], sin_axes=(None,))
-    lam, k_max = np.array([md.eigenvalue for md in modes]), tuple(ks.max(axis=0).tolist())
-    band = tuple(ax.cos_syn[:, : k + 1] for ax, k in zip(axes, k_max))
-    index = np.ravel_multi_index(tuple(ks.T), tuple(k + 1 for k in k_max))
-    return TemperatureBasis(modes, lam, k_max, tables, band, index, amp)
+    tables = _factor_tables(grid.axes, ks, [amp], sin_axes=(None,))
+    lam = np.array([md.eigenvalue for md in modes])
+    return TemperatureBasis(modes, lam, tuple(ks.max(axis=0).tolist()), tables, amp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Command line front end: run, check and sweep scenarios.
 
-Exit codes: 0 success, 1 configuration error, input the library rejects
-(any ValueError) or an output path that cannot be written (any OSError),
-each reported in one line, 2 numerical abort, 3 certificate failure (only
-with --strict).
+Exit codes: 0 success, 1 usage or configuration error, input the library
+rejects (any ValueError) or an output path that cannot be written (any
+OSError), each reported in one line by main, 2 numerical abort, 3
+certificate failure (only with --strict).
 
 Outputs of `run` (all under --out, default out/<scenario-stem>):
   timeseries.csv      fixed columns t, X, Y, F, w_l2, theta_l2, theta_min,
@@ -144,14 +144,8 @@ def write_plots(out_dir: Path, run: RunResult, ledger: EnergyLedger) -> None:
 
 def cmd_run(args) -> int:
     if args.snapshots < 0:
-        print(f"usage error: --snapshots CADENCE must be 0 (off) or more, got {args.snapshots}",
-              file=sys.stderr)
-        return 1
-    try:
-        config = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"--snapshots CADENCE must be 0 (off) or more, got {args.snapshots}")
+    config = load_scenario(args.scenario)
     scen_path = Path(args.scenario)
     out_dir = Path(args.out) if args.out else Path("out") / scen_path.stem
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
@@ -170,12 +164,6 @@ def _run_into(args, config: ScenarioConfig, scen_path: Path, out_dir: Path) -> i
     started = time.time()
     try:
         result = execute(config)
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except RegimeError as exc:
-        print(f"config error (cutoff regime): {exc}", file=sys.stderr)
-        return 1
     except NumericalAbort as exc:
         dump = {
             "error": str(exc),
@@ -236,11 +224,7 @@ def _check_line(ok: bool, name: str, detail: str) -> bool:
 
 
 def cmd_check(args) -> int:
-    try:
-        config = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    config = load_scenario(args.scenario)
     ok = True
     grid = build_domain(config.domain_spec())
     profile = profile_of(config)
@@ -296,11 +280,9 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     if not args.values:
-        print("usage error: --values must list at least one value", file=sys.stderr)
-        return 1
+        raise _UsageError("--values must list at least one value")
     if args.axis not in KEY_MAP:
-        print(f"usage error: unknown axis key {args.axis!r}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"unknown axis key {args.axis!r}")
     scen_path = Path(args.scenario)
     try:
         base_text = scen_path.read_text()
@@ -386,8 +368,31 @@ def _is_number(s: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line that the parser or a command rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through add_subparsers each subparser, whose errors
+    end in main's one usage-error line instead of argparse's exit 2."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+# each error a command may end in and the start of its one stderr line, the
+# first match winning; all exit 1 (`run` reports a numerical abort itself)
+_ERRORS = (
+    (_UsageError, "usage error"),
+    (RegimeError, "config error (cutoff regime)"),
+    (ScenarioError, "config error"),
+    (ValueError, "input error"),   # any other input the library rejects
+    (OSError, "output error"),     # an output that cannot be created or written
+)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ductflow",
         description="spectral Galerkin duct-flow simulator with runtime energy audit",
     )
@@ -414,16 +419,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
-        # any other input the library rejects ends in one line, never a traceback
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        # an output directory or file that cannot be created or written
-        print(f"output error: {exc}", file=sys.stderr)
+    except tuple(cls for cls, _ in _ERRORS) as exc:
+        print(f"{next(line for cls, line in _ERRORS if isinstance(exc, cls))}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -36,6 +36,7 @@ from .basis import (
     VelocityBasis,
     build_temperature_basis,
     build_velocity_basis,
+    _expand,
 )
 from .domain import DomainSpec, PatchKind, QuadratureGrid, build_domain
 from .errors import NumericalAbort, RegimeError, ScenarioError
@@ -438,27 +439,14 @@ class GalerkinSolver:
     # -- right-hand sides ------------------------------------------------------
 
     def theta_values(self, dcoef: np.ndarray) -> np.ndarray:
-        """theta on the grid by sum factorization: amplitude x dcoef scattered
-        into the cosine cube of the temperature band, then one matmul per axis.
-        A stack of rows dcoef [row, mode] gives [row, n1, n2, n3], each row
-        by the same matmuls as alone."""
-        c1, c2, c3 = self.tb.band
-        k1, k2, k3 = (c.shape[1] for c in self.tb.band)
-        rows = dcoef.shape[:-1]
-        cube = np.zeros((*rows, k1 * k2 * k3))
-        cube[..., self.tb.band_index] = self.tb.amplitude * dcoef
-        out = c2 @ (c1 @ cube.reshape(*rows, k1, k2 * k3)).reshape(*rows, -1, k2, k3)   # [.., n1, n2, k3]
-        return (out.reshape(-1, k3) @ c3.T).reshape(*rows, *self.grid.shape)
+        """theta on the grid, expanded through the factor tables: rows dcoef
+        [row, mode] give [row, n1, n2, n3], each row as it comes alone."""
+        return _expand(dcoef, self.tb.factors.split(0))
 
     def w_values(self, state: State) -> np.ndarray:
-        """w on the grid by sum factorization: per component, the axis-0 and
-        axis-1 factors weighted by c, [mode, n1, n2], then one matmul
-        against the axis-2 factors."""
-        out = np.empty((3, *self.grid.shape))
-        for c, f in enumerate(self.vb.factors.val):
-            pair = (state.c[:, None] * f[0])[:, :, None] * f[1][:, None, :]
-            out[c] = (pair.reshape(state.c.size, -1).T @ f[2]).reshape(self.grid.shape)
-        return out
+        """w on the grid [comp, n1, n2, n3], expanded through the factor
+        tables one component at a time."""
+        return np.stack([_expand(state.c, self.vb.factors.split(c)) for c in range(3)])
 
     def rhs_terms(self, state: State):
         """(velocity, temperature) dicts of every weak-form term at one state.

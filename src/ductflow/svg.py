@@ -23,13 +23,10 @@ def _ticks(lo: float, hi: float, n: int = 5):
         if span / (step * mult) <= n:
             step *= mult
             break
+    # span / step <= n, so at most n + 1 ticks; a running sum v += step would
+    # stall where step is below half the float spacing at lo
     first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-12 * span:
-        out.append(v)
-        v += step
-    return out
+    return [v for v in (first + i * step for i in range(n + 1)) if v <= hi + 1e-12 * span]
 
 
 def polyline_chart(series: dict, path, title: str = "", xlabel: str = "", ylabel: str = ""):

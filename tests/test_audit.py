@@ -10,8 +10,10 @@ from scipy.linalg import eigh
 from ductflow.audit import (
     BEYOND_FLOAT_NOTE,
     _inequality,
+    _mk_energy_cert,
     _mk_reconstruction_certs,
     _mk_recurrence_certs,
+    _mk_weighted_certs,
     _psi_product,
     audit_run,
     calibrate,
@@ -172,6 +174,15 @@ def test_pulsed_scenario_certificates():
     assert ledger.calibration.seed == "exact rates of the assembled forms"
 
 
+def test_weighted_certificates_state_one_formula_each():
+    # E10 and E11 print the same inequality when they are skipped for want
+    # of flux and when they are checked
+    certs = [_mk_weighted_certs(GalerkinSolver(cfg), cfg) for cfg in (small_config(), pulsed_config())]
+    assert [[c.applicable for c in row] for row in certs] == [[False, False], [True, True]]
+    assert [c.formula for c in certs[0]] == [c.formula for c in certs[1]]
+    assert all("L_{3,mu}" in c.formula and "L_{p,mu}" not in c.formula for c in certs[0])
+
+
 def test_bounds_beyond_the_float_range_say_so():
     # E8's psi(sup ||d~||) and E9's exp(sup ||d~|| / c) at data whose
     # W^1_3 norm is 3000: both bounds are inf, noted, with their log10s;
@@ -211,6 +222,25 @@ def test_recurrence_bounds_beyond_the_float_range_say_so():
         assert all(cert.passed for cert in certs)
         assert math.isinf(A1) == (F is beyond)
         assert math.isinf(A2) == (F is beyond or c2 == 0.0)
+
+
+def test_energy_balance_tolerance_is_per_sample():
+    # F = 1e300 at one sample and 1 elsewhere: the balance misses F by 0.5
+    # at another sample, off every joint, which a tolerance taken from the
+    # largest F over the run would forgive; the reported tolerance is the
+    # largest finite one
+    times = np.linspace(0.0, 1.0, 101)
+    zeros, F, fric = np.zeros(times.size), np.ones(times.size), np.zeros(times.size)
+    F[10], fric[50] = 1e300, 1.5
+    joints = np.array([0, 50 + 25, 100])
+    cert = _mk_energy_cert(zeros, zeros, F, -math.inf, fric, 1.0, 0.01, joints, times)
+    assert not cert.passed
+    assert (cert.details["violations"], cert.details["violations_off_joint"]) == (1, 1)
+    assert cert.details["tolerance"] == 1e-9 * 1e300
+    # an inf F makes its sample vacuous and leaves the tolerance of the rest
+    F[10] = math.inf
+    cert = _mk_energy_cert(zeros, zeros, F, 400.0, fric, 1.0, 0.01, joints, times)
+    assert not cert.passed and cert.details["tolerance"] == 1e-9
 
 
 def dissipation_forms(solver):

@@ -548,6 +548,52 @@ def test_plots_written(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def _run_limited(args, timeout=120.0):
+    """Python with args in a fresh process on this checkout's src/, one BLAS
+    thread, 1 GiB of address space and a timeout: a loop that does not end
+    fails the test instead of stalling the suite or filling the memory."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout, check=True, preexec_fn=limit)
+
+
+def test_ticks_of_a_range_below_the_float_spacing_are_few():
+    # the padded range of a constant 1.5: its tick step is below half the
+    # float spacing at 1.5, where a running sum of steps never passes hi
+    code = "from ductflow.svg import _ticks; print(len(_ticks(1.4999999999999996, 1.5)))"
+    assert 0 < int(_run_limited(["-c", code], timeout=60.0).stdout) <= 6
+
+
+def test_plots_of_a_flat_temperature_are_written(tmp_path):
+    # forced-warm keeps theta at 1.5 to the last bits, the range above
+    out = tmp_path / "fw"
+    _run_limited(["-m", "ductflow.cli", "run", str(bundled_scenario_path("forced-warm")),
+                  "--out", str(out), "--plots"])
+    for name in ("energy.svg", "temperature_bounds.svg"):
+        assert (out / "plots" / name).read_text().endswith("</svg>\n"), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["bogus"],
+    ["run", str(QUICK), "--snapshots", "abc"],
+    ["sweep", str(QUICK), "--values", "1"],
+])
+def test_argparse_errors_are_usage_errors(argv, capsys):
+    # argparse's own errors end as the hand-written ones do, in exit 1 and
+    # one usage-error line: its exit 2 is a numerical abort's code here
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def test_sweep_empty_values_usage_error(tmp_path):
     rc = main(["sweep", str(QUICK), "--axis", "galerkin.m", "--values", "",
                "--out", str(tmp_path)])

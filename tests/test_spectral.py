@@ -149,7 +149,6 @@ def test_one_grid_builds_its_axis_tables_once(monkeypatch):
     assert len(built) == 3
     axes = grid.axes  # the tables the three read, not built again
     assert len(built) == 3 and [ax.n for ax in axes] == list(grid.shape)
-    assert all(band.base is ax.cos_syn for band, ax in zip(tb.band, axes))
     # a sine factor of the velocity modes is a column gather of sin_syn
     np.testing.assert_array_equal(vb.factors.val[0][1][0], axes[1].cos_syn[:, vb.modes[0].k[1]])
 
