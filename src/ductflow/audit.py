@@ -499,9 +499,9 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
             for name, eq_id, formula in (("weighted-hessian", "E10", hessian), ("layer-bound", "E11", layer))
         ]
     # the run's lifting of the cap shape g, i.e. of the data at s = 1
-    ext, sol, _ = solver.delta_provider.lifting
+    ext, sol, _ = solver.lifting
     lhs, rhs = poisson_mod.certify_layer_bound(
-        solver.delta_provider.couplings["cap"], solver.hopf_params, ext, solver.grid, config.mu
+        solver.couplings["cap"], solver.hopf_params, ext, solver.grid, config.mu
     )
     # lhs is the weighted norm of div b. With flux present it vanishes only
     # when the whole layer (r, rho] falls between two x3 nodes: the grid then

@@ -22,6 +22,7 @@ timestamps live only in the run manifest.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -284,12 +285,8 @@ def cmd_sweep(args) -> int:
     if args.axis not in KEY_MAP:
         raise _UsageError(f"unknown axis key {args.axis!r}")
     scen_path = Path(args.scenario)
-    try:
-        base_text = scen_path.read_text()
-        parse_scenario_text(base_text)
-    except (OSError, ScenarioError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    load_scenario(scen_path)  # a missing or invalid base file ends in main's one line
+    base_text = scen_path.read_text()
     out_dir = Path(args.out) if args.out else Path("out") / f"{scen_path.stem}-sweep"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -327,10 +324,9 @@ def cmd_sweep(args) -> int:
         print(f"[OK] {label}: c2={ledger.calibration.c2:.4g} X_final={ledger.X[-1]:.4g}")
 
     header = ["value", "status", "c2", "weighted_hessian_ratio", "layer_bound_constant", "X_final", "failed"]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(str(r.get(k, "-")) for k in header))
-    (out_dir / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
+    with open(out_dir / "sweep_summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a field holding a comma
+        writer.writerows([header, *([r.get(k, "-") for k in header] for r in rows)])
 
     if xt_series:
         polyline_chart(

@@ -16,9 +16,9 @@ div b = sum_i d~_i eta_i'(sigma_i) sigma_i'(x3) is available in closed form.
 
 The data are d1 = d2 = s(t) g (FluxProfile) and the lifting is linear in
 them, so the lifting here is that of the cap shape g alone and takes no
-time. The time factor s(t) enters only above it: in the solver's lifting
-provider and ledger, and in validate_profile, the one check of the data
-for `check` and `run` alike. One evaluator, _alpha, gives alpha and
+time. The time factor s(t) enters only above it: in the solver's
+couplings, reconstruction and ledger, and in validate_profile, the one
+check of the data for `check` and `run` alike. One evaluator, _alpha, gives alpha and
 grad alpha of the lifting of g at any points; build_b samples it on the
 grid and, through b_on_face, on the six boundary patches.
 compatibility_residual is the one formula for the flux compatibility.
@@ -258,16 +258,20 @@ def compatibility_residual(cap_integrals, s):
 
 def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> float:
     """The worst compatibility residual of d1 = d2 = s(t) g at the given
-    times; raises ValueError on negative data or a residual above 1e-12."""
+    times; raises ValueError on negative data, on cap totals beyond the float
+    range or on a residual above 1e-12."""
     caps = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
     g_cap = [profile.g(*patch.meshgrid()) for patch in caps]
     times = np.atleast_1d(times)
     s = np.array([profile.s(t) for t in times])
-    residual = compatibility_residual([patch.integrate(g) for patch, g in zip(caps, g_cap)], s)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        residual = compatibility_residual([patch.integrate(g) for patch, g in zip(caps, g_cap)], s)
     for t, s_t, res in zip(times, s, residual):
         for i, g in enumerate(g_cap, start=1):
             if np.any(s_t * g < -1e-13):
                 raise ValueError(f"flux d{i} negative at t={t}")
+        if not np.isfinite(res):
+            raise ValueError(f"flux data at t={t} too large: its cap totals are not finite")
         if res > 1e-12:
             raise ValueError(f"flux compatibility violated at t={t}: residual {res:.3e}")
     return float(np.max(residual))

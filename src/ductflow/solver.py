@@ -228,101 +228,6 @@ def pick_hopf_params(
 
 
 # ---------------------------------------------------------------------------
-# The lifting provider
-
-
-class DeltaProvider:
-    """delta(t) = s(t) delta_1 and its couplings, from one lifting per run.
-
-    delta_1 = b + grad(phi) lifts the cap shape g (hopf.build_b takes no
-    time). The lifting is linear in the data, so delta(t) = s(t) delta_1,
-    delta_t = s'(t) delta_1, and every coupling with the bases and every
-    number the audit reads of delta or of the data d = s(t) g is s, s', |s|,
-    |s'| or a square of one of them times a number or array fixed per run. The lifting
-    and those numbers (``couplings``) are built once, on first use, and are
-    all the run loop and the ledger read. delta_1 is held still, and calling
-    the provider returns its grid values scaled to the time, s(t) delta_1.
-
-    A run without flux carries the zero lifting: its numbers are zeros of the
-    same shapes, built without b, a Neumann solve or any evaluation of g,
-    and calling the provider returns None. This class is the only code that knows which.
-    """
-
-    def __init__(
-        self,
-        profile: FluxProfile,
-        params: Optional[HopfParams],
-        grid: QuadratureGrid,
-        forms: AssembledForms,
-    ):
-        self.profile = profile
-        self.params = params
-        self.grid = grid
-        self.forms = forms
-        self.is_zero = profile.name == "none"
-
-    def __call__(self, t: float) -> Optional[np.ndarray]:
-        if self.is_zero:
-            return None
-        return self.profile.s(t) * self.lifting[2].values
-
-    @cached_property
-    def lifting(self):
-        """(ext, sol, delta_1): b, the Neumann solution and delta_1 with faces."""
-        ext = hopf_mod.build_b(self.profile, self.params, self.grid)
-        sol = poisson_mod.solve_neumann(ext.div_b, self.grid)
-        return ext, sol, poisson_mod.delta_field(ext, sol, self.grid)
-
-    @cached_property
-    def couplings(self) -> dict:
-        """The numbers of delta_1 and of the cap shape g that a run reads.
-
-        Of delta_1: its couplings G_wd, G_dw, their sum G, G_dth, bdry (the
-        boundary functional), F_form, P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
-        Q_i = <grad psi_i, grad delta_1>; the squared norms l2sq of delta_1
-        and gradsq of its gradient; max_abs = max |delta_1| on the grid; and
-        trace_gap = max |n.delta_1 - n.(g e3)| over the nodes of all boundary
-        patches (g on the caps, 0 on the walls). Of g: cap, its cap norms
-        (hopf.cap_norms); cap_integrals, its integrals over the lower and the
-        upper cap; and inflow, inflow_i = int_{lower cap} g phi_i.
-        """
-        forms, grid, profile = self.forms, self.grid, self.profile
-        if self.is_zero:  # g = 0: every number is an exact zero
-            m, mt = forms.vb.m, forms.tb.m
-            zero = np.zeros((m, m))
-            out = dict(cap=FluxNorms(*[(0.0, 0.0)] * len(fields(FluxNorms))), cap_integrals=(0.0, 0.0),
-                       inflow=np.zeros(mt), G_wd=zero, G_dw=zero, G=zero, G_dth=np.zeros((mt, mt)),
-                       l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
-            out.update((key, np.zeros(m)) for key in ("bdry", "F_form", "P", "F_adv", "Q"))
-            return out
-        lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
-        g_cap = {p.kind: profile.g(*p.meshgrid()) for p in (lo, hi)}
-        out = dict(
-            cap=cap_norms(profile, grid),
-            cap_integrals=(lo.integrate(g_cap[lo.kind]), hi.integrate(g_cap[hi.kind])),
-            inflow=forms.tb.factors.project_face(0, lo, g_cap[lo.kind]),
-        )
-        delta_1 = self.lifting[2]
-        out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
-        out["G"] = out["G_wd"] + out["G_dw"]
-        out["bdry"] = forms.boundary_functionals(delta_1)
-        out["F_form"] = forms.forcing_F_form(delta_1)
-        out["P"] = forms.project_velocity(delta_1.values)
-        out["F_adv"] = forms.forcing_F_volume(delta_1)
-        out["Q"] = forms.project_velocity_grad(delta_1.grad)
-        out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
-        out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
-        out["max_abs"] = float(np.max(np.abs(delta_1.values)))
-        # the normals are unit vectors along p.axis, so |n.delta_1 - n.(g e3)|
-        # is |delta_1[p.axis] - g| on the caps and |delta_1[p.axis]| on the walls
-        out["trace_gap"] = max(
-            float(np.max(np.abs(delta_1.faces[p.kind].values[p.axis] - g_cap.get(p.kind, 0.0))))
-            for p in grid.patches
-        )
-        return out
-
-
-# ---------------------------------------------------------------------------
 # State and stepping
 
 
@@ -389,7 +294,6 @@ class GalerkinSolver:
         self.profile = profile_of(config)
         hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
-        self.delta_provider = DeltaProvider(self.profile, self.hopf_params, self.grid, self.forms)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
         self._E_prev = None
@@ -406,12 +310,15 @@ class GalerkinSolver:
             c[: weights.size] = cfg.init_v_amplitude * weights
         elif cfg.init_v == "zero":
             # v0 = 0: w0 is the projection of -delta(0) = -s(0) delta_1
-            c = -(self.profile.s(0.0) * self.delta_provider.couplings["P"])
+            c = -(self.profile.s(0.0) * self.couplings["P"])
         else:
             c = np.zeros(m)
         th0 = self._initial_theta_values()
         dcoef = self.forms.project_temperature(th0)
-        return State(t=0.0, c=c, dcoef=dcoef)
+        try:
+            return State(t=0.0, c=c, dcoef=dcoef)
+        except ValueError:  # State rejects non-finite coefficients
+            raise NumericalAbort("non-finite state at t = 0", t=0.0) from None
 
     def _initial_theta_values(self) -> np.ndarray:
         cfg = self.config
@@ -460,7 +367,7 @@ class GalerkinSolver:
         tests of ``total`` check the stepped quantity. The transport terms
         come from ``forms.transport``, on a transport grid of
         ceil((3 k_a + 1) / 2) midpoint nodes per axis (k_a the larger band
-        of the modes), where 3 k_a <= 2 n_a - 1 makes them exact. The lifting terms are the provider's couplings of
+        of the modes), where 3 k_a <= 2 n_a - 1 makes them exact. The lifting terms are the couplings of
         delta_1 scaled by s(t) and s'(t) at ``state.t``; without flux they
         are zero. The forcing term comes from ``_f_omega``.
         """
@@ -471,7 +378,7 @@ class GalerkinSolver:
         vel["visc"] = self.config.nu * self.vb.rayleigh * c
         vel["fric"] = forms.K_fric @ c
         vel["f_omega"] = self._f_omega(state)
-        k = self.delta_provider.couplings
+        k = self.couplings
         s, s_t = self.profile.s(state.t), self.profile.s_t(state.t)
         vel["conv_wdelta"] = s * (k["G_wd"] @ c)
         vel["conv_deltaw"] = s * (k["G_dw"] @ c)
@@ -486,27 +393,83 @@ class GalerkinSolver:
         return vel, th
 
     @cached_property
-    def _explicit_op(self) -> dict:
-        """The lifting part of the explicit right-hand sides, built on first use.
+    def lifting(self):
+        """(ext, sol, delta_1): b, the Neumann solution and delta_1 with faces.
 
-        ``G`` = G_wd + G_dw and ``G_dth`` take the state, scaled by s; the
-        rows of ``rows`` are bdry + F_form, F_adv and -P, taken by
-        (s, s^2, s'). The couplings hold G already, so that the zero
-        lifting's G stays untouched zeros, which take no resident memory.
-        """
-        k = self.delta_provider.couplings
-        rows = np.stack([k["bdry"] + k["F_form"], k["F_adv"], -k["P"]])
-        return dict(G=k["G"], G_dth=k["G_dth"], rows=rows)
+        delta_1 = b + grad(phi) lifts the cap shape g (hopf.build_b takes no
+        time). The lifting is linear in the data, so delta(t) = s(t) delta_1:
+        delta_1 is built once, on first use, and held still; only
+        ``reconstruct`` scales it to a time."""
+        ext = hopf_mod.build_b(self.profile, self.hopf_params, self.grid)
+        sol = poisson_mod.solve_neumann(ext.div_b, self.grid)
+        return ext, sol, poisson_mod.delta_field(ext, sol, self.grid)
+
+    @cached_property
+    def couplings(self) -> dict:
+        """The numbers of delta_1 and of the cap shape g that a run reads.
+
+        Every coupling with the bases and every number the audit reads of
+        delta or of d = s(t) g is s, s', |s|, |s'| or a square of one of them
+        times a number or array fixed per run. Like the lifting, these are
+        built on first use, not at set-up, and are all the run reads of both.
+
+        Of delta_1: its couplings G_wd, G_dw, their sum G, G_dth, bdry (the
+        boundary functional), F_form, P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
+        Q_i = <grad psi_i, grad delta_1>; rows, the stack of bdry + F_form,
+        F_adv and -P that a step takes by (s, s^2, s'); the squared norms
+        l2sq of delta_1 and gradsq of its gradient; max_abs = max |delta_1|
+        on the grid; and trace_gap = max |n.delta_1 - n.(g e3)| over the
+        nodes of all boundary patches (g on the caps, 0 on the walls). Of g:
+        cap, its cap norms (hopf.cap_norms); cap_integrals, its integrals
+        over the lower and the upper cap; and inflow, inflow_i = int_{lower cap} g phi_i.
+
+        Without flux every number is an exact zero of the same shape, built
+        without b, a Neumann solve or any evaluation of g (the untouched
+        zeros of G take no resident memory)."""
+        forms, grid, profile = self.forms, self.grid, self.profile
+        if self.hopf_params is None:  # g = 0: every number is an exact zero
+            m, mt = forms.vb.m, forms.tb.m
+            zero = np.zeros((m, m))
+            out = dict(cap=FluxNorms(*[(0.0, 0.0)] * len(fields(FluxNorms))), cap_integrals=(0.0, 0.0),
+                       inflow=np.zeros(mt), G_wd=zero, G_dw=zero, G=zero, G_dth=np.zeros((mt, mt)),
+                       rows=np.zeros((3, m)), l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
+            out.update((key, np.zeros(m)) for key in ("bdry", "F_form", "P", "F_adv", "Q"))
+            return out
+        lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
+        g_cap = {p.kind: profile.g(*p.meshgrid()) for p in (lo, hi)}
+        out = dict(
+            cap=cap_norms(profile, grid),
+            cap_integrals=(lo.integrate(g_cap[lo.kind]), hi.integrate(g_cap[hi.kind])),
+            inflow=forms.tb.factors.project_face(0, lo, g_cap[lo.kind]),
+        )
+        delta_1 = self.lifting[2]
+        out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
+        out["G"] = out["G_wd"] + out["G_dw"]
+        out["bdry"] = forms.boundary_functionals(delta_1)
+        out["F_form"] = forms.forcing_F_form(delta_1)
+        out["P"] = forms.project_velocity(delta_1.values)
+        out["F_adv"] = forms.forcing_F_volume(delta_1)
+        out["Q"] = forms.project_velocity_grad(delta_1.grad)
+        out["rows"] = np.stack([out["bdry"] + out["F_form"], out["F_adv"], -out["P"]])
+        out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
+        out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
+        out["max_abs"] = float(np.max(np.abs(delta_1.values)))
+        # the normals are unit vectors along p.axis, so |n.delta_1 - n.(g e3)|
+        # is |delta_1[p.axis] - g| on the caps and |delta_1[p.axis]| on the walls
+        out["trace_gap"] = max(
+            float(np.max(np.abs(delta_1.faces[p.kind].values[p.axis] - g_cap.get(p.kind, 0.0))))
+            for p in grid.patches
+        )
+        return out
 
     def _explicit(self, state: State) -> tuple:
         """(E_w, E_th): the explicit parts of the velocity and temperature
         right-hand sides at the state, the vectors a step advances."""
         conv, adv = self.forms.transport(state.c, state.c, state.dcoef)
         E_w = self._f_omega(state) - conv
-        # built after the forcing data, whose temporaries raise the peak otherwise
-        op, s = self._explicit_op, self.profile.s(state.t)
-        lift = np.array([s, s * s, self.profile.s_t(state.t)]) @ op["rows"]
-        return E_w - s * (op["G"] @ state.c) + lift, -adv - s * (op["G_dth"] @ state.dcoef)
+        k, s = self.couplings, self.profile.s(state.t)
+        lift = np.array([s, s * s, self.profile.s_t(state.t)]) @ k["rows"]
+        return E_w - s * (k["G"] @ state.c) + lift, -adv - s * (k["G_dth"] @ state.dcoef)
 
     @cached_property
     def _forcing(self) -> dict:
@@ -584,7 +547,7 @@ class GalerkinSolver:
     def dt_stability_estimate(self, state: State) -> float:
         """Crude advective limit 1 / (|w + delta|_max * kappa_max)."""
         vmax = float(np.max(np.abs(self.w_values(state))))
-        vmax += abs(self.profile.s(state.t)) * self.delta_provider.couplings["max_abs"]
+        vmax += abs(self.profile.s(state.t)) * self.couplings["max_abs"]
         kmax = max(k * math.pi / L for k, L in zip(self.vb.k_max, self.grid.spec.lengths))
         if vmax * kmax == 0.0:
             return math.inf
@@ -595,8 +558,7 @@ class GalerkinSolver:
     def reconstruct(self, state: State):
         """(w, v, theta) nodal values; v = w + delta(t)."""
         w = self.w_values(state)
-        delta = self.delta_provider(state.t)
-        v = w if delta is None else w + delta
+        v = w if self.hopf_params is None else w + self.profile.s(state.t) * self.lifting[2].values
         return w, v, self.theta_values(state.dcoef)
 
     def _ledger(self, times: np.ndarray, coeffs_w: np.ndarray, coeffs_th: np.ndarray) -> dict:
@@ -610,7 +572,7 @@ class GalerkinSolver:
         enter through s, |s| and |s'| times the couplings' numbers of g and
         delta_1.
         """
-        forms, k, grid = self.forms, self.delta_provider.couplings, self.grid
+        forms, k, grid = self.forms, self.couplings, self.grid
         C, D = coeffs_w, coeffs_th
         s = np.array([self.profile.s(t) for t in times])
         s_t = np.array([self.profile.s_t(t) for t in times])

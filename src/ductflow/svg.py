@@ -39,7 +39,7 @@ def polyline_chart(series: dict, path, title: str = "", xlabel: str = "", ylabel
     y_lo, y_hi = min(ys), max(ys)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
+    if y_hi - y_lo <= 8 * math.ulp(max(abs(y_lo), abs(y_hi))):  # flat up to rounding
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad

@@ -401,9 +401,9 @@ def scaled_lifting(solver, t):
     faces' values, each face with the full gradient from
     lifting_face_gradient, and the grid values of delta_t = s'(t) delta_1;
     (None, None) without flux."""
-    if solver.delta_provider.is_zero:
+    if solver.hopf_params is None:
         return None, None
-    _, sol, delta_1 = solver.delta_provider.lifting
+    _, sol, delta_1 = solver.lifting
     s = solver.profile.s(t)
     faces = {
         patch.kind: SimpleNamespace(

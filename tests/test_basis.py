@@ -306,7 +306,7 @@ def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
     # the boundary functional and the inflow coupling (the face projection
-    # that DeltaProvider.couplings applies to g) against the same quadrature
+    # that GalerkinSolver.couplings applies to g) against the same quadrature
     # over the formula face traces, for arbitrary face data. The oracle
     # takes the full face gradient, arbitrary on the walls, where the
     # stresses of B and F_bdry cancel; on a cap d_3 delta_c = d_3 d_c phi is

@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -24,6 +26,7 @@ from ductflow.scenario import (
     set_key,
 )
 from ductflow.solver import GalerkinSolver, ScenarioConfig, profile_of
+from ductflow.svg import polyline_chart
 
 QUICK = bundled_scenario_path("quick-decay")
 PULSED = bundled_scenario_path("pulsed-flux")
@@ -360,6 +363,31 @@ def test_check_rejects_the_negative_flux_run_rejects(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == "input error: flux d1 negative at t=0.0\n"
 
 
+def test_check_and_run_reject_cap_totals_beyond_the_float_range(tmp_path, capsys):
+    # at amplitude 1e308 the cap totals of the data overflow and the
+    # compatibility residual is nan, which no comparison with 1e-12 rejects;
+    # both commands must end in the same message and without numpy warnings,
+    # which Tier-1 turns into errors
+    scn = scenario_with(tmp_path, PULSED, {"flux.amplitude": 1e308})
+    message = "flux data at t=0.0 too large: its cap totals are not finite"
+    assert main(["check", str(scn)]) == 1
+    assert f"[FAIL] flux-compatibility: {message}\n" in capsys.readouterr().out
+    assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_non_finite_initial_state_is_a_numerical_abort(tmp_path):
+    # at amplitude 1e306 the data pass, but the projection P of the lifting
+    # overflows, so w0 = -s(0) P is not finite: the run aborts at t = 0 as
+    # it does on a non-finite stepped state, with a dump of no coefficients
+    scn = scenario_with(tmp_path, PULSED, {"flux.amplitude": 1e306})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):  # the overflow is the point here
+        assert main(["run", str(scn), "--out", str(out)]) == 2
+    dump = json.loads((out / "abort_dump.json").read_text())
+    assert dump == {"error": "non-finite state at t = 0", "t": 0.0, "c": None, "dcoef": None}
+
+
 @pytest.mark.parametrize("c_cal", [0, -1])
 def test_auto_mode_rejects_a_nonpositive_calibration_constant(tmp_path, capsys, c_cal):
     scn = scenario_with(tmp_path, QUICK, {
@@ -529,7 +557,7 @@ def test_snapshots_with_flux(tmp_path):
     out = tmp_path / "snap"
     assert main(["run", str(scn), "--out", str(out), "--snapshots", "10"]) == 0
     solver = GalerkinSolver(load_scenario(scn))
-    delta_1 = solver.delta_provider.lifting[2].values
+    delta_1 = solver.lifting[2].values
     scale = float(np.max(np.abs(delta_1)))
     assert scale > 0.0
     man = json.loads((out / "snapshots" / "manifest.json").read_text())
@@ -562,6 +590,19 @@ def _run_limited(args, timeout=120.0):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout, check=True, preexec_fn=limit)
+
+
+def test_chart_of_a_series_constant_up_to_rounding_is_flat(tmp_path):
+    # forced-warm's theta extremes span [1.4999999999999996, 1.5]; padded by
+    # 5% of that span, every y label read 1.5 and the line jumped from the
+    # frame's edge to its middle
+    path = tmp_path / "flat.svg"
+    polyline_chart({"theta": ([0.0, 1.0], [1.4999999999999996, 1.5])}, path)
+    svg = path.read_text()
+    labels = re.findall(r'text-anchor="end" font-size="11">([^<]*)<', svg)
+    assert len(set(labels)) == len(labels) > 1, labels
+    (points,) = re.findall(r'points="([^"]*)"', svg)
+    assert len({point.split(",")[1] for point in points.split()}) == 1, points
 
 
 def test_ticks_of_a_range_below_the_float_spacing_are_few():
@@ -604,6 +645,23 @@ def test_sweep_unknown_axis(tmp_path):
     rc = main(["sweep", str(QUICK), "--axis", "bogus.key", "--values", "1",
                "--out", str(tmp_path)])
     assert rc == 1
+
+
+def test_sweep_missing_base_file_is_one_config_error(tmp_path, capsys):
+    scn = tmp_path / "nope.scn"
+    assert main(["sweep", str(scn), "--axis", "physics.nu", "--values", "1"]) == 1
+    assert capsys.readouterr().err == f"config error: scenario file not found: {scn}\n"
+
+
+def test_sweep_summary_quotes_a_field_holding_a_comma(tmp_path):
+    # the skipped status quotes the library's message, which holds a comma
+    out = tmp_path / "sw"
+    assert main(["sweep", str(QUICK), "--axis", "physics.nu", "--values=-1,0.5", "--out", str(out)]) == 0
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [7, 7, 7]
+    assert rows[1][:2] == ["-1", "skipped (nu, kappa must be positive and gamma nonnegative)"]
+    assert rows[2][:2] == ["0.5", "ok"]
 
 
 def test_sweep_runs_and_flags_bad_values(tmp_path):

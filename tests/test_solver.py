@@ -20,7 +20,6 @@ import ductflow.solver as solver_mod
 from ductflow.hopf import build_b, cap_norms, validate_profile
 from ductflow.poisson import delta_field, solve_neumann
 from ductflow.solver import (
-    DeltaProvider,
     GalerkinSolver,
     ImexStepper,
     ScenarioConfig,
@@ -292,7 +291,7 @@ def test_zero_data_are_exact_zeros_without_grid_work(monkeypatch, kw):
     for owner, name in ((AssembledForms, "project_velocity"), (GalerkinSolver, "_omega_f_norms"),
                         (solver_mod, "cap_norms"), (type(forms.tb.factors), "project_face")):
         monkeypatch.setattr(owner, name, refuse)
-    built = {**solver._forcing, **solver.delta_provider.couplings}
+    built = {**solver._forcing, **solver.couplings}
     for key, ref in reference.items():
         got = built[key]
         if key == "cap":
@@ -337,7 +336,7 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
         if cfg.flux_profile == "pulsed":
             assert solver.profile.s_t(state.t) != 0.0
             assert all(np.any(vel[key]) for key in lifting)
-            assert np.any(solver.delta_provider.couplings["F_adv"])
+            assert np.any(solver.couplings["F_adv"])
         terms_w = [-vel["conv_www"], vel["f_omega"], -vel["conv_wdelta"], -vel["conv_deltaw"],
                    vel["bdry"], vel["F_vol"], vel["F_form"]]
         for got, terms in zip(stepped, (terms_w, [-th["adv"]])):
@@ -346,14 +345,14 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
 
 
 def test_setup_builds_no_lifting():
-    # the lifting, its couplings and the explicit operator are built on
-    # first use, by the first step, so the set-up time carries none of them
+    # the lifting and its couplings (the explicit operator's rows among
+    # them) are built on first use, by the first step, so the set-up time
+    # carries none of them
     solver = GalerkinSolver(oracle_config(init_v="zero"))
     built = {"lifting", "couplings"}
-    assert not built & solver.delta_provider.__dict__.keys()
-    assert "_explicit_op" not in solver.__dict__
+    assert not built & solver.__dict__.keys()
     solver.step(solver.initial_state())
-    assert built <= solver.delta_provider.__dict__.keys() and "_explicit_op" in solver.__dict__
+    assert built <= solver.__dict__.keys()
 
 
 @pytest.mark.parametrize("kw", [
@@ -386,7 +385,7 @@ def test_run_loop_only_steps_and_stores(monkeypatch, kw):
 def test_scaled_lifting_matches_direct_rebuild():
     # delta(t) = s(t) delta_1, delta_t = s'(t) delta_1 and the couplings
     # scaled by s, s' and s^2 must equal a lifting rebuilt from the data at t
-    # and assembled anew; so must the provider's grid values.
+    # and assembled anew; so must the velocity that reconstruct gives at c = 0.
     # m = 24: below it P(delta_1 . grad delta_1), the s^2 part of F_vol,
     # vanishes by symmetry
     cfg = oracle_config(m=24)
@@ -416,7 +415,8 @@ def test_scaled_lifting_matches_direct_rebuild():
     for t in (0.03, 0.17, 0.41):
         delta, delta_t = oracles.scaled_lifting(solver, t)
         field = rebuild(t)
-        close(solver.delta_provider(t), field.values, 1e-12, ("provider", t))
+        _, v, _ = solver.reconstruct(State(t=t, c=np.zeros(cfg.m), dcoef=st0.dcoef))
+        close(v, field.values, 1e-12, ("reconstruct", t))
         close(delta.values, field.values, 1e-12, ("values", t))
         close(delta.grad, field.grad, 1e-12, ("grad", t))
         for kind, face in field.faces.items():
@@ -457,7 +457,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
     solver = GalerkinSolver(oracle_config(m=12, init_v="zero"))
     grid, prof = solver.grid, solver.profile
     st0 = solver.initial_state()
-    k = solver.delta_provider.couplings
+    k = solver.couplings
     assert abs(st0.c @ k["P"]) > 1e-5 and abs(st0.c @ k["Q"]) > 1e-3
     gpsi = oracles.family_fields(solver.vb.factors)[1].reshape(solver.vb.m, 3, 3, -1)
     shape = cap_norms(prof, grid)
@@ -528,10 +528,10 @@ def test_sampled_cap_series_match_the_flux_definitions():
 def test_run_loop_never_evaluates_delta(monkeypatch):
     # the run loop reads the lifting only through the couplings of delta_1;
     # a grid evaluation of delta(t) is for snapshots
-    def refuse(self, t):
-        raise AssertionError(f"delta evaluated at t = {t}")
+    def refuse(self, state):
+        raise AssertionError(f"delta evaluated at t = {state.t}")
 
-    monkeypatch.setattr(DeltaProvider, "__call__", refuse)
+    monkeypatch.setattr(GalerkinSolver, "reconstruct", refuse)
     solver = GalerkinSolver(oracle_config(init_v="zero"))
     res = solver.run_windows()
     assert res.times.size == solver.config.steps_per_window + 1
@@ -547,7 +547,7 @@ def test_run_loop_and_ledger_read_no_boundary_data(monkeypatch):
 
     reference = GalerkinSolver(oracle_config(init_v="zero")).run_windows()
     solver = GalerkinSolver(oracle_config(init_v="zero"))
-    solver.delta_provider.couplings
+    solver.couplings
     monkeypatch.setattr(hopf_mod, "validate_profile", refuse)
     object.__setattr__(solver.profile, "g", refuse)
     res = solver.run_windows()
@@ -644,7 +644,7 @@ def test_pure_extension_flow():
     solver = GalerkinSolver(cfg)
     state = solver.initial_state()
     assert np.max(np.abs(state.c)) == 0.0
-    delta = solver.delta_provider(0.0)
+    delta = solver.profile.s(0.0) * solver.lifting[2].values
     _, v, _ = solver.reconstruct(state)
     assert np.max(np.abs(v - delta)) == 0.0
 
@@ -717,8 +717,8 @@ def test_factor_table_contractions_match_the_dense_fields():
     field = rng.standard_normal((3, *grid.shape))
     c = rng.standard_normal(m)
     solver.f_values = field  # a generic forcing makes M a generic coupling
-    k = solver.delta_provider.couplings
-    delta = solver.delta_provider.lifting[2]
+    k = solver.couplings
+    delta = solver.lifting[2]
     generic = DeltaEval(values=field, grad=rng.standard_normal((3, 3, *grid.shape)), faces={})
 
     def couplings(d):
@@ -779,7 +779,7 @@ def test_setup_keeps_no_per_mode_grid_array():
     tracemalloc.start()
     try:
         solver = GalerkinSolver(cfg)
-        solver.delta_provider.couplings
+        solver.couplings
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
