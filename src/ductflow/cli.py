@@ -37,7 +37,7 @@ from .basis import dealias_cap, temperature_modes, velocity_modes
 from .domain import build_domain
 from .errors import AliasingError, NumericalAbort, RegimeError, ScenarioError
 from .hopf import validate_profile
-from .scenario import KEY_MAP, load_scenario, parse_scenario_text, scenario_hash, set_key
+from .scenario import KEY_MAP, load_scenario, parse_scenario_text, read_scenario, set_key
 from .solver import (GalerkinSolver, RunResult, ScenarioConfig, State, horizon_times,
                      pick_hopf_params, profile_of)
 from .svg import polyline_chart
@@ -78,10 +78,9 @@ def write_timeseries_csv(path: Path, run: RunResult, ledger: EnergyLedger) -> No
         ("theta_max", s["th_max"]),
         ("flux_residual", s["flux_trace_err"]),
     ]
-    lines = [",".join(name for name, _ in cols)]
-    n = run.times.size
-    for i in range(n):
-        lines.append(",".join(_fmt(arr[i]) for _, arr in cols))
+    # rows of Python floats, whose repr is _fmt's, without a numpy scalar per cell
+    rows = np.column_stack([arr for _, arr in cols]).tolist()
+    lines = [",".join(name for name, _ in cols), *(",".join(map(repr, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -146,14 +145,14 @@ def write_plots(out_dir: Path, run: RunResult, ledger: EnergyLedger) -> None:
 def cmd_run(args) -> int:
     if args.snapshots < 0:
         raise _UsageError(f"--snapshots CADENCE must be 0 (off) or more, got {args.snapshots}")
-    config = load_scenario(args.scenario)
+    config, sha256 = read_scenario(args.scenario)
     scen_path = Path(args.scenario)
     out_dir = Path(args.out) if args.out else Path("out") / scen_path.stem
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)  # before any compute, so a bad --out fails fast
     rc = 1
     try:
-        rc = _run_into(args, config, scen_path, out_dir)
+        rc = _run_into(args, config, scen_path, sha256, out_dir)
     finally:
         # a run rejected with exit 1 leaves no empty directory of its own behind
         while rc == 1 and created and not any(created[0].iterdir()):
@@ -161,7 +160,7 @@ def cmd_run(args) -> int:
     return rc
 
 
-def _run_into(args, config: ScenarioConfig, scen_path: Path, out_dir: Path) -> int:
+def _run_into(args, config: ScenarioConfig, scen_path: Path, sha256: str, out_dir: Path) -> int:
     started = time.time()
     try:
         result = execute(config)
@@ -199,7 +198,7 @@ def _run_into(args, config: ScenarioConfig, scen_path: Path, out_dir: Path) -> i
 
     manifest = {
         "scenario": str(scen_path),
-        "scenario_sha256": scenario_hash(scen_path),
+        "scenario_sha256": sha256,
         "code_version": __version__,
         "started_unix": started,
         "finished_unix": time.time(),

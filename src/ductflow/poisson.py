@@ -6,11 +6,12 @@ face identically. The data is the cosine interpolant of the nodal samples
 of -div b, so the discrete divergence of the corrected field delta = b +
 grad(phi) vanishes at every quadrature node; that is the computable sense
 in which delta is divergence free. The solution carries phi's cosine
-coefficients and its spectral gradient and Hessian on the grid; phi's own
-nodal values are never needed. delta_field assembles delta and its gradient
-on the grid, from the samples of b that build_b made and one synthesis of
-the derivatives of phi (_derivatives), and on each face delta's values from
-one synthesis of grad(phi). There d_n phi and d_n d_tau phi are exact zeros
+coefficients and, from one synthesis, the stack of its nine distinct
+derivatives on the grid: the gradient, then the six Hessian entries (i, j),
+i <= j; phi's own nodal values are never needed. delta_field assembles
+delta and its gradient on the grid from the samples of b that build_b made
+and that stack, and on each face delta's values from one synthesis of
+grad(phi). There d_n phi and d_n d_tau phi are exact zeros
 (the Neumann condition), so the cap stress d_3 delta_c + d_c delta_3 that
 the forms read is d_c alpha, and no Hessian of phi is synthesized on a
 face. The result is the forms' DeltaEval.
@@ -60,18 +61,20 @@ def weighted_norm(arrays, grid: QuadratureGrid, p: float, mu: float) -> float:
 
 @dataclass
 class NeumannSolution:
-    """Zero-mean potential phi by its spectral gradient and Hessian on the grid.
+    """Zero-mean potential phi by its spectral derivatives on the grid.
 
-    ``residual`` is the grid L2 norm of Delta(phi) + data (zero up to
-    roundoff by construction); ``spectral_tail`` is the fraction of data
-    energy in the top third of the cosine spectrum, a cheap resolution
-    indicator for the non-band-limited layer data. ``coeffs`` live in the
-    per-axis transforms of the grid, ``grid.axes``.
+    ``derivs`` holds each distinct first and second derivative once, in the
+    order of _ORDERS: d_0 phi, d_1 phi, d_2 phi, then d_i d_j phi for the
+    pairs (i, j), i <= j, of _PAIRS. ``residual`` is the grid L2 norm of
+    Delta(phi) + data (zero up to roundoff by construction);
+    ``spectral_tail`` is the fraction of data energy in the top third of the
+    cosine spectrum, a cheap resolution indicator for the non-band-limited
+    layer data. ``coeffs`` live in the per-axis transforms of the grid,
+    ``grid.axes``.
     """
 
     grid: QuadratureGrid
-    grad: np.ndarray      # shape (3, N1, N2, N3)
-    hess: np.ndarray      # shape (3, 3, N1, N2, N3)
+    derivs: np.ndarray    # shape (9, N1, N2, N3)
     coeffs: np.ndarray
     residual: float
     spectral_tail: float
@@ -100,9 +103,9 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     mask = lam > 0
     phi_hat[mask] = data_hat[mask] / lam[mask]
 
-    grad, hess = _derivatives(phi_hat, axes)
+    derivs = spectral.synth(phi_hat, axes, _ORDERS)
 
-    lap = hess[0, 0] + hess[1, 1] + hess[2, 2]
+    lap = derivs[3] + derivs[6] + derivs[8]   # d_0 d_0, d_1 d_1, d_2 d_2
     residual = math.sqrt(grid.integrate((lap + values) ** 2))
 
     energy = np.sum(data_hat**2)
@@ -114,23 +117,15 @@ def solve_neumann(div_b, grid: QuadratureGrid) -> NeumannSolution:
     else:
         spectral_tail = 0.0
 
-    return NeumannSolution(grid, grad, hess, phi_hat, residual, spectral_tail)
+    return NeumannSolution(grid, derivs, phi_hat, residual, spectral_tail)
 
 
 # the nine distinct derivatives of phi as per-axis derivative orders: the
 # gradient along d = 0, 1, 2, then the Hessian entries (i, j), i <= j
 _PAIRS = [(i, j) for i in range(3) for j in range(i, 3)]
 _ORDERS = [tuple(dirs.count(a) for a in range(3)) for dirs in [(0,), (1,), (2,), *_PAIRS]]
-
-
-def _derivatives(phi_hat: np.ndarray, axes) -> tuple[np.ndarray, np.ndarray]:
-    """grad[d] and hess[i, j] of phi on the grid from its cosine
-    coefficients, from one synthesis."""
-    fields = spectral.synth(phi_hat, axes, _ORDERS)
-    hess = np.empty((3, 3, *fields.shape[1:]))
-    for (i, j), f in zip(_PAIRS, fields[3:]):
-        hess[i, j] = hess[j, i] = f
-    return fields[:3].copy(), hess
+# the row of d_i d_j phi in that stack, for every (i, j)
+_HESS_ROWS = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
 
 
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> DeltaEval:
@@ -138,7 +133,7 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
     grid, and on every boundary patch its values and, on the caps, the
     stress d_c alpha for c in the cap's plane axes."""
     # b = alpha e3: alpha and grad(alpha) add into row 2
-    values, grad = solution.grad.copy(), solution.hess.copy()
+    values, grad = solution.derivs[:3].copy(), solution.derivs[_HESS_ROWS]
     values[2] += ext.alpha
     grad[2] += ext.grad_alpha
     values = _nodal(values, (3, *grid.shape), "lifting")
@@ -171,8 +166,7 @@ def certify_weighted_hessian(div_b, solution: NeumannSolution, p: float, mu: flo
     denom = weighted_norm([data], grid, p, mu)
     if denom == 0.0:
         raise ValueError("weighted norm of div b vanishes; ratio undefined")
-    hess = solution.hess
-    numer = weighted_norm([hess[i, j] for i in range(3) for j in range(i, 3)], grid, p, mu)
+    numer = weighted_norm(solution.derivs[3:], grid, p, mu)
     return numer / denom
 
 

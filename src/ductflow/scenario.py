@@ -11,8 +11,12 @@ Grammar (documented in the README):
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from pathlib import Path
+
+try:  # CPython's own SHA-256, which maps no OpenSSL into the process
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    from _sha256 import sha256
 
 from .errors import ScenarioError
 from .solver import ScenarioConfig
@@ -107,15 +111,18 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     return config
 
 
-def load_scenario(path) -> ScenarioConfig:
+def read_scenario(path) -> tuple[ScenarioConfig, str]:
+    """The scenario at path and the sha256 hex digest of the very bytes
+    parsed, so the digest names what a run used."""
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
-    return parse_scenario_text(p.read_text())
+    data = p.read_bytes()
+    return parse_scenario_text(data.decode()), sha256(data).hexdigest()
 
 
-def scenario_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def load_scenario(path) -> ScenarioConfig:
+    return read_scenario(path)[0]
 
 
 def set_key(text: str, key: str, value) -> str:

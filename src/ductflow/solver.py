@@ -631,9 +631,11 @@ class GalerkinSolver:
 
     # -- the window loop ------------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def run_windows(self) -> RunResult:
         """Step through the windows, restarting AB2 at each joint, and store
-        the time and coefficients of every sample; the series come after."""
+        the time and coefficients of every sample; the series come after.
+        No overflow warns: State makes any non-finite state a NumericalAbort."""
         cfg = self.config
         state = self.initial_state()
         spw = cfg.steps_per_window

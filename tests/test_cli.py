@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -44,14 +45,46 @@ def test_bundled_scenarios_parse():
         cfg.validate()
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # the runtime needs numpy alone, so scipy stays off every run's import
-    # path; a fresh process, because the test files themselves import scipy
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ductflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # path, and the manifest's digest maps no OpenSSL (hashlib's _hashlib)
+    # into a run; a fresh process, because the test files themselves import
+    # scipy and hashlib. The digest is that of the file's bytes, so a CRLF
+    # copy of a scenario parses alike but is hashed as it is on disk.
+    crlf = tmp_path / "crlf.scn"
+    crlf.write_bytes(QUICK.read_bytes().replace(b"\n", b"\r\n"))
+    runs = {QUICK: tmp_path / "lf", crlf: tmp_path / "crlf"}
+    code = "\n".join([
+        "import json, sys, ductflow.cli",
+        *(f"assert ductflow.cli.main(['run', {str(scn)!r}, '--out', {str(out)!r}]) == 0"
+          for scn, out in runs.items()),
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib'))))",
+    ])
+    loaded = json.loads(_run_limited(["-c", code]).stdout.splitlines()[-1])
+    assert loaded == []
+    digests = {json.loads((out / "run_manifest.json").read_text())["scenario_sha256"] for out in runs.values()}
+    assert digests == {hashlib.sha256(scn.read_bytes()).hexdigest() for scn in runs}
+    assert len(digests) == 2
+
+
+def test_manifest_hashes_the_bytes_the_run_parsed(tmp_path, monkeypatch):
+    # the file is edited while the run computes; the manifest names the
+    # scenario the run used, not the file as it is when the manifest is written
+    scn = tmp_path / "quick.scn"
+    original = QUICK.read_bytes()
+    scn.write_bytes(original)
+    execute = cli.execute
+
+    def edit_then_execute(config):
+        scn.write_bytes(original.replace(b"time.windows = 2", b"time.windows = 3"))
+        return execute(config)
+
+    monkeypatch.setattr(cli, "execute", edit_then_execute)
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    assert scn.read_bytes() != original
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["scenario_sha256"] == hashlib.sha256(original).hexdigest()
 
 
 def test_run_builds_one_solver_and_steps_one_trajectory(monkeypatch):
@@ -382,10 +415,25 @@ def test_non_finite_initial_state_is_a_numerical_abort(tmp_path):
     # it does on a non-finite stepped state, with a dump of no coefficients
     scn = scenario_with(tmp_path, PULSED, {"flux.amplitude": 1e306})
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):  # the overflow is the point here
-        assert main(["run", str(scn), "--out", str(out)]) == 2
+    assert main(["run", str(scn), "--out", str(out)]) == 2
     dump = json.loads((out / "abort_dump.json").read_text())
     assert dump == {"error": "non-finite state at t = 0", "t": 0.0, "c": None, "dcoef": None}
+
+
+@pytest.mark.parametrize("amplitude, t", [(1e306, "0"), (1e300, "0.0025")])
+def test_overflowing_run_aborts_without_numpy_warnings(tmp_path, amplitude, t):
+    # the lifting (1e306) or the first step (1e300) overflows; the State check
+    # reports the non-finite state in one line, and none of the ~20 numpy
+    # warnings the overflow raises precedes it. A fresh process, so that the
+    # default warning filters print what a user would see
+    scn = scenario_with(tmp_path, PULSED, {"flux.amplitude": amplitude, "time.windows": 1})
+    proc = _run_limited(["-m", "ductflow.cli", "run", str(scn), "--out", str(tmp_path / "out")],
+                        check=False)
+    assert proc.returncode == 2
+    assert f"numerical abort: non-finite state at t = {t} (" in proc.stderr
+    assert "encountered in" not in proc.stderr, proc.stderr
+    # the stepping condition is the program's own warning, and stays
+    assert ("exceeds the advective stability estimate" in proc.stderr) == (amplitude == 1e300)
 
 
 @pytest.mark.parametrize("c_cal", [0, -1])
@@ -576,10 +624,11 @@ def test_plots_written(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def _run_limited(args, timeout=120.0):
+def _run_limited(args, timeout=120.0, check=True):
     """Python with args in a fresh process on this checkout's src/, one BLAS
     thread, 1 GiB of address space and a timeout: a loop that does not end
-    fails the test instead of stalling the suite or filling the memory."""
+    fails the test instead of stalling the suite or filling the memory.
+    With check, a nonzero exit fails the test too."""
     import resource
 
     def limit():
@@ -589,7 +638,7 @@ def _run_limited(args, timeout=120.0):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=timeout, check=True, preexec_fn=limit)
+                          timeout=timeout, check=check, preexec_fn=limit)
 
 
 def test_chart_of_a_series_constant_up_to_rounding_is_flat(tmp_path):

@@ -11,7 +11,9 @@ run writes SNAPSHOTS field snapshots from its first sample on (fewer if it
 has fewer samples), so the reconstruction of the fields is digested too;
 for every run here the last one is the last sample. Prints one line per
 scenario: the name, the exit code of the run, a sha256 prefix of each
-deterministic output, `snapshots=<sha256 prefix>` over
+deterministic output, `manifest=<sha256 prefix>` of `run_manifest.json`
+without the keys in MANIFEST_VOLATILE (so `scenario_sha256`, the outputs
+list and the version are covered), `snapshots=<sha256 prefix>` over
 `snapshots/manifest.json` and then the `.npy` files in sorted order, and
 last `check=<exit code>:<sha256 prefix of check's stdout>`.
 
@@ -22,8 +24,9 @@ code is 1 if any line differs and 0 if none does, so a refactor that must
 not change results is checked by one command against a copy of its parent.
 
 With `--rel TOL` (two checkouts only) each run that differs is also compared
-by value: its exit code, its `check` column (`check` prints no rounding)
-and the status of each certificate must be equal, and the largest relative
+by value: its exit code, its `manifest` column (the manifest holds no
+computed number), its `check` column (`check` prints no rounding) and the
+status of each certificate must be equal, and the largest relative
 difference is printed for each `timeseries.csv` column (relative to the
 largest magnitude in that column), for each float in `certificates.json`
 (relative to the larger of the two magnitudes) and for each snapshot field
@@ -33,9 +36,9 @@ change of a quantity that is itself roundoff shows as such. The quantities
 in ABSOLUTE are roundoff by construction, so any change of rounding moves
 them by a large fraction of themselves; they are printed the same way but
 judged by their absolute difference against TOL. The exit code is then 1
-only on a changed exit code, `check` column or status, or on a difference
-above TOL, so a refactor that may move results by rounding is checked by
-one command too.
+only on a changed exit code, `manifest` or `check` column or status, or on
+a difference above TOL, so a refactor that may move results by rounding is
+checked by one command too.
 
 With `--write-golden PATH` the bundled scenarios of ROOT are run in this
 process on ROOT's source tree, and the golden record of each (golden_record:
@@ -68,6 +71,11 @@ FILES = ("timeseries.csv", "certificates.txt", "certificates.json", "basis_manif
 SEEDS = (1, 2)
 # field snapshots written per run, from the first sample on
 SNAPSHOTS = 5
+# run_manifest.json keys left out of its digest: the clock, and the path of
+# the scenario, which differs between checkouts
+MANIFEST_VOLATILE = ("started_unix", "finished_unix", "scenario")
+# the columns of a digest line that --rel holds equal; no rounding moves them
+EXACT = ("rc=", "manifest=", "check=")
 # quantities that vanish up to rounding, judged by absolute difference:
 # the grid L2 norm of lap(phi) + data, the residual of the Neumann solve
 ABSOLUTE = ("certificates.json certificates.weighted-hessian.details.residual",)
@@ -75,6 +83,16 @@ ABSOLUTE = ("certificates.json certificates.weighted-hessian.details.residual",)
 
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:12] if path.is_file() else "-" * 12
+
+
+def manifest_digest(path: Path) -> str:
+    """sha256 prefix of a run manifest without its MANIFEST_VOLATILE keys."""
+    if not path.is_file():
+        return "-" * 12
+    manifest = json.loads(path.read_text())
+    for key in MANIFEST_VOLATILE:
+        manifest.pop(key, None)
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()[:12]
 
 
 def snapshot_digest(folder: Path) -> str:
@@ -112,6 +130,7 @@ def digest_lines(root: Path, workloads: list, work: Path, base_env: dict, rows) 
         )
         lines[name] = " ".join([
             name, f"rc={rc}", *(f"{f}={digest(out / f)}" for f in FILES),
+            f"manifest={manifest_digest(out / 'run_manifest.json')}",
             f"snapshots={snapshot_digest(out / 'snapshots')}",
             f"check={check.returncode}:{hashlib.sha256(check.stdout).hexdigest()[:12]}",
         ])
@@ -234,13 +253,9 @@ def value_diffs(ours: Path, theirs: Path) -> tuple[list, dict]:
 
 def compare_by_value(name: str, digests: list, work: Path, tol: float) -> bool:
     """Print the value comparison of one differing run; True when it passes."""
-    rcs = [d.get(name, "").split(" ")[1:2] for d in digests]
-    if rcs[0] != rcs[1]:
-        print(f"  exit code changed: {rcs[0]} -> {rcs[1]}")
-        return False
-    checks = [d.get(name, "").split(" ")[-1:] for d in digests]
-    if checks[0] != checks[1]:
-        print(f"  check output changed: {checks[0]} -> {checks[1]}")
+    exact = [[col for col in d.get(name, "").split(" ") if col.startswith(EXACT)] for d in digests]
+    if exact[0] != exact[1]:
+        print(f"  exit code, manifest or check output changed: {exact[0]} -> {exact[1]}")
         return False
     try:
         changed, diffs = value_diffs(*(work / str(i) / "out" / name for i in range(2)))
