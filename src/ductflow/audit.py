@@ -40,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import poisson as poisson_mod
 from .solver import GalerkinSolver, RunResult, ScenarioConfig, profile_of
 
 BUDGET_NOTE = (
@@ -498,18 +497,13 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
                         applicable=False, note="no boundary flux in this scenario")
             for name, eq_id, formula in (("weighted-hessian", "E10", hessian), ("layer-bound", "E11", layer))
         ]
-    # the run's lifting of the cap shape g, i.e. of the data at s = 1
-    ext, sol, _ = solver.lifting
-    lhs, rhs = poisson_mod.certify_layer_bound(
-        solver.couplings["cap"], solver.hopf_params, ext, solver.grid, config.mu
-    )
-    # lhs is the weighted norm of div b. With flux present it vanishes only
-    # when the whole layer (r, rho] falls between two x3 nodes: the grid then
-    # sees no lifting, and neither estimate says anything about it.
+    # the numbers of the run's lifting of the cap shape g, i.e. of the data at s = 1
+    wt = solver.couplings["weighted"]
+    lhs, rhs, ratio = wt["lhs"], wt["rhs"], wt["ratio"]
+    # lhs = 0 (and ratio = inf) when the cutoff layer falls between two x3
+    # nodes: the grid sees no lifting, and neither estimate says anything
     resolved = lhs > 0.0
     note = "" if resolved else "cutoff layer not resolved by the x3 grid"
-    ratio = (poisson_mod.certify_weighted_hessian(ext.div_b, sol, p=3, mu=config.mu)
-             if resolved else math.inf)
     const = lhs / rhs if rhs > 0 else math.inf
     return [
         Certificate(
@@ -518,8 +512,8 @@ def _mk_weighted_certs(solver: GalerkinSolver, config: ScenarioConfig) -> list:
             formula=hessian,
             passed=bool(math.isfinite(ratio)),
             margin=ratio,
-            details={"ratio": ratio, "mu": config.mu, "residual": sol.residual,
-                     "spectral_tail": sol.spectral_tail},
+            details={"ratio": ratio, "mu": config.mu, "residual": wt["residual"],
+                     "spectral_tail": wt["spectral_tail"]},
             note=note,
         ),
         Certificate(

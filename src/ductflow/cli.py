@@ -145,7 +145,8 @@ def write_plots(out_dir: Path, run: RunResult, ledger: EnergyLedger) -> None:
 def cmd_run(args) -> int:
     if args.snapshots < 0:
         raise _UsageError(f"--snapshots CADENCE must be 0 (off) or more, got {args.snapshots}")
-    config, sha256 = read_scenario(args.scenario)
+    text, sha256 = read_scenario(args.scenario)
+    config = parse_scenario_text(text)
     scen_path = Path(args.scenario)
     out_dir = Path(args.out) if args.out else Path("out") / scen_path.stem
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
@@ -284,8 +285,8 @@ def cmd_sweep(args) -> int:
     if args.axis not in KEY_MAP:
         raise _UsageError(f"unknown axis key {args.axis!r}")
     scen_path = Path(args.scenario)
-    load_scenario(scen_path)  # a missing or invalid base file ends in main's one line
-    base_text = scen_path.read_text()
+    base_text = read_scenario(scen_path)[0]  # read once, then varied
+    parse_scenario_text(base_text)  # a missing or invalid base file ends in main's one line
     out_dir = Path(args.out) if args.out else Path("out") / f"{scen_path.stem}-sweep"
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -111,18 +111,18 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     return config
 
 
-def read_scenario(path) -> tuple[ScenarioConfig, str]:
-    """The scenario at path and the sha256 hex digest of the very bytes
-    parsed, so the digest names what a run used."""
+def read_scenario(path) -> tuple[str, str]:
+    """The text of the scenario file at path, decoded as UTF-8, and the
+    sha256 hex digest of those very bytes, which name what a run parsed."""
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
     data = p.read_bytes()
-    return parse_scenario_text(data.decode()), sha256(data).hexdigest()
+    return data.decode(), sha256(data).hexdigest()
 
 
 def load_scenario(path) -> ScenarioConfig:
-    return read_scenario(path)[0]
+    return parse_scenario_text(read_scenario(path)[0])
 
 
 def set_key(text: str, key: str, value) -> str:

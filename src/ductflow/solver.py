@@ -393,41 +393,35 @@ class GalerkinSolver:
         return vel, th
 
     @cached_property
-    def lifting(self):
-        """(ext, sol, delta_1): b, the Neumann solution and delta_1 with faces.
-
-        delta_1 = b + grad(phi) lifts the cap shape g (hopf.build_b takes no
-        time). The lifting is linear in the data, so delta(t) = s(t) delta_1:
-        delta_1 is built once, on first use, and held still; only
-        ``reconstruct`` scales it to a time."""
-        ext = hopf_mod.build_b(self.profile, self.hopf_params, self.grid)
-        sol = poisson_mod.solve_neumann(ext.div_b, self.grid)
-        return ext, sol, poisson_mod.delta_field(ext, sol, self.grid)
-
-    @cached_property
     def couplings(self) -> dict:
         """The numbers of delta_1 and of the cap shape g that a run reads.
 
-        Every coupling with the bases and every number the audit reads of
-        delta or of d = s(t) g is s, s', |s|, |s'| or a square of one of them
-        times a number or array fixed per run. Like the lifting, these are
-        built on first use, not at set-up, and are all the run reads of both.
+        delta_1 = b + grad(phi) lifts g, and the lifting is linear in the
+        data, so every coupling with the bases and every number the audit
+        reads of delta = s(t) delta_1 or of d = s(t) g is s, s', |s|, |s'| or
+        a square of one of them times a number or array fixed per run. They
+        come of the one build of b, phi and delta_1, made here on first use,
+        not at set-up; of its grid fields only delta_1's ``values`` are kept.
 
-        Of delta_1: its couplings G_wd, G_dw, their sum G, G_dth, bdry (the
-        boundary functional), F_form, P = P(delta_1), F_adv = -P(delta_1 . grad delta_1), Q with
-        Q_i = <grad psi_i, grad delta_1>; rows, the stack of bdry + F_form,
+        Of delta_1: values, on the grid, which reconstruct scales by s(t);
+        its couplings G_wd, G_dw, their sum G, G_dth, bdry (the boundary
+        functional), F_form, P = P(delta_1), F_adv = -P(delta_1 . grad
+        delta_1), Q with Q_i = <grad psi_i, grad delta_1>; rows, the stack of bdry + F_form,
         F_adv and -P that a step takes by (s, s^2, s'); the squared norms
         l2sq of delta_1 and gradsq of its gradient; max_abs = max |delta_1|
         on the grid; and trace_gap = max |n.delta_1 - n.(g e3)| over the
         nodes of all boundary patches (g on the caps, 0 on the walls). Of g:
         cap, its cap norms (hopf.cap_norms); cap_integrals, its integrals
         over the lower and the upper cap; and inflow, inflow_i = int_{lower cap} g phi_i.
+        weighted: E10's Hessian ratio, the Neumann residual and
+        spectral_tail, and E11's lhs and rhs, at s = 1 and mu = config.mu.
 
         Without flux every number is an exact zero of the same shape, built
         without b, a Neumann solve or any evaluation of g (the untouched
-        zeros of G take no resident memory)."""
-        forms, grid, profile = self.forms, self.grid, self.profile
-        if self.hopf_params is None:  # g = 0: every number is an exact zero
+        zeros of G take no resident memory), and weighted and values are
+        absent: the audit skips E10 and E11, and reconstruct adds nothing."""
+        forms, grid, profile, params = self.forms, self.grid, self.profile, self.hopf_params
+        if params is None:  # g = 0: every number is an exact zero
             m, mt = forms.vb.m, forms.tb.m
             zero = np.zeros((m, m))
             out = dict(cap=FluxNorms(*[(0.0, 0.0)] * len(fields(FluxNorms))), cap_integrals=(0.0, 0.0),
@@ -442,7 +436,9 @@ class GalerkinSolver:
             cap_integrals=(lo.integrate(g_cap[lo.kind]), hi.integrate(g_cap[hi.kind])),
             inflow=forms.tb.factors.project_face(0, lo, g_cap[lo.kind]),
         )
-        delta_1 = self.lifting[2]
+        ext = hopf_mod.build_b(profile, params, grid)
+        sol = poisson_mod.solve_neumann(ext.div_b, grid)
+        delta_1 = poisson_mod.delta_field(ext, sol, grid)
         out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
         out["G"] = out["G_wd"] + out["G_dw"]
         out["bdry"] = forms.boundary_functionals(delta_1)
@@ -460,6 +456,14 @@ class GalerkinSolver:
             float(np.max(np.abs(delta_1.faces[p.kind].values[p.axis] - g_cap.get(p.kind, 0.0))))
             for p in grid.patches
         )
+        mu = self.config.mu
+        lhs, rhs = poisson_mod.certify_layer_bound(out["cap"], params, ext, grid, mu)
+        # lhs, the weighted norm of div b, vanishes only when the whole layer
+        # (r, rho] falls between two x3 nodes: then the ratio is undefined
+        ratio = poisson_mod.certify_weighted_hessian(ext.div_b, sol, p=3, mu=mu) if lhs > 0.0 else math.inf
+        out["weighted"] = dict(ratio=ratio, residual=sol.residual, spectral_tail=sol.spectral_tail,
+                               lhs=lhs, rhs=rhs)
+        out["values"] = delta_1.values
         return out
 
     def _explicit(self, state: State) -> tuple:
@@ -558,7 +562,7 @@ class GalerkinSolver:
     def reconstruct(self, state: State):
         """(w, v, theta) nodal values; v = w + delta(t)."""
         w = self.w_values(state)
-        v = w if self.hopf_params is None else w + self.profile.s(state.t) * self.lifting[2].values
+        v = w if self.hopf_params is None else w + self.profile.s(state.t) * self.couplings["values"]
         return w, v, self.theta_values(state.dcoef)
 
     def _ledger(self, times: np.ndarray, coeffs_w: np.ndarray, coeffs_th: np.ndarray) -> dict:

@@ -3,15 +3,18 @@
 Everything here is computed directly from mode definitions (wavevector,
 component amplitudes, parity rule) and plain quadrature sums, bypassing the
 package's cached samples, assembled matrices and einsum fast paths. Keep
-this file boring and explicit on purpose. scaled_lifting is the exception:
-it hands the oracles the run's own lifting, scaled to a time, with face
-gradients of its own.
+this file boring and explicit on purpose. lifting and scaled_lifting are
+the exception: they build a run's lifting with the package's builders and
+hand it, scaled to a time, with face gradients of its own, to the oracles.
 """
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
+
+from ductflow.hopf import build_b
+from ductflow.poisson import delta_field, solve_neumann
 
 
 def outer(f):
@@ -395,15 +398,24 @@ def boundary_functionals_by_quadrature(vmodes, grid, faces, nu, gamma):
     return B, Fb
 
 
+def lifting(solver):
+    """(sol, delta_1): the Neumann solution and the lifting delta_1 of the
+    cap shape g of a flux run, built anew from the solver's profile,
+    hopf_params and grid by hopf.build_b, poisson.solve_neumann and
+    poisson.delta_field, as the solver builds them."""
+    ext = build_b(solver.profile, solver.hopf_params, solver.grid)
+    sol = solve_neumann(ext.div_b, solver.grid)
+    return sol, delta_field(ext, sol, solver.grid)
+
+
 def scaled_lifting(solver, t):
-    """(delta, delta_t) of a solver's run at time t: the record of its still
-    lifting delta_1 scaled by s(t), its values, its gradient and the six
-    faces' values, each face with the full gradient from
-    lifting_face_gradient, and the grid values of delta_t = s'(t) delta_1;
-    (None, None) without flux."""
+    """(delta, delta_t) of a solver's run at time t: its lifting delta_1
+    scaled by s(t), its values, its gradient and the six faces' values,
+    each face with the full gradient from lifting_face_gradient, and the
+    grid values of delta_t = s'(t) delta_1; (None, None) without flux."""
     if solver.hopf_params is None:
         return None, None
-    _, sol, delta_1 = solver.lifting
+    sol, delta_1 = lifting(solver)
     s = solver.profile.s(t)
     faces = {
         patch.kind: SimpleNamespace(

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from ductflow import audit as audit_mod
 from ductflow import cli
 from ductflow import solver as solver_mod
@@ -230,6 +231,21 @@ def test_sweep_keeps_every_row_at_large_flux(tmp_path):
     assert rc == 0
     rows = (out / "sweep_summary.csv").read_text().splitlines()
     assert [row.split(",")[:2] for row in rows[1:]] == [["0.6", "ok"], ["4", "ok"]]
+
+
+def test_sweep_reads_a_utf8_scenario_in_an_ascii_locale(tmp_path):
+    # scenario files are UTF-8 whatever the locale: run and check decoded
+    # the base file so, while sweep read it a second time in the locale's
+    # encoding and, under C, failed on a comment's non-ASCII byte
+    scn = tmp_path / "theta.scn"
+    scn.write_bytes("# \u03b8 = \u03b8_star at t = 0\n".encode() + QUICK.read_bytes())
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    out = tmp_path / "sw"
+    proc = _run_limited(["-m", "ductflow.cli", "sweep", str(scn), "--axis", "galerkin.m",
+                         "--values", "4", "--out", str(out)], check=False, extra_env=ascii_locale)
+    assert proc.returncode == 0, proc.stderr
+    rows = (out / "sweep_summary.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["4", "ok"]]
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -605,7 +621,7 @@ def test_snapshots_with_flux(tmp_path):
     out = tmp_path / "snap"
     assert main(["run", str(scn), "--out", str(out), "--snapshots", "10"]) == 0
     solver = GalerkinSolver(load_scenario(scn))
-    delta_1 = solver.lifting[2].values
+    delta_1 = oracles.lifting(solver)[1].values
     scale = float(np.max(np.abs(delta_1)))
     assert scale > 0.0
     man = json.loads((out / "snapshots" / "manifest.json").read_text())
@@ -624,11 +640,12 @@ def test_plots_written(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def _run_limited(args, timeout=120.0, check=True):
+def _run_limited(args, timeout=120.0, check=True, extra_env=None):
     """Python with args in a fresh process on this checkout's src/, one BLAS
     thread, 1 GiB of address space and a timeout: a loop that does not end
     fails the test instead of stalling the suite or filling the memory.
-    With check, a nonzero exit fails the test too."""
+    With check, a nonzero exit fails the test too; extra_env adds to or
+    replaces variables of this process's environment."""
     import resource
 
     def limit():
@@ -636,7 +653,8 @@ def _run_limited(args, timeout=120.0, check=True):
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **(extra_env or {}))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout, check=check, preexec_fn=limit)
 

@@ -345,14 +345,14 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
 
 
 def test_setup_builds_no_lifting():
-    # the lifting and its couplings (the explicit operator's rows among
-    # them) are built on first use, by the first step, so the set-up time
-    # carries none of them
+    # the lifting's couplings (the explicit operator's rows among them) are
+    # its one record, built on first use, by the first step, so the set-up
+    # time carries none of it
     solver = GalerkinSolver(oracle_config(init_v="zero"))
-    built = {"lifting", "couplings"}
-    assert not built & solver.__dict__.keys()
+    assert "couplings" not in solver.__dict__
     solver.step(solver.initial_state())
-    assert built <= solver.__dict__.keys()
+    assert "couplings" in solver.__dict__
+    assert not hasattr(solver, "lifting")
 
 
 @pytest.mark.parametrize("kw", [
@@ -644,7 +644,7 @@ def test_pure_extension_flow():
     solver = GalerkinSolver(cfg)
     state = solver.initial_state()
     assert np.max(np.abs(state.c)) == 0.0
-    delta = solver.profile.s(0.0) * solver.lifting[2].values
+    delta = solver.profile.s(0.0) * oracles.lifting(solver)[1].values
     _, v, _ = solver.reconstruct(state)
     assert np.max(np.abs(v - delta)) == 0.0
 
@@ -718,7 +718,7 @@ def test_factor_table_contractions_match_the_dense_fields():
     c = rng.standard_normal(m)
     solver.f_values = field  # a generic forcing makes M a generic coupling
     k = solver.couplings
-    delta = solver.lifting[2]
+    delta = oracles.lifting(solver)[1]
     generic = DeltaEval(values=field, grad=rng.standard_normal((3, 3, *grid.shape)), faces={})
 
     def couplings(d):
@@ -789,6 +789,22 @@ def test_setup_keeps_no_per_mode_grid_array():
     for root in (solver, solver.vb, solver.tb, solver.forms):
         for arr in _arrays(root, seen):
             assert arr.size < cfg.m * nodes, arr.shape
+
+
+def test_couplings_keep_no_grid_field_but_delta_1_values():
+    # the lifting's build makes b's fields, phi's nine derivatives and
+    # delta_1's values and gradient (about 30 grid fields); once the
+    # couplings exist, the solver holds only delta_1's 3 values, which
+    # reconstruct reads, beside the forcing's 3
+    cfg = ScenarioConfig(m=32, flux_profile="pulsed", flux_amplitude=0.6, flux_beta=0.4,
+                         flux_period=0.5)
+    solver = GalerkinSolver(cfg)
+    k = solver.couplings
+    nodes = int(np.prod(solver.grid.shape))
+    held = {id(arr): arr.size // nodes for arr in _arrays(solver, set())
+            if arr.shape[-3:] == solver.grid.shape}
+    assert sum(held.values()) <= 6, held
+    assert held.keys() == {id(solver.f_values), id(k["values"])}
 
 
 def test_assembly_allocates_no_cube_of_m():
