@@ -18,9 +18,10 @@ The data are d1 = d2 = s(t) g (FluxProfile) and the lifting is linear in
 them, so the lifting here is that of the cap shape g alone and takes no
 time. The time factor s(t) enters only above it: in the solver's
 couplings, reconstruction and ledger, and in validate_profile, the one
-check of the data for `check` and `run` alike. One evaluator, _alpha, gives alpha and
-grad alpha of the lifting of g at any points; build_b samples it on the
-grid and, through b_on_face, on the six boundary patches.
+check of the data for `check` and `run` alike. build_b samples alpha and
+grad alpha of the lifting of g on the grid and on the six boundary
+patches, from one evaluation of the cutoff along x3 and of g across the
+caps.
 compatibility_residual is the one formula for the flux compatibility.
 """
 
@@ -296,47 +297,49 @@ class ExtensionB:
     faces: dict
 
 
-def _alpha(profile: FluxProfile, params: HopfParams, spec: DomainSpec, x1, x2, x3):
-    """(alpha, grad_alpha) of the lifting of the cap shape g at
-    broadcastable points, x3 clipped to [-a, a]: the cutoffs have disjoint
-    supports (rho < a), so alpha = g (eta_lo + eta_hi)."""
-    x3 = np.clip(x3, -spec.a, spec.a)
+def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> ExtensionB:
+    """Assemble the lifting of the cap shape g and its analytic derivatives,
+    on the grid and on every boundary patch.
+
+    alpha = g(x1, x2) eta(x3), eta the sum of the two cap cutoffs, whose
+    supports are disjoint (rho < a). The cutoff is evaluated once per x3
+    node and g once per (x1, x2) node, on the nodes of each axis extended by
+    the coordinates of its two faces; the grid and every patch take the
+    products of slices of these. On the caps eta is exactly 1 at its own cap
+    and 0 at the other, so alpha reproduces g there to machine precision.
+    """
+    spec = grid.spec
+    if params.rho >= spec.a:
+        raise RegimeError(
+            f"rho = {params.rho} >= a = {spec.a}: cap neighborhoods overlap"
+        )
+    ends = {(p.axis, p.side): p.coord for p in grid.patches}
+    x1, x2, x3 = (
+        np.concatenate([[ends[a, 0]], nodes, [ends[a, 1]]])
+        for a, nodes in enumerate((grid.x1, grid.x2, grid.x3))
+    )
     sig_lo = x3 + spec.a
     sig_hi = spec.a - x3
     eta = hopf_eta(sig_lo, params) + hopf_eta(sig_hi, params)
     # sigma' = +1 toward the bottom cap coordinate, -1 toward the top
     slope = hopf_eta_prime(np.stack([sig_lo, sig_hi]), params, warn_on_kink=False)
     etap = slope[0] - slope[1]
-    g, g1, g2 = (fn(x1, x2) for fn in (profile.g, profile.g1, profile.g2))
-    return g * eta, np.stack([g1 * eta, g2 * eta, g * etap])
+    g, g1, g2 = (fn(x1[:, None], x2[None, :]) for fn in (profile.g, profile.g1, profile.g2))
 
+    def sample(at):
+        """(alpha, grad_alpha) at the extended nodes at = (i1, i2, i3)."""
+        gs, e, ep = [f[at[0], at[1]] for f in (g, g1, g2)], eta[at[2]], etap[at[2]]
+        outer = np.multiply.outer
+        return outer(gs[0], e), np.stack([outer(gs[1], e), outer(gs[2], e), outer(gs[0], ep)])
 
-def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> ExtensionB:
-    """Assemble the lifting of the cap shape g and its analytic derivatives,
-    on the grid and on every boundary patch."""
-    spec = grid.spec
-    if params.rho >= spec.a:
-        raise RegimeError(
-            f"rho = {params.rho} >= a = {spec.a}: cap neighborhoods overlap"
-        )
-    alpha, grad_alpha = _alpha(
-        profile, params, spec,
-        grid.x1[:, None, None], grid.x2[None, :, None], grid.x3[None, None, :],
-    )
-    faces = {p.kind: b_on_face(profile, params, grid, p) for p in grid.patches}
+    inner = slice(1, -1)
+    alpha, grad_alpha = sample((inner, inner, inner))
+    faces = {}
+    for p in grid.patches:
+        at = [inner] * 3
+        at[p.axis] = -p.side   # the first extended node, or the last
+        faces[p.kind] = sample(at)
     return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2], faces=faces)
-
-
-def b_on_face(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid, patch):
-    """(alpha, grad_alpha) sampled on a boundary patch.
-
-    On the caps the cutoff is exactly 1 at its own cap and 0 at the opposite
-    one, so alpha reproduces g there to machine precision.
-    """
-    x = [None] * 3
-    x[patch.plane_axes[0]], x[patch.plane_axes[1]] = patch.meshgrid()
-    x[patch.axis] = np.full(x[patch.plane_axes[0]].shape, patch.coord)
-    return _alpha(profile, params, grid.spec, *x)
 
 
 # ---------------------------------------------------------------------------

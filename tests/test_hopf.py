@@ -12,7 +12,6 @@ from ductflow.hopf import (
     HopfParams,
     KinkWarning,
     build_b,
-    b_on_face,
     cap_norms,
     compatibility_residual,
     constant_profile,
@@ -259,9 +258,10 @@ def test_b_vanishes_in_the_core():
 def test_b_reproduces_cap_traces():
     grid = unit_grid()
     prof = parabolic_profile(0.9, grid.spec)
+    faces = build_b(prof, PARAMS, grid).faces
     for kind, sign in ((PatchKind.CAP_LO, -1.0), (PatchKind.CAP_HI, 1.0)):
         patch = grid.patch(kind)
-        alpha, _ = b_on_face(prof, PARAMS, grid, patch)
+        alpha, _ = faces[kind]
         X, Y = patch.meshgrid()
         d = prof.s(0.0) * prof.g(X, Y)
         # b.n = sign * alpha must match sign * d_i exactly
@@ -274,6 +274,7 @@ def test_b_on_the_side_walls_matches_the_closed_form():
     spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
     grid = build_domain(spec)
     prof = parabolic_profile(1.0, spec)
+    faces = build_b(prof, PARAMS, grid).faces
     for patch in grid.patches:
         if patch.kind.is_cap:
             continue
@@ -286,7 +287,7 @@ def test_b_on_the_side_walls_matches_the_closed_form():
         )
         g = prof.g(x1, x2)
         expected = (g * eta, [prof.g1(x1, x2) * eta, prof.g2(x1, x2) * eta, g * eta_prime])
-        for got, ref in zip(b_on_face(prof, PARAMS, grid, patch), expected):
+        for got, ref in zip(faces[patch.kind], expected):
             ref = np.asarray(ref)
             assert got.shape == ref.shape, patch.kind
             assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), patch.kind
