@@ -14,8 +14,9 @@ window joints.
 The run loop only steps and stores: the time and the coefficients c and
 dcoef of every sample. After the loop, _ledger derives every audit series
 from the stored rows: quadratic forms in c and dcoef, theta's grid extremes
-and norms one stored sample at a time, and the boundary data d = s(t) g
-through |s| or |s'| times numbers of the cap shape g computed once per run.
+and norms a chunk of stored samples at a time, and the boundary data
+d = s(t) g through |s| or |s'| times numbers of the cap shape g computed
+once per run.
 """
 
 from __future__ import annotations
@@ -518,15 +519,26 @@ class GalerkinSolver:
 
     def _omega_f_norms(self, theta: np.ndarray) -> tuple:
         """(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2) on the grid,
-        theta~ the temperature clamped to [theta_star, theta_star_upper]."""
+        theta~ the temperature clamped to [theta_star, theta_star_upper], for
+        temperatures theta [..., n1, n2, n3]: two arrays over the leading
+        axes. Each entry has the bits of the grid expression of its own
+        temperature; the outer powers are taken of Python floats, as of a
+        grid integral. theta is overwritten: it is the buffer of |omega f|,
+        so that a ledger chunk takes only two more of its size."""
         cfg, grid = self.config, self.grid
-        th_clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
-        omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
-        mag = np.sqrt(np.sum(omega_f**2, axis=0))
-        return (
-            grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
-            grid.integrate(mag**3) ** (2.0 / 3.0),
-        )
+        omega = self.omega(np.clip(theta, cfg.theta_star, cfg.theta_star_upper, out=theta))
+        # the squares of the components of omega f, added in order
+        mag = np.square(np.multiply(omega, self.f_values[0], out=theta), out=theta)
+        buf = np.empty_like(mag)
+        for f in self.f_values[1:]:
+            mag += np.square(np.multiply(omega, f, out=buf), out=buf)
+        del omega
+        np.sqrt(mag, out=mag)
+        norms = []
+        for p, q in ((6.0 / 5.0, 2 * 5.0 / 6.0), (3, 2.0 / 3.0)):
+            sums = grid.cell_volume * np.sum(np.power(mag, p, out=buf), axis=(-3, -2, -1))
+            norms.append(np.reshape([x**q for x in np.ravel(sums).tolist()], sums.shape))
+        return tuple(norms)
 
     # -- time stepping -----------------------------------------------------------
 
@@ -572,7 +584,7 @@ class GalerkinSolver:
         The energies are quadratic forms in the coefficients. The mean of
         theta is that of the constant mode alone, since midpoint quadrature
         integrates every other cosine mode to exactly 0. What needs theta on
-        the grid is computed one stored row at a time. The data d = s(t) g
+        the grid is computed a chunk of stored rows at a time. The data d = s(t) g
         enter through s, |s| and |s'| times the couplings' numbers of g and
         delta_1.
         """
@@ -602,7 +614,8 @@ class GalerkinSolver:
 
         # theta on the grid, LEDGER_CHUNK_BYTES of stored rows at a time: its
         # extremes and the norms of the clamped omega(theta) f, which are
-        # two numbers per run unless omega depends on theta and f is not zero
+        # two numbers per run unless omega depends on theta and f is not
+        # zero, and otherwise one call per chunk, which overwrites theta
         norms = self._forcing.get("norms")
         chunk = max(1, LEDGER_CHUNK_BYTES // (8 * math.prod(grid.shape)))
         th_min, th_max, omega_f = [], [], []
@@ -610,9 +623,12 @@ class GalerkinSolver:
             theta = self.theta_values(D[start : start + chunk])
             th_min.append(theta.min(axis=(1, 2, 3)))
             th_max.append(theta.max(axis=(1, 2, 3)))
-            omega_f += [norms or self._omega_f_norms(th) for th in theta]
+            if norms is None:
+                omega_f.append(self._omega_f_norms(theta))
         out["th_min"], out["th_max"] = np.concatenate(th_min), np.concatenate(th_max)
-        out["omega_f_65sq"], out["omega_f_l3sq"] = (np.array(col) for col in zip(*omega_f))
+        out["omega_f_65sq"], out["omega_f_l3sq"] = (
+            (np.full(len(D), x) for x in norms) if norms else (np.concatenate(col) for col in zip(*omega_f))
+        )
 
         # every velocity mode has normal trace exactly 0 (build_velocity_basis
         # checks it), so v.n = s n.delta_1 for any state
