@@ -21,7 +21,9 @@ this problem into empirical constants: both sides of each inequality are
 evaluated and the ratio is reported, never assumed. Both measure in the one
 weighted norm of the audit, weighted_norm: (sum_a int |a|^p sigma^(p mu))^(1/p)
 over a list of arrays, sigma the distance to the caps; for D^2 phi the list
-is the six distinct second derivatives.
+is the six distinct second derivatives. The weighted norm of div b is both
+the layer bound's left side and the Hessian ratio's denominator, so
+certify_weighted_hessian takes it as a number, computed once per run.
 """
 
 from __future__ import annotations
@@ -150,24 +152,24 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
 # Certificates
 
 
-def certify_weighted_hessian(div_b, solution: NeumannSolution, p: float, mu: float) -> float:
+def certify_weighted_hessian(data_norm: float, solution: NeumannSolution, p: float, mu: float) -> float:
     """Ratio of weighted Hessian norm to weighted data norm.
 
-    The weighted elliptic estimate asserts this ratio is bounded by a
-    constant; the audit records the empirical value on the run's grid and
-    asserts only that it is finite, never a specific number.
+    data_norm is the weighted norm of the data div b at the same p and mu,
+    weighted_norm([div b], grid, p, mu); a run computes it once, for this
+    ratio and for the lhs of certify_layer_bound. The weighted elliptic
+    estimate asserts this ratio is bounded by a constant; the audit records
+    the empirical value on the run's grid and asserts only that it is
+    finite, never a specific number.
     """
     if p < 2:
         raise ValueError(f"the estimate requires p >= 2, got {p}")
     if not (0.0 < mu < 1.0):
         raise ValueError(f"the estimate requires mu in (0, 1), got {mu}")
-    grid = solution.grid
-    data = _nodal(div_b, grid.shape, "div b")
-    denom = weighted_norm([data], grid, p, mu)
-    if denom == 0.0:
+    if data_norm == 0.0:
         raise ValueError("weighted norm of div b vanishes; ratio undefined")
-    numer = weighted_norm(solution.derivs[3:], grid, p, mu)
-    return numer / denom
+    numer = weighted_norm(solution.derivs[3:], solution.grid, p, mu)
+    return numer / data_norm
 
 
 def layer_factor(params: HopfParams, mu: float) -> float:

@@ -459,9 +459,10 @@ class GalerkinSolver:
         )
         mu = self.config.mu
         lhs, rhs = poisson_mod.certify_layer_bound(out["cap"], params, ext, grid, mu)
-        # lhs, the weighted norm of div b, vanishes only when the whole layer
-        # (r, rho] falls between two x3 nodes: then the ratio is undefined
-        ratio = poisson_mod.certify_weighted_hessian(ext.div_b, sol, p=3, mu=mu) if lhs > 0.0 else math.inf
+        # lhs, the weighted norm of div b, is also the ratio's denominator; it
+        # vanishes only when the whole layer (r, rho] falls between two x3
+        # nodes: then the ratio is undefined
+        ratio = poisson_mod.certify_weighted_hessian(lhs, sol, p=3, mu=mu) if lhs > 0.0 else math.inf
         out["weighted"] = dict(ratio=ratio, residual=sol.residual, spectral_tail=sol.spectral_tail,
                                lhs=lhs, rhs=rhs)
         out["values"] = delta_1.values

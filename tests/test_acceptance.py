@@ -25,7 +25,13 @@ from ductflow.hopf import (
     profile_by_name,
     validate_profile,
 )
-from ductflow.poisson import certify_layer_bound, certify_weighted_hessian, delta_field, solve_neumann
+from ductflow.poisson import (
+    certify_layer_bound,
+    certify_weighted_hessian,
+    delta_field,
+    solve_neumann,
+    weighted_norm,
+)
 from ductflow.basis import build_velocity_basis
 from ductflow.errors import SolvabilityError
 from ductflow.scenario import bundled_scenario_path, load_scenario
@@ -204,7 +210,7 @@ def test_criterion_05_weighted_hessian_certificate():
                 )
                 ext = build_b(prof, PARAMS, grid)
                 sol = solve_neumann(ext.div_b, grid)
-                ratios.append(certify_weighted_hessian(ext.div_b, sol, p=3, mu=mu))
+                ratios.append(certify_weighted_hessian(weighted_norm([ext.div_b], grid, 3, mu), sol, p=3, mu=mu))
             assert all(math.isfinite(r) for r in ratios)
             assert abs(ratios[1] - ratios[0]) <= 0.10 * ratios[0], (prof_name, mu)
     # mu = 2/3 rejected with the divergence reason

@@ -21,6 +21,7 @@ from ductflow.poisson import (
     delta_field,
     layer_factor,
     solve_neumann,
+    weighted_norm,
 )
 
 PARAMS = HopfParams(eps=0.5, rho=0.5)
@@ -185,8 +186,8 @@ def test_weighted_hessian_single_mode_ratio_is_amplitude_invariant():
     k = (0, 0, 2)
     g1 = 1.0 * cos_mode(grid, k)
     g2 = 17.0 * cos_mode(grid, k)
-    r1 = certify_weighted_hessian(g1, solve_neumann(g1, grid), p=2, mu=0.5)
-    r2 = certify_weighted_hessian(g2, solve_neumann(g2, grid), p=2, mu=0.5)
+    r1 = certify_weighted_hessian(weighted_norm([g1], grid, 2, 0.5), solve_neumann(g1, grid), p=2, mu=0.5)
+    r2 = certify_weighted_hessian(weighted_norm([g2], grid, 2, 0.5), solve_neumann(g2, grid), p=2, mu=0.5)
     assert abs(r1 - r2) < 1e-12
     # pure-x3 mode: the only Hessian entry equals the Laplacian, ratio 1
     assert abs(r1 - 1.0) < 1e-12
@@ -210,20 +211,20 @@ def test_weighted_hessian_counts_each_second_derivative_once():
     numer = grid.integrate((np.abs(d11) ** p + np.abs(d33) ** p + np.abs(d13) ** p) * weight)
     denom = grid.integrate(np.abs(g) ** p * weight)
     expected = (numer / denom) ** (1.0 / p)
-    got = certify_weighted_hessian(g, solve_neumann(g, grid), p=p, mu=mu)
+    got = certify_weighted_hessian(weighted_norm([g], grid, p, mu), solve_neumann(g, grid), p=p, mu=mu)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_weighted_hessian_parameter_validation():
     grid = unit_grid()
     g = cos_mode(grid, (0, 0, 1))
-    sol = solve_neumann(g, grid)
+    sol, norm = solve_neumann(g, grid), weighted_norm([g], grid, 2, 0.5)
     with pytest.raises(ValueError):
-        certify_weighted_hessian(g, sol, p=1.5, mu=0.5)
+        certify_weighted_hessian(norm, sol, p=1.5, mu=0.5)
     with pytest.raises(ValueError):
-        certify_weighted_hessian(g, sol, p=2, mu=1.2)
+        certify_weighted_hessian(norm, sol, p=2, mu=1.2)
     with pytest.raises(ValueError):
-        certify_weighted_hessian(np.zeros(grid.shape), solve_neumann(np.zeros(grid.shape), grid), p=2, mu=0.5)
+        certify_weighted_hessian(0.0, solve_neumann(np.zeros(grid.shape), grid), p=2, mu=0.5)
 
 
 def test_layer_bound_mu_validation():
