@@ -498,7 +498,7 @@ class GalerkinSolver:
             return dict(
                 kind="constant",
                 P=forms.project_velocity(self.omega(0.0) * self.f_values),
-                norms=self._omega_f_norms(np.zeros(self.grid.shape)),
+                norms=tuple(col[0] for col in self._omega_f_norms(np.zeros((1, *self.grid.shape)))),
             )
         if cfg.omega_kind == "linear":
             return dict(
@@ -521,25 +521,21 @@ class GalerkinSolver:
     def _omega_f_norms(self, theta: np.ndarray) -> tuple:
         """(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2) on the grid,
         theta~ the temperature clamped to [theta_star, theta_star_upper], for
-        temperatures theta [..., n1, n2, n3]: two arrays over the leading
-        axes. Each entry has the bits of the grid expression of its own
-        temperature; the outer powers are taken of Python floats, as of a
-        grid integral. theta is overwritten: it is the buffer of |omega f|,
-        so that a ledger chunk takes only two more of its size."""
+        temperatures theta [rows, n1, n2, n3]: two arrays, one entry per row.
+
+        The rows are taken one at a time: on a ledger chunk, temporaries of
+        the whole chunk fault their pages in afresh on every call and raise
+        the peak memory, while the time goes to the powers either way."""
         cfg, grid = self.config, self.grid
-        omega = self.omega(np.clip(theta, cfg.theta_star, cfg.theta_star_upper, out=theta))
-        # the squares of the components of omega f, added in order
-        mag = np.square(np.multiply(omega, self.f_values[0], out=theta), out=theta)
-        buf = np.empty_like(mag)
-        for f in self.f_values[1:]:
-            mag += np.square(np.multiply(omega, f, out=buf), out=buf)
-        del omega
-        np.sqrt(mag, out=mag)
         norms = []
-        for p, q in ((6.0 / 5.0, 2 * 5.0 / 6.0), (3, 2.0 / 3.0)):
-            sums = grid.cell_volume * np.sum(np.power(mag, p, out=buf), axis=(-3, -2, -1))
-            norms.append(np.reshape([x**q for x in np.ravel(sums).tolist()], sums.shape))
-        return tuple(norms)
+        for th in theta:
+            omega_f = self.omega(np.clip(th, cfg.theta_star, cfg.theta_star_upper))[None, :, :, :] * self.f_values
+            mag = np.sqrt(np.sum(omega_f**2, axis=0))
+            norms.append((
+                grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
+                grid.integrate(mag**3) ** (2.0 / 3.0),
+            ))
+        return tuple(np.array(col) for col in zip(*norms))
 
     # -- time stepping -----------------------------------------------------------
 
@@ -616,7 +612,7 @@ class GalerkinSolver:
         # theta on the grid, LEDGER_CHUNK_BYTES of stored rows at a time: its
         # extremes and the norms of the clamped omega(theta) f, which are
         # two numbers per run unless omega depends on theta and f is not
-        # zero, and otherwise one call per chunk, which overwrites theta
+        # zero, and otherwise one call per chunk
         norms = self._forcing.get("norms")
         chunk = max(1, LEDGER_CHUNK_BYTES // (8 * math.prod(grid.shape)))
         th_min, th_max, omega_f = [], [], []
