@@ -19,9 +19,7 @@ them, so the lifting here is that of the cap shape g alone and takes no
 time. The time factor s(t) enters only above it: in the solver's
 couplings, reconstruction and ledger, and in validate_profile, the one
 check of the data for `check` and `run` alike. build_b samples alpha and
-grad alpha of the lifting of g on the grid and on the six boundary
-patches, from one evaluation of the cutoff along x3 and of g across the
-caps.
+grad alpha of the lifting of g on the grid and on the six boundary patches.
 compatibility_residual is the one formula for the flux compatibility.
 """
 
@@ -299,25 +297,18 @@ class ExtensionB:
 
 def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> ExtensionB:
     """Assemble the lifting of the cap shape g and its analytic derivatives,
-    on the grid and on every boundary patch.
-
-    alpha = g(x1, x2) eta(x3), eta the sum of the two cap cutoffs, whose
-    supports are disjoint (rho < a). The cutoff is evaluated once per x3
-    node and g once per (x1, x2) node, on the nodes of each axis extended by
-    the coordinates of its two faces; the grid and every patch take the
-    products of slices of these. On the caps eta is exactly 1 at its own cap
-    and 0 at the other, so alpha reproduces g there to machine precision.
-    """
+    on the grid and on every boundary patch: alpha = g(x1, x2) eta(x3), eta
+    the sum of the cap cutoffs (disjoint supports, rho < a), each evaluated
+    once on the nodes of its axes extended by the faces' coordinates. On
+    the caps eta is exactly 1 at its own cap and 0 at the other, so alpha
+    reproduces g there to machine precision."""
     spec = grid.spec
     if params.rho >= spec.a:
         raise RegimeError(
             f"rho = {params.rho} >= a = {spec.a}: cap neighborhoods overlap"
         )
     ends = {(p.axis, p.side): p.coord for p in grid.patches}
-    x1, x2, x3 = (
-        np.concatenate([[ends[a, 0]], nodes, [ends[a, 1]]])
-        for a, nodes in enumerate((grid.x1, grid.x2, grid.x3))
-    )
+    x1, x2, x3 = (np.concatenate([[ends[a, 0]], x, [ends[a, 1]]]) for a, x in enumerate((grid.x1, grid.x2, grid.x3)))
     sig_lo = x3 + spec.a
     sig_hi = spec.a - x3
     eta = hopf_eta(sig_lo, params) + hopf_eta(sig_hi, params)
@@ -326,19 +317,17 @@ def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> E
     etap = slope[0] - slope[1]
     g, g1, g2 = (fn(x1[:, None], x2[None, :]) for fn in (profile.g, profile.g1, profile.g2))
 
-    def sample(at):
-        """(alpha, grad_alpha) at the extended nodes at = (i1, i2, i3)."""
-        gs, e, ep = [f[at[0], at[1]] for f in (g, g1, g2)], eta[at[2]], etap[at[2]]
-        outer = np.multiply.outer
-        return outer(gs[0], e), np.stack([outer(gs[1], e), outer(gs[2], e), outer(gs[0], ep)])
+    def sample(i1, i2, i3):  # (alpha, grad_alpha) at extended nodes
+        outer, gs, e = np.multiply.outer, [f[i1, i2] for f in (g, g1, g2)], eta[i3]
+        return outer(gs[0], e), np.stack([outer(gs[1], e), outer(gs[2], e), outer(gs[0], etap[i3])])
 
     inner = slice(1, -1)
-    alpha, grad_alpha = sample((inner, inner, inner))
     faces = {}
-    for p in grid.patches:
+    for p in grid.patches:  # the face axis takes its first or last extended node
         at = [inner] * 3
-        at[p.axis] = -p.side   # the first extended node, or the last
-        faces[p.kind] = sample(at)
+        at[p.axis] = -p.side
+        faces[p.kind] = sample(*at)
+    alpha, grad_alpha = sample(inner, inner, inner)
     return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2], faces=faces)
 
 

@@ -9,9 +9,10 @@ in which delta is divergence free. The solution carries phi's cosine
 coefficients and, from one synthesis, the stack of its nine distinct
 derivatives on the grid: the gradient, then the six Hessian entries (i, j),
 i <= j; phi's own nodal values are never needed. delta_field assembles
-delta and its gradient on the grid from the samples of b that build_b made
-and that stack, and on each face delta's values from one synthesis of
-grad(phi). There d_n phi and d_n d_tau phi are exact zeros
+delta, its gradient and delta . grad(delta) on the grid, in one stack of 15
+fields, from the samples of b that build_b made and that stack, and on each
+face delta's values from one synthesis of grad(phi). There d_n phi and
+d_n d_tau phi are exact zeros
 (the Neumann condition), so the cap stress d_3 delta_c + d_c delta_3 that
 the forms read is d_c alpha, and no Hessian of phi is synthesized on a
 face. The result is the forms' DeltaEval.
@@ -131,21 +132,26 @@ _HESS_ROWS = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
 
 
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> DeltaEval:
-    """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c on the
-    grid, and on every boundary patch its values and, on the caps, the
-    stress d_c alpha for c in the cap's plane axes."""
+    """delta = b + grad(phi) on the grid, with gradient grad[c, d] = d_d
+    delta_c and delta . grad(delta), written into one stack of 15 fields
+    (DeltaEval.fields), and on every boundary patch its values and, on the
+    caps, the stress d_c alpha for c in the cap's plane axes."""
+    delta = DeltaEval(np.empty((15, *grid.shape)), faces={})
+    values, grad = delta.values, delta.grad
     # b = alpha e3: alpha and grad(alpha) add into row 2
-    values, grad = solution.derivs[:3].copy(), solution.derivs[_HESS_ROWS]
+    values[...] = solution.derivs[:3]
     values[2] += ext.alpha
+    # mode clip takes no buffered copy of out, which mode raise does
+    np.take(solution.derivs, _HESS_ROWS, axis=0, out=grad, mode="clip")
     grad[2] += ext.grad_alpha
-    values = _nodal(values, (3, *grid.shape), "lifting")
-    faces = {}
+    _nodal(values, (3, *grid.shape), "lifting")
+    np.einsum("ag,cag->cg", values.reshape(3, -1), grad.reshape(3, 3, -1), out=delta.advection.reshape(3, -1))
     for patch in grid.patches:
         alpha, grad_alpha = ext.faces[patch.kind]
         face = spectral.synth(solution.coeffs, grid.axes, _ORDERS[:3], (patch.axis, patch.side))
         face[2] += alpha
-        faces[patch.kind] = FaceDelta(face, grad_alpha[list(patch.plane_axes)] if patch.kind.is_cap else None)
-    return DeltaEval(values=values, grad=grad, faces=faces)
+        delta.faces[patch.kind] = FaceDelta(face, grad_alpha[list(patch.plane_axes)] if patch.kind.is_cap else None)
+    return delta
 
 
 # ---------------------------------------------------------------------------

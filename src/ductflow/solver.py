@@ -37,7 +37,6 @@ from .basis import (
     VelocityBasis,
     build_temperature_basis,
     build_velocity_basis,
-    _expand,
 )
 from .domain import DomainSpec, PatchKind, QuadratureGrid, build_domain
 from .errors import NumericalAbort, RegimeError, ScenarioError
@@ -349,12 +348,12 @@ class GalerkinSolver:
     def theta_values(self, dcoef: np.ndarray) -> np.ndarray:
         """theta on the grid, expanded through the factor tables: rows dcoef
         [row, mode] give [row, n1, n2, n3], each row as it comes alone."""
-        return _expand(dcoef, self.tb.factors.split(0))
+        return self.tb.factors.expand(dcoef, 0)
 
     def w_values(self, state: State) -> np.ndarray:
         """w on the grid [comp, n1, n2, n3], expanded through the factor
         tables one component at a time."""
-        return np.stack([_expand(state.c, self.vb.factors.split(c)) for c in range(3)])
+        return np.stack([self.vb.factors.expand(state.c, c) for c in range(3)])
 
     def rhs_terms(self, state: State):
         """(velocity, temperature) dicts of every weak-form term at one state.
@@ -439,14 +438,20 @@ class GalerkinSolver:
         )
         ext = hopf_mod.build_b(profile, params, grid)
         sol = poisson_mod.solve_neumann(ext.div_b, grid)
+        mu = self.config.mu
+        lhs, rhs = poisson_mod.certify_layer_bound(out["cap"], params, ext, grid, mu)
+        # lhs, the weighted norm of div b, is the ratio's denominator too; it
+        # vanishes only when the whole layer (r, rho] falls between two x3
+        # nodes: then the ratio is undefined
+        ratio = poisson_mod.certify_weighted_hessian(lhs, sol, p=3, mu=mu) if lhs > 0.0 else math.inf
+        weighted = dict(ratio=ratio, residual=sol.residual, spectral_tail=sol.spectral_tail, lhs=lhs, rhs=rhs)
         delta_1 = poisson_mod.delta_field(ext, sol, grid)
-        out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(delta_1)))
+        del ext, sol   # freed before the moment table is made
+        moments = forms.lifting_moments(delta_1)
+        out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(moments)))
         out["G"] = out["G_wd"] + out["G_dw"]
         out["bdry"] = forms.boundary_functionals(delta_1)
-        out["F_form"] = forms.forcing_F_form(delta_1)
-        out["P"] = forms.project_velocity(delta_1.values)
-        out["F_adv"] = forms.forcing_F_volume(delta_1)
-        out["Q"] = forms.project_velocity_grad(delta_1.grad)
+        out["P"], out["F_adv"], out["Q"], out["F_form"] = forms.delta_vectors(moments)
         out["rows"] = np.stack([out["bdry"] + out["F_form"], out["F_adv"], -out["P"]])
         out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
         out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
@@ -457,15 +462,9 @@ class GalerkinSolver:
             float(np.max(np.abs(delta_1.faces[p.kind].values[p.axis] - g_cap.get(p.kind, 0.0))))
             for p in grid.patches
         )
-        mu = self.config.mu
-        lhs, rhs = poisson_mod.certify_layer_bound(out["cap"], params, ext, grid, mu)
-        # lhs, the weighted norm of div b, is also the ratio's denominator; it
-        # vanishes only when the whole layer (r, rho] falls between two x3
-        # nodes: then the ratio is undefined
-        ratio = poisson_mod.certify_weighted_hessian(lhs, sol, p=3, mu=mu) if lhs > 0.0 else math.inf
-        out["weighted"] = dict(ratio=ratio, residual=sol.residual, spectral_tail=sol.spectral_tail,
-                               lhs=lhs, rhs=rhs)
-        out["values"] = delta_1.values
+        out["weighted"] = weighted
+        # a copy, so that the stack of delta_1's fields is freed on return
+        out["values"] = delta_1.values.copy()
         return out
 
     def _explicit(self, state: State) -> tuple:
@@ -498,7 +497,7 @@ class GalerkinSolver:
             return dict(
                 kind="constant",
                 P=forms.project_velocity(self.omega(0.0) * self.f_values),
-                norms=tuple(col[0] for col in self._omega_f_norms(np.zeros((1, *self.grid.shape)))),
+                norms=self._omega_f_norms(np.zeros((1, *self.grid.shape)))[0],
             )
         if cfg.omega_kind == "linear":
             return dict(
@@ -518,24 +517,19 @@ class GalerkinSolver:
         omega_f = self.omega(self.theta_values(state.dcoef))[None, :, :, :] * self.f_values
         return self.forms.project_velocity(omega_f)
 
-    def _omega_f_norms(self, theta: np.ndarray) -> tuple:
-        """(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2) on the grid,
-        theta~ the temperature clamped to [theta_star, theta_star_upper], for
-        temperatures theta [rows, n1, n2, n3]: two arrays, one entry per row.
-
-        The rows are taken one at a time: on a ledger chunk, temporaries of
-        the whole chunk fault their pages in afresh on every call and raise
-        the peak memory, while the time goes to the powers either way."""
-        cfg, grid = self.config, self.grid
-        norms = []
+    def _omega_f_norms(self, theta: np.ndarray) -> list:
+        """[(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2)] on the
+        grid, one pair per row of theta [rows, n1, n2, n3], theta~ the
+        temperature clamped to [theta_star, theta_star_upper]. A row at a
+        time: temporaries of a whole ledger chunk fault in fresh pages on
+        every call and raise the peak memory, for no time saved."""
+        cfg, grid, norms = self.config, self.grid, []
         for th in theta:
-            omega_f = self.omega(np.clip(th, cfg.theta_star, cfg.theta_star_upper))[None, :, :, :] * self.f_values
+            th_clamped = np.clip(th, cfg.theta_star, cfg.theta_star_upper)
+            omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
             mag = np.sqrt(np.sum(omega_f**2, axis=0))
-            norms.append((
-                grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
-                grid.integrate(mag**3) ** (2.0 / 3.0),
-            ))
-        return tuple(np.array(col) for col in zip(*norms))
+            norms.append((grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0), grid.integrate(mag**3) ** (2.0 / 3.0)))
+        return norms
 
     # -- time stepping -----------------------------------------------------------
 
@@ -620,12 +614,9 @@ class GalerkinSolver:
             theta = self.theta_values(D[start : start + chunk])
             th_min.append(theta.min(axis=(1, 2, 3)))
             th_max.append(theta.max(axis=(1, 2, 3)))
-            if norms is None:
-                omega_f.append(self._omega_f_norms(theta))
+            omega_f += [norms] * len(theta) if norms else self._omega_f_norms(theta)
         out["th_min"], out["th_max"] = np.concatenate(th_min), np.concatenate(th_max)
-        out["omega_f_65sq"], out["omega_f_l3sq"] = (
-            (np.full(len(D), x) for x in norms) if norms else (np.concatenate(col) for col in zip(*omega_f))
-        )
+        out["omega_f_65sq"], out["omega_f_l3sq"] = (np.array(col) for col in zip(*omega_f))
 
         # every velocity mode has normal trace exactly 0 (build_velocity_basis
         # checks it), so v.n = s n.delta_1 for any state

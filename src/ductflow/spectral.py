@@ -12,11 +12,10 @@ band-limited fields exact.
 Transforms are realized as small dense per-axis matrices; at desk-scale
 resolutions this is faster to reason about than library DCT scaling
 conventions and costs nothing. On the grid each axis is one plain
-contraction, which synth makes once for all the derivative orders that
-agree on it and on the axes before it. On a boundary face synth contracts
-the face axis first, with the end values of its table, so a face costs a
-face and not a cube; order 1 is a sine, which vanishes at both ends and
-gives exact zeros without any synthesis.
+contraction, shared by the derivative orders that agree on it. On a
+boundary face synth contracts the face axis first, with the end values of
+its table, so a face costs a face and not a cube; order 1 is a sine, which
+vanishes at both ends and gives exact zeros without any synthesis.
 """
 
 from __future__ import annotations
@@ -85,17 +84,16 @@ def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], orders, face=None
     that plane; order 1 gives exact zeros (sines vanish at both ends).
     """
     if face is None:
-        # axis by axis as _on_grid, x3 first, each contraction made once for
-        # all the orders that agree on it and on the axes contracted before
-        out = np.empty((len(orders), *(ax.n for ax in axes)))
+        # as _on_grid, x3 first, each contraction once for the orders that
+        # agree on it and on the axes before it
+        out = np.empty((len(orders), *coeffs.shape))
         for d2 in {o[2] for o in orders}:
             along3 = coeffs @ axes[2].syn[d2].T
             for d1 in {o[1] for o in orders if o[2] == d2}:
-                along23 = np.matmul(axes[1].syn[d1], along3)
-                flat = along23.reshape(along23.shape[0], -1)
+                flat = np.matmul(axes[1].syn[d1], along3).reshape(len(coeffs), -1)
                 for field, o in zip(out, orders):
                     if o[1:] == (d1, d2):
-                        np.matmul(axes[0].syn[o[0]], flat, out=field.reshape(field.shape[0], -1))
+                        np.matmul(axes[0].syn[o[0]], flat, out=field.reshape(len(field), -1))
         return out
     axis, side = face
     ax, (a, b) = axes[axis], [i for i in range(3) if i != axis]

@@ -279,7 +279,7 @@ def test_zero_data_are_exact_zeros_without_grid_work(monkeypatch, kw):
     g_lo = profile.g(*lo.meshgrid())
     reference = dict(
         P=forms.project_velocity(solver.omega(0.0) * solver.f_values),
-        norms=[col[0] for col in solver._omega_f_norms(np.zeros((1, *grid.shape)))],
+        norms=solver._omega_f_norms(np.zeros((1, *grid.shape)))[0],
         cap=cap_norms(profile, grid),
         cap_integrals=(lo.integrate(g_lo), hi.integrate(profile.g(*hi.meshgrid()))),
         inflow=forms.tb.factors.project_face(0, lo, g_lo),
@@ -431,13 +431,15 @@ def test_scaled_lifting_matches_direct_rebuild():
         # the rebuild above
         state = State(t=t, c=st0.c, dcoef=st0.dcoef)
         vel, th = solver.rhs_terms(state)
-        g_wd, g_dw, g_dth = forms.delta_matrices(field)
+        moments = forms.lifting_moments(field)
+        g_wd, g_dw, g_dth = forms.delta_matrices(moments)
+        _, F_adv, _, F_form = forms.delta_vectors(moments)
         expected = {
             "conv_wdelta": g_wd @ state.c,
             "conv_deltaw": g_dw @ state.c,
             "bdry": forms.boundary_functionals(field),
-            "F_vol": forms.forcing_F_volume(field) - forms.project_velocity(delta_t),
-            "F_form": forms.forcing_F_form(field),
+            "F_vol": F_adv - forms.project_velocity(delta_t),
+            "F_form": F_form,
         }
         for key, ref in expected.items():
             close(vel[key], ref, 1e-12, (key, t))
@@ -700,12 +702,23 @@ def test_theta_values_match_the_dense_synthesis(kw):
 
 def test_factor_table_contractions_match_the_dense_fields():
     # every contraction of the modes with a grid field runs axis by axis
-    # through the factor tables; on a box whose three node counts and three
-    # lengths all differ, an axis taken for another cannot go unseen. The
-    # reference sums the dense per-mode fields over the nodes
-    cfg = oracle_config(L1=1.3, L2=0.8, a=0.7, N1=10, N2=12, N3=16, m=16, init_v="zero")
+    # through the factor tables and a moment table of the field; on boxes
+    # whose three node counts and three lengths all differ, an axis taken
+    # for another cannot go unseen. The second box has m at the most its
+    # temperature band admits, so that products of two modes reach
+    # wavenumber 2 k_a > N_a - 1 on axes 1 and 2: a moment table cut off at
+    # k_a, or at the grid's own N_a - 1, cannot pass. The reference sums the
+    # dense per-mode fields over the nodes
+    for box, at_edge in ((dict(L1=1.3, L2=0.8, a=0.7, N1=10, N2=12, N3=16, m=16), False),
+                         (dict(L1=1.1, L2=0.7, a=0.9, N1=8, N2=4, N3=6, m=72), True)):
+        _check_contractions(oracle_config(init_v="zero", **box), at_edge)
+
+
+def _check_contractions(cfg, at_edge):
     solver = GalerkinSolver(cfg)
     forms, grid, m = solver.forms, solver.grid, cfg.m
+    band = [max(kv, kt) for kv, kt in zip(solver.vb.k_max, solver.tb.k_max)]
+    assert at_edge == all(2 * band[a] > grid.shape[a] - 1 for a in (1, 2)), band
     cv = grid.cell_volume
     psi, gpsi = oracles.family_fields(solver.vb.factors)
     psi, gpsi = psi.reshape(m, 3, -1), gpsi.reshape(m, 3, 3, -1)
@@ -719,7 +732,7 @@ def test_factor_table_contractions_match_the_dense_fields():
     solver.f_values = field  # a generic forcing makes M a generic coupling
     k = solver.couplings
     delta = oracles.lifting(solver)[1]
-    generic = DeltaEval(values=field, grad=rng.standard_normal((3, 3, *grid.shape)), faces={})
+    generic = DeltaEval(rng.standard_normal((15, *grid.shape)), faces={})
 
     def couplings(d):
         dvals, dgrad = d.values.reshape(3, -1), d.grad.reshape(3, 3, -1)
@@ -729,9 +742,11 @@ def test_factor_table_contractions_match_the_dense_fields():
         return (cv * np.einsum("lcg,icg->li", psi, wd), cv * np.einsum("lcg,icg->li", psi, dw),
                 cv * phi @ dth.T)
 
-    dgrad = delta.grad.reshape(3, 3, -1)
+    dvals, dgrad = delta.values.reshape(3, -1), delta.grad.reshape(3, 3, -1)
     ddelta = oracles.sym(delta.grad).reshape(3, 3, -1)
     checks = {
+        "P": (k["P"], cv * np.einsum("jcg,cg->j", psi, dvals)),
+        "F_adv": (k["F_adv"], -cv * np.einsum("jcg,ag,cag->j", psi, dvals, dgrad)),
         "project_velocity": (forms.project_velocity(field),
                              cv * np.einsum("jcg,cg->j", psi, field.reshape(3, -1))),
         "project_temperature": (forms.project_temperature(field[1]), cv * phi @ field[1].ravel()),
@@ -742,7 +757,8 @@ def test_factor_table_contractions_match_the_dense_fields():
         "M": (solver._forcing["M"],
               cv * np.einsum("jcg,kg->jk", np.einsum("jcg,cg->jcg", psi, field.reshape(3, -1)), phi)),
     }
-    for name, got, ref in zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(generic), couplings(generic)):
+    generic_matrices = forms.delta_matrices(forms.lifting_moments(generic))
+    for name, got, ref in zip(("G_wd", "G_dw", "G_dth"), generic_matrices, couplings(generic)):
         checks[name + " generic"] = (got, ref)
     for name, ref in zip(("G_wd", "G_dw", "G_dth"), couplings(delta)):
         checks[name] = (k[name], ref)
