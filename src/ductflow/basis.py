@@ -381,6 +381,7 @@ def _pair_rows(kf: int, kg: int, sine_f: bool, sine_g: bool, width: int) -> np.n
     # sin(a - b) = sign(a - b) sin|a - b|, and a sine's row 0 is zero
     out[rows, abs(a - b)] = 0.5 if sine_f == sine_g else 0.5 * np.sign((a - b) * (sine_f - sine_g))
     out[rows, a + b] += -0.5 if sine_f and sine_g else 0.5
+    out.flags.writeable = False   # one array per key, shared by every caller
     return out
 
 

@@ -308,7 +308,8 @@ def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> E
             f"rho = {params.rho} >= a = {spec.a}: cap neighborhoods overlap"
         )
     ends = {(p.axis, p.side): p.coord for p in grid.patches}
-    x1, x2, x3 = (np.concatenate([[ends[a, 0]], x, [ends[a, 1]]]) for a, x in enumerate((grid.x1, grid.x2, grid.x3)))
+    x1, x2, x3 = (np.concatenate([[ends[a, 0]], x, [ends[a, 1]]])
+                  for a, x in enumerate((grid.x1, grid.x2, grid.x3)))
     sig_lo = x3 + spec.a
     sig_hi = spec.a - x3
     eta = hopf_eta(sig_lo, params) + hopf_eta(sig_hi, params)

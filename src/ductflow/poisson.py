@@ -22,9 +22,8 @@ this problem into empirical constants: both sides of each inequality are
 evaluated and the ratio is reported, never assumed. Both measure in the one
 weighted norm of the audit, weighted_norm: (sum_a int |a|^p sigma^(p mu))^(1/p)
 over a list of arrays, sigma the distance to the caps; for D^2 phi the list
-is the six distinct second derivatives. The weighted norm of div b is both
-the layer bound's left side and the Hessian ratio's denominator, so
-certify_weighted_hessian takes it as a number, computed once per run.
+is the six distinct second derivatives. The weighted norm of div b, the
+layer bound's left side, is the Hessian ratio's denominator too.
 """
 
 from __future__ import annotations
@@ -132,10 +131,10 @@ _HESS_ROWS = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
 
 
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> DeltaEval:
-    """delta = b + grad(phi) on the grid, with gradient grad[c, d] = d_d
-    delta_c and delta . grad(delta), written into one stack of 15 fields
-    (DeltaEval.fields), and on every boundary patch its values and, on the
-    caps, the stress d_c alpha for c in the cap's plane axes."""
+    """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c and
+    delta . grad(delta) in one stack on the grid, and on every boundary
+    patch its values and, on the caps, the stress d_c alpha for c in the
+    cap's plane axes."""
     delta = DeltaEval(np.empty((15, *grid.shape)), faces={})
     values, grad = delta.values, delta.grad
     # b = alpha e3: alpha and grad(alpha) add into row 2
@@ -150,7 +149,8 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
         alpha, grad_alpha = ext.faces[patch.kind]
         face = spectral.synth(solution.coeffs, grid.axes, _ORDERS[:3], (patch.axis, patch.side))
         face[2] += alpha
-        delta.faces[patch.kind] = FaceDelta(face, grad_alpha[list(patch.plane_axes)] if patch.kind.is_cap else None)
+        stress = grad_alpha[list(patch.plane_axes)] if patch.kind.is_cap else None
+        delta.faces[patch.kind] = FaceDelta(face, stress)
     return delta
 
 
@@ -159,14 +159,12 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
 
 
 def certify_weighted_hessian(data_norm: float, solution: NeumannSolution, p: float, mu: float) -> float:
-    """Ratio of weighted Hessian norm to weighted data norm.
+    """Ratio of weighted Hessian norm to data_norm, the weighted data norm
+    weighted_norm([div b], grid, p, mu).
 
-    data_norm is the weighted norm of the data div b at the same p and mu,
-    weighted_norm([div b], grid, p, mu); a run computes it once, for this
-    ratio and for the lhs of certify_layer_bound. The weighted elliptic
-    estimate asserts this ratio is bounded by a constant; the audit records
-    the empirical value on the run's grid and asserts only that it is
-    finite, never a specific number.
+    The weighted elliptic estimate asserts this ratio is bounded by a
+    constant; the audit records the empirical value on the run's grid and
+    asserts only that it is finite, never a specific number.
     """
     if p < 2:
         raise ValueError(f"the estimate requires p >= 2, got {p}")

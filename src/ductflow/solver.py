@@ -528,7 +528,8 @@ class GalerkinSolver:
             th_clamped = np.clip(th, cfg.theta_star, cfg.theta_star_upper)
             omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
             mag = np.sqrt(np.sum(omega_f**2, axis=0))
-            norms.append((grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0), grid.integrate(mag**3) ** (2.0 / 3.0)))
+            norms.append((grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
+                          grid.integrate(mag**3) ** (2.0 / 3.0)))
         return norms
 
     # -- time stepping -----------------------------------------------------------
