@@ -1,14 +1,17 @@
-"""How set-up time, step time and peak memory grow with the mode count m.
+"""How set-up time, lifting time, step time and peak memory grow with m.
 
-    python3 tools/growth_probe.py --m 64 128 256 [--grid 16 16 32] [--src DIR]
+    python3 tools/growth_probe.py --m 64 128 256 [--grid 16 16 32]
+        [--scenario NAME] [--src DIR]
 
 For each m, in a fresh process with one BLAS thread, the probe builds a
-`GalerkinSolver` for the bundled free-decay scenario with that m on the
-given grid (the set-up time), steps it STEPS times from its initial state
-(the mean step time) and reads the process's peak resident set size. The
-sizes run one after another, so no two probes share the machine. It prints
-one Markdown table row per size: m, grid, set-up, step, peak RSS. A size
-whose process fails gets a `failed` row, and the probe then exits 1.
+`GalerkinSolver` for the bundled scenario NAME (default free-decay) with
+that m on the given grid (the set-up time), builds its lifting couplings
+(the lifting time: the first `solver.couplings`, 0 without flux), steps it
+STEPS times from its initial state (the mean step time) and reads the
+process's peak resident set size. The sizes run one after another, so no
+two probes share the machine. It prints one Markdown table row per size:
+m, grid, set-up, lifting, step, peak RSS. A size whose process fails gets a
+`failed` row, and the probe then exits 1.
 
 --src names the `src/` directory to import ductflow from (default: the one
 of the checkout holding this script), so one command measures another
@@ -31,8 +34,9 @@ THREAD_VARS = (
 STEPS = 20
 
 
-def probe(m: int, grid: list[int]) -> dict:
-    """Set-up time, mean step time and peak RSS of one size, in this process."""
+def probe(m: int, grid: list[int], scenario: str) -> dict:
+    """Set-up, lifting and mean step time and peak RSS of one size, in this
+    process."""
     import dataclasses
     import resource
     import time
@@ -41,11 +45,16 @@ def probe(m: int, grid: list[int]) -> dict:
     from ductflow.solver import GalerkinSolver
 
     cfg = dataclasses.replace(
-        load_scenario(bundled_scenario_path("free-decay")), m=m, N1=grid[0], N2=grid[1], N3=grid[2]
+        load_scenario(bundled_scenario_path(scenario)), m=m, N1=grid[0], N2=grid[1], N3=grid[2]
     )
     t0 = time.perf_counter()
     solver = GalerkinSolver(cfg)
     setup = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    lifting = 0.0
+    if solver.hopf_params is not None:
+        solver.couplings
+        lifting = time.perf_counter() - t0
     state = solver.initial_state()
     t0 = time.perf_counter()
     for _ in range(STEPS):
@@ -53,38 +62,40 @@ def probe(m: int, grid: list[int]) -> dict:
     step = (time.perf_counter() - t0) / STEPS
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return dict(m=m, setup_s=setup, step_ms=1e3 * step, peak_rss_mb=rss)
+    return dict(m=m, setup_s=setup, lifting_ms=1e3 * lifting, step_ms=1e3 * step, peak_rss_mb=rss)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m", type=int, nargs="+", required=True, help="mode counts, one process each")
     ap.add_argument("--grid", type=int, nargs=3, default=[16, 16, 32], metavar=("N1", "N2", "N3"))
+    ap.add_argument("--scenario", default="free-decay", help="bundled scenario name")
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if min(args.m) < 1 or min(args.grid) < 1:
         ap.error("--m and --grid must be positive")
     if args.child:
-        print(json.dumps(probe(args.m[0], args.grid)))
+        print(json.dumps(probe(args.m[0], args.grid, args.scenario)))
         return 0
 
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
     env.update({var: "1" for var in THREAD_VARS})
     grid = "×".join(str(n) for n in args.grid)
-    print("| m | grid | set-up | step | peak RSS |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| m | grid | set-up | lifting | step | peak RSS |")
+    print("| --- | --- | --- | --- | --- | --- |")
     failed = False
     for m in args.m:
-        cmd = [sys.executable, __file__, "--child", "--m", str(m), "--grid", *map(str, args.grid)]
+        cmd = [sys.executable, __file__, "--child", "--m", str(m), "--grid", *map(str, args.grid),
+               "--scenario", args.scenario]
         out = subprocess.run(cmd, env=env, capture_output=True, text=True)
         if out.returncode != 0:
             err = out.stderr.strip().splitlines()
-            print(f"| {m} | {grid} | failed: {err[-1] if err else out.returncode} | | |")
+            print(f"| {m} | {grid} | failed: {err[-1] if err else out.returncode} | | | |")
             failed = True
             continue
         r = json.loads(out.stdout)
-        print(f"| {m} | {grid} | {r['setup_s']:.3f} s | {r['step_ms']:.2f} ms "
+        print(f"| {m} | {grid} | {r['setup_s']:.3f} s | {r['lifting_ms']:.1f} ms | {r['step_ms']:.2f} ms "
               f"| {r['peak_rss_mb']:.0f} MB |")
     return 1 if failed else 0
 
