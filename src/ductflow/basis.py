@@ -27,16 +27,11 @@ forms only the friction matrix, dense off the unit box, is assembled.
 Every mode component is amplitude x f1(x1) f2(x2) f3(x3), so each family is
 stored once, as per-axis factor tables; no per-mode array on the quadrature
 grid or on a face is kept. The quadrature is a tensor midpoint rule, so
-every form and contraction is sum-factorized. On axes 1 and 2 a factor is
-cos or sin(k pi s) times a constant, so a grid field is contracted once,
-along x3 and then x2, with those into its moment table [J1, J2, n1], which
-every projection reads: a gather of each mode's wavenumbers, then a sum
-over x1 against the axis-0 factors. A product of two factor rows is half
-the sum or difference of two moment rows (cos a cos b = (cos(a - b) +
-cos(a + b)) / 2 and its sine forms), so the couplings with two modes read
-moments up to 2 k_a, and the lifting's couplings one table of its fields.
-On a face the face axis takes the end values. A discrete Gram matrix that
-deviates from the identity stops the build.
+every contraction is sum-factorized: a grid field is contracted once,
+along x3 and then x2, with cos and sin(j pi s) into its moment table,
+which projections and, up to j = 2 k_a, the couplings of two modes read
+(spectral.moment_table); on a face the face axis takes the end values. A
+discrete Gram matrix that deviates from the identity stops the build.
 
 The transport terms are computed, not stored: no tensor of m^3 entries is
 built. The midpoint rule on n nodes is exact for triple products of
@@ -51,7 +46,6 @@ and projected back exactly (AssembledForms.transport).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -94,15 +88,14 @@ class FactorTables:
     Component c of mode i is the outer product of val[c][0][i],
     val[c][1][i] and val[c][2][i]; its derivative along axis d swaps in
     der[c][d], and ends[c][a][i] holds the axis-a factor at the low and the
-    high end of that axis, on the nodes of axes. The amplitude sits in the
-    axis-0 factors, so on axes 1 and 2 a factor is cos or sin(k pi s) of
-    the wavenumber k[i, a] alone (a sine along sin_axes[c]), times -kappa
-    or +kappa if differentiated there.
+    high end of that axis. The mode's amplitude sits in the axis-0 factors,
+    so on axes 1 and 2 a factor is cos(k pi s), or sin along sin_axes[c],
+    of the wavenumber k[i, a] alone, times +-kappa if differentiated.
     """
 
     k: np.ndarray                              # [mode, 3] wavevectors
-    axes: tuple                                # the AxisTransforms sampled on
-    sin_axes: tuple                            # [comp] -> axis of the sine or None
+    axes: tuple                                # AxisTransforms of the nodes
+    sin_axes: tuple                            # [comp] -> axis or None
     val: list = field(default_factory=list)    # [comp][axis] -> [mode, node]
     der: list = field(default_factory=list)    # [comp][axis] -> [mode, node]
     ends: list = field(default_factory=list)   # [comp][axis] -> [mode, 2]
@@ -112,9 +105,9 @@ class FactorTables:
         return tuple(self.der[c][a] if a == d else self.val[c][a] for a in range(3))
 
     def split(self, c: int, d: int | None = None) -> tuple:
-        """(f0, sines, index) of component c differentiated along d: its
-        axis-0 factors times the kappa of a derivative along axis 1 or 2,
-        and per axis 1, 2 whether it has sines there and its wavenumbers."""
+        """(f0, sines, index) of component c differentiated along d: the
+        axis-0 factors times the +-kappa of a derivative along axis 1 or 2,
+        and per axis 1, 2 whether it is a sine and the wavenumbers."""
         f0, sin_axis = self.factors(c, d)[0], self.sin_axes[c]
         if d in (1, 2):
             kap = self.axes[d].kappa[self.k[:, d]]
@@ -122,16 +115,15 @@ class FactorTables:
         return f0, _sines(sin_axis, d), (self.k[:, 1], self.k[:, 2])
 
     def expand(self, coef: np.ndarray, c: int) -> np.ndarray:
-        """[..., n1, n2, n3] sum_i coef_i f_i on the grid for component c,
-        the adjoint of a projection: coef times the axis-0 factors,
-        scattered by wavenumbers into [n1, K1 K2], is contracted with the
-        rows cos or sin(j pi s), j <= K_a, of axes 2 and 1. A stack coef
-        [..., mode] gives each row by the same operations as alone."""
+        """[..., n1, n2, n3] sum_i coef_i f_i for component c: coef times the
+        axis-0 factors, scattered by wavenumber into [n1, K1 K2], contracted
+        with the rows of axes 2 and 1. A row of coef [..., mode] is
+        expanded by the same operations as alone."""
         f0, sines, (j1, j2) = self.split(c)
         r1, r2 = (np.ascontiguousarray((ax.sin_syn if sine else ax.cos_syn)[:, : j.max() + 1].T)
                   for ax, sine, j in zip(self.axes[1:], sines, (j1, j2)))
         k1, k2 = len(r1), len(r2)
-        t = (f0.T * coef[..., None, :]) @ np.eye(k1 * k2)[j1 * k2 + j2]   # a single 1 per mode
+        t = (f0.T * coef[..., None, :]) @ np.eye(k1 * k2)[j1 * k2 + j2]
         return r1.T @ (t.reshape(*coef.shape[:-1], -1, k1, k2) @ r2)
 
     def on_face(self, c: int, patch) -> tuple:
@@ -345,65 +337,9 @@ def _inner(f, g, weight: float) -> np.ndarray:
 
 
 def _sines(sin_axis: int | None, d: int | None = None) -> tuple:
-    """Per axis 1, 2: whether a component with its sine along sin_axis
-    (None: none), differentiated along d, has sines there; a product of
-    two factors is a sine exactly when one of them is."""
+    """Per axis 1, 2: whether a factor with its sine along sin_axis,
+    differentiated along d, is a sine there."""
     return tuple((a == sin_axis) != (a == d) for a in (1, 2))
-
-
-def _moments(fields: np.ndarray, sines, rows) -> np.ndarray:
-    """The moment table [field, J1, J2, n1] of grid fields [field, n1, n2,
-    n3]: each contracted along x3, then x2, with the cosines or the sines
-    (sines[field]) of rows, per axis [2, J_a, n_a] = cos, sin(j pi s)."""
-    s1, s2 = np.asarray(sines, dtype=int).T
-    r1, r2 = rows[0][s1], rows[1][s2]
-    nf, n1, n2, n3 = fields.shape
-    t = fields.reshape(nf, n1 * n2, n3) @ r2.transpose(0, 2, 1)
-    return np.ascontiguousarray((r1[:, None] @ t.reshape(nf, n1, n2, -1)).transpose(0, 2, 3, 1))
-
-
-def _project(moments: np.ndarray, weight: float, f) -> np.ndarray:
-    """[i] quadrature of a field against f_i (f of FactorTables.split) from
-    its moment table [J1, J2, n1]: each mode's row of wavenumbers (k_1, k_2)
-    is gathered into [mode, n1] and summed over x1 against f0."""
-    f0, _, (j1, j2) = f
-    return weight * np.einsum("ix,ix->i", f0, moments[j1, j2])
-
-
-@functools.cache
-def _pair_rows(kf: int, kg: int, sine_f: bool, sine_g: bool, width: int) -> np.ndarray:
-    """[(kf + 1)(kg + 1), width]: row a (kg + 1) + b is the product of the
-    factors of wavenumbers a <= kf and b <= kg in moment rows, by
-    cos a cos b = (cos(a - b) + cos(a + b)) / 2, sin a sin b = (cos(a - b)
-    - cos(a + b)) / 2 and sin a cos b = (sin(a + b) + sin(a - b)) / 2."""
-    a, b = np.divmod(np.arange((kf + 1) * (kg + 1)), kg + 1)
-    out, rows = np.zeros((a.size, width)), np.arange(a.size)
-    # sin(a - b) = sign(a - b) sin|a - b|, and a sine's row 0 is zero
-    out[rows, abs(a - b)] = 0.5 if sine_f == sine_g else 0.5 * np.sign((a - b) * (sine_f - sine_g))
-    out[rows, a + b] += -0.5 if sine_f and sine_g else 0.5
-    out.flags.writeable = False   # one array per key, shared by every caller
-    return out
-
-
-def _pairing(fk, gk) -> tuple:
-    """(tops, index) of two families of wavenumbers fk, gk on axes 1, 2: the
-    largest of each per axis, and each pair of modes' row in _pair's table."""
-    tops = [(int(a.max()), int(b.max())) for a, b in zip(fk, gk)]
-    p1, p2 = ((a[:, None] * (top[1] + 1) + b) for a, b, top in zip(fk, gk, tops))
-    return tops, (p1 * ((tops[1][0] + 1) * (tops[1][1] + 1)) + p2).ravel()
-
-
-def _pair(moments: np.ndarray, weight: float, f, g, pairing) -> np.ndarray:
-    """[l, i] quadrature of a field against f_l g_i, two splits with their
-    _pairing, from its moment table [J1, J2, n1] of the product's parity:
-    _pair_rows give the rows of all wavenumber pairs, gathered per pair of
-    modes into [mode_f mode_g, n1] and summed over x1 against f0 g0."""
-    (f0, fs, _), (g0, gs, _), (tops, index) = f, g, pairing
-    j1, j2, n1 = moments.shape
-    a1, a2 = (_pair_rows(*top, sf, sg, width) for top, sf, sg, width in zip(tops, fs, gs, (j1, j2)))
-    table = a2 @ (a1 @ moments.reshape(j1, -1)).reshape(-1, j2, n1)
-    rows = np.take(table.reshape(-1, n1), index, axis=0).reshape(len(f0), len(g0), n1)
-    return weight * np.einsum("lx,ix,lix->li", f0, g0, rows)
 
 
 def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
@@ -453,10 +389,9 @@ class FaceDelta:
 
 @dataclass
 class DeltaEval:
-    """The lifting delta where forms need it: on the grid one stack fields
-    [15, n1, n2, n3] of its values, its gradient grad[c, d] = d_d delta_c
-    and delta . grad(delta), in the order of _DELTA_SINES and viewed as
-    values, grad and advection; and on the faces, PatchKind -> FaceDelta."""
+    """The lifting delta where forms need it: on the grid one stack of its
+    values, its gradient grad[c, d] = d_d delta_c and delta . grad(delta),
+    and on the faces (PatchKind -> FaceDelta)."""
 
     fields: np.ndarray
     faces: dict
@@ -466,9 +401,7 @@ class DeltaEval:
         self.values, self.grad, self.advection = f[:3], f[3:12].reshape(3, 3, *f.shape[1:]), f[12:]
 
 
-# the parity on axes 1 and 2 in which each field meets the modes: component
-# c of a vector field as psi_c (in psi_c phi and psi_l,c d_a psi_i,c too),
-# d_d delta_c as d_d psi_c and as psi_c psi_d
+# the parity in which each field meets the modes: as psi_c, or d_d psi_c
 _VECTOR_SINES = [_sines(c) for c in range(3)]
 _DELTA_SINES = _VECTOR_SINES + [_sines(c, d) for c in range(3) for d in range(3)] + _VECTOR_SINES
 
@@ -498,7 +431,7 @@ class AssembledForms:
     _w_table: np.ndarray = field(init=False, repr=False)       # [mode, 12 P]
     _theta_table: np.ndarray = field(init=False, repr=False)   # [mode, 4 P]
     _transport_cell: float = field(init=False, repr=False)
-    _rows: tuple = field(init=False, repr=False)               # of moment tables
+    _rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -529,7 +462,7 @@ class AssembledForms:
         self._w_table = _sampled(Vt, psi + grad_psi)
         self._theta_table = _sampled(Tt, [(0, None), (0, 0), (0, 1), (0, 2)])
         self._transport_cell = math.prod(lengths) / math.prod(shape)
-        # per axis 1, 2: cos and sin(j pi s) on the grid for j <= 2 band[a]
+        # moment table rows: cos and sin(j pi s), j <= 2 band, on axes 1, 2
         arg = [np.outer(np.arange(2 * band[a] + 1), np.pi * (np.arange(n) + 0.5) / n)
                for a, n in enumerate(grid.shape) if a]
         self._rows = tuple(np.stack([np.cos(t), np.sin(t)]) for t in arg)
@@ -560,39 +493,39 @@ class AssembledForms:
     # -- projections of grid fields -------------------------------------------
 
     def _band(self, k_max: tuple) -> tuple:
-        """The rows of _rows up to the band k_max of one family, j <= k_a."""
+        """The rows j <= k_max of one family."""
         return tuple(r[:, : k + 1] for r, k in zip(self._rows, k_max[1:]))
 
     def _read(self, moments: np.ndarray, splits) -> np.ndarray:
-        """sum_f <field f, split f> from the fields' moment tables."""
-        return sum(_project(m, self.grid.cell_volume, f) for m, f in zip(moments, splits))
+        """sum_f <field f, split f> from moment tables."""
+        cv = self.grid.cell_volume
+        return sum(spectral.project_moments(m, cv, f) for m, f in zip(moments, splits))
 
     def project_velocity(self, values: np.ndarray) -> np.ndarray:
         """<values, psi_j> for a sampled vector field [comp, n1, n2, n3]."""
         psi = [self.vb.factors.split(c) for c in range(3)]
-        return self._read(_moments(values, _VECTOR_SINES, self._band(self.vb.k_max)), psi)
+        return self._read(spectral.moment_table(values, _VECTOR_SINES, self._band(self.vb.k_max)), psi)
 
     def project_temperature(self, values: np.ndarray) -> np.ndarray:
         """<values, phi_j> for a sampled scalar field."""
-        moments = _moments(values[None], [_sines(None)], self._band(self.tb.k_max))
+        moments = spectral.moment_table(values[None], [_sines(None)], self._band(self.tb.k_max))
         return self._read(moments, [self.tb.factors.split(0)])
 
     def velocity_temperature_matrix(self, values: np.ndarray) -> np.ndarray:
         """[j, k] = <phi_k values, psi_j> for a sampled vector field."""
         psi, phi = [self.vb.factors.split(c) for c in range(3)], self.tb.factors.split(0)
-        moments, pairing = _moments(values, _VECTOR_SINES, self._rows), _pairing(psi[0][2], phi[2])
-        return sum(_pair(moments[c], self.grid.cell_volume, psi[c], phi, pairing) for c in range(3))
+        moments = spectral.moment_table(values, _VECTOR_SINES, self._rows)
+        vt, cv = spectral.pairing(psi[0][2], phi[2]), self.grid.cell_volume
+        return sum(spectral.pair_moments(moments[c], cv, psi[c], phi, vt) for c in range(3))
 
     # -- lifting-dependent pieces --------------------------------------------
 
     def lifting_moments(self, delta: DeltaEval) -> np.ndarray:
-        """The moment table [15, 2 k_1 + 1, 2 k_2 + 1, n1] of delta.fields,
-        the one contraction of the grid that the couplings of delta read."""
-        return _moments(delta.fields, _DELTA_SINES, self._rows)
+        """The moment table of delta.fields, which its couplings read."""
+        return spectral.moment_table(delta.fields, _DELTA_SINES, self._rows)
 
     def delta_matrices(self, moments: np.ndarray):
-        """(G_wd, G_dw, G_dth): the linear-in-state couplings, from the
-        lifting's moment table.
+        """(G_wd, G_dw, G_dth): the linear-in-state couplings.
 
         G_wd[l, i] = <psi_i . grad(delta), psi_l>
         G_deltaw[l, i] = <delta . grad(psi_i), psi_l>
@@ -605,20 +538,19 @@ class AssembledForms:
         values, grad = moments[:3], moments[3:12].reshape(3, 3, *moments.shape[1:])
         pairs = [(c, a) for c in range(3) for a in range(3)]
         psi, phi = [V.split(c) for c in range(3)], Th.split(0)
-        vv, tt = _pairing(psi[0][2], psi[0][2]), _pairing(phi[2], phi[2])
+        vv, tt = spectral.pairing(psi[0][2], psi[0][2]), spectral.pairing(phi[2], phi[2])
         # (psi_i . grad(delta))_c = sum_a psi_i_a d_a delta_c
-        g_wd = sum(_pair(grad[c, a], cv, psi[c], psi[a], vv) for c, a in pairs)
+        g_wd = sum(spectral.pair_moments(grad[c, a], cv, psi[c], psi[a], vv) for c, a in pairs)
         # (delta . grad(psi_i))_c = sum_a delta_a d_a psi_i_c
-        g_dw = sum(_pair(values[a], cv, psi[c], V.split(c, a), vv) for c, a in pairs)
-        g_dth = sum(_pair(values[a], cv, phi, Th.split(0, a), tt) for a in range(3))
+        g_dw = sum(spectral.pair_moments(values[a], cv, psi[c], V.split(c, a), vv) for c, a in pairs)
+        g_dth = sum(spectral.pair_moments(values[a], cv, phi, Th.split(0, a), tt) for a in range(3))
         return g_wd, g_dw, g_dth
 
     def delta_vectors(self, moments: np.ndarray):
-        """(P, F_adv, Q, F_form) from the lifting's moment table: P = <delta,
-        psi_j>, F_adv = <-delta . grad(delta), psi_j>, Q = <grad(delta),
-        grad(psi_j)> and F_form = -(nu/2) int D(delta):D(psi_j) = -nu sum_cd
-        <d_d delta_c + d_c delta_d, d_d psi_j,c>, the volume piece of
-        nu div D(delta): by linearity the moments of Q, transposed and added."""
+        """(P, F_adv, Q, F_form): <delta, psi_j>, <-delta . grad(delta),
+        psi_j>, <grad(delta), grad(psi_j)> and the volume piece of nu div
+        D(delta), -(nu/2) int D(delta):D(psi_j), from Q's moments and their
+        transpose."""
         V = self.vb.factors
         psi, grad_psi = [V.split(c) for c in range(3)], [V.split(c, d) for c in range(3) for d in range(3)]
         grad = moments[3:12].reshape(3, 3, *moments.shape[1:])

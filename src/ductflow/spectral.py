@@ -16,10 +16,15 @@ contraction, shared by the derivative orders that agree on it. On a
 boundary face synth contracts the face axis first, with the end values of
 its table, so a face costs a face and not a cube; order 1 is a sine, which
 vanishes at both ends and gives exact zeros without any synthesis.
+
+The other way, a stack of grid fields is contracted along x3, then x2,
+with cos or sin(j pi s) into its moment table; products of two factors
+are read from it as half the sum or difference of two of its rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +111,60 @@ def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], orders, face=None
         if o[axis] != 1:
             field[...] = axes[a].syn[o[a]] @ planes[o[axis]] @ axes[b].syn[o[b]].T
     return out
+
+
+def moment_table(fields: np.ndarray, sines, rows) -> np.ndarray:
+    """Moment table [field, J1, J2, n1] of fields [field, n1, n2, n3],
+    contracted along x3, then x2, with the cos or sin (sines[field]) of
+    rows [2, J_a, n_a]."""
+    s1, s2 = np.asarray(sines, dtype=int).T
+    r1, r2 = rows[0][s1], rows[1][s2]
+    nf, n1, n2, n3 = fields.shape
+    t = fields.reshape(nf, n1 * n2, n3) @ r2.transpose(0, 2, 1)
+    return np.ascontiguousarray((r1[:, None] @ t.reshape(nf, n1, n2, -1)).transpose(0, 2, 3, 1))
+
+
+def project_moments(moments: np.ndarray, weight: float, f) -> np.ndarray:
+    """[i] quadrature of a field against the factors f_i = (f0, sines,
+    index) of basis.FactorTables.split, from the field's moment table:
+    each mode's row is gathered and summed over x1 against f0."""
+    f0, _, (j1, j2) = f
+    return weight * np.einsum("ix,ix->i", f0, moments[j1, j2])
+
+
+@functools.cache
+def pair_rows(kf: int, kg: int, sine_f: bool, sine_g: bool, width: int) -> np.ndarray:
+    """Row a (kg + 1) + b: the product of factors of wavenumbers a, b in
+    moment rows, by cos a cos b = (cos(a - b) + cos(a + b)) / 2,
+    sin a sin b = (cos(a - b) - cos(a + b)) / 2 and
+    sin a cos b = (sin(a + b) + sin(a - b)) / 2."""
+    a, b = np.divmod(np.arange((kf + 1) * (kg + 1)), kg + 1)
+    out, rows = np.zeros((a.size, width)), np.arange(a.size)
+    # sin(a - b) = sign(a - b) sin|a - b|, and a sine's row 0 is zero
+    out[rows, abs(a - b)] = 0.5 if sine_f == sine_g else 0.5 * np.sign((a - b) * (sine_f - sine_g))
+    out[rows, a + b] += -0.5 if sine_f and sine_g else 0.5
+    out.flags.writeable = False   # shared by every caller
+    return out
+
+
+def pairing(fk, gk) -> tuple:
+    """(largest wavenumbers, each pair of modes' row in the table of
+    pair_moments) of two families' wavenumbers on axes 1, 2."""
+    tops = [(int(a.max()), int(b.max())) for a, b in zip(fk, gk)]
+    p1, p2 = ((a[:, None] * (top[1] + 1) + b) for a, b, top in zip(fk, gk, tops))
+    return tops, (p1 * ((tops[1][0] + 1) * (tops[1][1] + 1)) + p2).ravel()
+
+
+def pair_moments(moments: np.ndarray, weight: float, f, g, pairing) -> np.ndarray:
+    """[l, i] quadrature of a field against f_l g_i from its moment table:
+    rows of all wavenumber pairs, gathered per pair of modes into [mode_f
+    mode_g, n1], the largest transient, and summed over x1."""
+    (f0, fs, _), (g0, gs, _), (tops, index) = f, g, pairing
+    j1, j2, n1 = moments.shape
+    a1, a2 = (pair_rows(*top, sf, sg, width) for top, sf, sg, width in zip(tops, fs, gs, (j1, j2)))
+    table = a2 @ (a1 @ moments.reshape(j1, -1)).reshape(-1, j2, n1)
+    rows = np.take(table.reshape(-1, n1), index, axis=0).reshape(len(f0), len(g0), n1)
+    return weight * np.einsum("lx,ix,lix->li", f0, g0, rows)
 
 
 def neumann_eigenvalues(axes: tuple[AxisTransform, ...]) -> np.ndarray:
