@@ -155,11 +155,12 @@ def pairing(fk, gk) -> tuple:
     return tops, (p1 * ((tops[1][0] + 1) * (tops[1][1] + 1)) + p2).ravel()
 
 
-def pair_moments(moments: np.ndarray, weight: float, f, g, pairing) -> np.ndarray:
-    """[l, i] quadrature of a field against f_l g_i from its moment table:
-    rows of all wavenumber pairs, gathered per pair of modes into [mode_f
-    mode_g, n1], the largest transient, and summed over x1."""
-    (f0, fs, _), (g0, gs, _), (tops, index) = f, g, pairing
+def pair_moments(moments: np.ndarray, weight: float, f, g, paired) -> np.ndarray:
+    """[l, i] quadrature of a field against f_l g_i, paired by pairing, from
+    its moment table: rows of all wavenumber pairs, gathered per pair of
+    modes into [mode_f mode_g, n1], the largest transient, and summed over
+    x1."""
+    (f0, fs, _), (g0, gs, _), (tops, index) = f, g, paired
     j1, j2, n1 = moments.shape
     a1, a2 = (pair_rows(*top, sf, sg, width) for top, sf, sg, width in zip(tops, fs, gs, (j1, j2)))
     table = a2 @ (a1 @ moments.reshape(j1, -1)).reshape(-1, j2, n1)
