@@ -30,9 +30,7 @@ status of each certificate must be equal, and the largest relative
 difference is printed for each `timeseries.csv` column (relative to the
 largest magnitude in that column), for each float in `certificates.json`
 (relative to the larger of the two magnitudes) and for each snapshot field
-(relative to its largest magnitude over all its snapshots in both runs, so
-that a field that is zero up to rounding at one time, such as w at t = 0
-when v0 = 0 and P(delta_1) vanishes, is judged as a timeseries column is). A
+(relative to its largest magnitude over both snapshots). A
 difference above TOL is printed with its absolute size too, so a relative
 change of a quantity that is itself roundoff shows as such. The quantities
 in ABSOLUTE are roundoff by construction, so any change of rounding moves
@@ -239,21 +237,17 @@ def value_diffs(ours: Path, theirs: Path) -> tuple[list, dict]:
         rel = rel_diff(a, b, max(abs(a), abs(b)))
         diffs[f"certificates.json {key}"] = (rel, abs(a - b) if rel else 0.0)
     folders = [out / "snapshots" for out in (ours, theirs)]
-    # per field, its largest difference and its largest magnitude over all
-    # its snapshots in both runs, so that a field is judged as a column is
-    absolute, scale = {}, {}
     for name in sorted({p.name for folder in folders for p in folder.glob("*.npy")}):
         key = f"snapshots {name.rsplit('_', 1)[0]}"   # one entry per field
         paths = [folder / name for folder in folders]
         arrays = [np.load(p) for p in paths if p.is_file()]
         if len(arrays) < 2 or arrays[0].shape != arrays[1].shape:
-            absolute[key] = math.inf
+            diffs[key] = (math.inf, math.inf)
             continue
-        absolute[key] = max(absolute.get(key, 0.0), float(np.max(np.abs(arrays[0] - arrays[1]))))
-        scale[key] = max([scale.get(key, 0.0)] + [float(np.max(np.abs(a))) for a in arrays])
-    for key, diff in absolute.items():
-        rel = 0.0 if diff == 0.0 else (diff / scale[key] if scale.get(key) else math.inf)
-        diffs[key] = (rel, diff)
+        absolute = float(np.max(np.abs(arrays[0] - arrays[1])))
+        scale = max(float(np.max(np.abs(a))) for a in arrays)
+        rel = 0.0 if absolute == 0.0 else (absolute / scale if scale else math.inf)
+        diffs[key] = max(diffs.get(key, (0.0, 0.0)), (rel, absolute))
     return changed, diffs
 
 
