@@ -14,9 +14,8 @@ window joints.
 The run loop only steps and stores: the time and the coefficients c and
 dcoef of every sample. After the loop, _ledger derives every audit series
 from the stored rows: quadratic forms in c and dcoef, theta's grid extremes
-and norms a chunk of stored samples at a time, and the boundary data
-d = s(t) g through |s| or |s'| times numbers of the cap shape g computed
-once per run.
+and norms one stored sample at a time, and the boundary data d = s(t) g
+through |s| or |s'| times numbers of the cap shape g computed once per run.
 """
 
 from __future__ import annotations
@@ -444,7 +443,8 @@ class GalerkinSolver:
         # vanishes only when the whole layer (r, rho] falls between two x3
         # nodes: then the ratio is undefined
         ratio = poisson_mod.certify_weighted_hessian(lhs, sol, p=3, mu=mu) if lhs > 0.0 else math.inf
-        weighted = dict(ratio=ratio, residual=sol.residual, spectral_tail=sol.spectral_tail, lhs=lhs, rhs=rhs)
+        out["weighted"] = dict(ratio=ratio, residual=sol.residual, spectral_tail=sol.spectral_tail,
+                               lhs=lhs, rhs=rhs)
         delta_1 = poisson_mod.delta_field(ext, sol, grid)
         del ext, sol   # freed before the moment table is made
         moments = forms.lifting_moments(delta_1)
@@ -462,7 +462,6 @@ class GalerkinSolver:
             float(np.max(np.abs(delta_1.faces[p.kind].values[p.axis] - g_cap.get(p.kind, 0.0))))
             for p in grid.patches
         )
-        out["weighted"] = weighted
         # a copy, so that the stack of delta_1's fields is freed on return
         out["values"] = delta_1.values.copy()
         return out
@@ -497,7 +496,7 @@ class GalerkinSolver:
             return dict(
                 kind="constant",
                 P=forms.project_velocity(self.omega(0.0) * self.f_values),
-                norms=self._omega_f_norms(np.zeros((1, *self.grid.shape)))[0],
+                norms=self._omega_f_norms(np.zeros(self.grid.shape)),
             )
         if cfg.omega_kind == "linear":
             return dict(
@@ -517,20 +516,17 @@ class GalerkinSolver:
         omega_f = self.omega(self.theta_values(state.dcoef))[None, :, :, :] * self.f_values
         return self.forms.project_velocity(omega_f)
 
-    def _omega_f_norms(self, theta: np.ndarray) -> list:
-        """[(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2)] on the
-        grid, one pair per row of theta [rows, n1, n2, n3], theta~ the
-        temperature clamped to [theta_star, theta_star_upper]. A row at a
-        time: temporaries of a whole ledger chunk fault in fresh pages on
-        every call and raise the peak memory, for no time saved."""
-        cfg, grid, norms = self.config, self.grid, []
-        for th in theta:
-            th_clamped = np.clip(th, cfg.theta_star, cfg.theta_star_upper)
-            omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
-            mag = np.sqrt(np.sum(omega_f**2, axis=0))
-            norms.append((grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
-                          grid.integrate(mag**3) ** (2.0 / 3.0)))
-        return norms
+    def _omega_f_norms(self, theta: np.ndarray) -> tuple:
+        """(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2) on the grid,
+        theta~ the temperature clamped to [theta_star, theta_star_upper]."""
+        cfg, grid = self.config, self.grid
+        th_clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
+        omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
+        mag = np.sqrt(np.sum(omega_f**2, axis=0))
+        return (
+            grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
+            grid.integrate(mag**3) ** (2.0 / 3.0),
+        )
 
     # -- time stepping -----------------------------------------------------------
 
@@ -576,7 +572,7 @@ class GalerkinSolver:
         The energies are quadratic forms in the coefficients. The mean of
         theta is that of the constant mode alone, since midpoint quadrature
         integrates every other cosine mode to exactly 0. What needs theta on
-        the grid is computed a chunk of stored rows at a time. The data d = s(t) g
+        the grid is computed one stored row at a time. The data d = s(t) g
         enter through s, |s| and |s'| times the couplings' numbers of g and
         delta_1.
         """
@@ -606,8 +602,7 @@ class GalerkinSolver:
 
         # theta on the grid, LEDGER_CHUNK_BYTES of stored rows at a time: its
         # extremes and the norms of the clamped omega(theta) f, which are
-        # two numbers per run unless omega depends on theta and f is not
-        # zero, and otherwise one call per chunk
+        # two numbers per run unless omega depends on theta and f is not zero
         norms = self._forcing.get("norms")
         chunk = max(1, LEDGER_CHUNK_BYTES // (8 * math.prod(grid.shape)))
         th_min, th_max, omega_f = [], [], []
@@ -615,7 +610,7 @@ class GalerkinSolver:
             theta = self.theta_values(D[start : start + chunk])
             th_min.append(theta.min(axis=(1, 2, 3)))
             th_max.append(theta.max(axis=(1, 2, 3)))
-            omega_f += [norms] * len(theta) if norms else self._omega_f_norms(theta)
+            omega_f += [norms or self._omega_f_norms(th) for th in theta]
         out["th_min"], out["th_max"] = np.concatenate(th_min), np.concatenate(th_max)
         out["omega_f_65sq"], out["omega_f_l3sq"] = (np.array(col) for col in zip(*omega_f))
 
