@@ -120,8 +120,7 @@ class FactorTables:
         with the rows of axes 2 and 1. A row of coef [..., mode] is
         expanded by the same operations as alone."""
         f0, sines, (j1, j2) = self.split(c)
-        r1, r2 = (np.ascontiguousarray((ax.sin_syn if sine else ax.cos_syn)[:, : j.max() + 1].T)
-                  for ax, sine, j in zip(self.axes[1:], sines, (j1, j2)))
+        r1, r2 = (ax.rows[int(s), : j.max() + 1] for ax, s, j in zip(self.axes[1:], sines, (j1, j2)))
         k1, k2 = len(r1), len(r2)
         t = (f0.T * coef[..., None, :]) @ np.eye(k1 * k2)[j1 * k2 + j2]
         return r1.T @ (t.reshape(*coef.shape[:-1], -1, k1, k2) @ r2)
@@ -431,7 +430,7 @@ class AssembledForms:
     _w_table: np.ndarray = field(init=False, repr=False)       # [mode, 12 P]
     _theta_table: np.ndarray = field(init=False, repr=False)   # [mode, 4 P]
     _transport_cell: float = field(init=False, repr=False)
-    _rows: tuple = field(init=False, repr=False)
+    _tops: tuple = field(init=False, repr=False)   # moment rows of the couplings
 
     def __post_init__(self):
         grid = self.grid
@@ -462,10 +461,7 @@ class AssembledForms:
         self._w_table = _sampled(Vt, psi + grad_psi)
         self._theta_table = _sampled(Tt, [(0, None), (0, 0), (0, 1), (0, 2)])
         self._transport_cell = math.prod(lengths) / math.prod(shape)
-        # moment table rows: cos and sin(j pi s), j <= 2 band, on axes 1, 2
-        arg = [np.outer(np.arange(2 * band[a] + 1), np.pi * (np.arange(n) + 0.5) / n)
-               for a, n in enumerate(grid.shape) if a]
-        self._rows = tuple(np.stack([np.cos(t), np.sin(t)]) for t in arg)
+        self._tops = (2 * band[1], 2 * band[2])
 
     # -- transport --------------------------------------------------------------
 
@@ -492,44 +488,35 @@ class AssembledForms:
 
     # -- projections of grid fields -------------------------------------------
 
-    def _band(self, k_max: tuple) -> tuple:
-        """The rows j <= k_max of one family."""
-        return tuple(r[:, : k + 1] for r, k in zip(self._rows, k_max[1:]))
-
-    def _read(self, moments: np.ndarray, splits) -> np.ndarray:
-        """sum_f <field f, split f> from moment tables."""
-        cv = self.grid.cell_volume
-        return sum(spectral.project_moments(m, cv, f) for m, f in zip(moments, splits))
-
     def project_velocity(self, values: np.ndarray) -> np.ndarray:
         """<values, psi_j> for a sampled vector field [comp, n1, n2, n3]."""
-        psi = [self.vb.factors.split(c) for c in range(3)]
-        return self._read(spectral.moment_table(values, _VECTOR_SINES, self._band(self.vb.k_max)), psi)
+        grid, V = self.grid, self.vb.factors
+        moments = spectral.moment_table(values, _VECTOR_SINES, grid.axes, self.vb.k_max[1:])
+        return spectral.project_moments(moments, grid.cell_volume, [V.split(c) for c in range(3)])
 
     def project_temperature(self, values: np.ndarray) -> np.ndarray:
         """<values, phi_j> for a sampled scalar field."""
-        moments = spectral.moment_table(values[None], [_sines(None)], self._band(self.tb.k_max))
-        return self._read(moments, [self.tb.factors.split(0)])
+        moments = spectral.moment_table(values[None], [_sines(None)], self.grid.axes, self.tb.k_max[1:])
+        return spectral.project_moments(moments, self.grid.cell_volume, [self.tb.factors.split(0)])
 
     def velocity_temperature_matrix(self, values: np.ndarray) -> np.ndarray:
         """[j, k] = <phi_k values, psi_j> for a sampled vector field."""
-        psi, phi = [self.vb.factors.split(c) for c in range(3)], self.tb.factors.split(0)
-        moments = spectral.moment_table(values, _VECTOR_SINES, self._rows)
-        vt, cv = spectral.pairing(psi[0][2], phi[2]), self.grid.cell_volume
-        return sum(spectral.pair_moments(moments[c], cv, psi[c], phi, vt) for c in range(3))
+        V, phi, cv = self.vb.factors, self.tb.factors.split(0), self.grid.cell_volume
+        moments = spectral.moment_table(values, _VECTOR_SINES, self.grid.axes, self._tops)
+        return sum(spectral.pair_moments(moments[c], cv, V.split(c), phi) for c in range(3))
 
     # -- lifting-dependent pieces --------------------------------------------
 
     def lifting_moments(self, delta: DeltaEval) -> np.ndarray:
         """The moment table of delta.fields, which its couplings read."""
-        return spectral.moment_table(delta.fields, _DELTA_SINES, self._rows)
+        return spectral.moment_table(delta.fields, _DELTA_SINES, self.grid.axes, self._tops)
 
     def delta_matrices(self, moments: np.ndarray):
         """(G_wd, G_dw, G_dth): the linear-in-state couplings.
 
         G_wd[l, i] = <psi_i . grad(delta), psi_l>
-        G_deltaw[l, i] = <delta . grad(psi_i), psi_l>
-        G_dtheta[l, i] = <delta . grad(phi_i), phi_l>
+        G_dw[l, i] = <delta . grad(psi_i), psi_l>
+        G_dth[l, i] = <delta . grad(phi_i), phi_l>
 
         Each is a sum of pairwise contractions of two factor families
         against one component of delta or of its gradient.
@@ -538,12 +525,11 @@ class AssembledForms:
         values, grad = moments[:3], moments[3:12].reshape(3, 3, *moments.shape[1:])
         pairs = [(c, a) for c in range(3) for a in range(3)]
         psi, phi = [V.split(c) for c in range(3)], Th.split(0)
-        vv, tt = spectral.pairing(psi[0][2], psi[0][2]), spectral.pairing(phi[2], phi[2])
         # (psi_i . grad(delta))_c = sum_a psi_i_a d_a delta_c
-        g_wd = sum(spectral.pair_moments(grad[c, a], cv, psi[c], psi[a], vv) for c, a in pairs)
+        g_wd = sum(spectral.pair_moments(grad[c, a], cv, psi[c], psi[a]) for c, a in pairs)
         # (delta . grad(psi_i))_c = sum_a delta_a d_a psi_i_c
-        g_dw = sum(spectral.pair_moments(values[a], cv, psi[c], V.split(c, a), vv) for c, a in pairs)
-        g_dth = sum(spectral.pair_moments(values[a], cv, phi, Th.split(0, a), tt) for a in range(3))
+        g_dw = sum(spectral.pair_moments(values[a], cv, psi[c], V.split(c, a)) for c, a in pairs)
+        g_dth = sum(spectral.pair_moments(values[a], cv, phi, Th.split(0, a)) for a in range(3))
         return g_wd, g_dw, g_dth
 
     def delta_vectors(self, moments: np.ndarray):
@@ -551,12 +537,12 @@ class AssembledForms:
         psi_j>, <grad(delta), grad(psi_j)> and the volume piece of nu div
         D(delta), -(nu/2) int D(delta):D(psi_j), from Q's moments and their
         transpose."""
-        V = self.vb.factors
+        V, cv, read = self.vb.factors, self.grid.cell_volume, spectral.project_moments
         psi, grad_psi = [V.split(c) for c in range(3)], [V.split(c, d) for c in range(3) for d in range(3)]
         grad = moments[3:12].reshape(3, 3, *moments.shape[1:])
         sym = (grad + grad.swapaxes(0, 1)).reshape(moments[3:12].shape)
-        return (self._read(moments[:3], psi), -self._read(moments[12:], psi),
-                self._read(moments[3:12], grad_psi), -self.nu * self._read(sym, grad_psi))
+        return (read(moments[:3], cv, psi), -read(moments[12:], cv, psi),
+                read(moments[3:12], cv, grad_psi), -self.nu * read(sym, cv, grad_psi))
 
     def boundary_functionals(self, delta: DeltaEval) -> np.ndarray:
         """The weak-form boundary data of the lifting, one vector:

@@ -322,13 +322,10 @@ def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> E
         outer, gs, e = np.multiply.outer, [f[i1, i2] for f in (g, g1, g2)], eta[i3]
         return outer(gs[0], e), np.stack([outer(gs[1], e), outer(gs[2], e), outer(gs[0], etap[i3])])
 
-    inner = slice(1, -1)
-    faces = {}
-    for p in grid.patches:  # the face axis takes its first or last extended node
-        at = [inner] * 3
-        at[p.axis] = -p.side
-        faces[p.kind] = sample(*at)
-    alpha, grad_alpha = sample(inner, inner, inner)
+    # on a face its own axis takes the first or the last extended node
+    at = [[-p.side if a == p.axis else slice(1, -1) for a in range(3)] for p in grid.patches]
+    faces = {p.kind: sample(*i) for p, i in zip(grid.patches, at)}
+    alpha, grad_alpha = sample(*[slice(1, -1)] * 3)
     return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2], faces=faces)
 
 

@@ -15,11 +15,8 @@ conventions and costs nothing. On the grid each axis is one plain
 contraction, shared by the derivative orders that agree on it. On a
 boundary face synth contracts the face axis first, with the end values of
 its table, so a face costs a face and not a cube; order 1 is a sine, which
-vanishes at both ends and gives exact zeros without any synthesis.
-
-The other way, a stack of grid fields is contracted along x3, then x2,
-with cos or sin(j pi s) into its moment table; products of two factors
-are read from it as half the sum or difference of two of its rows.
+vanishes at both ends and gives exact zeros without any synthesis. The
+other way, grid fields are contracted into a moment table (moment_table).
 """
 
 from __future__ import annotations
@@ -42,13 +39,16 @@ class AxisTransform:
     cos_at_lo: np.ndarray  # cos(k pi s) at s = 0
     cos_at_hi: np.ndarray  # cos(k pi s) at s = 1
     syn: tuple            # [order] -> [node, k], d^order/dx^order cos(k pi s_j)
+    rows: np.ndarray      # [2, j, node] = cos and sin(j pi s_i), j <= 2n - 2
 
     @classmethod
     def build(cls, n: int, length: float) -> "AxisTransform":
         s = (np.arange(n) + 0.5) / n
         k = np.arange(n)
-        cos_syn = np.cos(np.pi * np.outer(s, k))
-        sin_syn = np.sin(np.pi * np.outer(s, k))
+        # j up to the largest wavenumber of a product of two modes (moment_table)
+        t = np.pi * np.outer(np.arange(2 * n - 1), s)
+        rows = np.stack([np.cos(t), np.sin(t)])
+        cos_syn, sin_syn = (np.ascontiguousarray(r[:n].T) for r in rows)
         # Discrete orthogonality: sum_j cos(k pi s_j) cos(k' pi s_j)
         # equals n for k = k' = 0 and n/2 for k = k' >= 1.
         scale = np.full(n, 2.0 / n)
@@ -64,6 +64,7 @@ class AxisTransform:
             cos_at_lo=np.ones(n),
             cos_at_hi=np.cos(np.pi * k),
             syn=(cos_syn, -kappa * sin_syn, -kappa**2 * cos_syn),
+            rows=rows,
         )
 
 
@@ -113,23 +114,22 @@ def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], orders, face=None
     return out
 
 
-def moment_table(fields: np.ndarray, sines, rows) -> np.ndarray:
-    """Moment table [field, J1, J2, n1] of fields [field, n1, n2, n3],
-    contracted along x3, then x2, with the cos or sin (sines[field]) of
-    rows [2, J_a, n_a]."""
+def moment_table(fields: np.ndarray, sines, axes, tops) -> np.ndarray:
+    """Moment table [field, j1, j2, n1] of fields [field, n1, n2, n3],
+    j_a <= tops[a - 1]: contracted along x3, then x2, with the rows of
+    cos or sin(j pi s), as sines[field] says, of axes[a].rows."""
     s1, s2 = np.asarray(sines, dtype=int).T
-    r1, r2 = rows[0][s1], rows[1][s2]
+    r1, r2 = (ax.rows[s, : top + 1] for ax, s, top in zip(axes[1:], (s1, s2), tops))
     nf, n1, n2, n3 = fields.shape
     t = fields.reshape(nf, n1 * n2, n3) @ r2.transpose(0, 2, 1)
     return np.ascontiguousarray((r1[:, None] @ t.reshape(nf, n1, n2, -1)).transpose(0, 2, 3, 1))
 
 
-def project_moments(moments: np.ndarray, weight: float, f) -> np.ndarray:
-    """[i] quadrature of a field against the factors f_i = (f0, sines,
-    index) of basis.FactorTables.split, from the field's moment table:
-    each mode's row is gathered and summed over x1 against f0."""
-    f0, _, (j1, j2) = f
-    return weight * np.einsum("ix,ix->i", f0, moments[j1, j2])
+def project_moments(moments: np.ndarray, weight: float, splits) -> np.ndarray:
+    """[i] sum over fields of the quadrature of field f against the factors
+    splits[f] = (f0, sines, index) of basis.FactorTables.split, from the
+    moment table: each mode's row is gathered and summed over x1 against f0."""
+    return sum(weight * np.einsum("ix,ix->i", f0, m[j1, j2]) for m, (f0, _, (j1, j2)) in zip(moments, splits))
 
 
 @functools.cache
@@ -147,30 +147,22 @@ def pair_rows(kf: int, kg: int, sine_f: bool, sine_g: bool, width: int) -> np.nd
     return out
 
 
-def pairing(fk, gk) -> tuple:
-    """(largest wavenumbers, each pair of modes' row in the table of
-    pair_moments) of two families' wavenumbers on axes 1, 2."""
-    tops = [(int(a.max()), int(b.max())) for a, b in zip(fk, gk)]
-    p1, p2 = ((a[:, None] * (top[1] + 1) + b) for a, b, top in zip(fk, gk, tops))
-    return tops, (p1 * ((tops[1][0] + 1) * (tops[1][1] + 1)) + p2).ravel()
-
-
-def pair_moments(moments: np.ndarray, weight: float, f, g, paired) -> np.ndarray:
-    """[l, i] quadrature of a field against f_l g_i, paired by pairing, from
-    its moment table: rows of all wavenumber pairs, gathered per pair of
-    modes into [mode_f mode_g, n1], the largest transient, and summed over
-    x1."""
-    (f0, fs, _), (g0, gs, _), (tops, index) = f, g, paired
+def pair_moments(moments: np.ndarray, weight: float, f, g) -> np.ndarray:
+    """[l, i] quadrature of a field against f_l g_i for two splits of
+    basis.FactorTables, from its moment table: the rows of all wavenumber
+    pairs, gathered per pair of modes into [mode_f mode_g, n1], the largest
+    transient, and summed over x1."""
+    (f0, fs, fk), (g0, gs, gk) = f, g
     j1, j2, n1 = moments.shape
+    tops = [(int(a.max()), int(b.max())) for a, b in zip(fk, gk)]
     a1, a2 = (pair_rows(*top, sf, sg, width) for top, sf, sg, width in zip(tops, fs, gs, (j1, j2)))
     table = a2 @ (a1 @ moments.reshape(j1, -1)).reshape(-1, j2, n1)
-    rows = np.take(table.reshape(-1, n1), index, axis=0).reshape(len(f0), len(g0), n1)
+    p1, p2 = (a[:, None] * (top[1] + 1) + b for a, b, top in zip(fk, gk, tops))
+    rows = np.take(table.reshape(-1, n1), (p1 * len(a2) + p2).ravel(), axis=0).reshape(len(f0), len(g0), n1)
     return weight * np.einsum("lx,ix,lix->li", f0, g0, rows)
 
 
 def neumann_eigenvalues(axes: tuple[AxisTransform, ...]) -> np.ndarray:
     """-Laplacian eigenvalues of the all-cosine tensor family."""
     k1, k2, k3 = (ax.kappa for ax in axes)
-    return (
-        k1[:, None, None] ** 2 + k2[None, :, None] ** 2 + k3[None, None, :] ** 2
-    )
+    return k1[:, None, None] ** 2 + k2[None, :, None] ** 2 + k3[None, None, :] ** 2

@@ -156,3 +156,19 @@ def test_one_grid_builds_its_axis_tables_once(monkeypatch):
     build_temperature_basis(other, 12)
     assert len(built) == 6
     assert all(a is not b for a, b in zip(other.axes, axes))
+
+
+def test_axis_rows_extend_the_synthesis_tables():
+    # moment tables read cos and sin(j pi s), j <= 2n - 2, from
+    # AxisTransform.rows, and the factor tables read cos_syn and sin_syn:
+    # for j < n they are the same numbers to the bit. Beyond n the rows
+    # alias on midpoint nodes, cos((2n - j) pi s) = -cos(j pi s) and
+    # sin((2n - j) pi s) = sin(j pi s)
+    for n in (1, 4, 7, 16):
+        ax = spectral.AxisTransform.build(n, 1.3)
+        assert ax.rows.shape == (2, 2 * n - 1, n)
+        np.testing.assert_array_equal(ax.rows[0, :n].T, ax.cos_syn)
+        np.testing.assert_array_equal(ax.rows[1, :n].T, ax.sin_syn)
+        j = np.arange(n + 1, 2 * n - 1)
+        np.testing.assert_allclose(ax.rows[0, j], -ax.rows[0, 2 * n - j], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ax.rows[1, j], ax.rows[1, 2 * n - j], rtol=0, atol=1e-13)
