@@ -503,7 +503,7 @@ class AssembledForms:
         """[j, k] = <phi_k values, psi_j> for a sampled vector field."""
         V, phi, cv = self.vb.factors, self.tb.factors.split(0), self.grid.cell_volume
         moments = spectral.moment_table(values, _VECTOR_SINES, self.grid.axes, self._tops)
-        return sum(spectral.pair_moments(moments[c], cv, V.split(c), phi) for c in range(3))
+        return spectral.pair_moments([(moments[c], V.split(c), phi) for c in range(3)], cv)
 
     # -- lifting-dependent pieces --------------------------------------------
 
@@ -526,10 +526,10 @@ class AssembledForms:
         pairs = [(c, a) for c in range(3) for a in range(3)]
         psi, phi = [V.split(c) for c in range(3)], Th.split(0)
         # (psi_i . grad(delta))_c = sum_a psi_i_a d_a delta_c
-        g_wd = sum(spectral.pair_moments(grad[c, a], cv, psi[c], psi[a]) for c, a in pairs)
+        g_wd = spectral.pair_moments([(grad[c, a], psi[c], psi[a]) for c, a in pairs], cv)
         # (delta . grad(psi_i))_c = sum_a delta_a d_a psi_i_c
-        g_dw = sum(spectral.pair_moments(values[a], cv, psi[c], V.split(c, a)) for c, a in pairs)
-        g_dth = sum(spectral.pair_moments(values[a], cv, phi, Th.split(0, a)) for a in range(3))
+        g_dw = spectral.pair_moments([(values[a], psi[c], V.split(c, a)) for c, a in pairs], cv)
+        g_dth = spectral.pair_moments([(values[a], phi, Th.split(0, a)) for a in range(3)], cv)
         return g_wd, g_dw, g_dth
 
     def delta_vectors(self, moments: np.ndarray):

@@ -39,16 +39,13 @@ class AxisTransform:
     cos_at_lo: np.ndarray  # cos(k pi s) at s = 0
     cos_at_hi: np.ndarray  # cos(k pi s) at s = 1
     syn: tuple            # [order] -> [node, k], d^order/dx^order cos(k pi s_j)
-    rows: np.ndarray      # [2, j, node] = cos and sin(j pi s_i), j <= 2n - 2
 
     @classmethod
     def build(cls, n: int, length: float) -> "AxisTransform":
         s = (np.arange(n) + 0.5) / n
         k = np.arange(n)
-        # j up to the largest wavenumber of a product of two modes (moment_table)
-        t = np.pi * np.outer(np.arange(2 * n - 1), s)
-        rows = np.stack([np.cos(t), np.sin(t)])
-        cos_syn, sin_syn = (np.ascontiguousarray(r[:n].T) for r in rows)
+        cos_syn = np.cos(np.pi * np.outer(s, k))
+        sin_syn = np.sin(np.pi * np.outer(s, k))
         # Discrete orthogonality: sum_j cos(k pi s_j) cos(k' pi s_j)
         # equals n for k = k' = 0 and n/2 for k = k' >= 1.
         scale = np.full(n, 2.0 / n)
@@ -64,8 +61,15 @@ class AxisTransform:
             cos_at_lo=np.ones(n),
             cos_at_hi=np.cos(np.pi * k),
             syn=(cos_syn, -kappa * sin_syn, -kappa**2 * cos_syn),
-            rows=rows,
         )
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """[2, j, node]: cos and sin(j pi s_i) for j <= 2n - 2, the largest
+        wavenumber of a product of two modes (moment_table), made on first
+        use; rows j < n are cos_syn and sin_syn transposed, to the bit."""
+        t = np.pi * np.outer(np.arange(2 * self.n - 1), (np.arange(self.n) + 0.5) / self.n)
+        return np.stack([np.cos(t), np.sin(t)])
 
 
 def _on_grid(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -147,19 +151,23 @@ def pair_rows(kf: int, kg: int, sine_f: bool, sine_g: bool, width: int) -> np.nd
     return out
 
 
-def pair_moments(moments: np.ndarray, weight: float, f, g) -> np.ndarray:
-    """[l, i] quadrature of a field against f_l g_i for two splits of
-    basis.FactorTables, from its moment table: the rows of all wavenumber
-    pairs, gathered per pair of modes into [mode_f mode_g, n1], the largest
-    transient, and summed over x1."""
-    (f0, fs, fk), (g0, gs, gk) = f, g
-    j1, j2, n1 = moments.shape
+def pair_moments(terms, weight: float) -> np.ndarray:
+    """[l, i] sum over terms (moments, f, g) of the quadrature of a field
+    against f_l g_i, for splits f, g of basis.FactorTables of two families
+    that every term shares, from the field's moment table: the rows of all
+    wavenumber pairs, gathered per pair of modes into [mode_f mode_g, n1],
+    the largest transient, and summed over x1."""
+    _, (_, _, fk), (_, _, gk) = terms[0]
     tops = [(int(a.max()), int(b.max())) for a, b in zip(fk, gk)]
-    a1, a2 = (pair_rows(*top, sf, sg, width) for top, sf, sg, width in zip(tops, fs, gs, (j1, j2)))
-    table = a2 @ (a1 @ moments.reshape(j1, -1)).reshape(-1, j2, n1)
     p1, p2 = (a[:, None] * (top[1] + 1) + b for a, b, top in zip(fk, gk, tops))
-    rows = np.take(table.reshape(-1, n1), (p1 * len(a2) + p2).ravel(), axis=0).reshape(len(f0), len(g0), n1)
-    return weight * np.einsum("lx,ix,lix->li", f0, g0, rows)
+    index, out = (p1 * ((tops[1][0] + 1) * (tops[1][1] + 1)) + p2).ravel(), 0
+    for moments, (f0, fs, _), (g0, gs, _) in terms:
+        j1, j2, n1 = moments.shape
+        a1, a2 = (pair_rows(*top, sf, sg, width) for top, sf, sg, width in zip(tops, fs, gs, (j1, j2)))
+        table = a2 @ (a1 @ moments.reshape(j1, -1)).reshape(-1, j2, n1)
+        rows = np.take(table.reshape(-1, n1), index, axis=0).reshape(len(f0), len(g0), n1)
+        out = out + weight * np.einsum("lx,ix,lix->li", f0, g0, rows)
+    return out
 
 
 def neumann_eigenvalues(axes: tuple[AxisTransform, ...]) -> np.ndarray:
