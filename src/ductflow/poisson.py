@@ -149,7 +149,8 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
         alpha, grad_alpha = ext.faces[patch.kind]
         face = spectral.synth(solution.coeffs, grid.axes, _ORDERS[:3], (patch.axis, patch.side))
         face[2] += alpha
-        delta.faces[patch.kind] = FaceDelta(face, grad_alpha[list(patch.plane_axes)] if patch.kind.is_cap else None)
+        stress = grad_alpha[list(patch.plane_axes)] if patch.kind.is_cap else None
+        delta.faces[patch.kind] = FaceDelta(face, stress)
     return delta
 
 

@@ -439,9 +439,8 @@ class GalerkinSolver:
         sol = poisson_mod.solve_neumann(ext.div_b, grid)
         mu = self.config.mu
         lhs, rhs = poisson_mod.certify_layer_bound(out["cap"], params, ext, grid, mu)
-        # lhs, the weighted norm of div b, is the ratio's denominator too; it
-        # vanishes only when the whole layer (r, rho] falls between two x3
-        # nodes: then the ratio is undefined
+        # lhs, the weighted norm of div b, is the ratio's denominator; it vanishes
+        # only when the layer (r, rho] falls between two x3 nodes: no ratio then
         ratio = poisson_mod.certify_weighted_hessian(lhs, sol, p=3, mu=mu) if lhs > 0.0 else math.inf
         out["weighted"] = dict(ratio=ratio, residual=sol.residual, spectral_tail=sol.spectral_tail,
                                lhs=lhs, rhs=rhs)

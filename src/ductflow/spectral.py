@@ -94,8 +94,7 @@ def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], orders, face=None
     that plane; order 1 gives exact zeros (sines vanish at both ends).
     """
     if face is None:
-        # as _on_grid, x3 first, each contraction once for the orders that
-        # agree on it and on the axes before it
+        # as _on_grid, x3 first; each contraction once for the orders that share it
         out = np.empty((len(orders), *coeffs.shape))
         for d2 in {o[2] for o in orders}:
             along3 = coeffs @ axes[2].syn[d2].T
@@ -138,10 +137,9 @@ def project_moments(moments: np.ndarray, weight: float, splits) -> np.ndarray:
 
 @functools.cache
 def pair_rows(kf: int, kg: int, sine_f: bool, sine_g: bool, width: int) -> np.ndarray:
-    """Row a (kg + 1) + b: the product of factors of wavenumbers a, b in
-    moment rows, by cos a cos b = (cos(a - b) + cos(a + b)) / 2,
-    sin a sin b = (cos(a - b) - cos(a + b)) / 2 and
-    sin a cos b = (sin(a + b) + sin(a - b)) / 2."""
+    """Row a (kg + 1) + b: the product of factors of wavenumbers a, b in moment
+    rows, by cos a cos b = (cos(a - b) + cos(a + b)) / 2, sin a sin b =
+    (cos(a - b) - cos(a + b)) / 2 and sin a cos b = (sin(a + b) + sin(a - b)) / 2."""
     a, b = np.divmod(np.arange((kf + 1) * (kg + 1)), kg + 1)
     out, rows = np.zeros((a.size, width)), np.arange(a.size)
     # sin(a - b) = sign(a - b) sin|a - b|, and a sine's row 0 is zero
