@@ -159,12 +159,14 @@ def pair_moments(terms, weight: float) -> np.ndarray:
     tops = [(int(a.max()), int(b.max())) for a, b in zip(fk, gk)]
     p1, p2 = (a[:, None] * (top[1] + 1) + b for a, b, top in zip(fk, gk, tops))
     index, out = (p1 * ((tops[1][0] + 1) * (tops[1][1] + 1)) + p2).ravel(), 0
+    rows = np.empty((index.size, terms[0][0].shape[2]))   # one buffer for every term
     for moments, (f0, fs, _), (g0, gs, _) in terms:
         j1, j2, n1 = moments.shape
         a1, a2 = (pair_rows(*top, sf, sg, width) for top, sf, sg, width in zip(tops, fs, gs, (j1, j2)))
         table = a2 @ (a1 @ moments.reshape(j1, -1)).reshape(-1, j2, n1)
-        rows = np.take(table.reshape(-1, n1), index, axis=0).reshape(len(f0), len(g0), n1)
-        out = out + weight * np.einsum("lx,ix,lix->li", f0, g0, rows)
+        # mode clip takes no buffered copy of out, which mode raise does
+        np.take(table.reshape(-1, n1), index, axis=0, out=rows, mode="clip")
+        out = out + weight * np.einsum("lx,ix,lix->li", f0, g0, rows.reshape(len(f0), len(g0), n1))
     return out
 
 
