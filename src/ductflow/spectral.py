@@ -173,4 +173,6 @@ def pair_moments(terms, weight: float) -> np.ndarray:
 def neumann_eigenvalues(axes: tuple[AxisTransform, ...]) -> np.ndarray:
     """-Laplacian eigenvalues of the all-cosine tensor family."""
     k1, k2, k3 = (ax.kappa for ax in axes)
-    return k1[:, None, None] ** 2 + k2[None, :, None] ** 2 + k3[None, None, :] ** 2
+    return (
+        k1[:, None, None] ** 2 + k2[None, :, None] ** 2 + k3[None, None, :] ** 2
+    )
