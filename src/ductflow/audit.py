@@ -278,7 +278,7 @@ def _mk_energy_cert(ledger_X, Y, F, log10_inf, fric, c2, dt, joints, times) -> C
     tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(ledger_X), F))
     cert = _inequality("energy-balance", "E1", "dX/dt + c2 Y + friction <= F", lhs, F)
     gap = F - lhs
-    viol = np.flatnonzero(gap < -tol)
+    viol = np.flatnonzero(~(gap >= -tol))   # a nan gap is a violation
     near_joint = np.zeros(times.size, dtype=bool)
     for j in joints:
         near_joint[max(0, j - 1) : j + 2] = True
@@ -325,14 +325,14 @@ def _mk_recurrence_certs(times, X, Y, F, c2, run: RunResult) -> list:
 
     # the integral form the balance law actually yields: at every t in the
     # window, X(t) + c2 int_{kT}^t Y <= int_{kT}^t F + X(kT) <= A2
+    # (c2 = 0 takes nothing of the integral, which is not formed then)
     peaks = []
     for sl in windows:
-        tw = times[sl]
-        Yw = Y[sl]
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (Yw[1:] + Yw[:-1]) * np.diff(tw))]
-        )
-        peaks.append(np.max(X[sl] + c2 * cum))
+        peak = X[sl]
+        if c2:
+            tw, Yw = times[sl], Y[sl]
+            peak = peak + c2 * np.concatenate([[0.0], np.cumsum(0.5 * (Yw[1:] + Yw[:-1]) * np.diff(tw))])
+        peaks.append(np.max(peak))
     absb = _inequality(
         "window-absorption", "E3", "max_t [X(t) + c2 int_kT^t Y] <= A2",
         np.array(peaks), A2, tol, details={"A2": A2}, note=note,
@@ -415,15 +415,17 @@ def _mk_theta_energy_cert(run: RunResult, config: ScenarioConfig, theta0_l1: flo
     d1_l3_6 = _trapz(s["d_l3_cap1"] ** 6, t)
     d1_l1 = _trapz(s["d_l1_cap1"], t)
     growth, log10_growth = exp_product(d1_l3_6, config.c_theta, s["th_l2sq"][0])
-    data = (d1_l1**2 * config.theta_star_upper**2, theta0_l1**2)
-    rhs = growth + data[0] + data[1]
+    tsu = config.theta_star_upper
+    d1_term, log10_d1 = exp_product(0.0, d1_l1, d1_l1, tsu, tsu)
+    th0_term, log10_th0 = exp_product(0.0, theta0_l1, theta0_l1)
+    rhs = growth + d1_term + th0_term
     cert = _inequality(
         "temperature-energy", "E6",
         "||theta||_V^2 <= c exp(int ||d1||_L3^6) ||theta0||^2 "
         "+ ||d1||_L1^2 theta_hi^2 + ||theta0||_L1^2",
         lhs, rhs, 1e-9 * max(1.0, rhs), details={"lhs": lhs, "rhs": rhs, "c": config.c_theta},
     )
-    return _beyond_float(cert, rhs, [log10_growth, *map(_log10, data)])
+    return _beyond_float(cert, rhs, [log10_growth, log10_d1, log10_th0])
 
 
 def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
@@ -468,7 +470,7 @@ def _mk_reconstruction_certs(run: RunResult, config: ScenarioConfig) -> list:
     # occurrences of the existential constant in the source bound differ
     # term to term anyway, and the V-norm cross term forces a factor > 1
     # on the initial-energy terms
-    w0, th0 = s["w_l2sq"][0], s["th_l2sq"][0]
+    w0, th0 = float(s["w_l2sq"][0]), float(s["th_l2sq"][0])   # floats overflow to inf quietly
     forcing = _trapz(s["omega_f_65sq"], t)
     rhs = c * (a1_big_sq + w0 + th0 + l2_ext + h1_ext + layer + forcing)
     lhs = v_V + theta_V

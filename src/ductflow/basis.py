@@ -24,9 +24,9 @@ int grad phi_i . grad phi_j is the eigenvalue. The solver reads them from
 VelocityBasis.rayleigh and TemperatureBasis.eigenvalues; of the m x m
 forms only the friction matrix, dense off the unit box, is assembled.
 
-Every mode component is amplitude x f1(x1) f2(x2) f3(x3), so each family is
-stored once, as per-axis factor tables; no per-mode array on the quadrature
-grid or on a face is kept. The quadrature is a tensor midpoint rule, so
+Every mode component is amplitude x f1(x1) f2(x2) f3(x3), so a family is
+its wavevectors and amplitudes, each factor gathered on use from the trig
+rows of an axis; no per-mode array on the grid or on a face is kept. The quadrature is a tensor midpoint rule, so
 every contraction is sum-factorized: a grid field is contracted once,
 along x3 and then x2, with cos and sin(j pi s) into its moment table,
 which projections and, up to j = 2 k_a, the couplings of two modes read
@@ -47,7 +47,7 @@ and projected back exactly (AssembledForms.transport).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,36 +83,57 @@ class TemperatureMode:
 
 @dataclass
 class FactorTables:
-    """A mode family as per-axis factors sampled on the grid nodes.
-
-    Component c of mode i is the outer product of val[c][0][i],
-    val[c][1][i] and val[c][2][i]; its derivative along axis d swaps in
-    der[c][d], and ends[c][a][i] holds the axis-a factor at the low and the
-    high end of that axis. The mode's amplitude sits in the axis-0 factors,
-    so on axes 1 and 2 a factor is cos(k pi s), or sin along sin_axes[c],
-    of the wavenumber k[i, a] alone, times +-kappa if differentiated.
-    """
+    """A mode family as its wavevectors: component c of mode i is amp[c, i]
+    times one factor per axis a, cos(k pi s), or sin along sin_axes[c], of
+    the wavenumber k = k[i, a]. Each factor is computed on use from the
+    trig rows of the axes (factor)."""
 
     k: np.ndarray                              # [mode, 3] wavevectors
-    axes: tuple                                # AxisTransforms of the nodes
+    amp: np.ndarray                            # [comp, mode] amplitudes
     sin_axes: tuple                            # [comp] -> axis or None
-    val: list = field(default_factory=list)    # [comp][axis] -> [mode, node]
-    der: list = field(default_factory=list)    # [comp][axis] -> [mode, node]
-    ends: list = field(default_factory=list)   # [comp][axis] -> [mode, 2]
+    axes: tuple                                # AxisTransforms of the nodes
+
+    def _rule(self, c: int, a: int, d: int | None) -> tuple:
+        """(sine, kap) of the axis-a factor of component c differentiated
+        along d: 1 if it is sin(k pi s), 0 if cos, and the [mode, 1] factor
+        of a derivative along a, +kappa from sin to cos and -kappa from cos
+        to sin (None for no derivative along a)."""
+        sine = a == self.sin_axes[c]
+        if a != d:
+            return int(sine), None
+        kap = self.axes[a].kappa[self.k[:, a]]
+        return int(not sine), (kap if sine else -kap)[:, None]
+
+    def factor(self, c: int, a: int, d: int | None = None, side: int | None = None) -> np.ndarray:
+        """[mode, node] the axis-a factor of component c differentiated along
+        d, the rows of axes[a] gathered by wavenumber times the kappa of
+        _rule; or, undifferentiated, [mode, 1] its value at the low (side
+        0) or high (side 1) end, 0 for a sine and cos(k pi side) for a
+        cosine. The amplitude sits in the axis-0 factor."""
+        k, ax = self.k[:, a], self.axes[a]
+        sine, kap = self._rule(c, a, d)
+        if side is None:
+            f = ax.rows[sine, k]
+        else:
+            f = np.zeros((k.size, 1)) if sine else np.cos(np.pi * side * k)[:, None]
+        if kap is not None:
+            f = kap * f
+        return self.amp[c][:, None] * f if a == 0 else f
 
     def factors(self, c: int, d: int | None = None) -> tuple:
         """The three axis factors of component c, differentiated along d."""
-        return tuple(self.der[c][a] if a == d else self.val[c][a] for a in range(3))
+        return tuple(self.factor(c, a, d) for a in range(3))
 
     def split(self, c: int, d: int | None = None) -> tuple:
         """(f0, sines, index) of component c differentiated along d: the
-        axis-0 factors times the +-kappa of a derivative along axis 1 or 2,
+        axis-0 factors times the kappa of a derivative along axis 1 or 2,
         and per axis 1, 2 whether it is a sine and the wavenumbers."""
-        f0, sin_axis = self.factors(c, d)[0], self.sin_axes[c]
-        if d in (1, 2):
-            kap = self.axes[d].kappa[self.k[:, d]]
-            f0 = (kap if d == sin_axis else -kap)[:, None] * f0
-        return f0, _sines(sin_axis, d), (self.k[:, 1], self.k[:, 2])
+        f0, sines = self.factor(c, 0, d), []
+        for a in (1, 2):
+            sine, kap = self._rule(c, a, d)
+            f0 = f0 if kap is None else kap * f0
+            sines.append(sine)
+        return f0, tuple(sines), (self.k[:, 1], self.k[:, 2])
 
     def expand(self, coef: np.ndarray, c: int) -> np.ndarray:
         """[..., n1, n2, n3] sum_i coef_i f_i for component c: coef times the
@@ -120,7 +141,7 @@ class FactorTables:
         with the rows of axes 2 and 1. A row of coef [..., mode] is
         expanded by the same operations as alone."""
         f0, sines, (j1, j2) = self.split(c)
-        r1, r2 = (ax.rows[int(s), : j.max() + 1] for ax, s, j in zip(self.axes[1:], sines, (j1, j2)))
+        r1, r2 = (ax.rows[s, : j.max() + 1] for ax, s, j in zip(self.axes[1:], sines, (j1, j2)))
         k1, k2 = len(r1), len(r2)
         t = (f0.T * coef[..., None, :]) @ np.eye(k1 * k2)[j1 * k2 + j2]
         return r1.T @ (t.reshape(*coef.shape[:-1], -1, k1, k2) @ r2)
@@ -128,10 +149,7 @@ class FactorTables:
     def on_face(self, c: int, patch) -> tuple:
         """The axis factors of component c on a face, whose own axis takes
         its end value as a one-node table."""
-        return tuple(
-            self.ends[c][a][:, patch.side, None] if a == patch.axis else self.val[c][a]
-            for a in range(3)
-        )
+        return tuple(self.factor(c, a, side=patch.side if a == patch.axis else None) for a in range(3))
 
     def project_face(self, c: int, patch, planes: np.ndarray) -> np.ndarray:
         """[..., mode] patch quadrature of planes [..., f1, f2] against the
@@ -164,7 +182,6 @@ class TemperatureBasis:
     eigenvalues: np.ndarray
     k_max: tuple[int, int, int]
     factors: FactorTables              # comp 0 only
-    amplitude: np.ndarray              # [mode] L2 normalization
 
     @property
     def m(self) -> int:
@@ -291,29 +308,6 @@ def temperature_modes(lengths, kcap, m: int) -> list[TemperatureMode]:
     return cands[:m]
 
 
-def _factor_tables(axes, ks, amps, sin_axes) -> FactorTables:
-    """Per-axis factor tables of the modes with wavevectors ks [mode, 3].
-
-    Component c has the amplitudes amps[c] [mode] and a sine factor along
-    axis sin_axes[c] (None: cosines only), cosines along the others. A sine
-    factor's end values are exact zeros.
-    """
-    tables = FactorTables(k=ks, axes=tuple(axes), sin_axes=tuple(sin_axes))
-    for amp, sin_axis in zip(amps, sin_axes):
-        per_axis = []
-        for a, ax in enumerate(axes):
-            k = ks[:, a]
-            kap, cos, sin = ax.kappa[k][:, None], ax.cos_syn[:, k].T, ax.sin_syn[:, k].T
-            if a == sin_axis:  # a sine vanishes at both ends of its axis
-                parts = (sin, kap * cos, np.zeros((k.size, 2)))
-            else:
-                parts = (cos, -kap * sin, np.stack([ax.cos_at_lo[k], ax.cos_at_hi[k]], axis=1))
-            per_axis.append([(amp[:, None] if a == 0 else 1.0) * part for part in parts])
-        for store, tabs in zip((tables.val, tables.der, tables.ends), zip(*per_axis)):
-            store.append(tabs)
-    return tables
-
-
 def _synthesize(f) -> np.ndarray:
     """[mode, n1, n2, n3] outer products f[0][i] x f[1][i] x f[2][i]."""
     pair = f[0][:, :, None] * f[1][:, None, :]
@@ -324,21 +318,18 @@ def _sampled(tables: FactorTables, fields) -> np.ndarray:
     """[mode, len(fields) n1 n2 n3]: component c differentiated along d, for
     each (c, d) of fields, sampled at the nodes of the tables' grid."""
     m = tables.k.shape[0]
-    out = np.empty((m, len(fields), math.prod(f.shape[1] for f in tables.val[0])))
+    out = np.empty((m, len(fields), math.prod(ax.n for ax in tables.axes)))
+    undiff = {c: tables.factors(c) for c, _ in fields}   # shared by the fields of a component
     for i, (c, d) in enumerate(fields):
-        out[:, i] = _synthesize(tables.factors(c, d)).reshape(m, -1)
+        f = [tables.factor(c, a, d) if a == d else undiff[c][a] for a in range(3)]
+        out[:, i] = _synthesize(f).reshape(m, -1)
     return out.reshape(m, -1)
 
 
-def _inner(f, g, weight: float) -> np.ndarray:
-    """[i, j] quadrature of f_i g_j for tensor factors: weight prod_a f_a g_a^T."""
-    return weight * (f[0] @ g[0].T) * (f[1] @ g[1].T) * (f[2] @ g[2].T)
-
-
-def _sines(sin_axis: int | None, d: int | None = None) -> tuple:
-    """Per axis 1, 2: whether a factor with its sine along sin_axis,
-    differentiated along d, is a sine there."""
-    return tuple((a == sin_axis) != (a == d) for a in (1, 2))
+def _gram(f, weight: float) -> np.ndarray:
+    """[i, j] quadrature of f_i f_j for tensor factors: weight prod_a f_a f_a^T,
+    each a product of one array with itself, which BLAS takes as symmetric."""
+    return weight * (f[0] @ f[0].T) * (f[1] @ f[1].T) * (f[2] @ f[2].T)
 
 
 def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
@@ -353,13 +344,13 @@ def build_velocity_basis(grid: QuadratureGrid, m: int) -> VelocityBasis:
         raise ValueError("m must be >= 1")
     modes = velocity_modes(grid.spec.lengths, tuple(dealias_cap(n) for n in grid.shape), m)
     ks, coef = np.array([md.k for md in modes]), np.array([md.coef for md in modes])
-    tables = _factor_tables(grid.axes, ks, coef.T, sin_axes=(0, 1, 2))
-    gram = sum(_inner(tables.factors(c), tables.factors(c), grid.cell_volume) for c in range(3))
+    tables = FactorTables(ks, coef.T, (0, 1, 2), grid.axes)
+    gram = sum(_gram(tables.factors(c), grid.cell_volume) for c in range(3))
     dev = float(np.max(np.abs(gram - np.eye(m))))
     if dev > 1e-12:
         raise RuntimeError(f"velocity Gram matrix deviates from the identity by {dev:.3e} > 1e-12")
     # the normal trace of component c is its axis-c factor at the two ends
-    if any(np.any(tables.ends[c][c]) for c in range(3)):
+    if any(np.any(tables.factor(c, c, side=side)) for c in range(3) for side in (0, 1)):
         raise RuntimeError("a velocity mode has a nonzero normal trace")
     rayleigh = np.array([md.rayleigh for md in modes])
     return VelocityBasis(modes, rayleigh, tuple(ks.max(axis=0).tolist()), tables)
@@ -371,9 +362,9 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
         raise ValueError("m must be >= 1")
     modes = temperature_modes(grid.spec.lengths, tuple(dealias_cap(n) for n in grid.shape), m)
     ks, amp = np.array([md.k for md in modes]), np.array([md.amplitude for md in modes])
-    tables = _factor_tables(grid.axes, ks, [amp], sin_axes=(None,))
+    tables = FactorTables(ks, amp[None], (None,), grid.axes)
     lam = np.array([md.eigenvalue for md in modes])
-    return TemperatureBasis(modes, lam, tuple(ks.max(axis=0).tolist()), tables, amp)
+    return TemperatureBasis(modes, lam, tuple(ks.max(axis=0).tolist()), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +389,6 @@ class DeltaEval:
     def __post_init__(self):
         f = self.fields
         self.values, self.grad, self.advection = f[:3], f[3:12].reshape(3, 3, *f.shape[1:]), f[12:]
-
-
-# the parity in which each field meets the modes: as psi_c, or d_d psi_c
-_VECTOR_SINES = [_sines(c) for c in range(3)]
-_DELTA_SINES = _VECTOR_SINES + [_sines(c, d) for c in range(3) for d in range(3)] + _VECTOR_SINES
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +417,10 @@ class AssembledForms:
     _theta_table: np.ndarray = field(init=False, repr=False)   # [mode, 4 P]
     _transport_cell: float = field(init=False, repr=False)
     _tops: tuple = field(init=False, repr=False)   # moment rows of the couplings
+    # FactorTables.split of psi_c, of d_d psi_c (c major), and of phi, d_a phi
+    _psi: list = field(init=False, repr=False)
+    _grad_psi: list = field(init=False, repr=False)
+    _phi: list = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -445,21 +435,20 @@ class AssembledForms:
         V, Th = self.vb.factors, self.tb.factors
         # the tangents of a wall are the unit vectors of its two plane axes
         self.K_fric = self.gamma * sum(
-            _inner(V.on_face(c, p), V.on_face(c, p), p.weight)
-            for p in grid.patches if not p.kind.is_cap for c in p.plane_axes
+            _gram(V.on_face(c, p), p.weight) for p in grid.patches if not p.kind.is_cap for c in p.plane_axes
         )
+        self._psi = [V.split(c) for c in range(3)]
+        self._grad_psi = [V.split(c, d) for c in range(3) for d in range(3)]
+        self._phi = [Th.split(0, d) for d in (None, 0, 1, 2)]
 
         # the transport grid: n = ceil((3 k + 1) / 2) nodes, the fewest with
         # 3 k <= 2 n - 1, for k the larger band of the modes on each axis
         shape = tuple((3 * k + 2) // 2 for k in band)
         lengths = grid.spec.lengths
         axes = tuple(spectral.AxisTransform.build(n, L) for n, L in zip(shape, lengths))
-        coef = np.array([md.coef for md in self.vb.modes]).T
-        Vt = _factor_tables(axes, V.k, coef, sin_axes=(0, 1, 2))
-        Tt = _factor_tables(axes, Th.k, [self.tb.amplitude], sin_axes=(None,))
         psi, grad_psi = [(c, None) for c in range(3)], [(c, a) for a in range(3) for c in range(3)]
-        self._w_table = _sampled(Vt, psi + grad_psi)
-        self._theta_table = _sampled(Tt, [(0, None), (0, 0), (0, 1), (0, 2)])
+        self._w_table = _sampled(replace(V, axes=axes), psi + grad_psi)
+        self._theta_table = _sampled(replace(Th, axes=axes), [(0, None), (0, 0), (0, 1), (0, 2)])
         self._transport_cell = math.prod(lengths) / math.prod(shape)
         self._tops = (2 * band[1], 2 * band[2])
 
@@ -490,26 +479,27 @@ class AssembledForms:
 
     def project_velocity(self, values: np.ndarray) -> np.ndarray:
         """<values, psi_j> for a sampled vector field [comp, n1, n2, n3]."""
-        grid, V = self.grid, self.vb.factors
-        moments = spectral.moment_table(values, _VECTOR_SINES, grid.axes, self.vb.k_max[1:])
-        return spectral.project_moments(moments, grid.cell_volume, [V.split(c) for c in range(3)])
+        moments = spectral.moment_table(values, self._psi, self.grid.axes, self.vb.k_max[1:])
+        return spectral.project_moments(moments, self.grid.cell_volume, self._psi)
 
     def project_temperature(self, values: np.ndarray) -> np.ndarray:
         """<values, phi_j> for a sampled scalar field."""
-        moments = spectral.moment_table(values[None], [_sines(None)], self.grid.axes, self.tb.k_max[1:])
-        return spectral.project_moments(moments, self.grid.cell_volume, [self.tb.factors.split(0)])
+        moments = spectral.moment_table(values[None], self._phi[:1], self.grid.axes, self.tb.k_max[1:])
+        return spectral.project_moments(moments, self.grid.cell_volume, self._phi[:1])
 
     def velocity_temperature_matrix(self, values: np.ndarray) -> np.ndarray:
         """[j, k] = <phi_k values, psi_j> for a sampled vector field."""
-        V, phi, cv = self.vb.factors, self.tb.factors.split(0), self.grid.cell_volume
-        moments = spectral.moment_table(values, _VECTOR_SINES, self.grid.axes, self._tops)
-        return spectral.pair_moments([(moments[c], V.split(c), phi) for c in range(3)], cv)
+        moments = spectral.moment_table(values, self._psi, self.grid.axes, self._tops)
+        terms = [(moments[c], self._psi[c], self._phi[0]) for c in range(3)]
+        return spectral.pair_moments(terms, self.grid.cell_volume)
 
     # -- lifting-dependent pieces --------------------------------------------
 
     def lifting_moments(self, delta: DeltaEval) -> np.ndarray:
-        """The moment table of delta.fields, which its couplings read."""
-        return spectral.moment_table(delta.fields, _DELTA_SINES, self.grid.axes, self._tops)
+        """The moment table of delta.fields, each in the parity in which it
+        meets the modes (as psi_c, or d_d psi_c), which its couplings read."""
+        splits = self._psi + self._grad_psi + self._psi
+        return spectral.moment_table(delta.fields, splits, self.grid.axes, self._tops)
 
     def delta_matrices(self, moments: np.ndarray):
         """(G_wd, G_dw, G_dth): the linear-in-state couplings.
@@ -521,15 +511,14 @@ class AssembledForms:
         Each is a sum of pairwise contractions of two factor families
         against one component of delta or of its gradient.
         """
-        V, Th, cv = self.vb.factors, self.tb.factors, self.grid.cell_volume
+        psi, grad_psi, phi, cv = self._psi, self._grad_psi, self._phi, self.grid.cell_volume
         values, grad = moments[:3], moments[3:12].reshape(3, 3, *moments.shape[1:])
         pairs = [(c, a) for c in range(3) for a in range(3)]
-        psi, phi = [V.split(c) for c in range(3)], Th.split(0)
         # (psi_i . grad(delta))_c = sum_a psi_i_a d_a delta_c
         g_wd = spectral.pair_moments([(grad[c, a], psi[c], psi[a]) for c, a in pairs], cv)
         # (delta . grad(psi_i))_c = sum_a delta_a d_a psi_i_c
-        g_dw = spectral.pair_moments([(values[a], psi[c], V.split(c, a)) for c, a in pairs], cv)
-        g_dth = spectral.pair_moments([(values[a], phi, Th.split(0, a)) for a in range(3)], cv)
+        g_dw = spectral.pair_moments([(values[a], psi[c], grad_psi[3 * c + a]) for c, a in pairs], cv)
+        g_dth = spectral.pair_moments([(values[a], phi[0], phi[1 + a]) for a in range(3)], cv)
         return g_wd, g_dw, g_dth
 
     def delta_vectors(self, moments: np.ndarray):
@@ -537,8 +526,7 @@ class AssembledForms:
         psi_j>, <grad(delta), grad(psi_j)> and the volume piece of nu div
         D(delta), -(nu/2) int D(delta):D(psi_j), from Q's moments and their
         transpose."""
-        V, cv, read = self.vb.factors, self.grid.cell_volume, spectral.project_moments
-        psi, grad_psi = [V.split(c) for c in range(3)], [V.split(c, d) for c in range(3) for d in range(3)]
+        psi, grad_psi, cv, read = self._psi, self._grad_psi, self.grid.cell_volume, spectral.project_moments
         grad = moments[3:12].reshape(3, 3, *moments.shape[1:])
         sym = (grad + grad.swapaxes(0, 1)).reshape(moments[3:12].shape)
         return (read(moments[:3], cv, psi), -read(moments[12:], cv, psi),

@@ -452,8 +452,10 @@ class GalerkinSolver:
         out["bdry"] = forms.boundary_functionals(delta_1)
         out["P"], out["F_adv"], out["Q"], out["F_form"] = forms.delta_vectors(moments)
         out["rows"] = np.stack([out["bdry"] + out["F_form"], out["F_adv"], -out["P"]])
-        out["l2sq"] = grid.integrate(np.sum(delta_1.values**2, axis=0))
-        out["gradsq"] = grid.integrate(np.sum(delta_1.grad**2, axis=(0, 1)))
+        # sums of squares over the components, with no temporary of their size
+        values, grad = delta_1.fields[:3], delta_1.fields[3:12]
+        out["l2sq"] = grid.integrate(np.einsum("f...,f...->...", values, values))
+        out["gradsq"] = grid.integrate(np.einsum("f...,f...->...", grad, grad))
         out["max_abs"] = float(np.max(np.abs(delta_1.values)))
         # the normals are unit vectors along p.axis, so |n.delta_1 - n.(g e3)|
         # is |delta_1[p.axis] - g| on the caps and |delta_1[p.axis]| on the walls
@@ -587,7 +589,7 @@ class GalerkinSolver:
         out["th_gradsq"] = np.einsum("ij,ij->i", D, self.tb.eigenvalues * D)
         out["th_h1sq"] = out["th_l2sq"] + out["th_gradsq"]
         out["fric_sq"] = np.einsum("ij,ij->i", C @ forms.K_fric, C)
-        out["th_integral"] = grid.spec.volume * self.tb.amplitude[0] * D[:, 0]
+        out["th_integral"] = grid.spec.volume * self.tb.factors.amp[0, 0] * D[:, 0]
         out["inflow_theta"] = s * (D @ k["inflow"])
 
         # v = w + s delta_1 in grid quadrature, where |c|^2 and
@@ -638,7 +640,8 @@ class GalerkinSolver:
     def run_windows(self) -> RunResult:
         """Step through the windows, restarting AB2 at each joint, and store
         the time and coefficients of every sample; the series come after.
-        No overflow warns: State makes any non-finite state a NumericalAbort."""
+        No overflow warns: State makes any non-finite state a NumericalAbort,
+        and so is the first sample whose energies are beyond the float range."""
         cfg = self.config
         state = self.initial_state()
         spw = cfg.steps_per_window
@@ -663,10 +666,10 @@ class GalerkinSolver:
                 idx += 1
                 times[idx], coeffs_w[idx], coeffs_th[idx] = state.t, state.c, state.dcoef
 
-        return RunResult(
-            config=cfg,
-            times=times,
-            series=self._ledger(times, coeffs_w, coeffs_th),
-            coeffs_w=coeffs_w,
-            coeffs_th=coeffs_th,
-        )
+        series = self._ledger(times, coeffs_w, coeffs_th)
+        beyond = np.flatnonzero(~np.isfinite(series["w_h1sq"] + series["th_h1sq"] + series["fric_sq"]))
+        if beyond.size:
+            i = beyond[0]
+            raise NumericalAbort(f"non-finite energy at t = {times[i]:.6g}", t=float(times[i]),
+                                 state=State(t=times[i], c=coeffs_w[i], dcoef=coeffs_th[i]))
+        return RunResult(config=cfg, times=times, series=series, coeffs_w=coeffs_w, coeffs_th=coeffs_th)

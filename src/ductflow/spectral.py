@@ -29,47 +29,36 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AxisTransform:
-    """Synthesis/analysis matrices for one axis of a midpoint grid."""
+    """Trig table and synthesis/analysis matrices for one axis of a midpoint grid."""
 
     n: int
-    cos_syn: np.ndarray   # [node, k] = cos(k pi s_j)
-    sin_syn: np.ndarray   # [node, k] = sin(k pi s_j); column 0 is zero
-    cos_ana: np.ndarray   # exact inverse of cos_syn
+    rows: np.ndarray      # [2, j, node] = cos and sin(j pi s_i), j <= 2n - 2
+    cos_ana: np.ndarray   # exact inverse of syn[0]
     kappa: np.ndarray     # k pi / length
-    cos_at_lo: np.ndarray  # cos(k pi s) at s = 0
-    cos_at_hi: np.ndarray  # cos(k pi s) at s = 1
     syn: tuple            # [order] -> [node, k], d^order/dx^order cos(k pi s_j)
 
     @classmethod
     def build(cls, n: int, length: float) -> "AxisTransform":
-        s = (np.arange(n) + 0.5) / n
+        """The rows reach j = 2n - 2, the largest wavenumber of a product of
+        two modes (moment_table); the first n are the synthesis tables."""
+        t = np.pi * np.outer(np.arange(2 * n - 1), (np.arange(n) + 0.5) / n)
+        rows = np.stack([np.cos(t), np.sin(t)])
+        # [node, k], in row-major copies: matmul rounds a transposed view
+        # of the rows differently, so the synthesized fields would move
+        cos, sin = np.ascontiguousarray(rows[:, :n].transpose(0, 2, 1))
         k = np.arange(n)
-        cos_syn = np.cos(np.pi * np.outer(s, k))
-        sin_syn = np.sin(np.pi * np.outer(s, k))
         # Discrete orthogonality: sum_j cos(k pi s_j) cos(k' pi s_j)
         # equals n for k = k' = 0 and n/2 for k = k' >= 1.
         scale = np.full(n, 2.0 / n)
         scale[0] = 1.0 / n
-        cos_ana = (cos_syn * scale[None, :]).T
         kappa = k * np.pi / length
         return cls(
             n=n,
-            cos_syn=cos_syn,
-            sin_syn=sin_syn,
-            cos_ana=cos_ana,
+            rows=rows,
+            cos_ana=(cos * scale[None, :]).T,
             kappa=kappa,
-            cos_at_lo=np.ones(n),
-            cos_at_hi=np.cos(np.pi * k),
-            syn=(cos_syn, -kappa * sin_syn, -kappa**2 * cos_syn),
+            syn=(cos, -kappa * sin, -kappa**2 * cos),
         )
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """[2, j, node]: cos and sin(j pi s_i) for j <= 2n - 2, the largest
-        wavenumber of a product of two modes (moment_table), made on first
-        use; rows j < n are cos_syn and sin_syn transposed, to the bit."""
-        t = np.pi * np.outer(np.arange(2 * self.n - 1), (np.arange(self.n) + 0.5) / self.n)
-        return np.stack([np.cos(t), np.sin(t)])
 
 
 def _on_grid(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -106,7 +95,7 @@ def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], orders, face=None
         return out
     axis, side = face
     ax, (a, b) = axes[axis], [i for i in range(3) if i != axis]
-    ends = ax.cos_at_hi if side == 1 else ax.cos_at_lo
+    ends = np.cos(np.pi * side * np.arange(ax.n))   # cos(k pi s) at s = side
     moved = np.moveaxis(coeffs, axis, -1)
     needed = {o[axis] for o in orders} - {1}
     planes = {d: moved @ (ends if d == 0 else -ax.kappa**2 * ends) for d in needed}
@@ -117,11 +106,12 @@ def synth(coeffs: np.ndarray, axes: tuple[AxisTransform, ...], orders, face=None
     return out
 
 
-def moment_table(fields: np.ndarray, sines, axes, tops) -> np.ndarray:
+def moment_table(fields: np.ndarray, splits, axes, tops) -> np.ndarray:
     """Moment table [field, j1, j2, n1] of fields [field, n1, n2, n3],
     j_a <= tops[a - 1]: contracted along x3, then x2, with the rows of
-    cos or sin(j pi s), as sines[field] says, of axes[a].rows."""
-    s1, s2 = np.asarray(sines, dtype=int).T
+    cos or sin(j pi s) of axes[a].rows, as the sines of splits[field]
+    (basis.FactorTables.split) say."""
+    s1, s2 = np.array([sines for _, sines, _ in splits]).T
     r1, r2 = (ax.rows[s, : top + 1] for ax, s, top in zip(axes[1:], (s1, s2), tops))
     nf, n1, n2, n3 = fields.shape
     t = fields.reshape(nf, n1 * n2, n3) @ r2.transpose(0, 2, 1)

@@ -26,11 +26,11 @@ def outer(f):
 
 def family_fields(tables):
     """(values [mode, comp, n1, n2, n3], grad [mode, comp, dir, n1, n2, n3])
-    of a mode family, synthesized densely from its factor tables: each
+    of a mode family, synthesized densely from its axis factors: each
     component is the outer product of its axis factors, differentiated
     along one axis for the gradient. These are the per-mode grid arrays the
     package does not keep."""
-    comps = range(len(tables.val))
+    comps = range(len(tables.amp))
     values = np.stack([outer(tables.factors(c)) for c in comps], axis=1)
     grad = np.stack(
         [np.stack([outer(tables.factors(c, d)) for d in range(3)], axis=1) for c in comps], axis=1

@@ -243,6 +243,18 @@ def test_energy_balance_tolerance_is_per_sample():
     assert not cert.passed and cert.details["tolerance"] == 1e-9
 
 
+def test_energy_balance_with_a_nan_gap_does_not_pass():
+    # where F and the left-hand side are both inf the gap is nan, which is
+    # a violation: no margin of nan passes
+    times = np.linspace(0.0, 1.0, 101)
+    zeros, F, fric = np.zeros(times.size), np.ones(times.size), np.zeros(times.size)
+    F[60] = fric[60] = math.inf
+    with np.errstate(invalid="ignore"):
+        cert = _mk_energy_cert(zeros, zeros, F, 400.0, fric, 1.0, 0.01, np.array([0, 100]), times)
+    assert math.isnan(cert.margin) and not cert.passed
+    assert cert.details["violations_off_joint"] == 1
+
+
 def dissipation_forms(solver):
     """(2 (nu diag(rayleigh) + K_fric), I + diag(rayleigh / 2)): the velocity
     dissipation and the H1 Gram matrix in the coefficients."""

@@ -452,6 +452,46 @@ def test_overflowing_run_aborts_without_numpy_warnings(tmp_path, amplitude, t):
     assert ("exceeds the advective stability estimate" in proc.stderr) == (amplitude == 1e300)
 
 
+@pytest.mark.parametrize("keys, outcome", [
+    # ||theta||^2 is inf at t = 0 (E6's theta0_l1**2 once raised OverflowError)
+    ({"init.theta": "constant", "init.theta_mean": 1e154}, "0"),
+    # finite coefficients, but X is inf after the first step (E1 once passed
+    # with margin nan)
+    ({"forcing.kind": "shear", "forcing.amplitude": 1e200, "time.T": 0.002}, "0.002"),
+    # every energy finite, but E3's integral of Y and E6's and E8's bounds
+    # are beyond the float range
+    ({"domain.L1": 10, "domain.L2": 10, "domain.a": 5, "init.theta": "constant",
+      "init.theta_mean": 3e152}, ("temperature-energy", "aggregate-energy")),
+    # theta_hi^2 is beyond the float range (E6 once raised OverflowError)
+    ({"audit.theta_star_upper": 1e200}, ()),
+], ids=["theta-energy-inf", "forced-energy-inf", "bounds-beyond-float", "theta-hi-beyond-float"])
+def test_large_temperature_data_abort_or_certify_without_numpy_warnings(tmp_path, keys, outcome):
+    # an energy beyond the float range is a numerical abort at its sample
+    # (outcome: its time), with its coefficients in the dump; otherwise the
+    # run completes, and the bounds beyond it (outcome: their certificates)
+    # hold vacuously. A fresh process, so that the default warning filters
+    # print what a user would see
+    scn = scenario_with(tmp_path, QUICK, {
+        "galerkin.m": 4, "time.dt": 0.002, "time.windows": 1, "time.T": 0.01, **keys,
+    })
+    out = tmp_path / "out"
+    proc = _run_limited(["-m", "ductflow.cli", "run", str(scn), "--out", str(out)], check=False)
+    aborts = isinstance(outcome, str)
+    assert proc.returncode == (2 if aborts else 0), proc.stderr
+    assert "encountered in" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+    if aborts:
+        assert f"numerical abort: non-finite energy at t = {outcome} (" in proc.stderr
+        dump = json.loads((out / "abort_dump.json").read_text())
+        assert dump["t"] == float(outcome) and np.all(np.isfinite(dump["c"] + dump["dcoef"]))
+        return
+    certs = {c["name"]: c for c in json.loads((out / "certificates.json").read_text())["certificates"]}
+    for name in outcome:
+        assert certs[name]["note"] == "bound exceeds the float range" and certs[name]["status"] == "PASS"
+        assert math.isfinite(certs[name]["details"]["log10_bound"])
+    assert certs["window-absorption"]["status"] == "PASS"
+    assert not any(c["status"] == "PASS" and math.isnan(c["margin"]) for c in certs.values())
+
+
 @pytest.mark.parametrize("c_cal", [0, -1])
 def test_auto_mode_rejects_a_nonpositive_calibration_constant(tmp_path, capsys, c_cal):
     scn = scenario_with(tmp_path, QUICK, {

@@ -149,8 +149,11 @@ def test_one_grid_builds_its_axis_tables_once(monkeypatch):
     assert len(built) == 3
     axes = grid.axes  # the tables the three read, not built again
     assert len(built) == 3 and [ax.n for ax in axes] == list(grid.shape)
-    # a sine factor of the velocity modes is a column gather of sin_syn
-    np.testing.assert_array_equal(vb.factors.val[0][1][0], axes[1].cos_syn[:, vb.modes[0].k[1]])
+    # the factor rule gathers the velocity modes' factors from these rows:
+    # along axis 1 a cosine for component 0 and a sine for component 1
+    k1 = vb.modes[0].k[1]
+    np.testing.assert_array_equal(vb.factors.factor(0, 1)[0], axes[1].rows[0, k1])
+    np.testing.assert_array_equal(vb.factors.factor(1, 1)[0], axes[1].rows[1, k1])
 
     other = _grid()
     build_temperature_basis(other, 12)
@@ -159,16 +162,21 @@ def test_one_grid_builds_its_axis_tables_once(monkeypatch):
 
 
 def test_axis_rows_extend_the_synthesis_tables():
-    # moment tables read cos and sin(j pi s), j <= 2n - 2, from
-    # AxisTransform.rows, and the factor tables read cos_syn and sin_syn:
-    # for j < n they are the same numbers to the bit. Beyond n the rows
-    # alias on midpoint nodes, cos((2n - j) pi s) = -cos(j pi s) and
-    # sin((2n - j) pi s) = sin(j pi s)
+    # moment tables and factors read cos and sin(j pi s), j <= 2n - 2, from
+    # AxisTransform.rows, and the synthesis tables of orders 0, 1 and 2 and
+    # the analysis table are its first n rows: the same numbers to the bit
+    # (syn[1] times -1 / kappa would round, so the rows are multiplied).
+    # Beyond n the rows alias on midpoint nodes, cos((2n - j) pi s) =
+    # -cos(j pi s) and sin((2n - j) pi s) = sin(j pi s)
     for n in (1, 4, 7, 16):
         ax = spectral.AxisTransform.build(n, 1.3)
         assert ax.rows.shape == (2, 2 * n - 1, n)
-        np.testing.assert_array_equal(ax.rows[0, :n].T, ax.cos_syn)
-        np.testing.assert_array_equal(ax.rows[1, :n].T, ax.sin_syn)
+        cos, sin = ax.rows[0, :n].T, ax.rows[1, :n].T
+        np.testing.assert_array_equal(cos, np.cos(np.pi * np.outer((np.arange(n) + 0.5) / n, np.arange(n))))
+        np.testing.assert_array_equal(ax.syn[0], cos)
+        np.testing.assert_array_equal(ax.syn[1], -ax.kappa * sin)
+        np.testing.assert_array_equal(ax.syn[2], -ax.kappa**2 * cos)
+        np.testing.assert_array_equal(ax.cos_ana, cos.T * np.r_[1.0 / n, np.full(n - 1, 2.0 / n)][:, None])
         j = np.arange(n + 1, 2 * n - 1)
         np.testing.assert_allclose(ax.rows[0, j], -ax.rows[0, 2 * n - j], rtol=0, atol=1e-13)
         np.testing.assert_allclose(ax.rows[1, j], ax.rows[1, 2 * n - j], rtol=0, atol=1e-13)

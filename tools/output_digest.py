@@ -4,9 +4,10 @@
     python3 tools/output_digest.py [ROOT] --write-golden PATH
 
 Runs `ductflow run --strict --snapshots N` and `ductflow check`, each in a
-fresh process, on the bundled scenarios and on the benchmark workloads at
-seeds 1 and 2, using the source tree of the ductflow checkout at ROOT
-(default: the one holding this script). N is chosen per scenario so that a
+fresh process, on the bundled scenarios, on the benchmark workloads at
+seeds 1 and 2 and on the VARIANTS of two bundled scenarios, using the
+source tree of the ductflow checkout at ROOT (default: the one holding
+this script). N is chosen per scenario so that a
 run writes SNAPSHOTS field snapshots from its first sample on (fewer if it
 has fewer samples), so the reconstruction of the fields is digested too;
 for every run here the last one is the last sample. Prints one line per
@@ -18,7 +19,7 @@ list and the version are covered), `snapshots=<sha256 prefix>` over
 last `check=<exit code>:<sha256 prefix of check's stdout>`.
 
 With a second checkout OTHER, the same runs are made on both source trees
-(the workload scenarios of ROOT are used for both) and only the lines that
+(the workload and variant scenarios of ROOT are used for both) and only the lines that
 differ are printed, ROOT's prefixed with "-" and OTHER's with "+". The exit
 code is 1 if any line differs and 0 if none does, so a refactor that must
 not change results is checked by one command against a copy of its parent.
@@ -79,6 +80,21 @@ EXACT = ("rc=", "manifest=", "check=")
 # quantities that vanish up to rounding, judged by absolute difference:
 # the grid L2 norm of lap(phi) + data, the residual of the Neumann solve
 ABSOLUTE = ("certificates.json certificates.weighted-hessian.details.residual",)
+# bundled scenarios with keys changed, for code no bundled run reaches: a
+# moving velocity under pulsed flux exercises the lifting's nonlinear
+# coupling G_wd c, and bounded_smooth omega the per-step projection of
+# omega(theta) f; name -> (bundled scenario, {key: value})
+VARIANTS = {
+    "pulsed-flux-moving": ("pulsed-flux", {"init.v": "modes", "init.v_amplitude": 0.5, "init.v_nmodes": 4}),
+    "forced-warm-smooth": ("forced-warm", {"omega.kind": "bounded_smooth", "omega.omega1": 0.1}),
+}
+
+
+def variant_text(text: str, keys: dict) -> str:
+    """Scenario text with the lines of the keys dropped and the keys
+    appended with their values."""
+    lines = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
 
 
 def digest(path: Path) -> str:
@@ -301,6 +317,10 @@ def main() -> int:
                 scenario = work / f"{name}-seed{seed}.scn"
                 scenario.write_text(COMMON + make(random.Random(f"{name}:{seed}")))
                 workloads.append((scenario.stem, scenario))
+        for name, (base, keys) in VARIANTS.items():
+            scenario = work / f"{name}.scn"
+            scenario.write_text(variant_text((roots[0] / f"src/ductflow/scenarios/{base}.scn").read_text(), keys))
+            workloads.append((name, scenario))
         digests = [digest_lines(root, workloads, work / str(i), child_env(), expected_rows)
                    for i, root in enumerate(roots)]
         if len(digests) == 1:
