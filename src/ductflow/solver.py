@@ -5,17 +5,20 @@ velocity w = sum c_i psi_i and temperature theta = sum dcoef_i phi_i. The
 physical velocity is reconstructed as v = w + delta, where delta = b +
 grad(phi) carries the boundary flux; the temperature needs no lifting.
 
-Time stepping is IMEX: the stiff linear forms (viscous + friction, heat
-diffusion) go through Crank-Nicolson with precomputed propagators, everything
-else (transport, lifting couplings, the boundary functional, forcing) is
-advanced with a second-order Adams-Bashforth extrapolation restarted at
-window joints.
+Time stepping is IMEX on the stacked state x = (c, dcoef): the stiff linear
+forms (viscous + friction, heat diffusion) go through Crank-Nicolson with
+precomputed block-diagonal propagators, everything else (transport, lifting
+couplings, the boundary functional, forcing) is advanced with a
+second-order Adams-Bashforth extrapolation restarted at window joints.
 
-The run loop only steps and stores: the time and the coefficients c and
-dcoef of every sample. After the loop, _ledger derives every audit series
-from the stored rows: quadratic forms in c and dcoef, theta's grid extremes
-and norms one stored sample at a time, and the boundary data d = s(t) g
-through |s| or |s'| times numbers of the cap shape g computed once per run.
+The run loop only steps and stores: it keeps one [sample, m + m_t]
+trajectory and writes each step into the next row, with s, s^2 and s' of
+the flux read from one table per run; the rows just written are checked
+for finiteness once per window. After the loop, _ledger derives every
+audit series from the stored rows: quadratic forms in c and dcoef, theta's
+grid extremes and norms one stored sample at a time, and the boundary data
+d = s(t) g through the same table's s and s' times numbers of the cap shape
+g computed once per run.
 """
 
 from __future__ import annotations
@@ -232,6 +235,10 @@ def pick_hopf_params(
 
 @dataclass(frozen=True)
 class State:
+    """One sample: its time and finite coefficients. The run loop builds
+    none per step; it is the initial state, the state an abort carries and
+    the argument of the evaluations at one sample."""
+
     t: float
     c: np.ndarray
     dcoef: np.ndarray
@@ -242,20 +249,38 @@ class State:
 
 
 class ImexStepper:
-    """Crank-Nicolson for a fixed SPD matrix, AB2 for the explicit part; the
-    propagators M = A^-1 B and N = dt A^-1 (A = I + dt/2 L, B = I - dt/2 L)
-    are precomputed once, so a step is M x + N expl."""
+    """Crank-Nicolson for a fixed block-diagonal matrix L, given by its
+    diagonal blocks, AB2 for the explicit part. The propagators
+    M = A^-1 B and N = dt A^-1 (A = I + dt/2 L, B = I - dt/2 L) are
+    precomputed once, block by block: each block is the propagator of that
+    block alone, to the bit, and the off-diagonal blocks are exact zeros
+    (one inversion of the whole of A leaves them zero too, but rounds the
+    diagonal blocks differently). A step is M x + N expl, two matrix-vector
+    products and a sum, with no temporary of the state's size."""
 
-    def __init__(self, L: np.ndarray, dt: float):
-        eye = np.eye(L.shape[0])
-        A_inv = np.linalg.inv(eye + 0.5 * dt * L)
-        self._M = A_inv @ (eye - 0.5 * dt * L)
-        # in place: freeing A^-1 raises the run's peak memory (mmap threshold)
-        self._N = np.multiply(dt, A_inv, out=A_inv)
+    def __init__(self, blocks: list, dt: float):
+        n = sum(len(L) for L in blocks)
+        self.M, self.N = np.zeros((n, n)), np.zeros((n, n))
+        self._expl, self._prop = np.empty(n), np.empty(n)
+        start = 0
+        for L in blocks:
+            block = slice(start, start + len(L))
+            eye = np.eye(len(L))
+            A_inv = np.linalg.inv(eye + 0.5 * dt * L)
+            self.M[block, block] = A_inv @ (eye - 0.5 * dt * L)
+            self.N[block, block] = np.multiply(dt, A_inv, out=A_inv)
+            start += len(L)
 
-    def step(self, x, E_now, E_prev=None):
-        expl = E_now if E_prev is None else 1.5 * E_now - 0.5 * E_prev
-        return self._M @ x + self._N @ expl
+    def step(self, x, E_now, E_prev=None, out=None):
+        """M x + N expl, written into ``out`` when given: expl is E_now on a
+        fresh start and the AB2 extrapolation 1.5 E_now - 0.5 E_prev after."""
+        expl = E_now
+        if E_prev is not None:
+            expl = np.multiply(E_now, 1.5, self._expl)
+            expl -= 0.5 * E_prev
+        out = np.dot(self.M, x, out)
+        out += np.dot(self.N, expl, self._prop)
+        return out
 
 
 @dataclass
@@ -287,14 +312,17 @@ class GalerkinSolver:
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
         self.forms = AssembledForms(self.grid, self.vb, self.tb, nu=config.nu, gamma=config.gamma)
-        L_w = np.diag(config.nu * self.vb.rayleigh) + self.forms.K_fric
-        self._stepper_w = ImexStepper(L_w, config.dt)
-        self._stepper_th = ImexStepper(np.diag(config.kappa_heat * self.tb.eigenvalues), config.dt)
+        # one stepper for x = (c, dcoef): L = blockdiag(nu diag(rayleigh) + K_fric, kappa diag(lambda))
+        self._stepper = ImexStepper([np.diag(config.nu * self.vb.rayleigh) + self.forms.K_fric,
+                                     np.diag(config.kappa_heat * self.tb.eigenvalues)], config.dt)
         self.profile = profile_of(config)
         hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
+        # the explicit part of a step is written into the buffer that does
+        # not hold the AB2 history, the explicit part of the step before
+        self._E_buffers = (np.empty(config.m + self.tb.m), np.empty(config.m + self.tb.m))
         self._E_prev = None
 
     # -- setup helpers -------------------------------------------------------
@@ -358,9 +386,9 @@ class GalerkinSolver:
         """(velocity, temperature) dicts of every weak-form term at one state.
 
         Each dict also carries ``explicit``, the part the Adams-Bashforth
-        extrapolation advances, taken from ``_explicit`` as ``step`` takes
-        it, and ``total = explicit - implicit``, where the implicit part is
-        the Crank-Nicolson one (``visc + fric`` for the velocity, ``diff``
+        extrapolation advances, its block of the stacked vector that
+        ``_explicit`` gives ``step``, and ``total = explicit - implicit``,
+        where the implicit part is the Crank-Nicolson one (``visc + fric`` for the velocity, ``diff``
         for the temperature; ``visc`` and ``diff`` are the bases' spectra,
         nu rayleigh and kappa lambda, times the coefficients). So the oracle
         tests of ``total`` check the stepped quantity. The transport terms
@@ -376,9 +404,10 @@ class GalerkinSolver:
         vel = {"conv_www": conv_www}
         vel["visc"] = self.config.nu * self.vb.rayleigh * c
         vel["fric"] = forms.K_fric @ c
-        vel["f_omega"] = self._f_omega(state)
+        vel["f_omega"] = self._f_omega(dcoef)
         k = self.couplings
-        s, s_t = self.profile.s(state.t), self.profile.s_t(state.t)
+        drive = self.drive(state.t)
+        s, s_t = drive[0], drive[2]
         vel["conv_wdelta"] = s * (k["G_wd"] @ c)
         vel["conv_deltaw"] = s * (k["G_dw"] @ c)
         vel["bdry"] = s * k["bdry"]
@@ -386,7 +415,8 @@ class GalerkinSolver:
         vel["F_form"] = s * k["F_form"]
         th = {"diff": self.config.kappa_heat * self.tb.eigenvalues * dcoef}
         th["adv"] = adv + s * (k["G_dth"] @ dcoef)
-        vel["explicit"], th["explicit"] = self._explicit(state)
+        explicit = self._explicit(np.concatenate([c, dcoef]), drive)
+        vel["explicit"], th["explicit"] = explicit[: c.size], explicit[c.size :]
         vel["total"] = vel["explicit"] - vel["visc"] - vel["fric"]
         th["total"] = th["explicit"] - th["diff"]
         return vel, th
@@ -403,7 +433,8 @@ class GalerkinSolver:
         not at set-up; of its grid fields only delta_1's ``values`` are kept.
 
         Of delta_1: values, on the grid, which reconstruct scales by s(t);
-        its couplings G_wd, G_dw, their sum G, G_dth, bdry (the boundary
+        its couplings G_wd, G_dw, G_dth and G = blockdiag(G_wd + G_dw,
+        G_dth), the one a step applies to x = (c, dcoef); bdry (the boundary
         functional), F_form, P = P(delta_1), F_adv = -P(delta_1 . grad
         delta_1), Q with Q_i = <grad psi_i, grad delta_1>; rows, the stack of bdry + F_form,
         F_adv and -P that a step takes by (s, s^2, s'); the squared norms
@@ -424,7 +455,8 @@ class GalerkinSolver:
             m, mt = forms.vb.m, forms.tb.m
             zero = np.zeros((m, m))
             out = dict(cap=FluxNorms(*[(0.0, 0.0)] * len(fields(FluxNorms))), cap_integrals=(0.0, 0.0),
-                       inflow=np.zeros(mt), G_wd=zero, G_dw=zero, G=zero, G_dth=np.zeros((mt, mt)),
+                       inflow=np.zeros(mt), G_wd=zero, G_dw=zero, G=np.zeros((m + mt, m + mt)),
+                       G_dth=np.zeros((mt, mt)),
                        rows=np.zeros((3, m)), l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
             out.update((key, np.zeros(m)) for key in ("bdry", "F_form", "P", "F_adv", "Q"))
             return out
@@ -448,7 +480,10 @@ class GalerkinSolver:
         del ext, sol   # freed before the moment table is made
         moments = forms.lifting_moments(delta_1)
         out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(moments)))
-        out["G"] = out["G_wd"] + out["G_dw"]
+        m = forms.vb.m
+        out["G"] = np.zeros((m + forms.tb.m,) * 2)
+        out["G"][:m, :m] = out["G_wd"] + out["G_dw"]
+        out["G"][m:, m:] = out["G_dth"]
         out["bdry"] = forms.boundary_functionals(delta_1)
         out["P"], out["F_adv"], out["Q"], out["F_form"] = forms.delta_vectors(moments)
         out["rows"] = np.stack([out["bdry"] + out["F_form"], out["F_adv"], -out["P"]])
@@ -467,14 +502,29 @@ class GalerkinSolver:
         out["values"] = delta_1.values.copy()
         return out
 
-    def _explicit(self, state: State) -> tuple:
-        """(E_w, E_th): the explicit parts of the velocity and temperature
-        right-hand sides at the state, the vectors a step advances."""
-        conv, adv = self.forms.transport(state.c, state.c, state.dcoef)
-        E_w = self._f_omega(state) - conv
-        k, s = self.couplings, self.profile.s(state.t)
-        lift = np.array([s, s * s, self.profile.s_t(state.t)]) @ k["rows"]
-        return E_w - s * (k["G"] @ state.c) + lift, -adv - s * (k["G_dth"] @ state.dcoef)
+    def drive(self, times) -> np.ndarray:
+        """(s, s^2, s') of the flux at each of the times, [time, 3], or [3]
+        at one time: the numbers by which a step and the ledger scale the
+        couplings of delta_1 and the numbers of the cap shape g."""
+        ts = np.ravel(times)
+        s = np.array([self.profile.s(t) for t in ts])
+        s_t = np.array([self.profile.s_t(t) for t in ts])
+        return np.stack([s, s * s, s_t], axis=-1).reshape(np.shape(times) + (3,))
+
+    def _explicit(self, x: np.ndarray, drive: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The explicit part of the right-hand side at the stacked state
+        x = (c, dcoef), the vector a step advances, stacked the same way and
+        written into ``out`` when given; drive is (s, s^2, s') at its time."""
+        m = self.config.m
+        c, dcoef = x[:m], x[m:]
+        conv, adv = self.forms.transport(c, c, dcoef)
+        k, E = self.couplings, np.empty_like(x) if out is None else out
+        E_w = E[:m]
+        np.subtract(self._f_omega(dcoef), conv, E_w)
+        np.negative(adv, E[m:])
+        E -= drive[0] * np.dot(k["G"], x)
+        E_w += np.dot(drive, k["rows"])
+        return E
 
     @cached_property
     def _forcing(self) -> dict:
@@ -507,14 +557,14 @@ class GalerkinSolver:
             )
         return dict(kind=cfg.omega_kind)
 
-    def _f_omega(self, state: State) -> np.ndarray:
-        """<omega(theta) f, psi_j> at the state."""
+    def _f_omega(self, dcoef: np.ndarray) -> np.ndarray:
+        """<omega(theta) f, psi_j> at the temperature coefficients dcoef."""
         cfg, fd = self.config, self._forcing
         if fd["kind"] == "constant":
             return fd["P"]
         if fd["kind"] == "linear":
-            return cfg.omega0 * fd["P"] + cfg.omega1 * (fd["M"] @ state.dcoef)
-        omega_f = self.omega(self.theta_values(state.dcoef))[None, :, :, :] * self.f_values
+            return cfg.omega0 * fd["P"] + cfg.omega1 * (fd["M"] @ dcoef)
+        omega_f = self.omega(self.theta_values(dcoef))[None, :, :, :] * self.f_values
         return self.forms.project_velocity(omega_f)
 
     def _omega_f_norms(self, theta: np.ndarray) -> tuple:
@@ -535,19 +585,16 @@ class GalerkinSolver:
         """Restart the Adams-Bashforth history (used at window joints)."""
         self._E_prev = None
 
-    def step(self, state: State) -> State:
-        dt = self.config.dt
-        E_w, E_th = self._explicit(state)
-        prev = self._E_prev
-        c_new = self._stepper_w.step(state.c, E_w, None if prev is None else prev[0])
-        th_new = self._stepper_th.step(state.dcoef, E_th, None if prev is None else prev[1])
-        self._E_prev = (E_w, E_th)
-        try:
-            return State(t=state.t + dt, c=c_new, dcoef=th_new)
-        except ValueError:  # State rejects non-finite coefficients
-            raise NumericalAbort(
-                f"non-finite state at t = {state.t + dt:.6g}", t=state.t, state=state
-            ) from None
+    def step(self, x: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out`` the stacked state x = (c, dcoef) one step on:
+        Crank-Nicolson on the stiff linear forms and, on the explicit part
+        at x, AB2, or forward Euler on the first step after reset_window.
+        drive is (s, s^2, s') at the time of x. Neither state is checked for
+        finiteness here; the run loop checks the rows it stored."""
+        E_prev = self._E_prev
+        E = self._explicit(x, drive, out=self._E_buffers[E_prev is self._E_buffers[0]])
+        self._stepper.step(x, E, E_prev, out=out)
+        self._E_prev = E
 
     def dt_stability_estimate(self, state: State) -> float:
         """Crude advective limit 1 / (|w + delta|_max * kappa_max)."""
@@ -566,9 +613,10 @@ class GalerkinSolver:
         v = w if self.hopf_params is None else w + self.profile.s(state.t) * self.couplings["values"]
         return w, v, self.theta_values(state.dcoef)
 
-    def _ledger(self, times: np.ndarray, coeffs_w: np.ndarray, coeffs_th: np.ndarray) -> dict:
-        """Every audit series, as arrays over the samples at ``times`` with
-        the coefficients stored by rows.
+    def _ledger(self, drive: np.ndarray, coeffs_w: np.ndarray, coeffs_th: np.ndarray) -> dict:
+        """Every audit series, as arrays over the samples with the
+        coefficients stored by rows and drive, (s, s^2, s') of the flux at
+        each sample's time (see ``drive``), the table the run loop read.
 
         The energies are quadratic forms in the coefficients. The mean of
         theta is that of the constant mode alone, since midpoint quadrature
@@ -579,8 +627,7 @@ class GalerkinSolver:
         """
         forms, k, grid = self.forms, self.couplings, self.grid
         C, D = coeffs_w, coeffs_th
-        s = np.array([self.profile.s(t) for t in times])
-        s_t = np.array([self.profile.s_t(t) for t in times])
+        s, s_sq, s_t = drive.T
         abs_s = np.abs(s)
         out = {"w_l2sq": np.einsum("ij,ij->i", C, C)}
         out["w_gradsq"] = np.einsum("ij,ij->i", C, 0.5 * self.vb.rayleigh * C)
@@ -596,8 +643,8 @@ class GalerkinSolver:
         # sum (rayleigh/2) c^2 are the norms of w:
         # ||v||^2 = |c|^2 + 2 s c.P + s^2 ||delta_1||^2, and the gradient the
         # same way with Q
-        out["delta_l2sq"] = s * s * k["l2sq"]
-        out["delta_gradsq"] = s * s * k["gradsq"]
+        out["delta_l2sq"] = s_sq * k["l2sq"]
+        out["delta_gradsq"] = s_sq * k["gradsq"]
         out["v_l2sq"] = out["w_l2sq"] + 2.0 * s * (C @ k["P"]) + out["delta_l2sq"]
         out["v_gradsq"] = out["w_gradsq"] + 2.0 * s * (C @ k["Q"]) + out["delta_gradsq"]
 
@@ -621,10 +668,10 @@ class GalerkinSolver:
         out["compat_residual"] = hopf_mod.compatibility_residual(k["cap_integrals"], s)
         cap = k["cap"]
         out["d_w13_total"] = abs_s * cap.w13_inf_total
-        out["d_w13_sq_sum"] = s * s * sum(x * x for x in cap.w13_cap)
+        out["d_w13_sq_sum"] = s_sq * sum(x * x for x in cap.w13_cap)
         out["ddt_w165_sq_sum"] = s_t * s_t * sum(x * x for x in cap.w1_65_dt_cap)
         out["d_l2_sum"] = abs_s * sum(cap.l2_cap)
-        out["d_l2_sq_sum"] = s * s * sum(x * x for x in cap.l2_cap)
+        out["d_l2_sq_sum"] = s_sq * sum(x * x for x in cap.l2_cap)
         out["d_l3_cap1"] = abs_s * cap.l3_cap[0]
         out["d_l1_cap1"] = abs_s * cap.l1_cap[0]
         root_depth = math.sqrt(2.0 * grid.spec.a)
@@ -640,15 +687,21 @@ class GalerkinSolver:
     def run_windows(self) -> RunResult:
         """Step through the windows, restarting AB2 at each joint, and store
         the time and coefficients of every sample; the series come after.
-        No overflow warns: State makes any non-finite state a NumericalAbort,
-        and so is the first sample whose energies are beyond the float range."""
+
+        The stacked states x = (c, dcoef) are the rows of one trajectory,
+        each step written into the next row, and coeffs_w and coeffs_th are
+        its two column blocks. No overflow warns: the rows of each window
+        are checked once it is stepped, and its first non-finite row is a
+        NumericalAbort that names its time and carries the row before it;
+        so is the first sample whose energies are beyond the float range."""
         cfg = self.config
         state = self.initial_state()
-        spw = cfg.steps_per_window
-        n_samples = cfg.n_windows * spw + 1
-        times = np.zeros(n_samples)
-        coeffs_w = np.zeros((n_samples, cfg.m))
-        coeffs_th = np.zeros((n_samples, self.tb.m))
+        spw, m = cfg.steps_per_window, cfg.m
+        # the running sum t + dt of the sample times, as the steps took it
+        times = np.add.accumulate(np.r_[0.0, np.full(cfg.n_windows * spw, cfg.dt)])
+        drive = self.drive(times)
+        X = np.empty((times.size, m + self.tb.m))
+        X[0, :m], X[0, m:] = state.c, state.dcoef
 
         est = self.dt_stability_estimate(state)
         if cfg.dt > est:
@@ -657,16 +710,19 @@ class GalerkinSolver:
                 RuntimeWarning,
             )
 
-        idx = 0
-        times[idx], coeffs_w[idx], coeffs_th[idx] = state.t, state.c, state.dcoef
-        for _ in range(cfg.n_windows):
+        for first in range(0, times.size - 1, spw):
             self.reset_window()
-            for _ in range(spw):
-                state = self.step(state)
-                idx += 1
-                times[idx], coeffs_w[idx], coeffs_th[idx] = state.t, state.c, state.dcoef
+            for n in range(first, first + spw):
+                self.step(X[n], drive[n], X[n + 1])
+            finite = np.isfinite(X[first + 1 : first + spw + 1]).all(axis=1)
+            if not finite.all():
+                i = first + 1 + int(np.argmin(finite))
+                t = float(times[i - 1])
+                raise NumericalAbort(f"non-finite state at t = {times[i]:.6g}", t=t,
+                                     state=State(t=t, c=X[i - 1, :m], dcoef=X[i - 1, m:]))
 
-        series = self._ledger(times, coeffs_w, coeffs_th)
+        coeffs_w, coeffs_th = X[:, :m], X[:, m:]
+        series = self._ledger(drive, coeffs_w, coeffs_th)
         beyond = np.flatnonzero(~np.isfinite(series["w_h1sq"] + series["th_h1sq"] + series["fric_sq"]))
         if beyond.size:
             i = beyond[0]

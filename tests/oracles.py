@@ -6,6 +6,7 @@ package's cached samples, assembled matrices and einsum fast paths. Keep
 this file boring and explicit on purpose. lifting and scaled_lifting are
 the exception: they build a run's lifting with the package's builders and
 hand it, scaled to a time, with face gradients of its own, to the oracles.
+So is step_state, which takes one step of the solver's own from a State.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 from ductflow.hopf import build_b
 from ductflow.poisson import delta_field, solve_neumann
+from ductflow.solver import State
 
 
 def outer(f):
@@ -396,6 +398,17 @@ def boundary_functionals_by_quadrature(vmodes, grid, faces, nu, gamma):
                 B[j] += patch.weight * np.sum(bdata * pj_tau)
                 Fb[j] += nu * patch.weight * np.sum(stress * pj_tau)
     return B, Fb
+
+
+def step_state(solver, state):
+    """The State one GalerkinSolver.step after state, at state.t + dt: the
+    step of the stacked coefficients (c, dcoef) as the run loop takes it,
+    with the AB2 history the solver holds."""
+    m = state.c.size
+    x = np.concatenate([state.c, state.dcoef])
+    out = np.empty_like(x)
+    solver.step(x, solver.drive(state.t), out)
+    return State(t=state.t + solver.config.dt, c=out[:m], dcoef=out[m:])
 
 
 def lifting(solver):

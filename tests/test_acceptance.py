@@ -281,7 +281,7 @@ def test_criterion_07_galerkin_oracle_equivalence():
         scale = max(1.0, float(np.max(np.abs(slow_th[key]))))
         assert np.max(np.abs(fast_th[key] - slow_th[key])) <= 1e-8 * scale, key
     # one full step stays finite and consistent between restarts
-    stepped = solver.step(state)
+    stepped = oracles.step_state(solver, state)
     assert np.all(np.isfinite(stepped.c))
     _ok("07 galerkin-oracle-equivalence")
 

@@ -27,7 +27,7 @@ from ductflow.scenario import (
     parse_scenario_text,
     set_key,
 )
-from ductflow.solver import GalerkinSolver, ScenarioConfig, profile_of
+from ductflow.solver import GalerkinSolver, ScenarioConfig, State, profile_of
 from ductflow.svg import polyline_chart
 
 QUICK = bundled_scenario_path("quick-decay")
@@ -37,7 +37,7 @@ PULSED = bundled_scenario_path("pulsed-flux")
 def d_w13_total(solver, ts):
     """The ledger's sum of the W^1_3 cap norms of the data at the times ts."""
     zeros = np.zeros((ts.size, solver.config.m)), np.zeros((ts.size, solver.tb.m))
-    return solver._ledger(ts, *zeros)["d_w13_total"]
+    return solver._ledger(solver.drive(ts), *zeros)["d_w13_total"]
 
 
 def test_bundled_scenarios_parse():
@@ -565,17 +565,52 @@ def test_aborted_run_writes_the_dump_and_no_snapshots(tmp_path, monkeypatch):
     # run that aborts leaves its diagnostics and no partial snapshots/
     calls = []
 
-    def step(self, state, _orig=GalerkinSolver.step):
-        calls.append(state.t)
+    def step(self, x, drive, out, _orig=GalerkinSolver.step):
+        m = self.config.m
+        calls.append(State(t=len(calls) * self.config.dt, c=x[:m].copy(), dcoef=x[m:].copy()))
         if len(calls) == 5:
-            raise NumericalAbort("injected", t=state.t, state=state)
-        return _orig(self, state)
+            raise NumericalAbort("injected", t=calls[-1].t, state=calls[-1])
+        return _orig(self, x, drive, out)
 
     monkeypatch.setattr(GalerkinSolver, "step", step)
     out = tmp_path / "out"
     assert main(["run", str(QUICK), "--out", str(out), "--snapshots", "1"]) == 2
     assert sorted(p.name for p in out.iterdir()) == ["abort_dump.json"]
-    assert json.loads((out / "abort_dump.json").read_text())["t"] == calls[-1]
+    dump = json.loads((out / "abort_dump.json").read_text())
+    assert dump["t"] == calls[-1].t
+    assert dump["c"] == calls[-1].c.tolist() and dump["dcoef"] == calls[-1].dcoef.tolist()
+
+
+def test_mid_window_abort_names_the_first_non_finite_state(tmp_path, monkeypatch, capsys):
+    # the run loop checks a window's rows once it is stepped; a state that
+    # turns non-finite at the 4th of 10 steps must still be named by its own
+    # time, with the finite state before it in the exception and the dump,
+    # not by the window's last row
+    scn = scenario_with(tmp_path, QUICK, {"time.T": 0.05})
+    reference = GalerkinSolver(load_scenario(scn)).run_windows()
+    assert reference.config.steps_per_window == 10
+    calls = []
+
+    def explicit(self, *args, _orig=GalerkinSolver._explicit, **kw):
+        calls.append(None)
+        E = _orig(self, *args, **kw)
+        return np.full_like(E, np.inf) if len(calls) >= 4 else E
+
+    monkeypatch.setattr(GalerkinSolver, "_explicit", explicit)
+    message = f"non-finite state at t = {reference.times[4]:.6g}"
+    with pytest.raises(NumericalAbort) as info:
+        GalerkinSolver(load_scenario(scn)).run_windows()
+    assert str(info.value) == message and info.value.t == reference.times[3]
+    assert np.array_equal(info.value.state.c, reference.coeffs_w[3])
+    assert np.array_equal(info.value.state.dcoef, reference.coeffs_th[3])
+    calls.clear()
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == 2
+    assert f"numerical abort: {message} (" in capsys.readouterr().err
+    dump = json.loads((out / "abort_dump.json").read_text())
+    assert dump == {"error": message, "t": reference.times[3], "c": reference.coeffs_w[3].tolist(),
+                    "dcoef": reference.coeffs_th[3].tolist()}
+    assert dump["t"] != reference.times[10] and dump["c"] != reference.coeffs_w[10].tolist()
 
 
 def test_zero_flux_amplitude_is_no_flux(tmp_path):

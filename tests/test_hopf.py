@@ -239,7 +239,7 @@ def test_pulsed_dt_norm_is_analytic():
     p = 6.0 / 5.0
     shape = sum(cap.integrate(np.abs(f) ** p) for f in (g, g_x, g_y)) ** (1.0 / p)
     ts = np.array([0.0, 0.07, 0.31])
-    got = solver._ledger(ts, np.zeros((3, 4)), np.zeros((3, solver.tb.m)))["ddt_w165_sq_sum"]
+    got = solver._ledger(solver.drive(ts), np.zeros((3, 4)), np.zeros((3, solver.tb.m)))["ddt_w165_sq_sum"]
     for t, value in zip(ts, got):
         s_t = beta * 2.0 * math.pi / period * math.cos(2.0 * math.pi * t / period)
         expected = 2.0 * (A * s_t * shape) ** 2

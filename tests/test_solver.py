@@ -30,7 +30,7 @@ from ductflow.solver import (
 def sampled(solver, state) -> dict:
     """Every audit series at one state, as the ledger derives them from the
     stored coefficients."""
-    series = solver._ledger(np.array([state.t]), state.c[None], state.dcoef[None])
+    series = solver._ledger(solver.drive(np.array([state.t])), state.c[None], state.dcoef[None])
     return {key: value[0] for key, value in series.items()}
 
 
@@ -53,7 +53,7 @@ def test_imex_linear_decay_matches_expm_to_second_order():
     Lnorm = np.linalg.norm(L, 2)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        stepper = ImexStepper(L, dt)
+        stepper = ImexStepper([L], dt)
         x1 = stepper.step(x0, np.zeros(8))
         ref = expm(-L * dt) @ x0
         errs.append(np.linalg.norm(x1 - ref))
@@ -73,12 +73,48 @@ def test_imex_step_matches_the_dense_solve():
     L = (Q * np.logspace(0, 4, 32)) @ Q.T   # stiff: dt/2 L reaches 10
     dt = 2e-3
     eye = np.eye(32)
-    stepper = ImexStepper(L, dt)
+    stepper = ImexStepper([L], dt)
     x, E_now, E_prev = rng.standard_normal((3, 32))
     for got, E in ((stepper.step(x, E_now), E_now),
                    (stepper.step(x, E_now, E_prev), 1.5 * E_now - 0.5 * E_prev)):
         ref = np.linalg.solve(eye + 0.5 * dt * L, (eye - 0.5 * dt * L) @ x + dt * E)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_stacked_propagators_are_the_separate_ones():
+    # the solver steps x = (c, dcoef) with one stepper over blockdiag(L_w,
+    # L_th): its M and N are the two separate propagators side by side, to
+    # the bit, with exact zeros off the diagonal blocks, so a stacked step
+    # is the two separate steps. Sizes 10 and 7 differ and are not
+    # multiples of a SIMD width
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((10, 10))
+    L_w = A @ A.T + np.diag(rng.uniform(1.0, 400.0, 10))
+    L_th = np.diag(np.r_[0.0, rng.uniform(1.0, 900.0, 6)])
+    dt = 2.5e-3
+    stacked, w, th = ImexStepper([L_w, L_th], dt), ImexStepper([L_w], dt), ImexStepper([L_th], dt)
+    for name in ("M", "N"):
+        got = getattr(stacked, name)
+        assert np.array_equal(got[:10, :10], getattr(w, name)), name
+        assert np.array_equal(got[10:, 10:], getattr(th, name)), name
+        assert not got[:10, 10:].any() and not got[10:, :10].any(), name
+    x, E_now, E_prev = rng.standard_normal((3, 17))
+    for args in ((), (E_prev,)):
+        got = stacked.step(x, E_now, *args)
+        ref = np.concatenate([w.step(x[:10], E_now[:10], *(a[:10] for a in args)),
+                              th.step(x[10:], E_now[10:], *(a[10:] for a in args))])
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # the solver's own stepper, against propagators built from its forms
+    solver = GalerkinSolver(small_config(m=12, nu=0.7, kappa_heat=0.6))
+    cfg, m = solver.config, solver.config.m
+    blocks = (np.diag(cfg.nu * solver.vb.rayleigh) + solver.forms.K_fric,
+              np.diag(cfg.kappa_heat * solver.tb.eigenvalues))
+    w, th = (ImexStepper([L], cfg.dt) for L in blocks)
+    for name in ("M", "N"):
+        got = getattr(solver._stepper, name)
+        assert np.array_equal(got[:m, :m], getattr(w, name)), name
+        assert np.array_equal(got[m:, m:], getattr(th, name)), name
+        assert not got[:m, m:].any() and not got[m:, :m].any(), name
 
 
 # --- basic dynamics ---------------------------------------------------------
@@ -142,7 +178,7 @@ def test_rhs_consistency_with_explicit_split():
             solver.vb.modes, solver.tb.modes, solver.grid, cfg.nu, cfg.gamma, cfg.kappa_heat
         )
         solver.reset_window()
-        stepped = solver.step(state)
+        stepped = oracles.step_state(solver, state)
         dt = cfg.dt
         cases = (
             (state.c, slow["total"], ref_forms["K_visc"] + ref_forms["K_fric"], stepped.c),
@@ -253,7 +289,7 @@ def test_stepping_forcing_needs_no_grid_field(monkeypatch):
         (dict(omega_kind="bounded_smooth", omega1=0.3, **shear), ["theta_values", "project_velocity"] * 3),
     ):
         solver = GalerkinSolver(small_config(**kw))
-        state = solver.step(random_forcing_state(solver))
+        state = oracles.step_state(solver, random_forcing_state(solver))
         calls = []
         with monkeypatch.context() as mp:
             for owner, name in ((GalerkinSolver, "theta_values"), (AssembledForms, "project_velocity")):
@@ -262,7 +298,7 @@ def test_stepping_forcing_needs_no_grid_field(monkeypatch):
                     return _orig(*args)
                 mp.setattr(owner, name, counted)
             for _ in range(3):
-                state = solver.step(state)
+                state = oracles.step_state(solver, state)
         assert calls == grid_calls, kw
 
 
@@ -324,13 +360,14 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
         solver = GalerkinSolver(cfg)
         state = dataclasses.replace(random_forcing_state(solver), t=0.03)
         stepped = []
-        for stepper in (solver._stepper_w, solver._stepper_th):
-            def record(x, E_now, E_prev=None, _step=stepper.step):
-                stepped.append(E_now)
-                return _step(x, E_now, E_prev)
-            stepper.step = record
+
+        def record(x, E_now, E_prev=None, out=None, _step=solver._stepper.step):
+            stepped.append(E_now.copy())
+            return _step(x, E_now, E_prev, out)
+
+        solver._stepper.step = record
         solver.reset_window()
-        solver.step(state)
+        oracles.step_state(solver, state)
         vel, th = solver.rhs_terms(state)
         lifting = ("conv_wdelta", "conv_deltaw", "bdry", "F_vol", "F_form")
         if cfg.flux_profile == "pulsed":
@@ -339,7 +376,8 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
             assert np.any(solver.couplings["F_adv"])
         terms_w = [-vel["conv_www"], vel["f_omega"], -vel["conv_wdelta"], -vel["conv_deltaw"],
                    vel["bdry"], vel["F_vol"], vel["F_form"]]
-        for got, terms in zip(stepped, (terms_w, [-th["adv"]])):
+        (E,) = stepped
+        for got, terms in zip((E[: cfg.m], E[cfg.m :]), (terms_w, [-th["adv"]])):
             scale = max(float(np.max(np.abs(term))) for term in terms)
             assert np.max(np.abs(got - sum(terms))) <= 1e-13 * scale, flux
 
@@ -350,7 +388,7 @@ def test_setup_builds_no_lifting():
     # time carries none of it
     solver = GalerkinSolver(oracle_config(init_v="zero"))
     assert "couplings" not in solver.__dict__
-    solver.step(solver.initial_state())
+    oracles.step_state(solver, solver.initial_state())
     assert "couplings" in solver.__dict__
     assert not hasattr(solver, "lifting")
 
@@ -367,9 +405,9 @@ def test_run_loop_only_steps_and_stores(monkeypatch, kw):
     n_steps = 2 * solver.config.steps_per_window
     steps, thetas = [], []
 
-    def step(self, state, _orig=GalerkinSolver.step):
-        steps.append(state.t)
-        return _orig(self, state)
+    def step(self, x, drive, out, _orig=GalerkinSolver.step):
+        steps.append(drive)
+        return _orig(self, x, drive, out)
 
     def theta_values(self, dcoef, _orig=GalerkinSolver.theta_values):
         thetas.append(len(steps))
@@ -380,6 +418,37 @@ def test_run_loop_only_steps_and_stores(monkeypatch, kw):
     res = solver.run_windows()
     assert len(steps) == n_steps and res.times.size == n_steps + 1
     assert thetas and set(thetas) == {n_steps}, "theta synthesized before the last step"
+
+
+def test_stored_trajectory_obeys_the_scheme():
+    # every stored row is the Crank-Nicolson/AB2 step of the row before:
+    # x_{n+1} = M x_n + N (1.5 E_n - 0.5 E_{n-1}), and M x_n + N E_n on the
+    # first step of each window, where E_n is the explicit part rhs_terms
+    # gives at the stored sample n and M, N are built here from the spectra
+    # and the friction form. Pulsed flux (s and s' change every step),
+    # shear forcing and a linear omega put every explicit term in E_n, so a
+    # time table read one row off, a missed restart or a block out of place
+    # shows
+    solver = GalerkinSolver(oracle_config(m=12, n_windows=2, T=0.03))
+    run = solver.run_windows()
+    cfg, m = solver.config, solver.config.m
+    dt, spw = cfg.dt, cfg.steps_per_window
+    blocks = (np.diag(cfg.nu * solver.vb.rayleigh) + solver.forms.K_fric,
+              np.diag(cfg.kappa_heat * solver.tb.eigenvalues))
+    size = sum(len(L) for L in blocks)
+    L = np.zeros((size, size))
+    L[:m, :m], L[m:, m:] = blocks
+    eye = np.eye(size)
+    M = np.linalg.solve(eye + 0.5 * dt * L, eye - 0.5 * dt * L)
+    N = dt * np.linalg.inv(eye + 0.5 * dt * L)
+    X = np.hstack([run.coeffs_w, run.coeffs_th])
+    E = np.array([np.concatenate([part["explicit"] for part in solver.rhs_terms(
+        State(t=t, c=row[:m], dcoef=row[m:]))]) for t, row in zip(run.times, X)])
+    assert np.any(E[:, :m] != 0.0) and np.any(E[:, m:] != 0.0)
+    for n in range(len(X) - 1):
+        expl = E[n] if n % spw == 0 else 1.5 * E[n] - 0.5 * E[n - 1]
+        ref = M @ X[n] + N @ expl
+        assert np.max(np.abs(X[n + 1] - ref)) <= 1e-13 * np.max(np.abs(ref)), n
 
 
 def test_scaled_lifting_matches_direct_rebuild():
@@ -597,7 +666,7 @@ def test_heat_decay_at_box_eigenrates():
     dcoef0[3] = -0.5
     state = State(t=0.0, c=np.zeros(cfg.m), dcoef=dcoef0)
     for _ in range(cfg.steps_per_window):
-        state = solver.step(state)
+        state = oracles.step_state(solver, state)
     lam = solver.tb.eigenvalues
     expected = dcoef0 * np.exp(-cfg.kappa_heat * lam * cfg.T)
     assert np.max(np.abs(state.dcoef - expected)) < 1e-5
@@ -870,14 +939,15 @@ def test_coefficient_norms_match_grid_quadrature():
 
 
 def test_numerical_abort_on_blowup():
-    # skew transport keeps moderate runs bounded, so force an overflow
+    # skew transport keeps moderate runs bounded, so force an overflow: the
+    # run loop finds it in the rows it stored and aborts at the first
+    # non-finite one, carrying the finite row before it
     cfg = small_config(init_v="modes", init_v_amplitude=1e200, dt=5e-2, T=2.0)
     solver = GalerkinSolver(cfg)
-    state = solver.initial_state()
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalAbort, match="non-finite state"):
-            for _ in range(200):
-                state = solver.step(state)
+    with pytest.warns(RuntimeWarning, match="advective stability estimate"):
+        with pytest.raises(NumericalAbort, match="non-finite state") as info:
+            solver.run_windows()
+    assert np.isfinite(info.value.state.c).all() and np.isfinite(info.value.state.dcoef).all()
 
 
 def test_config_validation():
@@ -944,7 +1014,7 @@ def test_discrete_energy_consistency():
     state = solver.initial_state()
     worst = 0.0
     for _ in range(20):
-        nxt = solver.step(state)
+        nxt = oracles.step_state(solver, state)
         mid = State(
             t=state.t, c=0.5 * (state.c + nxt.c), dcoef=0.5 * (state.dcoef + nxt.dcoef)
         )

@@ -7,7 +7,8 @@ For each m, in a fresh process with one BLAS thread, the probe builds a
 `GalerkinSolver` for the bundled scenario NAME (default free-decay) with
 that m on the given grid (the set-up time), builds its lifting couplings
 (the lifting time: the first `solver.couplings`, 0 without flux), steps it
-STEPS times from its initial state (the mean step time) and reads the
+STEPS times from its initial state as the run loop does, each stacked state
+written into the next row of a trajectory (the mean step time), and reads the
 process's peak resident set size. The sizes run one after another, so no
 two probes share the machine. It prints one Markdown table row per size:
 m, grid, set-up, lifting, step, peak RSS. A size whose process fails gets a
@@ -15,7 +16,8 @@ m, grid, set-up, lifting, step, peak RSS. A size whose process fails gets a
 
 --src names the `src/` directory to import ductflow from (default: the one
 of the checkout holding this script), so one command measures another
-checkout, such as a copy of a parent commit, the same way.
+checkout, such as a copy of a parent commit, the same way, if its
+`GalerkinSolver.step(x, drive, out)` steps the stacked state as here.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def probe(m: int, grid: list[int], scenario: str) -> dict:
     import resource
     import time
 
+    import numpy as np
+
     from ductflow.scenario import bundled_scenario_path, load_scenario
     from ductflow.solver import GalerkinSolver
 
@@ -56,9 +60,12 @@ def probe(m: int, grid: list[int], scenario: str) -> dict:
         solver.couplings
         lifting = time.perf_counter() - t0
     state = solver.initial_state()
+    X = np.empty((STEPS + 1, cfg.m + solver.tb.m))
+    X[0, : cfg.m], X[0, cfg.m :] = state.c, state.dcoef
+    drive = solver.drive(np.arange(STEPS + 1) * cfg.dt)
     t0 = time.perf_counter()
-    for _ in range(STEPS):
-        state = solver.step(state)
+    for n in range(STEPS):
+        solver.step(X[n], drive[n], X[n + 1])
     step = (time.perf_counter() - t0) / STEPS
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
