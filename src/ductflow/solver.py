@@ -697,8 +697,8 @@ class GalerkinSolver:
         cfg = self.config
         state = self.initial_state()
         spw, m = cfg.steps_per_window, cfg.m
-        # the running sum t + dt of the sample times, as the steps took it
-        times = np.add.accumulate(np.r_[0.0, np.full(cfg.n_windows * spw, cfg.dt)])
+        # n dt, not a running sum, which drifts off the horizon
+        times = np.arange(cfg.n_windows * spw + 1) * cfg.dt
         drive = self.drive(times)
         X = np.empty((times.size, m + self.tb.m))
         X[0, :m], X[0, m:] = state.c, state.dcoef

@@ -420,6 +420,17 @@ def test_run_loop_only_steps_and_stores(monkeypatch, kw):
     assert thetas and set(thetas) == {n_steps}, "theta synthesized before the last step"
 
 
+def test_sample_times_are_multiples_of_dt():
+    # sample n is at n dt, so the last is the horizon: a running sum of dt,
+    # the times once stepped, is 0.05000000000000001 after 20 steps of 0.0025
+    run = GalerkinSolver(small_config(T=0.025, n_windows=2, dt=0.0025)).run_windows()
+    running = [0.0]
+    for _ in range(20):
+        running.append(running[-1] + 0.0025)
+    assert running[-1] != 0.05
+    assert np.array_equal(run.times, np.arange(21) * 0.0025) and run.times[-1] == 0.05
+
+
 def test_stored_trajectory_obeys_the_scheme():
     # every stored row is the Crank-Nicolson/AB2 step of the row before:
     # x_{n+1} = M x_n + N (1.5 E_n - 0.5 E_{n-1}), and M x_n + N E_n on the
