@@ -277,7 +277,7 @@ class ImexStepper:
         expl = E_now
         if E_prev is not None:
             expl = np.multiply(E_now, 1.5, self._expl)
-            expl -= 0.5 * E_prev
+            expl -= np.multiply(E_prev, 0.5, self._prop)
         out = np.dot(self.M, x, out)
         out += np.dot(self.N, expl, self._prop)
         return out
@@ -312,7 +312,7 @@ class GalerkinSolver:
         self.vb: VelocityBasis = build_velocity_basis(self.grid, config.m)
         self.tb: TemperatureBasis = build_temperature_basis(self.grid, config.m)
         self.forms = AssembledForms(self.grid, self.vb, self.tb, nu=config.nu, gamma=config.gamma)
-        # one stepper for x = (c, dcoef): L = blockdiag(nu diag(rayleigh) + K_fric, kappa diag(lambda))
+        # one stepper for the stacked state x = (c, dcoef)
         self._stepper = ImexStepper([np.diag(config.nu * self.vb.rayleigh) + self.forms.K_fric,
                                      np.diag(config.kappa_heat * self.tb.eigenvalues)], config.dt)
         self.profile = profile_of(config)
@@ -320,9 +320,6 @@ class GalerkinSolver:
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
-        # the explicit part of a step is written into the buffer that does
-        # not hold the AB2 history, the explicit part of the step before
-        self._E_buffers = (np.empty(config.m + self.tb.m), np.empty(config.m + self.tb.m))
         self._E_prev = None
 
     # -- setup helpers -------------------------------------------------------
@@ -388,9 +385,10 @@ class GalerkinSolver:
         Each dict also carries ``explicit``, the part the Adams-Bashforth
         extrapolation advances, its block of the stacked vector that
         ``_explicit`` gives ``step``, and ``total = explicit - implicit``,
-        where the implicit part is the Crank-Nicolson one (``visc + fric`` for the velocity, ``diff``
-        for the temperature; ``visc`` and ``diff`` are the bases' spectra,
-        nu rayleigh and kappa lambda, times the coefficients). So the oracle
+        where the implicit part is the Crank-Nicolson one (``visc + fric``
+        for the velocity, ``diff`` for the temperature; ``visc`` and ``diff``
+        are the bases' spectra, nu rayleigh and kappa lambda, times the
+        coefficients). So the oracle
         tests of ``total`` check the stepped quantity. The transport terms
         come from ``forms.transport``, on a transport grid of
         ceil((3 k_a + 1) / 2) midpoint nodes per axis (k_a the larger band
@@ -462,7 +460,11 @@ class GalerkinSolver:
             return out
         lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
         g_cap = {p.kind: profile.g(*p.meshgrid()) for p in (lo, hi)}
+        m = forms.vb.m
         out = dict(
+            # allocated ahead of the lifting's grid fields: allocated after
+            # them it raised the run's peak resident memory by ~0.1 MB
+            G=np.zeros((m + forms.tb.m,) * 2),
             cap=cap_norms(profile, grid),
             cap_integrals=(lo.integrate(g_cap[lo.kind]), hi.integrate(g_cap[hi.kind])),
             inflow=forms.tb.factors.project_face(0, lo, g_cap[lo.kind]),
@@ -480,8 +482,6 @@ class GalerkinSolver:
         del ext, sol   # freed before the moment table is made
         moments = forms.lifting_moments(delta_1)
         out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(moments)))
-        m = forms.vb.m
-        out["G"] = np.zeros((m + forms.tb.m,) * 2)
         out["G"][:m, :m] = out["G_wd"] + out["G_dw"]
         out["G"][m:, m:] = out["G_dth"]
         out["bdry"] = forms.boundary_functionals(delta_1)
@@ -511,14 +511,14 @@ class GalerkinSolver:
         s_t = np.array([self.profile.s_t(t) for t in ts])
         return np.stack([s, s * s, s_t], axis=-1).reshape(np.shape(times) + (3,))
 
-    def _explicit(self, x: np.ndarray, drive: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def _explicit(self, x: np.ndarray, drive: np.ndarray) -> np.ndarray:
         """The explicit part of the right-hand side at the stacked state
-        x = (c, dcoef), the vector a step advances, stacked the same way and
-        written into ``out`` when given; drive is (s, s^2, s') at its time."""
+        x = (c, dcoef), the vector a step advances, stacked the same way;
+        drive is (s, s^2, s') at its time."""
         m = self.config.m
         c, dcoef = x[:m], x[m:]
         conv, adv = self.forms.transport(c, c, dcoef)
-        k, E = self.couplings, np.empty_like(x) if out is None else out
+        k, E = self.couplings, np.empty_like(x)
         E_w = E[:m]
         np.subtract(self._f_omega(dcoef), conv, E_w)
         np.negative(adv, E[m:])
@@ -591,9 +591,8 @@ class GalerkinSolver:
         at x, AB2, or forward Euler on the first step after reset_window.
         drive is (s, s^2, s') at the time of x. Neither state is checked for
         finiteness here; the run loop checks the rows it stored."""
-        E_prev = self._E_prev
-        E = self._explicit(x, drive, out=self._E_buffers[E_prev is self._E_buffers[0]])
-        self._stepper.step(x, E, E_prev, out=out)
+        E = self._explicit(x, drive)
+        self._stepper.step(x, E, self._E_prev, out=out)
         self._E_prev = E
 
     def dt_stability_estimate(self, state: State) -> float:
