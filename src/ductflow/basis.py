@@ -104,18 +104,20 @@ class FactorTables:
         kap = self.axes[a].kappa[self.k[:, a]]
         return int(not sine), (kap if sine else -kap)[:, None]
 
-    def factor(self, c: int, a: int, d: int | None = None, side: int | None = None) -> np.ndarray:
+    def factor(self, c: int, a: int, d: int | None = None, side: int | tuple | None = None) -> np.ndarray:
         """[mode, node] the axis-a factor of component c differentiated along
         d, the rows of axes[a] gathered by wavenumber times the kappa of
         _rule; or, undifferentiated, [mode, 1] its value at the low (side
         0) or high (side 1) end, 0 for a sine and cos(k pi side) for a
-        cosine. The amplitude sits in the axis-0 factor."""
+        cosine, and [mode, len(side)] its values at a tuple of ends. The
+        amplitude sits in the axis-0 factor."""
         k, ax = self.k[:, a], self.axes[a]
         sine, kap = self._rule(c, a, d)
         if side is None:
             f = ax.rows[sine, k]
         else:
-            f = np.zeros((k.size, 1)) if sine else np.cos(np.pi * side * k)[:, None]
+            sides = np.atleast_1d(side)
+            f = np.zeros((k.size, sides.size)) if sine else np.cos(np.pi * np.outer(k, sides))
         if kap is not None:
             f = kap * f
         return self.amp[c][:, None] * f if a == 0 else f
@@ -314,16 +316,22 @@ def _synthesize(f) -> np.ndarray:
     return pair[..., None] * f[2][:, None, None, :]
 
 
-def _sampled(tables: FactorTables, fields) -> np.ndarray:
-    """[mode, len(fields) n1 n2 n3]: component c differentiated along d, for
-    each (c, d) of fields, sampled at the nodes of the tables' grid."""
+def _sampled(tables: FactorTables, *groups) -> tuple:
+    """One [mode, len(fields) n1 n2 n3] table per list of fields in groups:
+    component c differentiated along d, for each (c, d) of the list, sampled
+    at the nodes of the tables' grid."""
     m = tables.k.shape[0]
-    out = np.empty((m, len(fields), math.prod(ax.n for ax in tables.axes)))
-    undiff = {c: tables.factors(c) for c, _ in fields}   # shared by the fields of a component
-    for i, (c, d) in enumerate(fields):
-        f = [tables.factor(c, a, d) if a == d else undiff[c][a] for a in range(3)]
-        out[:, i] = _synthesize(f).reshape(m, -1)
-    return out.reshape(m, -1)
+    size = math.prod(ax.n for ax in tables.axes)
+    # the undifferentiated factors of a component are shared by all its fields
+    undiff = {c: tables.factors(c) for fields in groups for c, _ in fields}
+    out = []
+    for fields in groups:
+        table = np.empty((m, len(fields), size))
+        for i, (c, d) in enumerate(fields):
+            f = [tables.factor(c, a, d) if a == d else undiff[c][a] for a in range(3)]
+            table[:, i] = _synthesize(f).reshape(m, -1)
+        out.append(table.reshape(m, -1))
+    return tuple(out)
 
 
 def _gram(f, weight: float) -> np.ndarray:
@@ -411,11 +419,18 @@ class AssembledForms:
     nu: float
     gamma: float
     K_fric: np.ndarray = field(init=False)
-    # the modes sampled on the transport grid of P nodes, per mode: psi_c,
-    # then d_a psi_c (a major); phi, then d_a phi
-    _w_table: np.ndarray = field(init=False, repr=False)       # [mode, 12 P]
-    _theta_table: np.ndarray = field(init=False, repr=False)   # [mode, 4 P]
-    _transport_cell: float = field(init=False, repr=False)
+    # the modes sampled on the transport grid of P nodes, one contiguous
+    # table per field family: psi_c; the cell weight times d_a psi_c, [c, a]
+    # component major; phi; the cell weight times d_a phi
+    _w_table: np.ndarray = field(init=False, repr=False)            # [mode, 3 P]
+    _grad_w_table: np.ndarray = field(init=False, repr=False)       # [mode, 9 P]
+    _theta_table: np.ndarray = field(init=False, repr=False)        # [mode_t, P]
+    _grad_theta_table: np.ndarray = field(init=False, repr=False)   # [mode_t, 3 P]
+    # transport scratch, views made once: of one [15 P] buffer, w then the
+    # weighted d_a u_c and d_a theta ([3 P], [9 P], [3 P], as [3, P] and
+    # [4, 3, P]); of one [4, P] buffer, (w . grad) u_c and w . grad theta
+    _synth: tuple = field(init=False, repr=False)
+    _products: tuple = field(init=False, repr=False)
     _tops: tuple = field(init=False, repr=False)   # moment rows of the couplings
     # FactorTables.split of psi_c, of d_d psi_c (c major), and of phi, d_a phi
     _psi: list = field(init=False, repr=False)
@@ -433,9 +448,14 @@ class AssembledForms:
                     f"the exact band {2 * grid.shape[a] - 1}"
                 )
         V, Th = self.vb.factors, self.tb.factors
-        # the tangents of a wall are the unit vectors of its two plane axes
+        # the tangents of a wall are the unit vectors of its two plane axes.
+        # The two walls of an axis share their in-plane factors and weight
+        # and differ only in the end values on the face axis: with those as
+        # the two columns of one table, one _gram sums both walls
+        walls = {p.axis: p for p in grid.patches if not p.kind.is_cap}
         self.K_fric = self.gamma * sum(
-            _gram(V.on_face(c, p), p.weight) for p in grid.patches if not p.kind.is_cap for c in p.plane_axes
+            _gram([V.factor(c, a, side=(0, 1) if a == p.axis else None) for a in range(3)], p.weight)
+            for p in walls.values() for c in p.plane_axes
         )
         self._psi = [V.split(c) for c in range(3)]
         self._grad_psi = [V.split(c, d) for c in range(3) for d in range(3)]
@@ -446,34 +466,53 @@ class AssembledForms:
         shape = tuple((3 * k + 2) // 2 for k in band)
         lengths = grid.spec.lengths
         axes = tuple(spectral.AxisTransform.build(n, L) for n, L in zip(shape, lengths))
-        psi, grad_psi = [(c, None) for c in range(3)], [(c, a) for a in range(3) for c in range(3)]
-        self._w_table = _sampled(replace(V, axes=axes), psi + grad_psi)
-        self._theta_table = _sampled(replace(Th, axes=axes), [(0, None), (0, 0), (0, 1), (0, 2)])
-        self._transport_cell = math.prod(lengths) / math.prod(shape)
+        psi, grad_psi = [(c, None) for c in range(3)], [(c, a) for c in range(3) for a in range(3)]
+        self._w_table, self._grad_w_table = _sampled(replace(V, axes=axes), psi, grad_psi)
+        self._theta_table, self._grad_theta_table = _sampled(
+            replace(Th, axes=axes), [(0, None)], [(0, a) for a in range(3)]
+        )
+        # the quadrature weight rides in the gradients, into both products
+        cell = math.prod(lengths) / math.prod(shape)
+        self._grad_w_table *= cell
+        self._grad_theta_table *= cell
+        n = math.prod(shape)
+        buf, prods = np.empty(15 * n), np.empty((4, n))
+        self._synth = (buf[: 3 * n], buf[3 * n : 12 * n], buf[12 * n :],
+                       buf[: 3 * n].reshape(3, n), buf[3 * n :].reshape(4, 3, n))
+        self._products = (prods, prods[:3].reshape(-1), prods[3])
         self._tops = (2 * band[1], 2 * band[2])
 
     # -- transport --------------------------------------------------------------
 
-    def transport(self, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple:
+    def transport(self, a: np.ndarray, b: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> tuple:
         """(sum_ij a_i b_j <psi_i . grad psi_j, psi_l>,
         sum_ij a_i d_j <psi_i . grad phi_j, phi_l>), bilinear in (a, b) and in
         (a, d): with w = sum a_i psi_i, the projections of (w . grad) u and
         w . grad theta for u = sum b_j psi_j and theta = sum d_j phi_j.
 
-        w, grad u and grad theta are synthesized on the transport grid, the
-        products formed pointwise and projected back, one matmul each. That
-        grid's midpoint rule integrates every triple product of modes
-        exactly, so the result is the exact weak form up to rounding.
+        w, grad u and grad theta are synthesized on the transport grid into
+        one buffer, one matmul per table; one contraction over the axis a
+        forms (w . grad) u and w . grad theta pointwise, and one matmul each
+        projects them back into out[:m] and out[m:] (out has m + m_t
+        entries, a fresh array when not given), whose two views are
+        returned. That grid's midpoint rule integrates every triple product
+        of modes exactly, so the result is the exact weak form up to
+        rounding.
         """
-        W, Th = self._w_table, self._theta_table
-        n = Th.shape[1] // 4
-        # w carries the quadrature weight into both pointwise products
-        w = (a @ W[:, : 3 * n]).reshape(3, 1, n) * self._transport_cell
-        grad_u = (b @ W[:, 3 * n :]).reshape(3, 3, n)   # [a, c] = d_a u_c
-        grad_th = (d @ Th[:, n:]).reshape(3, n)
-        conv = (w * grad_u).sum(axis=0)
-        adv = (w[:, 0] * grad_th).sum(axis=0)
-        return W[:, : 3 * n] @ conv.ravel(), Th[:, :n] @ adv
+        W, Th, m = self._w_table, self._theta_table, self._w_table.shape[0]
+        w, grad_u, grad_th, w_an, grad_fan = self._synth
+        prods, conv_n, adv_n = self._products
+        if out is None:
+            out = np.empty(m + Th.shape[0])
+        np.dot(a, W, w)
+        np.dot(b, self._grad_w_table, grad_u)
+        np.dot(d, self._grad_theta_table, grad_th)
+        # [f, n] = sum_a w_a [f, a, n], f over the components of u, then theta
+        np.einsum("an,fan->fn", w_an, grad_fan, out=prods)
+        conv, adv = out[:m], out[m:]
+        np.dot(W, conv_n, conv)
+        np.dot(Th, adv_n, adv)
+        return conv, adv
 
     # -- projections of grid fields -------------------------------------------
 

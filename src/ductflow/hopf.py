@@ -258,21 +258,30 @@ def compatibility_residual(cap_integrals, s):
 def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> float:
     """The worst compatibility residual of d1 = d2 = s(t) g at the given
     times; raises ValueError on negative data, on cap totals beyond the float
-    range or on a residual above 1e-12."""
+    range or on a residual above 1e-12. All times are checked at once; the
+    error names the first failing time and, at it, the first failing check
+    of d1 and d2 negative, not finite, residual."""
     caps = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
     g_cap = [profile.g(*patch.meshgrid()) for patch in caps]
     times = np.atleast_1d(times)
     s = np.array([profile.s(t) for t in times])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         residual = compatibility_residual([patch.integrate(g) for patch, g in zip(caps, g_cap)], s)
-    for t, s_t, res in zip(times, s, residual):
-        for i, g in enumerate(g_cap, start=1):
-            if np.any(s_t * g < -1e-13):
-                raise ValueError(f"flux d{i} negative at t={t}")
-        if not np.isfinite(res):
-            raise ValueError(f"flux data at t={t} too large: its cap totals are not finite")
-        if res > 1e-12:
-            raise ValueError(f"flux compatibility violated at t={t}: residual {res:.3e}")
+        # rounding is monotone, so the least s g on a cap is s times its
+        # least or its largest g; fmin and fmax skip nan, as the comparison
+        # of each node would
+        negative = [(s * np.fmin.reduce(g, axis=None) < -1e-13) | (s * np.fmax.reduce(g, axis=None) < -1e-13)
+                    for g in g_cap]
+    failing = np.stack([*negative, ~np.isfinite(residual), residual > 1e-12])   # [check, time]
+    if failing.any():
+        i = int(np.argmax(failing.any(axis=0)))
+        message = (
+            "flux d1 negative at t={t}",
+            "flux d2 negative at t={t}",
+            "flux data at t={t} too large: its cap totals are not finite",
+            "flux compatibility violated at t={t}: residual {res:.3e}",
+        )[int(np.argmax(failing[:, i]))]
+        raise ValueError(message.format(t=times[i], res=residual[i]))
     return float(np.max(residual))
 
 

@@ -517,11 +517,10 @@ class GalerkinSolver:
         drive is (s, s^2, s') at its time."""
         m = self.config.m
         c, dcoef = x[:m], x[m:]
-        conv, adv = self.forms.transport(c, c, dcoef)
         k, E = self.couplings, np.empty_like(x)
-        E_w = E[:m]
-        np.subtract(self._f_omega(dcoef), conv, E_w)
-        np.negative(adv, E[m:])
+        E_w, _ = self.forms.transport(c, c, dcoef, out=E)
+        np.negative(E, E)
+        E_w += self._f_omega(dcoef)
         E -= drive[0] * np.dot(k["G"], x)
         E_w += np.dot(drive, k["rows"])
         return E

@@ -187,7 +187,7 @@ def test_K_visc_matches_quadrature_oracle(forms, vb, grid):
 def test_matrices_symmetric_and_psd(forms):
     # friction is the one assembled m x m form; the others are diagonal spectra
     K = forms.K_fric
-    assert np.max(np.abs(K - K.T)) <= 1e-12 * max(1.0, np.max(np.abs(K)))
+    assert np.array_equal(K, K.T)   # each Gram product is symmetric to the bit
     eig = np.linalg.eigvalsh(0.5 * (K + K.T))
     assert eig.min() > -1e-10
 
@@ -237,6 +237,39 @@ def test_temperature_advection_skew(transport):
     assert close_to(S, np.einsum("i,ijl->jl", a, ref))
     scale = max(1.0, np.max(np.abs(S)))
     assert np.max(np.abs(S + S.T)) <= 1e-8 * scale
+
+
+@pytest.fixture(scope="module")
+def forms32(grid):
+    return AssembledForms(grid, build_velocity_basis(grid, 32), build_temperature_basis(grid, 32), nu=1.0, gamma=1.0)
+
+
+def test_transport_writes_into_out(forms32):
+    # a step passes its stacked explicit vector as out: the two results are
+    # views of it, with the bits of a call that allocates its own
+    rng = np.random.default_rng(34)
+    a, b, d = rng.standard_normal(32), rng.standard_normal(32), rng.standard_normal(32)
+    buf = np.full(64, np.nan)
+    conv, adv = forms32.transport(a, b, d, out=buf)
+    assert conv.base is buf and adv.base is buf
+    ref = forms32.transport(a, b, d)
+    assert np.array_equal(buf, np.concatenate(ref))
+    assert np.array_equal(conv, ref[0]) and np.array_equal(adv, ref[1])
+
+
+def test_transport_tables_one_per_field_family(forms32):
+    # psi_c, the weighted d_a psi_c, phi and the weighted d_a phi, each its
+    # own contiguous table; no table of psi_c and d_a psi_c together
+    P = forms32._theta_table.shape[1]
+    tables = {name: getattr(forms32, name) for name in
+              ("_w_table", "_grad_w_table", "_theta_table", "_grad_theta_table")}
+    assert {name: t.shape for name, t in tables.items()} == {
+        "_w_table": (32, 3 * P), "_grad_w_table": (32, 9 * P),
+        "_theta_table": (32, P), "_grad_theta_table": (32, 3 * P),
+    }
+    assert all(t.flags.c_contiguous for t in tables.values())
+    arrays = [v for v in vars(forms32).values() if isinstance(v, np.ndarray)]
+    assert all(v.shape != (32, 12 * P) for v in arrays)
 
 
 def test_dealias_guard():

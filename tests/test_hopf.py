@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -195,6 +196,17 @@ def test_validate_profile_reads_the_cap_totals(monkeypatch):
     monkeypatch.setattr(BoundaryPatch, "integrate", skewed)
     with pytest.raises(ValueError, match=r"flux compatibility violated at t=0\.0: residual"):
         validate_profile(prof, grid, times)
+
+
+def test_validate_profile_names_the_first_failing_time():
+    # every time is checked at once, and the error still names the first
+    # failing one: s(t) = 1 - t is 0 at t = 1, where s g is 0, and negative
+    # from t = 1.25 on, on both caps, of which d1 is named
+    grid = unit_grid()
+    prof = dataclasses.replace(parabolic_profile(0.8, grid.spec), s=lambda t: 1.0 - t)
+    assert validate_profile(prof, grid, np.linspace(0.0, 1.0, 5)) == 0.0
+    with pytest.raises(ValueError, match=r"^flux d1 negative at t=1\.25$"):
+        validate_profile(prof, grid, np.linspace(0.0, 2.0, 9))
 
 
 def test_profile_registry():
