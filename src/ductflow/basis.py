@@ -39,9 +39,12 @@ factors up to wavenumber k when 3 k <= 2 n - 1 (the AliasingError rule of
 the quadrature grid). The same rule sizes a second, small transport grid
 by the modes' own band, n_a = ceil((3 k_a + 1) / 2) with k_a the larger of
 the velocity and temperature band on axis a (4x4x7 at m = 16 and 32 on the
-default 1x1x2 box). The modes are sampled there once; per call, w, grad w
-and grad theta are synthesized with one matmul each, multiplied pointwise
-and projected back exactly (AssembledForms.transport).
+default 1x1x2 box). The modes are sampled there once, into one contiguous
+table per field family (psi_c, d_a psi_c, phi, d_a phi), the quadrature
+weight folded into the two gradient tables. Per call, w, grad w and grad
+theta are synthesized with one matmul per table into one buffer, their
+products over the axis a formed with one contraction, and the two fields
+projected back exactly into the caller's vector (AssembledForms.transport).
 """
 
 from __future__ import annotations
@@ -472,10 +475,10 @@ class AssembledForms:
             replace(Th, axes=axes), [(0, None)], [(0, a) for a in range(3)]
         )
         # the quadrature weight rides in the gradients, into both products
-        cell = math.prod(lengths) / math.prod(shape)
+        n = math.prod(shape)
+        cell = math.prod(lengths) / n
         self._grad_w_table *= cell
         self._grad_theta_table *= cell
-        n = math.prod(shape)
         buf, prods = np.empty(15 * n), np.empty((4, n))
         self._synth = (buf[: 3 * n], buf[3 * n : 12 * n], buf[12 * n :],
                        buf[: 3 * n].reshape(3, n), buf[3 * n :].reshape(4, 3, n))
@@ -493,9 +496,9 @@ class AssembledForms:
         w, grad u and grad theta are synthesized on the transport grid into
         one buffer, one matmul per table; one contraction over the axis a
         forms (w . grad) u and w . grad theta pointwise, and one matmul each
-        projects them back into out[:m] and out[m:] (out has m + m_t
-        entries, a fresh array when not given), whose two views are
-        returned. That grid's midpoint rule integrates every triple product
+        projects them back into out[:m] and out[m:] (out a contiguous
+        vector of m + m_t entries, a fresh one when not given), whose two
+        views are returned. That grid's midpoint rule integrates every triple product
         of modes exactly, so the result is the exact weak form up to
         rounding.
         """

@@ -267,11 +267,8 @@ def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> float
     s = np.array([profile.s(t) for t in times])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         residual = compatibility_residual([patch.integrate(g) for patch, g in zip(caps, g_cap)], s)
-        # rounding is monotone, so the least s g on a cap is s times its
-        # least or its largest g; fmin and fmax skip nan, as the comparison
-        # of each node would
-        negative = [(s * np.fmin.reduce(g, axis=None) < -1e-13) | (s * np.fmax.reduce(g, axis=None) < -1e-13)
-                    for g in g_cap]
+        # s(t) g at every time and node of a cap, [time, f1, f2]
+        negative = [(np.multiply.outer(s, g) < -1e-13).any(axis=(1, 2)) for g in g_cap]
     failing = np.stack([*negative, ~np.isfinite(residual), residual > 1e-12])   # [check, time]
     if failing.any():
         i = int(np.argmax(failing.any(axis=0)))
