@@ -32,14 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import EnergyLedger, audit_run, ledger_to_json_obj, ledger_to_text, theta0_range
+from .audit import EnergyLedger, _fmt, audit_run, ledger_to_json_obj, ledger_to_text, theta0_range
 from .basis import dealias_cap, temperature_modes, velocity_modes
 from .domain import build_domain
 from .errors import AliasingError, NumericalAbort, RegimeError, ScenarioError
 from .hopf import validate_profile
 from .scenario import KEY_MAP, load_scenario, parse_scenario_text, read_scenario, set_key
-from .solver import (GalerkinSolver, RunResult, ScenarioConfig, State, horizon_times,
-                     pick_hopf_params, profile_of)
+from .solver import GalerkinSolver, RunResult, ScenarioConfig, horizon_times, pick_hopf_params, profile_of
 from .svg import polyline_chart
 
 
@@ -59,10 +58,6 @@ def execute(config: ScenarioConfig) -> PipelineResult:
 
 # ---------------------------------------------------------------------------
 # Output writers
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def write_timeseries_csv(path: Path, run: RunResult, ledger: EnergyLedger) -> None:
@@ -98,18 +93,18 @@ def write_basis_manifest(path: Path, solver: GalerkinSolver) -> None:
 
 def write_snapshots(out_dir: Path, cadence: int, run: RunResult, solver: GalerkinSolver) -> None:
     """The fields of every cadence-th stored sample, reconstructed from its
-    coefficients, and a manifest of grid dims, times and file names."""
+    trajectory row, and a manifest of grid dims, times and file names."""
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for idx in range(0, run.times.size, cadence):
-        state = State(t=float(run.times[idx]), c=run.coeffs_w[idx], dcoef=run.coeffs_th[idx])
-        w, v, theta = solver.reconstruct(state)
+        x = np.concatenate([run.coeffs_w[idx], run.coeffs_th[idx]])
+        w, v, theta = solver.reconstruct(x, solver.drive(run.times[idx]))
         files = {}
         for name, arr in (("w", w), ("vartheta", theta), ("v", v), ("theta", theta)):
             fname = f"{name}_{idx:06d}.npy"
             np.save(out_dir / fname, arr)
             files[name] = fname
-        entries.append({"index": idx, "time": state.t, "files": files})
+        entries.append({"index": idx, "time": float(run.times[idx]), "files": files})
     manifest = {
         "grid_dims": list(solver.grid.shape),
         "fields": ["w", "vartheta", "v", "theta"],
@@ -169,8 +164,8 @@ def _run_into(args, config: ScenarioConfig, scen_path: Path, sha256: str, out_di
         dump = {
             "error": str(exc),
             "t": exc.t,
-            "c": None if exc.state is None else exc.state.c.tolist(),
-            "dcoef": None if exc.state is None else exc.state.dcoef.tolist(),
+            "c": None if exc.c is None else exc.c.tolist(),
+            "dcoef": None if exc.dcoef is None else exc.dcoef.tolist(),
         }
         (out_dir / "abort_dump.json").write_text(json.dumps(dump, sort_keys=True, indent=2) + "\n")
         print(f"numerical abort: {exc} (diagnostics in {out_dir / 'abort_dump.json'})", file=sys.stderr)

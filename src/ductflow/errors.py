@@ -18,9 +18,9 @@ class AliasingError(ValueError):
 
 
 class NumericalAbort(RuntimeError):
-    """Time integration produced non-finite state; carries diagnostics."""
+    """Time integration produced non-finite state; carries diagnostics: the
+    time t and the coefficient blocks c and dcoef of the last sample kept."""
 
-    def __init__(self, message, t=None, state=None):
+    def __init__(self, message, t=None, c=None, dcoef=None):
         super().__init__(message)
-        self.t = t
-        self.state = state
+        self.t, self.c, self.dcoef = t, c, dcoef

@@ -1,20 +1,24 @@
 """Galerkin time integration, field reconstruction and the audit series.
 
-State is the pair of coefficient vectors (c, dcoef) for the homogenized
-velocity w = sum c_i psi_i and temperature theta = sum dcoef_i phi_i. The
-physical velocity is reconstructed as v = w + delta, where delta = b +
-grad(phi) carries the boundary flux; the temperature needs no lifting.
+A sample is one row x = (c, dcoef) of the trajectory: the coefficient
+vectors of the homogenized velocity w = sum c_i psi_i and the temperature
+theta = sum dcoef_i phi_i. The physical velocity is reconstructed as
+v = w + delta, where delta = b + grad(phi) carries the boundary flux; the
+temperature needs no lifting. Every evaluation at one sample takes the row
+and drive, the row (s, s^2, s') of the flux at its time.
 
-Time stepping is IMEX on the stacked state x = (c, dcoef): the stiff linear
-forms (viscous + friction, heat diffusion) go through Crank-Nicolson with
-precomputed block-diagonal propagators, everything else (transport, lifting
-couplings, the boundary functional, forcing) is advanced with a
-second-order Adams-Bashforth extrapolation restarted at window joints.
+Time stepping is IMEX on x: the stiff linear forms (viscous + friction,
+heat diffusion) go through Crank-Nicolson with precomputed block-diagonal
+propagators, everything else (transport, lifting couplings, the boundary
+functional, forcing) is advanced with a second-order Adams-Bashforth
+extrapolation restarted at window joints.
 
-The run loop only steps and stores: it keeps one [sample, m + m_t]
-trajectory and writes each step into the next row, with s, s^2 and s' of
-the flux read from one table per run; the rows just written are checked
-for finiteness once per window. After the loop, _ledger derives every
+The solver holds only per-run constants; the run loop owns what changes
+from sample to sample. It keeps one [sample, m + m_t] trajectory and
+writes each step into the next row, with s, s^2 and s' of the flux read
+from one table per run, and hands each step the explicit part the step
+before returned, its AB2 history; the rows just written are checked for
+finiteness once per window. After the loop, _ledger derives every
 audit series from the stored rows: quadratic forms in c and dcoef, theta's
 grid extremes and norms one stored sample at a time, and the boundary data
 d = s(t) g through the same table's s and s' times numbers of the cap shape
@@ -130,6 +134,9 @@ class ScenarioConfig:
         if self.dt <= 0:
             raise ScenarioError("dt must be positive")
         steps = self.T / self.dt
+        # a quotient that overflows or rounds to 0 steps passes the checks above
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ScenarioError(f"window length T must be at least one step dt, got T / dt = {steps}")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ScenarioError("window length T must be an integer multiple of dt")
         if self.m < 1:
@@ -230,22 +237,7 @@ def pick_hopf_params(
 
 
 # ---------------------------------------------------------------------------
-# State and stepping
-
-
-@dataclass(frozen=True)
-class State:
-    """One sample: its time and finite coefficients. The run loop builds
-    none per step; it is the initial state, the state an abort carries and
-    the argument of the evaluations at one sample."""
-
-    t: float
-    c: np.ndarray
-    dcoef: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.c).all() and np.isfinite(self.dcoef).all()):
-            raise ValueError("non-finite state coefficients")
+# Stepping
 
 
 class ImexStepper:
@@ -320,11 +312,11 @@ class GalerkinSolver:
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
-        self._E_prev = None
 
     # -- setup helpers -------------------------------------------------------
 
-    def initial_state(self) -> State:
+    def initial_state(self) -> np.ndarray:
+        """The first trajectory row x0 = (c, dcoef), checked for finiteness."""
         cfg = self.config
         m = cfg.m
         if cfg.init_v == "modes":
@@ -334,15 +326,13 @@ class GalerkinSolver:
             c[: weights.size] = cfg.init_v_amplitude * weights
         elif cfg.init_v == "zero":
             # v0 = 0: w0 is the projection of -delta(0) = -s(0) delta_1
-            c = -(self.profile.s(0.0) * self.couplings["P"])
+            c = -(self.drive(0.0)[0] * self.couplings["P"])
         else:
             c = np.zeros(m)
-        th0 = self._initial_theta_values()
-        dcoef = self.forms.project_temperature(th0)
-        try:
-            return State(t=0.0, c=c, dcoef=dcoef)
-        except ValueError:  # State rejects non-finite coefficients
-            raise NumericalAbort("non-finite state at t = 0", t=0.0) from None
+        x0 = np.concatenate([c, self.forms.project_temperature(self._initial_theta_values())])
+        if not np.isfinite(x0).all():
+            raise NumericalAbort("non-finite state at t = 0", t=0.0)
+        return x0
 
     def _initial_theta_values(self) -> np.ndarray:
         cfg = self.config
@@ -374,13 +364,14 @@ class GalerkinSolver:
         [row, mode] give [row, n1, n2, n3], each row as it comes alone."""
         return self.tb.factors.expand(dcoef, 0)
 
-    def w_values(self, state: State) -> np.ndarray:
-        """w on the grid [comp, n1, n2, n3], expanded through the factor
-        tables one component at a time."""
-        return np.stack([self.vb.factors.expand(state.c, c) for c in range(3)])
+    def w_values(self, c: np.ndarray) -> np.ndarray:
+        """w on the grid [comp, n1, n2, n3] at the velocity coefficients c,
+        expanded through the factor tables one component at a time."""
+        return np.stack([self.vb.factors.expand(c, comp) for comp in range(3)])
 
-    def rhs_terms(self, state: State):
-        """(velocity, temperature) dicts of every weak-form term at one state.
+    def rhs_terms(self, x: np.ndarray, drive: np.ndarray):
+        """(velocity, temperature) dicts of every weak-form term at the row
+        x = (c, dcoef), drive being (s, s^2, s') at its time.
 
         Each dict also carries ``explicit``, the part the Adams-Bashforth
         extrapolation advances, its block of the stacked vector that
@@ -393,18 +384,17 @@ class GalerkinSolver:
         come from ``forms.transport``, on a transport grid of
         ceil((3 k_a + 1) / 2) midpoint nodes per axis (k_a the larger band
         of the modes), where 3 k_a <= 2 n_a - 1 makes them exact. The lifting terms are the couplings of
-        delta_1 scaled by s(t) and s'(t) at ``state.t``; without flux they
+        delta_1 scaled by s and s' of ``drive``; without flux they
         are zero. The forcing term comes from ``_f_omega``.
         """
-        forms = self.forms
-        c, dcoef = state.c, state.dcoef
+        forms, m = self.forms, self.config.m
+        c, dcoef = x[:m], x[m:]
         conv_www, adv = forms.transport(c, c, dcoef)
         vel = {"conv_www": conv_www}
         vel["visc"] = self.config.nu * self.vb.rayleigh * c
         vel["fric"] = forms.K_fric @ c
         vel["f_omega"] = self._f_omega(dcoef)
         k = self.couplings
-        drive = self.drive(state.t)
         s, s_t = drive[0], drive[2]
         vel["conv_wdelta"] = s * (k["G_wd"] @ c)
         vel["conv_deltaw"] = s * (k["G_dw"] @ c)
@@ -413,8 +403,8 @@ class GalerkinSolver:
         vel["F_form"] = s * k["F_form"]
         th = {"diff": self.config.kappa_heat * self.tb.eigenvalues * dcoef}
         th["adv"] = adv + s * (k["G_dth"] @ dcoef)
-        explicit = self._explicit(np.concatenate([c, dcoef]), drive)
-        vel["explicit"], th["explicit"] = explicit[: c.size], explicit[c.size :]
+        explicit = self._explicit(x, drive)
+        vel["explicit"], th["explicit"] = explicit[:m], explicit[m:]
         vel["total"] = vel["explicit"] - vel["visc"] - vel["fric"]
         th["total"] = th["explicit"] - th["diff"]
         return vel, th
@@ -580,24 +570,22 @@ class GalerkinSolver:
 
     # -- time stepping -----------------------------------------------------------
 
-    def reset_window(self) -> None:
-        """Restart the Adams-Bashforth history (used at window joints)."""
-        self._E_prev = None
-
-    def step(self, x: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
-        """Write into ``out`` the stacked state x = (c, dcoef) one step on:
-        Crank-Nicolson on the stiff linear forms and, on the explicit part
-        at x, AB2, or forward Euler on the first step after reset_window.
-        drive is (s, s^2, s') at the time of x. Neither state is checked for
-        finiteness here; the run loop checks the rows it stored."""
+    def step(self, x: np.ndarray, drive: np.ndarray, out: np.ndarray,
+             E_prev: Optional[np.ndarray] = None) -> np.ndarray:
+        """Write into ``out`` the row x = (c, dcoef) one step on and return
+        E, the explicit part at x: Crank-Nicolson on the stiff linear forms
+        and, on the explicit part, AB2 with E_prev, the explicit part the
+        step before returned, or forward Euler without it (a window's first
+        step). drive is (s, s^2, s') at the time of x. Neither row is
+        checked for finiteness here; the run loop checks the rows it stored."""
         E = self._explicit(x, drive)
-        self._stepper.step(x, E, self._E_prev, out=out)
-        self._E_prev = E
+        self._stepper.step(x, E, E_prev, out=out)
+        return E
 
-    def dt_stability_estimate(self, state: State) -> float:
-        """Crude advective limit 1 / (|w + delta|_max * kappa_max)."""
-        vmax = float(np.max(np.abs(self.w_values(state))))
-        vmax += abs(self.profile.s(state.t)) * self.couplings["max_abs"]
+    def dt_stability_estimate(self, x: np.ndarray, drive: np.ndarray) -> float:
+        """Crude advective limit 1 / (|w + delta|_max * kappa_max) at the row x."""
+        vmax = float(np.max(np.abs(self.w_values(x[: self.config.m]))))
+        vmax += abs(drive[0]) * self.couplings["max_abs"]
         kmax = max(k * math.pi / L for k, L in zip(self.vb.k_max, self.grid.spec.lengths))
         if vmax * kmax == 0.0:
             return math.inf
@@ -605,11 +593,12 @@ class GalerkinSolver:
 
     # -- reconstruction and the audit series ---------------------------------------
 
-    def reconstruct(self, state: State):
-        """(w, v, theta) nodal values; v = w + delta(t)."""
-        w = self.w_values(state)
-        v = w if self.hopf_params is None else w + self.profile.s(state.t) * self.couplings["values"]
-        return w, v, self.theta_values(state.dcoef)
+    def reconstruct(self, x: np.ndarray, drive: np.ndarray):
+        """(w, v, theta) nodal values at the row x; v = w + s delta_1."""
+        m = self.config.m
+        w = self.w_values(x[:m])
+        v = w if self.hopf_params is None else w + drive[0] * self.couplings["values"]
+        return w, v, self.theta_values(x[m:])
 
     def _ledger(self, drive: np.ndarray, coeffs_w: np.ndarray, coeffs_th: np.ndarray) -> dict:
         """Every audit series, as arrays over the samples with the
@@ -693,15 +682,14 @@ class GalerkinSolver:
         NumericalAbort that names its time and carries the row before it;
         so is the first sample whose energies are beyond the float range."""
         cfg = self.config
-        state = self.initial_state()
         spw, m = cfg.steps_per_window, cfg.m
         # n dt, not a running sum, which drifts off the horizon
         times = np.arange(cfg.n_windows * spw + 1) * cfg.dt
         drive = self.drive(times)
         X = np.empty((times.size, m + self.tb.m))
-        X[0, :m], X[0, m:] = state.c, state.dcoef
+        X[0] = self.initial_state()
 
-        est = self.dt_stability_estimate(state)
+        est = self.dt_stability_estimate(X[0], drive[0])
         if cfg.dt > est:
             warnings.warn(
                 f"dt = {cfg.dt} exceeds the advective stability estimate {est:.3g}",
@@ -709,15 +697,14 @@ class GalerkinSolver:
             )
 
         for first in range(0, times.size - 1, spw):
-            self.reset_window()
+            E = None
             for n in range(first, first + spw):
-                self.step(X[n], drive[n], X[n + 1])
+                E = self.step(X[n], drive[n], X[n + 1], E)
             finite = np.isfinite(X[first + 1 : first + spw + 1]).all(axis=1)
             if not finite.all():
                 i = first + 1 + int(np.argmin(finite))
-                t = float(times[i - 1])
-                raise NumericalAbort(f"non-finite state at t = {times[i]:.6g}", t=t,
-                                     state=State(t=t, c=X[i - 1, :m], dcoef=X[i - 1, m:]))
+                raise NumericalAbort(f"non-finite state at t = {times[i]:.6g}", t=float(times[i - 1]),
+                                     c=X[i - 1, :m], dcoef=X[i - 1, m:])
 
         coeffs_w, coeffs_th = X[:, :m], X[:, m:]
         series = self._ledger(drive, coeffs_w, coeffs_th)
@@ -725,5 +712,5 @@ class GalerkinSolver:
         if beyond.size:
             i = beyond[0]
             raise NumericalAbort(f"non-finite energy at t = {times[i]:.6g}", t=float(times[i]),
-                                 state=State(t=times[i], c=coeffs_w[i], dcoef=coeffs_th[i]))
+                                 c=coeffs_w[i], dcoef=coeffs_th[i])
         return RunResult(config=cfg, times=times, series=series, coeffs_w=coeffs_w, coeffs_th=coeffs_th)

@@ -6,7 +6,7 @@ package's cached samples, assembled matrices and einsum fast paths. Keep
 this file boring and explicit on purpose. lifting and scaled_lifting are
 the exception: they build a run's lifting with the package's builders and
 hand it, scaled to a time, with face gradients of its own, to the oracles.
-So is step_state, which takes one step of the solver's own from a State.
+So is step_state, which takes one step of the solver's own from a row.
 """
 
 import math
@@ -16,7 +16,6 @@ import numpy as np
 
 from ductflow.hopf import build_b
 from ductflow.poisson import delta_field, solve_neumann
-from ductflow.solver import State
 
 
 def outer(f):
@@ -400,15 +399,12 @@ def boundary_functionals_by_quadrature(vmodes, grid, faces, nu, gamma):
     return B, Fb
 
 
-def step_state(solver, state):
-    """The State one GalerkinSolver.step after state, at state.t + dt: the
-    step of the stacked coefficients (c, dcoef) as the run loop takes it,
-    with the AB2 history the solver holds."""
-    m = state.c.size
-    x = np.concatenate([state.c, state.dcoef])
+def step_state(solver, x, t, E_prev=None):
+    """(next row, E): one GalerkinSolver.step of the row x = (c, dcoef) at
+    time t as the run loop takes it, AB2 with E_prev or forward Euler
+    without; E is the explicit part at x, the next step's E_prev."""
     out = np.empty_like(x)
-    solver.step(x, solver.drive(state.t), out)
-    return State(t=state.t + solver.config.dt, c=out[:m], dcoef=out[m:])
+    return out, solver.step(x, solver.drive(t), out, E_prev)
 
 
 def lifting(solver):

@@ -27,7 +27,7 @@ from ductflow.scenario import (
     parse_scenario_text,
     set_key,
 )
-from ductflow.solver import GalerkinSolver, ScenarioConfig, State, profile_of
+from ductflow.solver import GalerkinSolver, ScenarioConfig, profile_of
 from ductflow.svg import polyline_chart
 
 QUICK = bundled_scenario_path("quick-decay")
@@ -346,6 +346,24 @@ def test_unresolved_cutoff_layer_fails_with_note(tmp_path):
         assert certs[eq_id]["note"] == "cutoff layer not resolved by the x3 grid"
 
 
+def test_auto_mode_end_to_end_on_a_resolved_layer(tmp_path, capsys):
+    # the resolved auto-mode case at N3 = 32: a constant cap at amplitude
+    # 0.08 picks rho ~ 0.23, so x3 nodes lie in the layer and E10 and E11
+    # pass with E11's weighted norm positive; check names the parameters
+    # the run uses. At amplitude 0.3 the layer is unresolved (both FAIL)
+    scn = scenario_with(tmp_path, bundled_scenario_path("forced-warm"), {
+        "hopf.mode": "auto", "flux.amplitude": 0.08, "time.T": 0.05,
+    })
+    params = GalerkinSolver(load_scenario(scn)).hopf_params
+    assert main(["check", str(scn)]) == 0
+    assert f"[PASS] cutoff-regime: auto eps={params.eps} rho={params.rho} " in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out), "--strict"]) == 0
+    certs = {c["eq_id"]: c for c in json.loads((out / "certificates.json").read_text())["certificates"]}
+    assert certs["E10"]["status"] == certs["E11"]["status"] == "PASS"
+    assert certs["E11"]["details"]["lhs"] > 0.0
+
+
 def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys):
     def execute(config):
         raise ValueError("rejected by the library")
@@ -438,10 +456,11 @@ def test_non_finite_initial_state_is_a_numerical_abort(tmp_path):
 
 @pytest.mark.parametrize("amplitude, t", [(1e306, "0"), (1e300, "0.0025")])
 def test_overflowing_run_aborts_without_numpy_warnings(tmp_path, amplitude, t):
-    # the lifting (1e306) or the first step (1e300) overflows; the State check
-    # reports the non-finite state in one line, and none of the ~20 numpy
-    # warnings the overflow raises precedes it. A fresh process, so that the
-    # default warning filters print what a user would see
+    # the lifting (1e306) or the first step (1e300) overflows; the finiteness
+    # check of the first or the stepped rows reports the non-finite state in
+    # one line, and none of the ~20 numpy warnings the overflow raises
+    # precedes it. A fresh process, so that the default warning filters
+    # print what a user would see
     scn = scenario_with(tmp_path, PULSED, {"flux.amplitude": amplitude, "time.windows": 1})
     proc = _run_limited(["-m", "ductflow.cli", "run", str(scn), "--out", str(tmp_path / "out")],
                         check=False)
@@ -565,20 +584,20 @@ def test_aborted_run_writes_the_dump_and_no_snapshots(tmp_path, monkeypatch):
     # run that aborts leaves its diagnostics and no partial snapshots/
     calls = []
 
-    def step(self, x, drive, out, _orig=GalerkinSolver.step):
+    def step(self, x, drive, out, E_prev=None, _orig=GalerkinSolver.step):
         m = self.config.m
-        calls.append(State(t=len(calls) * self.config.dt, c=x[:m].copy(), dcoef=x[m:].copy()))
+        calls.append(dict(t=len(calls) * self.config.dt, c=x[:m].copy(), dcoef=x[m:].copy()))
         if len(calls) == 5:
-            raise NumericalAbort("injected", t=calls[-1].t, state=calls[-1])
-        return _orig(self, x, drive, out)
+            raise NumericalAbort("injected", **calls[-1])
+        return _orig(self, x, drive, out, E_prev)
 
     monkeypatch.setattr(GalerkinSolver, "step", step)
     out = tmp_path / "out"
     assert main(["run", str(QUICK), "--out", str(out), "--snapshots", "1"]) == 2
     assert sorted(p.name for p in out.iterdir()) == ["abort_dump.json"]
     dump = json.loads((out / "abort_dump.json").read_text())
-    assert dump["t"] == calls[-1].t
-    assert dump["c"] == calls[-1].c.tolist() and dump["dcoef"] == calls[-1].dcoef.tolist()
+    assert dump["t"] == calls[-1]["t"]
+    assert dump["c"] == calls[-1]["c"].tolist() and dump["dcoef"] == calls[-1]["dcoef"].tolist()
 
 
 def test_mid_window_abort_names_the_first_non_finite_state(tmp_path, monkeypatch, capsys):
@@ -601,8 +620,8 @@ def test_mid_window_abort_names_the_first_non_finite_state(tmp_path, monkeypatch
     with pytest.raises(NumericalAbort) as info:
         GalerkinSolver(load_scenario(scn)).run_windows()
     assert str(info.value) == message and info.value.t == reference.times[3]
-    assert np.array_equal(info.value.state.c, reference.coeffs_w[3])
-    assert np.array_equal(info.value.state.dcoef, reference.coeffs_th[3])
+    assert np.array_equal(info.value.c, reference.coeffs_w[3])
+    assert np.array_equal(info.value.dcoef, reference.coeffs_th[3])
     calls.clear()
     out = tmp_path / "out"
     assert main(["run", str(scn), "--out", str(out)]) == 2
@@ -651,6 +670,8 @@ def test_zero_flux_amplitude_is_no_flux(tmp_path):
     ("audit.c_theta", "0"),
     ("audit.c_theta", "-1"),
     ("audit.tol_overshoot", "-1"),
+    ("time.T", "1e-13"),    # T / dt rounds to 0 steps
+    ("time.dt", "1e-310"),  # T / dt overflows to inf
 ])
 def test_check_rejects_the_numbers_run_fails_on(tmp_path, capsys, key, value):
     scn = scenario_with(tmp_path, QUICK, {key: value})
@@ -804,6 +825,18 @@ def test_sweep_summary_quotes_a_field_holding_a_comma(tmp_path):
     assert [len(row) for row in rows] == [7, 7, 7]
     assert rows[1][:2] == ["-1", "skipped (nu, kappa must be positive and gamma nonnegative)"]
     assert rows[2][:2] == ["0.5", "ok"]
+
+
+def test_sweep_skips_a_step_count_run_cannot_use(tmp_path, capsys):
+    # T / dt = inf is a config error of its value, not a traceback that
+    # ends the sweep before its summary is written
+    out = tmp_path / "sw"
+    assert main(["sweep", str(QUICK), "--axis", "time.dt", "--values", "0.005,1e-310", "--out", str(out)]) == 0
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:2] for row in rows[1:]] == [
+        ["0.005", "ok"], ["1e-310", "skipped (window length T must be at least one step dt, got T / dt = inf)"]]
+    assert "[SKIP] time.dt=1e-310: " in capsys.readouterr().out
 
 
 def test_sweep_runs_and_flags_bad_values(tmp_path):

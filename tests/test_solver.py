@@ -23,14 +23,14 @@ from ductflow.solver import (
     GalerkinSolver,
     ImexStepper,
     ScenarioConfig,
-    State,
 )
 
 
-def sampled(solver, state) -> dict:
-    """Every audit series at one state, as the ledger derives them from the
-    stored coefficients."""
-    series = solver._ledger(solver.drive(np.array([state.t])), state.c[None], state.dcoef[None])
+def sampled(solver, x, t=0.0) -> dict:
+    """Every audit series at the row x = (c, dcoef) at time t, as the ledger
+    derives them from the stored rows."""
+    m = solver.config.m
+    series = solver._ledger(solver.drive(np.array([t])), x[None, :m], x[None, m:])
     return {key: value[0] for key, value in series.items()}
 
 
@@ -162,27 +162,26 @@ def test_rhs_consistency_with_explicit_split():
     for m, nu, kappa_heat in ((6, 1.0, 1.0), (12, 1.0, 1.0), (12, 0.7, 1.0), (12, 0.7, 0.6)):
         cfg = oracle_config(m=m, nu=nu, kappa_heat=kappa_heat)
         solver = GalerkinSolver(cfg)
-        st0 = solver.initial_state()
-        state = State(t=0.03, c=st0.c, dcoef=st0.dcoef)
-        delta, delta_t = oracles.scaled_lifting(solver, state.t)
+        x0, t = solver.initial_state(), 0.03
+        c, dcoef = x0[:m], x0[m:]
+        delta, delta_t = oracles.scaled_lifting(solver, t)
         slow = oracles.slow_rhs_velocity(
-            state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
+            c, dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega,
             f_values=solver.f_values, delta=delta, delta_t=delta_t,
         )
         slow_th = oracles.slow_rhs_temperature(
-            state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
+            c, dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             kappa_heat=cfg.kappa_heat, delta=delta,
         )
         ref_forms = oracles.forms_by_quadrature(
             solver.vb.modes, solver.tb.modes, solver.grid, cfg.nu, cfg.gamma, cfg.kappa_heat
         )
-        solver.reset_window()
-        stepped = oracles.step_state(solver, state)
+        stepped, _ = oracles.step_state(solver, x0, t)
         dt = cfg.dt
         cases = (
-            (state.c, slow["total"], ref_forms["K_visc"] + ref_forms["K_fric"], stepped.c),
-            (state.dcoef, slow_th["total"], ref_forms["K_theta"], stepped.dcoef),
+            (c, slow["total"], ref_forms["K_visc"] + ref_forms["K_fric"], stepped[:m]),
+            (dcoef, slow_th["total"], ref_forms["K_theta"], stepped[m:]),
         )
         for x, total, L, got in cases:
             eye = np.eye(x.size)
@@ -199,13 +198,12 @@ def test_rhs_matches_slow_oracle_every_term():
     for m in (6, 12, 24):
         cfg = oracle_config(m=m)
         solver = GalerkinSolver(cfg)
-        state = solver.initial_state()
-        t = 0.03
-        state = State(t=t, c=state.c, dcoef=state.dcoef)
+        x, t = solver.initial_state(), 0.03
+        c, dcoef = x[:m], x[m:]
         delta, delta_t = oracles.scaled_lifting(solver, t)
-        fast, fast_th = solver.rhs_terms(state)
+        fast, fast_th = solver.rhs_terms(x, solver.drive(t))
         slow = oracles.slow_rhs_velocity(
-            state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
+            c, dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega,
             f_values=solver.f_values, delta=delta, delta_t=delta_t,
         )
@@ -221,7 +219,7 @@ def test_rhs_matches_slow_oracle_every_term():
             assert np.max(np.abs(a - b)) <= 1e-8 * scale, (m, fast_key)
 
         slow_th = oracles.slow_rhs_temperature(
-            state.c, state.dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
+            c, dcoef, solver.vb.modes, solver.tb.modes, solver.grid,
             kappa_heat=cfg.kappa_heat, delta=delta,
         )
         for key in ("diff", "adv", "total"):
@@ -235,7 +233,7 @@ def random_forcing_state(solver):
     rng = np.random.default_rng(7)
     dcoef = 0.3 * rng.standard_normal(solver.tb.m)
     dcoef[0] = 1.5 * math.sqrt(solver.grid.spec.volume)
-    return State(t=0.0, c=0.2 * rng.standard_normal(solver.config.m), dcoef=dcoef)
+    return np.concatenate([0.2 * rng.standard_normal(solver.config.m), dcoef])
 
 
 @pytest.mark.parametrize("forcing_kind", ["zero", "constant", "shear"])
@@ -250,14 +248,15 @@ def test_forcing_term_matches_the_grid_in_every_case(omega_kind, forcing_kind):
     )
     solver = GalerkinSolver(cfg)
     grid = solver.grid
-    state = random_forcing_state(solver)
-    vel, _ = solver.rhs_terms(state)
+    x = random_forcing_state(solver)
+    c, dcoef = x[: cfg.m], x[cfg.m :]
+    vel, _ = solver.rhs_terms(x, solver.drive(0.0))
     slow = oracles.slow_rhs_velocity(
-        state.c, state.dcoef, solver.vb.modes, solver.tb.modes, grid,
+        c, dcoef, solver.vb.modes, solver.tb.modes, grid,
         nu=cfg.nu, gamma=cfg.gamma, omega_fn=solver.omega, f_values=solver.f_values,
     )
     theta = oracles.slow_field_sum(
-        state.dcoef, [oracles.temperature_mode_fields(md, grid)[0] for md in solver.tb.modes]
+        dcoef, [oracles.temperature_mode_fields(md, grid)[0] for md in solver.tb.modes]
     )
     # |<g, psi_j>| <= ||g|| for orthonormal psi_j, so ||omega(theta) f|| is
     # the scale of every component; zero forcing must give exact zeros
@@ -270,7 +269,7 @@ def test_forcing_term_matches_the_grid_in_every_case(omega_kind, forcing_kind):
         "omega_f_65sq": oracles.integrate(grid, mag ** 1.2) ** (5.0 / 3.0),
         "omega_f_l3sq": oracles.integrate(grid, mag**3) ** (2.0 / 3.0),
     }
-    row = sampled(solver, state)
+    row = sampled(solver, x)
     for key, value in ref.items():
         assert abs(row[key] - value) <= 1e-12 * value, key
     assert (ref["omega_f_65sq"] == 0.0) == cfg.forcing_is_zero
@@ -289,7 +288,7 @@ def test_stepping_forcing_needs_no_grid_field(monkeypatch):
         (dict(omega_kind="bounded_smooth", omega1=0.3, **shear), ["theta_values", "project_velocity"] * 3),
     ):
         solver = GalerkinSolver(small_config(**kw))
-        state = oracles.step_state(solver, random_forcing_state(solver))
+        x, E = oracles.step_state(solver, random_forcing_state(solver), 0.0)
         calls = []
         with monkeypatch.context() as mp:
             for owner, name in ((GalerkinSolver, "theta_values"), (AssembledForms, "project_velocity")):
@@ -297,8 +296,8 @@ def test_stepping_forcing_needs_no_grid_field(monkeypatch):
                     calls.append(_name)
                     return _orig(*args)
                 mp.setattr(owner, name, counted)
-            for _ in range(3):
-                state = oracles.step_state(solver, state)
+            for n in range(1, 4):
+                x, E = oracles.step_state(solver, x, n * solver.config.dt, E)
         assert calls == grid_calls, kw
 
 
@@ -358,7 +357,7 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
             forcing_kind=forcing_kind, forcing_vector=(0.2, -0.1, 0.4), forcing_amplitude=0.3, **flux,
         )
         solver = GalerkinSolver(cfg)
-        state = dataclasses.replace(random_forcing_state(solver), t=0.03)
+        x, t = random_forcing_state(solver), 0.03
         stepped = []
 
         def record(x, E_now, E_prev=None, out=None, _step=solver._stepper.step):
@@ -366,12 +365,11 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
             return _step(x, E_now, E_prev, out)
 
         solver._stepper.step = record
-        solver.reset_window()
-        oracles.step_state(solver, state)
-        vel, th = solver.rhs_terms(state)
+        oracles.step_state(solver, x, t)
+        vel, th = solver.rhs_terms(x, solver.drive(t))
         lifting = ("conv_wdelta", "conv_deltaw", "bdry", "F_vol", "F_form")
         if cfg.flux_profile == "pulsed":
-            assert solver.profile.s_t(state.t) != 0.0
+            assert solver.profile.s_t(t) != 0.0
             assert all(np.any(vel[key]) for key in lifting)
             assert np.any(solver.couplings["F_adv"])
         terms_w = [-vel["conv_www"], vel["f_omega"], -vel["conv_wdelta"], -vel["conv_deltaw"],
@@ -388,7 +386,7 @@ def test_setup_builds_no_lifting():
     # time carries none of it
     solver = GalerkinSolver(oracle_config(init_v="zero"))
     assert "couplings" not in solver.__dict__
-    oracles.step_state(solver, solver.initial_state())
+    oracles.step_state(solver, solver.initial_state(), 0.0)
     assert "couplings" in solver.__dict__
     assert not hasattr(solver, "lifting")
 
@@ -405,9 +403,9 @@ def test_run_loop_only_steps_and_stores(monkeypatch, kw):
     n_steps = 2 * solver.config.steps_per_window
     steps, thetas = [], []
 
-    def step(self, x, drive, out, _orig=GalerkinSolver.step):
+    def step(self, x, drive, out, E_prev=None, _orig=GalerkinSolver.step):
         steps.append(drive)
-        return _orig(self, x, drive, out)
+        return _orig(self, x, drive, out, E_prev)
 
     def theta_values(self, dcoef, _orig=GalerkinSolver.theta_values):
         thetas.append(len(steps))
@@ -418,6 +416,31 @@ def test_run_loop_only_steps_and_stores(monkeypatch, kw):
     res = solver.run_windows()
     assert len(steps) == n_steps and res.times.size == n_steps + 1
     assert thetas and set(thetas) == {n_steps}, "theta synthesized before the last step"
+
+
+def test_step_is_a_function_of_its_arguments():
+    # the solver keeps no AB2 history: a step called twice with the same
+    # row, drive and E_prev writes the same row and returns the same
+    # explicit part, bit for bit, on a window's first step (no E_prev) and
+    # after it; and a run leaves on the solver only its per-run constants
+    # built on first use. Pulsed flux, shear and a linear omega put every
+    # explicit term in E
+    cfg = oracle_config(m=12, n_windows=2, T=0.03)
+    solver = GalerkinSolver(cfg)
+    x0 = solver.initial_state()
+    drive = solver.drive(np.array([0.0, cfg.dt]))
+    x1 = np.empty_like(x0)
+    E0 = solver.step(x0, drive[0], x1)
+    for x, d, E_prev in ((x0, drive[0], None), (x1, drive[1], E0)):
+        a, b = np.empty_like(x0), np.empty_like(x0)
+        E_a, E_b = solver.step(x, d, a, E_prev), solver.step(x, d, b, E_prev)
+        assert np.array_equal(a, b) and np.array_equal(E_a, E_b)
+
+    solver = GalerkinSolver(cfg)
+    built = dict(vars(solver))
+    solver.run_windows()
+    assert set(vars(solver)) - set(built) == {"couplings", "_forcing"}
+    assert all(vars(solver)[key] is value for key, value in built.items())
 
 
 def test_sample_times_are_multiples_of_dt():
@@ -453,8 +476,8 @@ def test_stored_trajectory_obeys_the_scheme():
     M = np.linalg.solve(eye + 0.5 * dt * L, eye - 0.5 * dt * L)
     N = dt * np.linalg.inv(eye + 0.5 * dt * L)
     X = np.hstack([run.coeffs_w, run.coeffs_th])
-    E = np.array([np.concatenate([part["explicit"] for part in solver.rhs_terms(
-        State(t=t, c=row[:m], dcoef=row[m:]))]) for t, row in zip(run.times, X)])
+    E = np.array([np.concatenate([part["explicit"] for part in solver.rhs_terms(row, drive)])
+                  for row, drive in zip(X, solver.drive(run.times))])
     assert np.any(E[:, :m] != 0.0) and np.any(E[:, m:] != 0.0)
     for n in range(len(X) - 1):
         expl = E[n] if n % spw == 0 else 1.5 * E[n] - 0.5 * E[n - 1]
@@ -471,7 +494,8 @@ def test_scaled_lifting_matches_direct_rebuild():
     cfg = oracle_config(m=24)
     solver = GalerkinSolver(cfg)
     grid, forms, prof, params = solver.grid, solver.forms, solver.profile, solver.hopf_params
-    st0 = solver.initial_state()
+    x0 = solver.initial_state()
+    c0, dcoef0 = x0[: cfg.m], x0[cfg.m :]
 
     def rebuild(t):
         # the data at t as a steady profile of shape s(t) g
@@ -495,7 +519,7 @@ def test_scaled_lifting_matches_direct_rebuild():
     for t in (0.03, 0.17, 0.41):
         delta, delta_t = oracles.scaled_lifting(solver, t)
         field = rebuild(t)
-        _, v, _ = solver.reconstruct(State(t=t, c=np.zeros(cfg.m), dcoef=st0.dcoef))
+        _, v, _ = solver.reconstruct(np.concatenate([np.zeros(cfg.m), dcoef0]), solver.drive(t))
         close(v, field.values, 1e-12, ("reconstruct", t))
         close(delta.values, field.values, 1e-12, ("values", t))
         close(delta.grad, field.grad, 1e-12, ("grad", t))
@@ -509,22 +533,21 @@ def test_scaled_lifting_matches_direct_rebuild():
 
         # delta_t enters F_vol only, as -P(delta_t); it is checked against
         # the rebuild above
-        state = State(t=t, c=st0.c, dcoef=st0.dcoef)
-        vel, th = solver.rhs_terms(state)
+        vel, th = solver.rhs_terms(x0, solver.drive(t))
         moments = forms.lifting_moments(field)
         g_wd, g_dw, g_dth = forms.delta_matrices(moments)
         _, F_adv, _, F_form = forms.delta_vectors(moments)
         expected = {
-            "conv_wdelta": g_wd @ state.c,
-            "conv_deltaw": g_dw @ state.c,
+            "conv_wdelta": g_wd @ c0,
+            "conv_deltaw": g_dw @ c0,
             "bdry": forms.boundary_functionals(field),
             "F_vol": F_adv - forms.project_velocity(delta_t),
             "F_form": F_form,
         }
         for key, ref in expected.items():
             close(vel[key], ref, 1e-12, (key, t))
-        adv_w = oracles.dense_transport(state.c, state.dcoef, T_th)
-        close(th["adv"] - adv_w, g_dth @ state.dcoef, 1e-12, ("adv", t))
+        adv_w = oracles.dense_transport(c0, dcoef0, T_th)
+        close(th["adv"] - adv_w, g_dth @ dcoef0, 1e-12, ("adv", t))
 
 
 def test_sampled_cap_series_match_the_flux_definitions():
@@ -537,16 +560,16 @@ def test_sampled_cap_series_match_the_flux_definitions():
     # fields. From v0 = 0 at m = 12 both cross terms c.P and c.Q are nonzero;
     # on the "modes" initial state they vanish by symmetry
     solver = GalerkinSolver(oracle_config(m=12, init_v="zero"))
-    grid, prof = solver.grid, solver.profile
-    st0 = solver.initial_state()
+    grid, prof, m = solver.grid, solver.profile, solver.config.m
+    x0 = solver.initial_state()
+    c0, dcoef0 = x0[:m], x0[m:]
     k = solver.couplings
-    assert abs(st0.c @ k["P"]) > 1e-5 and abs(st0.c @ k["Q"]) > 1e-3
+    assert abs(c0 @ k["P"]) > 1e-5 and abs(c0 @ k["Q"]) > 1e-3
     gpsi = oracles.family_fields(solver.vb.factors)[1].reshape(solver.vb.m, 3, 3, -1)
     shape = cap_norms(prof, grid)
     for t in (0.0, 0.03, 0.17, 0.41):
-        state = State(t=t, c=st0.c, dcoef=st0.dcoef)
         delta, _ = oracles.scaled_lifting(solver, t)
-        row = sampled(solver, state)
+        row = sampled(solver, x0, t)
         # the cap norms of d(t) and of its time derivative
         a_s, a_st = abs(prof.s(t)), abs(prof.s_t(t))
         w13, l2, l3, l1, gl2 = (
@@ -572,12 +595,12 @@ def test_sampled_cap_series_match_the_flux_definitions():
         lo = grid.patch(PatchKind.CAP_LO)
         X, Y = lo.meshgrid()
         phi_lo = np.array([oracles.temperature_mode_on_face(md, grid, lo) for md in solver.tb.modes])
-        th_face = np.einsum("i,ixy->xy", state.dcoef, phi_lo)
+        th_face = np.einsum("i,ixy->xy", dcoef0, phi_lo)
         close["inflow_theta"] = lo.integrate(prof.s(t) * prof.g(X, Y) * th_face)
         err = 0.0
         for patch in grid.patches:
             psi = np.array([oracles.velocity_mode_on_face(md, grid, patch) for md in solver.vb.modes])
-            vals = np.einsum("i,icxy->cxy", state.c, psi)
+            vals = np.einsum("i,icxy->cxy", c0, psi)
             vn = np.einsum("c,cxy->xy", oracles.outward_normal(solver.grid, patch), vals + delta.faces[patch.kind].values)
             X, Y = patch.meshgrid()
             target = {PatchKind.CAP_LO: -prof.s(t) * prof.g(X, Y), PatchKind.CAP_HI: prof.s(t) * prof.g(X, Y)}
@@ -589,8 +612,8 @@ def test_sampled_cap_series_match_the_flux_definitions():
         for key, ref in close.items():
             assert abs(row[key] - ref) <= 1e-14 * abs(ref), (key, t)
 
-        v = solver.w_values(state) + delta.values
-        gv = np.einsum("i,icdg->cdg", state.c, gpsi) + delta.grad.reshape(3, 3, -1)
+        v = solver.w_values(c0) + delta.values
+        gv = np.einsum("i,icdg->cdg", c0, gpsi) + delta.grad.reshape(3, 3, -1)
         quadrature = {
             "v_l2sq": grid.integrate(np.sum(v**2, axis=0)),
             "v_gradsq": grid.integrate(np.sum(gv**2, axis=(0, 1))),
@@ -610,8 +633,8 @@ def test_sampled_cap_series_match_the_flux_definitions():
 def test_run_loop_never_evaluates_delta(monkeypatch):
     # the run loop reads the lifting only through the couplings of delta_1;
     # a grid evaluation of delta(t) is for snapshots
-    def refuse(self, state):
-        raise AssertionError(f"delta evaluated at t = {state.t}")
+    def refuse(self, x, drive):
+        raise AssertionError(f"delta evaluated at s = {drive[0]}")
 
     monkeypatch.setattr(GalerkinSolver, "reconstruct", refuse)
     solver = GalerkinSolver(oracle_config(init_v="zero"))
@@ -644,9 +667,9 @@ def test_th_integral_is_the_constant_mode():
     # the grid integral of theta is |Omega| amplitude_0 dcoef_0
     solver = GalerkinSolver(small_config(L1=1.3, L2=0.8, a=0.7, N1=8, N2=12, N3=16, m=12))
     rng = np.random.default_rng(7)
-    state = State(t=0.0, c=np.zeros(solver.config.m), dcoef=rng.standard_normal(solver.tb.m))
-    row = sampled(solver, state)
-    theta = solver.theta_values(state.dcoef)
+    dcoef = rng.standard_normal(solver.tb.m)
+    row = sampled(solver, np.concatenate([np.zeros(solver.config.m), dcoef]))
+    theta = solver.theta_values(dcoef)
     direct = solver.grid.integrate(theta)
     assert abs(row["th_integral"] - direct) <= 1e-14 * solver.grid.integrate(np.abs(theta))
     assert row["th_integral"] != 0.0
@@ -675,12 +698,12 @@ def test_heat_decay_at_box_eigenrates():
     dcoef0 = np.zeros(solver.tb.m)
     dcoef0[1] = 1.0
     dcoef0[3] = -0.5
-    state = State(t=0.0, c=np.zeros(cfg.m), dcoef=dcoef0)
-    for _ in range(cfg.steps_per_window):
-        state = oracles.step_state(solver, state)
+    x, E = np.concatenate([np.zeros(cfg.m), dcoef0]), None
+    for n in range(cfg.steps_per_window):
+        x, E = oracles.step_state(solver, x, n * cfg.dt, E)
     lam = solver.tb.eigenvalues
     expected = dcoef0 * np.exp(-cfg.kappa_heat * lam * cfg.T)
-    assert np.max(np.abs(state.dcoef - expected)) < 1e-5
+    assert np.max(np.abs(x[cfg.m :] - expected)) < 1e-5
 
 
 def test_advection_preserves_temperature_mean():
@@ -713,10 +736,10 @@ def test_reconstruction_traces():
         init_v="modes", init_v_amplitude=0.3,
     )
     solver = GalerkinSolver(cfg)
-    state = solver.initial_state()
-    err = sampled(solver, state)["flux_trace_err"]
+    x = solver.initial_state()
+    err = sampled(solver, x)["flux_trace_err"]
     assert err < 1e-10
-    w, v, theta = solver.reconstruct(state)
+    w, v, theta = solver.reconstruct(x, solver.drive(0.0))
     assert w.shape == v.shape == (3, *solver.grid.shape)
 
 
@@ -724,10 +747,10 @@ def test_pure_extension_flow():
     # init_v = "extension" means v0 = delta(0), i.e. w0 = 0
     cfg = small_config(flux_profile="constant", flux_amplitude=0.5, init_v="extension")
     solver = GalerkinSolver(cfg)
-    state = solver.initial_state()
-    assert np.max(np.abs(state.c)) == 0.0
+    x = solver.initial_state()
+    assert np.max(np.abs(x[: cfg.m])) == 0.0
     delta = solver.profile.s(0.0) * oracles.lifting(solver)[1].values
-    _, v, _ = solver.reconstruct(state)
+    _, v, _ = solver.reconstruct(x, solver.drive(0.0))
     assert np.max(np.abs(v - delta)) == 0.0
 
 
@@ -750,14 +773,14 @@ def test_transport_matches_the_dense_contraction(m):
     # temperature mode), so only their rounding is bounded
     rng = np.random.default_rng(m)
     solver = GalerkinSolver(ScenarioConfig(m=m))
-    state = State(t=0.0, c=rng.standard_normal(m), dcoef=rng.standard_normal(solver.tb.m))
-    vel, th = solver.rhs_terms(state)
+    c, dcoef = rng.standard_normal(m), rng.standard_normal(solver.tb.m)
+    vel, th = solver.rhs_terms(np.concatenate([c, dcoef]), solver.drive(0.0))
     T_vel, T_th = oracle_transport(solver)
     kappa_max = math.sqrt(max(md.rayleigh for md in solver.vb.modes) / 2.0)
-    for got, ref in ((vel["conv_www"], oracles.dense_transport(state.c, state.c, T_vel)),
-                     (th["adv"], oracles.dense_transport(state.c, state.dcoef, T_th))):
+    for got, ref in ((vel["conv_www"], oracles.dense_transport(c, c, T_vel)),
+                     (th["adv"], oracles.dense_transport(c, dcoef, T_th))):
         if m == 1:
-            assert np.max(np.abs(got)) <= 1e-14 * float(state.c @ state.c) * kappa_max
+            assert np.max(np.abs(got)) <= 1e-14 * float(c @ c) * kappa_max
         else:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), m
 
@@ -830,7 +853,7 @@ def _check_contractions(cfg, at_edge):
         "project_velocity": (forms.project_velocity(field),
                              cv * np.einsum("jcg,cg->j", psi, field.reshape(3, -1))),
         "project_temperature": (forms.project_temperature(field[1]), cv * phi @ field[1].ravel()),
-        "w_values": (solver.w_values(State(t=0.0, c=c, dcoef=np.zeros(solver.tb.m))),
+        "w_values": (solver.w_values(c),
                      np.einsum("i,icg->cg", c, psi).reshape(field.shape)),
         "Q": (k["Q"], cv * np.einsum("icdg,cdg->i", gpsi, dgrad)),
         "F_form": (k["F_form"], -(cfg.nu / 2.0) * cv * np.einsum("cdg,icdg->i", ddelta, dpsi)),
@@ -941,12 +964,13 @@ def test_coefficient_norms_match_grid_quadrature():
         init_theta="bump", init_theta_mean=1.2, init_theta_amplitude=0.3,
     )
     solver = GalerkinSolver(cfg)
-    state = solver.initial_state()
-    w = solver.w_values(state)
-    theta = solver.theta_values(state.dcoef)
+    x = solver.initial_state()
+    c, dcoef = x[: cfg.m], x[cfg.m :]
+    w = solver.w_values(c)
+    theta = solver.theta_values(dcoef)
     grid = solver.grid
-    assert abs(grid.integrate(np.sum(w**2, axis=0)) - float(state.c @ state.c)) < 1e-8
-    assert abs(grid.integrate(theta**2) - float(state.dcoef @ state.dcoef)) < 1e-8
+    assert abs(grid.integrate(np.sum(w**2, axis=0)) - float(c @ c)) < 1e-8
+    assert abs(grid.integrate(theta**2) - float(dcoef @ dcoef)) < 1e-8
 
 
 def test_numerical_abort_on_blowup():
@@ -958,7 +982,7 @@ def test_numerical_abort_on_blowup():
     with pytest.warns(RuntimeWarning, match="advective stability estimate"):
         with pytest.raises(NumericalAbort, match="non-finite state") as info:
             solver.run_windows()
-    assert np.isfinite(info.value.state.c).all() and np.isfinite(info.value.state.dcoef).all()
+    assert np.isfinite(info.value.c).all() and np.isfinite(info.value.dcoef).all()
 
 
 def test_config_validation():
@@ -979,8 +1003,7 @@ def test_single_mode_rhs_identity():
     solver = GalerkinSolver(cfg)
     e1 = np.zeros(cfg.m)
     e1[0] = 1.0
-    state = State(t=0.0, c=e1, dcoef=np.zeros(solver.tb.m))
-    rhs = solver.rhs_terms(state)[0]["total"]
+    rhs = solver.rhs_terms(np.concatenate([e1, np.zeros(solver.tb.m)]), solver.drive(0.0))[0]["total"]
     L = np.diag(cfg.nu * solver.vb.rayleigh) + solver.forms.K_fric
     conv = oracles.dense_transport(e1, e1, oracle_transport(solver)[0])
     assert abs(conv[0]) <= 1e-10  # skew transport: <psi1.grad psi1, psi1> = 0
@@ -992,8 +1015,7 @@ def test_constant_temperature_mode_is_fixed_point():
     solver = GalerkinSolver(cfg)
     dcoef = np.zeros(solver.tb.m)
     dcoef[0] = 3.0  # constant mode only
-    state = State(t=0.0, c=np.zeros(cfg.m), dcoef=dcoef)
-    rhs = solver.rhs_terms(state)[1]["total"]
+    rhs = solver.rhs_terms(np.concatenate([np.zeros(cfg.m), dcoef]), solver.drive(0.0))[1]["total"]
     assert np.max(np.abs(rhs)) <= 1e-12
 
 
@@ -1001,13 +1023,13 @@ def test_cap_flux_integral_of_reconstruction():
     cfg = small_config(flux_profile="parabolic-cap", flux_amplitude=0.8,
                        init_v="modes", init_v_amplitude=0.4)
     solver = GalerkinSolver(cfg)
-    state = solver.initial_state()
+    c = solver.initial_state()[: cfg.m]
     delta, _ = oracles.scaled_lifting(solver, 0.0)
     from ductflow.domain import PatchKind
 
     patch = solver.grid.patch(PatchKind.CAP_HI)
     psi = np.array([oracles.velocity_mode_on_face(md, solver.grid, patch) for md in solver.vb.modes])
-    vals = np.einsum("i,icxy->cxy", state.c, psi)
+    vals = np.einsum("i,icxy->cxy", c, psi)
     vals = vals + delta.faces[patch.kind].values
     vn = np.einsum("c,cxy->xy", oracles.outward_normal(solver.grid, patch), vals)
     X, Y = patch.meshgrid()
@@ -1022,16 +1044,14 @@ def test_discrete_energy_consistency():
     # accuracy (second order in dt)
     cfg = small_config(init_v="modes", init_v_amplitude=0.5, T=0.05, dt=1e-3)
     solver = GalerkinSolver(cfg)
-    state = solver.initial_state()
+    x, E, m = solver.initial_state(), None, cfg.m
     worst = 0.0
-    for _ in range(20):
-        nxt = oracles.step_state(solver, state)
-        mid = State(
-            t=state.t, c=0.5 * (state.c + nxt.c), dcoef=0.5 * (state.dcoef + nxt.dcoef)
-        )
-        rate = float(mid.c @ solver.rhs_terms(mid)[0]["total"])
-        realized = (float(nxt.c @ nxt.c) - float(state.c @ state.c)) / (2.0 * cfg.dt)
+    for n in range(20):
+        nxt, E = oracles.step_state(solver, x, n * cfg.dt, E)
+        mid = 0.5 * (x + nxt)
+        rate = float(mid[:m] @ solver.rhs_terms(mid, solver.drive(n * cfg.dt))[0]["total"])
+        realized = (float(nxt[:m] @ nxt[:m]) - float(x[:m] @ x[:m])) / (2.0 * cfg.dt)
         worst = max(worst, abs(realized - rate))
-        state = nxt
-    scale = max(1.0, float(state.c @ state.c))
+        x = nxt
+    scale = max(1.0, float(x[:m] @ x[:m]))
     assert worst <= 50.0 * cfg.dt**2 * scale

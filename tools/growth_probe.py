@@ -7,17 +7,19 @@ For each m, in a fresh process with one BLAS thread, the probe builds a
 `GalerkinSolver` for the bundled scenario NAME (default free-decay) with
 that m on the given grid (the set-up time), builds its lifting couplings
 (the lifting time: the first `solver.couplings`, 0 without flux), steps it
-STEPS times from its initial state as the run loop does, each stacked state
-written into the next row of a trajectory (the mean step time), and reads the
-process's peak resident set size. The sizes run one after another, so no
-two probes share the machine. It prints one Markdown table row per size:
+STEPS times from its initial row as the run loop does, each step written
+into the next row of a trajectory and handed the explicit part the step
+before returned (the mean step time), and reads the process's peak
+resident set size. The sizes run one after another, so no two probes
+share the machine. It prints one Markdown table row per size:
 m, grid, set-up, lifting, step, peak RSS. A size whose process fails gets a
 `failed` row, and the probe then exits 1.
 
 --src names the `src/` directory to import ductflow from (default: the one
 of the checkout holding this script), so one command measures another
 checkout, such as a copy of a parent commit, the same way, if its
-`GalerkinSolver.step(x, drive, out)` steps the stacked state as here.
+`GalerkinSolver.step(x, drive, out, E_prev)` steps a row and returns its
+explicit part as here.
 """
 
 from __future__ import annotations
@@ -59,13 +61,13 @@ def probe(m: int, grid: list[int], scenario: str) -> dict:
     if solver.hopf_params is not None:
         solver.couplings
         lifting = time.perf_counter() - t0
-    state = solver.initial_state()
     X = np.empty((STEPS + 1, cfg.m + solver.tb.m))
-    X[0, : cfg.m], X[0, cfg.m :] = state.c, state.dcoef
+    X[0] = solver.initial_state()
     drive = solver.drive(np.arange(STEPS + 1) * cfg.dt)
+    E = None
     t0 = time.perf_counter()
     for n in range(STEPS):
-        solver.step(X[n], drive[n], X[n + 1])
+        E = solver.step(X[n], drive[n], X[n + 1], E)
     step = (time.perf_counter() - t0) / STEPS
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
