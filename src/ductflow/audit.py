@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -622,11 +622,17 @@ def ledger_to_text(ledger: EnergyLedger, scenario_name: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field_dict(obj) -> dict:
+    """The fields of a dataclass by name, not copied: json.dumps writes what
+    it would write of dataclasses.asdict's deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def ledger_to_json_obj(ledger: EnergyLedger) -> dict:
     return {
-        "constants": asdict(ledger.calibration),
+        "constants": _field_dict(ledger.calibration),
         "A1": ledger.A1,
         "A2": ledger.A2,
         "budget_note": BUDGET_NOTE,
-        "certificates": [{**asdict(c), "status": c.status} for c in ledger.certificates],
+        "certificates": [{**_field_dict(c), "status": c.status} for c in ledger.certificates],
     }

@@ -140,16 +140,17 @@ class FactorTables:
             sines.append(sine)
         return f0, tuple(sines), (self.k[:, 1], self.k[:, 2])
 
-    def expand(self, coef: np.ndarray, c: int) -> np.ndarray:
+    def expand(self, coef: np.ndarray, c: int, out: np.ndarray | None = None) -> np.ndarray:
         """[..., n1, n2, n3] sum_i coef_i f_i for component c: coef times the
         axis-0 factors, scattered by wavenumber into [n1, K1 K2], contracted
-        with the rows of axes 2 and 1. A row of coef [..., mode] is
-        expanded by the same operations as alone."""
+        with the rows of axes 2 and 1, the last contraction written into
+        ``out`` when given. A row of coef [..., mode] is expanded by the same
+        operations as alone."""
         f0, sines, (j1, j2) = self.split(c)
         r1, r2 = (ax.rows[s, : j.max() + 1] for ax, s, j in zip(self.axes[1:], sines, (j1, j2)))
         k1, k2 = len(r1), len(r2)
         t = (f0.T * coef[..., None, :]) @ np.eye(k1 * k2)[j1 * k2 + j2]
-        return r1.T @ (t.reshape(*coef.shape[:-1], -1, k1, k2) @ r2)
+        return np.matmul(r1.T, t.reshape(*coef.shape[:-1], -1, k1, k2) @ r2, out=out)
 
     def on_face(self, c: int, patch) -> tuple:
         """The axis factors of component c on a face, whose own axis takes

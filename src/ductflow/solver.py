@@ -202,8 +202,7 @@ def forcing_field(config: ScenarioConfig, grid: QuadratureGrid) -> np.ndarray:
         return out
     # "shear": vertical force modulated across x1; has a nonzero projection
     # onto the divergence-free zero-flux basis, unlike a constant force
-    X1 = grid.meshgrid()[0]
-    out[2] = config.forcing_amplitude * np.cos(np.pi * X1 / grid.spec.L1)
+    out[2] = (config.forcing_amplitude * np.cos(np.pi * grid.x1 / grid.spec.L1))[:, None, None]
     return out
 
 
@@ -340,9 +339,10 @@ class GalerkinSolver:
             return np.zeros(self.grid.shape)
         if cfg.init_theta == "constant":
             return np.full(self.grid.shape, cfg.init_theta_mean)
-        X1, _, X3 = self.grid.meshgrid()
+        # the profile is constant in x2: built on [n1, 1, n3], spread on return
+        x1, x3 = self.grid.x1[:, None, None], self.grid.x3[None, None, :]
         spec = self.grid.spec
-        carrier = np.cos(np.pi * X1 / spec.L1) * np.cos(np.pi * (X3 + spec.a) / (2 * spec.a))
+        carrier = np.cos(np.pi * x1 / spec.L1) * np.cos(np.pi * (x3 + spec.a) / (2 * spec.a))
         if cfg.init_theta == "bump":
             # odd saturation of the carrier: smooth, range exactly
             # mean +- amplitude, zero volume average of the profile part
@@ -355,14 +355,15 @@ class GalerkinSolver:
             hi = math.tanh(beta * (1.0 - c0))
             lo = math.tanh(beta * (-1.0 - c0))
             prof = (2.0 * np.tanh(beta * (carrier - c0)) - (hi + lo)) / (hi - lo)
-        return cfg.init_theta_mean + cfg.init_theta_amplitude * prof
+        return np.broadcast_to(cfg.init_theta_mean + cfg.init_theta_amplitude * prof, self.grid.shape).copy()
 
     # -- right-hand sides ------------------------------------------------------
 
-    def theta_values(self, dcoef: np.ndarray) -> np.ndarray:
+    def theta_values(self, dcoef: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """theta on the grid, expanded through the factor tables: rows dcoef
-        [row, mode] give [row, n1, n2, n3], each row as it comes alone."""
-        return self.tb.factors.expand(dcoef, 0)
+        [row, mode] give [row, n1, n2, n3], each row as it comes alone,
+        written into ``out`` when given."""
+        return self.tb.factors.expand(dcoef, 0, out)
 
     def w_values(self, c: np.ndarray) -> np.ndarray:
         """w on the grid [comp, n1, n2, n3] at the velocity coefficients c,
@@ -523,11 +524,13 @@ class GalerkinSolver:
         <omega(theta) f, psi_j>, which is linear in dcoef unless omega is
         bounded_smooth. ``kind`` is "constant" when omega is constant or the
         forcing is zero: the projection is the vector ``P`` and the sampled
-        norms of the clamped omega(theta) f are the pair ``norms``, from the
-        grid expressions once, or exact zeros without any grid work when f
+        norms of the clamped omega(theta) f are the pair ``norms``, from
+        ``_omega_f_norms`` once, or exact zeros without any grid work when f
         is zero. For "linear" the projection is omega0 P + omega1 M dcoef
         with P = P(f) and M[j, k] = <phi_k f, psi_j>. "bounded_smooth" keeps
-        both on the grid.
+        the projection on the grid. Both keep ``weights``, the pair of
+        ``_f_weights``, with which the ledger takes the norms of each stored
+        sample from |f| read once per run.
         """
         cfg, forms = self.config, self.forms
         if cfg.forcing_is_zero:
@@ -543,8 +546,9 @@ class GalerkinSolver:
                 kind="linear",
                 P=forms.project_velocity(self.f_values),
                 M=forms.velocity_temperature_matrix(self.f_values),
+                weights=self._f_weights(),
             )
-        return dict(kind=cfg.omega_kind)
+        return dict(kind=cfg.omega_kind, weights=self._f_weights())
 
     def _f_omega(self, dcoef: np.ndarray) -> np.ndarray:
         """<omega(theta) f, psi_j> at the temperature coefficients dcoef."""
@@ -556,16 +560,27 @@ class GalerkinSolver:
         omega_f = self.omega(self.theta_values(dcoef))[None, :, :, :] * self.f_values
         return self.forms.project_velocity(omega_f)
 
-    def _omega_f_norms(self, theta: np.ndarray) -> tuple:
+    def _f_weights(self) -> tuple:
+        """(w65, w3): the cell volume times |f|^(6/5) and times |f|^3 at the
+        nodes, flattened; the cube by multiplication."""
+        f = self.f_values.reshape(3, -1)
+        mag = np.sqrt(np.einsum("cp,cp->p", f, f))
+        vol = self.grid.cell_volume
+        return vol * mag ** (6.0 / 5.0), vol * (mag * mag * mag)
+
+    def _omega_f_norms(self, theta: np.ndarray, weights: Optional[tuple] = None) -> tuple:
         """(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2) on the grid,
-        theta~ the temperature clamped to [theta_star, theta_star_upper]."""
-        cfg, grid = self.config, self.grid
-        th_clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
-        omega_f = self.omega(th_clamped)[None, :, :, :] * self.f_values
-        mag = np.sqrt(np.sum(omega_f**2, axis=0))
+        theta~ the temperature clamped to [theta_star, theta_star_upper].
+
+        omega is a scalar, so |omega(theta~) f| = |omega(theta~)| |f|, and
+        each norm is one dot product of a power of |omega(theta~)| on the
+        nodes with the weights of ``_f_weights``, built here when not given."""
+        cfg = self.config
+        w65, w3 = self._f_weights() if weights is None else weights
+        om = np.abs(self.omega(np.clip(theta, cfg.theta_star, cfg.theta_star_upper))).ravel()
         return (
-            grid.integrate(mag ** (6.0 / 5.0)) ** (2 * 5.0 / 6.0),
-            grid.integrate(mag**3) ** (2.0 / 3.0),
+            float(om ** (6.0 / 5.0) @ w65) ** (2 * 5.0 / 6.0),
+            float((om * om * om) @ w3) ** (2.0 / 3.0),
         )
 
     # -- time stepping -----------------------------------------------------------
@@ -608,7 +623,10 @@ class GalerkinSolver:
         The energies are quadratic forms in the coefficients. The mean of
         theta is that of the constant mode alone, since midpoint quadrature
         integrates every other cosine mode to exactly 0. What needs theta on
-        the grid is computed one stored row at a time. The data d = s(t) g
+        the grid, its extremes and the norms of the clamped omega(theta) f,
+        is computed one stored row at a time, the norms as two dot products
+        of |omega(theta~)| with the per-run weights of |f| (``_forcing``)
+        unless they are one pair per run. The data d = s(t) g
         enter through s, |s| and |s'| times the couplings' numbers of g and
         delta_1.
         """
@@ -635,17 +653,21 @@ class GalerkinSolver:
         out["v_l2sq"] = out["w_l2sq"] + 2.0 * s * (C @ k["P"]) + out["delta_l2sq"]
         out["v_gradsq"] = out["w_gradsq"] + 2.0 * s * (C @ k["Q"]) + out["delta_gradsq"]
 
-        # theta on the grid, LEDGER_CHUNK_BYTES of stored rows at a time: its
-        # extremes and the norms of the clamped omega(theta) f, which are
-        # two numbers per run unless omega depends on theta and f is not zero
-        norms = self._forcing.get("norms")
-        chunk = max(1, LEDGER_CHUNK_BYTES // (8 * math.prod(grid.shape)))
+        # theta on the grid, LEDGER_CHUNK_BYTES of stored rows at a time, each
+        # chunk expanded into the same buffer, so that only the first one
+        # touches fresh pages: its extremes and the norms of the clamped
+        # omega(theta) f, which are two numbers per run unless omega depends
+        # on theta and f is not zero
+        norms, weights = self._forcing.get("norms"), self._forcing.get("weights")
+        chunk = min(len(D), max(1, LEDGER_CHUNK_BYTES // (8 * math.prod(grid.shape))))
+        buffer = np.empty((chunk, *grid.shape))
         th_min, th_max, omega_f = [], [], []
         for start in range(0, len(D), chunk):
-            theta = self.theta_values(D[start : start + chunk])
+            rows = D[start : start + chunk]
+            theta = self.theta_values(rows, out=buffer[: len(rows)])
             th_min.append(theta.min(axis=(1, 2, 3)))
             th_max.append(theta.max(axis=(1, 2, 3)))
-            omega_f += [norms or self._omega_f_norms(th) for th in theta]
+            omega_f += [norms or self._omega_f_norms(th, weights) for th in theta]
         out["th_min"], out["th_max"] = np.concatenate(th_min), np.concatenate(th_max)
         out["omega_f_65sq"], out["omega_f_l3sq"] = (np.array(col) for col in zip(*omega_f))
 
@@ -685,9 +707,12 @@ class GalerkinSolver:
         spw, m = cfg.steps_per_window, cfg.m
         # n dt, not a running sum, which drifts off the horizon
         times = np.arange(cfg.n_windows * spw + 1) * cfg.dt
+        # the first row before the trajectory: initial_state may build the
+        # lifting, whose transient peak then holds neither drive nor X
+        x0 = self.initial_state()
         drive = self.drive(times)
         X = np.empty((times.size, m + self.tb.m))
-        X[0] = self.initial_state()
+        X[0] = x0
 
         est = self.dt_stability_estimate(X[0], drive[0])
         if cfg.dt > est:

@@ -275,6 +275,45 @@ def test_forcing_term_matches_the_grid_in_every_case(omega_kind, forcing_kind):
     assert (ref["omega_f_65sq"] == 0.0) == cfg.forcing_is_zero
 
 
+def clamped_norms_on_the_grid(solver, theta):
+    """The sampled norms of omega(theta~) f as the grid formula gives them:
+    |omega(theta~) f| at every node, to the powers 6/5 and 3, integrated."""
+    cfg, grid = solver.config, solver.grid
+    clamped = np.clip(theta, cfg.theta_star, cfg.theta_star_upper)
+    mag = np.sqrt(np.sum((solver.omega(clamped) * solver.f_values) ** 2, axis=0))
+    return oracles.integrate(grid, mag ** 1.2) ** (5.0 / 3.0), oracles.integrate(grid, mag**3) ** (2.0 / 3.0)
+
+
+@pytest.mark.parametrize("forcing_kind", ["zero", "shear"])
+@pytest.mark.parametrize("omega_kind", ["constant", "linear", "bounded_smooth"])
+def test_ledger_forcing_norms_match_the_grid_at_every_row(omega_kind, forcing_kind):
+    # the ledger takes the clamped forcing norms of each stored row from
+    # |omega(theta~)| and per-run weights of |f|; at every row of a run whose
+    # theta crosses both clamp bounds (m = 8 holds the bump's carrier, and a
+    # slow diffusion keeps it) they must match the grid formula. A
+    # constant omega gives the per-run pair at every row, zero forcing
+    # exact zeros
+    cfg = small_config(
+        omega_kind=omega_kind, omega0=0.9, omega1=0.0 if omega_kind == "constant" else 0.3,
+        forcing_kind=forcing_kind, forcing_amplitude=0.3, m=8, kappa_heat=0.05,
+        init_theta="bump", init_theta_mean=1.5, init_theta_amplitude=0.8,
+    )
+    solver = GalerkinSolver(cfg)
+    run = solver.run_windows()
+    series = (run.series["omega_f_65sq"], run.series["omega_f_l3sq"])
+    modes = [oracles.temperature_mode_fields(md, solver.grid)[0] for md in solver.tb.modes]
+    for i, dcoef in enumerate(run.coeffs_th):
+        theta = oracles.slow_field_sum(dcoef, modes)
+        assert theta.min() < cfg.theta_star and theta.max() > cfg.theta_star_upper, i
+        for got, ref in zip(series, clamped_norms_on_the_grid(solver, theta)):
+            assert abs(got[i] - ref) <= 1e-12 * ref, i
+    if forcing_kind == "zero":
+        assert all(np.array_equal(col, np.zeros(run.times.size)) and not np.signbit(col).any()
+                   for col in series)
+    elif omega_kind == "constant":
+        assert all(np.all(col == norm) for col, norm in zip(series, solver._forcing["norms"]))
+
+
 def test_stepping_forcing_needs_no_grid_field(monkeypatch):
     # with zero forcing or a linear omega the forcing term of a step is read
     # from coefficients: once its data are built, a step neither synthesizes
@@ -383,10 +422,13 @@ def test_stepped_explicit_part_is_the_sum_of_the_terms(omega_kind, forcing_kind)
 def test_setup_builds_no_lifting():
     # the lifting's couplings (the explicit operator's rows among them) are
     # its one record, built on first use, by the first step, so the set-up
-    # time carries none of it
-    solver = GalerkinSolver(oracle_config(init_v="zero"))
+    # time carries none of it. init_v = modes needs no lifting for the first
+    # row, so the step is what builds it
+    solver = GalerkinSolver(oracle_config(init_v="modes"))
     assert "couplings" not in solver.__dict__
-    oracles.step_state(solver, solver.initial_state(), 0.0)
+    x0 = solver.initial_state()
+    assert "couplings" not in solver.__dict__
+    oracles.step_state(solver, x0, 0.0)
     assert "couplings" in solver.__dict__
     assert not hasattr(solver, "lifting")
 
@@ -407,9 +449,9 @@ def test_run_loop_only_steps_and_stores(monkeypatch, kw):
         steps.append(drive)
         return _orig(self, x, drive, out, E_prev)
 
-    def theta_values(self, dcoef, _orig=GalerkinSolver.theta_values):
+    def theta_values(self, dcoef, out=None, _orig=GalerkinSolver.theta_values):
         thetas.append(len(steps))
-        return _orig(self, dcoef)
+        return _orig(self, dcoef, out)
 
     monkeypatch.setattr(GalerkinSolver, "step", step)
     monkeypatch.setattr(GalerkinSolver, "theta_values", theta_values)
