@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .solver import GalerkinSolver, RunResult, ScenarioConfig, profile_of
+from .solver import GalerkinSolver, RunResult, ScenarioConfig
 
 BUDGET_NOTE = (
     "cap-data Sobolev norms replace fractional boundary norms in the budget; "
@@ -176,9 +176,9 @@ def _trapz(y: np.ndarray, t: np.ndarray) -> float:
 # Calibration
 
 
-def is_free_decay(config: ScenarioConfig) -> bool:
-    """No flux (the configured profile is "none") and zero forcing."""
-    return profile_of(config).name == "none" and config.forcing_is_zero
+def is_free_decay(solver: GalerkinSolver) -> bool:
+    """No flux (the solver picked no cutoff parameters) and zero forcing."""
+    return solver.hopf_params is None and solver.config.forcing_is_zero
 
 
 def calibrate(run: RunResult, solver: GalerkinSolver, config: ScenarioConfig) -> Calibration:
@@ -538,11 +538,11 @@ def _mk_compat_cert(run: RunResult) -> Certificate:
     )
 
 
-def _mk_dissipation_cert(run: RunResult, X: np.ndarray, config: ScenarioConfig) -> Certificate:
+def _mk_dissipation_cert(X: np.ndarray, solver: GalerkinSolver) -> Certificate:
     dX = np.diff(X)
     return _inequality(
         "dissipation-monotone", "E13", "X(t) nonincreasing sample to sample",
-        dX, 1e-12 * max(1.0, float(X[0])), applicable=is_free_decay(config),
+        dX, 1e-12 * max(1.0, float(X[0])), applicable=is_free_decay(solver),
         details={"max_increase": float(np.max(dX))},
     )
 
@@ -574,7 +574,7 @@ def audit_run(run: RunResult, solver: GalerkinSolver) -> EnergyLedger:
         *_mk_reconstruction_certs(run, config),
         *_mk_weighted_certs(solver, config),
         _mk_compat_cert(run),
-        _mk_dissipation_cert(run, X, config),
+        _mk_dissipation_cert(X, solver),
     ]
 
     return EnergyLedger(

@@ -255,16 +255,6 @@ def cmd_check(args) -> int:
                 f"{config.hopf_mode} eps={params.eps} rho={params.rho} (0 < rho < min(1, a))",
             )
 
-    ok &= _check_line(
-        config.mu > 2.0 / 3.0,
-        "weighted-exponent",
-        f"mu = {config.mu} (> 2/3 required: the layer integral diverges at 2/3)",
-    )
-    hyp = config.theta_star < config.theta_star_upper
-    ok &= _check_line(
-        hyp, "temperature-hypotheses",
-        f"theta_star={config.theta_star} < theta_star_upper={config.theta_star_upper}",
-    )
     lo0, hi0, applicable = theta0_range(config)
     print(
         f"[INFO] temperature-bounds applicability: "

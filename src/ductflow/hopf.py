@@ -26,7 +26,6 @@ compatibility_residual is the one formula for the flux compatibility.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,29 +35,22 @@ from .domain import DomainSpec, PatchKind, QuadratureGrid
 from .errors import RegimeError
 
 
-class KinkWarning(UserWarning):
-    """Emitted when the cutoff slope is evaluated exactly at a branch kink."""
-
-
 @dataclass(frozen=True)
 class HopfParams:
     """Cutoff parameters (eps, rho) with r = rho * exp(-1/eps) derived.
 
     rho < 1 is required so that rho^(mu + 1/3) < rho^(1/6) in the layer
-    estimates; c_cal is the calibration constant of the auto-selection rule.
+    estimates.
     """
 
     eps: float
     rho: float
-    c_cal: float = 1.0
 
     def __post_init__(self):
         if not self.eps > 0:
             raise RegimeError(f"eps must be positive, got {self.eps}")
         if not (0.0 < self.rho < 1.0):
             raise RegimeError(f"rho must lie in (0, 1), got {self.rho}")
-        if not self.c_cal > 0:
-            raise RegimeError(f"c_cal must be positive, got {self.c_cal}")
 
     @property
     def r(self) -> float:
@@ -86,7 +78,7 @@ def select_params(nu: float, d_tilde_norm: float, c_cal: float = 1.0) -> HopfPar
             "viscosity for the cutoff regime; pass manual parameters or a "
             "larger calibration constant"
         )
-    params = HopfParams(eps=eps, rho=rho, c_cal=c_cal)
+    params = HopfParams(eps=eps, rho=rho)
     lhs = c_cal * (eps + rho ** (1.0 / 6.0)) * d_tilde_norm
     if not math.isclose(lhs, nu / 4.0, rel_tol=1e-12):
         raise RegimeError(
@@ -109,13 +101,12 @@ def hopf_eta(sigma, params: HopfParams):
     return out if out.ndim else float(out)
 
 
-def hopf_eta_prime(sigma, params: HopfParams, warn_on_kink: bool = True):
+def hopf_eta_prime(sigma, params: HopfParams):
     """Cutoff slope: 0, -eps/sigma, 0 on the three branches; total on
     sigma >= 0, like hopf_eta, with the inner-branch value 0 at sigma = 0.
 
-    At the kinks sigma = r and sigma = rho the logarithmic-branch value is
-    returned and, with warn_on_kink, a KinkWarning is emitted; quadrature
-    nodes never land there, so this only matters for direct probing.
+    At the kinks the logarithmic-branch value is returned: -eps/r at
+    sigma = r and -eps/rho at sigma = rho.
     """
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma < 0):
@@ -124,8 +115,6 @@ def hopf_eta_prime(sigma, params: HopfParams, warn_on_kink: bool = True):
     r = params.r
     mid = (sigma > 0) & (sigma >= r) & (sigma <= params.rho)
     out[mid] = -params.eps / sigma[mid]
-    if warn_on_kink and np.any(mid & ((sigma == r) | (sigma == params.rho))):
-        warnings.warn("cutoff slope evaluated exactly at a kink", KinkWarning)
     return out if out.ndim else float(out)
 
 
@@ -320,7 +309,7 @@ def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> E
     sig_hi = spec.a - x3
     eta = hopf_eta(sig_lo, params) + hopf_eta(sig_hi, params)
     # sigma' = +1 toward the bottom cap coordinate, -1 toward the top
-    slope = hopf_eta_prime(np.stack([sig_lo, sig_hi]), params, warn_on_kink=False)
+    slope = hopf_eta_prime(np.stack([sig_lo, sig_hi]), params)
     etap = slope[0] - slope[1]
     g, g1, g2 = (fn(x1[:, None], x2[None, :]) for fn in (profile.g, profile.g1, profile.g2))
 

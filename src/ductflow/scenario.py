@@ -112,13 +112,14 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
 
 
 def read_scenario(path) -> tuple[str, str]:
-    """The text of the scenario file at path, decoded as UTF-8, and the
-    sha256 hex digest of those very bytes, which name what a run parsed."""
+    """The text of the scenario file at path, decoded as UTF-8 with a
+    leading byte-order mark dropped, and the sha256 hex digest of the bytes
+    as read, which name what a run parsed."""
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
     data = p.read_bytes()
-    return data.decode(), sha256(data).hexdigest()
+    return data.decode("utf-8-sig"), sha256(data).hexdigest()
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -119,10 +119,8 @@ class ScenarioConfig:
             self.domain_spec()
         except ValueError as exc:
             raise ScenarioError(f"domain: {exc}")
-        if min(self.nu, self.kappa_heat) <= 0 or self.gamma < 0:
-            raise ScenarioError("nu, kappa must be positive and gamma nonnegative")
-        if self.gamma == 0:
-            raise ScenarioError("gamma must be positive (slip friction coefficient)")
+        if min(self.nu, self.kappa_heat, self.gamma) <= 0:
+            raise ScenarioError("nu, kappa and gamma must be positive")
         if self.omega_kind not in ("constant", "linear", "bounded_smooth"):
             raise ScenarioError(f"unknown omega kind {self.omega_kind!r}")
         if self.forcing_kind not in ("zero", "constant", "shear"):
@@ -225,7 +223,9 @@ def pick_hopf_params(
     if profile.name == "none":
         return None
     if config.hopf_mode == "manual":
-        params = HopfParams(eps=config.hopf_eps, rho=config.hopf_rho, c_cal=config.hopf_c_cal)
+        params = HopfParams(eps=config.hopf_eps, rho=config.hopf_rho)
+        if not config.hopf_c_cal > 0:
+            raise RegimeError(f"c_cal must be positive, got {config.hopf_c_cal}")
     else:
         shape_norm = cap_norms(profile, grid).w13_inf_total
         sup_norm = profile.s_sup(config.n_windows * config.T) * shape_norm

@@ -101,7 +101,7 @@ def test_criterion_01_hopf_function_exactness():
         assert abs(float(below) - float(above)) <= 1e-14
 
     pos = sigma[sigma > 0]
-    slopes = hopf_eta_prime(pos, p, warn_on_kink=False)
+    slopes = hopf_eta_prime(pos, p)
     assert np.all(np.abs(slopes) <= p.eps / pos + 1e-15)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -88,6 +88,22 @@ def test_manifest_hashes_the_bytes_the_run_parsed(tmp_path, monkeypatch):
     assert manifest["scenario_sha256"] == hashlib.sha256(original).hexdigest()
 
 
+def test_a_byte_order_mark_is_read_past_and_hashed(tmp_path, capsys):
+    # an editor may save the file with a UTF-8 byte-order mark; it parses
+    # as the plain file does, and the manifest hashes the bytes as on disk
+    bom = tmp_path / "bom.scn"
+    bom.write_bytes(b"\xef\xbb\xbf" + QUICK.read_bytes())
+    assert main(["check", str(bom)]) == 0
+    outs = {scn: tmp_path / scn.stem for scn in (QUICK, bom)}
+    for scn, out in outs.items():
+        assert main(["run", str(scn), "--out", str(out)]) == 0
+    assert "config error" not in capsys.readouterr().err
+    for name in ("timeseries.csv", "certificates.json"):
+        assert (outs[bom] / name).read_bytes() == (outs[QUICK] / name).read_bytes()
+    manifest = json.loads((outs[bom] / "run_manifest.json").read_text())
+    assert manifest["scenario_sha256"] == hashlib.sha256(bom.read_bytes()).hexdigest()
+
+
 def test_run_builds_one_solver_and_steps_one_trajectory(monkeypatch):
     calls = {"__init__": 0, "run_windows": 0}
     for name in calls:
@@ -270,9 +286,16 @@ def test_missing_scenario_file(tmp_path):
     assert rc == 1
 
 
-def test_check_passes_bundled():
-    assert main(["check", str(QUICK)]) == 0
-    assert main(["check", str(bundled_scenario_path("pulsed-flux"))]) == 0
+def test_check_passes_bundled(capsys):
+    # the three decisions a run makes, then the temperature-bounds line;
+    # parsing rejects a bad mu or temperature hypothesis before check runs
+    for scn in (QUICK, bundled_scenario_path("pulsed-flux")):
+        assert main(["check", str(scn)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[PASS] flux-compatibility", "[PASS] galerkin-modes", "[PASS] cutoff-regime",
+            "[INFO] temperature-bounds applicability",
+        ]
 
 
 def test_check_fails_on_bad_regime(tmp_path):
@@ -512,10 +535,11 @@ def test_large_temperature_data_abort_or_certify_without_numpy_warnings(tmp_path
 
 
 @pytest.mark.parametrize("c_cal", [0, -1])
-def test_auto_mode_rejects_a_nonpositive_calibration_constant(tmp_path, capsys, c_cal):
+@pytest.mark.parametrize("mode", ["auto", "manual"])
+def test_either_mode_rejects_a_nonpositive_calibration_constant(tmp_path, capsys, mode, c_cal):
     scn = scenario_with(tmp_path, QUICK, {
         "galerkin.m": 6, "flux.profile": "constant", "flux.amplitude": 0.6,
-        "hopf.mode": "auto", "hopf.c_cal": c_cal,
+        "hopf.mode": mode, "hopf.c_cal": c_cal,
     })
     assert main(["check", str(scn)]) == 1
     fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
@@ -657,6 +681,11 @@ def test_zero_flux_amplitude_is_no_flux(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("physics.nu", "nan"),
+    ("physics.gamma", "0"),
+    ("physics.gamma", "-1"),
+    ("audit.mu", "0.6"),
+    ("audit.mu", "1"),
+    ("audit.theta_star", "2"),  # equal to theta_star_upper
     ("time.dt", "inf"),
     ("forcing.vector", "1.0, 2.0"),
     ("forcing.vector", "1, 2, 3, 4"),
@@ -823,7 +852,7 @@ def test_sweep_summary_quotes_a_field_holding_a_comma(tmp_path):
     with open(out / "sweep_summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [len(row) for row in rows] == [7, 7, 7]
-    assert rows[1][:2] == ["-1", "skipped (nu, kappa must be positive and gamma nonnegative)"]
+    assert rows[1][:2] == ["-1", "skipped (nu, kappa and gamma must be positive)"]
     assert rows[2][:2] == ["0.5", "ok"]
 
 

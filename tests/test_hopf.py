@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from ductflow.errors import RegimeError
 from ductflow.solver import GalerkinSolver, ScenarioConfig
 from ductflow.hopf import (
     HopfParams,
-    KinkWarning,
     build_b,
     cap_norms,
     compatibility_residual,
@@ -58,17 +58,18 @@ def test_eta_prime_branches():
     assert hopf_eta_prime(2.0 * PARAMS.rho, PARAMS) == 0.0
 
 
-def test_eta_prime_kink_flagged():
-    with pytest.warns(KinkWarning):
-        v = hopf_eta_prime(PARAMS.rho, PARAMS)
-    assert abs(v + PARAMS.eps / PARAMS.rho) < 1e-15
+def test_eta_prime_at_the_kinks_is_the_log_branch_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hopf_eta_prime(PARAMS.r, PARAMS) == -PARAMS.eps / PARAMS.r
+        assert hopf_eta_prime(PARAMS.rho, PARAMS) == -PARAMS.eps / PARAMS.rho
 
 
 def test_eta_prime_is_total_on_nonnegative_sigma():
     # like eta: 0 at sigma = 0 (the inner branch), the log-branch value at
     # both kinks, and negative distances refused
     assert hopf_eta_prime(0.0, PARAMS) == 0.0
-    kinks = hopf_eta_prime(np.array([0.0, PARAMS.r, PARAMS.rho]), PARAMS, warn_on_kink=False)
+    kinks = hopf_eta_prime(np.array([0.0, PARAMS.r, PARAMS.rho]), PARAMS)
     assert kinks.tolist() == [0.0, -PARAMS.eps / PARAMS.r, -PARAMS.eps / PARAMS.rho]
     with pytest.raises(ValueError, match="nonnegative"):
         hopf_eta_prime(-1e-12, PARAMS)
@@ -81,7 +82,7 @@ def test_eta_prime_is_total_on_nonnegative_sigma():
 def test_eta_range_and_slope_bound(sigma):
     v = hopf_eta(sigma, PARAMS)
     assert 0.0 <= v <= 1.0
-    s = hopf_eta_prime(sigma, PARAMS, warn_on_kink=False)
+    s = hopf_eta_prime(sigma, PARAMS)
     assert abs(s) <= PARAMS.eps / sigma + 1e-15
 
 
@@ -294,9 +295,7 @@ def test_b_on_the_side_walls_matches_the_closed_form():
         wall = np.full(u.shape, patch.coord)
         x1, x2 = (wall, u) if patch.axis == 0 else (u, wall)
         eta = hopf_eta(x3 + spec.a, PARAMS) + hopf_eta(spec.a - x3, PARAMS)
-        eta_prime = hopf_eta_prime(x3 + spec.a, PARAMS, warn_on_kink=False) - hopf_eta_prime(
-            spec.a - x3, PARAMS, warn_on_kink=False
-        )
+        eta_prime = hopf_eta_prime(x3 + spec.a, PARAMS) - hopf_eta_prime(spec.a - x3, PARAMS)
         g = prof.g(x1, x2)
         expected = (g * eta, [prof.g1(x1, x2) * eta, prof.g2(x1, x2) * eta, g * eta_prime])
         for got, ref in zip(faces[patch.kind], expected):

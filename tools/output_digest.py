@@ -20,9 +20,11 @@ last `check=<exit code>:<sha256 prefix of check's stdout>`.
 
 With a second checkout OTHER, the same runs are made on both source trees
 (the workload and variant scenarios of ROOT are used for both) and only the lines that
-differ are printed, ROOT's prefixed with "-" and OTHER's with "+". The exit
-code is 1 if any line differs and 0 if none does, so a refactor that must
-not change results is checked by one command against a copy of its parent.
+differ are printed, ROOT's prefixed with "-" and OTHER's with "+", each
+pair followed, indented, by the unified diff of the two `check` stdouts
+when they differ. The exit code is 1 if any line differs and 0 if none
+does, so a refactor that must not change results is checked by one command
+against a copy of its parent.
 
 With `--rel TOL` (two checkouts only) each run that differs is also compared
 by value: its exit code, its `manifest` column (the manifest holds no
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import hashlib
 import json
 import math
@@ -126,11 +129,11 @@ def digest_lines(root: Path, workloads: list, work: Path, base_env: dict, rows) 
     """{run name: digest line} of the bundled scenarios of root and the given
     workload scenarios, run on the source tree of root; rows(text) is the
     number of samples a scenario records. The outputs of a run are left in
-    work/out/<name>."""
+    work/out/<name> and the stdout of its `check` in work/check/<name>.txt."""
     env = dict(base_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     runs = [(p.stem, p) for p in sorted((root / "src/ductflow/scenarios").glob("*.scn"))] + workloads
-    work.mkdir()
+    (work / "check").mkdir(parents=True)
     lines = {}
     for name, scenario in runs:
         out = work / "out" / name
@@ -144,6 +147,7 @@ def digest_lines(root: Path, workloads: list, work: Path, base_env: dict, rows) 
             [sys.executable, "-m", "ductflow.cli", "check", str(scenario)],
             env=env, cwd=work, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         )
+        (work / "check" / f"{name}.txt").write_bytes(check.stdout)
         lines[name] = " ".join([
             name, f"rc={rc}", *(f"{f}={digest(out / f)}" for f in FILES),
             f"manifest={manifest_digest(out / 'run_manifest.json')}",
@@ -267,6 +271,13 @@ def value_diffs(ours: Path, theirs: Path) -> tuple[list, dict]:
     return changed, diffs
 
 
+def check_diff(name: str, work: Path) -> list:
+    """The unified diff of the `check` stdout of one run on the two trees."""
+    paths = [work / str(i) / "check" / f"{name}.txt" for i in range(2)]
+    texts = [p.read_text().splitlines() if p.is_file() else [] for p in paths]
+    return list(difflib.unified_diff(*texts, "check", "check", lineterm=""))
+
+
 def compare_by_value(name: str, digests: list, work: Path, tol: float) -> bool:
     """Print the value comparison of one differing run; True when it passes."""
     exact = [[col for col in d.get(name, "").split(" ") if col.startswith(EXACT)] for d in digests]
@@ -333,6 +344,8 @@ def main() -> int:
                 differ += 1
                 print(f"- {ours.get(name, name + ' (absent)')}")
                 print(f"+ {theirs.get(name, name + ' (absent)')}")
+                for line in check_diff(name, work):
+                    print(f"  {line}")
                 if args.rel is not None and not compare_by_value(name, digests, work, args.rel):
                     failed += 1
     summary = f"{len(ours.keys() | theirs.keys())} runs, {differ} differ"
