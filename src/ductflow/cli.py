@@ -37,7 +37,7 @@ from .basis import dealias_cap, temperature_modes, velocity_modes
 from .domain import build_domain
 from .errors import AliasingError, NumericalAbort, RegimeError, ScenarioError
 from .hopf import validate_profile
-from .scenario import KEY_MAP, load_scenario, parse_scenario_text, read_scenario, set_key
+from .scenario import _FIELD_TYPES, KEY_MAP, load_scenario, parse_scenario_text, read_scenario, set_key
 from .solver import GalerkinSolver, RunResult, ScenarioConfig, horizon_times, pick_hopf_params, profile_of
 from .svg import polyline_chart
 
@@ -226,7 +226,7 @@ def cmd_check(args) -> int:
     profile = profile_of(config)
     # the flux data at sampled times over the whole horizon, as `run` validates them
     try:
-        worst = validate_profile(profile, grid, horizon_times(config, 8))
+        worst = validate_profile(profile, grid, horizon_times(config))
     except ValueError as exc:
         ok &= _check_line(False, "flux-compatibility", str(exc))
     else:
@@ -269,6 +269,8 @@ def cmd_sweep(args) -> int:
         raise _UsageError("--values must list at least one value")
     if args.axis not in KEY_MAP:
         raise _UsageError(f"unknown axis key {args.axis!r}")
+    if _FIELD_TYPES[KEY_MAP[args.axis]] is tuple:
+        raise _UsageError(f"axis {args.axis!r} holds a vector, and --values is split at commas")
     scen_path = Path(args.scenario)
     base_text = read_scenario(scen_path)[0]  # read once, then varied
     parse_scenario_text(base_text)  # a missing or invalid base file ends in main's one line

@@ -21,49 +21,8 @@ except ImportError:
 from .errors import ScenarioError
 from .solver import ScenarioConfig
 
-# scenario key -> ScenarioConfig field
-KEY_MAP = {
-    "domain.L1": "L1",
-    "domain.L2": "L2",
-    "domain.a": "a",
-    "domain.N1": "N1",
-    "domain.N2": "N2",
-    "domain.N3": "N3",
-    "physics.nu": "nu",
-    "physics.kappa": "kappa_heat",
-    "physics.gamma": "gamma",
-    "omega.kind": "omega_kind",
-    "omega.omega0": "omega0",
-    "omega.omega1": "omega1",
-    "forcing.kind": "forcing_kind",
-    "forcing.vector": "forcing_vector",
-    "forcing.amplitude": "forcing_amplitude",
-    "flux.profile": "flux_profile",
-    "flux.amplitude": "flux_amplitude",
-    "flux.beta": "flux_beta",
-    "flux.period": "flux_period",
-    "hopf.mode": "hopf_mode",
-    "hopf.eps": "hopf_eps",
-    "hopf.rho": "hopf_rho",
-    "hopf.c_cal": "hopf_c_cal",
-    "init.v": "init_v",
-    "init.v_amplitude": "init_v_amplitude",
-    "init.v_nmodes": "init_v_nmodes",
-    "init.theta": "init_theta",
-    "init.theta_mean": "init_theta_mean",
-    "init.theta_amplitude": "init_theta_amplitude",
-    "time.T": "T",
-    "time.windows": "n_windows",
-    "time.dt": "dt",
-    "galerkin.m": "m",
-    "audit.mu": "mu",
-    "audit.c_budget": "c_budget",
-    "audit.c_recon": "c_recon",
-    "audit.c_theta": "c_theta",
-    "audit.theta_star": "theta_star",
-    "audit.theta_star_upper": "theta_star_upper",
-    "audit.tol_overshoot": "tol_overshoot",
-}
+# scenario key -> ScenarioConfig field, as each field declares it
+KEY_MAP = {f.metadata["key"]: f.name for f in dataclasses.fields(ScenarioConfig)}
 
 # ScenarioConfig field -> the type of its default, which is the value's type
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ScenarioConfig)}
@@ -114,12 +73,17 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
 def read_scenario(path) -> tuple[str, str]:
     """The text of the scenario file at path, decoded as UTF-8 with a
     leading byte-order mark dropped, and the sha256 hex digest of the bytes
-    as read, which name what a run parsed."""
+    as read, which name what a run parsed; a file that is not UTF-8 is a
+    ScenarioError."""
     p = Path(path)
     if not p.is_file():
         raise ScenarioError(f"scenario file not found: {p}")
     data = p.read_bytes()
-    return data.decode("utf-8-sig"), sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {p} is not UTF-8: byte {exc.start} cannot be decoded") from None
+    return text, sha256(data).hexdigest()
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -53,65 +53,66 @@ from .hopf import FluxNorms, FluxProfile, HopfParams, cap_norms, profile_by_name
 # Scenario configuration
 
 
+def _key(key: str, default, choices: tuple = ()):
+    """A ScenarioConfig field: its scenario key, its default and, for a kind key, the values it accepts."""
+    return field(default=default, metadata={"key": key, "choices": choices})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one run; parsed from a scenario file."""
+    """Full description of one run; parsed from a scenario file. Each field
+    states its scenario key and default, and a kind field its accepted
+    values, through ``_key``; ``scenario.KEY_MAP`` and ``validate`` read them."""
 
-    # domain
-    L1: float = 1.0
-    L2: float = 1.0
-    a: float = 1.0
-    N1: int = 16
-    N2: int = 16
-    N3: int = 32
-    # physics
-    nu: float = 1.0
-    kappa_heat: float = 1.0
-    gamma: float = 1.0
-    omega_kind: str = "constant"       # constant | linear | bounded_smooth
-    omega0: float = 1.0
-    omega1: float = 0.0
-    # forcing
-    forcing_kind: str = "zero"         # zero | constant | shear
-    forcing_vector: tuple = (0.0, 0.0, 0.0)
-    forcing_amplitude: float = 0.0
-    # flux
-    flux_profile: str = "none"         # none | constant | parabolic-cap | pulsed
-    flux_amplitude: float = 0.0
-    flux_beta: float = 0.5
-    flux_period: float = 1.0
-    # cutoff parameters
-    hopf_mode: str = "manual"          # auto | manual
-    hopf_eps: float = 0.5
-    hopf_rho: float = 0.5
-    hopf_c_cal: float = 1.0
-    # initial data
-    init_v: str = "zero"               # zero | extension | modes
-    init_v_amplitude: float = 0.0
-    init_v_nmodes: int = 4
-    init_theta: str = "zero"           # zero | constant | bump | front
-    init_theta_mean: float = 0.0
-    init_theta_amplitude: float = 0.0
-    # time
-    T: float = 0.5
-    n_windows: int = 2
-    dt: float = 2.0e-3
-    # galerkin
-    m: int = 16
-    # audit
-    mu: float = 0.8
-    c_budget: float = 1.0
-    c_recon: float = 1.0
-    c_theta: float = 1.0
-    theta_star: float = 1.0
-    theta_star_upper: float = 2.0
-    tol_overshoot: float = 0.01
+    L1: float = _key("domain.L1", 1.0)
+    L2: float = _key("domain.L2", 1.0)
+    a: float = _key("domain.a", 1.0)
+    N1: int = _key("domain.N1", 16)
+    N2: int = _key("domain.N2", 16)
+    N3: int = _key("domain.N3", 32)
+    nu: float = _key("physics.nu", 1.0)
+    kappa_heat: float = _key("physics.kappa", 1.0)
+    gamma: float = _key("physics.gamma", 1.0)
+    omega_kind: str = _key("omega.kind", "constant", ("constant", "linear", "bounded_smooth"))
+    omega0: float = _key("omega.omega0", 1.0)
+    omega1: float = _key("omega.omega1", 0.0)
+    forcing_kind: str = _key("forcing.kind", "zero", ("zero", "constant", "shear"))
+    forcing_vector: tuple = _key("forcing.vector", (0.0, 0.0, 0.0))
+    forcing_amplitude: float = _key("forcing.amplitude", 0.0)
+    flux_profile: str = _key("flux.profile", "none", ("none", "constant", "parabolic-cap", "pulsed"))
+    flux_amplitude: float = _key("flux.amplitude", 0.0)
+    flux_beta: float = _key("flux.beta", 0.5)
+    flux_period: float = _key("flux.period", 1.0)
+    hopf_mode: str = _key("hopf.mode", "manual", ("auto", "manual"))
+    hopf_eps: float = _key("hopf.eps", 0.5)
+    hopf_rho: float = _key("hopf.rho", 0.5)
+    hopf_c_cal: float = _key("hopf.c_cal", 1.0)
+    init_v: str = _key("init.v", "zero", ("zero", "extension", "modes"))
+    init_v_amplitude: float = _key("init.v_amplitude", 0.0)
+    init_v_nmodes: int = _key("init.v_nmodes", 4)
+    init_theta: str = _key("init.theta", "zero", ("zero", "constant", "bump", "front"))
+    init_theta_mean: float = _key("init.theta_mean", 0.0)
+    init_theta_amplitude: float = _key("init.theta_amplitude", 0.0)
+    T: float = _key("time.T", 0.5)
+    n_windows: int = _key("time.windows", 2)
+    dt: float = _key("time.dt", 2.0e-3)
+    m: int = _key("galerkin.m", 16)
+    mu: float = _key("audit.mu", 0.8)
+    c_budget: float = _key("audit.c_budget", 1.0)
+    c_recon: float = _key("audit.c_recon", 1.0)
+    c_theta: float = _key("audit.c_theta", 1.0)
+    theta_star: float = _key("audit.theta_star", 1.0)
+    theta_star_upper: float = _key("audit.theta_star_upper", 2.0)
+    tol_overshoot: float = _key("audit.tol_overshoot", 0.01)
 
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"{f.name} must be finite, got {value}")
+            choices = f.metadata["choices"]
+            if choices and value not in choices:
+                raise ScenarioError(f"{f.metadata['key']} must be one of {', '.join(choices)}; got {value!r}")
         vec = self.forcing_vector
         if len(vec) != 3 or not all(math.isfinite(v) for v in vec):
             raise ScenarioError(f"forcing vector must be three finite numbers, got {vec}")
@@ -121,10 +122,6 @@ class ScenarioConfig:
             raise ScenarioError(f"domain: {exc}")
         if min(self.nu, self.kappa_heat, self.gamma) <= 0:
             raise ScenarioError("nu, kappa and gamma must be positive")
-        if self.omega_kind not in ("constant", "linear", "bounded_smooth"):
-            raise ScenarioError(f"unknown omega kind {self.omega_kind!r}")
-        if self.forcing_kind not in ("zero", "constant", "shear"):
-            raise ScenarioError(f"unknown forcing kind {self.forcing_kind!r}")
         if self.T <= 0:
             raise ScenarioError("window length T must be positive")
         if self.n_windows < 1:
@@ -148,14 +145,8 @@ class ScenarioConfig:
             raise ScenarioError(f"audit.tol_overshoot must be nonnegative, got {self.tol_overshoot}")
         if not (0 < self.theta_star < self.theta_star_upper):
             raise ScenarioError("need 0 < theta_star < theta_star_upper")
-        if self.hopf_mode not in ("auto", "manual"):
-            raise ScenarioError(f"unknown hopf mode {self.hopf_mode!r}")
-        if self.init_v not in ("zero", "extension", "modes"):
-            raise ScenarioError(f"unknown initial velocity kind {self.init_v!r}")
         if self.init_v == "modes" and self.init_v_nmodes < 1:
             raise ScenarioError(f"init.v = modes needs init.v_nmodes >= 1, got {self.init_v_nmodes}")
-        if self.init_theta not in ("zero", "constant", "bump", "front"):
-            raise ScenarioError(f"unknown initial temperature kind {self.init_theta!r}")
 
     @property
     def forcing_is_zero(self) -> bool:
@@ -204,10 +195,10 @@ def forcing_field(config: ScenarioConfig, grid: QuadratureGrid) -> np.ndarray:
     return out
 
 
-def horizon_times(config: ScenarioConfig, per_window: int) -> np.ndarray:
+def horizon_times(config: ScenarioConfig) -> np.ndarray:
     """Evenly spaced instants over the whole run [0, n_windows T], ends included."""
-    n_windows = config.n_windows
-    return np.linspace(0.0, n_windows * config.T, per_window * n_windows + 1)
+    per_window = 8  # validate_profile samples the flux data 8 times per window
+    return np.linspace(0.0, config.n_windows * config.T, per_window * config.n_windows + 1)
 
 
 def pick_hopf_params(
@@ -307,7 +298,7 @@ class GalerkinSolver:
         self._stepper = ImexStepper([np.diag(config.nu * self.vb.rayleigh) + self.forms.K_fric,
                                      np.diag(config.kappa_heat * self.tb.eigenvalues)], config.dt)
         self.profile = profile_of(config)
-        hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config, 8))
+        hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config))
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
@@ -539,7 +530,7 @@ class GalerkinSolver:
             return dict(
                 kind="constant",
                 P=forms.project_velocity(self.omega(0.0) * self.f_values),
-                norms=self._omega_f_norms(np.zeros(self.grid.shape)),
+                norms=self._omega_f_norms(np.zeros(self.grid.shape), self._f_weights()),
             )
         if cfg.omega_kind == "linear":
             return dict(
@@ -568,15 +559,15 @@ class GalerkinSolver:
         vol = self.grid.cell_volume
         return vol * mag ** (6.0 / 5.0), vol * (mag * mag * mag)
 
-    def _omega_f_norms(self, theta: np.ndarray, weights: Optional[tuple] = None) -> tuple:
+    def _omega_f_norms(self, theta: np.ndarray, weights: tuple) -> tuple:
         """(||omega(theta~) f||_{6/5}^2, ||omega(theta~) f||_3^2) on the grid,
         theta~ the temperature clamped to [theta_star, theta_star_upper].
 
         omega is a scalar, so |omega(theta~) f| = |omega(theta~)| |f|, and
         each norm is one dot product of a power of |omega(theta~)| on the
-        nodes with the weights of ``_f_weights``, built here when not given."""
+        nodes with the weights of ``_f_weights``."""
         cfg = self.config
-        w65, w3 = self._f_weights() if weights is None else weights
+        w65, w3 = weights
         om = np.abs(self.omega(np.clip(theta, cfg.theta_star, cfg.theta_star_upper))).ravel()
         return (
             float(om ** (6.0 / 5.0) @ w65) ** (2 * 5.0 / 6.0),

@@ -27,7 +27,7 @@ from ductflow.scenario import (
     parse_scenario_text,
     set_key,
 )
-from ductflow.solver import GalerkinSolver, ScenarioConfig, profile_of
+from ductflow.solver import GalerkinSolver, ScenarioConfig
 from ductflow.svg import polyline_chart
 
 QUICK = bundled_scenario_path("quick-decay")
@@ -104,6 +104,20 @@ def test_a_byte_order_mark_is_read_past_and_hashed(tmp_path, capsys):
     assert manifest["scenario_sha256"] == hashlib.sha256(bom.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("data, offset", [(b"\xff\xfe# bad", 0), (b"\xef\xbb\xbf# ok\n\xe9t\xe9\n", 8)])
+def test_a_scenario_that_is_not_utf8_is_one_config_error(tmp_path, capsys, data, offset):
+    # the offset counts the bytes of the file, a byte-order mark included
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(data)
+    out = tmp_path / "out"
+    for argv in (["check"], ["run", "--out", str(out)],
+                 ["sweep", "--axis", "galerkin.m", "--values", "4", "--out", str(out)]):
+        assert main([argv[0], str(scn), *argv[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: scenario file {scn} is not UTF-8: byte {offset} cannot be decoded\n")
+    assert not out.exists()
+
+
 def test_run_builds_one_solver_and_steps_one_trajectory(monkeypatch):
     calls = {"__init__": 0, "run_windows": 0}
     for name in calls:
@@ -148,12 +162,43 @@ def test_every_key_parses_to_the_type_of_its_default(key):
     malformed = f"# a comment\n\n{key} = not-a-number\n"
     if kind is str:
         # any text is a string: a name outside the field's choices is
-        # rejected after parsing, by validate or by the profile lookup
-        with pytest.raises((ScenarioError, ValueError)):
-            profile_of(parse_scenario_text(malformed))
+        # rejected by parsing, naming the key
+        with pytest.raises(ScenarioError, match=f"^{re.escape(key)} must be one of "):
+            parse_scenario_text(malformed)
     else:
         with pytest.raises(ScenarioError, match="^line 3: cannot parse"):
             parse_scenario_text(malformed)
+
+
+def test_every_field_declares_one_key_of_its_own():
+    # KEY_MAP is derived from the fields, so a key two fields declared
+    # would silently map to one of them
+    keys = [f.metadata.get("key") for f in dataclasses.fields(ScenarioConfig)]
+    assert all(isinstance(key, str) and re.fullmatch(r"[a-z]+\.\w+", key) for key in keys)
+    assert len(set(keys)) == len(keys) == len(KEY_MAP)
+
+
+def test_readme_key_table_lists_every_key_and_its_accepted_values():
+    # the table under "Scenario files" is the third description of the
+    # keys; `domain.L1 .L2 .a` stands for three keys
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    choices = {f.metadata["key"]: f.metadata["choices"] for f in dataclasses.fields(ScenarioConfig)}
+    listed = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        cell, meaning = line[2:].split(" | ", 1)
+        keys = []
+        for group in re.findall(r"`([^`]+)`", cell):
+            first, *rest = group.split()
+            keys += [first, *(first.split(".")[0] + suffix for suffix in rest)]
+        for key in keys:
+            if choices.get(key):
+                assert len(keys) == 1, line
+                assert set(re.findall(r"`([\w-]+)`", meaning)) == set(choices[key]), key
+        listed += keys
+    assert sorted(listed) == sorted(KEY_MAP)
 
 
 def test_set_key_replaces_and_appends():
@@ -404,7 +449,6 @@ def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("keys", [
-    {"flux.profile": "swirl"},
     {"flux.beta": 1.5},
     {"flux.amplitude": -0.6},
     {"flux.period": 0},
@@ -701,6 +745,12 @@ def test_zero_flux_amplitude_is_no_flux(tmp_path):
     ("audit.tol_overshoot", "-1"),
     ("time.T", "1e-13"),    # T / dt rounds to 0 steps
     ("time.dt", "1e-310"),  # T / dt overflows to inf
+    ("omega.kind", "quadratic"),
+    ("forcing.kind", "swirl"),
+    ("flux.profile", "swirl"),
+    ("hopf.mode", "semi"),
+    ("init.v", "random"),
+    ("init.theta", "ramp"),
 ])
 def test_check_rejects_the_numbers_run_fails_on(tmp_path, capsys, key, value):
     scn = scenario_with(tmp_path, QUICK, {key: value})
@@ -837,6 +887,16 @@ def test_sweep_unknown_axis(tmp_path):
     rc = main(["sweep", str(QUICK), "--axis", "bogus.key", "--values", "1",
                "--out", str(tmp_path)])
     assert rc == 1
+
+
+def test_sweep_rejects_a_vector_axis(tmp_path, capsys):
+    # --values is split at commas: 0,0,1 would be three one-number vectors,
+    # each skipped, and the sweep would exit 0 having run nothing
+    out = tmp_path / "sw"
+    assert main(["sweep", str(QUICK), "--axis", "forcing.vector", "--values", "0,0,1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: axis 'forcing.vector' holds a vector") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_missing_base_file_is_one_config_error(tmp_path, capsys):

@@ -353,7 +353,7 @@ def test_zero_data_are_exact_zeros_without_grid_work(monkeypatch, kw):
     g_lo = profile.g(*lo.meshgrid())
     reference = dict(
         P=forms.project_velocity(solver.omega(0.0) * solver.f_values),
-        norms=solver._omega_f_norms(np.zeros(grid.shape)),
+        norms=solver._omega_f_norms(np.zeros(grid.shape), solver._f_weights()),
         cap=cap_norms(profile, grid),
         cap_integrals=(lo.integrate(g_lo), hi.integrate(profile.g(*hi.meshgrid()))),
         inflow=forms.tb.factors.project_face(0, lo, g_lo),
