@@ -132,7 +132,6 @@ class Calibration:
 class EnergyLedger:
     """Everything the audit measured, plus the certificates."""
 
-    times: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     F: np.ndarray
@@ -577,9 +576,7 @@ def audit_run(run: RunResult, solver: GalerkinSolver) -> EnergyLedger:
         _mk_dissipation_cert(X, solver),
     ]
 
-    return EnergyLedger(
-        times=t, X=X, Y=Y, F=F, A1=A1, A2=A2, calibration=cal, certificates=certs
-    )
+    return EnergyLedger(X=X, Y=Y, F=F, A1=A1, A2=A2, calibration=cal, certificates=certs)
 
 
 # ---------------------------------------------------------------------------

@@ -393,10 +393,10 @@ class FaceDelta:
 class DeltaEval:
     """The lifting delta where forms need it: on the grid one stack of its
     values, its gradient grad[c, d] = d_d delta_c and delta . grad(delta),
-    and on the faces (PatchKind -> FaceDelta)."""
+    and on each face a FaceDelta, in grid.patches order."""
 
     fields: np.ndarray
-    faces: dict
+    faces: list
 
     def __post_init__(self):
         f = self.fields
@@ -456,7 +456,7 @@ class AssembledForms:
         # The two walls of an axis share their in-plane factors and weight
         # and differ only in the end values on the face axis: with those as
         # the two columns of one table, one _gram sums both walls
-        walls = {p.axis: p for p in grid.patches if not p.kind.is_cap}
+        walls = {p.axis: p for p in grid.patches if p.axis != 2}
         self.K_fric = self.gamma * sum(
             _gram([V.factor(c, a, side=(0, 1) if a == p.axis else None) for a in range(3)], p.weight)
             for p in walls.values() for c in p.plane_axes
@@ -591,10 +591,9 @@ class AssembledForms:
         """
         V = self.vb.factors
         out = np.zeros(self.vb.m)
-        for patch in self.grid.patches:
-            face = delta.faces[patch.kind]
+        for patch, face in zip(self.grid.patches, delta.faces):
             for i, c in enumerate(patch.plane_axes):
-                if patch.kind.is_cap:
+                if patch.axis == 2:
                     data = (self.nu - 1.0) * (2.0 * patch.side - 1.0) * face.stress[i]
                 else:
                     data = -self.gamma * face.values[c]

@@ -12,25 +12,11 @@ grid band exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .spectral import AxisTransform
-
-
-class PatchKind(Enum):
-    LATERAL_X1_LO = "lateral-x1-lo"
-    LATERAL_X1_HI = "lateral-x1-hi"
-    LATERAL_X2_LO = "lateral-x2-lo"
-    LATERAL_X2_HI = "lateral-x2-hi"
-    CAP_LO = "cap-lo"
-    CAP_HI = "cap-hi"
-
-    @property
-    def is_cap(self) -> bool:
-        return self in (PatchKind.CAP_LO, PatchKind.CAP_HI)
 
 
 @dataclass(frozen=True)
@@ -96,7 +82,6 @@ class BoundaryPatch:
     weight.
     """
 
-    kind: PatchKind
     axis: int
     side: int
     plane_axes: tuple[int, int]
@@ -147,25 +132,16 @@ class QuadratureGrid:
         """dist_to_caps sampled on the x3 axis, shaped for broadcasting."""
         return dist_to_caps(self.x3, self.spec)[None, None, :]
 
-    def patch(self, kind: PatchKind) -> BoundaryPatch:
-        for p in self.patches:
-            if p.kind == kind:
-                return p
-        raise KeyError(kind)
-
-
-_PATCH_TABLE = (
-    (PatchKind.LATERAL_X1_LO, 0, 0),
-    (PatchKind.LATERAL_X1_HI, 0, 1),
-    (PatchKind.LATERAL_X2_LO, 1, 0),
-    (PatchKind.LATERAL_X2_HI, 1, 1),
-    (PatchKind.CAP_LO, 2, 0),
-    (PatchKind.CAP_HI, 2, 1),
-)
+    @property
+    def caps(self) -> tuple[BoundaryPatch, BoundaryPatch]:
+        """The lower and the upper cap, the faces of axis 2: the last two
+        patches in build_domain's (axis, side) order."""
+        return self.patches[4:]
 
 
 def build_domain(spec: DomainSpec) -> QuadratureGrid:
-    """Build the interior midpoint grid with its six boundary patches."""
+    """Build the interior midpoint grid with its six boundary patches, in
+    (axis, side) order: (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)."""
     lengths = spec.lengths
     origins = spec.origins
     ns = spec.shape
@@ -173,12 +149,11 @@ def build_domain(spec: DomainSpec) -> QuadratureGrid:
     cell_volume = np.prod([lengths[i] / ns[i] for i in range(3)])
 
     patches = []
-    for kind, axis, side in _PATCH_TABLE:
+    for axis, side in np.ndindex(3, 2):
         plane = tuple(i for i in range(3) if i != axis)
         hs = [lengths[i] / ns[i] for i in plane]
         patches.append(
             BoundaryPatch(
-                kind=kind,
                 axis=axis,
                 side=side,
                 plane_axes=plane,

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import DomainSpec, PatchKind, QuadratureGrid
+from .domain import DomainSpec, QuadratureGrid
 from .errors import RegimeError
 
 
@@ -250,12 +250,11 @@ def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> float
     range or on a residual above 1e-12. All times are checked at once; the
     error names the first failing time and, at it, the first failing check
     of d1 and d2 negative, not finite, residual."""
-    caps = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
-    g_cap = [profile.g(*patch.meshgrid()) for patch in caps]
+    g_cap = [profile.g(*patch.meshgrid()) for patch in grid.caps]
     times = np.atleast_1d(times)
     s = np.array([profile.s(t) for t in times])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        residual = compatibility_residual([patch.integrate(g) for patch, g in zip(caps, g_cap)], s)
+        residual = compatibility_residual([patch.integrate(g) for patch, g in zip(grid.caps, g_cap)], s)
         # s(t) g at every time and node of a cap, [time, f1, f2]
         negative = [(np.multiply.outer(s, g) < -1e-13).any(axis=(1, 2)) for g in g_cap]
     failing = np.stack([*negative, ~np.isfinite(residual), residual > 1e-12])   # [check, time]
@@ -280,14 +279,15 @@ class ExtensionB:
     """The lifting b = alpha e3 with analytic derivatives.
 
     alpha, grad_alpha[d] and div_b (= grad_alpha[2]) are nodal samples; b
-    and its gradient are alpha and grad_alpha in the e3 row. faces maps
-    each PatchKind to (alpha, grad_alpha) sampled on that boundary patch.
+    and its gradient are alpha and grad_alpha in the e3 row. faces holds
+    (alpha, grad_alpha) sampled on each boundary patch, in grid.patches
+    order.
     """
 
     alpha: np.ndarray
     grad_alpha: np.ndarray
     div_b: np.ndarray
-    faces: dict
+    faces: list
 
 
 def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> ExtensionB:
@@ -319,7 +319,7 @@ def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> E
 
     # on a face its own axis takes the first or the last extended node
     at = [[-p.side if a == p.axis else slice(1, -1) for a in range(3)] for p in grid.patches]
-    faces = {p.kind: sample(*i) for p, i in zip(grid.patches, at)}
+    faces = [sample(*i) for i in at]
     alpha, grad_alpha = sample(*[slice(1, -1)] * 3)
     return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2], faces=faces)
 
@@ -351,7 +351,7 @@ def cap_norms(profile: FluxProfile, grid: QuadratureGrid) -> FluxNorms:
     """Cap norms of the shape g (s = 1), with the W^1_{6/5} norm of g in
     place of that of the time derivative (s' = 1)."""
     per_cap = []
-    for patch in (grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)):
+    for patch in grid.caps:
         X, Y = patch.meshgrid()
         v, gx, gy = profile.g(X, Y), profile.g1(X, Y), profile.g2(X, Y)
 

@@ -135,7 +135,7 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
     delta . grad(delta) in one stack on the grid, and on every boundary
     patch its values and, on the caps, the stress d_c alpha for c in the
     cap's plane axes."""
-    delta = DeltaEval(np.empty((15, *grid.shape)), faces={})
+    delta = DeltaEval(np.empty((15, *grid.shape)), faces=[])
     values, grad = delta.values, delta.grad
     # b = alpha e3: alpha and grad(alpha) add into row 2
     values[...] = solution.derivs[:3]
@@ -145,12 +145,11 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
     grad[2] += ext.grad_alpha
     _nodal(values, (3, *grid.shape), "lifting")
     np.einsum("ag,cag->cg", values.reshape(3, -1), grad.reshape(3, 3, -1), out=delta.advection.reshape(3, -1))
-    for patch in grid.patches:
-        alpha, grad_alpha = ext.faces[patch.kind]
+    for patch, (alpha, grad_alpha) in zip(grid.patches, ext.faces):
         face = spectral.synth(solution.coeffs, grid.axes, _ORDERS[:3], (patch.axis, patch.side))
         face[2] += alpha
-        stress = grad_alpha[list(patch.plane_axes)] if patch.kind.is_cap else None
-        delta.faces[patch.kind] = FaceDelta(face, stress)
+        stress = grad_alpha[list(patch.plane_axes)] if patch.axis == 2 else None
+        delta.faces.append(FaceDelta(face, stress))
     return delta
 
 

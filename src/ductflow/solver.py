@@ -44,7 +44,7 @@ from .basis import (
     build_temperature_basis,
     build_velocity_basis,
 )
-from .domain import DomainSpec, PatchKind, QuadratureGrid, build_domain
+from .domain import DomainSpec, QuadratureGrid, build_domain
 from .errors import NumericalAbort, RegimeError, ScenarioError
 from .hopf import FluxNorms, FluxProfile, HopfParams, cap_norms, profile_by_name, select_params
 
@@ -106,47 +106,42 @@ class ScenarioConfig:
     tol_overshoot: float = _key("audit.tol_overshoot", 0.01)
 
     def validate(self) -> None:
+        """Raise ScenarioError on the first value out of range; the message
+        starts with the scenario key it concerns and states the value."""
+        key = {f.name: f.metadata["key"] for f in fields(self)}
+
+        def check(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ScenarioError(f"{key[name]} {rule}, got {getattr(self, name)}")
+
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ScenarioError(f"{f.name} must be finite, got {value}")
+            if isinstance(value, float):
+                check(math.isfinite(value), f.name, "must be finite")
             choices = f.metadata["choices"]
             if choices and value not in choices:
                 raise ScenarioError(f"{f.metadata['key']} must be one of {', '.join(choices)}; got {value!r}")
         vec = self.forcing_vector
-        if len(vec) != 3 or not all(math.isfinite(v) for v in vec):
-            raise ScenarioError(f"forcing vector must be three finite numbers, got {vec}")
+        check(len(vec) == 3 and all(math.isfinite(v) for v in vec), "forcing_vector", "must be three finite numbers")
         try:
             self.domain_spec()
-        except ValueError as exc:
-            raise ScenarioError(f"domain: {exc}")
-        if min(self.nu, self.kappa_heat, self.gamma) <= 0:
-            raise ScenarioError("nu, kappa and gamma must be positive")
-        if self.T <= 0:
-            raise ScenarioError("window length T must be positive")
-        if self.n_windows < 1:
-            raise ScenarioError("need at least one window")
-        if self.dt <= 0:
-            raise ScenarioError("dt must be positive")
+        except ValueError as exc:   # DomainSpec names the fields by their key suffixes
+            raise ScenarioError(f"domain.{exc}")
+        for name in ("nu", "kappa_heat", "gamma", "T", "dt", "c_budget", "c_recon", "c_theta"):
+            check(getattr(self, name) > 0, name, "must be positive")
+        for name in ("n_windows", "m"):
+            check(getattr(self, name) >= 1, name, "must be >= 1")
         steps = self.T / self.dt
         # a quotient that overflows or rounds to 0 steps passes the checks above
         if not (math.isfinite(steps) and round(steps) >= 1):
-            raise ScenarioError(f"window length T must be at least one step dt, got T / dt = {steps}")
+            raise ScenarioError(f"time.T must be at least one step time.dt, got time.T / time.dt = {steps}")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-            raise ScenarioError("window length T must be an integer multiple of dt")
-        if self.m < 1:
-            raise ScenarioError("m must be >= 1")
-        if not (self.mu > 2.0 / 3.0 and self.mu < 1.0):
-            raise ScenarioError("audit exponent mu must lie in (2/3, 1)")
-        for key in ("c_budget", "c_recon", "c_theta"):
-            if getattr(self, key) <= 0:
-                raise ScenarioError(f"audit.{key} must be positive, got {getattr(self, key)}")
-        if self.tol_overshoot < 0:
-            raise ScenarioError(f"audit.tol_overshoot must be nonnegative, got {self.tol_overshoot}")
-        if not (0 < self.theta_star < self.theta_star_upper):
-            raise ScenarioError("need 0 < theta_star < theta_star_upper")
-        if self.init_v == "modes" and self.init_v_nmodes < 1:
-            raise ScenarioError(f"init.v = modes needs init.v_nmodes >= 1, got {self.init_v_nmodes}")
+            raise ScenarioError(f"time.T must be an integer multiple of time.dt, got time.T / time.dt = {steps}")
+        check(2.0 / 3.0 < self.mu < 1.0, "mu", "must lie in (2/3, 1)")
+        check(self.tol_overshoot >= 0, "tol_overshoot", "must be nonnegative")
+        check(0 < self.theta_star < self.theta_star_upper, "theta_star",
+              f"must lie in (0, audit.theta_star_upper = {self.theta_star_upper})")
+        check(self.init_v != "modes" or self.init_v_nmodes >= 1, "init_v_nmodes", "must be >= 1 when init.v = modes")
 
     @property
     def forcing_is_zero(self) -> bool:
@@ -440,16 +435,15 @@ class GalerkinSolver:
                        rows=np.zeros((3, m)), l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
             out.update((key, np.zeros(m)) for key in ("bdry", "F_form", "P", "F_adv", "Q"))
             return out
-        lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
-        g_cap = {p.kind: profile.g(*p.meshgrid()) for p in (lo, hi)}
+        g_cap = [profile.g(*p.meshgrid()) for p in grid.caps]
         m = forms.vb.m
         out = dict(
             # allocated ahead of the lifting's grid fields: allocated after
             # them it raised the run's peak resident memory by ~0.1 MB
             G=np.zeros((m + forms.tb.m,) * 2),
             cap=cap_norms(profile, grid),
-            cap_integrals=(lo.integrate(g_cap[lo.kind]), hi.integrate(g_cap[hi.kind])),
-            inflow=forms.tb.factors.project_face(0, lo, g_cap[lo.kind]),
+            cap_integrals=tuple(p.integrate(g) for p, g in zip(grid.caps, g_cap)),
+            inflow=forms.tb.factors.project_face(0, grid.caps[0], g_cap[0]),
         )
         ext = hopf_mod.build_b(profile, params, grid)
         sol = poisson_mod.solve_neumann(ext.div_b, grid)
@@ -477,8 +471,8 @@ class GalerkinSolver:
         # the normals are unit vectors along p.axis, so |n.delta_1 - n.(g e3)|
         # is |delta_1[p.axis] - g| on the caps and |delta_1[p.axis]| on the walls
         out["trace_gap"] = max(
-            float(np.max(np.abs(delta_1.faces[p.kind].values[p.axis] - g_cap.get(p.kind, 0.0))))
-            for p in grid.patches
+            float(np.max(np.abs(face.values[p.axis] - (g_cap[p.side] if p.axis == 2 else 0.0))))
+            for p, face in zip(grid.patches, delta_1.faces)
         )
         # a copy, so that the stack of delta_1's fields is freed on return
         out["values"] = delta_1.values.copy()

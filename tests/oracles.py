@@ -151,7 +151,7 @@ def forms_by_quadrature(vmodes, tmodes, grid, nu, gamma, kappa_heat):
     }
     fric = np.zeros((len(vmodes), len(vmodes)))
     for patch in grid.patches:
-        if patch.kind.is_cap:
+        if patch.axis == 2:
             continue
         faces = [velocity_mode_on_face(md, grid, patch) for md in vmodes]
         for tau in tangents(outward_normal(grid, patch)):
@@ -373,21 +373,20 @@ def lifting_face_gradient(coeffs, profile, params, grid, patch):
 def boundary_functionals_by_quadrature(vmodes, grid, faces, nu, gamma):
     """(B, F_bdry) of the lifting's face data by patch quadrature against
     the formula face traces, mode by mode, in the oracle's own frame
-    (outward_normal, tangents). ``faces`` maps each PatchKind to a record
-    with the face values [c, f1, f2] and the full face gradient
-    grad[c, d, f1, f2]. B is the slip data, -nu n.D(delta).tau -
+    (outward_normal, tangents). ``faces`` holds one record per patch, in
+    grid.patches order, with the face values [c, f1, f2] and the full face
+    gradient grad[c, d, f1, f2]. B is the slip data, -nu n.D(delta).tau -
     gamma delta.tau on the walls and -n.D(delta).tau on the caps; F_bdry is
     +nu n.D(delta).tau on every face."""
     m = len(vmodes)
     B = np.zeros(m)
     Fb = np.zeros(m)
-    for patch in grid.patches:
-        fd = faces[patch.kind]
+    for patch, fd in zip(grid.patches, faces):
         dsym = sym(fd.grad)
         normal = outward_normal(grid, patch)
         for tau in tangents(normal):
             stress = np.einsum("i,ijxy,j->xy", normal, dsym, tau)
-            if patch.kind.is_cap:
+            if patch.axis == 2:
                 bdata = -stress
             else:
                 bdata = -nu * stress - gamma * np.einsum("c,cxy->xy", tau, fd.values)
@@ -426,13 +425,13 @@ def scaled_lifting(solver, t):
         return None, None
     sol, delta_1 = lifting(solver)
     s = solver.profile.s(t)
-    faces = {
-        patch.kind: SimpleNamespace(
-            values=s * delta_1.faces[patch.kind].values,
+    faces = [
+        SimpleNamespace(
+            values=s * face.values,
             grad=s * lifting_face_gradient(sol.coeffs, solver.profile, solver.hopf_params, solver.grid, patch),
         )
-        for patch in solver.grid.patches
-    }
+        for patch, face in zip(solver.grid.patches, delta_1.faces)
+    ]
     delta = SimpleNamespace(values=s * delta_1.values, grad=s * delta_1.grad, faces=faces)
     return delta, solver.profile.s_t(t) * delta_1.values
 
@@ -478,7 +477,7 @@ def slow_rhs_velocity(c, dcoef, vmodes, tmodes, grid, nu, gamma,
 
     fric = np.zeros(m)
     for patch in grid.patches:
-        if patch.kind.is_cap:
+        if patch.axis == 2:
             continue
         wf = slow_field_sum(c, [velocity_mode_on_face(md, grid, patch) for md in vmodes])
         for tau in tangents(outward_normal(grid, patch)):

@@ -17,7 +17,7 @@ from ductflow.basis import (
     temperature_modes,
     velocity_modes,
 )
-from ductflow.domain import DomainSpec, PatchKind, build_domain
+from ductflow.domain import DomainSpec, build_domain
 from ductflow.errors import AliasingError
 
 
@@ -348,22 +348,22 @@ def test_every_form_and_face_trace_matches_quadrature_oracle(box, shape, m):
     # 0 for the tangential c (the Neumann condition), so the cap stress
     # e3.D(delta).e_c is d_c delta_3
     rng = np.random.default_rng(sum(shape))
-    faces, oracle_faces = {}, {}
+    faces, oracle_faces = [], []
     for p in grid.patches:
         plane = tuple(x.size for x in p.nodes)
         values, grad = rng.standard_normal((3, *plane)), rng.standard_normal((3, 3, *plane))
         stress = None
-        if p.kind.is_cap:
+        if p.axis == 2:
             grad[[0, 1], 2] = 0.0
             stress = grad[2, [0, 1]]
-        faces[p.kind] = FaceDelta(values=values, stress=stress)
-        oracle_faces[p.kind] = SimpleNamespace(values=values, grad=grad)
+        faces.append(FaceDelta(values=values, stress=stress))
+        oracle_faces.append(SimpleNamespace(values=values, grad=grad))
     delta = DeltaEval(np.zeros((15, *grid.shape)), faces=faces)
     got = forms.boundary_functionals(delta)
     B, F_bdry = oracles.boundary_functionals_by_quadrature(vb.modes, grid, oracle_faces, nu=0.7, gamma=1.3)
     expected = B + F_bdry
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), "B + F_bdry"
-    lo = grid.patch(PatchKind.CAP_LO)
+    lo = grid.caps[0]
     cap_data = rng.standard_normal(tuple(x.size for x in lo.nodes))
     got = tb.factors.project_face(0, lo, cap_data)
     expected = np.array([lo.integrate(cap_data * oracles.temperature_mode_on_face(md, grid, lo)) for md in tb.modes])

@@ -178,6 +178,32 @@ def test_every_field_declares_one_key_of_its_own():
     assert len(set(keys)) == len(keys) == len(KEY_MAP)
 
 
+FLOAT_KEYS = sorted(f.metadata["key"] for f in dataclasses.fields(ScenarioConfig) if type(f.default) is float)
+
+
+@pytest.mark.parametrize("text, message", [
+    *((f"{key} = nan", f"{key} must be finite, got nan") for key in FLOAT_KEYS),
+    ("forcing.vector = 1, nan, 0", "forcing.vector must be three finite numbers, got (1.0, nan, 0.0)"),
+    ("galerkin.m = 0", "galerkin.m must be >= 1, got 0"),
+    ("time.windows = 0", "time.windows must be >= 1, got 0"),
+    ("physics.gamma = 0", "physics.gamma must be positive, got 0.0"),
+    ("physics.nu = 0\nphysics.kappa = -1", "physics.nu must be positive, got 0.0"),
+    ("physics.kappa = -1\nphysics.gamma = -1", "physics.kappa must be positive, got -1.0"),
+    ("domain.N1 = 3", "domain.N1 must be even and >= 4, got 3"),
+    ("domain.a = 0", "domain.a must be positive, got 0.0"),
+    ("time.dt = 0.3", "time.T must be an integer multiple of time.dt, got time.T / time.dt = 1.6666666666666667"),
+    ("audit.mu = 1", "audit.mu must lie in (2/3, 1), got 1.0"),
+    ("audit.theta_star = 3", "audit.theta_star must lie in (0, audit.theta_star_upper = 2.0), got 3.0"),
+    ("init.v = modes\ninit.v_nmodes = 0", "init.v_nmodes must be >= 1 when init.v = modes, got 0"),
+])
+def test_validate_names_the_key_and_the_value(text, message):
+    # a range error starts with the scenario key the user wrote, not the
+    # field's name, and states the value; a rule over two keys names both
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario_text(text + "\n")
+    assert str(info.value) == message
+
+
 def test_readme_key_table_lists_every_key_and_its_accepted_values():
     # the table under "Scenario files" is the third description of the
     # keys; `domain.L1 .L2 .a` stands for three keys
@@ -199,6 +225,21 @@ def test_readme_key_table_lists_every_key_and_its_accepted_values():
                 assert set(re.findall(r"`([\w-]+)`", meaning)) == set(choices[key]), key
         listed += keys
     assert sorted(listed) == sorted(KEY_MAP)
+
+
+def test_readme_certificate_table_lists_every_certificate_once():
+    # the table under "Audited inequalities" has one row `| E<n> | `name` |`
+    # per non-advisory certificate of a run; an advisory one is named in
+    # the text of its row
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Audited inequalities\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (E\d+) \| `([\w-]+)` \|", section, flags=re.M)
+    solver = GalerkinSolver(ScenarioConfig(N1=8, N2=8, N3=16, m=6, T=0.1, n_windows=1, dt=5e-3))
+    certs = audit_mod.audit_run(solver.run_windows(), solver).certificates
+    assert len(set(rows)) == len(rows)
+    assert sorted(rows) == sorted((c.eq_id, c.name) for c in certs if not c.advisory)
+    advisory = [c.name for c in certs if c.advisory]
+    assert advisory and all(f"`{name}`" in section for name in advisory)
 
 
 def test_set_key_replaces_and_appends():
@@ -595,6 +636,20 @@ def test_either_mode_rejects_a_nonpositive_calibration_constant(tmp_path, capsys
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_check_and_run_reject_overlapping_cap_layers(tmp_path, capsys):
+    # pick_hopf_params rejects rho >= a before build_b is reached: the
+    # bundled pulsed-flux run (manual mode, hopf.rho = 0.5) on a short duct
+    scn = scenario_with(tmp_path, PULSED, {"domain.a": 0.4})
+    message = "rho = 0.5 >= a = 0.4: cap neighborhoods overlap"
+    assert main(["check", str(scn)]) == 1
+    fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[FAIL]")]
+    assert fail == [f"[FAIL] cutoff-regime: {message}"]
+    out = tmp_path / "out"
+    assert main(["run", str(scn), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error (cutoff regime): {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("keys, message", [
     ({"flux.profile": "constant", "flux.amplitude": 0.6, "hopf.mode": "auto", "hopf.c_cal": 0},
      "config error (cutoff regime): c_cal must be positive"),
@@ -912,7 +967,7 @@ def test_sweep_summary_quotes_a_field_holding_a_comma(tmp_path):
     with open(out / "sweep_summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [len(row) for row in rows] == [7, 7, 7]
-    assert rows[1][:2] == ["-1", "skipped (nu, kappa and gamma must be positive)"]
+    assert rows[1][:2] == ["-1", "skipped (physics.nu must be positive, got -1.0)"]
     assert rows[2][:2] == ["0.5", "ok"]
 
 
@@ -924,7 +979,7 @@ def test_sweep_skips_a_step_count_run_cannot_use(tmp_path, capsys):
     with open(out / "sweep_summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert [row[:2] for row in rows[1:]] == [
-        ["0.005", "ok"], ["1e-310", "skipped (window length T must be at least one step dt, got T / dt = inf)"]]
+        ["0.005", "ok"], ["1e-310", "skipped (time.T must be at least one step time.dt, got time.T / time.dt = inf)"]]
     assert "[SKIP] time.dt=1e-310: " in capsys.readouterr().out
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ductflow.domain import DomainSpec, PatchKind, build_domain, dist_to_caps
+from ductflow.domain import DomainSpec, build_domain, dist_to_caps
 
 
 def test_interior_weight_sum_is_volume_unit_box():
@@ -14,7 +14,7 @@ def test_interior_weight_sum_is_volume_unit_box():
 def test_cap_weight_sum_is_cap_area():
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=8, N2=8, N3=16)
     grid = build_domain(spec)
-    cap = grid.patch(PatchKind.CAP_HI)
+    cap = grid.caps[1]
     total = cap.weight * cap.nodes[0].size * cap.nodes[1].size
     assert abs(total - 1.0) <= 1e-12
 
@@ -50,6 +50,12 @@ def test_patch_sums_match_areas():
         assert abs(total - area) <= 1e-12 * area
 
 
+def test_patches_in_axis_side_order_and_caps_last():
+    grid = build_domain(DomainSpec(L1=1.0, L2=2.0, a=1.5, N1=8, N2=8, N3=8))
+    assert [(p.axis, p.side) for p in grid.patches] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert [(p.axis, p.side) for p in grid.caps] == [(2, 0), (2, 1)]
+
+
 def test_patch_frames_orthonormal():
     # a face's frame is the unit vectors of its axis (the normal, outward
     # at side 1, the high end) and of its two plane axes (the tangents),
@@ -60,10 +66,8 @@ def test_patch_frames_orthonormal():
     for p in patches:
         assert sorted((p.axis, *p.plane_axes)) == [0, 1, 2] and p.plane_axes[0] < p.plane_axes[1]
         assert p.coord == spec.origins[p.axis] + p.side * spec.lengths[p.axis]
-        assert p.kind.is_cap == (p.axis == 2)
-        assert p.kind.is_cap or 2 in p.plane_axes
-    lo = next(p for p in patches if p.kind == PatchKind.CAP_LO)
-    hi = next(p for p in patches if p.kind == PatchKind.CAP_HI)
+        assert p.axis == 2 or 2 in p.plane_axes
+    lo, hi = patches[4:]
     assert (lo.side, hi.side) == (0, 1) and lo.coord == -spec.a and hi.coord == spec.a
     assert lo.plane_axes == (0, 1)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ductflow.domain import BoundaryPatch, DomainSpec, PatchKind, build_domain
+from ductflow.domain import BoundaryPatch, DomainSpec, build_domain
 from ductflow.errors import RegimeError
 from ductflow.solver import GalerkinSolver, ScenarioConfig
 from ductflow.hopf import (
@@ -132,7 +132,7 @@ def test_extension_slab_norm_matches_cap_norm():
     ext = build_b(prof, PARAMS, grid)
     slabs = np.where(grid.x3 + grid.spec.a <= PARAMS.r)[0]
     assert slabs.size > 0
-    cap = grid.patch(PatchKind.CAP_LO)
+    cap = grid.caps[0]
     X, Y = cap.meshgrid()
     d1 = prof.s(0.0) * prof.g(X, Y)
     ref = math.sqrt(cap.integrate(d1**2))
@@ -192,7 +192,7 @@ def test_validate_profile_reads_the_cap_totals(monkeypatch):
     integrate = BoundaryPatch.integrate
 
     def skewed(self, values):
-        return integrate(self, values) * (1.1 if self.kind == PatchKind.CAP_HI else 1.0)
+        return integrate(self, values) * (1.1 if (self.axis, self.side) == (2, 1) else 1.0)
 
     monkeypatch.setattr(BoundaryPatch, "integrate", skewed)
     with pytest.raises(ValueError, match=r"flux compatibility violated at t=0\.0: residual"):
@@ -222,7 +222,7 @@ def test_profile_registry():
 def test_pulsed_never_vanishes_and_dt_analytic():
     grid = unit_grid()
     prof = pulsed_profile(1.0, 0.5, 2.0, grid.spec)
-    cap = grid.patch(PatchKind.CAP_LO)
+    cap = grid.caps[0]
     X, Y = cap.meshgrid()
     for t in np.linspace(0, 4, 17):
         vals = prof.s(t) * prof.g(X, Y)
@@ -244,7 +244,7 @@ def test_pulsed_dt_norm_is_analytic():
         N1=8, N2=8, N3=32, m=4, flux_profile="pulsed",
         flux_amplitude=A, flux_beta=beta, flux_period=period,
     ))
-    cap = grid.patch(PatchKind.CAP_LO)
+    cap = grid.caps[0]
     X, Y = cap.meshgrid()
     g = 16.0 * X * (1 - X) * Y * (1 - Y)
     g_x = 16.0 * (1 - 2 * X) * Y * (1 - Y)
@@ -272,12 +272,10 @@ def test_b_reproduces_cap_traces():
     grid = unit_grid()
     prof = parabolic_profile(0.9, grid.spec)
     faces = build_b(prof, PARAMS, grid).faces
-    for kind, sign in ((PatchKind.CAP_LO, -1.0), (PatchKind.CAP_HI, 1.0)):
-        patch = grid.patch(kind)
-        alpha, _ = faces[kind]
+    for patch, (alpha, _) in zip(grid.caps, faces[4:]):
         X, Y = patch.meshgrid()
         d = prof.s(0.0) * prof.g(X, Y)
-        # b.n = sign * alpha must match sign * d_i exactly
+        # b.n = n_3 alpha must match n_3 d_i exactly
         assert np.max(np.abs(alpha - d)) < 1e-12
 
 
@@ -288,8 +286,8 @@ def test_b_on_the_side_walls_matches_the_closed_form():
     grid = build_domain(spec)
     prof = parabolic_profile(1.0, spec)
     faces = build_b(prof, PARAMS, grid).faces
-    for patch in grid.patches:
-        if patch.kind.is_cap:
+    for patch, face in zip(grid.patches, faces):
+        if patch.axis == 2:
             continue
         u, x3 = patch.meshgrid()
         wall = np.full(u.shape, patch.coord)
@@ -298,10 +296,10 @@ def test_b_on_the_side_walls_matches_the_closed_form():
         eta_prime = hopf_eta_prime(x3 + spec.a, PARAMS) - hopf_eta_prime(spec.a - x3, PARAMS)
         g = prof.g(x1, x2)
         expected = (g * eta, [prof.g1(x1, x2) * eta, prof.g2(x1, x2) * eta, g * eta_prime])
-        for got, ref in zip(faces[patch.kind], expected):
+        for got, ref in zip(face, expected):
             ref = np.asarray(ref)
-            assert got.shape == ref.shape, patch.kind
-            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), patch.kind
+            assert got.shape == ref.shape, (patch.axis, patch.side)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref))), (patch.axis, patch.side)
 
 
 def test_div_b_integrates_to_zero_for_compatible_flux():
@@ -313,8 +311,8 @@ def test_div_b_integrates_to_zero_for_compatible_flux():
     assert abs(total) < 5e-3
     # the analytic x3 antiderivative of div b is alpha itself, whose net cap
     # difference vanishes for compatible data; check the exact identity
-    lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
-    alpha_lo, alpha_hi = ext.faces[lo.kind][0], ext.faces[hi.kind][0]
+    lo, hi = grid.caps
+    alpha_lo, alpha_hi = ext.faces[4][0], ext.faces[5][0]
     assert abs(lo.integrate(alpha_lo)) > 0.1
     assert abs(hi.integrate(alpha_hi) - lo.integrate(alpha_lo)) < 1e-15
 

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from ductflow import spectral
-from ductflow.domain import DomainSpec, PatchKind, build_domain
+from ductflow.domain import DomainSpec, build_domain
 from ductflow.errors import SolvabilityError
 from ductflow.hopf import (
     HopfParams,
@@ -99,10 +99,9 @@ def test_neumann_trace_vanishes_on_every_face():
     ext = build_b(parabolic_profile(1.0, grid.spec), PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # delta = b + grad(phi) with b = alpha e3: n.delta - n3 alpha = n.grad(phi)
-    for patch in grid.patches:
-        alpha, _ = ext.faces[patch.kind]
+    for patch, (alpha, _), face in zip(grid.patches, ext.faces, delta.faces):
         n = oracles.outward_normal(grid, patch)
-        normal = np.tensordot(n, delta.faces[patch.kind].values, axes=([0], [0]))
+        normal = np.tensordot(n, face.values, axes=([0], [0]))
         assert np.max(np.abs(normal - n[2] * alpha)) < 1e-12
 
 
@@ -116,14 +115,14 @@ def test_normal_derivatives_of_phi_are_exactly_zero_on_every_face():
     ext = build_b(pulsed_profile(0.9, 0.5, 0.2, grid.spec), PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
-    for patch in grid.patches:
-        alpha, _ = ext.faces[patch.kind]
-        grad_phi = delta.faces[patch.kind].values.copy()
+    for patch, (alpha, _), face in zip(grid.patches, ext.faces, delta.faces):
+        face_id = (patch.axis, patch.side)
+        grad_phi = face.values.copy()
         grad_phi[2] -= alpha
-        assert np.max(np.abs(grad_phi)) > 0.0, patch.kind
-        assert np.all(grad_phi[patch.axis] == 0.0), patch.kind
+        assert np.max(np.abs(grad_phi)) > 0.0, face_id
+        assert np.all(grad_phi[patch.axis] == 0.0), face_id
         mixed = [tuple(int(a in (patch.axis, p)) for a in range(3)) for p in patch.plane_axes]
-        assert np.all(spectral.synth(sol.coeffs, grid.axes, mixed, (patch.axis, patch.side)) == 0.0), patch.kind
+        assert np.all(spectral.synth(sol.coeffs, grid.axes, mixed, face_id) == 0.0), face_id
 
 
 def test_div_delta_vanishes_at_nodes():
@@ -149,10 +148,9 @@ def test_delta_carries_the_flux():
     ext = build_b(prof, PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # normal trace of grad(phi) vanishes, so delta_3 = b_3 = g on both caps
-    for kind in (PatchKind.CAP_LO, PatchKind.CAP_HI):
-        patch = grid.patch(kind)
+    for patch, face in zip(grid.caps, delta.faces[4:]):
         g = prof.g(*patch.meshgrid())
-        assert np.max(np.abs(delta.faces[kind].values[2] - g)) < 1e-12
+        assert np.max(np.abs(face.values[2] - g)) < 1e-12
 
 
 def test_face_gradients_of_delta_match_trig_sums_and_the_closed_form():
@@ -168,17 +166,18 @@ def test_face_gradients_of_delta_match_trig_sums_and_the_closed_form():
     ext = build_b(prof, PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
-    for patch in grid.patches:
+    for patch, face in zip(grid.patches, delta.faces):
+        face_id = (patch.axis, patch.side)
         grad = oracles.lifting_face_gradient(sol.coeffs, prof, PARAMS, grid, patch)
-        stress = delta.faces[patch.kind].stress
-        if not patch.kind.is_cap:
-            assert stress is None, patch.kind
+        stress = face.stress
+        if patch.axis != 2:
+            assert stress is None, face_id
             continue
         expected = np.stack([grad[2, c] + grad[c, 2] for c in patch.plane_axes])
-        assert stress.shape == expected.shape, patch.kind
+        assert stress.shape == expected.shape, face_id
         scale = float(np.max(np.abs(expected)))
-        assert scale > 0.0 and np.max(np.abs(stress - expected)) <= 1e-12 * scale, patch.kind
-        assert np.max(np.abs(grad[list(patch.plane_axes), 2])) <= 1e-12 * scale, patch.kind
+        assert scale > 0.0 and np.max(np.abs(stress - expected)) <= 1e-12 * scale, face_id
+        assert np.max(np.abs(grad[list(patch.plane_axes), 2])) <= 1e-12 * scale, face_id
 
 
 def test_weighted_hessian_single_mode_ratio_is_amplitude_invariant():

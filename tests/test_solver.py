@@ -14,7 +14,7 @@ from ductflow.basis import (
     build_velocity_basis,
 )
 from ductflow.errors import NumericalAbort, ScenarioError
-from ductflow.domain import PatchKind, build_domain
+from ductflow.domain import build_domain
 import ductflow.hopf as hopf_mod
 import ductflow.solver as solver_mod
 from ductflow.hopf import build_b, cap_norms, validate_profile
@@ -349,7 +349,7 @@ def test_zero_data_are_exact_zeros_without_grid_work(monkeypatch, kw):
     # expressions for f = 0 and g = 0 to the bit, signs of zero included
     solver = GalerkinSolver(small_config(**kw))
     grid, profile, forms = solver.grid, solver.profile, solver.forms
-    lo, hi = grid.patch(PatchKind.CAP_LO), grid.patch(PatchKind.CAP_HI)
+    lo, hi = grid.caps
     g_lo = profile.g(*lo.meshgrid())
     reference = dict(
         P=forms.project_velocity(solver.omega(0.0) * solver.f_values),
@@ -565,11 +565,12 @@ def test_scaled_lifting_matches_direct_rebuild():
         close(v, field.values, 1e-12, ("reconstruct", t))
         close(delta.values, field.values, 1e-12, ("values", t))
         close(delta.grad, field.grad, 1e-12, ("grad", t))
-        for kind, face in field.faces.items():
-            close(delta.faces[kind].values, face.values, 1e-12, ("face", kind, t))
-            if kind.is_cap:
-                stress = np.stack([oracles.sym(delta.faces[kind].grad)[2, c] for c in (0, 1)])
-                close(stress, face.stress, 1e-12, ("cap stress", kind, t))
+        for patch, got, face in zip(grid.patches, delta.faces, field.faces):
+            face_id = (patch.axis, patch.side)
+            close(got.values, face.values, 1e-12, ("face", face_id, t))
+            if patch.axis == 2:
+                stress = np.stack([oracles.sym(got.grad)[2, c] for c in (0, 1)])
+                close(stress, face.stress, 1e-12, ("cap stress", face_id, t))
         fd = (rebuild(t + h).values - rebuild(t - h).values) / (2.0 * h)
         close(delta_t, fd, 1e-6, ("delta_t", t))
 
@@ -634,19 +635,19 @@ def test_sampled_cap_series_match_the_flux_definitions():
             "d_l2_ext": math.sqrt(depth) * sum(l2),
             "d_h1_ext": math.sqrt(depth) * sum(math.sqrt(a**2 + b**2) for a, b in zip(l2, gl2)),
         }
-        lo = grid.patch(PatchKind.CAP_LO)
+        lo = grid.caps[0]
         X, Y = lo.meshgrid()
         phi_lo = np.array([oracles.temperature_mode_on_face(md, grid, lo) for md in solver.tb.modes])
         th_face = np.einsum("i,ixy->xy", dcoef0, phi_lo)
         close["inflow_theta"] = lo.integrate(prof.s(t) * prof.g(X, Y) * th_face)
         err = 0.0
-        for patch in grid.patches:
+        for patch, face in zip(grid.patches, delta.faces):
             psi = np.array([oracles.velocity_mode_on_face(md, grid, patch) for md in solver.vb.modes])
             vals = np.einsum("i,icxy->cxy", c0, psi)
-            vn = np.einsum("c,cxy->xy", oracles.outward_normal(solver.grid, patch), vals + delta.faces[patch.kind].values)
+            vn = np.einsum("c,cxy->xy", oracles.outward_normal(solver.grid, patch), vals + face.values)
             X, Y = patch.meshgrid()
-            target = {PatchKind.CAP_LO: -prof.s(t) * prof.g(X, Y), PatchKind.CAP_HI: prof.s(t) * prof.g(X, Y)}
-            err = max(err, float(np.max(np.abs(vn - target.get(patch.kind, 0.0)))))
+            target = (2 * patch.side - 1) * prof.s(t) * prof.g(X, Y) if patch.axis == 2 else 0.0
+            err = max(err, float(np.max(np.abs(vn - target))))
         exact["flux_trace_err"] = err  # 0: b reproduces g on the caps exactly
         assert close["ddt_w165_sq_sum"] > 0.0 and close["inflow_theta"] != 0.0
         for key, ref in exact.items():
@@ -877,7 +878,7 @@ def _check_contractions(cfg, at_edge):
     solver.f_values = field  # a generic forcing makes M a generic coupling
     k = solver.couplings
     delta = oracles.lifting(solver)[1]
-    generic = DeltaEval(rng.standard_normal((15, *grid.shape)), faces={})
+    generic = DeltaEval(rng.standard_normal((15, *grid.shape)), faces=[])
 
     def couplings(d):
         dvals, dgrad = d.values.reshape(3, -1), d.grad.reshape(3, 3, -1)
@@ -1067,12 +1068,10 @@ def test_cap_flux_integral_of_reconstruction():
     solver = GalerkinSolver(cfg)
     c = solver.initial_state()[: cfg.m]
     delta, _ = oracles.scaled_lifting(solver, 0.0)
-    from ductflow.domain import PatchKind
-
-    patch = solver.grid.patch(PatchKind.CAP_HI)
+    patch = solver.grid.caps[1]
     psi = np.array([oracles.velocity_mode_on_face(md, solver.grid, patch) for md in solver.vb.modes])
     vals = np.einsum("i,icxy->cxy", c, psi)
-    vals = vals + delta.faces[patch.kind].values
+    vals = vals + delta.faces[-1].values
     vn = np.einsum("c,cxy->xy", oracles.outward_normal(solver.grid, patch), vals)
     X, Y = patch.meshgrid()
     flux_out = patch.integrate(vn)
