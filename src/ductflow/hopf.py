@@ -14,12 +14,13 @@ the lifting controllably small when eps is. Extensions d~_i are constant
 in x3, so the trace of b on each cap reproduces the data exactly and
 div b = sum_i d~_i eta_i'(sigma_i) sigma_i'(x3) is available in closed form.
 
-The data are d1 = d2 = s(t) g (FluxProfile) and the lifting is linear in
-them, so the lifting here is that of the cap shape g alone and takes no
-time. The time factor s(t) enters only above it: in the solver's
-couplings, reconstruction and ledger, and in validate_profile, the one
-check of the data for `check` and `run` alike. build_b samples alpha and
-grad alpha of the lifting of g on the grid and on the six boundary patches.
+The data are d1 = d2 = s(t) g (FluxProfile, built by profile_by_name) and
+the lifting is linear in them, so the lifting here is that of the cap
+shape g alone and takes no time. The time factor s(t) enters only above
+it: in the solver's couplings, reconstruction and ledger, and in
+validate_profile, the one check of the data for `check` and `run` alike.
+build_b samples alpha and grad alpha of the lifting of g on the grid and
+on the six boundary patches.
 compatibility_residual is the one formula for the flux compatibility.
 """
 
@@ -127,10 +128,11 @@ class FluxProfile:
     """Inflow d1 on the bottom cap and outflow d2 on the top: d1 = d2 = s(t) g.
 
     ``g(x1, x2)`` is the cap shape (amplitude included) with analytic in-cap
-    gradients ``g1``, ``g2``; ``s`` is the time factor with analytic
-    derivative ``s_t`` and ``s_sup(H)``, the sup of |s| over [0, H]. The
-    lifting is linear in the data, so delta(t) = s(t) delta_1, where
-    delta_1 lifts g alone.
+    gradients ``g1``, ``g2``; ``s = 1 + beta sin(2 pi t / P)`` is the time
+    factor, with beta = 0 (so s = 1) for every profile but ``pulsed``, its
+    analytic derivative ``s_t`` and ``s_sup(H)``, the sup of |s| over
+    [0, H]. The lifting is linear in the data, so delta(t) = s(t) delta_1,
+    where delta_1 lifts g alone.
     """
 
     name: str
@@ -142,36 +144,14 @@ class FluxProfile:
     s_sup: Callable
 
 
-def _one(t):
-    return 1.0
+def _cap_shape(parabolic: bool, amplitude: float, spec: DomainSpec):
+    """The cap shape g and its in-cap gradient (g1, g2): the constant
+    `amplitude` or the product parabola, zero on the cap rim, peak `amplitude`."""
+    if not parabolic:
+        def flat(value):
+            return lambda x1, x2: np.full(np.broadcast(x1, x2).shape, value)
 
-
-def _still(t):
-    return 0.0
-
-
-def _flat(value: float):
-    def g(x1, x2):
-        return np.full(np.broadcast(x1, x2).shape, value)
-
-    return g
-
-
-def _steady(name: str, g: Callable, g1: Callable, g2: Callable) -> FluxProfile:
-    return FluxProfile(name=name, g=g, g1=g1, g2=g2, s=_one, s_t=_still, s_sup=_one)
-
-
-def zero_profile() -> FluxProfile:
-    return _steady("none", _flat(0.0), _flat(0.0), _flat(0.0))
-
-
-def constant_profile(amplitude: float) -> FluxProfile:
-    if amplitude < 0:
-        raise ValueError("flux amplitude must be nonnegative")
-    return _steady("constant", _flat(amplitude), _flat(0.0), _flat(0.0))
-
-
-def _parabolic_shape(amplitude: float, spec: DomainSpec):
+        return flat(amplitude), flat(0.0), flat(0.0)
     L1, L2 = spec.L1, spec.L2
 
     def g(x1, x2):
@@ -186,25 +166,26 @@ def _parabolic_shape(amplitude: float, spec: DomainSpec):
     return g, g1, g2
 
 
-def parabolic_profile(amplitude: float, spec: DomainSpec) -> FluxProfile:
-    """Product-parabola bump, zero on the cap rim, peak `amplitude`."""
-    if amplitude < 0:
-        raise ValueError("flux amplitude must be nonnegative")
-    return _steady("parabolic-cap", *_parabolic_shape(amplitude, spec))
-
-
-def pulsed_profile(amplitude: float, beta: float, period: float, spec: DomainSpec) -> FluxProfile:
-    """Time-periodic parabolic flux A (1 + beta sin(2 pi t / P)) g(x1, x2).
-
-    beta < 1 keeps the flux strictly positive for all time.
-    """
-    if amplitude < 0:
-        raise ValueError("flux amplitude must be nonnegative")
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("pulse modulation beta must lie in [0, 1)")
-    if not period > 0:
-        raise ValueError("pulse period must be positive")
-    g, g1, g2 = _parabolic_shape(amplitude, spec)
+def profile_by_name(name: str, spec: DomainSpec, amplitude: float = 1.0, beta: float = 0.5,
+                    period: float = 1.0) -> FluxProfile:
+    """The named profile s(t) g with s = 1 + beta sin(2 pi t / P): g is the
+    constant `amplitude` (0 for ``none``) or, for ``parabolic-cap`` and
+    ``pulsed``, the parabola; beta = 0 but for ``pulsed``, whose beta < 1
+    keeps the flux positive. Amplitude 0 is no flux once the parameters are
+    valid; a ValueError names the rejected parameter and states its value."""
+    if name not in ("none", "constant", "parabolic-cap", "pulsed"):
+        raise ValueError(f"unknown flux profile {name!r}")
+    if name != "none" and amplitude < 0:
+        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
+    if name != "pulsed":
+        beta, period = 0.0, 1.0
+    elif not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must lie in [0, 1) for a pulsed profile, got {beta}")
+    elif not period > 0:
+        raise ValueError(f"period must be positive for a pulsed profile, got {period}")
+    if name == "none" or amplitude == 0:
+        name, amplitude = "none", 0.0
+    g, g1, g2 = _cap_shape(name in ("parabolic-cap", "pulsed"), amplitude, spec)
     om = 2.0 * math.pi / period
 
     def s(t):
@@ -217,23 +198,7 @@ def pulsed_profile(amplitude: float, beta: float, period: float, spec: DomainSpe
         # s rises from 1 to its peak 1 + beta at t = P/4
         return 1.0 + beta * (1.0 if horizon >= period / 4.0 else math.sin(om * horizon))
 
-    return FluxProfile(name="pulsed", g=g, g1=g1, g2=g2, s=s, s_t=s_t, s_sup=s_sup)
-
-
-def profile_by_name(name: str, spec: DomainSpec, **kw) -> FluxProfile:
-    """The named profile; amplitude 0 is no flux, once its parameters are valid."""
-    if name == "none":
-        return zero_profile()
-    amplitude = kw.get("amplitude", 1.0)
-    if name == "constant":
-        profile = constant_profile(amplitude)
-    elif name == "parabolic-cap":
-        profile = parabolic_profile(amplitude, spec)
-    elif name == "pulsed":
-        profile = pulsed_profile(amplitude, kw.get("beta", 0.5), kw.get("period", 1.0), spec)
-    else:
-        raise ValueError(f"unknown flux profile {name!r}")
-    return zero_profile() if amplitude == 0 else profile
+    return FluxProfile(name=name, g=g, g1=g1, g2=g2, s=s, s_t=s_t, s_sup=s_sup)
 
 
 def compatibility_residual(cap_integrals, s):

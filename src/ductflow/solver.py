@@ -127,6 +127,10 @@ class ScenarioConfig:
             self.domain_spec()
         except ValueError as exc:   # DomainSpec names the fields by their key suffixes
             raise ScenarioError(f"domain.{exc}")
+        try:
+            profile_of(self)
+        except ValueError as exc:   # so does the profile builder for the flux fields
+            raise ScenarioError(f"flux.{exc}")
         for name in ("nu", "kappa_heat", "gamma", "T", "dt", "c_budget", "c_recon", "c_theta"):
             check(getattr(self, name) > 0, name, "must be positive")
         for name in ("n_windows", "m"):

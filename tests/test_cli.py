@@ -19,7 +19,8 @@ from ductflow import cli
 from ductflow import solver as solver_mod
 from ductflow.cli import main
 from ductflow.errors import NumericalAbort, ScenarioError
-from ductflow.hopf import constant_profile
+from ductflow.domain import DomainSpec
+from ductflow.hopf import profile_by_name
 from ductflow.scenario import (
     KEY_MAP,
     bundled_scenario_path,
@@ -495,11 +496,18 @@ def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys):
     {"flux.period": 0},
 ])
 def test_check_reports_library_value_error_in_one_line(tmp_path, capsys, keys):
+    # the profile builder's rule, named by its key and value as parsing
+    # names every other range rule; `run` stops on the same line
+    rule = {
+        "flux.beta": "must lie in [0, 1) for a pulsed profile",
+        "flux.amplitude": "must be nonnegative",
+        "flux.period": "must be positive for a pulsed profile",
+    }
+    (key, value), = keys.items()
     scn = scenario_with(tmp_path, bundled_scenario_path("pulsed-flux"), keys)
-    assert main(["check", str(scn)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for args in (["check", str(scn)], ["run", str(scn), "--out", str(tmp_path / "out")]):
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"config error: {key} {rule[key]}, got {float(value)}\n"
 
 
 @pytest.mark.parametrize("mean, applicable, status", [(0.0, "no", "SKIP"), (1.5, "yes", "PASS")])
@@ -527,7 +535,8 @@ def test_check_rejects_the_negative_flux_run_rejects(tmp_path, monkeypatch, caps
     # `check` and `run` validate the flux data with one function, so data
     # that are compatible but negative fail both, with the same message
     negative = dataclasses.replace(
-        constant_profile(0.1), g=lambda x1, x2: np.full(np.broadcast(x1, x2).shape, -0.1)
+        profile_by_name("constant", DomainSpec(L1=1.0, L2=1.0, a=1.0), amplitude=0.1),
+        g=lambda x1, x2: np.full(np.broadcast(x1, x2).shape, -0.1),
     )
     monkeypatch.setattr(cli, "profile_of", lambda config: negative)
     monkeypatch.setattr(solver_mod, "profile_of", lambda config: negative)

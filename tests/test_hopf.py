@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ductflow.cli import main
 from ductflow.domain import BoundaryPatch, DomainSpec, build_domain
 from ductflow.errors import RegimeError
+from ductflow.scenario import bundled_scenario_path, set_key
 from ductflow.solver import GalerkinSolver, ScenarioConfig
 from ductflow.hopf import (
     HopfParams,
     build_b,
     cap_norms,
     compatibility_residual,
-    constant_profile,
     hopf_eta,
     hopf_eta_prime,
-    parabolic_profile,
     profile_by_name,
-    pulsed_profile,
     select_params,
     validate_profile,
 )
@@ -128,7 +127,7 @@ def test_extension_slab_norm_matches_cap_norm():
     # on x3 slabs inside the inner branch of the bottom cutoff (sigma_lo <= r)
     # the lifting is the inflow data itself, so slab norms equal cap norms
     grid = unit_grid()
-    prof = parabolic_profile(0.7, grid.spec)
+    prof = profile_by_name("parabolic-cap", grid.spec, amplitude=0.7)
     ext = build_b(prof, PARAMS, grid)
     slabs = np.where(grid.x3 + grid.spec.a <= PARAMS.r)[0]
     assert slabs.size > 0
@@ -155,7 +154,7 @@ def test_parabolic_w13_norm_closed_form():
     for n in (16, 32, 64):
         spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, N1=n, N2=n, N3=8)
         grid = build_domain(spec)
-        prof = parabolic_profile(A, spec)
+        prof = profile_by_name("parabolic-cap", spec, amplitude=A)
         fn = cap_norms(prof, grid)
         errs.append(abs(fn.w13_cap[0] - expected))
         assert abs(fn.w13_inf_total - 2.0 * fn.w13_cap[0]) < 1e-12
@@ -165,8 +164,8 @@ def test_parabolic_w13_norm_closed_form():
 
 def test_compatibility_residuals():
     grid = unit_grid()
-    assert validate_profile(constant_profile(2.0), grid, [0.0]) == 0.0
-    prof = parabolic_profile(1.0, grid.spec)
+    assert validate_profile(profile_by_name("constant", grid.spec, amplitude=2.0), grid, [0.0]) == 0.0
+    prof = profile_by_name("parabolic-cap", grid.spec, amplitude=1.0)
     assert validate_profile(prof, grid, [0.0]) < 1e-15
     # constructed violation: scale one cap by 1.1
     assert compatibility_residual((1.0, 1.1), 1.0) > 0.01
@@ -186,7 +185,7 @@ def test_validate_profile_reads_the_cap_totals(monkeypatch):
     # compatible data at every time: the worst residual is 0.0; with the
     # upper cap's total raised by 10 % the same data are rejected
     grid = unit_grid()
-    prof = pulsed_profile(0.8, 0.5, 0.4, grid.spec)
+    prof = profile_by_name("pulsed", grid.spec, amplitude=0.8, beta=0.5, period=0.4)
     times = np.linspace(0.0, 1.0, 9)
     assert validate_profile(prof, grid, times) == 0.0
     integrate = BoundaryPatch.integrate
@@ -204,7 +203,8 @@ def test_validate_profile_names_the_first_failing_time():
     # failing one: s(t) = 1 - t is 0 at t = 1, where s g is 0, and negative
     # from t = 1.25 on, on both caps, of which d1 is named
     grid = unit_grid()
-    prof = dataclasses.replace(parabolic_profile(0.8, grid.spec), s=lambda t: 1.0 - t)
+    prof = dataclasses.replace(profile_by_name("parabolic-cap", grid.spec, amplitude=0.8),
+                               s=lambda t: 1.0 - t)
     assert validate_profile(prof, grid, np.linspace(0.0, 1.0, 5)) == 0.0
     with pytest.raises(ValueError, match=r"^flux d1 negative at t=1\.25$"):
         validate_profile(prof, grid, np.linspace(0.0, 2.0, 9))
@@ -219,9 +219,31 @@ def test_profile_registry():
         profile_by_name("bogus", grid.spec)
 
 
+def test_every_profile_has_one_time_factor(tmp_path, capsys):
+    # s = 1 + beta sin(2 pi t / P): for pulsed, s_sup(H) is the largest s
+    # over [0, H] on either side of its peak at P/4 = 0.1; the steady
+    # profiles are the same rule at beta = 0, exactly 1 with derivative 0
+    # whatever beta and period they are given, so check accepts them too
+    spec = DomainSpec(L1=1.0, L2=1.0, a=1.0)
+    prof = profile_by_name("pulsed", spec, amplitude=0.8, beta=0.5, period=0.4)
+    for H in (0.02, 0.07, 0.1, 0.3, 0.8):
+        largest = max(prof.s(t) for t in np.linspace(0.0, H, round(H * 1e4) + 1))
+        assert largest <= prof.s_sup(H) <= largest + 1e-9, H
+    times = np.linspace(0.0, 3.0, 61)   # the cosine is negative on half of them
+    for name in ("none", "constant", "parabolic-cap"):
+        prof = profile_by_name(name, spec, amplitude=0.5, beta=2.0, period=0.0)
+        assert all(prof.s(t) == 1.0 and prof.s_t(t) == 0.0 for t in times), name
+        assert all(prof.s_sup(H) == 1.0 for H in (0.0, 0.1, 0.3, 5.0)), name
+    text = bundled_scenario_path("forced-warm").read_text()
+    scn = tmp_path / "steady.scn"
+    scn.write_text(set_key(set_key(text, "flux.beta", 2), "flux.period", 0))
+    assert main(["check", str(scn)]) == 0
+    assert "[PASS] flux-compatibility" in capsys.readouterr().out
+
+
 def test_pulsed_never_vanishes_and_dt_analytic():
     grid = unit_grid()
-    prof = pulsed_profile(1.0, 0.5, 2.0, grid.spec)
+    prof = profile_by_name("pulsed", grid.spec, amplitude=1.0, beta=0.5, period=2.0)
     cap = grid.caps[0]
     X, Y = cap.meshgrid()
     for t in np.linspace(0, 4, 17):
@@ -263,14 +285,14 @@ def test_pulsed_dt_norm_is_analytic():
 
 def test_b_vanishes_in_the_core():
     grid = unit_grid()
-    ext = build_b(parabolic_profile(1.0, grid.spec), PARAMS, grid)
+    ext = build_b(profile_by_name("parabolic-cap", grid.spec, amplitude=1.0), PARAMS, grid)
     core = np.abs(grid.x3) < grid.spec.a - PARAMS.rho
     assert np.max(np.abs(ext.alpha[:, :, core])) == 0.0
 
 
 def test_b_reproduces_cap_traces():
     grid = unit_grid()
-    prof = parabolic_profile(0.9, grid.spec)
+    prof = profile_by_name("parabolic-cap", grid.spec, amplitude=0.9)
     faces = build_b(prof, PARAMS, grid).faces
     for patch, (alpha, _) in zip(grid.caps, faces[4:]):
         X, Y = patch.meshgrid()
@@ -284,7 +306,7 @@ def test_b_on_the_side_walls_matches_the_closed_form():
     # the two cap cutoffs, on a box whose two horizontal axes differ
     spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
     grid = build_domain(spec)
-    prof = parabolic_profile(1.0, spec)
+    prof = profile_by_name("parabolic-cap", spec, amplitude=1.0)
     faces = build_b(prof, PARAMS, grid).faces
     for patch, face in zip(grid.patches, faces):
         if patch.axis == 2:
@@ -304,7 +326,7 @@ def test_b_on_the_side_walls_matches_the_closed_form():
 
 def test_div_b_integrates_to_zero_for_compatible_flux():
     grid = unit_grid((8, 8, 64))
-    prof = parabolic_profile(1.0, grid.spec)
+    prof = profile_by_name("parabolic-cap", grid.spec, amplitude=1.0)
     ext = build_b(prof, PARAMS, grid)
     total = grid.integrate(ext.div_b)
     # quadrature of the layer profile, not exact: tolerance reflects N3 = 64
@@ -319,7 +341,7 @@ def test_div_b_integrates_to_zero_for_compatible_flux():
 
 def test_b_support_in_cap_layers():
     grid = unit_grid()
-    ext = build_b(constant_profile(1.0), PARAMS, grid)
+    ext = build_b(profile_by_name("constant", grid.spec, amplitude=1.0), PARAMS, grid)
     from ductflow.domain import dist_to_caps
 
     dist = dist_to_caps(grid.x3, grid.spec)
@@ -331,4 +353,4 @@ def test_build_b_rejects_fat_layers():
     spec = DomainSpec(L1=1.0, L2=1.0, a=0.4, N1=8, N2=8, N3=16)
     grid = build_domain(spec)
     with pytest.raises(RegimeError):
-        build_b(constant_profile(1.0), HopfParams(eps=0.5, rho=0.5), grid)
+        build_b(profile_by_name("constant", grid.spec, amplitude=1.0), HopfParams(eps=0.5, rho=0.5), grid)

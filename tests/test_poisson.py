@@ -11,9 +11,7 @@ from ductflow.hopf import (
     HopfParams,
     build_b,
     cap_norms,
-    constant_profile,
-    parabolic_profile,
-    pulsed_profile,
+    profile_by_name,
 )
 from ductflow.poisson import (
     certify_layer_bound,
@@ -96,7 +94,7 @@ def test_linearity():
 
 def test_neumann_trace_vanishes_on_every_face():
     grid = unit_grid()
-    ext = build_b(parabolic_profile(1.0, grid.spec), PARAMS, grid)
+    ext = build_b(profile_by_name("parabolic-cap", grid.spec, amplitude=1.0), PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # delta = b + grad(phi) with b = alpha e3: n.delta - n3 alpha = n.grad(phi)
     for patch, (alpha, _), face in zip(grid.patches, ext.faces, delta.faces):
@@ -112,7 +110,7 @@ def test_normal_derivatives_of_phi_are_exactly_zero_on_every_face():
     # two Hessian entries that pair the normal axis with an in-plane axis,
     # which the cap stress leaves out, are 0.0 in the face synthesis too.
     grid = unit_grid(n=(8, 10, 32))
-    ext = build_b(pulsed_profile(0.9, 0.5, 0.2, grid.spec), PARAMS, grid)
+    ext = build_b(profile_by_name("pulsed", grid.spec, amplitude=0.9, beta=0.5, period=0.2), PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
     for patch, (alpha, _), face in zip(grid.patches, ext.faces, delta.faces):
@@ -129,7 +127,7 @@ def test_div_delta_vanishes_at_nodes():
     # The solve uses the cosine interpolant of div b, so the discrete
     # divergence of delta = b + grad(phi) is zero at every node.
     grid = unit_grid()
-    prof = parabolic_profile(1.0, grid.spec)
+    prof = profile_by_name("parabolic-cap", grid.spec, amplitude=1.0)
     ext = build_b(prof, PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
@@ -144,7 +142,7 @@ def test_div_delta_vanishes_at_nodes():
 
 def test_delta_carries_the_flux():
     grid = unit_grid()
-    prof = parabolic_profile(0.8, grid.spec)
+    prof = profile_by_name("parabolic-cap", grid.spec, amplitude=0.8)
     ext = build_b(prof, PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # normal trace of grad(phi) vanishes, so delta_3 = b_3 = g on both caps
@@ -162,7 +160,7 @@ def test_face_gradients_of_delta_match_trig_sums_and_the_closed_form():
     # The two horizontal axes differ.
     spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
     grid = build_domain(spec)
-    prof = parabolic_profile(0.9, spec)
+    prof = profile_by_name("parabolic-cap", spec, amplitude=0.9)
     ext = build_b(prof, PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
@@ -228,7 +226,7 @@ def test_weighted_hessian_parameter_validation():
 
 def test_layer_bound_mu_validation():
     grid = unit_grid()
-    prof = constant_profile(1.0)
+    prof = profile_by_name("constant", grid.spec, amplitude=1.0)
     ext = build_b(prof, PARAMS, grid)
     with pytest.raises(ValueError, match="not finite"):
         certify_layer_bound(cap_norms(prof, grid), PARAMS, ext, grid, mu=2.0 / 3.0)
@@ -236,7 +234,7 @@ def test_layer_bound_mu_validation():
 
 def test_layer_bound_zero_flux():
     grid = unit_grid()
-    prof = constant_profile(0.0)
+    prof = profile_by_name("constant", grid.spec, amplitude=0.0)
     ext = build_b(prof, PARAMS, grid)
     lhs, rhs = certify_layer_bound(cap_norms(prof, grid), PARAMS, ext, grid, mu=0.8)
     assert lhs == 0.0 and rhs == 0.0
@@ -247,11 +245,11 @@ def test_layer_bound_constant_flux_closed_form():
     # lhs^3 = 2 A^3 |cap| eps^3 int_r^rho s^(3 mu - 3) ds exactly.
     mu = 0.8
     A = 1.3
-    prof = constant_profile(A)
     expected_lhs = (2.0 * A**3 * 1.0 * layer_factor(PARAMS, mu)) ** (1.0 / 3.0)
     vals = []
     for n3 in (64, 128, 256):
         grid = unit_grid(n=(4, 4, n3))
+        prof = profile_by_name("constant", grid.spec, amplitude=A)
         ext = build_b(prof, PARAMS, grid)
         lhs, rhs = certify_layer_bound(cap_norms(prof, grid), PARAMS, ext, grid, mu=mu)
         vals.append(lhs)
