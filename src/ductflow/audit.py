@@ -190,8 +190,9 @@ def calibrate(run: RunResult, solver: GalerkinSolver, config: ScenarioConfig) ->
     S 2 (nu diag(rayleigh) + K_fric) S with S = diag(1 / sqrt(1 + rayleigh / 2)).
     For the temperature, whose operator is kappa diag(lambda), it is
     min 2 kappa lambda / (1 + lambda) over the non-constant modes. A sector
-    counts only if the run puts energy in it, above rounding noise for the
-    temperature; a temperature mean is an undamped direction, so its rate is 0.
+    counts only if the run puts energy in it, for the temperature above
+    1e-9 max(1, ||w||^2 + ||theta||^2) at some sample; a temperature mean
+    above that floor is an undamped direction, so its rate is 0.
     """
     r_w = None
     if np.any(run.coeffs_w):
@@ -200,15 +201,12 @@ def calibrate(run: RunResult, solver: GalerkinSolver, config: ScenarioConfig) ->
         stiff = 2.0 * (np.diag(config.nu * rayleigh) + solver.forms.K_fric)
         r_w = float(np.linalg.eigvalsh(S[:, None] * stiff * S[None, :])[0])
     r_th = None
-    # a temperature counts only above the rounding noise of projecting the
-    # configured initial data, whose coefficients are at most max|theta0| sqrt|Omega|
-    lo, hi, _ = theta0_range(config)
-    noise = 1e-12 * max(abs(lo), abs(hi)) * math.sqrt(solver.grid.spec.volume)
-    if np.max(np.abs(run.coeffs_th)) > noise:
+    # one floor at E1's tolerance scale: below it (the rounding noise of a
+    # projection, say) energy is no temperature and no temperature mean
+    floor = 1e-9 * np.maximum(1.0, run.series["w_l2sq"] + run.series["th_l2sq"])
+    if np.any(run.series["th_l2sq"] > floor):
         lam = solver.tb.eigenvalues
-        mean = run.coeffs_th[:, lam == 0.0]
-        # the floor: a mean-zero profile still projects to ~1e-17 on the mean
-        if np.any(np.abs(mean) > 1e-12 * np.max(np.abs(run.coeffs_th))):
+        if np.any(np.sum(run.coeffs_th[:, lam == 0.0] ** 2, axis=1) > floor):
             r_th = 0.0
         else:
             lam = lam[lam > 0.0]

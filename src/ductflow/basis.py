@@ -384,16 +384,10 @@ def build_temperature_basis(grid: QuadratureGrid, m: int) -> TemperatureBasis:
 
 
 @dataclass
-class FaceDelta:
-    values: np.ndarray                 # [comp, f1, f2]
-    stress: np.ndarray | None          # caps: [i, f1, f2] = e3.D(delta).e_c, c = plane_axes[i]; walls: None
-
-
-@dataclass
 class DeltaEval:
     """The lifting delta where forms need it: on the grid one stack of its
     values, its gradient grad[c, d] = d_d delta_c and delta . grad(delta),
-    and on each face a FaceDelta, in grid.patches order."""
+    and on each face its values [comp, f1, f2], in grid.patches order."""
 
     fields: np.ndarray
     faces: list
@@ -575,7 +569,7 @@ class AssembledForms:
         return (read(moments[:3], cv, psi), -read(moments[12:], cv, psi),
                 read(moments[3:12], cv, grad_psi), -self.nu * read(sym, cv, grad_psi))
 
-    def boundary_functionals(self, delta: DeltaEval) -> np.ndarray:
+    def boundary_functionals(self, delta: DeltaEval, cap_grad) -> np.ndarray:
         """The weak-form boundary data of the lifting, one vector:
 
         [j] = -gamma sum_walls sum_c int (delta . e_c)(psi_j . e_c)
@@ -587,15 +581,16 @@ class AssembledForms:
         remainder +nu n.D(delta).tau of integrating nu div D(delta) by
         parts: on the walls the stresses cancel, on the caps (nu - 1) is
         left. The normal is (2 side - 1) e_axis; on a cap n.D(delta).e_c is
-        its sign times FaceDelta.stress.
+        its sign times d_c alpha, the in-cap gradient of the cap shape g:
+        cap_grad[side] is (g1, g2) on that cap's nodes.
         """
         V = self.vb.factors
         out = np.zeros(self.vb.m)
         for patch, face in zip(self.grid.patches, delta.faces):
             for i, c in enumerate(patch.plane_axes):
                 if patch.axis == 2:
-                    data = (self.nu - 1.0) * (2.0 * patch.side - 1.0) * face.stress[i]
+                    data = (self.nu - 1.0) * (2.0 * patch.side - 1.0) * cap_grad[patch.side][i]
                 else:
-                    data = -self.gamma * face.values[c]
+                    data = -self.gamma * face[c]
                 out += V.project_face(c, patch, data)
         return out

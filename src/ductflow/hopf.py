@@ -18,9 +18,10 @@ The data are d1 = d2 = s(t) g (FluxProfile, built by profile_by_name) and
 the lifting is linear in them, so the lifting here is that of the cap
 shape g alone and takes no time. The time factor s(t) enters only above
 it: in the solver's couplings, reconstruction and ledger, and in
-validate_profile, the one check of the data for `check` and `run` alike.
-build_b samples alpha and grad alpha of the lifting of g on the grid and
-on the six boundary patches.
+validate_profile, the one check of the data for `check` and `run` alike,
+which reads g once per cap and s only as its sup over the horizon.
+build_b samples alpha on the grid and the six boundary patches and its
+gradient on the grid; the forms read the cap stress as g's (g1, g2).
 compatibility_residual is the one formula for the flux compatibility.
 """
 
@@ -209,30 +210,25 @@ def compatibility_residual(cap_integrals, s):
     return np.abs(in_lo - in_hi) / np.maximum(1.0, np.abs(in_lo))
 
 
-def validate_profile(profile: FluxProfile, grid: QuadratureGrid, times) -> float:
-    """The worst compatibility residual of d1 = d2 = s(t) g at the given
-    times; raises ValueError on negative data, on cap totals beyond the float
-    range or on a residual above 1e-12. All times are checked at once; the
-    error names the first failing time and, at it, the first failing check
-    of d1 and d2 negative, not finite, residual."""
+def validate_profile(profile: FluxProfile, grid: QuadratureGrid, horizon: float) -> float:
+    """The worst compatibility residual of d1 = d2 = s(t) g over [0, horizon];
+    raises ValueError on negative d1, then d2, on cap totals beyond the float
+    range or on a residual above 1e-12. As s >= 1 - beta > 0, s g < -1e-13
+    at some time exactly when g < -1e-13 / s_sup, and the totals overflow and
+    the residual (not decreasing in |s|) peak at s_sup: g is read once per
+    cap, and s only as s_sup(horizon)."""
+    s = profile.s_sup(horizon)
     g_cap = [profile.g(*patch.meshgrid()) for patch in grid.caps]
-    times = np.atleast_1d(times)
-    s = np.array([profile.s(t) for t in times])
+    for which, g in zip(("d1", "d2"), g_cap):
+        if np.any(g < -1e-13 / s):
+            raise ValueError(f"flux {which} negative")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        residual = compatibility_residual([patch.integrate(g) for patch, g in zip(grid.caps, g_cap)], s)
-        # s(t) g at every time and node of a cap, [time, f1, f2]
-        negative = [(np.multiply.outer(s, g) < -1e-13).any(axis=(1, 2)) for g in g_cap]
-    failing = np.stack([*negative, ~np.isfinite(residual), residual > 1e-12])   # [check, time]
-    if failing.any():
-        i = int(np.argmax(failing.any(axis=0)))
-        message = (
-            "flux d1 negative at t={t}",
-            "flux d2 negative at t={t}",
-            "flux data at t={t} too large: its cap totals are not finite",
-            "flux compatibility violated at t={t}: residual {res:.3e}",
-        )[int(np.argmax(failing[:, i]))]
-        raise ValueError(message.format(t=times[i], res=residual[i]))
-    return float(np.max(residual))
+        residual = float(compatibility_residual([patch.integrate(g) for patch, g in zip(grid.caps, g_cap)], s))
+    if not math.isfinite(residual):
+        raise ValueError("flux data too large: its cap totals are not finite")
+    if residual > 1e-12:
+        raise ValueError(f"flux compatibility violated: residual {residual:.3e}")
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +241,7 @@ class ExtensionB:
 
     alpha, grad_alpha[d] and div_b (= grad_alpha[2]) are nodal samples; b
     and its gradient are alpha and grad_alpha in the e3 row. faces holds
-    (alpha, grad_alpha) sampled on each boundary patch, in grid.patches
-    order.
+    alpha sampled on each boundary patch, in grid.patches order.
     """
 
     alpha: np.ndarray
@@ -256,12 +251,12 @@ class ExtensionB:
 
 
 def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> ExtensionB:
-    """Assemble the lifting of the cap shape g and its analytic derivatives,
-    on the grid and on every boundary patch: alpha = g(x1, x2) eta(x3), eta
-    the sum of the cap cutoffs (disjoint supports, rho < a), each evaluated
-    once on the nodes of its axes extended by the faces' coordinates. On
-    the caps eta is exactly 1 at its own cap and 0 at the other, so alpha
-    reproduces g there to machine precision."""
+    """The lifting of the cap shape g, alpha = g(x1, x2) eta(x3), on the grid
+    and every boundary patch, and its analytic gradient on the grid; eta is
+    the sum of the cap cutoffs (disjoint supports, rho < a), evaluated once
+    on the x3 nodes extended by the caps' coordinates. On a cap eta is
+    exactly 1, so alpha there is g to machine precision and the cap stress
+    d_c alpha is g's in-cap gradient, which the forms read of g itself."""
     spec = grid.spec
     if params.rho >= spec.a:
         raise RegimeError(
@@ -276,16 +271,14 @@ def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> E
     # sigma' = +1 toward the bottom cap coordinate, -1 toward the top
     slope = hopf_eta_prime(np.stack([sig_lo, sig_hi]), params)
     etap = slope[0] - slope[1]
-    g, g1, g2 = (fn(x1[:, None], x2[None, :]) for fn in (profile.g, profile.g1, profile.g2))
-
-    def sample(i1, i2, i3):  # (alpha, grad_alpha) at extended nodes
-        outer, gs, e = np.multiply.outer, [f[i1, i2] for f in (g, g1, g2)], eta[i3]
-        return outer(gs[0], e), np.stack([outer(gs[1], e), outer(gs[2], e), outer(gs[0], etap[i3])])
-
+    g = profile.g(x1[:, None], x2[None, :])
     # on a face its own axis takes the first or the last extended node
     at = [[-p.side if a == p.axis else slice(1, -1) for a in range(3)] for p in grid.patches]
-    faces = [sample(*i) for i in at]
-    alpha, grad_alpha = sample(*[slice(1, -1)] * 3)
+    faces = [np.multiply.outer(g[i1, i2], eta[i3]) for i1, i2, i3 in at]
+    g, eta, etap = g[1:-1, 1:-1], eta[1:-1], etap[1:-1]
+    g1, g2 = (fn(grid.x1[:, None], grid.x2[None, :]) for fn in (profile.g1, profile.g2))
+    alpha = np.multiply.outer(g, eta)
+    grad_alpha = np.stack([np.multiply.outer(f, e) for f, e in ((g1, eta), (g2, eta), (g, etap))])
     return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2], faces=faces)
 
 

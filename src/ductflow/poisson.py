@@ -12,10 +12,10 @@ i <= j; phi's own nodal values are never needed. delta_field assembles
 delta, its gradient and delta . grad(delta) on the grid, in one stack of 15
 fields, from the samples of b that build_b made and that stack, and on each
 face delta's values from one synthesis of grad(phi). There d_n phi and
-d_n d_tau phi are exact zeros
-(the Neumann condition), so the cap stress d_3 delta_c + d_c delta_3 that
-the forms read is d_c alpha, and no Hessian of phi is synthesized on a
-face. The result is the forms' DeltaEval.
+d_n d_tau phi are exact zeros (the Neumann condition), so the cap stress
+d_3 delta_c + d_c delta_3 is d_c alpha, the in-cap gradient of the cap
+shape g, which the forms read of g itself: no gradient of delta is made on
+a face. The result is the forms' DeltaEval.
 
 certify_weighted_hessian and certify_layer_bound turn the weighted estimates for
 this problem into empirical constants: both sides of each inequality are
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .basis import DeltaEval, FaceDelta
+from .basis import DeltaEval
 from .domain import QuadratureGrid
 from .errors import SolvabilityError
 from .hopf import ExtensionB, FluxNorms, HopfParams
@@ -133,8 +133,7 @@ _HESS_ROWS = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
 def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid) -> DeltaEval:
     """delta = b + grad(phi) with gradient grad[c, d] = d_d delta_c and
     delta . grad(delta) in one stack on the grid, and on every boundary
-    patch its values and, on the caps, the stress d_c alpha for c in the
-    cap's plane axes."""
+    patch its values, [comp, f1, f2]."""
     delta = DeltaEval(np.empty((15, *grid.shape)), faces=[])
     values, grad = delta.values, delta.grad
     # b = alpha e3: alpha and grad(alpha) add into row 2
@@ -145,11 +144,10 @@ def delta_field(ext: ExtensionB, solution: NeumannSolution, grid: QuadratureGrid
     grad[2] += ext.grad_alpha
     _nodal(values, (3, *grid.shape), "lifting")
     np.einsum("ag,cag->cg", values.reshape(3, -1), grad.reshape(3, 3, -1), out=delta.advection.reshape(3, -1))
-    for patch, (alpha, grad_alpha) in zip(grid.patches, ext.faces):
+    for patch, alpha in zip(grid.patches, ext.faces):
         face = spectral.synth(solution.coeffs, grid.axes, _ORDERS[:3], (patch.axis, patch.side))
         face[2] += alpha
-        stress = grad_alpha[list(patch.plane_axes)] if patch.axis == 2 else None
-        delta.faces.append(FaceDelta(face, stress))
+        delta.faces.append(face)
     return delta
 
 

@@ -194,12 +194,6 @@ def forcing_field(config: ScenarioConfig, grid: QuadratureGrid) -> np.ndarray:
     return out
 
 
-def horizon_times(config: ScenarioConfig) -> np.ndarray:
-    """Evenly spaced instants over the whole run [0, n_windows T], ends included."""
-    per_window = 8  # validate_profile samples the flux data 8 times per window
-    return np.linspace(0.0, config.n_windows * config.T, per_window * config.n_windows + 1)
-
-
 def pick_hopf_params(
     config: ScenarioConfig, profile: FluxProfile, grid: QuadratureGrid
 ) -> Optional[HopfParams]:
@@ -297,7 +291,7 @@ class GalerkinSolver:
         self._stepper = ImexStepper([np.diag(config.nu * self.vb.rayleigh) + self.forms.K_fric,
                                      np.diag(config.kappa_heat * self.tb.eigenvalues)], config.dt)
         self.profile = profile_of(config)
-        hopf_mod.validate_profile(self.profile, self.grid, horizon_times(config))
+        hopf_mod.validate_profile(self.profile, self.grid, config.n_windows * config.T)
         self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
@@ -439,7 +433,9 @@ class GalerkinSolver:
                        rows=np.zeros((3, m)), l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
             out.update((key, np.zeros(m)) for key in ("bdry", "F_form", "P", "F_adv", "Q"))
             return out
-        g_cap = [profile.g(*p.meshgrid()) for p in grid.caps]
+        # the cap shape g and its in-cap gradient (g1, g2) on each cap, lower first
+        g_cap, cap_grad = zip(*[(profile.g(X, Y), (profile.g1(X, Y), profile.g2(X, Y)))
+                                for X, Y in (p.meshgrid() for p in grid.caps)])
         m = forms.vb.m
         out = dict(
             # allocated ahead of the lifting's grid fields: allocated after
@@ -464,7 +460,7 @@ class GalerkinSolver:
         out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(moments)))
         out["G"][:m, :m] = out["G_wd"] + out["G_dw"]
         out["G"][m:, m:] = out["G_dth"]
-        out["bdry"] = forms.boundary_functionals(delta_1)
+        out["bdry"] = forms.boundary_functionals(delta_1, cap_grad)
         out["P"], out["F_adv"], out["Q"], out["F_form"] = forms.delta_vectors(moments)
         out["rows"] = np.stack([out["bdry"] + out["F_form"], out["F_adv"], -out["P"]])
         # sums of squares over the components, with no temporary of their size
@@ -475,7 +471,7 @@ class GalerkinSolver:
         # the normals are unit vectors along p.axis, so |n.delta_1 - n.(g e3)|
         # is |delta_1[p.axis] - g| on the caps and |delta_1[p.axis]| on the walls
         out["trace_gap"] = max(
-            float(np.max(np.abs(face.values[p.axis] - (g_cap[p.side] if p.axis == 2 else 0.0))))
+            float(np.max(np.abs(face[p.axis] - (g_cap[p.side] if p.axis == 2 else 0.0))))
             for p, face in zip(grid.patches, delta_1.faces)
         )
         # a copy, so that the stack of delta_1's fields is freed on return

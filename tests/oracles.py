@@ -427,7 +427,7 @@ def scaled_lifting(solver, t):
     s = solver.profile.s(t)
     faces = [
         SimpleNamespace(
-            values=s * face.values,
+            values=s * face,
             grad=s * lifting_face_gradient(sol.coeffs, solver.profile, solver.hopf_params, solver.grid, patch),
         )
         for patch, face in zip(solver.grid.patches, delta_1.faces)

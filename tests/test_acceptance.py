@@ -148,7 +148,7 @@ def test_criterion_02_extension_correctness(extension_setups):
                 side_err = max(side_err, float(np.max(np.abs(vn))))
         assert cap_err <= 1e-8, prof.name
         assert side_err <= 1e-10, prof.name
-        assert validate_profile(prof, solver.grid, [0.0]) <= 1e-12
+        assert validate_profile(prof, solver.grid, 0.0) <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     _ok("02 extension-correctness")

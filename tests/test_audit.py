@@ -23,6 +23,7 @@ from ductflow.audit import (
     ledger_to_text,
     time_derivative,
 )
+from ductflow.scenario import bundled_scenario_path, load_scenario
 from ductflow.solver import GalerkinSolver, RunResult, ScenarioConfig
 
 
@@ -322,6 +323,25 @@ def test_rounding_noise_is_no_temperature():
     cal = calibrate(run, solver, cfg)
     assert cal.r_theta is None
     assert cal.c2 == 0.5 * cal.r_w == pytest.approx(2.08618, rel=1e-5)
+
+
+def test_rounding_noise_at_large_scale_is_no_decay():
+    # quick-decay at m = 4, whose temperature modes miss the (1, 0, 1)
+    # carrier of the bump: every temperature coefficient is rounding noise
+    # of projecting a bump of amplitude 3e100, yet its energy is far above
+    # E1's tolerance scale and does not decay at the velocity's rate. The
+    # noise counts as a temperature and, as it has a mean, gives c2 = 0
+    base = load_scenario(bundled_scenario_path("quick-decay"))
+    cfg = dataclasses.replace(base, m=4, N1=10, N2=10, N3=10, dt=0.002, T=0.01, n_windows=1,
+                              init_theta="bump", init_theta_mean=0.0, init_theta_amplitude=3e100)
+    solver = GalerkinSolver(cfg)
+    ledger = audit_run(solver.run_windows(), solver)
+    assert ledger.calibration.r_theta == 0.0 and ledger.calibration.c2 == 0.0
+    certs = {c.eq_id: c for c in ledger.certificates}
+    for eq_id in ("E1", "E2", "E3"):
+        assert certs[eq_id].passed, (eq_id, certs[eq_id].margin)
+    for eq_id in ("E2", "E3"):
+        assert "decay constant degenerate" in certs[eq_id].note
 
 
 def test_a_run_without_energy_has_no_rates():

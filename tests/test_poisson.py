@@ -97,9 +97,9 @@ def test_neumann_trace_vanishes_on_every_face():
     ext = build_b(profile_by_name("parabolic-cap", grid.spec, amplitude=1.0), PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # delta = b + grad(phi) with b = alpha e3: n.delta - n3 alpha = n.grad(phi)
-    for patch, (alpha, _), face in zip(grid.patches, ext.faces, delta.faces):
+    for patch, alpha, face in zip(grid.patches, ext.faces, delta.faces):
         n = oracles.outward_normal(grid, patch)
-        normal = np.tensordot(n, face.values, axes=([0], [0]))
+        normal = np.tensordot(n, face, axes=([0], [0]))
         assert np.max(np.abs(normal - n[2] * alpha)) < 1e-12
 
 
@@ -113,9 +113,9 @@ def test_normal_derivatives_of_phi_are_exactly_zero_on_every_face():
     ext = build_b(profile_by_name("pulsed", grid.spec, amplitude=0.9, beta=0.5, period=0.2), PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
-    for patch, (alpha, _), face in zip(grid.patches, ext.faces, delta.faces):
+    for patch, alpha, face in zip(grid.patches, ext.faces, delta.faces):
         face_id = (patch.axis, patch.side)
-        grad_phi = face.values.copy()
+        grad_phi = face.copy()
         grad_phi[2] -= alpha
         assert np.max(np.abs(grad_phi)) > 0.0, face_id
         assert np.all(grad_phi[patch.axis] == 0.0), face_id
@@ -148,29 +148,27 @@ def test_delta_carries_the_flux():
     # normal trace of grad(phi) vanishes, so delta_3 = b_3 = g on both caps
     for patch, face in zip(grid.caps, delta.faces[4:]):
         g = prof.g(*patch.meshgrid())
-        assert np.max(np.abs(face.values[2] - g)) < 1e-12
+        assert np.max(np.abs(face[2] - g)) < 1e-12
 
 
 def test_face_gradients_of_delta_match_trig_sums_and_the_closed_form():
-    # grad delta on a face is the Hessian of phi there plus grad alpha in
+    # grad delta on a cap is the Hessian of phi there plus grad alpha in
     # row 2, evaluated by the oracle without the package's synthesis or its
-    # cutoff (oracles.lifting_face_gradient). Of it the faces of delta keep
-    # the cap stress e3.D(delta).e_c = d_3 delta_c + d_c delta_3, which must
-    # match; d_3 delta_c, which the stress leaves out, must vanish there.
-    # The two horizontal axes differ.
+    # cutoff (oracles.lifting_face_gradient). Its cap stress
+    # e3.D(delta).e_c = d_3 delta_c + d_c delta_3 must match the in-cap
+    # gradient (g1, g2) of the cap shape, which the forms read in its place;
+    # d_3 delta_c, which the stress leaves out, must vanish there. The two
+    # horizontal axes differ.
     spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
     grid = build_domain(spec)
     prof = profile_by_name("parabolic-cap", spec, amplitude=0.9)
     ext = build_b(prof, PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
-    delta = delta_field(ext, sol, grid)
-    for patch, face in zip(grid.patches, delta.faces):
+    for patch in grid.caps:
         face_id = (patch.axis, patch.side)
         grad = oracles.lifting_face_gradient(sol.coeffs, prof, PARAMS, grid, patch)
-        stress = face.stress
-        if patch.axis != 2:
-            assert stress is None, face_id
-            continue
+        X, Y = patch.meshgrid()
+        stress = np.stack([prof.g1(X, Y), prof.g2(X, Y)])
         expected = np.stack([grad[2, c] + grad[c, 2] for c in patch.plane_axes])
         assert stress.shape == expected.shape, face_id
         scale = float(np.max(np.abs(expected)))

@@ -5,7 +5,7 @@
 
 Runs `ductflow run --strict --snapshots N` and `ductflow check`, each in a
 fresh process, on the bundled scenarios, on the benchmark workloads at
-seeds 1 and 2 and on the VARIANTS of two bundled scenarios (two each), using the
+seeds 1 and 2 and on the VARIANTS of two bundled scenarios, using the
 source tree of the ductflow checkout at ROOT (default: the one holding
 this script). N is chosen per scenario so that a
 run writes SNAPSHOTS field snapshots from its first sample on (fewer if it
@@ -87,11 +87,13 @@ ABSOLUTE = ("certificates.json certificates.weighted-hessian.details.residual",)
 # moving velocity under pulsed flux exercises the lifting's nonlinear
 # coupling G_wd c, bounded_smooth omega the per-step projection of
 # omega(theta) f, a steady parabolic cap the time factor of a steady
-# profile, and auto mode select_params with the sup of |s| over the
+# profile, nu != 1 the cap stress, which the boundary functional weighs
+# by (nu - 1), and auto mode select_params with the sup of |s| over the
 # horizon; name -> (bundled scenario, {key: value})
 VARIANTS = {
     "pulsed-flux-moving": ("pulsed-flux", {"init.v": "modes", "init.v_amplitude": 0.5, "init.v_nmodes": 4}),
     "pulsed-flux-steady": ("pulsed-flux", {"flux.profile": "parabolic-cap"}),
+    "pulsed-flux-viscous": ("pulsed-flux", {"physics.nu": 0.7}),
     "forced-warm-smooth": ("forced-warm", {"omega.kind": "bounded_smooth", "omega.omega1": 0.1}),
     "forced-warm-auto": ("forced-warm", {"hopf.mode": "auto", "flux.amplitude": 0.08}),
 }
