@@ -36,7 +36,7 @@ from .audit import EnergyLedger, _fmt, audit_run, ledger_to_json_obj, ledger_to_
 from .basis import dealias_cap, temperature_modes, velocity_modes
 from .domain import build_domain
 from .errors import AliasingError, NumericalAbort, RegimeError, ScenarioError
-from .hopf import validate_profile
+from .hopf import sample_cap_shape, validate_profile
 from .scenario import _FIELD_TYPES, KEY_MAP, load_scenario, parse_scenario_text, read_scenario, set_key
 from .solver import GalerkinSolver, RunResult, ScenarioConfig, pick_hopf_params, profile_of
 from .svg import polyline_chart
@@ -224,9 +224,10 @@ def cmd_check(args) -> int:
     ok = True
     grid = build_domain(config.domain_spec())
     profile = profile_of(config)
+    shape = sample_cap_shape(profile, grid)
     # the flux data over the whole horizon, as `run` validates them
     try:
-        worst = validate_profile(profile, grid, config.n_windows * config.T)
+        worst = validate_profile(shape, profile.s_sup(config.n_windows * config.T))
     except ValueError as exc:
         ok &= _check_line(False, "flux-compatibility", str(exc))
     else:
@@ -243,7 +244,7 @@ def cmd_check(args) -> int:
 
     # cutoff parameter regime: the decision the solver makes
     try:
-        params = pick_hopf_params(config, profile, grid)
+        params = pick_hopf_params(config, profile, shape, grid)
     except RegimeError as exc:
         ok &= _check_line(False, "cutoff-regime", str(exc))
     else:

@@ -16,13 +16,10 @@ div b = sum_i d~_i eta_i'(sigma_i) sigma_i'(x3) is available in closed form.
 
 The data are d1 = d2 = s(t) g (FluxProfile, built by profile_by_name) and
 the lifting is linear in them, so the lifting here is that of the cap
-shape g alone and takes no time. The time factor s(t) enters only above
-it: in the solver's couplings, reconstruction and ledger, and in
-validate_profile, the one check of the data for `check` and `run` alike,
-which reads g once per cap and s only as its sup over the horizon.
-build_b samples alpha on the grid and the six boundary patches and its
-gradient on the grid; the forms read the cap stress as g's (g1, g2).
-compatibility_residual is the one formula for the flux compatibility.
+shape g alone and takes no time. sample_cap_shape evaluates g, g1 and g2
+once per run into one CapShape, which validate_profile (the one check of
+the data for `check` and `run`; it reads s only as its sup over the
+horizon), cap_norms, build_b and the solver's couplings and ledger read.
 """
 
 from __future__ import annotations
@@ -64,7 +61,8 @@ def select_params(nu: float, d_tilde_norm: float, c_cal: float = 1.0) -> HopfPar
 
     eps = nu / (8 c ||d~||), rho = eps^6, which makes the smallness
     certificate c (eps + rho^(1/6)) ||d~|| = nu/4 hold with equality; the
-    equality is asserted before returning.
+    equality is asserted before returning. A norm so large that rho
+    underflows to 0, an infinite one included, is rejected by its value.
     """
     if not d_tilde_norm > 0:
         raise RegimeError("flux extension norm must be positive for auto-selection")
@@ -74,6 +72,9 @@ def select_params(nu: float, d_tilde_norm: float, c_cal: float = 1.0) -> HopfPar
         raise RegimeError(f"c_cal must be positive, got {c_cal}")
     eps = nu / (8.0 * c_cal * d_tilde_norm)
     rho = eps**6
+    if rho == 0.0:  # eps = 0 at an infinite norm
+        raise RegimeError(f"flux extension norm {d_tilde_norm:.6g} too large for auto-selection: "
+                          f"rho = eps^6 underflows to 0 at eps = {eps:.6g}")
     if rho >= 1.0:
         raise RegimeError(
             f"auto-selected rho = {rho:.6g} >= 1: flux too small relative to "
@@ -132,8 +133,7 @@ class FluxProfile:
     gradients ``g1``, ``g2``; ``s = 1 + beta sin(2 pi t / P)`` is the time
     factor, with beta = 0 (so s = 1) for every profile but ``pulsed``, its
     analytic derivative ``s_t`` and ``s_sup(H)``, the sup of |s| over
-    [0, H]. The lifting is linear in the data, so delta(t) = s(t) delta_1,
-    where delta_1 lifts g alone.
+    [0, H]. sample_cap_shape evaluates g, g1 and g2.
     """
 
     name: str
@@ -202,28 +202,49 @@ def profile_by_name(name: str, spec: DomainSpec, amplitude: float = 1.0, beta: f
     return FluxProfile(name=name, g=g, g1=g1, g2=g2, s=s, s_t=s_t, s_sup=s_sup)
 
 
-def compatibility_residual(cap_integrals, s):
-    """|s I_lo - s I_hi| / max(1, |s I_lo|), with I_lo, I_hi the integrals of
-    the cap shape g over the lower and the upper cap, for a scalar or an
-    array of time factors s."""
-    in_lo, in_hi = (s * x for x in cap_integrals)
-    return np.abs(in_lo - in_hi) / np.maximum(1.0, np.abs(in_lo))
+@dataclass(frozen=True)
+class CapShape:
+    """The cap shape g of a run, sampled once. Both caps have the nodes
+    grid.x1 x grid.x2, so one array serves both: ``rim`` is g there framed
+    by the rim nodes x1 = 0, L1 and x2 = 0, L2 (build_b's walls read them),
+    ``g`` its contiguous interior, ``grad`` (g1, g2) on the cap nodes and
+    ``totals`` g's integrals (I_lo, I_hi) over the lower and the upper cap."""
+
+    rim: np.ndarray
+    g: np.ndarray
+    grad: tuple[np.ndarray, np.ndarray]
+    totals: tuple[float, float]
 
 
-def validate_profile(profile: FluxProfile, grid: QuadratureGrid, horizon: float) -> float:
-    """The worst compatibility residual of d1 = d2 = s(t) g over [0, horizon];
-    raises ValueError on negative d1, then d2, on cap totals beyond the float
-    range or on a residual above 1e-12. As s >= 1 - beta > 0, s g < -1e-13
-    at some time exactly when g < -1e-13 / s_sup, and the totals overflow and
-    the residual (not decreasing in |s|) peak at s_sup: g is read once per
-    cap, and s only as s_sup(horizon)."""
-    s = profile.s_sup(horizon)
-    g_cap = [profile.g(*patch.meshgrid()) for patch in grid.caps]
-    for which, g in zip(("d1", "d2"), g_cap):
-        if np.any(g < -1e-13 / s):
-            raise ValueError(f"flux {which} negative")
+@np.errstate(over="ignore", invalid="ignore")
+def sample_cap_shape(profile: FluxProfile, grid: QuadratureGrid) -> CapShape:
+    """g, g1 and g2 of the profile, each evaluated once, on the cap nodes
+    (g on the rim-framed nodes as well), and g's two cap totals."""
+    x1, x2 = (np.concatenate([[0.0], x, [L]]) for x, L in zip((grid.x1, grid.x2), grid.spec.lengths))
+    rim = profile.g(x1[:, None], x2[None, :])
+    g = np.ascontiguousarray(rim[1:-1, 1:-1])
+    grad = tuple(fn(grid.x1[:, None], grid.x2[None, :]) for fn in (profile.g1, profile.g2))
+    return CapShape(rim=rim, g=g, grad=grad, totals=tuple(patch.integrate(g) for patch in grid.caps))
+
+
+def compatibility_residual(totals, s):
+    """|s I_lo - s I_hi| / max(1, |s I_lo|) for the cap totals of g and a
+    scalar or an array of time factors s, as |I_lo - I_hi| min(|s|, 1/|I_lo|):
+    non-decreasing in |s| to the bit, and exactly 0 where the totals agree."""
+    lo, hi = totals
+    return abs(lo - hi) * np.minimum(np.abs(s), 1.0 / abs(lo) if lo else math.inf)
+
+
+def validate_profile(shape: CapShape, s_sup: float) -> float:
+    """The worst compatibility residual of d1 = d2 = s(t) g over a horizon
+    on which sup |s| is s_sup; raises ValueError on negative data, on cap
+    totals beyond the float range or on a residual above 1e-12. As
+    s >= 1 - beta > 0, s g < -1e-13 at some time exactly when
+    g < -1e-13 / s_sup, and the residual peaks at s_sup."""
+    if np.any(shape.g < -1e-13 / s_sup):
+        raise ValueError("flux d1 negative")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        residual = float(compatibility_residual([patch.integrate(g) for patch, g in zip(grid.caps, g_cap)], s))
+        residual = float(compatibility_residual(shape.totals, s_sup))
     if not math.isfinite(residual):
         raise ValueError("flux data too large: its cap totals are not finite")
     if residual > 1e-12:
@@ -250,33 +271,27 @@ class ExtensionB:
     faces: list
 
 
-def build_b(profile: FluxProfile, params: HopfParams, grid: QuadratureGrid) -> ExtensionB:
-    """The lifting of the cap shape g, alpha = g(x1, x2) eta(x3), on the grid
-    and every boundary patch, and its analytic gradient on the grid; eta is
-    the sum of the cap cutoffs (disjoint supports, rho < a), evaluated once
-    on the x3 nodes extended by the caps' coordinates. On a cap eta is
-    exactly 1, so alpha there is g to machine precision and the cap stress
-    d_c alpha is g's in-cap gradient, which the forms read of g itself."""
+def build_b(shape: CapShape, params: HopfParams, grid: QuadratureGrid) -> ExtensionB:
+    """The lifting of the sampled cap shape g, alpha = g(x1, x2) eta(x3), on
+    the grid and every boundary patch, and its analytic gradient on the
+    grid; eta is the sum of the cap cutoffs (disjoint supports, rho < a),
+    evaluated once on the x3 nodes extended by the caps' coordinates. On a
+    cap eta is exactly 1, so alpha there is g to machine precision and the
+    cap stress d_c alpha is (g1, g2), which the forms read of the shape."""
     spec = grid.spec
     if params.rho >= spec.a:
-        raise RegimeError(
-            f"rho = {params.rho} >= a = {spec.a}: cap neighborhoods overlap"
-        )
-    ends = {(p.axis, p.side): p.coord for p in grid.patches}
-    x1, x2, x3 = (np.concatenate([[ends[a, 0]], x, [ends[a, 1]]])
-                  for a, x in enumerate((grid.x1, grid.x2, grid.x3)))
+        raise RegimeError(f"rho = {params.rho} >= a = {spec.a}: cap neighborhoods overlap")
+    x3 = np.concatenate([[-spec.a], grid.x3, [spec.a]])
     sig_lo = x3 + spec.a
     sig_hi = spec.a - x3
     eta = hopf_eta(sig_lo, params) + hopf_eta(sig_hi, params)
     # sigma' = +1 toward the bottom cap coordinate, -1 toward the top
     slope = hopf_eta_prime(np.stack([sig_lo, sig_hi]), params)
     etap = slope[0] - slope[1]
-    g = profile.g(x1[:, None], x2[None, :])
     # on a face its own axis takes the first or the last extended node
     at = [[-p.side if a == p.axis else slice(1, -1) for a in range(3)] for p in grid.patches]
-    faces = [np.multiply.outer(g[i1, i2], eta[i3]) for i1, i2, i3 in at]
-    g, eta, etap = g[1:-1, 1:-1], eta[1:-1], etap[1:-1]
-    g1, g2 = (fn(grid.x1[:, None], grid.x2[None, :]) for fn in (profile.g1, profile.g2))
+    faces = [np.multiply.outer(shape.rim[i1, i2], eta[i3]) for i1, i2, i3 in at]
+    g, (g1, g2), eta, etap = shape.g, shape.grad, eta[1:-1], etap[1:-1]
     alpha = np.multiply.outer(g, eta)
     grad_alpha = np.stack([np.multiply.outer(f, e) for f, e in ((g1, eta), (g2, eta), (g, etap))])
     return ExtensionB(alpha=alpha, grad_alpha=grad_alpha, div_b=grad_alpha[2], faces=faces)
@@ -305,24 +320,18 @@ class FluxNorms:
         return sum(self.w13_cap)
 
 
-def cap_norms(profile: FluxProfile, grid: QuadratureGrid) -> FluxNorms:
-    """Cap norms of the shape g (s = 1), with the W^1_{6/5} norm of g in
-    place of that of the time derivative (s' = 1)."""
-    per_cap = []
-    for patch in grid.caps:
-        X, Y = patch.meshgrid()
-        v, gx, gy = profile.g(X, Y), profile.g1(X, Y), profile.g2(X, Y)
+@np.errstate(over="ignore", invalid="ignore")
+def cap_norms(shape: CapShape, grid: QuadratureGrid) -> FluxNorms:
+    """Cap norms of the sampled shape g (s = 1), with the W^1_{6/5} norm of
+    g in place of that of the time derivative (s' = 1): the same on both
+    caps, which share their nodes, weight and sample. A norm beyond the
+    float range is inf, which select_params and the audit report."""
+    v, (gx, gy), cap = shape.g, shape.grad, grid.caps[0]
 
-        def w1(p):
-            return sum(patch.integrate(np.abs(f) ** p) for f in (v, gx, gy)) ** (1.0 / p)
+    def w1(p):
+        return sum(cap.integrate(np.abs(f) ** p) for f in (v, gx, gy)) ** (1.0 / p)
 
-        per_cap.append((
-            w1(3),
-            math.sqrt(patch.integrate(v * v)),
-            patch.integrate(np.abs(v) ** 3) ** (1.0 / 3.0),
-            patch.integrate(np.abs(v)),
-            math.sqrt(patch.integrate(gx * gx + gy * gy)),
-            w1(6.0 / 5.0),
-        ))
-    # one tuple (lower cap, upper cap) per field, in field order
-    return FluxNorms(*zip(*per_cap))
+    norms = (w1(3), math.sqrt(cap.integrate(v * v)), cap.integrate(np.abs(v) ** 3) ** (1.0 / 3.0),
+             cap.integrate(np.abs(v)), math.sqrt(cap.integrate(gx * gx + gy * gy)), w1(6.0 / 5.0))
+    # one pair (lower cap, upper cap) per field, in field order
+    return FluxNorms(*zip(norms, norms))

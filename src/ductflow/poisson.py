@@ -173,13 +173,6 @@ def certify_weighted_hessian(data_norm: float, solution: NeumannSolution, p: flo
     return numer / data_norm
 
 
-def layer_factor(params: HopfParams, mu: float) -> float:
-    """Closed form of the x3 layer integral eps^3 int_r^rho s^(3mu-3) ds."""
-    e3 = params.eps**3
-    expo = 3.0 * mu - 2.0
-    return e3 * (params.rho**expo - params.r**expo) / expo
-
-
 def certify_layer_bound(
     cap: FluxNorms,
     params: HopfParams,

@@ -46,7 +46,7 @@ from .basis import (
 )
 from .domain import DomainSpec, QuadratureGrid, build_domain
 from .errors import NumericalAbort, RegimeError, ScenarioError
-from .hopf import FluxNorms, FluxProfile, HopfParams, cap_norms, profile_by_name, select_params
+from .hopf import CapShape, FluxNorms, FluxProfile, HopfParams, cap_norms, profile_by_name, select_params
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +195,13 @@ def forcing_field(config: ScenarioConfig, grid: QuadratureGrid) -> np.ndarray:
 
 
 def pick_hopf_params(
-    config: ScenarioConfig, profile: FluxProfile, grid: QuadratureGrid
+    config: ScenarioConfig, profile: FluxProfile, shape: CapShape, grid: QuadratureGrid
 ) -> Optional[HopfParams]:
     """The cutoff parameters a run uses; `check` reports the same decision.
 
     None without flux; the configured pair in manual mode; in auto mode the
     select_params rule applied to the sup of ||d~|| over the whole horizon,
-    which is sup |s| there times the W^1_3 total of the cap shape g.
+    which is sup |s| there times the W^1_3 total of the sampled cap shape g.
     Raises RegimeError when the parameters fall outside the admissible regime.
     """
     if profile.name == "none":
@@ -211,7 +211,7 @@ def pick_hopf_params(
         if not config.hopf_c_cal > 0:
             raise RegimeError(f"c_cal must be positive, got {config.hopf_c_cal}")
     else:
-        shape_norm = cap_norms(profile, grid).w13_inf_total
+        shape_norm = cap_norms(shape, grid).w13_inf_total
         sup_norm = profile.s_sup(config.n_windows * config.T) * shape_norm
         params = select_params(config.nu, sup_norm, config.hopf_c_cal)
     if params.rho >= config.a:
@@ -291,8 +291,9 @@ class GalerkinSolver:
         self._stepper = ImexStepper([np.diag(config.nu * self.vb.rayleigh) + self.forms.K_fric,
                                      np.diag(config.kappa_heat * self.tb.eigenvalues)], config.dt)
         self.profile = profile_of(config)
-        hopf_mod.validate_profile(self.profile, self.grid, config.n_windows * config.T)
-        self.hopf_params = pick_hopf_params(config, self.profile, self.grid)
+        self.cap_shape = hopf_mod.sample_cap_shape(self.profile, self.grid)
+        hopf_mod.validate_profile(self.cap_shape, self.profile.s_sup(config.n_windows * config.T))
+        self.hopf_params = pick_hopf_params(config, self.profile, self.cap_shape, self.grid)
         self.omega = omega_of(config)
         self.f_values = forcing_field(config, self.grid)
 
@@ -413,39 +414,34 @@ class GalerkinSolver:
         F_adv and -P that a step takes by (s, s^2, s'); the squared norms
         l2sq of delta_1 and gradsq of its gradient; max_abs = max |delta_1|
         on the grid; and trace_gap = max |n.delta_1 - n.(g e3)| over the
-        nodes of all boundary patches (g on the caps, 0 on the walls). Of g:
-        cap, its cap norms (hopf.cap_norms); cap_integrals, its integrals
-        over the lower and the upper cap; and inflow, inflow_i = int_{lower cap} g phi_i.
+        nodes of all boundary patches (g on the caps, 0 on the walls). Of
+        g, read of its one sample ``cap_shape`` like E12's cap totals: cap,
+        its cap norms, and inflow, inflow_i = int_{lower cap} g phi_i.
         weighted: E10's Hessian ratio, the Neumann residual and
         spectral_tail, and E11's lhs and rhs, at s = 1 and mu = config.mu.
 
         Without flux every number is an exact zero of the same shape, built
-        without b, a Neumann solve or any evaluation of g (the untouched
-        zeros of G take no resident memory), and weighted and values are
-        absent: the audit skips E10 and E11, and reconstruct adds nothing."""
-        forms, grid, profile, params = self.forms, self.grid, self.profile, self.hopf_params
+        without b, a Neumann solve or any grid work (the untouched zeros of
+        G take no resident memory), and weighted and values are absent: the
+        audit skips E10 and E11, and reconstruct adds nothing."""
+        forms, grid, shape, params = self.forms, self.grid, self.cap_shape, self.hopf_params
         if params is None:  # g = 0: every number is an exact zero
             m, mt = forms.vb.m, forms.tb.m
             zero = np.zeros((m, m))
-            out = dict(cap=FluxNorms(*[(0.0, 0.0)] * len(fields(FluxNorms))), cap_integrals=(0.0, 0.0),
-                       inflow=np.zeros(mt), G_wd=zero, G_dw=zero, G=np.zeros((m + mt, m + mt)),
-                       G_dth=np.zeros((mt, mt)),
+            out = dict(cap=FluxNorms(*[(0.0, 0.0)] * len(fields(FluxNorms))), inflow=np.zeros(mt),
+                       G_wd=zero, G_dw=zero, G=np.zeros((m + mt, m + mt)), G_dth=np.zeros((mt, mt)),
                        rows=np.zeros((3, m)), l2sq=0.0, gradsq=0.0, max_abs=0.0, trace_gap=0.0)
             out.update((key, np.zeros(m)) for key in ("bdry", "F_form", "P", "F_adv", "Q"))
             return out
-        # the cap shape g and its in-cap gradient (g1, g2) on each cap, lower first
-        g_cap, cap_grad = zip(*[(profile.g(X, Y), (profile.g1(X, Y), profile.g2(X, Y)))
-                                for X, Y in (p.meshgrid() for p in grid.caps)])
         m = forms.vb.m
         out = dict(
             # allocated ahead of the lifting's grid fields: allocated after
             # them it raised the run's peak resident memory by ~0.1 MB
             G=np.zeros((m + forms.tb.m,) * 2),
-            cap=cap_norms(profile, grid),
-            cap_integrals=tuple(p.integrate(g) for p, g in zip(grid.caps, g_cap)),
-            inflow=forms.tb.factors.project_face(0, grid.caps[0], g_cap[0]),
+            cap=cap_norms(shape, grid),
+            inflow=forms.tb.factors.project_face(0, grid.caps[0], shape.g),
         )
-        ext = hopf_mod.build_b(profile, params, grid)
+        ext = hopf_mod.build_b(shape, params, grid)
         sol = poisson_mod.solve_neumann(ext.div_b, grid)
         mu = self.config.mu
         lhs, rhs = poisson_mod.certify_layer_bound(out["cap"], params, ext, grid, mu)
@@ -460,7 +456,7 @@ class GalerkinSolver:
         out.update(zip(("G_wd", "G_dw", "G_dth"), forms.delta_matrices(moments)))
         out["G"][:m, :m] = out["G_wd"] + out["G_dw"]
         out["G"][m:, m:] = out["G_dth"]
-        out["bdry"] = forms.boundary_functionals(delta_1, cap_grad)
+        out["bdry"] = forms.boundary_functionals(delta_1, (shape.grad, shape.grad))
         out["P"], out["F_adv"], out["Q"], out["F_form"] = forms.delta_vectors(moments)
         out["rows"] = np.stack([out["bdry"] + out["F_form"], out["F_adv"], -out["P"]])
         # sums of squares over the components, with no temporary of their size
@@ -471,7 +467,7 @@ class GalerkinSolver:
         # the normals are unit vectors along p.axis, so |n.delta_1 - n.(g e3)|
         # is |delta_1[p.axis] - g| on the caps and |delta_1[p.axis]| on the walls
         out["trace_gap"] = max(
-            float(np.max(np.abs(face[p.axis] - (g_cap[p.side] if p.axis == 2 else 0.0))))
+            float(np.max(np.abs(face[p.axis] - (shape.g if p.axis == 2 else 0.0))))
             for p, face in zip(grid.patches, delta_1.faces)
         )
         # a copy, so that the stack of delta_1's fields is freed on return
@@ -659,7 +655,7 @@ class GalerkinSolver:
         # every velocity mode has normal trace exactly 0 (build_velocity_basis
         # checks it), so v.n = s n.delta_1 for any state
         out["flux_trace_err"] = abs_s * k["trace_gap"]
-        out["compat_residual"] = hopf_mod.compatibility_residual(k["cap_integrals"], s)
+        out["compat_residual"] = hopf_mod.compatibility_residual(self.cap_shape.totals, s)
         cap = k["cap"]
         out["d_w13_total"] = abs_s * cap.w13_inf_total
         out["d_w13_sq_sum"] = s_sq * sum(x * x for x in cap.w13_cap)

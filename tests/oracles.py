@@ -408,10 +408,10 @@ def step_state(solver, x, t, E_prev=None):
 
 def lifting(solver):
     """(sol, delta_1): the Neumann solution and the lifting delta_1 of the
-    cap shape g of a flux run, built anew from the solver's profile,
+    cap shape g of a flux run, built anew from the solver's cap_shape,
     hopf_params and grid by hopf.build_b, poisson.solve_neumann and
     poisson.delta_field, as the solver builds them."""
-    ext = build_b(solver.profile, solver.hopf_params, solver.grid)
+    ext = build_b(solver.cap_shape, solver.hopf_params, solver.grid)
     sol = solve_neumann(ext.div_b, solver.grid)
     return sol, delta_field(ext, sol, solver.grid)
 

@@ -23,6 +23,7 @@ from ductflow.hopf import (
     hopf_eta,
     hopf_eta_prime,
     profile_by_name,
+    sample_cap_shape,
     validate_profile,
 )
 from ductflow.poisson import (
@@ -115,7 +116,7 @@ def extension_setups():
     grid = desk_grid()
     setups = []
     for prof in three_profiles(grid.spec):
-        ext = build_b(prof, PARAMS, grid)
+        ext = build_b(sample_cap_shape(prof, grid), PARAMS, grid)
         sol = solve_neumann(ext.div_b, grid)
         setups.append((prof, ext, sol, grid))
     return setups
@@ -148,7 +149,7 @@ def test_criterion_02_extension_correctness(extension_setups):
                 side_err = max(side_err, float(np.max(np.abs(vn))))
         assert cap_err <= 1e-8, prof.name
         assert side_err <= 1e-10, prof.name
-        assert validate_profile(prof, solver.grid, 0.0) <= 1e-12
+        assert validate_profile(sample_cap_shape(prof, solver.grid), prof.s_sup(0.0)) <= 1e-12
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     _ok("02 extension-correctness")
@@ -207,7 +208,7 @@ def test_criterion_05_weighted_hessian_certificate():
                 prof = profile_by_name(
                     prof_name, spec, amplitude=0.6, beta=0.5, period=0.5
                 )
-                ext = build_b(prof, PARAMS, grid)
+                ext = build_b(sample_cap_shape(prof, grid), PARAMS, grid)
                 sol = solve_neumann(ext.div_b, grid)
                 ratios.append(certify_weighted_hessian(weighted_norm([ext.div_b], grid, 3, mu), sol, p=3, mu=mu))
             assert all(math.isfinite(r) for r in ratios)
@@ -216,9 +217,10 @@ def test_criterion_05_weighted_hessian_certificate():
     spec = DomainSpec(L1=1.0, L2=1.0, a=1.0, **DESK)
     grid = build_domain(spec)
     prof = profile_by_name("constant", spec, amplitude=1.0)
-    ext = build_b(prof, PARAMS, grid)
+    shape = sample_cap_shape(prof, grid)
+    ext = build_b(shape, PARAMS, grid)
     with pytest.raises(ValueError, match="not finite"):
-        certify_layer_bound(cap_norms(prof, grid), PARAMS, ext, grid, mu=2.0 / 3.0)
+        certify_layer_bound(cap_norms(shape, grid), PARAMS, ext, grid, mu=2.0 / 3.0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"took {elapsed:.2f}s"
     _ok("05 weighted-hessian-certificate")

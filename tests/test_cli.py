@@ -560,6 +560,37 @@ def test_check_and_run_reject_cap_totals_beyond_the_float_range(tmp_path, capsys
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("profile, amplitude, norm, eps", [
+    ("constant", 1e60, r"2e\+60", r"6\.25e-62"),
+    ("constant", 1e300, "inf", "0"),
+    ("parabolic-cap", 1e308, "inf", "0"),
+])
+def test_auto_mode_rejects_a_flux_norm_too_large_by_its_value(tmp_path, capsys, profile, amplitude, norm, eps):
+    # forced-warm in auto mode at huge flux: the W^1_3 norm of the data is
+    # 2e60 at amplitude 1e60, where rho = eps^6 underflows, and inf at 1e300
+    # and, through the parabola's gradient, at 1e308. check's regime line and
+    # run name that norm and its value, not the eps or rho derived from it,
+    # and no numpy warning is raised. At 1e308 the cap totals overflow too,
+    # so run stops at the data
+    scn = scenario_with(tmp_path, bundled_scenario_path("forced-warm"),
+                        {"flux.profile": profile, "flux.amplitude": amplitude, "hopf.mode": "auto"})
+    message = rf"flux extension norm {norm} too large for auto-selection: rho = eps\^6 underflows to 0 at eps = {eps}"
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", str(scn)]) == 1
+        printed = capsys.readouterr().out
+        assert main(["run", str(scn), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert re.search(rf"^\[FAIL\] cutoff-regime: {message}$", printed, re.M), printed
+    if amplitude < 1e308:
+        assert "[PASS] flux-compatibility" in printed
+        assert re.fullmatch(rf"config error \(cutoff regime\): {message}\n", err), err
+    else:
+        assert err == "input error: flux data too large: its cap totals are not finite\n"
+
+
 def test_non_finite_initial_state_is_a_numerical_abort(tmp_path):
     # at amplitude 1e306 the data pass, but the projection P of the lifting
     # overflows, so w0 = -s(0) P is not finite: the run aborts at t = 0 as

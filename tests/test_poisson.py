@@ -12,12 +12,12 @@ from ductflow.hopf import (
     build_b,
     cap_norms,
     profile_by_name,
+    sample_cap_shape,
 )
 from ductflow.poisson import (
     certify_layer_bound,
     certify_weighted_hessian,
     delta_field,
-    layer_factor,
     solve_neumann,
     weighted_norm,
 )
@@ -94,7 +94,7 @@ def test_linearity():
 
 def test_neumann_trace_vanishes_on_every_face():
     grid = unit_grid()
-    ext = build_b(profile_by_name("parabolic-cap", grid.spec, amplitude=1.0), PARAMS, grid)
+    ext = build_b(sample_cap_shape(profile_by_name("parabolic-cap", grid.spec, amplitude=1.0), grid), PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # delta = b + grad(phi) with b = alpha e3: n.delta - n3 alpha = n.grad(phi)
     for patch, alpha, face in zip(grid.patches, ext.faces, delta.faces):
@@ -110,7 +110,8 @@ def test_normal_derivatives_of_phi_are_exactly_zero_on_every_face():
     # two Hessian entries that pair the normal axis with an in-plane axis,
     # which the cap stress leaves out, are 0.0 in the face synthesis too.
     grid = unit_grid(n=(8, 10, 32))
-    ext = build_b(profile_by_name("pulsed", grid.spec, amplitude=0.9, beta=0.5, period=0.2), PARAMS, grid)
+    prof = profile_by_name("pulsed", grid.spec, amplitude=0.9, beta=0.5, period=0.2)
+    ext = build_b(sample_cap_shape(prof, grid), PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
     for patch, alpha, face in zip(grid.patches, ext.faces, delta.faces):
@@ -128,7 +129,7 @@ def test_div_delta_vanishes_at_nodes():
     # divergence of delta = b + grad(phi) is zero at every node.
     grid = unit_grid()
     prof = profile_by_name("parabolic-cap", grid.spec, amplitude=1.0)
-    ext = build_b(prof, PARAMS, grid)
+    ext = build_b(sample_cap_shape(prof, grid), PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     delta = delta_field(ext, sol, grid)
     g = delta.grad
@@ -143,7 +144,7 @@ def test_div_delta_vanishes_at_nodes():
 def test_delta_carries_the_flux():
     grid = unit_grid()
     prof = profile_by_name("parabolic-cap", grid.spec, amplitude=0.8)
-    ext = build_b(prof, PARAMS, grid)
+    ext = build_b(sample_cap_shape(prof, grid), PARAMS, grid)
     delta = delta_field(ext, solve_neumann(ext.div_b, grid), grid)
     # normal trace of grad(phi) vanishes, so delta_3 = b_3 = g on both caps
     for patch, face in zip(grid.caps, delta.faces[4:]):
@@ -162,7 +163,7 @@ def test_face_gradients_of_delta_match_trig_sums_and_the_closed_form():
     spec = DomainSpec(L1=1.0, L2=1.5, a=1.0, N1=8, N2=10, N3=32)
     grid = build_domain(spec)
     prof = profile_by_name("parabolic-cap", spec, amplitude=0.9)
-    ext = build_b(prof, PARAMS, grid)
+    ext = build_b(sample_cap_shape(prof, grid), PARAMS, grid)
     sol = solve_neumann(ext.div_b, grid)
     for patch in grid.caps:
         face_id = (patch.axis, patch.side)
@@ -225,16 +226,18 @@ def test_weighted_hessian_parameter_validation():
 def test_layer_bound_mu_validation():
     grid = unit_grid()
     prof = profile_by_name("constant", grid.spec, amplitude=1.0)
-    ext = build_b(prof, PARAMS, grid)
+    shape = sample_cap_shape(prof, grid)
+    ext = build_b(shape, PARAMS, grid)
     with pytest.raises(ValueError, match="not finite"):
-        certify_layer_bound(cap_norms(prof, grid), PARAMS, ext, grid, mu=2.0 / 3.0)
+        certify_layer_bound(cap_norms(shape, grid), PARAMS, ext, grid, mu=2.0 / 3.0)
 
 
 def test_layer_bound_zero_flux():
     grid = unit_grid()
     prof = profile_by_name("constant", grid.spec, amplitude=0.0)
-    ext = build_b(prof, PARAMS, grid)
-    lhs, rhs = certify_layer_bound(cap_norms(prof, grid), PARAMS, ext, grid, mu=0.8)
+    shape = sample_cap_shape(prof, grid)
+    ext = build_b(shape, PARAMS, grid)
+    lhs, rhs = certify_layer_bound(cap_norms(shape, grid), PARAMS, ext, grid, mu=0.8)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -243,13 +246,16 @@ def test_layer_bound_constant_flux_closed_form():
     # lhs^3 = 2 A^3 |cap| eps^3 int_r^rho s^(3 mu - 3) ds exactly.
     mu = 0.8
     A = 1.3
-    expected_lhs = (2.0 * A**3 * 1.0 * layer_factor(PARAMS, mu)) ** (1.0 / 3.0)
+    expo = 3.0 * mu - 2.0
+    layer = PARAMS.eps**3 * (PARAMS.rho**expo - PARAMS.r**expo) / expo
+    expected_lhs = (2.0 * A**3 * 1.0 * layer) ** (1.0 / 3.0)
     vals = []
     for n3 in (64, 128, 256):
         grid = unit_grid(n=(4, 4, n3))
         prof = profile_by_name("constant", grid.spec, amplitude=A)
-        ext = build_b(prof, PARAMS, grid)
-        lhs, rhs = certify_layer_bound(cap_norms(prof, grid), PARAMS, ext, grid, mu=mu)
+        shape = sample_cap_shape(prof, grid)
+        ext = build_b(shape, PARAMS, grid)
+        lhs, rhs = certify_layer_bound(cap_norms(shape, grid), PARAMS, ext, grid, mu=mu)
         vals.append(lhs)
         assert rhs == pytest.approx(
             PARAMS.eps * PARAMS.rho ** (mu - 2.0 / 3.0) * 2.0 * A, rel=1e-12

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
+from ductflow import cli
 from ductflow.basis import (
     AssembledForms,
     DeltaEval,
@@ -17,7 +18,7 @@ from ductflow.errors import NumericalAbort, ScenarioError
 from ductflow.domain import build_domain
 import ductflow.hopf as hopf_mod
 import ductflow.solver as solver_mod
-from ductflow.hopf import build_b, cap_norms, compatibility_residual
+from ductflow.hopf import build_b, cap_norms, compatibility_residual, sample_cap_shape
 from ductflow.poisson import delta_field, solve_neumann
 from ductflow.solver import (
     GalerkinSolver,
@@ -349,14 +350,12 @@ def test_zero_data_are_exact_zeros_without_grid_work(monkeypatch, kw):
     # expressions for f = 0 and g = 0 to the bit, signs of zero included
     solver = GalerkinSolver(small_config(**kw))
     grid, profile, forms = solver.grid, solver.profile, solver.forms
-    lo, hi = grid.caps
-    g_lo = profile.g(*lo.meshgrid())
+    lo = grid.caps[0]
     reference = dict(
         P=forms.project_velocity(solver.omega(0.0) * solver.f_values),
         norms=solver._omega_f_norms(np.zeros(grid.shape), solver._f_weights()),
-        cap=cap_norms(profile, grid),
-        cap_integrals=(lo.integrate(g_lo), hi.integrate(profile.g(*hi.meshgrid()))),
-        inflow=forms.tb.factors.project_face(0, lo, g_lo),
+        cap=cap_norms(sample_cap_shape(profile, grid), grid),
+        inflow=forms.tb.factors.project_face(0, lo, profile.g(*lo.meshgrid())),
     )
 
     def refuse(*args):
@@ -548,7 +547,7 @@ def test_scaled_lifting_matches_direct_rebuild():
             g1=lambda x1, x2: s * prof.g1(x1, x2),
             g2=lambda x1, x2: s * prof.g2(x1, x2),
         )
-        ext = build_b(at_t, params, grid)
+        ext = build_b(sample_cap_shape(at_t, grid), params, grid)
         return delta_field(ext, solve_neumann(ext.div_b, grid), grid)
 
     def close(got, ref, tol, label):
@@ -611,7 +610,7 @@ def test_sampled_cap_series_match_the_flux_definitions():
     k = solver.couplings
     assert abs(c0 @ k["P"]) > 1e-5 and abs(c0 @ k["Q"]) > 1e-3
     gpsi = oracles.family_fields(solver.vb.factors)[1].reshape(solver.vb.m, 3, 3, -1)
-    shape = cap_norms(prof, grid)
+    shape = cap_norms(sample_cap_shape(prof, grid), grid)
     for t in (0.0, 0.03, 0.17, 0.41):
         delta, _ = oracles.scaled_lifting(solver, t)
         row = sampled(solver, x0, t)
@@ -706,6 +705,43 @@ def test_run_loop_and_ledger_read_no_boundary_data(monkeypatch):
     for key, values in reference.series.items():
         assert np.array_equal(res.series[key], values), key
     assert np.max(res.series["d_w13_total"]) > 0.0
+
+
+@pytest.mark.parametrize("kw", [
+    dict(flux_profile="pulsed", flux_amplitude=0.6, flux_period=0.2),
+    dict(flux_profile="parabolic-cap", flux_amplitude=0.6, hopf_mode="auto"),
+])
+def test_the_cap_shape_is_evaluated_once_per_run_and_per_check(monkeypatch, tmp_path, kw):
+    # g, g1 and g2 are each called once per set-up and run, a manual pulsed
+    # one and an auto-mode parabolic one, and once per `check`: the data
+    # check, auto mode's norm, the lifting, its couplings and the ledger all
+    # read the one sample that sample_cap_shape makes
+    calls = []
+    profile_of = solver_mod.profile_of
+
+    def counted(config):
+        prof = profile_of(config)
+
+        def wrap(name):
+            def fn(x1, x2):
+                calls.append(name)
+                return getattr(prof, name)(x1, x2)
+            return fn
+
+        return dataclasses.replace(prof, **{name: wrap(name) for name in ("g", "g1", "g2")})
+
+    monkeypatch.setattr(solver_mod, "profile_of", counted)
+    monkeypatch.setattr(cli, "profile_of", counted)
+    config = small_config(**kw)
+    res = GalerkinSolver(config).run_windows()
+    assert np.max(res.series["d_w13_total"]) > 0.0
+    assert sorted(calls) == ["g", "g1", "g2"]
+    calls.clear()
+    scn = tmp_path / "run.scn"
+    scn.write_text("".join(f"{f.metadata['key']} = {getattr(config, f.name)}\n"
+                           for f in dataclasses.fields(config) if f.name != "forcing_vector"))
+    assert cli.main(["check", str(scn)]) == 0
+    assert sorted(calls) == ["g", "g1", "g2"]
 
 
 def test_th_integral_is_the_constant_mode():
